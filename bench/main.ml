@@ -75,6 +75,9 @@ let table2 () =
 
 let table3_cache : Bench_suite.Runner.trial_summary list option ref = ref None
 
+let summary_probes (s : Bench_suite.Runner.trial_summary) =
+  Cirfix.Evaluate.get s.counters Probes
+
 let run_table3 () =
   match !table3_cache with
   | Some r -> r
@@ -115,7 +118,7 @@ let table3 () =
         (if String.length d.description > 52 then
            String.sub d.description 0 49 ^ "..."
          else d.description)
-        d.category s.total_seconds s.probes s.edits ours paper)
+        d.category s.total_seconds (summary_probes s) s.edits ours paper)
     results;
   let plausible = List.filter (fun (s : Bench_suite.Runner.trial_summary) -> s.repaired) results in
   let correct = List.filter (fun (s : Bench_suite.Runner.trial_summary) -> s.correct) results in
@@ -146,9 +149,9 @@ let rq1 () =
         "  #%-2d %-22s brute-force: %-9s (%d probes, %.1fs)  cirfix: %-9s (%d probes, %.1fs)\n"
         id d.project
         (if bf.repaired <> None then "repaired" else "none")
-        bf.probes bf.wall_seconds
+        (Cirfix.Evaluate.get bf.counters Probes) bf.wall_seconds
         (if cirfix_s.repaired then "repaired" else "none")
-        cirfix_s.probes cirfix_s.total_seconds)
+        (summary_probes cirfix_s) cirfix_s.total_seconds)
     subset
 
 (* ------------------------------------------------------------------ *)
@@ -164,7 +167,7 @@ let rq2 () =
     let repaired = List.filter (fun (s : Bench_suite.Runner.trial_summary) -> s.repaired) rs in
     let times = List.map (fun (s : Bench_suite.Runner.trial_summary) -> s.seconds) repaired in
     let probes =
-      List.map (fun (s : Bench_suite.Runner.trial_summary) -> float_of_int s.probes) repaired
+      List.map (fun (s : Bench_suite.Runner.trial_summary) -> float_of_int (summary_probes s)) repaired
     in
     (List.length rs, List.length repaired, times, probes)
   in
@@ -234,7 +237,7 @@ let figure3 () =
   (match (s.patch, s.repaired_module) with
   | Some p, Some m ->
       Printf.printf "\nCirFix repair (%d edits, %.1fs, %d probes, %s):\n  %s\n"
-        (List.length p) s.seconds s.probes
+        (List.length p) s.seconds (summary_probes s)
         (if s.correct then "correct" else "plausible")
         (Cirfix.Patch.to_string p);
       Printf.printf "\nRepaired reset block excerpt:\n";
@@ -430,7 +433,7 @@ let ablation_phi () =
       let result phi =
         let cfg = { (Bench_suite.Runner.scenario_config d) with phi } in
         let s = Bench_suite.Runner.run_defect ~cfg ~trials:3 d in
-        if s.repaired then Printf.sprintf "%d probes" s.probes else "none"
+        if s.repaired then Printf.sprintf "%d probes" (summary_probes s) else "none"
       in
       Printf.printf "%-24s %10s %10s %10s\n"
         (Printf.sprintf "#%d %s" id d.project)
@@ -450,7 +453,7 @@ let ablation_params () =
   let base = Bench_suite.Runner.scenario_config d in
   let run cfg =
     let s = Bench_suite.Runner.run_defect ~cfg ~trials:3 d in
-    if s.repaired then Printf.sprintf "%d probes" s.probes else "none"
+    if s.repaired then Printf.sprintf "%d probes" (summary_probes s) else "none"
   in
   Printf.printf "scenario #4 (counter incorrect reset), 3 trials per cell\n\n";
   Printf.printf "population size:   ";

@@ -599,52 +599,47 @@ let slice_rows ~slice ~sliced ~slice_sims ~stitched_verifies =
 (* The shared summary table of a search run (GP or brute-force): memo
    behaviour and the per-status reject breakdown, aligned. Rates are
    relative to total evaluations requested. *)
-let summary_table ~probes ~lookups ~memo_hits ~semantic_hits ~dead_edit_skips
-    ~mutants ~compile_errors ~static_rejects ~oversize_rejects ~racy_rejects
-    ~runtime_races ~sims_event ~sims_compiled ~compiled_fallbacks
-    ~sim_seconds_event ~sim_seconds_compiled ~jobs ~wall_seconds =
+let summary_table (c : Cirfix.Evaluate.counters) ~mutants ~runtime_races
+    ~jobs ~wall_seconds =
+  let get = Cirfix.Evaluate.get c and secs = Cirfix.Evaluate.seconds c in
+  let lookups = get Lookups and probes = get Probes in
   (* Values are unpadded: [Stats.kv_table] recomputes both column widths
      from the rows, so counts of any magnitude stay aligned. *)
-  let count_pct part =
-    Printf.sprintf "%d  (%.1f%% of evals)" part
-      (Cirfix.Stats.percent ~part ~total:lookups)
+  let count_pct k =
+    Printf.sprintf "%d  (%.1f%% of evals)" (get k)
+      (Cirfix.Stats.percent ~part:(get k) ~total:lookups)
+  in
+  let sims k t =
+    Printf.sprintf "%d  (%.1f sims/sec in-sim)" (get k)
+      (Cirfix.Stats.sims_per_sec ~probes:(get k) ~wall_seconds:(secs t))
   in
   [
     ("evaluations requested", Printf.sprintf "%d" lookups);
-    ("memo hits", count_pct memo_hits);
-    ("semantic hits", count_pct semantic_hits);
-    ("dead-edit skips", count_pct dead_edit_skips);
-    ("probes (simulations)", count_pct probes);
-    ("compile errors", count_pct compile_errors);
-    ("static rejects", count_pct static_rejects);
-    ("oversize rejects", count_pct oversize_rejects);
-    ("racy rejects", count_pct racy_rejects);
+    ("memo hits", count_pct Memo_hits);
+    ("semantic hits", count_pct Semantic_hits);
+    ("dead-edit skips", count_pct Dead_edit_skips);
+    ("probes (simulations)", count_pct Probes);
+    ("compile errors", count_pct Compile_errors);
+    ("static rejects", count_pct Static_rejects);
+    ("oversize rejects", count_pct Oversize_rejects);
+    ("racy rejects", count_pct Racy_rejects);
   ]
   @ (match mutants with
     | Some m -> [ ("mutants generated", Printf.sprintf "%d" m) ]
     | None -> [])
-  @ (match runtime_races with
-    | Some races ->
-        [
-          ( "runtime races",
-            Printf.sprintf "%d  (%.2f per 1000 sims)" races
-              (Cirfix.Stats.races_per_ksim ~races ~probes) );
-        ]
-    | None -> [])
+  @ (if runtime_races then
+       [
+         ( "runtime races",
+           Printf.sprintf "%d  (%.2f per 1000 sims)" (get Runtime_races)
+             (Cirfix.Stats.races_per_ksim ~races:(get Runtime_races) ~probes) );
+       ]
+     else [])
   (* Per-backend breakdown: counts are jobs-invariant (accounted at
      commit time); the in-sim rates are timing and vary run to run. *)
   @ [
-      ( "sims (event)",
-        Printf.sprintf "%d  (%.1f sims/sec in-sim)" sims_event
-          (Cirfix.Stats.sims_per_sec ~probes:sims_event
-             ~wall_seconds:sim_seconds_event) );
-      ( "sims (compiled)",
-        Printf.sprintf "%d  (%.1f sims/sec in-sim)" sims_compiled
-          (Cirfix.Stats.sims_per_sec ~probes:sims_compiled
-             ~wall_seconds:sim_seconds_compiled) );
-      ("compiled fallbacks", Printf.sprintf "%d" compiled_fallbacks);
-    ]
-  @ [
+      ("sims (event)", sims Sims_event Sim_seconds_event);
+      ("sims (compiled)", sims Sims_compiled Sim_seconds_compiled);
+      ("compiled fallbacks", Printf.sprintf "%d" (get Compiled_fallbacks));
       ( "throughput",
         Printf.sprintf "%.1f  sims/sec (jobs=%d)"
           (Cirfix.Stats.sims_per_sec ~probes ~wall_seconds)
@@ -688,9 +683,6 @@ let make_progress ~enabled =
     (show, clear)
   end
 
-let memo_pct ~memo_hits ~lookups =
-  if lookups = 0 then 0. else 100. *. float_of_int memo_hits /. float_of_int lookups
-
 let repair design golden testbench target top clock dut seed pop_size
     generations max_probes wall jobs backend race_screen race_check no_prune
     check_pruning slice output progress obs =
@@ -727,16 +719,17 @@ let repair design golden testbench target top clock dut seed pop_size
        the same stream would interleave mid-line. *)
     if not live then
       Printf.eprintf "gen %2d: best %.3f mean %.3f (%d probes)\n%!" g.gen
-        g.best_fitness g.mean_fitness g.probes_so_far
+        g.best_fitness g.mean_fitness
+        (Cirfix.Evaluate.get g.so_far Probes)
     else begin
       let elapsed = Unix.gettimeofday () -. t_start in
+      let get = Cirfix.Evaluate.get g.so_far in
       show_progress
         (Printf.sprintf
            "gen %d  best %.3f  %.0f sims/s  memo %.0f%%  %.1fs elapsed" g.gen
            g.best_fitness
-           (Cirfix.Stats.sims_per_sec ~probes:g.probes_so_far
-              ~wall_seconds:elapsed)
-           (memo_pct ~memo_hits:g.memo_hits_so_far ~lookups:g.lookups_so_far)
+           (Cirfix.Stats.sims_per_sec ~probes:(get Probes) ~wall_seconds:elapsed)
+           (Cirfix.Stats.percent ~part:(get Memo_hits) ~total:(get Lookups))
            elapsed)
     end
   in
@@ -745,17 +738,8 @@ let repair design golden testbench target top clock dut seed pop_size
   Printf.printf "initial fitness: %.4f\n" r.initial_fitness;
   print_endline
     (Cirfix.Stats.kv_table
-       (summary_table ~probes:r.probes ~lookups:r.lookups
-          ~memo_hits:r.memo_hits ~semantic_hits:r.semantic_hits
-          ~dead_edit_skips:r.dead_edit_skips
-          ~mutants:(Some r.mutants_generated)
-          ~compile_errors:r.compile_errors ~static_rejects:r.static_rejects
-          ~oversize_rejects:r.oversize_rejects ~racy_rejects:r.racy_rejects
-          ~runtime_races:(if race_check then Some r.runtime_races else None)
-          ~sims_event:r.sims_event ~sims_compiled:r.sims_compiled
-          ~compiled_fallbacks:r.compiled_fallbacks
-          ~sim_seconds_event:r.sim_seconds_event
-          ~sim_seconds_compiled:r.sim_seconds_compiled ~jobs:cfg.jobs
+       (summary_table r.counters ~mutants:(Some r.mutants_generated)
+          ~runtime_races:race_check ~jobs:cfg.jobs
           ~wall_seconds:r.wall_seconds
         @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
             ~stitched_verifies:r.stitched_verifies));
@@ -882,13 +866,14 @@ let brute design golden testbench target top clock dut max_depth max_probes
   let t_start = Unix.gettimeofday () in
   let on_progress (p : Cirfix.Brute_force.progress) =
     let elapsed = Unix.gettimeofday () -. t_start in
+    let get = Cirfix.Evaluate.get p.bp_counters in
     show_progress
       (Printf.sprintf
          "depth %d  tried %d  best %.3f  %.0f sims/s  memo %.0f%%  %.1fs \
           elapsed"
          p.bp_depth p.bp_tried p.bp_best
-         (Cirfix.Stats.sims_per_sec ~probes:p.bp_probes ~wall_seconds:elapsed)
-         (memo_pct ~memo_hits:p.bp_memo_hits ~lookups:p.bp_lookups)
+         (Cirfix.Stats.sims_per_sec ~probes:(get Probes) ~wall_seconds:elapsed)
+         (Cirfix.Stats.percent ~part:(get Memo_hits) ~total:(get Lookups))
          elapsed)
   in
   let r = Cirfix.Brute_force.search ~max_depth ~on_progress cfg problem in
@@ -897,16 +882,8 @@ let brute design golden testbench target top clock dut max_depth max_probes
     max_depth;
   print_endline
     (Cirfix.Stats.kv_table
-       (summary_table ~probes:r.probes ~lookups:r.lookups
-          ~memo_hits:r.memo_hits ~semantic_hits:r.semantic_hits
-          ~dead_edit_skips:r.dead_edit_skips ~mutants:None
-          ~compile_errors:r.compile_errors ~static_rejects:r.static_rejects
-          ~oversize_rejects:r.oversize_rejects ~racy_rejects:r.racy_rejects
-          ~runtime_races:None ~sims_event:r.sims_event
-          ~sims_compiled:r.sims_compiled
-          ~compiled_fallbacks:r.compiled_fallbacks
-          ~sim_seconds_event:r.sim_seconds_event
-          ~sim_seconds_compiled:r.sim_seconds_compiled ~jobs:cfg.jobs
+       (summary_table r.counters ~mutants:None ~runtime_races:false
+          ~jobs:cfg.jobs
           ~wall_seconds:r.wall_seconds
         @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
             ~stitched_verifies:r.stitched_verifies));
@@ -1409,18 +1386,19 @@ let scenarios id dump run_it trials jobs race_screen race_check =
           }
         in
         let s = Bench_suite.Runner.run_defect ~cfg ~trials ~pool d in
+        let get = Cirfix.Evaluate.get s.counters in
         Printf.printf
           "  result: %s (%.1fs, %d probes, %.1f sims/sec, %d static rejects, \
            %d oversize rejects, %d racy rejects)\n"
           (if s.correct then "correct repair"
            else if s.repaired then "plausible repair"
            else "no repair")
-          s.total_seconds s.probes
-          (Cirfix.Stats.sims_per_sec ~probes:s.probes
+          s.total_seconds (get Probes)
+          (Cirfix.Stats.sims_per_sec ~probes:(get Probes)
              ~wall_seconds:s.total_seconds)
-          s.static_rejects s.oversize_rejects s.racy_rejects;
+          (get Static_rejects) (get Oversize_rejects) (get Racy_rejects);
         if race_check then
-          Printf.printf "  runtime races: %d\n" s.runtime_races;
+          Printf.printf "  runtime races: %d\n" (get Runtime_races);
         (match s.patch with
         | Some p -> Printf.printf "  patch: %s\n" (Cirfix.Patch.to_string p)
         | None -> ())))

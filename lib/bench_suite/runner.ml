@@ -14,16 +14,7 @@ type trial_summary = {
   correct : bool; (* plausible and passes the validation testbench *)
   seconds : float; (* wall time of the successful trial (or total) *)
   total_seconds : float; (* across all trials run *)
-  probes : int; (* fitness evaluations across all trials *)
-  static_rejects : int; (* mutants screened out statically, across all trials *)
-  oversize_rejects : int; (* mutants rejected for size, across all trials *)
-  racy_rejects : int; (* mutants rejected by the race screen, across all trials *)
-  runtime_races : int; (* dynamic races observed, across all trials *)
-  semantic_hits : int; (* semantic-lane folds, across all trials *)
-  dead_edit_skips : int; (* dead-edit skips, across all trials *)
-  sims_event : int; (* event-engine simulations, across all trials *)
-  sims_compiled : int; (* compiled-backend simulations, across all trials *)
-  compiled_fallbacks : int; (* compiled->event fallbacks, across all trials *)
+  counters : Cirfix.Evaluate.counters; (* summed across all trials run *)
   sliced : bool; (* slice-based repair engaged in any trial *)
   slice_sims : int; (* simulations run on the sliced design, across trials *)
   stitched_verifies : int; (* whole-design re-verifications, across trials *)
@@ -37,97 +28,67 @@ type trial_summary = {
 }
 
 (* Fold per-seed results (seed order) into the summary, stopping at the
-   first plausible repair as the sequential driver does. *)
+   first plausible repair as the sequential driver does: only the trials up
+   to and including it are counted. *)
 let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
     : trial_summary =
-  let rec go seed ~total_probes ~total_statics ~total_oversize ~total_racy
-      ~total_races ~total_sem ~total_dead ~total_sims_event
-      ~total_sims_compiled ~total_fallbacks ~any_sliced ~total_slice_sims
-      ~total_stitched ~total_seconds ~initial_fitness = function
-    | [] ->
-        {
-          defect = d;
-          repaired = false;
-          correct = false;
-          seconds = total_seconds;
-          total_seconds;
-          probes = total_probes;
-          static_rejects = total_statics;
-          oversize_rejects = total_oversize;
-          racy_rejects = total_racy;
-          runtime_races = total_races;
-          semantic_hits = total_sem;
-          dead_edit_skips = total_dead;
-          sims_event = total_sims_event;
-          sims_compiled = total_sims_compiled;
-          compiled_fallbacks = total_fallbacks;
-          sliced = any_sliced;
-          slice_sims = total_slice_sims;
-          stitched_verifies = total_stitched;
-          edits = 0;
-          trials_run = trials;
-          winning_seed = None;
-          patch = None;
-          repaired_module = None;
-          generations = [];
-          initial_fitness;
-        }
-    | (r : Cirfix.Gp.result) :: rest -> (
-        let total_probes = total_probes + r.probes in
-        let total_statics = total_statics + r.static_rejects in
-        let total_oversize = total_oversize + r.oversize_rejects in
-        let total_racy = total_racy + r.racy_rejects in
-        let total_races = total_races + r.runtime_races in
-        let total_sem = total_sem + r.semantic_hits in
-        let total_dead = total_dead + r.dead_edit_skips in
-        let total_sims_event = total_sims_event + r.sims_event in
-        let total_sims_compiled = total_sims_compiled + r.sims_compiled in
-        let total_fallbacks = total_fallbacks + r.compiled_fallbacks in
-        let any_sliced = any_sliced || r.sliced in
-        let total_slice_sims = total_slice_sims + r.slice_sims in
-        let total_stitched = total_stitched + r.stitched_verifies in
-        let total_seconds = total_seconds +. r.wall_seconds in
-        match (r.minimized, r.repaired_module) with
-        | Some patch, Some m ->
-            {
-              defect = d;
-              repaired = true;
-              correct = Defects.is_correct d m;
-              seconds = r.wall_seconds;
-              total_seconds;
-              probes = total_probes;
-              static_rejects = total_statics;
-              oversize_rejects = total_oversize;
-              racy_rejects = total_racy;
-              runtime_races = total_races;
-              semantic_hits = total_sem;
-              dead_edit_skips = total_dead;
-              sims_event = total_sims_event;
-              sims_compiled = total_sims_compiled;
-              compiled_fallbacks = total_fallbacks;
-              sliced = any_sliced;
-              slice_sims = total_slice_sims;
-              stitched_verifies = total_stitched;
-              edits = List.length patch;
-              trials_run = seed;
-              winning_seed = Some seed;
-              patch = Some patch;
-              repaired_module = Some m;
-              generations = r.generations;
-              initial_fitness = r.initial_fitness;
-            }
-        | _ ->
-            go (seed + 1) ~total_probes ~total_statics ~total_oversize
-              ~total_racy ~total_races ~total_sem ~total_dead
-              ~total_sims_event ~total_sims_compiled ~total_fallbacks
-              ~any_sliced ~total_slice_sims ~total_stitched ~total_seconds
-              ~initial_fitness:r.initial_fitness rest)
+  let repair_of (r : Cirfix.Gp.result) =
+    match (r.minimized, r.repaired_module) with
+    | Some patch, Some m -> Some (patch, m)
+    | _ -> None
   in
-  go 1 ~total_probes:0 ~total_statics:0 ~total_oversize:0 ~total_racy:0
-    ~total_races:0 ~total_sem:0 ~total_dead:0 ~total_sims_event:0
-    ~total_sims_compiled:0 ~total_fallbacks:0 ~any_sliced:false
-    ~total_slice_sims:0 ~total_stitched:0 ~total_seconds:0.
-    ~initial_fitness:0. results
+  let rec upto_repair = function
+    | [] -> []
+    | r :: rest -> if repair_of r <> None then [ r ] else r :: upto_repair rest
+  in
+  let run = upto_repair results in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 run in
+  let total_seconds =
+    List.fold_left (fun acc (r : Cirfix.Gp.result) -> acc +. r.wall_seconds) 0. run
+  in
+  let unrepaired =
+    {
+      defect = d;
+      repaired = false;
+      correct = false;
+      seconds = total_seconds;
+      total_seconds;
+      counters =
+        List.fold_left
+          (fun acc (r : Cirfix.Gp.result) -> Cirfix.Evaluate.add acc r.counters)
+          Cirfix.Evaluate.zero run;
+      sliced = List.exists (fun (r : Cirfix.Gp.result) -> r.sliced) run;
+      slice_sims = sum (fun r -> r.slice_sims);
+      stitched_verifies = sum (fun r -> r.stitched_verifies);
+      edits = 0;
+      trials_run = trials;
+      winning_seed = None;
+      patch = None;
+      repaired_module = None;
+      generations = [];
+      initial_fitness = 0.;
+    }
+  in
+  match List.rev run with
+  | [] -> unrepaired
+  | last :: _ -> (
+      let s = { unrepaired with initial_fitness = last.initial_fitness } in
+      match repair_of last with
+      | None -> s
+      | Some (patch, m) ->
+          let seed = List.length run in
+          {
+            s with
+            repaired = true;
+            correct = Defects.is_correct d m;
+            seconds = last.wall_seconds;
+            edits = List.length patch;
+            trials_run = seed;
+            winning_seed = Some seed;
+            patch = Some patch;
+            repaired_module = Some m;
+            generations = last.generations;
+          })
 
 (* [pool]: when given (and wider than one domain), all [trials] seeds run
    speculatively in parallel — each trial forced to jobs=1 so the pool is

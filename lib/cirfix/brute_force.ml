@@ -7,20 +7,7 @@ open Verilog.Ast
 
 type result = {
   repaired : Patch.t option;
-  probes : int;
-  lookups : int; (* evaluations requested (memoized or not) *)
-  memo_hits : int; (* evaluations absorbed by the memo cache *)
-  compile_errors : int; (* candidates that failed elaboration *)
-  static_rejects : int; (* candidates screened out before simulation *)
-  oversize_rejects : int; (* candidates rejected for implausible size *)
-  racy_rejects : int; (* candidates rejected by the static race screen *)
-  semantic_hits : int; (* evaluations folded onto a semantic twin *)
-  dead_edit_skips : int; (* provably-dead edits scored without simulating *)
-  sims_event : int; (* simulations that ran on the event engine *)
-  sims_compiled : int; (* simulations that ran on the compiled backend *)
-  compiled_fallbacks : int; (* compiled requests that fell back to event *)
-  sim_seconds_event : float; (* in-simulator wall time, event engine *)
-  sim_seconds_compiled : float; (* in-simulator wall time, compiled *)
+  counters : Evaluate.counters; (* the search evaluator's final table *)
   wall_seconds : float;
   candidates_tried : int;
   sliced : bool; (* slice-based search actually engaged *)
@@ -32,9 +19,7 @@ type progress = {
   bp_depth : int;
   bp_tried : int;
   bp_best : float;
-  bp_probes : int;
-  bp_lookups : int;
-  bp_memo_hits : int;
+  bp_counters : Evaluate.counters;
 }
 
 (* Journal cadence: one batch record per this many committed candidates.
@@ -111,7 +96,8 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
   let tried = ref 0 in
   let found = ref None in
   let out_of_resources () =
-    Unix.gettimeofday () > deadline || ev.probes >= cfg.max_probes
+    Unix.gettimeofday () > deadline
+    || Evaluate.count ev Probes >= cfg.max_probes
   in
   let edits = single_edits original in
   if Obs.Journal.enabled () then
@@ -130,22 +116,14 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
   let best = ref 0. in
   let journal_batch ~depth =
     Obs.Journal.emit
-      [
+      ([
         ("type", Obs.Json.Str "batch");
         ("depth", Obs.Json.Int depth);
         ("tried", Obs.Json.Int !tried);
         ("best", Obs.Json.Float !best);
-        ("probes", Obs.Json.Int ev.probes);
-        ("lookups", Obs.Json.Int ev.lookups);
-        ("memo_hits", Obs.Json.Int (Evaluate.memo_hits ev));
-        ("compile_errors", Obs.Json.Int ev.compile_errors);
-        ("static_rejects", Obs.Json.Int ev.static_rejects);
-        ("oversize_rejects", Obs.Json.Int ev.oversize_rejects);
-        ("racy_rejects", Obs.Json.Int ev.racy_rejects);
-        ("semantic_hits", Obs.Json.Int ev.semantic_hits);
-        ("dead_edit_skips", Obs.Json.Int ev.dead_edit_skips);
-        ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0));
       ]
+      @ Evaluate.journal_fields ~final:false (Evaluate.counters ev)
+      @ [ ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0)) ])
   in
   Pool.with_pool ~jobs:cfg.jobs @@ fun pool ->
   (* The enumeration order of the sequential sweep, as a lazy stream:
@@ -199,9 +177,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
                       bp_depth = !d;
                       bp_tried = !tried;
                       bp_best = !best;
-                      bp_probes = ev.probes;
-                      bp_lookups = ev.lookups;
-                      bp_memo_hits = Evaluate.memo_hits ev;
+                      bp_counters = Evaluate.counters ev;
                     })
                 on_progress))
           chunk;
@@ -220,6 +196,10 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     if Obs.Journal.enabled () then journal_batch ~depth:!d;
     incr d
   done;
+  let counters = Evaluate.counters ev in
+  let slice_sims =
+    match slicing with Some _ -> Evaluate.get counters Probes | None -> 0
+  in
   if Obs.Journal.enabled () then begin
     Obs.Journal.emit
       [
@@ -234,9 +214,9 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
           | None -> Obs.Json.Null
           | Some p -> Obs.Json.Str (Patch.to_string p) );
         ("tried", Obs.Json.Int !tried);
-        ("probes", Obs.Json.Int ev.probes);
-        ("lookups", Obs.Json.Int ev.lookups);
-        ("memo_hits", Obs.Json.Int (Evaluate.memo_hits ev));
+        ("probes", Obs.Json.Int (Evaluate.get counters Probes));
+        ("lookups", Obs.Json.Int (Evaluate.get counters Lookups));
+        ("memo_hits", Obs.Json.Int (Evaluate.get counters Memo_hits));
         ("wall_seconds", Obs.Json.Float (Unix.gettimeofday () -. t0));
       ];
     (* Terminal record; [elapsed_s] is the documented timing field,
@@ -247,50 +227,23 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ( "status",
           Obs.Json.Str (if !found <> None then "repaired" else "no_repair") );
         ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0));
-        ("evals", Obs.Json.Int ev.lookups);
-        ("probes", Obs.Json.Int ev.probes);
-        ("memo_hits", Obs.Json.Int (Evaluate.memo_hits ev));
-        ("compile_errors", Obs.Json.Int ev.compile_errors);
-        ("static_rejects", Obs.Json.Int ev.static_rejects);
-        ("oversize_rejects", Obs.Json.Int ev.oversize_rejects);
-        ("racy_rejects", Obs.Json.Int ev.racy_rejects);
-        ("semantic_hits", Obs.Json.Int ev.semantic_hits);
-        ("dead_edit_skips", Obs.Json.Int ev.dead_edit_skips);
-        ("runtime_races", Obs.Json.Int ev.runtime_races);
-        ("sims_event", Obs.Json.Int ev.sims_event);
-        ("sims_compiled", Obs.Json.Int ev.sims_compiled);
-        ("compiled_fallbacks", Obs.Json.Int ev.compiled_fallbacks);
-        ("tried", Obs.Json.Int !tried);
       ]
-      @
-      if cfg.slice then
+      @ Evaluate.journal_fields ~final:true counters
+      @ ("tried", Obs.Json.Int !tried)
+        ::
+        (if cfg.slice then
         [
-          ( "slice_sims",
-            Obs.Json.Int (match slicing with Some _ -> ev.probes | None -> 0)
-          );
+          ("slice_sims", Obs.Json.Int slice_sims);
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
-      else [])
+      else []))
   end;
   {
     repaired = !found;
-    probes = ev.probes;
-    lookups = ev.lookups;
-    memo_hits = Evaluate.memo_hits ev;
-    compile_errors = ev.compile_errors;
-    static_rejects = ev.static_rejects;
-    oversize_rejects = ev.oversize_rejects;
-    racy_rejects = ev.racy_rejects;
-    semantic_hits = ev.semantic_hits;
-    dead_edit_skips = ev.dead_edit_skips;
-    sims_event = ev.sims_event;
-    sims_compiled = ev.sims_compiled;
-    compiled_fallbacks = ev.compiled_fallbacks;
-    sim_seconds_event = ev.sim_seconds_event;
-    sim_seconds_compiled = ev.sim_seconds_compiled;
+    counters;
     wall_seconds = Unix.gettimeofday () -. t0;
     candidates_tried = !tried;
     sliced = slicing <> None;
-    slice_sims = (match slicing with Some _ -> ev.probes | None -> 0);
+    slice_sims;
     stitched_verifies = !stitched;
   }

@@ -4,34 +4,9 @@
 
 type result = {
   repaired : Patch.t option;
-  probes : int;
-  lookups : int;  (** evaluations requested, memoized or not *)
-  memo_hits : int;  (** evaluations absorbed by the memo cache *)
-  compile_errors : int;  (** candidates that failed elaboration *)
-  static_rejects : int;
-      (** candidates screened out statically, without simulation *)
-  oversize_rejects : int;
-      (** candidates rejected for implausible size without simulation *)
-  racy_rejects : int;
-      (** candidates rejected by the static race screen without simulation *)
-  semantic_hits : int;
-      (** evaluations folded onto a semantically-equivalent, already-scored
-          candidate without simulating *)
-  dead_edit_skips : int;
-      (** candidates whose edit was proved dead; seed fitness reused
-          without simulating *)
-  sims_event : int;
-      (** simulations that ran on the event engine, including fallbacks
-          from a requested compilation *)
-  sims_compiled : int;
-      (** simulations that ran on the compiled levelized backend *)
-  compiled_fallbacks : int;
-      (** simulations where compilation was requested but the design fell
-          back to the event engine; a subset of [sims_event] *)
-  sim_seconds_event : float;
-      (** cumulative in-simulator wall time on the event engine (timing) *)
-  sim_seconds_compiled : float;
-      (** cumulative in-simulator wall time compiled (timing) *)
+  counters : Evaluate.counters;
+      (** the search evaluator's final counter table (on the sliced
+          problem when [sliced]) *)
   wall_seconds : float;
   candidates_tried : int;
   sliced : bool;
@@ -51,9 +26,7 @@ type progress = {
   bp_depth : int;
   bp_tried : int;
   bp_best : float;
-  bp_probes : int;
-  bp_lookups : int;
-  bp_memo_hits : int;
+  bp_counters : Evaluate.counters;
 }
 
 (** Every single edit over the module: deletes, same-class replacements,

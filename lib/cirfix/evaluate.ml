@@ -48,6 +48,115 @@ type outcome = {
          simulated. Timing only — excluded from journals. *)
 }
 
+(* --- Evaluation counters --------------------------------------------------
+
+   Every count the evaluator keeps lives in one table, indexed by [counter].
+   The variant's order is the table order: snapshots, journal records and
+   the funnel groups all walk it, so adding or deleting a counter means one
+   constructor here plus its [name]. *)
+
+type counter =
+  | Probes
+  | Lookups
+  | Memo_hits
+  | Compile_errors
+  | Static_rejects
+  | Oversize_rejects
+  | Racy_rejects
+  | Semantic_hits
+  | Dead_edit_skips
+  | Runtime_races
+  | Sims_event
+  | Sims_compiled
+  | Compiled_fallbacks
+
+let all_counters =
+  [
+    Probes; Lookups; Memo_hits; Compile_errors; Static_rejects;
+    Oversize_rejects; Racy_rejects; Semantic_hits; Dead_edit_skips;
+    Runtime_races; Sims_event; Sims_compiled; Compiled_fallbacks;
+  ]
+
+let name = function
+  | Probes -> "probes"
+  | Lookups -> "lookups"
+  | Memo_hits -> "memo_hits"
+  | Compile_errors -> "compile_errors"
+  | Static_rejects -> "static_rejects"
+  | Oversize_rejects -> "oversize_rejects"
+  | Racy_rejects -> "racy_rejects"
+  | Semantic_hits -> "semantic_hits"
+  | Dead_edit_skips -> "dead_edit_skips"
+  | Runtime_races -> "runtime_races"
+  | Sims_event -> "sims_event"
+  | Sims_compiled -> "sims_compiled"
+  | Compiled_fallbacks -> "compiled_fallbacks"
+
+let screened = [ Compile_errors; Static_rejects; Oversize_rejects; Racy_rejects ]
+let pruned = [ Memo_hits; Semantic_hits; Dead_edit_skips ]
+
+(* Position in [all_counters]; the table is short enough that a scan is
+   cheaper than anything that would have to be kept in sync with it. *)
+let index (k : counter) : int =
+  let rec go i = function
+    | [] -> assert false
+    | k' :: rest -> if k' == k then i else go (i + 1) rest
+  in
+  go 0 all_counters
+
+let n_counters = List.length all_counters
+
+type timer = Lane_seconds | Sim_seconds_event | Sim_seconds_compiled
+
+let timer_index = function
+  | Lane_seconds -> 0
+  | Sim_seconds_event -> 1
+  | Sim_seconds_compiled -> 2
+
+(* One layout for the live table and its snapshots; a snapshot is a copy
+   that nothing mutates afterwards. *)
+type counters = { counts : int array; secs : float array }
+type table = counters
+
+let zero = { counts = Array.make n_counters 0; secs = Array.make 3 0. }
+let get (c : counters) (k : counter) : int = c.counts.(index k)
+let seconds (c : counters) (t : timer) : float = c.secs.(timer_index t)
+let sum (c : counters) (ks : counter list) : int =
+  List.fold_left (fun acc k -> acc + get c k) 0 ks
+
+let map2 fi ff (a : counters) (b : counters) : counters =
+  {
+    counts = Array.map2 fi a.counts b.counts;
+    secs = Array.map2 ff a.secs b.secs;
+  }
+
+let add = map2 ( + ) ( +. )
+let diff = map2 ( - ) ( -. )
+
+(* Journal form. Runtime races and the per-backend simulation counts are
+   run totals only, so the per-generation and per-batch progress records
+   carry the search-disposition counters alone. The leading keys keep the
+   order existing journals have: progress records open with probes then
+   lookups, [run_end] with lookups (as "evals") then probes; memo hits
+   follow either way. Timers are never journaled: they vary run to run,
+   and journals are byte-identical across [jobs] settings. *)
+let journal_fields ~(final : bool) (c : counters) : (string * Obs.Json.t) list =
+  let field k = (name k, Obs.Json.Int (get c k)) in
+  let head =
+    if final then [ ("evals", Obs.Json.Int (get c Lookups)); field Probes ]
+    else [ field Probes; field Lookups ]
+  in
+  let in_progress = function
+    | Runtime_races | Sims_event | Sims_compiled | Compiled_fallbacks -> false
+    | _ -> true
+  in
+  head
+  @ List.filter_map
+      (fun k ->
+        if k = Probes || k = Lookups || not (final || in_progress k) then None
+        else Some (field k))
+      all_counters
+
 type t = {
   problem : Problem.t;
   cfg : Config.t;
@@ -64,24 +173,13 @@ type t = {
   seed_key : string; (* structural key of the unpatched module *)
   seed_prune_hash : string option;
       (* dead-edit skeleton of the unpatched module, when lanes are on *)
-  mutable probes : int; (* simulations actually run *)
-  mutable lookups : int; (* total evaluations requested *)
-  mutable compile_errors : int; (* non-memoized compile failures *)
-  mutable static_rejects : int; (* non-memoized screener rejections *)
-  mutable oversize_rejects : int; (* non-memoized too-large rejections *)
-  mutable racy_rejects : int; (* non-memoized race-screen rejections *)
-  mutable runtime_races : int; (* dynamic races across non-memoized sims *)
-  mutable semantic_hits : int; (* lookups served by the semantic lane *)
-  mutable dead_edit_skips : int; (* lookups served by the dead-edit lane *)
-  mutable lane_seconds : float; (* wall time spent deciding the lanes *)
-  mutable sims_event : int; (* non-memoized sims run on the event engine *)
-  mutable sims_compiled : int; (* non-memoized sims run compiled *)
-  mutable compiled_fallbacks : int;
-      (* sims where compilation was requested but the design fell back to
-         the event engine (counted under [sims_event] as well) *)
-  mutable sim_seconds_event : float; (* in-sim wall time, event engine *)
-  mutable sim_seconds_compiled : float; (* in-sim wall time, compiled *)
+  table : table; (* live counters; mutated only by sequential accounting *)
 }
+
+let count (ev : t) (k : counter) : int = ev.table.counts.(index k)
+
+let counters (ev : t) : counters =
+  { counts = Array.copy ev.table.counts; secs = Array.copy ev.table.secs }
 
 (* Memo keys are prefixed with the configured backend so cached fitness
    can never leak across backends: flipping [--backend] between otherwise
@@ -123,21 +221,7 @@ let create (cfg : Config.t) (problem : Problem.t) : t =
     seed_prune_hash =
       (if lanes_enabled then Some (Verilog.Dataflow.prune_hash target)
        else None);
-    probes = 0;
-    lookups = 0;
-    compile_errors = 0;
-    static_rejects = 0;
-    oversize_rejects = 0;
-    racy_rejects = 0;
-    runtime_races = 0;
-    semantic_hits = 0;
-    dead_edit_skips = 0;
-    lane_seconds = 0.;
-    sims_event = 0;
-    sims_compiled = 0;
-    compiled_fallbacks = 0;
-    sim_seconds_event = 0.;
-    sim_seconds_compiled = 0.;
+    table = { counts = Array.make n_counters 0; secs = Array.make 3 0. };
   }
 
 (* Bloated candidates (runaway insertion growth) are rejected outright,
@@ -161,20 +245,32 @@ let oversize_outcome =
    boolean load. The sequential accounting step owns all counter updates,
    which keeps metric values identical across [jobs] settings. *)
 
-let m_lookups = Obs.Metrics.counter "eval.lookups"
-let m_memo_hits = Obs.Metrics.counter "eval.memo_hits"
+(* [Obs.Metrics] mirrors of table entries, registered from the table and
+   bumped by [bump]; probes have none (they are the simulated, diverged
+   and compile-error statuses together, counted per status below). *)
+let metric_name = function
+  | Probes -> None
+  | Compile_errors -> Some "eval.compile_error"
+  | Static_rejects -> Some "eval.rejected_static"
+  | Oversize_rejects -> Some "eval.rejected_oversize"
+  | Racy_rejects -> Some "eval.rejected_racy"
+  | k -> Some ("eval." ^ name k)
+
+let metrics =
+  Array.of_list
+    (List.map (fun k -> Option.map Obs.Metrics.counter (metric_name k)) all_counters)
+
 let m_simulated = Obs.Metrics.counter "eval.simulated"
-let m_compile_error = Obs.Metrics.counter "eval.compile_error"
 let m_sim_diverged = Obs.Metrics.counter "eval.sim_diverged"
-let m_rejected_static = Obs.Metrics.counter "eval.rejected_static"
-let m_rejected_oversize = Obs.Metrics.counter "eval.rejected_oversize"
-let m_rejected_racy = Obs.Metrics.counter "eval.rejected_racy"
-let m_runtime_races = Obs.Metrics.counter "eval.runtime_races"
-let m_semantic_hits = Obs.Metrics.counter "eval.semantic_hits"
-let m_dead_edit_skips = Obs.Metrics.counter "eval.dead_edit_skips"
-let m_sims_event = Obs.Metrics.counter "eval.sims_event"
-let m_sims_compiled = Obs.Metrics.counter "eval.sims_compiled"
-let m_compiled_fallbacks = Obs.Metrics.counter "eval.compiled_fallbacks"
+
+let bump ?(by = 1) (ev : t) (k : counter) : unit =
+  let i = index k in
+  ev.table.counts.(i) <- ev.table.counts.(i) + by;
+  if Obs.Metrics.enabled () then Option.iter (fun m -> Obs.Metrics.add m by) metrics.(i)
+
+let add_seconds (ev : t) (t : timer) (dt : float) : unit =
+  let i = timer_index t in
+  ev.table.secs.(i) <- ev.table.secs.(i) +. dt
 
 let status_label = function
   | Simulated -> "simulated"
@@ -184,14 +280,6 @@ let status_label = function
   | Rejected_oversize -> "rejected_oversize"
   | Rejected_racy _ -> "rejected_racy"
   | Skipped_dead_edit -> "skipped_dead_edit"
-
-(* Evaluations requested minus candidates actually scored: how many
-   lookups the memo cache absorbed. Static-lane hits (semantic folds and
-   dead-edit skips) are counted under their own statistics, not here. *)
-let memo_hits (ev : t) : int =
-  ev.lookups
-  - (ev.probes + ev.static_rejects + ev.oversize_rejects + ev.racy_rejects
-   + ev.semantic_hits + ev.dead_edit_skips)
 
 (* Elaborate and simulate one candidate — the post-screening tail of
    [compute_unspanned], also the reference evaluation [cfg.check_pruning]
@@ -333,46 +421,36 @@ let compute (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
 (* Counter accounting for a freshly computed (non-memoized) outcome,
    mirroring what the sequential path charges per status. *)
 let account (ev : t) (o : outcome) =
-  ev.runtime_races <- ev.runtime_races + o.races;
+  if o.races > 0 then bump ev Runtime_races ~by:o.races;
   (* Per-backend accounting. [sim_backend] is deterministic for a given
      design (compilation either succeeds or falls back identically on
      every domain), so these counters stay jobs-invariant like the rest
      of the commit-time accounting. A fallback run counts as an event
-     simulation AND under [compiled_fallbacks]. *)
+     simulation AND under [Compiled_fallbacks]. *)
   (if o.sim_backend <> "" then
      if String.equal o.sim_backend "compiled" then begin
-       ev.sims_compiled <- ev.sims_compiled + 1;
-       ev.sim_seconds_compiled <- ev.sim_seconds_compiled +. o.sim_seconds;
-       if Obs.Metrics.enabled () then Obs.Metrics.incr m_sims_compiled
+       bump ev Sims_compiled;
+       add_seconds ev Sim_seconds_compiled o.sim_seconds
      end
      else begin
-       ev.sims_event <- ev.sims_event + 1;
-       ev.sim_seconds_event <- ev.sim_seconds_event +. o.sim_seconds;
-       if Obs.Metrics.enabled () then Obs.Metrics.incr m_sims_event;
-       if String.starts_with ~prefix:"fallback:" o.sim_backend then begin
-         ev.compiled_fallbacks <- ev.compiled_fallbacks + 1;
-         if Obs.Metrics.enabled () then Obs.Metrics.incr m_compiled_fallbacks
-       end
+       bump ev Sims_event;
+       add_seconds ev Sim_seconds_event o.sim_seconds;
+       if String.starts_with ~prefix:"fallback:" o.sim_backend then
+         bump ev Compiled_fallbacks
      end);
-  (if Obs.Metrics.enabled () then begin
-     if o.races > 0 then Obs.Metrics.add m_runtime_races o.races;
-     match o.status with
-     | Simulated -> Obs.Metrics.incr m_simulated
-     | Compile_error _ -> Obs.Metrics.incr m_compile_error
-     | Sim_diverged _ -> Obs.Metrics.incr m_sim_diverged
-     | Rejected_static _ -> Obs.Metrics.incr m_rejected_static
-     | Rejected_oversize -> Obs.Metrics.incr m_rejected_oversize
-     | Rejected_racy _ -> Obs.Metrics.incr m_rejected_racy
-     | Skipped_dead_edit -> () (* accounted at the lane site *)
-   end);
   match o.status with
-  | Rejected_static _ -> ev.static_rejects <- ev.static_rejects + 1
-  | Rejected_racy _ -> ev.racy_rejects <- ev.racy_rejects + 1
-  | Rejected_oversize -> ev.oversize_rejects <- ev.oversize_rejects + 1
+  | Rejected_static _ -> bump ev Static_rejects
+  | Rejected_racy _ -> bump ev Racy_rejects
+  | Rejected_oversize -> bump ev Oversize_rejects
   | Compile_error _ ->
-      ev.probes <- ev.probes + 1;
-      ev.compile_errors <- ev.compile_errors + 1
-  | Simulated | Sim_diverged _ -> ev.probes <- ev.probes + 1
+      bump ev Probes;
+      bump ev Compile_errors
+  | Simulated ->
+      bump ev Probes;
+      if Obs.Metrics.enabled () then Obs.Metrics.incr m_simulated
+  | Sim_diverged _ ->
+      bump ev Probes;
+      if Obs.Metrics.enabled () then Obs.Metrics.incr m_sim_diverged
   | Skipped_dead_edit -> () (* [compute] never produces this status *)
 
 (* --- Static pruning lanes -----------------------------------------------
@@ -427,7 +505,7 @@ let lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
           Some (Verilog.Dataflow.prune_hash candidate)
       | _ -> None
     in
-    ev.lane_seconds <- ev.lane_seconds +. (Unix.gettimeofday () -. t0);
+    add_seconds ev Lane_seconds (Unix.gettimeofday () -. t0);
     Some { lh_sem = sem; lh_prune = prune }
   end
 
@@ -490,13 +568,11 @@ let resolve_miss (ev : t) (candidate : Verilog.Ast.module_decl)
   in
   match lane_probe ev key hashes with
   | Lane_sem (sem, donor) ->
-      ev.semantic_hits <- ev.semantic_hits + 1;
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_semantic_hits;
+      bump ev Semantic_hits;
       verify_lane ev candidate ~lane:"semantic" donor;
       store (Some sem) donor
   | Lane_dead (sem, seed_o) ->
-      ev.dead_edit_skips <- ev.dead_edit_skips + 1;
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_dead_edit_skips;
+      bump ev Dead_edit_skips;
       let o = { seed_o with status = Skipped_dead_edit } in
       verify_lane ev candidate ~lane:"dead-edit" o;
       store (Some sem) o
@@ -506,12 +582,11 @@ let resolve_miss (ev : t) (candidate : Verilog.Ast.module_decl)
       store sem_opt outcome
 
 let eval_module (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
-  ev.lookups <- ev.lookups + 1;
-  if Obs.Metrics.enabled () then Obs.Metrics.incr m_lookups;
+  bump ev Lookups;
   let key = key_of ev.cfg candidate in
   match Hashtbl.find_opt ev.cache key with
   | Some o ->
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_memo_hits;
+      bump ev Memo_hits;
       o
   | None ->
       resolve_miss ev candidate key ~hashes:(lane_hashes ev candidate)
@@ -597,12 +672,11 @@ let prepare (ev : t) ~(pool : Pool.t)
    sequential run would). *)
 let commit (p : prepared) (i : int) : outcome =
   let ev = p.ev in
-  ev.lookups <- ev.lookups + 1;
-  if Obs.Metrics.enabled () then Obs.Metrics.incr m_lookups;
+  bump ev Lookups;
   let key = p.keys.(i) in
   match Hashtbl.find_opt ev.cache key with
   | Some o ->
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_memo_hits;
+      bump ev Memo_hits;
       o
   | None ->
       let hashes =

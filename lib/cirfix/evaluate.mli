@@ -48,6 +48,82 @@ type outcome = {
           only, excluded from journals *)
 }
 
+(** {2 Evaluation counters}
+
+    One table holds every count the evaluator keeps. Each [counter] is a
+    row; its {!name} is its journal key. Adding or deleting a counter is
+    one constructor plus its name: snapshots, journal records, the GP
+    funnel groups and the [Obs.Metrics] mirrors all walk the table. *)
+
+type counter =
+  | Probes  (** simulations actually run (cache misses that compiled or not) *)
+  | Lookups  (** evaluations requested, memoized or not *)
+  | Memo_hits  (** lookups served from the structural memo cache *)
+  | Compile_errors  (** fresh candidates that failed elaboration *)
+  | Static_rejects
+      (** candidates rejected by the static screener without simulation *)
+  | Oversize_rejects
+      (** candidates rejected for implausible size without simulation *)
+  | Racy_rejects
+      (** candidates rejected by the static race screen without simulation *)
+  | Semantic_hits
+      (** lookups folded onto a semantically-equivalent, already-scored
+          candidate ({!Verilog.Canon}) without simulating *)
+  | Dead_edit_skips
+      (** lookups served by the dead-edit proof ({!Verilog.Dataflow}): the
+          seed's fitness reused under {!Skipped_dead_edit} *)
+  | Runtime_races  (** dynamic races observed across fresh simulations *)
+  | Sims_event
+      (** fresh simulations on the event engine, fallbacks included *)
+  | Sims_compiled  (** fresh simulations on the compiled backend *)
+  | Compiled_fallbacks
+      (** compiled requests that fell back to the event engine; a subset
+          of [Sims_event] *)
+
+(** Every counter, in table order (the order journal records use). *)
+val all_counters : counter list
+
+(** The counter's journal key, e.g. ["static_rejects"]. *)
+val name : counter -> string
+
+(** Pre-simulation rejections: the GP funnel's "screened" stage. *)
+val screened : counter list
+
+(** Lookups served without a fresh simulation: the funnel's "pruned"
+    stage. *)
+val pruned : counter list
+
+(** Wall-clock accumulators carried next to the counts. Timing only: they
+    vary run to run and are never journaled. *)
+type timer =
+  | Lane_seconds  (** deciding the static pruning lanes *)
+  | Sim_seconds_event  (** inside the event engine *)
+  | Sim_seconds_compiled  (** inside the compiled backend *)
+
+(** An immutable snapshot of the table. *)
+type counters
+
+val zero : counters
+val get : counters -> counter -> int
+val seconds : counters -> timer -> float
+
+(** Sum of a group of counters, e.g. [sum c screened]. *)
+val sum : counters -> counter list -> int
+
+val add : counters -> counters -> counters
+
+(** [diff a b] is [a] minus [b], counter by counter. *)
+val diff : counters -> counters -> counters
+
+(** The counters as journal fields, in table order. [~final:false] is the
+    per-generation / per-batch form (search-disposition counters only,
+    opening [probes], [lookups]); [~final:true] is the [run_end] form
+    (every counter, opening with lookups under the key ["evals"]). *)
+val journal_fields : final:bool -> counters -> (string * Obs.Json.t) list
+
+(** The live table inside an evaluator. *)
+type table
+
 type t = {
   problem : Problem.t;
   cfg : Config.t;
@@ -61,41 +137,14 @@ type t = {
   seed_key : string;  (** structural key of the unpatched module *)
   seed_prune_hash : string option;
       (** dead-edit skeleton hash of the unpatched module, when pruning *)
-  mutable probes : int;  (** simulations actually run (cache misses) *)
-  mutable lookups : int;  (** evaluations requested *)
-  mutable compile_errors : int;
-  mutable static_rejects : int;
-      (** candidates rejected by the static screener without simulation *)
-  mutable oversize_rejects : int;
-      (** candidates rejected for implausible size without simulation *)
-  mutable racy_rejects : int;
-      (** candidates rejected by the static race screen without simulation *)
-  mutable runtime_races : int;
-      (** dynamic races observed across all non-memoized simulations *)
-  mutable semantic_hits : int;
-      (** lookups served by folding a semantically-equivalent candidate
-          onto an already-scored one, without simulating *)
-  mutable dead_edit_skips : int;
-      (** lookups served by the dead-edit proof (seed fitness reused
-          under {!Skipped_dead_edit}), without simulating *)
-  mutable lane_seconds : float;
-      (** wall-clock time spent deciding the static lanes — the analysis
-          overhead reported by [bench dataflow-prune]; not journaled *)
-  mutable sims_event : int;
-      (** non-memoized simulations that ran on the event engine (including
-          fallbacks from a requested compilation) *)
-  mutable sims_compiled : int;
-      (** non-memoized simulations that ran on the compiled backend *)
-  mutable compiled_fallbacks : int;
-      (** simulations where compilation was requested but the design fell
-          back to the event engine; a subset of [sims_event] *)
-  mutable sim_seconds_event : float;
-      (** cumulative in-simulator wall time on the event engine; timing
-          only, not journaled *)
-  mutable sim_seconds_compiled : float;
-      (** cumulative in-simulator wall time on the compiled backend;
-          timing only, not journaled *)
+  table : table;
 }
+
+(** Current value of one live counter (no snapshot is taken). *)
+val count : t -> counter -> int
+
+(** Snapshot of the live table. *)
+val counters : t -> counters
 
 val create : Config.t -> Problem.t -> t
 
@@ -105,12 +154,6 @@ val create : Config.t -> Problem.t -> t
 val key_of : Config.t -> Verilog.Ast.module_decl -> string
 val eval_module : t -> Verilog.Ast.module_decl -> outcome
 val eval_patch : t -> Verilog.Ast.module_decl -> Patch.t -> outcome
-
-(** Evaluations absorbed by the memo cache: [lookups] minus the
-    candidates that were actually scored (probes plus every pre-simulation
-    rejection) and minus the static-lane hits, which are counted under
-    [semantic_hits] / [dead_edit_skips]. *)
-val memo_hits : t -> int
 
 (** Short stable label for a status ("simulated", "compile_error", ...),
     as used in metric names and trace span arguments. *)

@@ -31,9 +31,7 @@ type generation_stats = {
   gen : int;
   best_fitness : float;
   mean_fitness : float;
-  probes_so_far : int;
-  lookups_so_far : int;
-  memo_hits_so_far : int;
+  so_far : Evaluate.counters; (* evaluator counters at generation end *)
 }
 
 type result = {
@@ -41,22 +39,18 @@ type result = {
   minimized : Patch.t option;
   repaired_module : Verilog.Ast.module_decl option;
   generations : generation_stats list; (* oldest first *)
-  probes : int; (* fitness evaluations (simulations) *)
-  lookups : int; (* evaluations requested (memoized or not) *)
-  memo_hits : int; (* evaluations absorbed by the memo cache *)
-  compile_errors : int; (* mutants that failed elaboration *)
-  static_rejects : int; (* mutants screened out before simulation *)
-  oversize_rejects : int; (* mutants rejected for implausible size *)
-  racy_rejects : int; (* mutants rejected by the static race screen *)
-  runtime_races : int; (* dynamic races observed across all simulations *)
-  semantic_hits : int; (* evaluations folded onto a semantic twin *)
-  dead_edit_skips : int; (* provably-dead edits scored without simulating *)
-  lane_seconds : float; (* time spent inside the static pruning lanes *)
-  sims_event : int; (* simulations that ran on the event engine *)
-  sims_compiled : int; (* simulations that ran on the compiled backend *)
-  compiled_fallbacks : int; (* compiled requests that fell back to event *)
-  sim_seconds_event : float; (* in-simulator wall time, event engine *)
-  sim_seconds_compiled : float; (* in-simulator wall time, compiled *)
+  counters : Evaluate.counters; (* the search evaluator's final table *)
+  probes : int;
+  lookups : int;
+  memo_hits : int;
+  semantic_hits : int;
+  dead_edit_skips : int;
+  sims_event : int;
+  sims_compiled : int;
+  compiled_fallbacks : int;
+  sim_seconds_event : float;
+  sim_seconds_compiled : float;
+  lane_seconds : float;
   mutants_generated : int;
   wall_seconds : float;
   initial_fitness : float;
@@ -215,10 +209,9 @@ let journal_lineage ~(winner : string)
    - in_lineage: the candidate appears in the winner's genealogy.
 
    Summed over operators, evaluated = run_end.evals, simulated =
-   run_end.probes, screened = compile_errors + static_rejects +
-   oversize_rejects + racy_rejects, and pruned = memo_hits +
-   semantic_hits + dead_edit_skips — the reconciliation the funnel test
-   checks. (Under [check_pruning] the lanes simulate anyway, so a single
+   run_end.probes, and screened / pruned = the sums of the
+   [Evaluate.screened] / [Evaluate.pruned] counter groups — the
+   reconciliation the funnel test checks. (Under [check_pruning] the lanes simulate anyway, so a single
    candidate may count in both pruned and simulated; the per-counter sums
    above still hold.) *)
 
@@ -234,10 +227,7 @@ type funnel_row = {
 
 type funnel = {
   tbl : (string, funnel_row) Hashtbl.t;
-  mutable snap_lookups : int;
-  mutable snap_probes : int;
-  mutable snap_screened : int;
-  mutable snap_pruned : int;
+  mutable snap : Evaluate.counters; (* counters at the last charge *)
 }
 
 let funnel_get (f : funnel) (op : string) : funnel_row =
@@ -258,30 +248,18 @@ let funnel_get (f : funnel) (op : string) : funnel_row =
       Hashtbl.add f.tbl op r;
       r
 
-let funnel_screened (ev : Evaluate.t) =
-  ev.compile_errors + ev.static_rejects + ev.oversize_rejects + ev.racy_rejects
-
-let funnel_pruned (ev : Evaluate.t) =
-  Evaluate.memo_hits ev + ev.semantic_hits + ev.dead_edit_skips
-
-(* Remember the evaluator counters; the next [funnel_charge] attributes
-   whatever they advanced by to one operator row. *)
-let funnel_snap (f : funnel) (ev : Evaluate.t) : unit =
-  f.snap_lookups <- ev.lookups;
-  f.snap_probes <- ev.probes;
-  f.snap_screened <- funnel_screened ev;
-  f.snap_pruned <- funnel_pruned ev
-
 (* Charge the counter movement since the last snapshot to [op], then
    re-snapshot. Deltas are 0/1 per commit; the "setup" and "minimize"
    rows charge whole evaluation phases in one aggregate step. *)
 let funnel_charge (f : funnel) (ev : Evaluate.t) (op : string) : unit =
+  let now = Evaluate.counters ev in
+  let d = Evaluate.diff now f.snap in
   let r = funnel_get f op in
-  r.f_evaluated <- r.f_evaluated + (ev.lookups - f.snap_lookups);
-  r.f_simulated <- r.f_simulated + (ev.probes - f.snap_probes);
-  r.f_screened <- r.f_screened + (funnel_screened ev - f.snap_screened);
-  r.f_pruned <- r.f_pruned + (funnel_pruned ev - f.snap_pruned);
-  funnel_snap f ev
+  r.f_evaluated <- r.f_evaluated + Evaluate.get d Lookups;
+  r.f_simulated <- r.f_simulated + Evaluate.get d Probes;
+  r.f_screened <- r.f_screened + Evaluate.sum d Evaluate.screened;
+  r.f_pruned <- r.f_pruned + Evaluate.sum d Evaluate.pruned;
+  f.snap <- now
 
 let funnel_rows (f : funnel) : (string * funnel_row) list =
   Hashtbl.fold (fun op r acc -> (op, r) :: acc) f.tbl []
@@ -337,7 +315,7 @@ let journal_generation (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
     Hashtbl.length seen
   in
   Obs.Journal.emit
-    [
+    ([
       ("type", Obs.Json.Str "generation");
       ("gen", Obs.Json.Int gen);
       ("best", Obs.Json.Float (if found then 1.0 else if n = 0 then 0. else fits.(n - 1)));
@@ -347,17 +325,9 @@ let journal_generation (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
       ("diversity", Obs.Json.Int diversity);
       ("population", Obs.Json.Int n);
       ("mutants", Obs.Json.Int mutants);
-      ("probes", Obs.Json.Int ev.probes);
-      ("lookups", Obs.Json.Int ev.lookups);
-      ("memo_hits", Obs.Json.Int (Evaluate.memo_hits ev));
-      ("compile_errors", Obs.Json.Int ev.compile_errors);
-      ("static_rejects", Obs.Json.Int ev.static_rejects);
-      ("oversize_rejects", Obs.Json.Int ev.oversize_rejects);
-      ("racy_rejects", Obs.Json.Int ev.racy_rejects);
-      ("semantic_hits", Obs.Json.Int ev.semantic_hits);
-      ("dead_edit_skips", Obs.Json.Int ev.dead_edit_skips);
-      ("elapsed_s", Obs.Json.Float elapsed);
     ]
+    @ Evaluate.journal_fields ~final:false (Evaluate.counters ev)
+    @ [ ("elapsed_s", Obs.Json.Float elapsed) ])
 
 (* Per-signal fitness attribution of one candidate (paper Sec. 3.2, per
    output wire): which signals drag the score down, and from which sample
@@ -435,20 +405,8 @@ let journal_run_end (ev : Evaluate.t) ~(status : string) ~(elapsed : float)
        ("type", Obs.Json.Str "run_end");
        ("status", Obs.Json.Str status);
        ("elapsed_s", Obs.Json.Float elapsed);
-       ("evals", Obs.Json.Int ev.lookups);
-       ("probes", Obs.Json.Int ev.probes);
-       ("memo_hits", Obs.Json.Int (Evaluate.memo_hits ev));
-       ("compile_errors", Obs.Json.Int ev.compile_errors);
-       ("static_rejects", Obs.Json.Int ev.static_rejects);
-       ("oversize_rejects", Obs.Json.Int ev.oversize_rejects);
-       ("racy_rejects", Obs.Json.Int ev.racy_rejects);
-       ("semantic_hits", Obs.Json.Int ev.semantic_hits);
-       ("dead_edit_skips", Obs.Json.Int ev.dead_edit_skips);
-       ("runtime_races", Obs.Json.Int ev.runtime_races);
-       ("sims_event", Obs.Json.Int ev.sims_event);
-       ("sims_compiled", Obs.Json.Int ev.sims_compiled);
-       ("compiled_fallbacks", Obs.Json.Int ev.compiled_fallbacks);
      ]
+    @ Evaluate.journal_fields ~final:true (Evaluate.counters ev)
     @ extra)
 
 (* --- The repair loop ------------------------------------------------------ *)
@@ -559,7 +517,8 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let mutants = ref 0 in
   let gen_stats = ref [] in
   let out_of_resources () =
-    Unix.gettimeofday () > deadline || ev.probes >= cfg.max_probes
+    Unix.gettimeofday () > deadline
+    || Evaluate.count ev Probes >= cfg.max_probes
   in
   (* Lineage is journal-only state: the hashing it needs is paid only when
      a journal is open (the same rule [journal_generation]'s diversity
@@ -568,24 +527,15 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let lineage : (string, lineage_node) Hashtbl.t = Hashtbl.create 64 in
   let hash_of_mod = Verilog.Ast_utils.structural_hash in
   let track = Obs.Journal.enabled () in
-  let funnel =
-    {
-      tbl = Hashtbl.create 16;
-      snap_lookups = 0;
-      snap_probes = 0;
-      snap_screened = 0;
-      snap_pruned = 0;
-    }
-  in
+  let funnel = { tbl = Hashtbl.create 16; snap = Evaluate.counters ev } in
   (* Evaluator work that predates funnel tracking (a slice probe that fell
      back to the whole design leaves counters on [ev]) lands on a "setup"
      accounting row, so funnel sums still tile the run_end counters. *)
-  if track && ev.lookups > 0 then begin
+  if track && Evaluate.count ev Lookups > 0 then begin
     let r = funnel_get funnel "setup" in
-    r.f_proposed <- ev.lookups;
+    r.f_proposed <- Evaluate.count ev Lookups;
     funnel_charge funnel ev "setup"
-  end
-  else funnel_snap funnel ev;
+  end;
   (* Operator of each population slot, parallel to [popn]; used to credit
      elitism survival to the operator that made the survivor. *)
   let popn_ops = ref (Array.make (max cfg.pop_size 1) "seed") in
@@ -765,9 +715,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           | Some _ -> 1.0
           | None -> List.fold_left Float.max 0. fits);
         mean_fitness = mean fits;
-        probes_so_far = ev.probes;
-        lookups_so_far = ev.lookups;
-        memo_hits_so_far = Evaluate.memo_hits ev;
+        so_far = Evaluate.counters ev;
       }
     in
     gen_stats := stats :: !gen_stats;
@@ -809,12 +757,18 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     Obs.Trace.complete ~cat:"gp" ~name:"gp.minimize" t_min;
   (* ddmin probes (non-slice mode: they run on [ev]) land on a "minimize"
      accounting row so the funnel still tiles the run_end counters. *)
-  if track && ev.lookups > funnel.snap_lookups then begin
-    let d = ev.lookups - funnel.snap_lookups in
+  let unfunnelled =
+    Evaluate.count ev Lookups - Evaluate.get funnel.snap Lookups
+  in
+  if track && unfunnelled > 0 then begin
     funnel_charge funnel ev "minimize";
     let r = funnel_get funnel "minimize" in
-    r.f_proposed <- r.f_proposed + d
+    r.f_proposed <- r.f_proposed + unfunnelled
   end;
+  let counters = Evaluate.counters ev in
+  let slice_sims =
+    match slicing with Some _ -> Evaluate.get counters Probes | None -> 0
+  in
   if Obs.Journal.enabled () then begin
     (* Genealogy of the winner — or, when the search came up empty, of the
        best surviving candidate, which is what a user debugs next. *)
@@ -854,9 +808,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           | None -> Obs.Json.Null
           | Some p -> Obs.Json.Str (Patch.to_string p) );
         ("generations", Obs.Json.Int !gen);
-        ("probes", Obs.Json.Int ev.probes);
-        ("lookups", Obs.Json.Int ev.lookups);
-        ("memo_hits", Obs.Json.Int (Evaluate.memo_hits ev));
+        ("probes", Obs.Json.Int (Evaluate.count ev Probes));
+        ("lookups", Obs.Json.Int (Evaluate.count ev Lookups));
+        ("memo_hits", Obs.Json.Int (Evaluate.count ev Memo_hits));
         ("mutants", Obs.Json.Int !mutants);
         ("wall_seconds", Obs.Json.Float (Unix.gettimeofday () -. t0));
       ];
@@ -875,9 +829,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
       @
       if cfg.slice then
         [
-          ( "slice_sims",
-            Obs.Json.Int (match slicing with Some _ -> ev.probes | None -> 0)
-          );
+          ("slice_sims", Obs.Json.Int slice_sims);
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
       else [])
@@ -893,26 +845,25 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           | Some s -> Slicing.stitch s p)
         minimized;
     generations = List.rev !gen_stats;
-    probes = ev.probes;
-    lookups = ev.lookups;
-    memo_hits = Evaluate.memo_hits ev;
-    compile_errors = ev.compile_errors;
-    static_rejects = ev.static_rejects;
-    oversize_rejects = ev.oversize_rejects;
-    racy_rejects = ev.racy_rejects;
-    runtime_races = ev.runtime_races;
-    semantic_hits = ev.semantic_hits;
-    dead_edit_skips = ev.dead_edit_skips;
-    lane_seconds = ev.lane_seconds;
-    sims_event = ev.sims_event;
-    sims_compiled = ev.sims_compiled;
-    compiled_fallbacks = ev.compiled_fallbacks;
-    sim_seconds_event = ev.sim_seconds_event;
-    sim_seconds_compiled = ev.sim_seconds_compiled;
+    counters;
     mutants_generated = !mutants;
     wall_seconds = Unix.gettimeofday () -. t0;
     initial_fitness = initial.outcome.fitness;
     sliced = slicing <> None;
-    slice_sims = (match slicing with Some _ -> ev.probes | None -> 0);
+    slice_sims;
     stitched_verifies = !stitched;
+    (* Flat copies of [counters]. The perfbench harness is kept frozen so
+       its numbers stay comparable across changes, and it reads these
+       eleven by field name; in-repo code reads [counters]. *)
+    probes = Evaluate.get counters Probes;
+    lookups = Evaluate.get counters Lookups;
+    memo_hits = Evaluate.get counters Memo_hits;
+    semantic_hits = Evaluate.get counters Semantic_hits;
+    dead_edit_skips = Evaluate.get counters Dead_edit_skips;
+    sims_event = Evaluate.get counters Sims_event;
+    sims_compiled = Evaluate.get counters Sims_compiled;
+    compiled_fallbacks = Evaluate.get counters Compiled_fallbacks;
+    sim_seconds_event = Evaluate.seconds counters Sim_seconds_event;
+    sim_seconds_compiled = Evaluate.seconds counters Sim_seconds_compiled;
+    lane_seconds = Evaluate.seconds counters Lane_seconds;
   }

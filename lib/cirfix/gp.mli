@@ -9,9 +9,7 @@ type generation_stats = {
   gen : int;
   best_fitness : float;
   mean_fitness : float;
-  probes_so_far : int;
-  lookups_so_far : int;  (** evaluations requested so far, memoized or not *)
-  memo_hits_so_far : int;  (** lookups absorbed by the memo cache so far *)
+  so_far : Evaluate.counters;  (** evaluator counters at generation end *)
 }
 
 type result = {
@@ -19,45 +17,22 @@ type result = {
   minimized : Patch.t option;  (** one-minimal repair patch *)
   repaired_module : Verilog.Ast.module_decl option;
   generations : generation_stats list;  (** oldest first *)
-  probes : int;  (** fitness evaluations (simulations actually run) *)
-  lookups : int;  (** evaluations requested, memoized or not *)
-  memo_hits : int;  (** evaluations absorbed by the memo cache *)
-  compile_errors : int;  (** mutants that failed elaboration *)
-  static_rejects : int;
-      (** mutants rejected by the pre-simulation static screener; these
-          never touch the simulation budget *)
-  oversize_rejects : int;
-      (** mutants rejected for implausible size without simulation *)
-  racy_rejects : int;
-      (** mutants rejected by the static race screen ([cfg.screen_races])
-          without simulation *)
-  runtime_races : int;
-      (** dynamic races observed across all candidate simulations
-          ([cfg.check_races]) *)
+  counters : Evaluate.counters;
+      (** the search evaluator's final counter table (on the sliced
+          problem when [sliced]) *)
+  (* Flat copies of eleven entries of [counters], kept because the frozen
+     perfbench harness reads them by field name. *)
+  probes : int;
+  lookups : int;
+  memo_hits : int;
   semantic_hits : int;
-      (** evaluations folded onto a semantically-equivalent, already-scored
-          candidate ({!Verilog.Canon}) without simulating *)
   dead_edit_skips : int;
-      (** candidates whose edit was proved dead ({!Verilog.Dataflow}); the
-          seed's fitness was reused without simulating *)
-  lane_seconds : float;
-      (** wall time spent inside the static pruning lanes (canonical and
-          prune hashing plus table probes) — the analysis-overhead figure
-          reported by the [dataflow-prune] bench artifact; not journaled *)
   sims_event : int;
-      (** simulations that ran on the event engine, including fallbacks
-          from a requested compilation *)
   sims_compiled : int;
-      (** simulations that ran on the compiled levelized backend *)
   compiled_fallbacks : int;
-      (** simulations where compilation was requested but the design fell
-          back to the event engine; a subset of [sims_event] *)
   sim_seconds_event : float;
-      (** cumulative in-simulator wall time on the event engine (timing:
-          varies run to run, never journaled) *)
   sim_seconds_compiled : float;
-      (** cumulative in-simulator wall time on the compiled backend
-          (timing: varies run to run, never journaled) *)
+  lane_seconds : float;
   mutants_generated : int;
   wall_seconds : float;
   initial_fitness : float;  (** fitness of the unpatched faulty design *)

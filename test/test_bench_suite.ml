@@ -161,7 +161,7 @@ let test_runner_repairs_sensitivity_defect () =
   Alcotest.(check bool) "repaired" true s.repaired;
   Alcotest.(check bool) "correct" true s.correct;
   Alcotest.(check bool) "has patch" true (s.patch <> None);
-  Alcotest.(check bool) "positive probes" true (s.probes > 0)
+  Alcotest.(check bool) "positive probes" true (Cirfix.Evaluate.get s.counters Probes > 0)
 
 let test_table2_loc_report () =
   (* The Table 2 inventory is well-formed: names unique, locs positive. *)

@@ -486,9 +486,9 @@ let test_evaluate_cache_and_compile_errors () =
   let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   let original = Cirfix.Problem.target_module problem in
   let o1 = Cirfix.Evaluate.eval_module ev original in
-  let probes_after_first = ev.probes in
+  let probes_after_first = (Cirfix.Evaluate.count ev Probes) in
   let o2 = Cirfix.Evaluate.eval_module ev original in
-  Alcotest.(check int) "cached" probes_after_first ev.probes;
+  Alcotest.(check int) "cached" probes_after_first (Cirfix.Evaluate.count ev Probes);
   Alcotest.(check (float 1e-9)) "same fitness" o1.fitness o2.fitness;
   (* A candidate reading an undeclared identifier counts as a compile
      error with fitness 0. *)
@@ -530,12 +530,12 @@ let test_oversized_candidate_rejected () =
     (match o.status with
     | Cirfix.Evaluate.Rejected_oversize -> true
     | _ -> false);
-  Alcotest.(check int) "counted once" 1 ev.oversize_rejects;
-  Alcotest.(check int) "not a compile error" 0 ev.compile_errors;
+  Alcotest.(check int) "counted once" 1 (Cirfix.Evaluate.count ev Oversize_rejects);
+  Alcotest.(check int) "not a compile error" 0 (Cirfix.Evaluate.count ev Compile_errors);
   (* Repeat lookups hit the memo cache instead of re-counting. *)
   ignore (Cirfix.Evaluate.eval_module ev big);
-  Alcotest.(check int) "memoized" 1 ev.oversize_rejects;
-  Alcotest.(check int) "no simulation spent" 0 ev.probes
+  Alcotest.(check int) "memoized" 1 (Cirfix.Evaluate.count ev Oversize_rejects);
+  Alcotest.(check int) "no simulation spent" 0 (Cirfix.Evaluate.count ev Probes)
 
 let test_gp_budget_exhaustion_graceful () =
   (* A 1-probe budget must terminate immediately without a repair. *)
@@ -611,14 +611,14 @@ let test_backend_memo_isolation () =
   (* Second lookup under the same backend is the memo hit; the backend
      counters record where the one real simulation ran. *)
   ignore (Cirfix.Evaluate.eval_module ev m);
-  Alcotest.(check int) "one probe" 1 ev.probes;
-  Alcotest.(check int) "one memo hit" 1 (Cirfix.Evaluate.memo_hits ev);
-  Alcotest.(check int) "compiled sim counted" 1 ev.sims_compiled;
-  Alcotest.(check int) "no event sims" 0 ev.sims_event;
+  Alcotest.(check int) "one probe" 1 (Cirfix.Evaluate.count ev Probes);
+  Alcotest.(check int) "one memo hit" 1 (Cirfix.Evaluate.count ev Memo_hits);
+  Alcotest.(check int) "compiled sim counted" 1 (Cirfix.Evaluate.count ev Sims_compiled);
+  Alcotest.(check int) "no event sims" 0 (Cirfix.Evaluate.count ev Sims_event);
   let ev_e = Cirfix.Evaluate.create cfg_e problem in
   ignore (Cirfix.Evaluate.eval_module ev_e m);
-  Alcotest.(check int) "event sim counted" 1 ev_e.sims_event;
-  Alcotest.(check int) "no compiled sims" 0 ev_e.sims_compiled
+  Alcotest.(check int) "event sim counted" 1 (Cirfix.Evaluate.count ev_e Sims_event);
+  Alcotest.(check int) "no compiled sims" 0 (Cirfix.Evaluate.count ev_e Sims_compiled)
 
 let test_brute_force_edit_inventory () =
   let problem = motivating_problem () in

@@ -312,11 +312,11 @@ let test_evaluate_rejected_racy () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected Rejected_racy");
   Alcotest.(check (float 0.0)) "fitness zero" 0.0 o.fitness;
-  Alcotest.(check int) "counted once" 1 ev.racy_rejects;
-  Alcotest.(check int) "no simulation spent" 0 ev.probes;
+  Alcotest.(check int) "counted once" 1 (Cirfix.Evaluate.count ev Racy_rejects);
+  Alcotest.(check int) "no simulation spent" 0 (Cirfix.Evaluate.count ev Probes);
   (* Memoized: a second evaluation must not recount. *)
   ignore (Cirfix.Evaluate.eval_module ev m);
-  Alcotest.(check int) "memoized" 1 ev.racy_rejects
+  Alcotest.(check int) "memoized" 1 (Cirfix.Evaluate.count ev Racy_rejects)
 
 let test_evaluate_screen_off_simulates () =
   let problem = screen_problem () in
@@ -324,7 +324,7 @@ let test_evaluate_screen_off_simulates () =
   let o = Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem) in
   Alcotest.(check bool) "simulated when screening is off" true
     (o.status = Cirfix.Evaluate.Simulated);
-  Alcotest.(check int) "no racy rejects" 0 ev.racy_rejects
+  Alcotest.(check int) "no racy rejects" 0 (Cirfix.Evaluate.count ev Racy_rejects)
 
 let test_evaluate_runtime_races_counted () =
   let problem = screen_problem () in
@@ -333,7 +333,7 @@ let test_evaluate_runtime_races_counted () =
   let o = Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem) in
   Alcotest.(check bool) "simulated" true (o.status = Cirfix.Evaluate.Simulated);
   Alcotest.(check bool) "dynamic write-write race observed" true (o.races > 0);
-  Alcotest.(check int) "totalled on the evaluator" o.races ev.runtime_races
+  Alcotest.(check int) "totalled on the evaluator" o.races (Cirfix.Evaluate.count ev Runtime_races)
 
 (* --- GP integration: counters and jobs-independence -------------------- *)
 
@@ -356,7 +356,7 @@ let test_gp_reports_racy_rejects () =
     { (race_cfg d ~jobs:1) with max_probes = 2_000; pop_size = 500 }
   in
   let r = Cirfix.Gp.repair cfg (Bench_suite.Defects.problem d) in
-  Alcotest.(check bool) "racy rejects reported" true (r.racy_rejects > 0)
+  Alcotest.(check bool) "racy rejects reported" true ((Cirfix.Evaluate.get r.counters Racy_rejects) > 0)
 
 let test_gp_race_knobs_deterministic () =
   let d = Bench_suite.Defects.find 1 in
@@ -368,9 +368,9 @@ let test_gp_race_knobs_deterministic () =
     (Option.map Cirfix.Patch.to_string r1.minimized)
     (Option.map Cirfix.Patch.to_string r2.minimized);
   Alcotest.(check int) "same probes" r1.probes r2.probes;
-  Alcotest.(check int) "same racy rejects" r1.racy_rejects r2.racy_rejects;
-  Alcotest.(check int) "same runtime races" r1.runtime_races r2.runtime_races;
-  Alcotest.(check int) "same static rejects" r1.static_rejects r2.static_rejects;
+  Alcotest.(check int) "same racy rejects" (Cirfix.Evaluate.get r1.counters Racy_rejects) (Cirfix.Evaluate.get r2.counters Racy_rejects);
+  Alcotest.(check int) "same runtime races" (Cirfix.Evaluate.get r1.counters Runtime_races) (Cirfix.Evaluate.get r2.counters Runtime_races);
+  Alcotest.(check int) "same static rejects" (Cirfix.Evaluate.get r1.counters Static_rejects) (Cirfix.Evaluate.get r2.counters Static_rejects);
   Alcotest.(check int) "same mutants" r1.mutants_generated r2.mutants_generated
 
 let () =
