@@ -599,7 +599,7 @@ let slice_rows ~slice ~sliced ~slice_sims ~stitched_verifies =
 (* The shared summary table of a search run (GP or brute-force): memo
    behaviour and the per-status reject breakdown, aligned. Rates are
    relative to total evaluations requested. *)
-let summary_table (c : Cirfix.Evaluate.counters) ~mutants ~runtime_races
+let summary_table (c : Cirfix.Evaluate.counters) ~mutants ~show_races
     ~jobs ~wall_seconds =
   let get = Cirfix.Evaluate.get c and secs = Cirfix.Evaluate.seconds c in
   let lookups = get Lookups and probes = get Probes in
@@ -627,7 +627,7 @@ let summary_table (c : Cirfix.Evaluate.counters) ~mutants ~runtime_races
   @ (match mutants with
     | Some m -> [ ("mutants generated", Printf.sprintf "%d" m) ]
     | None -> [])
-  @ (if runtime_races then
+  @ (if show_races then
        [
          ( "runtime races",
            Printf.sprintf "%d  (%.2f per 1000 sims)" (get Runtime_races)
@@ -739,7 +739,7 @@ let repair design golden testbench target top clock dut seed pop_size
   print_endline
     (Cirfix.Stats.kv_table
        (summary_table r.counters ~mutants:(Some r.mutants_generated)
-          ~runtime_races:race_check ~jobs:cfg.jobs
+          ~show_races:race_check ~jobs:cfg.jobs
           ~wall_seconds:r.wall_seconds
         @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
             ~stitched_verifies:r.stitched_verifies));
@@ -882,7 +882,7 @@ let brute design golden testbench target top clock dut max_depth max_probes
     max_depth;
   print_endline
     (Cirfix.Stats.kv_table
-       (summary_table r.counters ~mutants:None ~runtime_races:false
+       (summary_table r.counters ~mutants:None ~show_races:false
           ~jobs:cfg.jobs
           ~wall_seconds:r.wall_seconds
         @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims

@@ -56,8 +56,8 @@ type outcome = {
    constructor here plus its [name]. *)
 
 type counter =
-  | Probes
   | Lookups
+  | Probes
   | Memo_hits
   | Compile_errors
   | Static_rejects
@@ -72,14 +72,14 @@ type counter =
 
 let all_counters =
   [
-    Probes; Lookups; Memo_hits; Compile_errors; Static_rejects;
+    Lookups; Probes; Memo_hits; Compile_errors; Static_rejects;
     Oversize_rejects; Racy_rejects; Semantic_hits; Dead_edit_skips;
     Runtime_races; Sims_event; Sims_compiled; Compiled_fallbacks;
   ]
 
 let name = function
-  | Probes -> "probes"
   | Lookups -> "lookups"
+  | Probes -> "probes"
   | Memo_hits -> "memo_hits"
   | Compile_errors -> "compile_errors"
   | Static_rejects -> "static_rejects"
@@ -133,29 +133,27 @@ let map2 fi ff (a : counters) (b : counters) : counters =
 let add = map2 ( + ) ( +. )
 let diff = map2 ( - ) ( -. )
 
-(* Journal form. Runtime races and the per-backend simulation counts are
+(* Journal form. [run_end] carries the whole table in order, lookups under
+   the key "evals". Runtime races and the per-backend simulation counts are
    run totals only, so the per-generation and per-batch progress records
-   carry the search-disposition counters alone. The leading keys keep the
-   order existing journals have: progress records open with probes then
-   lookups, [run_end] with lookups (as "evals") then probes; memo hits
-   follow either way. Timers are never journaled: they vary run to run,
-   and journals are byte-identical across [jobs] settings. *)
+   carry the search-disposition counters alone, and open with probes before
+   lookups, the order existing journals have. Timers are never journaled:
+   they vary run to run, and journals are byte-identical across [jobs]. *)
 let journal_fields ~(final : bool) (c : counters) : (string * Obs.Json.t) list =
   let field k = (name k, Obs.Json.Int (get c k)) in
-  let head =
-    if final then [ ("evals", Obs.Json.Int (get c Lookups)); field Probes ]
-    else [ field Probes; field Lookups ]
-  in
-  let in_progress = function
-    | Runtime_races | Sims_event | Sims_compiled | Compiled_fallbacks -> false
-    | _ -> true
-  in
-  head
-  @ List.filter_map
-      (fun k ->
-        if k = Probes || k = Lookups || not (final || in_progress k) then None
-        else Some (field k))
+  if final then
+    List.map
+      (function Lookups -> ("evals", Obs.Json.Int (get c Lookups)) | k -> field k)
       all_counters
+  else
+    field Probes :: field Lookups
+    :: List.filter_map
+         (function
+           | Lookups | Probes | Runtime_races | Sims_event | Sims_compiled
+           | Compiled_fallbacks ->
+               None
+           | k -> Some (field k))
+         all_counters
 
 type t = {
   problem : Problem.t;

@@ -56,8 +56,8 @@ type outcome = {
     funnel groups and the [Obs.Metrics] mirrors all walk the table. *)
 
 type counter =
-  | Probes  (** simulations actually run (cache misses that compiled or not) *)
   | Lookups  (** evaluations requested, memoized or not *)
+  | Probes  (** simulations actually run, compile failures included *)
   | Memo_hits  (** lookups served from the structural memo cache *)
   | Compile_errors  (** fresh candidates that failed elaboration *)
   | Static_rejects
@@ -115,10 +115,11 @@ val add : counters -> counters -> counters
 (** [diff a b] is [a] minus [b], counter by counter. *)
 val diff : counters -> counters -> counters
 
-(** The counters as journal fields, in table order. [~final:false] is the
-    per-generation / per-batch form (search-disposition counters only,
-    opening [probes], [lookups]); [~final:true] is the [run_end] form
-    (every counter, opening with lookups under the key ["evals"]). *)
+(** The counters as journal fields. [~final:true] is the [run_end] form:
+    every counter in table order, lookups under the key ["evals"].
+    [~final:false] is the per-generation / per-batch form: the
+    search-disposition counters only (no runtime races or per-backend
+    simulation counts), opening with [probes] then [lookups]. *)
 val journal_fields : final:bool -> counters -> (string * Obs.Json.t) list
 
 (** The live table inside an evaluator. *)

@@ -163,6 +163,53 @@ let test_runner_repairs_sensitivity_defect () =
   Alcotest.(check bool) "has patch" true (s.patch <> None);
   Alcotest.(check bool) "positive probes" true (Cirfix.Evaluate.get s.counters Probes > 0)
 
+(* [summarize] replays the sequential driver: counters are summed over the
+   trials up to and including the first repair, and nothing after it. The
+   results are real (tiny) runs, relabelled as repaired or not. *)
+let test_summarize_stops_at_first_repair () =
+  let d = Bench_suite.Defects.find 3 in
+  let problem = Bench_suite.Defects.problem d in
+  let trial seed =
+    let cfg =
+      {
+        (Bench_suite.Runner.scenario_config d) with
+        seed;
+        pop_size = 10;
+        max_generations = 2;
+        max_probes = 40;
+      }
+    in
+    Cirfix.Gp.repair cfg problem
+  in
+  let unrepaired r = { (trial r) with minimized = None; repaired_module = None } in
+  let r1 = unrepaired 1 and r3 = unrepaired 3 in
+  let r2 =
+    {
+      (trial 2) with
+      minimized = Some [];
+      repaired_module = Some (Cirfix.Problem.target_module problem);
+    }
+  in
+  let counts c = List.map (Cirfix.Evaluate.get c) Cirfix.Evaluate.all_counters in
+  let sum rs =
+    counts
+      (List.fold_left
+         (fun acc (r : Cirfix.Gp.result) -> Cirfix.Evaluate.add acc r.counters)
+         Cirfix.Evaluate.zero rs)
+  in
+  Alcotest.(check bool) "trials did work" true (r3.probes > 0);
+  let s = Bench_suite.Runner.summarize d ~trials:3 [ r1; r2; r3 ] in
+  Alcotest.(check (list int)) "sums trials 1-2" (sum [ r1; r2 ]) (counts s.counters);
+  Alcotest.(check (option int)) "winning seed" (Some 2) s.winning_seed;
+  Alcotest.(check int) "trials run" 2 s.trials_run;
+  Alcotest.(check (float 1e-9)) "total seconds"
+    (r1.wall_seconds +. r2.wall_seconds) s.total_seconds;
+  let none = Bench_suite.Runner.summarize d ~trials:3 [ r1; r3 ] in
+  Alcotest.(check bool) "unrepaired" false none.repaired;
+  Alcotest.(check (list int)) "sums every trial" (sum [ r1; r3 ])
+    (counts none.counters);
+  Alcotest.(check int) "all trials run" 3 none.trials_run
+
 let test_table2_loc_report () =
   (* The Table 2 inventory is well-formed: names unique, locs positive. *)
   let names = List.map (fun (p : Bench_suite.Projects.t) -> p.name) projects in
@@ -207,5 +254,7 @@ let () =
         [
           Alcotest.test_case "repairs defect 14" `Slow
             test_runner_repairs_sensitivity_defect;
+          Alcotest.test_case "summarize stops at first repair" `Quick
+            test_summarize_stops_at_first_repair;
         ] );
     ]

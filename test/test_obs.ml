@@ -129,7 +129,7 @@ let test_json_escaping_roundtrip () =
 (* The journal must be byte-identical across [jobs] once wall-clock fields
    are stripped: records are derived only from sequentially-committed
    state. This is the cross-process analogue of Gp's determinism test. *)
-let journal_of_repair ~jobs =
+let journal_of (search : Cirfix.Config.t -> Cirfix.Problem.t -> unit) ~jobs =
   let path = Filename.temp_file "cirfix-journal" ".jsonl" in
   let problem = Bench_suite.Defects.problem (Bench_suite.Defects.find 3) in
   let cfg =
@@ -146,13 +146,18 @@ let journal_of_repair ~jobs =
   Journal.open_file path;
   Fun.protect
     ~finally:(fun () -> Journal.close ())
-    (fun () -> ignore (Cirfix.Gp.repair cfg problem));
+    (fun () -> search cfg problem);
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
   Sys.remove path;
   s
+
+let journal_of_repair = journal_of (fun cfg p -> ignore (Cirfix.Gp.repair cfg p))
+
+let journal_of_brute =
+  journal_of (fun cfg p -> ignore (Cirfix.Brute_force.search ~max_depth:1 cfg p))
 
 (* Blank out the documented timing fields, the only jobs-dependent bytes. *)
 let strip_walls s =
@@ -230,13 +235,13 @@ let test_funnel_reconciliation () =
   Alcotest.(check int) "evaluated tiles evals" (e "evals") (total "evaluated");
   Alcotest.(check int) "simulated tiles probes" (e "probes")
     (total "simulated");
-  Alcotest.(check int) "screened tiles reject counters"
-    (e "compile_errors" + e "static_rejects" + e "oversize_rejects"
-   + e "racy_rejects")
-    (total "screened");
-  Alcotest.(check int) "pruned tiles memo+semantic+dead"
-    (e "memo_hits" + e "semantic_hits" + e "dead_edit_skips")
-    (total "pruned");
+  let group ks =
+    List.fold_left (fun acc k -> acc + e (Cirfix.Evaluate.name k)) 0 ks
+  in
+  Alcotest.(check int) "screened tiles the screened group"
+    (group Cirfix.Evaluate.screened) (total "screened");
+  Alcotest.(check int) "pruned tiles the pruned group"
+    (group Cirfix.Evaluate.pruned) (total "pruned");
   (* The run_end convenience totals are the same sums. *)
   Alcotest.(check int) "proposed total" (e "proposed") (total "proposed");
   Alcotest.(check int) "survived total" (e "survived") (total "survived");
@@ -244,6 +249,31 @@ let test_funnel_reconciliation () =
     (total "in_lineage");
   Alcotest.(check bool) "digest saw a complete run" true
     run.Aggregate.r_complete
+
+(* Both engines' [run_end] records carry the whole counter table: every
+   counter's key exactly once, in table order (lookups under "evals"). *)
+let test_run_end_counters () =
+  let expected =
+    List.map
+      (fun k ->
+        match k with
+        | Cirfix.Evaluate.Lookups -> "evals"
+        | k -> Cirfix.Evaluate.name k)
+      Cirfix.Evaluate.all_counters
+  in
+  List.iter
+    (fun (engine, journal) ->
+      let records, _ = Aggregate.parse_lenient journal in
+      let keys =
+        match Report.last_of_type "run_end" records with
+        | Some (Json.Obj fields) -> List.map fst fields
+        | _ -> Alcotest.failf "%s: no run_end record" engine
+      in
+      Alcotest.(check (list string))
+        (engine ^ " run_end counter keys")
+        expected
+        (List.filter (fun k -> List.mem k expected) keys))
+    [ ("gp", journal_of_repair ~jobs:1); ("brute", journal_of_brute ~jobs:1) ]
 
 (* Crash resilience: a journal whose writer died mid-record must still
    load. The single-run reader accepts a truncated FINAL line (and only
@@ -302,5 +332,7 @@ let () =
             test_funnel_determinism;
           Alcotest.test_case "totals reconcile with run_end" `Slow
             test_funnel_reconciliation;
+          Alcotest.test_case "run_end carries every counter" `Slow
+            test_run_end_counters;
         ] );
     ]
