@@ -7,14 +7,10 @@ open Verilog.Ast
 
 let int_width = 32
 
-(* Mutated index/replication expressions can evaluate to absurd values
-   (e.g. a part-select bound of 0 - 1 = 0xFFFFFFFF unsigned); a simulator
-   would reject such code, so we abort the candidate instead of allocating
-   gigabyte vectors. *)
-let max_select_width = 65_536
-
+(* Abort the candidate on an absurd select or replication width (see
+   [Verilog.Ast.max_vector_width]). *)
 let check_width what w =
-  if w > max_select_width then
+  if w > max_vector_width then
     raise
       (Runtime.Elab_error
          (Printf.sprintf "%s too wide (%d bits)" what w))

@@ -8,6 +8,13 @@
 
 type id = int
 
+(* Widest vector (in bits) any stage will build. Mutated index and
+   replication expressions can evaluate to absurd widths (a part-select
+   bound of 0 - 1 is 0xFFFFFFFF unsigned); a real simulator rejects such
+   code, so elaboration fails it and the static analyses treat the value
+   as unknown instead of allocating gigabyte vectors. *)
+let max_vector_width = 65_536
+
 type unop =
   | Uplus
   | Uminus

@@ -53,7 +53,9 @@ type abit = Bit.t option
 type aval = Bits of abit array | Any
 
 let known v = Bits (Array.init (Vec.width v) (fun i -> Some (Vec.get v i)))
-let top_bits w = Bits (Array.make (max 1 w) None)
+(* Values wider than [max_vector_width] are not tracked bit by bit: the
+   simulator rejects them, and the arrays would not fit in memory. *)
+let top_bits w = if w > max_vector_width then Any else Bits (Array.make (max 1 w) None)
 
 (* Reads zero-extend out of range, like [Vec.get]. *)
 let abit_get a i = if i < Array.length a then a.(i) else Some Bit.V0
@@ -69,6 +71,7 @@ let to_vec = function
 
 let resize w = function
   | Any -> top_bits w
+  | Bits _ when w > max_vector_width -> Any
   | Bits a -> Bits (Array.init (max 1 w) (abit_get a))
 
 let join_bit a b =
@@ -301,7 +304,8 @@ let rec aeval (d : denv) (m : aval SMap.t) (e : expr) : aval =
         let arrays =
           List.rev_map (function Bits a -> a | Any -> [||]) vs
         in
-        Bits (Array.concat arrays))
+        let w = List.fold_left (fun acc a -> acc + Array.length a) 0 arrays in
+        if w > max_vector_width then Any else Bits (Array.concat arrays))
   | Repl (n, x) -> (
       match to_vec (aeval d m n) with
       | Some nv -> (
@@ -311,7 +315,7 @@ let rec aeval (d : denv) (m : aval SMap.t) (e : expr) : aval =
               | Any -> Any
               | Bits bits ->
                   let w = Array.length bits in
-                  if k * w > 65_536 then Any (* concrete eval faults *)
+                  if k * w > max_vector_width then Any
                   else
                     Bits
                       (Array.init (k * w) (fun i -> bits.(i mod w))))
@@ -544,7 +548,7 @@ let rec expr_width d (e : expr) : int option =
       match const_int d SMap.empty n with
       | Some k when k > 0 -> (
           match expr_width d x with
-          | Some w when k * w <= 65_536 -> Some (k * w)
+          | Some w when k * w <= max_vector_width -> Some (k * w)
           | _ -> None)
       | Some _ -> Some 1
       | None -> None)

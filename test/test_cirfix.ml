@@ -537,6 +537,35 @@ let test_oversized_candidate_rejected () =
   Alcotest.(check int) "memoized" 1 (Cirfix.Evaluate.count ev Oversize_rejects);
   Alcotest.(check int) "no simulation spent" 0 (Cirfix.Evaluate.count ev Probes)
 
+(* A mutant part-select with an absurd bound. The simulator rejects it as
+   too wide; the pruning lanes hash the candidate before any simulation,
+   so they must treat the value as unknown rather than allocate it. (The
+   select feeds a read net: the compiled backend never evaluates an
+   unread continuous assignment.) *)
+let test_huge_part_select () =
+  let problem = motivating_problem () in
+  let src = Verilog.Pp.module_to_string (Cirfix.Problem.target_module problem) in
+  let cut = Str.search_forward (Str.regexp_string "endmodule") src 0 in
+  let src =
+    String.sub src 0 cut
+    ^ "wire [3:0] huge;\nassign huge = counter_out[32'hFFFFFFFF:0];\n\
+       always @(posedge clk) if (huge == 4'b0) overflow_out <= 1'b0;\n"
+    ^ String.sub src cut (String.length src - cut)
+  in
+  let m =
+    match Verilog.Parser.parse_design_result src with
+    | Ok [ m ] -> m
+    | Ok _ -> Alcotest.fail "expected one module"
+    | Error e -> Alcotest.fail e
+  in
+  ignore (Verilog.Canon.semantic_hash m);
+  ignore (Verilog.Dataflow.prune_hash m);
+  let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
+  Alcotest.(check bool) "pruning lanes on" true ev.lanes_enabled;
+  let o = Cirfix.Evaluate.eval_module ev m in
+  Alcotest.(check string) "compile error" "compile_error"
+    (Cirfix.Evaluate.status_label o.status)
+
 let test_gp_budget_exhaustion_graceful () =
   (* A 1-probe budget must terminate immediately without a repair. *)
   let problem = motivating_problem () in
@@ -772,6 +801,7 @@ let () =
             test_evaluate_cache_and_compile_errors;
           Alcotest.test_case "oversized rejected" `Quick
             test_oversized_candidate_rejected;
+          Alcotest.test_case "huge part-select" `Quick test_huge_part_select;
           Alcotest.test_case "budget exhaustion" `Quick
             test_gp_budget_exhaustion_graceful;
           Alcotest.test_case "generation callback" `Quick
