@@ -374,7 +374,9 @@ let localize_cmd =
 
 (* --- slice ----------------------------------------------------------------- *)
 
-let slice design testbench target top clock dut outputs focus out tb_out =
+(* [_clock] is accepted so [slice] takes the same testbench arguments as
+   the other subcommands; extracting a slice never simulates. *)
+let slice design testbench target top _clock dut outputs out tb_out =
   let d = or_die (read_file design) and tb_src = or_die (read_file testbench) in
   let parsed =
     match Verilog.Parser.parse_design_result (d ^ "\n" ^ tb_src) with
@@ -416,10 +418,7 @@ let slice design testbench target top clock dut outputs focus out tb_out =
            them would change what the slice is simulated against. *)
         List.sort_uniq compare (given @ Verilog.Slice.Names.elements tb_read)
   in
-  let focus =
-    Option.map (fun ids -> Verilog.Slice.Ids.of_list ids) focus
-  in
-  let plan = Verilog.Slice.slice ~design:parsed ?focus m ~outputs:seed in
+  let plan = Verilog.Slice.slice ~design:parsed m ~outputs:seed in
   (* Manifest. *)
   Printf.printf "slice of %s seeded on outputs: %s\n" target
     (String.concat ", " seed);
@@ -437,8 +436,6 @@ let slice design testbench target top clock dut outputs focus out tb_out =
     /. float_of_int (max 1 (Verilog.Ast_utils.module_size m)));
   Printf.printf "  inputs: %s\n" (String.concat ", " plan.sl_inputs);
   Printf.printf "  outputs: %s\n" (String.concat ", " plan.sl_outputs);
-  Printf.printf "  promoted cut points: %s\n"
-    (match plan.sl_promoted with [] -> "(none)" | l -> String.concat ", " l);
   Printf.printf "  kept item ids: %s\n"
     (String.concat ", " (List.map string_of_int plan.sl_kept));
   Printf.printf "  dropped item ids: %s\n"
@@ -447,50 +444,6 @@ let slice design testbench target top clock dut outputs focus out tb_out =
     | l -> String.concat ", " (List.map string_of_int l));
   Printf.printf "  structural hash: %s\n" plan.sl_hash;
   let tb' = Verilog.Slice.rewrite_testbench ~tb ~inst ~target:m plan in
-  (* Promoted cut points need driving: simulate the whole design once with
-     the cut nets re-exported as probe outputs, then replay the recorded
-     waveforms into the __slice_* registers of the rewritten testbench. *)
-  let tb_final =
-    if plan.sl_promoted = [] then tb'
-    else begin
-      let probed =
-        List.map
-          (fun (md : Verilog.Ast.module_decl) ->
-            if md.mod_id = target then Verilog.Slice.probe_module m plan
-            else if md.mod_id = top then
-              Verilog.Slice.probe_testbench ~tb ~inst ~target:m plan
-            else md)
-          parsed
-      in
-      match Sim.Simulate.run probed (spec_of top clock dut) with
-      | Error (Sim.Simulate.Elab_failure e) ->
-          Printf.eprintf "probe simulation failed to elaborate: %s\n" e;
-          exit 1
-      | Ok r ->
-          let strip n =
-            let p = "__probe_" in
-            if String.length n > String.length p
-               && String.sub n 0 (String.length p) = p
-            then Some (String.sub n (String.length p) (String.length n - String.length p))
-            else None
-          in
-          let samples =
-            List.map
-              (fun (s : Sim.Recorder.sample) ->
-                ( s.t,
-                  List.filter_map
-                    (fun (n, v) -> Option.map (fun b -> (b, v)) (strip n))
-                    s.values ))
-              r.trace
-          in
-          let replay = Verilog.Slice.replay_items plan ~samples in
-          Printf.printf
-            "  replay harness: %d sampled times driving %d cut register(s)\n"
-            (List.length samples)
-            (List.length plan.sl_promoted);
-          { tb' with items = tb'.items @ replay }
-    end
-  in
   let sliced_design =
     List.filter_map
       (fun (md : Verilog.Ast.module_decl) ->
@@ -502,7 +455,7 @@ let slice design testbench target top clock dut outputs focus out tb_out =
   let design_src =
     String.concat "\n" (List.map Verilog.Pp.module_to_string sliced_design)
   in
-  let tb_txt = Verilog.Pp.module_to_string tb_final in
+  let tb_txt = Verilog.Pp.module_to_string tb' in
   (match out with
   | Some path ->
       Out_channel.with_open_text path (fun oc -> output_string oc design_src);
@@ -522,15 +475,12 @@ let slice design testbench target top clock dut outputs focus out tb_out =
 let slice_cmd =
   let doc =
     "Extract the cone-of-influence slice of a module: the backward cone of\n\
-     chosen output ports (optionally intersected with the forward cone of\n\
-     suspicious statements via $(b,--focus)), emitted as a self-contained\n\
-     module plus a rewritten testbench. Cut nets severed by a focus\n\
-     intersection are promoted to input ports and driven by a replay\n\
-     harness recorded from one whole-design simulation."
+     chosen output ports, emitted as a self-contained module plus a\n\
+     rewritten testbench."
   in
   Cmd.v (Cmd.info "slice" ~doc)
     Term.(
-      const (fun a b c d e f g h i j -> ignore (slice a b c d e f g h i j))
+      const (fun a b c d e f g h i -> ignore (slice a b c d e f g h i))
       $ design_arg $ testbench_arg $ target_arg $ top_arg $ clock_arg $ dut_arg
       $ Arg.(
           value
@@ -539,15 +489,6 @@ let slice_cmd =
               ~doc:
                 "Comma-separated output ports seeding the backward cone\n\
                  (default: all output ports of the target).")
-      $ Arg.(
-          value
-          & opt (some (list int)) None
-          & info [ "focus" ] ~docv:"IDS"
-              ~doc:
-                "Comma-separated statement ids (as printed by\n\
-                 $(b,localize)) whose forward cone intersects the slice;\n\
-                 in-cone logic outside it is dropped and its cut nets are\n\
-                 promoted to inputs.")
       $ Arg.(
           value
           & opt (some string) None

@@ -89,7 +89,7 @@ let prepare (whole_ev : Evaluate.t) : t option =
                 Slice.slice ~design:problem.design whole_target
                   ~outputs:seed_outs
               in
-              if plan.sl_dropped = [] || plan.sl_promoted <> [] then None
+              if plan.sl_dropped = [] then None
               else
                 let tb' =
                   Slice.rewrite_testbench ~tb ~inst ~target:whole_target plan
@@ -113,7 +113,7 @@ let prepare (whole_ev : Evaluate.t) : t option =
                 (* Backward/forward intersection: nodes inside kept items
                    that are also downstream of the seed localization set.
                    Engines use it to narrow mutation targets; extraction
-                   itself stays backward-only (exact, no promotion). *)
+                   itself stays backward-only, hence exact. *)
                 let focus =
                   if mismatch = [] then Fault_loc.IdSet.empty
                   else
@@ -145,7 +145,6 @@ let journal_record (s : t) : (string * Obs.Json.t) list =
     ("mismatch", strs s.mismatch);
     ("outputs", strs p.sl_outputs);
     ("inputs", strs p.sl_inputs);
-    ("promoted", strs p.sl_promoted);
     ("kept", ints p.sl_kept);
     ("dropped", ints p.sl_dropped);
     ("nodes_total", Obs.Json.Int p.sl_nodes_total);

@@ -11,7 +11,7 @@
     and the engine falls back to whole-design repair.
 
     Soundness rests on two facts. First, the repair slice is {e exact}:
-    it is closed under fan-in (no promoted cut points), so for a fixed
+    it is closed under fan-in, so for a fixed
     testbench its in-cone outputs simulate byte-identically to the whole
     design — a candidate that repairs the slice's outputs is a genuine
     candidate, not an artifact of the cut. Second, every slice-plausible
@@ -40,8 +40,8 @@ val prepare : Evaluate.t -> t option
     verifications that follow), seeds the cone with the mismatching
     output ports plus any outputs the testbench reads back (reactive
     stimulus), and extracts a backward-only slice. [None] when the
-    problem's DUT instance is not the target module, the slice drops
-    nothing, or slicing would promote cut points. *)
+    problem's DUT instance is not the target module or the slice drops
+    nothing. *)
 
 val stitch : t -> Patch.t -> Verilog.Ast.module_decl
 (** Apply a slice-found patch to the whole module. *)

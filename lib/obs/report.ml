@@ -499,10 +499,6 @@ let render_slicing (records : Json.t list) : string =
             [ "mismatch seed"; names "mismatch" ];
             [ "retained outputs"; names "outputs" ];
             [ "retained inputs"; names "inputs" ];
-            [
-              "promoted cut points";
-              (match names "promoted" with "" -> "(none)" | l -> l);
-            ];
           ]
       ^ counters
 

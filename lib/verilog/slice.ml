@@ -10,11 +10,11 @@
 
    Soundness hinges on two closure rules:
    - fan-in closure: every net an in-cone node reads has all of its
-     drivers in the cone (or is promoted to an input port);
+     drivers in the cone;
    - write closure: every net an in-cone node writes keeps all of its
      other writers too, so partially-driven registers never split.
-   Under both, a backward-only slice computes exactly the whole module's
-   values on its retained outputs. *)
+   Under both, a slice computes exactly the whole module's values on its
+   retained outputs. *)
 
 open Ast
 module Names = Set.Make (String)
@@ -302,7 +302,6 @@ type plan = {
   sl_module : Ast.module_decl;
   sl_outputs : string list;
   sl_inputs : string list;
-  sl_promoted : string list;
   sl_kept : Ast.id list;
   sl_dropped : Ast.id list;
   sl_names : Names.t;
@@ -312,58 +311,13 @@ type plan = {
   sl_hash : string;
 }
 
-(* Declared range of a net, from its first port or net declaration. *)
-let range_of (m : module_decl) (name : string) : range option =
-  List.find_map
-    (fun (item : item) ->
-      match item.it with
-      | PortDecl (_, _, r, names) when List.mem name names -> Some r
-      | NetDecl (_, r, ds) when List.exists (fun d -> d.d_name = name) ds ->
-          Some r
-      | _ -> None)
-    m.items
-  |> Option.join
-
-(* Close a kept-node set under writes: any net written by a kept node
-   keeps all of its writers (within [univ]). *)
-let write_closure (g : graph) ~(univ : Ids.t) (start : Ids.t) : Ids.t =
-  let kept = ref start in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        if Ids.mem n.n_id !kept then
-          Names.iter
-            (fun w ->
-              List.iter
-                (fun other ->
-                  if Ids.mem other.n_id univ && not (Ids.mem other.n_id !kept)
-                  then begin
-                    kept := Ids.add other.n_id !kept;
-                    changed := true
-                  end)
-                (writers_of g w))
-            n.n_writes)
-      g.g_nodes
-  done;
-  !kept
-
-let slice ?design ?(focus = Ids.empty) (m : module_decl)
-    ~(outputs : string list) : plan =
+let slice ?design (m : module_decl) ~(outputs : string list) : plan =
   let g = build ?design m in
   let out_ports = output_ports m in
   let seed =
     Names.of_list (List.filter (fun o -> List.mem o out_ports) outputs)
   in
-  let bwd, _ = backward g seed in
-  let kept =
-    if Ids.is_empty focus then bwd
-    else
-      let fwd = forward g focus in
-      let inter = Ids.inter bwd fwd in
-      if Ids.is_empty inter then bwd else write_closure g ~univ:bwd inter
-  in
+  let kept, _ = backward g seed in
   (* Names the kept logic touches, plus the seed outputs themselves (an
      undriven output keeps its declaration). *)
   let used =
@@ -373,24 +327,7 @@ let slice ?design ?(focus = Ids.empty) (m : module_decl)
         else acc)
       seed g.g_nodes
   in
-  let inputs = Names.of_list (input_ports m) in
-  let written_in_slice =
-    List.fold_left
-      (fun acc n -> if Ids.mem n.n_id kept then Names.union acc n.n_writes else acc)
-      Names.empty g.g_nodes
-  in
-  (* Cut points: nets the slice reads that had drivers in the module but
-     none in the slice. Backward-only slices never have any (fan-in
-     closure); only a focus intersection creates them. *)
-  let promoted =
-    Names.filter
-      (fun n ->
-        (not (Names.mem n inputs))
-        && (not (Names.mem n written_in_slice))
-        && writers_of g n <> [])
-      used
-  in
-  let keep_name n = Names.mem n used && not (Names.mem n promoted) in
+  let keep_name n = Names.mem n used in
   let items =
     List.filter_map
       (fun (item : item) ->
@@ -415,30 +352,7 @@ let slice ?design ?(focus = Ids.empty) (m : module_decl)
             if Ids.mem item.iid kept then Some item else None)
       m.items
   in
-  let promoted_list = Names.elements promoted in
-  let promoted_decls =
-    List.map
-      (fun n -> mk_i (PortDecl (Input, None, range_of m n, [ n ])))
-      promoted_list
-  in
-  (* Promoted inputs go right after the last surviving port declaration. *)
-  let items =
-    if promoted_decls = [] then items
-    else begin
-      let rec insert acc = function
-        | ({ it = PortDecl _; _ } as a) :: (({ it = PortDecl _; _ } :: _) as rest)
-          ->
-            insert (a :: acc) rest
-        | ({ it = PortDecl _; _ } as a) :: rest ->
-            List.rev_append acc ((a :: promoted_decls) @ rest)
-        | rest -> List.rev_append acc (promoted_decls @ rest)
-      in
-      insert [] items
-    end
-  in
-  let mod_ports =
-    List.filter keep_name m.mod_ports @ promoted_list
-  in
+  let mod_ports = List.filter keep_name m.mod_ports in
   let sl_module = { m with mod_ports; items } in
   let logic_ids = List.map (fun n -> n.n_id) g.g_nodes in
   let kept_ids = List.filter (fun id -> Ids.mem id kept) logic_ids in
@@ -448,7 +362,6 @@ let slice ?design ?(focus = Ids.empty) (m : module_decl)
     sl_module;
     sl_outputs = List.filter (fun p -> keep_name p) out_ports;
     sl_inputs = List.filter (fun p -> keep_name p) (input_ports m);
-    sl_promoted = promoted_list;
     sl_kept = kept_ids;
     sl_dropped = dropped_ids;
     sl_names = used;
@@ -517,9 +430,6 @@ let tb_read_outputs ~(tb : module_decl) ~(inst : string)
           | _ -> acc)
         Names.empty conns
 
-let replay_reg n = "__slice_" ^ n
-let probe_port n = "__probe_" ^ n
-
 let rewrite_testbench ~(tb : module_decl) ~(inst : string)
     ~(target : module_decl) (plan : plan) : module_decl =
   match find_instance tb ~inst ~target:target.mod_id with
@@ -533,136 +443,19 @@ let rewrite_testbench ~(tb : module_decl) ~(inst : string)
       let conns' =
         List.filter_map
           (fun p ->
-            if List.mem p plan.sl_promoted then
-              Some (Named (p, Some (mk_e (Ident (replay_reg p)))))
-            else
-              match List.assoc_opt p conn_map with
-              | Some e -> Some (Named (p, e))
-              | None -> None)
+            Option.map (fun e -> Named (p, e)) (List.assoc_opt p conn_map))
           plan.sl_module.mod_ports
       in
-      let regs =
-        List.map
-          (fun p ->
-            mk_i
-              (NetDecl
-                 ( Reg,
-                   range_of target p,
-                   [ { d_name = replay_reg p; d_array = None; d_init = None } ]
-                 )))
-          plan.sl_promoted
-      in
       let items =
-        List.concat_map
+        List.map
           (fun (item : item) ->
-            if item.iid <> dut_item.iid then [ item ]
-            else
-              let inst' =
-                match dut_item.it with
-                | Instance i -> { item with it = Instance { i with conns = conns' } }
-                | _ -> item
-              in
-              regs @ [ inst' ])
+            match item.it with
+            | Instance i when item.iid = dut_item.iid ->
+                { item with it = Instance { i with conns = conns' } }
+            | _ -> item)
           tb.items
       in
       { tb with items }
-
-let probe_module (m : module_decl) (plan : plan) : module_decl =
-  if plan.sl_promoted = [] then m
-  else
-    let ports =
-      List.map
-        (fun n -> mk_i (PortDecl (Output, None, range_of m n, [ probe_port n ])))
-        plan.sl_promoted
-    in
-    let assigns =
-      List.map
-        (fun n ->
-          mk_i (ContAssign [ (LId (probe_port n), mk_e (Ident n)) ]))
-        plan.sl_promoted
-    in
-    {
-      m with
-      mod_ports = m.mod_ports @ List.map probe_port plan.sl_promoted;
-      items = m.items @ ports @ assigns;
-    }
-
-let probe_testbench ~(tb : module_decl) ~(inst : string)
-    ~(target : module_decl) (plan : plan) : module_decl =
-  match find_instance tb ~inst ~target:target.mod_id with
-  | None -> tb
-  | Some dut_item ->
-      let wires =
-        List.map
-          (fun n ->
-            mk_i
-              (NetDecl
-                 ( Wire,
-                   range_of target n,
-                   [
-                     {
-                       d_name = probe_port n;
-                       d_array = None;
-                       d_init = None;
-                     };
-                   ] )))
-          plan.sl_promoted
-      in
-      let items =
-        List.concat_map
-          (fun (item : item) ->
-            if item.iid <> dut_item.iid then [ item ]
-            else
-              let inst' =
-                match dut_item.it with
-                | Instance i ->
-                    let extra =
-                      List.map
-                        (fun n ->
-                          Named (probe_port n, Some (mk_e (Ident (probe_port n)))))
-                        plan.sl_promoted
-                    in
-                    { item with it = Instance { i with conns = i.conns @ extra } }
-                | _ -> item
-              in
-              wires @ [ inst' ])
-          tb.items
-      in
-      { tb with items }
-
-let replay_items (plan : plan) ~samples : item list =
-  if plan.sl_promoted = [] || samples = [] then []
-  else
-    let prev : (string, Logic4.Vec.t) Hashtbl.t = Hashtbl.create 8 in
-    let steps =
-      List.fold_left
-        (fun (t_prev, acc) (t, values) ->
-          let assigns =
-            List.filter_map
-              (fun (n, v) ->
-                if not (List.mem n plan.sl_promoted) then None
-                else if Hashtbl.find_opt prev n = Some v then None
-                else begin
-                  Hashtbl.replace prev n v;
-                  Some (mk_s (Nonblocking (LId (replay_reg n), None, mk_e (Number v))))
-                end)
-              values
-          in
-          match assigns with
-          | [] -> (t_prev, acc)
-          | [ one ] ->
-              (t, mk_s (Delay (mk_e (IntLit (t - t_prev)), Some one)) :: acc)
-          | many ->
-              ( t,
-                mk_s
-                  (Delay
-                     (mk_e (IntLit (t - t_prev)), Some (mk_s (Block (None, many)))))
-                :: acc ))
-        (0, []) samples
-      |> snd |> List.rev
-    in
-    if steps = [] then []
-    else [ mk_i (Initial (mk_s (Block (None, steps)))) ]
 
 (* --- Reporting helpers ----------------------------------------------------- *)
 

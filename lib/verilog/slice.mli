@@ -12,9 +12,8 @@
     {!slice} extracts the backward cone of a set of output ports as a
     standalone module: in-cone declarations and processes verbatim
     (statement node ids preserved, so a repair patch found against the
-    slice applies unchanged to the original module), out-of-cone logic
-    dropped, and — when a [focus] intersection cuts in-cone drivers —
-    their targets promoted to input ports. *)
+    slice applies unchanged to the original module) and out-of-cone logic
+    dropped. *)
 
 module Names : Set.S with type elt = string
 module Ids : Set.S with type elt = int
@@ -61,7 +60,6 @@ type plan = {
   sl_module : Ast.module_decl;  (** the extracted slice *)
   sl_outputs : string list;  (** retained output ports, header order *)
   sl_inputs : string list;  (** retained original input ports, header order *)
-  sl_promoted : string list;  (** cut nets promoted to input ports, sorted *)
   sl_kept : Ast.id list;  (** kept logic item ids, source order *)
   sl_dropped : Ast.id list;  (** dropped logic item ids, source order *)
   sl_names : Names.t;  (** every net the kept logic touches *)
@@ -71,19 +69,9 @@ type plan = {
   sl_hash : string;  (** [Ast_utils.structural_hash] of [sl_module] *)
 }
 
-val slice :
-  ?design:Ast.design ->
-  ?focus:Ids.t ->
-  Ast.module_decl ->
-  outputs:string list ->
-  plan
+val slice : ?design:Ast.design -> Ast.module_decl -> outputs:string list -> plan
 (** Extract the backward cone of [outputs] (output-port names of the
-    module; unknown names are ignored). With [focus] (suspicious
-    statement ids), in-cone nodes outside the forward cone of the focus
-    are dropped after re-closing writes, and nets they drove that the
-    slice still reads are promoted to input ports ([sl_promoted]) — the
-    caller must then drive them, e.g. from a recorded trace. Without
-    [focus] no promotion ever happens: the slice is closed under fan-in
+    module; unknown names are ignored). The slice is closed under fan-in
     and simulates byte-identically on [sl_outputs]. *)
 
 val output_ports : Ast.module_decl -> string list
@@ -104,31 +92,8 @@ val rewrite_testbench :
   tb:Ast.module_decl -> inst:string -> target:Ast.module_decl -> plan ->
   Ast.module_decl
 (** Rewrite the [inst] instance of [target] for the sliced module:
-    connections are re-emitted by name in slice-header order, connections
-    to dropped ports removed, and each promoted input connected to a
-    fresh testbench register [__slice_<net>] (declared alongside). The
-    caller drives those registers, e.g. with {!replay_items}. *)
-
-val probe_module : Ast.module_decl -> plan -> Ast.module_decl
-(** The whole module with the plan's promoted nets re-exported as output
-    ports [__probe_<net>], so an unmodified simulation of the whole
-    design records the cut-point waveforms the replay harness needs. *)
-
-val probe_testbench :
-  tb:Ast.module_decl -> inst:string -> target:Ast.module_decl -> plan ->
-  Ast.module_decl
-(** Companion of {!probe_module}: the testbench with wires added for the
-    probe outputs so the probed design elaborates. *)
-
-val replay_items :
-  plan ->
-  samples:(int * (string * Logic4.Vec.t) list) list ->
-  Ast.item list
-(** An initial block (plus nothing else) driving each [__slice_<net>]
-    register nonblocking at the sampled times: during the timestep of a
-    sample the register still holds the previous sample, matching how a
-    clocked reader of the original net would see it. [samples] are
-    (absolute time, per-promoted-net values), strictly increasing. *)
+    connections are re-emitted by name in slice-header order and
+    connections to dropped ports removed. *)
 
 (** {1 Reporting helpers} *)
 

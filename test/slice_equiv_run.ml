@@ -60,14 +60,7 @@ let sweep_pair (p : Bench_suite.Projects.t) idx (tb_src : string) :
     (fun out ->
       let seed = List.sort_uniq compare (out :: feedback) in
       let plan = Verilog.Slice.slice ~design target ~outputs:seed in
-      if plan.sl_promoted <> [] then begin
-        (* Focus-free slices never promote; a cut point here is a bug. *)
-        Printf.printf "FAIL %s tb%d %s: focus-free slice promoted %s\n%!"
-          p.name idx out
-          (String.concat "," plan.sl_promoted);
-        incr failures
-      end
-      else if not (Hashtbl.mem seen plan.sl_hash) then begin
+      if not (Hashtbl.mem seen plan.sl_hash) then begin
         Hashtbl.add seen plan.sl_hash ();
         incr simulated;
         if plan.sl_dropped <> [] then incr partial;

@@ -1,7 +1,6 @@
 (* Unit tests for semantic slicing: cone construction (backward with
-   write closure, forward), slice extraction (drops, promotion under a
-   focus), the testbench harness (instance rewriting, replay block), and
-   the repair-side Slicing.prepare engagement/fallback contract. The
+   write closure, forward), slice extraction, testbench instance
+   rewriting, and the repair-side Slicing.prepare engagement/fallback contract. The
    dynamic soundness sweep lives in slice_equiv_run.ml. *)
 
 open Verilog
@@ -70,24 +69,11 @@ let test_slice_extraction () =
   let plan = Slice.slice m ~outputs:[ "y" ] in
   Alcotest.(check (list string)) "outputs" [ "y" ] plan.sl_outputs;
   Alcotest.(check (list string)) "inputs" [ "a" ] plan.sl_inputs;
-  Alcotest.(check (list string)) "no promotion without focus" []
-    plan.sl_promoted;
   Alcotest.(check int) "one node dropped" 1 (List.length plan.sl_dropped);
   Alcotest.(check (list string)) "slice header" [ "y" ]
     (Slice.output_ports plan.sl_module);
   Alcotest.(check bool) "slice is smaller" true
     (Ast_utils.module_size plan.sl_module < Ast_utils.module_size m)
-
-let test_focus_promotion () =
-  (* Focusing on y's process alone cuts t's driver out of the slice, so
-     t must be promoted to an input port for the caller to drive. *)
-  let m = parse_m chains_src in
-  let g = Slice.build m in
-  let focus = Slice.Ids.singleton (writer g "y").n_id in
-  let plan = Slice.slice ~focus m ~outputs:[ "y" ] in
-  Alcotest.(check (list string)) "t promoted" [ "t" ] plan.sl_promoted;
-  Alcotest.(check bool) "t is an input of the slice" true
-    (List.mem "t" (Slice.input_ports plan.sl_module))
 
 let tb_src =
   "module tb; reg a, b; wire y, z;\n\
@@ -98,9 +84,7 @@ let tb_src =
 let test_rewrite_testbench () =
   let target = parse_m chains_src in
   let tb = parse_m tb_src in
-  let g = Slice.build target in
-  let focus = Slice.Ids.singleton (writer g "y").n_id in
-  let plan = Slice.slice ~focus target ~outputs:[ "y" ] in
+  let plan = Slice.slice target ~outputs:[ "y" ] in
   let tb' = Slice.rewrite_testbench ~tb ~inst:"dut" ~target plan in
   let printed = Pp.module_to_string tb' in
   let contains needle =
@@ -109,37 +93,15 @@ let test_rewrite_testbench () =
       true
     with Not_found -> false
   in
-  Alcotest.(check bool) "replay register declared and connected" true
-    (contains "__slice_t");
-  Alcotest.(check bool) "dropped port connection removed" false
-    (contains ".z(")
-
-let test_replay_items () =
-  let target = parse_m chains_src in
-  let g = Slice.build target in
-  let focus = Slice.Ids.singleton (writer g "y").n_id in
-  let plan = Slice.slice ~focus target ~outputs:[ "y" ] in
-  let vec b = Logic4.Vec.of_string (if b then "1" else "0") in
-  let items =
-    Slice.replay_items plan
-      ~samples:
-        [ (5, [ ("t", vec false) ]); (15, [ ("t", vec true) ]) ]
-  in
-  Alcotest.(check int) "one initial block" 1 (List.length items);
-  let printed =
-    String.concat "\n"
-      (List.map (fun i -> Format.asprintf "%a" Pp.pp_item i) items)
-  in
-  Alcotest.(check bool) "drives the replay register" true
-    (try
-       ignore (Str.search_forward (Str.regexp_string "__slice_t") printed 0);
-       true
-     with Not_found -> false)
+  Alcotest.(check bool) "kept port connections" true
+    (contains ".a(a)" && contains ".y(y)");
+  Alcotest.(check bool) "dropped port connections removed" false
+    (contains ".b(" || contains ".z(")
 
 (* --- Repair-side engagement ---------------------------------------------- *)
 
 (* i2c's watchdog process is outside the mismatch cone of its defect
-   scenarios: prepare must engage, drop it, and promote nothing. *)
+   scenarios: prepare must engage and drop it. *)
 let test_prepare_engages () =
   let d = Bench_suite.Defects.find 18 in
   let problem = Bench_suite.Defects.problem d in
@@ -148,7 +110,6 @@ let test_prepare_engages () =
   | None -> Alcotest.fail "prepare fell back on i2c"
   | Some s ->
       Alcotest.(check bool) "dropped something" true (s.plan.sl_dropped <> []);
-      Alcotest.(check (list string)) "no cut points" [] s.plan.sl_promoted;
       (* Stitching the empty patch reproduces the whole target module. *)
       Alcotest.(check string) "stitch [] = whole"
         (Ast_utils.structural_hash s.whole_target)
@@ -176,12 +137,10 @@ let () =
       ( "extraction",
         [
           Alcotest.test_case "backward slice" `Quick test_slice_extraction;
-          Alcotest.test_case "focus promotion" `Quick test_focus_promotion;
         ] );
       ( "harness",
         [
           Alcotest.test_case "rewrite testbench" `Quick test_rewrite_testbench;
-          Alcotest.test_case "replay items" `Quick test_replay_items;
         ] );
       ( "repair",
         [
