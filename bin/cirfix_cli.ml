@@ -71,6 +71,14 @@ let target_arg =
 
 let spec_of top clock dut : Sim.Simulate.spec = { top; clock; dut_path = dut }
 
+(* The repair problem named by the shared design/golden/testbench flags. *)
+let load_problem design golden testbench target top clock dut =
+  Cirfix.Problem.make ~name:target
+    ~faulty:(or_die (read_file design))
+    ~golden:(or_die (read_file golden))
+    ~testbench:(or_die (read_file testbench))
+    ~target (spec_of top clock dut)
+
 let backend_arg =
   Arg.(
     value
@@ -310,13 +318,7 @@ let oracle_cmd =
 (* --- localize ----------------------------------------------------------------- *)
 
 let localize design golden testbench target top clock dut =
-  let faulty = or_die (read_file design)
-  and golden_src = or_die (read_file golden)
-  and tb = or_die (read_file testbench) in
-  let problem =
-    Cirfix.Problem.make ~name:"cli" ~faulty ~golden:golden_src ~testbench:tb
-      ~target (spec_of top clock dut)
-  in
+  let problem = load_problem design golden testbench target top clock dut in
   let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   let m = Cirfix.Problem.target_module problem in
   let o = Cirfix.Evaluate.eval_module ev m in
@@ -374,9 +376,7 @@ let localize_cmd =
 
 (* --- slice ----------------------------------------------------------------- *)
 
-(* [_clock] is accepted so [slice] takes the same testbench arguments as
-   the other subcommands; extracting a slice never simulates. *)
-let slice design testbench target top _clock dut outputs out tb_out =
+let slice design testbench target top clock dut outputs out tb_out =
   let d = or_die (read_file design) and tb_src = or_die (read_file testbench) in
   let parsed =
     match Verilog.Parser.parse_design_result (d ^ "\n" ^ tb_src) with
@@ -396,11 +396,9 @@ let slice design testbench target top _clock dut outputs out tb_out =
   in
   let m = find target and tb = find top in
   let inst =
-    let prefix = top ^ "." in
-    if String.length dut > String.length prefix
-       && String.sub dut 0 (String.length prefix) = prefix
-    then String.sub dut (String.length prefix) (String.length dut - String.length prefix)
-    else or_die (Error (Printf.sprintf "--dut must be %s.<instance>" top))
+    match Cirfix.Slicing.dut_instance (spec_of top clock dut) with
+    | Some inst -> inst
+    | None -> or_die (Error (Printf.sprintf "--dut must be %s.<instance>" top))
   in
   let out_ports = Verilog.Slice.output_ports m in
   let tb_read = Verilog.Slice.tb_read_outputs ~tb ~inst ~target:m in
@@ -511,6 +509,43 @@ let jobs_arg =
           "Worker domains for parallel candidate evaluation (1 = sequential;\n\
            default: recommended domain count minus one). Results are\n\
            identical for any value when the wall-clock bound does not bind.")
+
+(* Screening and pruning switches shared by the search subcommands. *)
+let race_screen_arg =
+  Arg.(
+    value & flag
+    & info [ "race-screen" ]
+        ~doc:
+          "Reject candidates containing a static race hazard (see the\n\
+           $(b,race) subcommand) before simulating them; rejections\n\
+           are reported as racy rejects.")
+
+let race_check_arg =
+  Arg.(
+    value & flag
+    & info [ "race-check" ]
+        ~doc:
+          "Run candidate simulations with the dynamic race checker\n\
+           enabled and report the total races observed.")
+
+let no_prune_arg =
+  Arg.(
+    value & flag
+    & info [ "no-prune" ]
+        ~doc:
+          "Disable the static pruning lanes (semantic-hash folding\n\
+           and dead-edit skipping); every cache-missing candidate is\n\
+           simulated.")
+
+let check_pruning_arg =
+  Arg.(
+    value & flag
+    & info [ "check-pruning" ]
+        ~doc:
+          "Verification mode: simulate every statically-pruned\n\
+           candidate anyway and fail if its fitness differs from the\n\
+           value the pruning lane served. Slow; for differential\n\
+           testing of the pruner.")
 
 let slice_flag =
   Arg.(
@@ -628,13 +663,7 @@ let repair design golden testbench target top clock dut seed pop_size
     generations max_probes wall jobs backend race_screen race_check no_prune
     check_pruning slice output progress obs =
   with_obs obs @@ fun () ->
-  let faulty = or_die (read_file design)
-  and golden_src = or_die (read_file golden)
-  and tb = or_die (read_file testbench) in
-  let problem =
-    Cirfix.Problem.make ~name:target ~faulty ~golden:golden_src ~testbench:tb
-      ~target (spec_of top clock dut)
-  in
+  let problem = load_problem design golden testbench target top clock dut in
   let cfg =
     {
       Cirfix.Config.default with
@@ -741,36 +770,8 @@ let repair_cmd =
       $ Arg.(value & opt int 40 & info [ "generations" ] ~doc:"Max generations.")
       $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
       $ Arg.(value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
-      $ jobs_arg $ backend_arg
-      $ Arg.(
-          value & flag
-          & info [ "race-screen" ]
-              ~doc:
-                "Reject candidates containing a static race hazard (see the\n\
-                 $(b,race) subcommand) before simulating them; rejections\n\
-                 are reported as racy rejects.")
-      $ Arg.(
-          value & flag
-          & info [ "race-check" ]
-              ~doc:
-                "Run candidate simulations with the dynamic race checker\n\
-                 enabled and report the total races observed.")
-      $ Arg.(
-          value & flag
-          & info [ "no-prune" ]
-              ~doc:
-                "Disable the static pruning lanes (semantic-hash folding\n\
-                 and dead-edit skipping); every cache-missing candidate is\n\
-                 simulated.")
-      $ Arg.(
-          value & flag
-          & info [ "check-pruning" ]
-              ~doc:
-                "Verification mode: simulate every statically-pruned\n\
-                 candidate anyway and fail if its fitness differs from the\n\
-                 value the pruning lane served. Slow; for differential\n\
-                 testing of the pruner.")
-      $ slice_flag
+      $ jobs_arg $ backend_arg $ race_screen_arg $ race_check_arg
+      $ no_prune_arg $ check_pruning_arg $ slice_flag
       $ Arg.(
           value
           & opt (some string) None
@@ -783,13 +784,7 @@ let repair_cmd =
 let brute design golden testbench target top clock dut max_depth max_probes
     wall jobs backend race_screen no_prune check_pruning slice progress obs =
   with_obs obs @@ fun () ->
-  let faulty = or_die (read_file design)
-  and golden_src = or_die (read_file golden)
-  and tb = or_die (read_file testbench) in
-  let problem =
-    Cirfix.Problem.make ~name:target ~faulty ~golden:golden_src ~testbench:tb
-      ~target (spec_of top clock dut)
-  in
+  let problem = load_problem design golden testbench target top clock dut in
   let cfg =
     {
       Cirfix.Config.default with
@@ -853,22 +848,8 @@ let brute_cmd =
       $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
       $ Arg.(
           value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
-      $ jobs_arg $ backend_arg
-      $ Arg.(
-          value & flag
-          & info [ "race-screen" ]
-              ~doc:"Reject statically racy candidates before simulation.")
-      $ Arg.(
-          value & flag
-          & info [ "no-prune" ]
-              ~doc:"Disable the static pruning lanes.")
-      $ Arg.(
-          value & flag
-          & info [ "check-pruning" ]
-              ~doc:
-                "Simulate statically-pruned candidates anyway and fail on\n\
-                 any fitness mismatch (differential testing of the pruner).")
-      $ slice_flag $ progress_arg $ obs_args)
+      $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
+      $ check_pruning_arg $ slice_flag $ progress_arg $ obs_args)
 
 (* --- profile ---------------------------------------------------------------- *)
 
@@ -1358,15 +1339,7 @@ let scenarios_cmd =
       $ Arg.(value & flag & info [ "dump-faulty" ] ~doc:"Print the faulty source.")
       $ Arg.(value & flag & info [ "run" ] ~doc:"Run CirFix on the scenario(s).")
       $ Arg.(value & opt int 5 & info [ "trials" ] ~doc:"Trials per scenario.")
-      $ jobs_arg
-      $ Arg.(
-          value & flag
-          & info [ "race-screen" ]
-              ~doc:"Reject statically racy candidates before simulation.")
-      $ Arg.(
-          value & flag
-          & info [ "race-check" ]
-              ~doc:"Enable the dynamic race checker during candidate runs."))
+      $ jobs_arg $ race_screen_arg $ race_check_arg)
 
 (* --- report ---------------------------------------------------------------------- *)
 

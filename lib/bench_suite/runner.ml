@@ -15,15 +15,11 @@ type trial_summary = {
   seconds : float; (* wall time of the successful trial (or total) *)
   total_seconds : float; (* across all trials run *)
   counters : Cirfix.Evaluate.counters; (* summed across all trials run *)
-  sliced : bool; (* slice-based repair engaged in any trial *)
-  slice_sims : int; (* simulations run on the sliced design, across trials *)
-  stitched_verifies : int; (* whole-design re-verifications, across trials *)
   edits : int; (* minimized patch size; 0 when unrepaired *)
   trials_run : int;
   winning_seed : int option;
   patch : Cirfix.Patch.t option;
   repaired_module : Verilog.Ast.module_decl option;
-  generations : Cirfix.Gp.generation_stats list; (* of the winning trial *)
   initial_fitness : float;
 }
 
@@ -42,7 +38,6 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
     | r :: rest -> if repair_of r <> None then [ r ] else r :: upto_repair rest
   in
   let run = upto_repair results in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 run in
   let total_seconds =
     List.fold_left (fun acc (r : Cirfix.Gp.result) -> acc +. r.wall_seconds) 0. run
   in
@@ -57,15 +52,11 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
         List.fold_left
           (fun acc (r : Cirfix.Gp.result) -> Cirfix.Evaluate.add acc r.counters)
           Cirfix.Evaluate.zero run;
-      sliced = List.exists (fun (r : Cirfix.Gp.result) -> r.sliced) run;
-      slice_sims = sum (fun r -> r.slice_sims);
-      stitched_verifies = sum (fun r -> r.stitched_verifies);
       edits = 0;
       trials_run = trials;
       winning_seed = None;
       patch = None;
       repaired_module = None;
-      generations = [];
       initial_fitness = 0.;
     }
   in
@@ -87,7 +78,6 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
             winning_seed = Some seed;
             patch = Some patch;
             repaired_module = Some m;
-            generations = last.generations;
           })
 
 (* [pool]: when given (and wider than one domain), all [trials] seeds run
@@ -100,37 +90,28 @@ let run_defect ?(cfg = Cirfix.Config.default) ?(trials = 5)
     ?(on_trial : (int -> unit) option) ?(pool : Cirfix.Pool.t option)
     (d : Defects.t) : trial_summary =
   let problem = Defects.problem d in
+  (* One seeded trial, under a trace span when tracing. *)
+  let trial (cfg : Cirfix.Config.t) seed =
+    let t = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
+    let r = Cirfix.Gp.repair { cfg with seed } problem in
+    if Obs.Trace.enabled () then
+      Obs.Trace.complete ~cat:"bench"
+        ~args:[ ("seed", Obs.Json.Int seed) ]
+        ~name:"trial" t;
+    r
+  in
   match pool with
   | Some pool when Cirfix.Pool.size pool > 1 && trials > 1 ->
       let seeds = Array.init trials (fun i -> i + 1) in
       Array.iter (fun s -> Option.iter (fun f -> f s) on_trial) seeds;
-      let results =
-        Cirfix.Pool.map pool
-          (fun seed ->
-            if not (Obs.Trace.enabled ()) then
-              Cirfix.Gp.repair { cfg with seed; jobs = 1 } problem
-            else begin
-              let t = Obs.Trace.begin_ () in
-              let r = Cirfix.Gp.repair { cfg with seed; jobs = 1 } problem in
-              Obs.Trace.complete ~cat:"bench"
-                ~args:[ ("seed", Obs.Json.Int seed) ]
-                ~name:"trial" t;
-              r
-            end)
-          seeds
-      in
+      let results = Cirfix.Pool.map pool (trial { cfg with jobs = 1 }) seeds in
       summarize d ~trials (Array.to_list results)
   | _ ->
       let rec go seed acc =
         if seed > trials then summarize d ~trials (List.rev acc)
         else (
           Option.iter (fun f -> f seed) on_trial;
-          let t = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-          let r = Cirfix.Gp.repair { cfg with seed } problem in
-          if Obs.Trace.enabled () then
-            Obs.Trace.complete ~cat:"bench"
-              ~args:[ ("seed", Obs.Json.Int seed) ]
-              ~name:"trial" t;
+          let r = trial cfg seed in
           if r.minimized <> None then summarize d ~trials (List.rev (r :: acc))
           else go (seed + 1) (r :: acc))
       in

@@ -125,10 +125,7 @@ let sum (c : counters) (ks : counter list) : int =
   List.fold_left (fun acc k -> acc + get c k) 0 ks
 
 let map2 fi ff (a : counters) (b : counters) : counters =
-  {
-    counts = Array.map2 fi a.counts b.counts;
-    secs = Array.map2 ff a.secs b.secs;
-  }
+  { counts = Array.map2 fi a.counts b.counts; secs = Array.map2 ff a.secs b.secs }
 
 let add = map2 ( + ) ( +. )
 let diff = map2 ( - ) ( -. )
@@ -227,15 +224,11 @@ let create (cfg : Config.t) (problem : Problem.t) : t =
 let oversize (ev : t) (candidate : Verilog.Ast.module_decl) : bool =
   Verilog.Ast_utils.module_size candidate > (20 * ev.original_size) + 512
 
-let oversize_outcome =
-  {
-    fitness = 0.;
-    trace = [];
-    status = Rejected_oversize;
-    races = 0;
-    sim_backend = "";
-    sim_seconds = 0.;
-  }
+(* Fitness 0 without a simulation: compile failures and every screen. *)
+let unsimulated status =
+  { fitness = 0.; trace = []; status; races = 0; sim_backend = ""; sim_seconds = 0. }
+
+let oversize_outcome = unsimulated Rejected_oversize
 
 (* --- Observability ------------------------------------------------------
    Metric instruments are registered once at module load; recording is
@@ -299,44 +292,29 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
     Sim.Simulate.run ~max_steps ~max_time ~check_races:ev.cfg.check_races
       ~backend:ev.cfg.backend design ev.problem.spec
   with
-  | Error (Sim.Simulate.Elab_failure msg) ->
-      {
-        fitness = 0.;
-        trace = [];
-        status = Compile_error msg;
-        races = 0;
-        sim_backend = "";
-        sim_seconds = 0.;
-      }
+  | Error (Sim.Simulate.Elab_failure msg) -> unsimulated (Compile_error msg)
   | Ok r -> (
       let sim_seconds = Unix.gettimeofday () -. t0 in
       let sim_backend = Sim.Simulate.backend_used_to_string r.backend_used in
       let races = List.length r.races in
+      let scored status =
+        {
+          fitness =
+            Fitness.fitness ~phi:ev.cfg.phi ~expected:ev.problem.oracle
+              ~actual:r.trace;
+          trace = r.trace;
+          status;
+          races;
+          sim_backend;
+          sim_seconds;
+        }
+      in
       match r.outcome with
-      | Sim.Engine.Finished | Sim.Engine.Quiescent ->
-          {
-            fitness =
-              Fitness.fitness ~phi:ev.cfg.phi ~expected:ev.problem.oracle
-                ~actual:r.trace;
-            trace = r.trace;
-            status = Simulated;
-            races;
-            sim_backend;
-            sim_seconds;
-          }
+      | Sim.Engine.Finished | Sim.Engine.Quiescent -> scored Simulated
       | Sim.Engine.Time_limit_reached ->
           (* Score whatever trace was produced; a looping mutant is
              still penalized by its missing samples. *)
-          {
-            fitness =
-              Fitness.fitness ~phi:ev.cfg.phi ~expected:ev.problem.oracle
-                ~actual:r.trace;
-            trace = r.trace;
-            status = Sim_diverged "time limit";
-            races;
-            sim_backend;
-            sim_seconds;
-          }
+          scored (Sim_diverged "time limit")
       | Sim.Engine.Budget_exceeded m ->
           {
             fitness = 0.;
@@ -378,27 +356,13 @@ let compute_unspanned (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
         (* Pre-simulation screening: the candidate is statically doomed,
            so reject it (scored like a compile error) without spending a
            simulation. *)
-        {
-          fitness = 0.;
-          trace = [];
-          status = Rejected_static msg;
-          races = 0;
-          sim_backend = "";
-          sim_seconds = 0.;
-        }
+        unsimulated (Rejected_static msg)
     | None ->
     match racy () with
     | Some msg ->
         (* Race screening: the candidate module contains a static race
            hazard; rejected without a simulation, under its own count. *)
-        {
-          fitness = 0.;
-          trace = [];
-          status = Rejected_racy msg;
-          races = 0;
-          sim_backend = "";
-          sim_seconds = 0.;
-        }
+        unsimulated (Rejected_racy msg)
     | None -> simulate_candidate ev candidate
   end
 

@@ -34,6 +34,10 @@ type t = {
   mismatch : string list;  (** seed mismatch on the whole design, sorted *)
 }
 
+val dut_instance : Sim.Simulate.spec -> string option
+(** The DUT instance name when the recorded path is a direct child of the
+    testbench top (["tb.dut"] gives ["dut"]); [None] for deeper paths. *)
+
 val prepare : Evaluate.t -> t option
 (** [prepare whole_ev] slices [whole_ev.problem]. Simulates the seed
     through [whole_ev] (priming its memo cache for the stitched

@@ -51,9 +51,6 @@ val forward : graph -> Ids.t -> Ids.t
     (e.g. a fault-localization set); they are resolved to their owning
     items first. *)
 
-val containing_items : graph -> Ids.t -> Ids.t
-(** Owning item ids of arbitrary statement/expression/item ids. *)
-
 (** {1 Slice extraction} *)
 
 type plan = {
@@ -76,8 +73,6 @@ val slice : ?design:Ast.design -> Ast.module_decl -> outputs:string list -> plan
 
 val output_ports : Ast.module_decl -> string list
 (** Output-port names, header order. *)
-
-val input_ports : Ast.module_decl -> string list
 
 (** {1 Testbench harness} *)
 
