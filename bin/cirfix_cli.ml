@@ -689,17 +689,17 @@ let repair design golden testbench target top clock dut seed pop_size
        the same stream would interleave mid-line. *)
     if not live then
       Printf.eprintf "gen %2d: best %.3f mean %.3f (%d probes)\n%!" g.gen
-        g.best_fitness g.mean_fitness
-        (Cirfix.Evaluate.get g.so_far Probes)
+        g.best_fitness g.mean_fitness g.probes_so_far
     else begin
       let elapsed = Unix.gettimeofday () -. t_start in
-      let get = Cirfix.Evaluate.get g.so_far in
       show_progress
         (Printf.sprintf
            "gen %d  best %.3f  %.0f sims/s  memo %.0f%%  %.1fs elapsed" g.gen
            g.best_fitness
-           (Cirfix.Stats.sims_per_sec ~probes:(get Probes) ~wall_seconds:elapsed)
-           (Cirfix.Stats.percent ~part:(get Memo_hits) ~total:(get Lookups))
+           (Cirfix.Stats.sims_per_sec ~probes:g.probes_so_far
+              ~wall_seconds:elapsed)
+           (Cirfix.Stats.percent ~part:g.memo_hits_so_far
+              ~total:g.lookups_so_far)
            elapsed)
     end
   in

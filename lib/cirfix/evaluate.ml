@@ -96,39 +96,41 @@ let screened = [ Compile_errors; Static_rejects; Oversize_rejects; Racy_rejects 
 let pruned = [ Memo_hits; Semantic_hits; Dead_edit_skips ]
 
 (* Position in [all_counters]; the table is short enough that a scan is
-   cheaper than anything that would have to be kept in sync with it. *)
-let index (k : counter) : int =
-  let rec go i = function
-    | [] -> assert false
-    | k' :: rest -> if k' == k then i else go (i + 1) rest
-  in
-  go 0 all_counters
+   cheaper than anything that would have to be kept in sync with it. A
+   top-level loop, so a lookup allocates nothing. *)
+let rec position (k : counter) i = function
+  | [] -> assert false
+  | k' :: rest -> if k' == k then i else position k (i + 1) rest
+
+let index (k : counter) : int = position k 0 all_counters
 
 let n_counters = List.length all_counters
 
 type timer = Lane_seconds | Sim_seconds_event | Sim_seconds_compiled
 
+(* Timers sit after the counters, in whole nanoseconds, so the live table
+   and every snapshot are one flat int array: a snapshot is a copy that
+   nothing mutates afterwards. *)
 let timer_index = function
-  | Lane_seconds -> 0
-  | Sim_seconds_event -> 1
-  | Sim_seconds_compiled -> 2
+  | Lane_seconds -> n_counters
+  | Sim_seconds_event -> n_counters + 1
+  | Sim_seconds_compiled -> n_counters + 2
 
-(* One layout for the live table and its snapshots; a snapshot is a copy
-   that nothing mutates afterwards. *)
-type counters = { counts : int array; secs : float array }
-type table = counters
+type counters = int array
+type table = int array
 
-let zero = { counts = Array.make n_counters 0; secs = Array.make 3 0. }
-let get (c : counters) (k : counter) : int = c.counts.(index k)
-let seconds (c : counters) (t : timer) : float = c.secs.(timer_index t)
+let new_table () : table = Array.make (n_counters + 3) 0
+let zero : counters = new_table ()
+let get (c : counters) (k : counter) : int = c.(index k)
+
+let seconds (c : counters) (t : timer) : float =
+  Float.of_int c.(timer_index t) *. 1e-9
+
 let sum (c : counters) (ks : counter list) : int =
   List.fold_left (fun acc k -> acc + get c k) 0 ks
 
-let map2 fi ff (a : counters) (b : counters) : counters =
-  { counts = Array.map2 fi a.counts b.counts; secs = Array.map2 ff a.secs b.secs }
-
-let add = map2 ( + ) ( +. )
-let diff = map2 ( - ) ( -. )
+let add : counters -> counters -> counters = Array.map2 ( + )
+let diff : counters -> counters -> counters = Array.map2 ( - )
 
 (* Journal form. [run_end] carries the whole table in order, lookups under
    the key "evals". Runtime races and the per-backend simulation counts are
@@ -171,10 +173,8 @@ type t = {
   table : table; (* live counters; mutated only by sequential accounting *)
 }
 
-let count (ev : t) (k : counter) : int = ev.table.counts.(index k)
-
-let counters (ev : t) : counters =
-  { counts = Array.copy ev.table.counts; secs = Array.copy ev.table.secs }
+let count (ev : t) (k : counter) : int = ev.table.(index k)
+let counters (ev : t) : counters = Array.copy ev.table
 
 (* Memo keys are prefixed with the configured backend so cached fitness
    can never leak across backends: flipping [--backend] between otherwise
@@ -216,7 +216,7 @@ let create (cfg : Config.t) (problem : Problem.t) : t =
     seed_prune_hash =
       (if lanes_enabled then Some (Verilog.Dataflow.prune_hash target)
        else None);
-    table = { counts = Array.make n_counters 0; secs = Array.make 3 0. };
+    table = new_table ();
   }
 
 (* Bloated candidates (runaway insertion growth) are rejected outright,
@@ -256,12 +256,12 @@ let m_sim_diverged = Obs.Metrics.counter "eval.sim_diverged"
 
 let bump ?(by = 1) (ev : t) (k : counter) : unit =
   let i = index k in
-  ev.table.counts.(i) <- ev.table.counts.(i) + by;
+  ev.table.(i) <- ev.table.(i) + by;
   if Obs.Metrics.enabled () then Option.iter (fun m -> Obs.Metrics.add m by) metrics.(i)
 
 let add_seconds (ev : t) (t : timer) (dt : float) : unit =
   let i = timer_index t in
-  ev.table.secs.(i) <- ev.table.secs.(i) +. dt
+  ev.table.(i) <- ev.table.(i) + Float.to_int (dt *. 1e9)
 
 let status_label = function
   | Simulated -> "simulated"

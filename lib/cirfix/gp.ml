@@ -31,7 +31,9 @@ type generation_stats = {
   gen : int;
   best_fitness : float;
   mean_fitness : float;
-  so_far : Evaluate.counters; (* evaluator counters at generation end *)
+  probes_so_far : int;
+  lookups_so_far : int;
+  memo_hits_so_far : int;
 }
 
 type result = {
@@ -715,7 +717,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           | Some _ -> 1.0
           | None -> List.fold_left Float.max 0. fits);
         mean_fitness = mean fits;
-        so_far = Evaluate.counters ev;
+        probes_so_far = Evaluate.count ev Probes;
+        lookups_so_far = Evaluate.count ev Lookups;
+        memo_hits_so_far = Evaluate.count ev Memo_hits;
       }
     in
     gen_stats := stats :: !gen_stats;

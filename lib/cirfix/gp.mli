@@ -9,7 +9,9 @@ type generation_stats = {
   gen : int;
   best_fitness : float;
   mean_fitness : float;
-  so_far : Evaluate.counters;  (** evaluator counters at generation end *)
+  probes_so_far : int;
+  lookups_so_far : int;  (** evaluations requested so far, memoized or not *)
+  memo_hits_so_far : int;  (** lookups absorbed by the memo cache so far *)
 }
 
 type result = {
