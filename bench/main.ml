@@ -167,7 +167,7 @@ let rq2 () =
     let repaired = List.filter (fun (s : Bench_suite.Runner.trial_summary) -> s.repaired) rs in
     let times = List.map (fun (s : Bench_suite.Runner.trial_summary) -> s.seconds) repaired in
     let probes =
-      List.map (fun (s : Bench_suite.Runner.trial_summary) -> float_of_int (summary_probes s)) repaired
+      List.map (fun s -> float_of_int (summary_probes s)) repaired
     in
     (List.length rs, List.length repaired, times, probes)
   in
@@ -433,7 +433,8 @@ let ablation_phi () =
       let result phi =
         let cfg = { (Bench_suite.Runner.scenario_config d) with phi } in
         let s = Bench_suite.Runner.run_defect ~cfg ~trials:3 d in
-        if s.repaired then Printf.sprintf "%d probes" (summary_probes s) else "none"
+        if s.repaired then Printf.sprintf "%d probes" (summary_probes s)
+        else "none"
       in
       Printf.printf "%-24s %10s %10s %10s\n"
         (Printf.sprintf "#%d %s" id d.project)

@@ -39,7 +39,9 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
   in
   let run = upto_repair results in
   let total_seconds =
-    List.fold_left (fun acc (r : Cirfix.Gp.result) -> acc +. r.wall_seconds) 0. run
+    List.fold_left
+      (fun acc (r : Cirfix.Gp.result) -> acc +. r.wall_seconds)
+      0. run
   in
   let unrepaired =
     {

@@ -92,7 +92,9 @@ let name = function
   | Sims_compiled -> "sims_compiled"
   | Compiled_fallbacks -> "compiled_fallbacks"
 
-let screened = [ Compile_errors; Static_rejects; Oversize_rejects; Racy_rejects ]
+let screened =
+  [ Compile_errors; Static_rejects; Oversize_rejects; Racy_rejects ]
+
 let pruned = [ Memo_hits; Semantic_hits; Dead_edit_skips ]
 
 (* Position in [all_counters]; the table is short enough that a scan is
@@ -142,7 +144,8 @@ let journal_fields ~(final : bool) (c : counters) : (string * Obs.Json.t) list =
   let field k = (name k, Obs.Json.Int (get c k)) in
   if final then
     List.map
-      (function Lookups -> ("evals", Obs.Json.Int (get c Lookups)) | k -> field k)
+      (function
+        | Lookups -> ("evals", Obs.Json.Int (get c Lookups)) | k -> field k)
       all_counters
   else
     field Probes :: field Lookups
@@ -226,7 +229,14 @@ let oversize (ev : t) (candidate : Verilog.Ast.module_decl) : bool =
 
 (* Fitness 0 without a simulation: compile failures and every screen. *)
 let unsimulated status =
-  { fitness = 0.; trace = []; status; races = 0; sim_backend = ""; sim_seconds = 0. }
+  {
+    fitness = 0.;
+    trace = [];
+    status;
+    races = 0;
+    sim_backend = "";
+    sim_seconds = 0.;
+  }
 
 let oversize_outcome = unsimulated Rejected_oversize
 
@@ -249,7 +259,9 @@ let metric_name = function
 
 let metrics =
   Array.of_list
-    (List.map (fun k -> Option.map Obs.Metrics.counter (metric_name k)) all_counters)
+    (List.map
+       (fun k -> Option.map Obs.Metrics.counter (metric_name k))
+       all_counters)
 
 let m_simulated = Obs.Metrics.counter "eval.simulated"
 let m_sim_diverged = Obs.Metrics.counter "eval.sim_diverged"
@@ -257,7 +269,8 @@ let m_sim_diverged = Obs.Metrics.counter "eval.sim_diverged"
 let bump ?(by = 1) (ev : t) (k : counter) : unit =
   let i = index k in
   ev.table.(i) <- ev.table.(i) + by;
-  if Obs.Metrics.enabled () then Option.iter (fun m -> Obs.Metrics.add m by) metrics.(i)
+  if Obs.Metrics.enabled () then
+    Option.iter (fun m -> Obs.Metrics.add m by) metrics.(i)
 
 let add_seconds (ev : t) (t : timer) (dt : float) : unit =
   let i = timer_index t in

@@ -213,9 +213,9 @@ let journal_lineage ~(winner : string)
    Summed over operators, evaluated = run_end.evals, simulated =
    run_end.probes, and screened / pruned = the sums of the
    [Evaluate.screened] / [Evaluate.pruned] counter groups — the
-   reconciliation the funnel test checks. (Under [check_pruning] the lanes simulate anyway, so a single
-   candidate may count in both pruned and simulated; the per-counter sums
-   above still hold.) *)
+   reconciliation the funnel test checks. (Under [check_pruning] the
+   lanes simulate anyway, so a single candidate may count in both pruned
+   and simulated; the per-counter sums above still hold.) *)
 
 type funnel_row = {
   mutable f_proposed : int;

@@ -160,7 +160,8 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
       let kind = Option.value d.di_kind ~default:Wire in
       let msb, lsb = if kind = Integer then (31, 0) else (msb, lsb) in
       let width = abs (msb - lsb) + 1 in
-      if width > max_vector_width then fail "%s: vector too wide (%d bits)" name width;
+      if width > max_vector_width then
+        fail "%s: vector too wide (%d bits)" name width;
       let array =
         match d.di_array with
         | None -> None

@@ -55,7 +55,8 @@ type aval = Bits of abit array | Any
 let known v = Bits (Array.init (Vec.width v) (fun i -> Some (Vec.get v i)))
 (* Values wider than [max_vector_width] are not tracked bit by bit: the
    simulator rejects them, and the arrays would not fit in memory. *)
-let top_bits w = if w > max_vector_width then Any else Bits (Array.make (max 1 w) None)
+let top_bits w =
+  if w > max_vector_width then Any else Bits (Array.make (max 1 w) None)
 
 (* Reads zero-extend out of range, like [Vec.get]. *)
 let abit_get a i = if i < Array.length a then a.(i) else Some Bit.V0

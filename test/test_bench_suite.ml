@@ -161,7 +161,8 @@ let test_runner_repairs_sensitivity_defect () =
   Alcotest.(check bool) "repaired" true s.repaired;
   Alcotest.(check bool) "correct" true s.correct;
   Alcotest.(check bool) "has patch" true (s.patch <> None);
-  Alcotest.(check bool) "positive probes" true (Cirfix.Evaluate.get s.counters Probes > 0)
+  Alcotest.(check bool) "positive probes" true
+    (Cirfix.Evaluate.get s.counters Probes > 0)
 
 (* [summarize] replays the sequential driver: counters are summed over the
    trials up to and including the first repair, and nothing after it. The
@@ -181,7 +182,9 @@ let test_summarize_stops_at_first_repair () =
     in
     Cirfix.Gp.repair cfg problem
   in
-  let unrepaired r = { (trial r) with minimized = None; repaired_module = None } in
+  let unrepaired seed =
+    { (trial seed) with minimized = None; repaired_module = None }
+  in
   let r1 = unrepaired 1 and r3 = unrepaired 3 in
   let r2 =
     {
@@ -190,7 +193,9 @@ let test_summarize_stops_at_first_repair () =
       repaired_module = Some (Cirfix.Problem.target_module problem);
     }
   in
-  let counts c = List.map (Cirfix.Evaluate.get c) Cirfix.Evaluate.all_counters in
+  let counts c =
+    List.map (Cirfix.Evaluate.get c) Cirfix.Evaluate.all_counters
+  in
   let sum rs =
     counts
       (List.fold_left
@@ -199,7 +204,8 @@ let test_summarize_stops_at_first_repair () =
   in
   Alcotest.(check bool) "trials did work" true (r3.probes > 0);
   let s = Bench_suite.Runner.summarize d ~trials:3 [ r1; r2; r3 ] in
-  Alcotest.(check (list int)) "sums trials 1-2" (sum [ r1; r2 ]) (counts s.counters);
+  Alcotest.(check (list int)) "sums trials 1-2" (sum [ r1; r2 ])
+    (counts s.counters);
   Alcotest.(check (option int)) "winning seed" (Some 2) s.winning_seed;
   Alcotest.(check int) "trials run" 2 s.trials_run;
   Alcotest.(check (float 1e-9)) "total seconds"

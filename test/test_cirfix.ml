@@ -364,8 +364,10 @@ let test_oracle_thin () =
   let tr = List.init 8 (fun i -> sample (i * 10) [ ("q", "1") ]) in
   let half = Cirfix.Oracle.thin ~keep:2 tr in
   Alcotest.(check int) "half" 4 (List.length half);
-  Alcotest.(check int) "quarter" 2 (List.length (Cirfix.Oracle.thin ~keep:4 tr));
-  Alcotest.(check int) "keep 1 = all" 8 (List.length (Cirfix.Oracle.thin ~keep:1 tr));
+  Alcotest.(check int) "quarter" 2
+    (List.length (Cirfix.Oracle.thin ~keep:4 tr));
+  Alcotest.(check int) "keep 1 = all" 8
+    (List.length (Cirfix.Oracle.thin ~keep:1 tr));
   Alcotest.(check (float 1e-9)) "coverage" 0.5
     (Cirfix.Oracle.coverage ~full:tr half)
 
@@ -377,7 +379,8 @@ let test_oracle_csv () =
   Alcotest.(check int) "length" 2 (List.length tr2);
   let s = List.nth tr2 1 in
   Alcotest.(check int) "time" 15 s.Sim.Recorder.t;
-  Alcotest.(check string) "value" "11" (Vec.to_string (List.assoc "a" s.values));
+  Alcotest.(check string) "value" "11"
+    (Vec.to_string (List.assoc "a" s.values));
   Alcotest.check_raises "bad header"
     (Cirfix.Oracle.Oracle_error "csv header must start with 'time'")
     (fun () -> ignore (Cirfix.Oracle.of_csv "a,b\n1,0"))
@@ -385,7 +388,8 @@ let test_oracle_csv () =
 (* --- Statistics ----------------------------------------------------------------- *)
 
 let test_stats_descriptive () =
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Cirfix.Stats.mean [ 1.; 2.; 3.; 4. ]);
+  Alcotest.(check (float 1e-9)) "mean" 2.5
+    (Cirfix.Stats.mean [ 1.; 2.; 3.; 4. ]);
   Alcotest.(check (float 1e-9)) "median even" 2.5
     (Cirfix.Stats.median [ 4.; 1.; 3.; 2. ]);
   Alcotest.(check (float 1e-9)) "median odd" 3.
@@ -486,9 +490,10 @@ let test_evaluate_cache_and_compile_errors () =
   let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   let original = Cirfix.Problem.target_module problem in
   let o1 = Cirfix.Evaluate.eval_module ev original in
-  let probes_after_first = (Cirfix.Evaluate.count ev Probes) in
+  let probes_after_first = Cirfix.Evaluate.count ev Probes in
   let o2 = Cirfix.Evaluate.eval_module ev original in
-  Alcotest.(check int) "cached" probes_after_first (Cirfix.Evaluate.count ev Probes);
+  Alcotest.(check int) "cached" probes_after_first
+    (Cirfix.Evaluate.count ev Probes);
   Alcotest.(check (float 1e-9)) "same fitness" o1.fitness o2.fitness;
   (* A candidate reading an undeclared identifier counts as a compile
      error with fitness 0. *)
@@ -530,8 +535,10 @@ let test_oversized_candidate_rejected () =
     (match o.status with
     | Cirfix.Evaluate.Rejected_oversize -> true
     | _ -> false);
-  Alcotest.(check int) "counted once" 1 (Cirfix.Evaluate.count ev Oversize_rejects);
-  Alcotest.(check int) "not a compile error" 0 (Cirfix.Evaluate.count ev Compile_errors);
+  Alcotest.(check int) "counted once" 1
+    (Cirfix.Evaluate.count ev Oversize_rejects);
+  Alcotest.(check int) "not a compile error" 0
+    (Cirfix.Evaluate.count ev Compile_errors);
   (* Repeat lookups hit the memo cache instead of re-counting. *)
   ignore (Cirfix.Evaluate.eval_module ev big);
   Alcotest.(check int) "memoized" 1 (Cirfix.Evaluate.count ev Oversize_rejects);
@@ -544,7 +551,9 @@ let test_oversized_candidate_rejected () =
    unread continuous assignment.) *)
 let test_huge_part_select () =
   let problem = motivating_problem () in
-  let src = Verilog.Pp.module_to_string (Cirfix.Problem.target_module problem) in
+  let src =
+    Verilog.Pp.module_to_string (Cirfix.Problem.target_module problem)
+  in
   let cut = Str.search_forward (Str.regexp_string "endmodule") src 0 in
   let src =
     String.sub src 0 cut
@@ -642,12 +651,15 @@ let test_backend_memo_isolation () =
   ignore (Cirfix.Evaluate.eval_module ev m);
   Alcotest.(check int) "one probe" 1 (Cirfix.Evaluate.count ev Probes);
   Alcotest.(check int) "one memo hit" 1 (Cirfix.Evaluate.count ev Memo_hits);
-  Alcotest.(check int) "compiled sim counted" 1 (Cirfix.Evaluate.count ev Sims_compiled);
+  Alcotest.(check int) "compiled sim counted" 1
+    (Cirfix.Evaluate.count ev Sims_compiled);
   Alcotest.(check int) "no event sims" 0 (Cirfix.Evaluate.count ev Sims_event);
   let ev_e = Cirfix.Evaluate.create cfg_e problem in
   ignore (Cirfix.Evaluate.eval_module ev_e m);
-  Alcotest.(check int) "event sim counted" 1 (Cirfix.Evaluate.count ev_e Sims_event);
-  Alcotest.(check int) "no compiled sims" 0 (Cirfix.Evaluate.count ev_e Sims_compiled)
+  Alcotest.(check int) "event sim counted" 1
+    (Cirfix.Evaluate.count ev_e Sims_event);
+  Alcotest.(check int) "no compiled sims" 0
+    (Cirfix.Evaluate.count ev_e Sims_compiled)
 
 let test_brute_force_edit_inventory () =
   let problem = motivating_problem () in

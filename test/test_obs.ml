@@ -154,10 +154,12 @@ let journal_of (search : Cirfix.Config.t -> Cirfix.Problem.t -> unit) ~jobs =
   Sys.remove path;
   s
 
-let journal_of_repair = journal_of (fun cfg p -> ignore (Cirfix.Gp.repair cfg p))
+let journal_of_repair =
+  journal_of (fun cfg p -> ignore (Cirfix.Gp.repair cfg p))
 
 let journal_of_brute =
-  journal_of (fun cfg p -> ignore (Cirfix.Brute_force.search ~max_depth:1 cfg p))
+  journal_of (fun cfg p ->
+      ignore (Cirfix.Brute_force.search ~max_depth:1 cfg p))
 
 (* Blank out the documented timing fields, the only jobs-dependent bytes. *)
 let strip_walls s =

@@ -74,7 +74,8 @@ let test_static_nba_cross_read_clean () =
        always @(posedge clk) b <= a;\n\
        endmodule"
   in
-  Alcotest.(check (list string)) "clean" [] (rules (Verilog.Race.check_module m))
+  Alcotest.(check (list string)) "clean" []
+    (rules (Verilog.Race.check_module m))
 
 let test_static_opposite_edges_clean () =
   (* Writer and reader trigger on opposite edges: never the same region. *)
@@ -95,7 +96,8 @@ let test_static_star_clean () =
        always @(*) y = a & b;\n\
        endmodule"
   in
-  Alcotest.(check (list string)) "clean" [] (rules (Verilog.Race.check_module m))
+  Alcotest.(check (list string)) "clean" []
+    (rules (Verilog.Race.check_module m))
 
 let test_static_initial_exempt () =
   (* Initial blocks are testbench stimulus; initializing a register that a
@@ -107,7 +109,8 @@ let test_static_initial_exempt () =
        always @(posedge clk) r <= 1'b1;\n\
        endmodule"
   in
-  Alcotest.(check (list string)) "clean" [] (rules (Verilog.Race.check_module m))
+  Alcotest.(check (list string)) "clean" []
+    (rules (Verilog.Race.check_module m))
 
 let test_static_hazard_filter () =
   (* Only the requested hazard classes are checked. *)
@@ -312,11 +315,12 @@ let test_evaluate_rejected_racy () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected Rejected_racy");
   Alcotest.(check (float 0.0)) "fitness zero" 0.0 o.fitness;
-  Alcotest.(check int) "counted once" 1 (Cirfix.Evaluate.count ev Racy_rejects);
-  Alcotest.(check int) "no simulation spent" 0 (Cirfix.Evaluate.count ev Probes);
+  let count = Cirfix.Evaluate.count ev in
+  Alcotest.(check int) "counted once" 1 (count Racy_rejects);
+  Alcotest.(check int) "no simulation spent" 0 (count Probes);
   (* Memoized: a second evaluation must not recount. *)
   ignore (Cirfix.Evaluate.eval_module ev m);
-  Alcotest.(check int) "memoized" 1 (Cirfix.Evaluate.count ev Racy_rejects)
+  Alcotest.(check int) "memoized" 1 (count Racy_rejects)
 
 let test_evaluate_screen_off_simulates () =
   let problem = screen_problem () in
@@ -324,7 +328,8 @@ let test_evaluate_screen_off_simulates () =
   let o = Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem) in
   Alcotest.(check bool) "simulated when screening is off" true
     (o.status = Cirfix.Evaluate.Simulated);
-  Alcotest.(check int) "no racy rejects" 0 (Cirfix.Evaluate.count ev Racy_rejects)
+  Alcotest.(check int) "no racy rejects" 0
+    (Cirfix.Evaluate.count ev Racy_rejects)
 
 let test_evaluate_runtime_races_counted () =
   let problem = screen_problem () in
@@ -333,7 +338,8 @@ let test_evaluate_runtime_races_counted () =
   let o = Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem) in
   Alcotest.(check bool) "simulated" true (o.status = Cirfix.Evaluate.Simulated);
   Alcotest.(check bool) "dynamic write-write race observed" true (o.races > 0);
-  Alcotest.(check int) "totalled on the evaluator" o.races (Cirfix.Evaluate.count ev Runtime_races)
+  Alcotest.(check int) "totalled on the evaluator" o.races
+    (Cirfix.Evaluate.count ev Runtime_races)
 
 (* --- GP integration: counters and jobs-independence -------------------- *)
 
@@ -356,7 +362,8 @@ let test_gp_reports_racy_rejects () =
     { (race_cfg d ~jobs:1) with max_probes = 2_000; pop_size = 500 }
   in
   let r = Cirfix.Gp.repair cfg (Bench_suite.Defects.problem d) in
-  Alcotest.(check bool) "racy rejects reported" true ((Cirfix.Evaluate.get r.counters Racy_rejects) > 0)
+  Alcotest.(check bool) "racy rejects reported" true
+    (Cirfix.Evaluate.get r.counters Racy_rejects > 0)
 
 let test_gp_race_knobs_deterministic () =
   let d = Bench_suite.Defects.find 1 in
@@ -367,10 +374,11 @@ let test_gp_race_knobs_deterministic () =
     "same minimized patch"
     (Option.map Cirfix.Patch.to_string r1.minimized)
     (Option.map Cirfix.Patch.to_string r2.minimized);
-  Alcotest.(check int) "same probes" r1.probes r2.probes;
-  Alcotest.(check int) "same racy rejects" (Cirfix.Evaluate.get r1.counters Racy_rejects) (Cirfix.Evaluate.get r2.counters Racy_rejects);
-  Alcotest.(check int) "same runtime races" (Cirfix.Evaluate.get r1.counters Runtime_races) (Cirfix.Evaluate.get r2.counters Runtime_races);
-  Alcotest.(check int) "same static rejects" (Cirfix.Evaluate.get r1.counters Static_rejects) (Cirfix.Evaluate.get r2.counters Static_rejects);
+  let counts c =
+    List.map (Cirfix.Evaluate.get c) Cirfix.Evaluate.all_counters
+  in
+  Alcotest.(check (list int)) "same counters" (counts r1.counters)
+    (counts r2.counters);
   Alcotest.(check int) "same mutants" r1.mutants_generated r2.mutants_generated
 
 let () =

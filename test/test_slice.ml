@@ -1,7 +1,7 @@
 (* Unit tests for semantic slicing: cone construction (backward with
    write closure, forward), slice extraction, testbench instance
-   rewriting, and the repair-side Slicing.prepare engagement/fallback contract. The
-   dynamic soundness sweep lives in slice_equiv_run.ml. *)
+   rewriting, and the repair-side Slicing.prepare engagement/fallback
+   contract. The dynamic soundness sweep lives in slice_equiv_run.ml. *)
 
 open Verilog
 

@@ -527,11 +527,13 @@ let test_evaluate_rejects_static () =
   | Cirfix.Evaluate.Rejected_static _ -> ()
   | _ -> Alcotest.fail "expected Rejected_static");
   Alcotest.(check (float 1e-9)) "fitness zero" 0.0 o.fitness;
-  Alcotest.(check int) "no simulation spent" 0 (Cirfix.Evaluate.count ev Probes);
+  Alcotest.(check int) "no simulation spent" 0
+    (Cirfix.Evaluate.count ev Probes);
   Alcotest.(check int) "one reject" 1 (Cirfix.Evaluate.count ev Static_rejects);
   (* Memoized: a second evaluation hits the cache, not the counter. *)
   ignore (Cirfix.Evaluate.eval_module ev faulty);
-  Alcotest.(check int) "still one reject" 1 (Cirfix.Evaluate.count ev Static_rejects)
+  Alcotest.(check int) "still one reject" 1
+    (Cirfix.Evaluate.count ev Static_rejects)
 
 let test_gp_screener_end_to_end () =
   let problem = screener_problem () in
@@ -545,11 +547,13 @@ let test_gp_screener_end_to_end () =
     }
   in
   let r = Cirfix.Gp.repair cfg problem in
-  Alcotest.(check bool) "screener fired" true ((Cirfix.Evaluate.get r.counters Static_rejects) > 0);
+  Alcotest.(check bool) "screener fired" true
+    ((Cirfix.Evaluate.get r.counters Static_rejects) > 0);
   (* Disabling the screener recovers the old behavior: nothing is
      statically rejected. *)
   let off = Cirfix.Gp.repair { cfg with screen_mutants = false } problem in
-  Alcotest.(check int) "screening off" 0 (Cirfix.Evaluate.get off.counters Static_rejects)
+  Alcotest.(check int) "screening off" 0
+    (Cirfix.Evaluate.get off.counters Static_rejects)
 
 (* --- Coverage -------------------------------------------------------------- *)
 
