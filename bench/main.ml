@@ -118,7 +118,9 @@ let table3 () =
         (if String.length d.description > 52 then
            String.sub d.description 0 49 ^ "..."
          else d.description)
-        d.category s.total_seconds (summary_probes s) s.edits ours paper)
+        d.category s.total_seconds (summary_probes s)
+        (match s.patch with Some p -> List.length p | None -> 0)
+        ours paper)
     results;
   let plausible = List.filter (fun (s : Bench_suite.Runner.trial_summary) -> s.repaired) results in
   let correct = List.filter (fun (s : Bench_suite.Runner.trial_summary) -> s.correct) results in
@@ -848,7 +850,8 @@ let slice_perf () =
                 (w.minimized <> None)
                 w.probes (throughput w) w.wall_seconds
                 (s.minimized <> None)
-                s.probes (throughput s) s.wall_seconds s.slice_sims
+                s.probes (throughput s) s.wall_seconds
+                (if s.sliced then s.probes else 0)
                 s.stitched_verifies)
             rows))
   in

@@ -559,24 +559,13 @@ let slice_flag =
            reported. Falls back silently to whole-design repair when the\n\
            target is not the DUT module or the cone covers the design.")
 
-(* Extra summary rows for a --slice run: whether slicing engaged, and the
-   split between slice simulations and whole-design re-verifications. *)
-let slice_rows ~slice ~sliced ~slice_sims ~stitched_verifies =
-  if not slice then []
-  else
-    [
-      ( "slice",
-        if sliced then
-          Printf.sprintf "engaged  (%d sims on the slice)" slice_sims
-        else "fell back to whole-design repair" );
-      ("stitched verifies", Printf.sprintf "%d" stitched_verifies);
-    ]
-
-(* The shared summary table of a search run (GP or brute-force): memo
-   behaviour and the per-status reject breakdown, aligned. Rates are
-   relative to total evaluations requested. *)
-let summary_table (c : Cirfix.Evaluate.counters) ~mutants ~show_races
-    ~jobs ~wall_seconds =
+(* Print the shared summary table of a search run (GP or brute-force): memo
+   behaviour and the per-status reject breakdown, aligned, then for a
+   --slice run ([slice] = whether it engaged, stitched verifications)
+   the split between slice simulations and whole-design
+   re-verifications. Rates are relative to total evaluations requested. *)
+let print_summary (c : Cirfix.Evaluate.counters) ~mutants ~show_races ~jobs
+    ~wall_seconds ~slice =
   let get = Cirfix.Evaluate.get c and secs = Cirfix.Evaluate.seconds c in
   let lookups = get Lookups and probes = get Probes in
   (* Values are unpadded: [Stats.kv_table] recomputes both column widths
@@ -622,6 +611,17 @@ let summary_table (c : Cirfix.Evaluate.counters) ~mutants ~show_races
           jobs );
       ("wall time", Printf.sprintf "%.1f  s" wall_seconds);
     ]
+  @ (match slice with
+    | None -> []
+    | Some (sliced, stitched) ->
+        [
+          ( "slice",
+            if sliced then
+              Printf.sprintf "engaged  (%d sims on the slice)" probes
+            else "fell back to whole-design repair" );
+          ("stitched verifies", Printf.sprintf "%d" stitched);
+        ])
+  |> Cirfix.Stats.kv_table |> print_endline
 
 let progress_arg =
   Arg.(
@@ -706,13 +706,9 @@ let repair design golden testbench target top clock dut seed pop_size
   let r = Cirfix.Gp.repair ~on_generation cfg problem in
   clear_progress ();
   Printf.printf "initial fitness: %.4f\n" r.initial_fitness;
-  print_endline
-    (Cirfix.Stats.kv_table
-       (summary_table r.counters ~mutants:(Some r.mutants_generated)
-          ~show_races:race_check ~jobs:cfg.jobs
-          ~wall_seconds:r.wall_seconds
-        @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
-            ~stitched_verifies:r.stitched_verifies));
+  print_summary r.counters ~mutants:(Some r.mutants_generated)
+    ~show_races:race_check ~jobs:cfg.jobs ~wall_seconds:r.wall_seconds
+    ~slice:(if slice then Some (r.sliced, r.stitched_verifies) else None);
   (* Replay the final design (repaired when found, else the faulty
      original) under the repair testbench with coverage enabled, so the
      summary reports how much of the target the oracle actually
@@ -816,13 +812,9 @@ let brute design golden testbench target top clock dut max_depth max_probes
   clear_progress ();
   Printf.printf "candidates tried: %d (depth <= %d)\n" r.candidates_tried
     max_depth;
-  print_endline
-    (Cirfix.Stats.kv_table
-       (summary_table r.counters ~mutants:None ~show_races:false
-          ~jobs:cfg.jobs
-          ~wall_seconds:r.wall_seconds
-        @ slice_rows ~slice:cfg.slice ~sliced:r.sliced ~slice_sims:r.slice_sims
-            ~stitched_verifies:r.stitched_verifies));
+  print_summary r.counters ~mutants:None ~show_races:false ~jobs:cfg.jobs
+    ~wall_seconds:r.wall_seconds
+    ~slice:(if slice then Some (r.sliced, r.stitched_verifies) else None);
   match r.repaired with
   | Some patch ->
       Printf.printf "REPAIRED (%d edits):\n  %s\n" (List.length patch)

@@ -15,7 +15,6 @@ type trial_summary = {
   seconds : float; (* wall time of the successful trial (or total) *)
   total_seconds : float; (* across all trials run *)
   counters : Cirfix.Evaluate.counters; (* summed across all trials run *)
-  edits : int; (* minimized patch size; 0 when unrepaired *)
   trials_run : int;
   winning_seed : int option;
   patch : Cirfix.Patch.t option;
@@ -54,7 +53,6 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
         List.fold_left
           (fun acc (r : Cirfix.Gp.result) -> Cirfix.Evaluate.add acc r.counters)
           Cirfix.Evaluate.zero run;
-      edits = 0;
       trials_run = trials;
       winning_seed = None;
       patch = None;
@@ -75,7 +73,6 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
             repaired = true;
             correct = Defects.is_correct d m;
             seconds = last.wall_seconds;
-            edits = List.length patch;
             trials_run = seed;
             winning_seed = Some seed;
             patch = Some patch;

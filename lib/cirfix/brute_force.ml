@@ -11,7 +11,6 @@ type result = {
   wall_seconds : float;
   candidates_tried : int;
   sliced : bool; (* slice-based search actually engaged *)
-  slice_sims : int; (* simulations that ran on the sliced design *)
   stitched_verifies : int; (* whole-design re-verifications of winners *)
 }
 
@@ -197,9 +196,6 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     incr d
   done;
   let counters = Evaluate.counters ev in
-  let slice_sims =
-    match slicing with Some _ -> Evaluate.get counters Probes | None -> 0
-  in
   if Obs.Journal.enabled () then begin
     Obs.Journal.emit
       [
@@ -233,7 +229,9 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ::
         (if cfg.slice then
         [
-          ("slice_sims", Obs.Json.Int slice_sims);
+          ( "slice_sims",
+            Obs.Json.Int
+              (if slicing <> None then Evaluate.get counters Probes else 0) );
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
       else []))
@@ -244,6 +242,5 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     wall_seconds = Unix.gettimeofday () -. t0;
     candidates_tried = !tried;
     sliced = slicing <> None;
-    slice_sims;
     stitched_verifies = !stitched;
   }

@@ -12,9 +12,6 @@ type result = {
   sliced : bool;
       (** slice-based search actually engaged ([cfg.slice] and the slicer
           found a strictly smaller exact slice) *)
-  slice_sims : int;
-      (** candidate simulations that ran on the sliced design (equals
-          [probes] when [sliced], 0 otherwise) *)
   stitched_verifies : int;
       (** slice-plausible candidates stitched back into the whole design
           and re-verified on the full oracle before being reported *)

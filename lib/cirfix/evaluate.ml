@@ -49,11 +49,8 @@ type outcome = {
 }
 
 (* --- Evaluation counters --------------------------------------------------
-
-   Every count the evaluator keeps lives in one table, indexed by [counter].
-   The variant's order is the table order: snapshots, journal records and
-   the funnel groups all walk it, so adding or deleting a counter means one
-   constructor here plus its [name]. *)
+   One table, in the order of [all_counters]; snapshots, journal records,
+   funnel groups and metric mirrors all walk it. *)
 
 type counter =
   | Lookups
@@ -97,9 +94,9 @@ let screened =
 
 let pruned = [ Memo_hits; Semantic_hits; Dead_edit_skips ]
 
-(* Position in [all_counters]; the table is short enough that a scan is
-   cheaper than anything that would have to be kept in sync with it. A
-   top-level loop, so a lookup allocates nothing. *)
+(* Position in [all_counters]. The table is short, so a scan costs less
+   than a second mapping kept in sync; being top-level, it allocates
+   nothing. *)
 let rec position (k : counter) i = function
   | [] -> assert false
   | k' :: rest -> if k' == k then i else position k (i + 1) rest

@@ -60,25 +60,19 @@ type counter =
   | Probes  (** simulations actually run, compile failures included *)
   | Memo_hits  (** lookups served from the structural memo cache *)
   | Compile_errors  (** fresh candidates that failed elaboration *)
-  | Static_rejects
-      (** candidates rejected by the static screener without simulation *)
-  | Oversize_rejects
-      (** candidates rejected for implausible size without simulation *)
-  | Racy_rejects
-      (** candidates rejected by the static race screen without simulation *)
+  | Static_rejects  (** rejected by the static screener, unsimulated *)
+  | Oversize_rejects  (** rejected for implausible size, unsimulated *)
+  | Racy_rejects  (** rejected by the static race screen, unsimulated *)
   | Semantic_hits
-      (** lookups folded onto a semantically-equivalent, already-scored
-          candidate ({!Verilog.Canon}) without simulating *)
+      (** served by an already-scored candidate with the same canonical
+          form ({!Verilog.Canon}) *)
   | Dead_edit_skips
-      (** lookups served by the dead-edit proof ({!Verilog.Dataflow}): the
-          seed's fitness reused under {!Skipped_dead_edit} *)
+      (** served by the dead-edit proof ({!Verilog.Dataflow}) *)
   | Runtime_races  (** dynamic races observed across fresh simulations *)
-  | Sims_event
-      (** fresh simulations on the event engine, fallbacks included *)
+  | Sims_event  (** fresh simulations on the event engine, fallbacks too *)
   | Sims_compiled  (** fresh simulations on the compiled backend *)
   | Compiled_fallbacks
-      (** compiled requests that fell back to the event engine; a subset
-          of [Sims_event] *)
+      (** compiled requests run on the event engine; within [Sims_event] *)
 
 (** Every counter, in table order (the order journal records use). *)
 val all_counters : counter list

@@ -57,7 +57,6 @@ type result = {
   wall_seconds : float;
   initial_fitness : float;
   sliced : bool; (* slice-based repair actually engaged *)
-  slice_sims : int; (* simulations that ran on the sliced design *)
   stitched_verifies : int; (* whole-design re-verifications of winners *)
 }
 
@@ -396,21 +395,6 @@ let journal_localization (original : Verilog.Ast.module_decl)
       ("source", Obs.Json.List source);
     ]
 
-(* Terminal record: emitted last so `tail -f` consumers can detect
-   completion. [elapsed_s] is the run's wall time — a documented timing
-   field, excluded (like the generation records') from the cross-[jobs]
-   byte-equality contract; everything else stays byte-identical. *)
-let journal_run_end (ev : Evaluate.t) ~(status : string) ~(elapsed : float)
-    (extra : (string * Obs.Json.t) list) : unit =
-  Obs.Journal.emit
-    ([
-       ("type", Obs.Json.Str "run_end");
-       ("status", Obs.Json.Str status);
-       ("elapsed_s", Obs.Json.Float elapsed);
-     ]
-    @ Evaluate.journal_fields ~final:true (Evaluate.counters ev)
-    @ extra)
-
 (* --- The repair loop ------------------------------------------------------ *)
 
 (* Fault-localize a parent: simulate (cached) and run Algorithm 2 against
@@ -529,7 +513,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let lineage : (string, lineage_node) Hashtbl.t = Hashtbl.create 64 in
   let hash_of_mod = Verilog.Ast_utils.structural_hash in
   let track = Obs.Journal.enabled () in
-  let funnel = { tbl = Hashtbl.create 16; snap = Evaluate.counters ev } in
+  let funnel = { tbl = Hashtbl.create 16; snap = Evaluate.zero } in
   (* Evaluator work that predates funnel tracking (a slice probe that fell
      back to the whole design leaves counters on [ev]) lands on a "setup"
      accounting row, so funnel sums still tile the run_end counters. *)
@@ -770,9 +754,6 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     r.f_proposed <- r.f_proposed + unfunnelled
   end;
   let counters = Evaluate.counters ev in
-  let slice_sims =
-    match slicing with Some _ -> Evaluate.get counters Probes | None -> 0
-  in
   if Obs.Journal.enabled () then begin
     (* Genealogy of the winner — or, when the search came up empty, of the
        best surviving candidate, which is what a user debugs next. *)
@@ -819,10 +800,19 @@ let repair ?(on_generation : (generation_stats -> unit) option)
         ("wall_seconds", Obs.Json.Float (Unix.gettimeofday () -. t0));
       ];
     journal_funnel funnel;
-    journal_run_end ev
-      ~status:(if !found <> None then "repaired" else "no_repair")
-      ~elapsed:(Unix.gettimeofday () -. t0)
+    (* Terminal record: emitted last so `tail -f` consumers can detect
+       completion. [elapsed_s] is the run's wall time, a documented timing
+       field excluded (like the generation records') from the cross-[jobs]
+       byte-equality contract. *)
+    Obs.Journal.emit
       ([
+         ("type", Obs.Json.Str "run_end");
+         ( "status",
+           Obs.Json.Str (if !found <> None then "repaired" else "no_repair") );
+         ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0));
+       ]
+      @ Evaluate.journal_fields ~final:true counters
+      @ [
          ("generations", Obs.Json.Int !gen);
          ("mutants", Obs.Json.Int !mutants);
          ("proposed", Obs.Json.Int (funnel_total funnel (fun r -> r.f_proposed)));
@@ -833,7 +823,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
       @
       if cfg.slice then
         [
-          ("slice_sims", Obs.Json.Int slice_sims);
+          ( "slice_sims",
+            Obs.Json.Int
+              (if slicing <> None then Evaluate.get counters Probes else 0) );
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
       else [])
@@ -854,7 +846,6 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     wall_seconds = Unix.gettimeofday () -. t0;
     initial_fitness = initial.outcome.fitness;
     sliced = slicing <> None;
-    slice_sims;
     stitched_verifies = !stitched;
     (* Flat copies of [counters]. The perfbench harness is kept frozen so
        its numbers stay comparable across changes, and it reads these

@@ -42,9 +42,6 @@ type result = {
       (** slice-based repair actually engaged ([cfg.slice] and the slicer
           found a strictly smaller exact slice); when false under
           [cfg.slice], the run silently fell back to whole-design repair *)
-  slice_sims : int;
-      (** candidate simulations that ran on the sliced design (equals
-          [probes] when [sliced], 0 otherwise) *)
   stitched_verifies : int;
       (** slice-plausible candidates stitched back into the whole design
           and re-verified on the full oracle — the slicing acceptance

@@ -171,16 +171,10 @@ let test_summarize_stops_at_first_repair () =
   let d = Bench_suite.Defects.find 3 in
   let problem = Bench_suite.Defects.problem d in
   let trial seed =
-    let cfg =
-      {
-        (Bench_suite.Runner.scenario_config d) with
-        seed;
-        pop_size = 10;
-        max_generations = 2;
-        max_probes = 40;
-      }
-    in
-    Cirfix.Gp.repair cfg problem
+    let cfg = Bench_suite.Runner.scenario_config d in
+    Cirfix.Gp.repair
+      { cfg with seed; pop_size = 10; max_generations = 2; max_probes = 40 }
+      problem
   in
   let unrepaired seed =
     { (trial seed) with minimized = None; repaired_module = None }

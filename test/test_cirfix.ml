@@ -552,14 +552,11 @@ let test_oversized_candidate_rejected () =
 let test_huge_part_select () =
   let problem = motivating_problem () in
   let src =
-    Verilog.Pp.module_to_string (Cirfix.Problem.target_module problem)
-  in
-  let cut = Str.search_forward (Str.regexp_string "endmodule") src 0 in
-  let src =
-    String.sub src 0 cut
-    ^ "wire [3:0] huge;\nassign huge = counter_out[32'hFFFFFFFF:0];\n\
-       always @(posedge clk) if (huge == 4'b0) overflow_out <= 1'b0;\n"
-    ^ String.sub src cut (String.length src - cut)
+    Str.replace_first (Str.regexp "endmodule")
+      "wire [3:0] huge;\nassign huge = counter_out[32'hFFFFFFFF:0];\n\
+       always @(posedge clk) if (huge == 4'b0) overflow_out <= 1'b0;\n\
+       endmodule"
+      (Verilog.Pp.module_to_string (Cirfix.Problem.target_module problem))
   in
   let m =
     match Verilog.Parser.parse_design_result src with

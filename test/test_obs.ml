@@ -228,9 +228,11 @@ let test_funnel_determinism () =
 
 (* Funnel totals must tile the run_end counters exactly: every evaluator
    outcome is charged to exactly one operator row, so the per-stage sums
-   reconcile with the run-wide counts (no double counting, no leaks). *)
-let test_funnel_reconciliation () =
-  let run, funnel, run_end = funnel_and_end (journal_of_repair ~jobs:1) in
+   reconcile with the run-wide counts (no double counting, no leaks). The
+   slice run falls back to the whole design, so its seed evaluation lands
+   on the "setup" row. *)
+let check_funnel_reconciliation journal =
+  let run, funnel, run_end = funnel_and_end journal in
   let ops = Report.list_of "operators" funnel in
   let total f = List.fold_left (fun acc o -> acc + Report.i_of f o) 0 ops in
   let e f = Report.i_of f run_end in
@@ -250,7 +252,18 @@ let test_funnel_reconciliation () =
   Alcotest.(check int) "in_lineage total" (e "in_lineage")
     (total "in_lineage");
   Alcotest.(check bool) "digest saw a complete run" true
-    run.Aggregate.r_complete
+    run.Aggregate.r_complete;
+  List.map (Report.s_of "op") ops
+
+let test_funnel_reconciliation () =
+  ignore (check_funnel_reconciliation (journal_of_repair ~jobs:1));
+  let sliced =
+    journal_of
+      (fun cfg p -> ignore (Cirfix.Gp.repair { cfg with slice = true } p))
+      ~jobs:1
+  in
+  Alcotest.(check bool) "setup row present" true
+    (List.mem "setup" (check_funnel_reconciliation sliced))
 
 (* Both engines' [run_end] records carry the whole counter table: every
    counter's key exactly once, in table order (lookups under "evals"). *)
