@@ -559,6 +559,29 @@ let slice_flag =
            reported. Falls back silently to whole-design repair when the\n\
            target is not the DUT module or the cone covers the design.")
 
+(* The search configuration [repair] and [brute] both take from flags. *)
+let search_config =
+  let make max_probes wall jobs backend race_screen no_prune check_pruning
+      slice =
+    {
+      Cirfix.Config.default with
+      max_probes;
+      max_wall_seconds = wall;
+      jobs;
+      backend;
+      screen_races = race_screen;
+      prune = not no_prune;
+      check_pruning;
+      slice;
+    }
+  in
+  Term.(
+    const make
+    $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
+    $ Arg.(value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
+    $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
+    $ check_pruning_arg $ slice_flag)
+
 (* Print the shared summary table of a search run (GP or brute-force): memo
    behaviour and the per-status reject breakdown, aligned, then for a
    --slice run ([slice] = whether it engaged, stitched verifications)
@@ -660,25 +683,16 @@ let make_progress ~enabled =
   end
 
 let repair design golden testbench target top clock dut seed pop_size
-    generations max_probes wall jobs backend race_screen race_check no_prune
-    check_pruning slice output progress obs =
+    generations race_check (cfg : Cirfix.Config.t) output progress obs =
   with_obs obs @@ fun () ->
   let problem = load_problem design golden testbench target top clock dut in
   let cfg =
     {
-      Cirfix.Config.default with
+      cfg with
       seed;
       pop_size;
       max_generations = generations;
-      max_probes;
-      max_wall_seconds = wall;
-      jobs;
-      backend;
-      screen_races = race_screen;
       check_races = race_check;
-      prune = not no_prune;
-      check_pruning;
-      slice;
     }
   in
   let show_progress, clear_progress = make_progress ~enabled:progress in
@@ -708,7 +722,7 @@ let repair design golden testbench target top clock dut seed pop_size
   Printf.printf "initial fitness: %.4f\n" r.initial_fitness;
   print_summary r.counters ~mutants:(Some r.mutants_generated)
     ~show_races:race_check ~jobs:cfg.jobs ~wall_seconds:r.wall_seconds
-    ~slice:(if slice then Some (r.sliced, r.stitched_verifies) else None);
+    ~slice:(if cfg.slice then Some (r.sliced, r.stitched_verifies) else None);
   (* Replay the final design (repaired when found, else the faulty
      original) under the repair testbench with coverage enabled, so the
      summary reports how much of the target the oracle actually
@@ -764,10 +778,7 @@ let repair_cmd =
       $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
       $ Arg.(value & opt int 60 & info [ "pop-size" ] ~doc:"Population size.")
       $ Arg.(value & opt int 40 & info [ "generations" ] ~doc:"Max generations.")
-      $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
-      $ Arg.(value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
-      $ jobs_arg $ backend_arg $ race_screen_arg $ race_check_arg
-      $ no_prune_arg $ check_pruning_arg $ slice_flag
+      $ race_check_arg $ search_config
       $ Arg.(
           value
           & opt (some string) None
@@ -777,23 +788,10 @@ let repair_cmd =
 
 (* --- brute ------------------------------------------------------------------ *)
 
-let brute design golden testbench target top clock dut max_depth max_probes
-    wall jobs backend race_screen no_prune check_pruning slice progress obs =
+let brute design golden testbench target top clock dut max_depth
+    (cfg : Cirfix.Config.t) progress obs =
   with_obs obs @@ fun () ->
   let problem = load_problem design golden testbench target top clock dut in
-  let cfg =
-    {
-      Cirfix.Config.default with
-      max_probes;
-      max_wall_seconds = wall;
-      jobs;
-      backend;
-      screen_races = race_screen;
-      prune = not no_prune;
-      check_pruning;
-      slice;
-    }
-  in
   let show_progress, clear_progress = make_progress ~enabled:progress in
   let t_start = Unix.gettimeofday () in
   let on_progress (p : Cirfix.Brute_force.progress) =
@@ -814,7 +812,7 @@ let brute design golden testbench target top clock dut max_depth max_probes
     max_depth;
   print_summary r.counters ~mutants:None ~show_races:false ~jobs:cfg.jobs
     ~wall_seconds:r.wall_seconds
-    ~slice:(if slice then Some (r.sliced, r.stitched_verifies) else None);
+    ~slice:(if cfg.slice then Some (r.sliced, r.stitched_verifies) else None);
   match r.repaired with
   | Some patch ->
       Printf.printf "REPAIRED (%d edits):\n  %s\n" (List.length patch)
@@ -837,11 +835,7 @@ let brute_cmd =
       $ Arg.(
           value & opt int 2
           & info [ "max-depth" ] ~docv:"N" ~doc:"Maximum edits per patch.")
-      $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
-      $ Arg.(
-          value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
-      $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
-      $ check_pruning_arg $ slice_flag $ progress_arg $ obs_args)
+      $ search_config $ progress_arg $ obs_args)
 
 (* --- profile ---------------------------------------------------------------- *)
 
