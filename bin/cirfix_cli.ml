@@ -582,11 +582,10 @@ let search_config =
     $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
     $ check_pruning_arg $ slice_flag)
 
-(* Print the shared summary table of a search run (GP or brute-force): memo
-   behaviour and the per-status reject breakdown, aligned, then for a
-   --slice run ([slice] = whether it engaged, stitched verifications)
-   the split between slice simulations and whole-design
-   re-verifications. Rates are relative to total evaluations requested. *)
+(* Print the summary table of a search run (GP or brute-force), aligned:
+   memo behaviour and the per-status reject breakdown, rates relative to
+   evaluations requested; for a --slice run, [slice] = (engaged, stitched
+   verifications). *)
 let print_summary (c : Cirfix.Evaluate.counters) ~mutants ~show_races ~jobs
     ~wall_seconds ~slice =
   let get = Cirfix.Evaluate.get c and secs = Cirfix.Evaluate.seconds c in

@@ -225,16 +225,16 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0));
       ]
       @ Evaluate.journal_fields ~final:true counters
-      @ ("tried", Obs.Json.Int !tried)
-        ::
-        (if cfg.slice then
+      @ [ ("tried", Obs.Json.Int !tried) ]
+      @
+      if cfg.slice then
         [
           ( "slice_sims",
             Obs.Json.Int
               (if slicing <> None then Evaluate.get counters Probes else 0) );
           ("stitched_verifies", Obs.Json.Int !stitched);
         ]
-      else []))
+      else [])
   end;
   {
     repaired = !found;
