@@ -195,7 +195,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     if Obs.Journal.enabled () then journal_batch ~depth:!d;
     incr d
   done;
-  let counters = Evaluate.counters ev in
+  let counters = Evaluate.final_counters ev in
   if Obs.Journal.enabled () then begin
     Obs.Journal.emit
       [

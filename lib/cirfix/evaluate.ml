@@ -175,6 +175,7 @@ type t = {
 
 let count (ev : t) (k : counter) : int = ev.table.(index k)
 let counters (ev : t) : counters = Array.copy ev.table
+let final_counters (ev : t) : counters = ev.table
 
 (* Memo keys are prefixed with the configured backend so cached fitness
    can never leak across backends: flipping [--backend] between otherwise

@@ -141,6 +141,11 @@ val count : t -> counter -> int
 (** Snapshot of the live table. *)
 val counters : t -> counters
 
+(** The live table itself, not a copy: a snapshot only because nothing
+    evaluates on [t] again. For an engine's final result, so each result
+    retains no extra block. *)
+val final_counters : t -> counters
+
 val create : Config.t -> Problem.t -> t
 
 (** Memo-cache key for a candidate under a configuration: the configured

@@ -753,7 +753,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let r = funnel_get funnel "minimize" in
     r.f_proposed <- r.f_proposed + unfunnelled
   end;
-  let counters = Evaluate.counters ev in
+  let counters = Evaluate.final_counters ev in
   if Obs.Journal.enabled () then begin
     (* Genealogy of the winner — or, when the search came up empty, of the
        best surviving candidate, which is what a user debugs next. *)
