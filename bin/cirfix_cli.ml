@@ -578,7 +578,8 @@ let search_config =
   Term.(
     const make
     $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
-    $ Arg.(value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
+    $ Arg.(
+        value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
     $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
     $ check_pruning_arg $ slice_flag)
 

@@ -15,7 +15,6 @@ type trial_summary = {
   seconds : float; (* wall time of the successful trial (or total) *)
   total_seconds : float; (* across all trials run *)
   counters : Cirfix.Evaluate.counters; (* summed across all trials run *)
-  trials_run : int;
   winning_seed : int option;
   patch : Cirfix.Patch.t option;
   repaired_module : Verilog.Ast.module_decl option;
@@ -25,8 +24,8 @@ type trial_summary = {
 (* Fold per-seed results (seed order) into the summary, stopping at the
    first plausible repair as the sequential driver does: only the trials up
    to and including it are counted. *)
-let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
-    : trial_summary =
+let summarize (d : Defects.t) (results : Cirfix.Gp.result list) :
+    trial_summary =
   let repair_of (r : Cirfix.Gp.result) =
     match (r.minimized, r.repaired_module) with
     | Some patch, Some m -> Some (patch, m)
@@ -53,7 +52,6 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
         List.fold_left
           (fun acc (r : Cirfix.Gp.result) -> Cirfix.Evaluate.add acc r.counters)
           Cirfix.Evaluate.zero run;
-      trials_run = trials;
       winning_seed = None;
       patch = None;
       repaired_module = None;
@@ -73,7 +71,6 @@ let summarize (d : Defects.t) ~(trials : int) (results : Cirfix.Gp.result list)
             repaired = true;
             correct = Defects.is_correct d m;
             seconds = last.wall_seconds;
-            trials_run = seed;
             winning_seed = Some seed;
             patch = Some patch;
             repaired_module = Some m;
@@ -104,14 +101,14 @@ let run_defect ?(cfg = Cirfix.Config.default) ?(trials = 5)
       let seeds = Array.init trials (fun i -> i + 1) in
       Array.iter (fun s -> Option.iter (fun f -> f s) on_trial) seeds;
       let results = Cirfix.Pool.map pool (trial { cfg with jobs = 1 }) seeds in
-      summarize d ~trials (Array.to_list results)
+      summarize d (Array.to_list results)
   | _ ->
       let rec go seed acc =
-        if seed > trials then summarize d ~trials (List.rev acc)
+        if seed > trials then summarize d (List.rev acc)
         else (
           Option.iter (fun f -> f seed) on_trial;
           let r = trial cfg seed in
-          if r.minimized <> None then summarize d ~trials (List.rev (r :: acc))
+          if r.minimized <> None then summarize d (List.rev (r :: acc))
           else go (seed + 1) (r :: acc))
       in
       go 1 []

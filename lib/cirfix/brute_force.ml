@@ -96,7 +96,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
   let found = ref None in
   let out_of_resources () =
     Unix.gettimeofday () > deadline
-    || Evaluate.count ev Probes >= cfg.max_probes
+    || Evaluate.get ev.table Probes >= cfg.max_probes
   in
   let edits = single_edits original in
   if Obs.Journal.enabled () then
@@ -195,7 +195,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     if Obs.Journal.enabled () then journal_batch ~depth:!d;
     incr d
   done;
-  let counters = Evaluate.final_counters ev in
+  let counters = ev.table in
   if Obs.Journal.enabled () then begin
     Obs.Journal.emit
       [

@@ -116,9 +116,8 @@ let timer_index = function
   | Sim_seconds_compiled -> n_counters + 2
 
 type counters = int array
-type table = int array
 
-let new_table () : table = Array.make (n_counters + 3) 0
+let new_table () : counters = Array.make (n_counters + 3) 0
 let zero : counters = new_table ()
 let get (c : counters) (k : counter) : int = c.(index k)
 
@@ -170,12 +169,10 @@ type t = {
   seed_key : string; (* structural key of the unpatched module *)
   seed_prune_hash : string option;
       (* dead-edit skeleton of the unpatched module, when lanes are on *)
-  table : table; (* live counters; mutated only by sequential accounting *)
+  table : counters; (* live; mutated only by sequential accounting *)
 }
 
-let count (ev : t) (k : counter) : int = ev.table.(index k)
 let counters (ev : t) : counters = Array.copy ev.table
-let final_counters (ev : t) : counters = ev.table
 
 (* Memo keys are prefixed with the configured backend so cached fitness
    can never leak across backends: flipping [--backend] between otherwise

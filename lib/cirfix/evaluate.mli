@@ -94,7 +94,8 @@ type timer =
   | Sim_seconds_event  (** inside the event engine *)
   | Sim_seconds_compiled  (** inside the compiled backend *)
 
-(** An immutable snapshot of the table. *)
+(** A counter table: an evaluator's live one ([t.table]), or a snapshot
+    of it taken with {!counters}. *)
 type counters
 
 val zero : counters
@@ -116,9 +117,6 @@ val diff : counters -> counters -> counters
     simulation counts), opening with [probes] then [lookups]. *)
 val journal_fields : final:bool -> counters -> (string * Obs.Json.t) list
 
-(** The live table inside an evaluator. *)
-type table
-
 type t = {
   problem : Problem.t;
   cfg : Config.t;
@@ -132,19 +130,14 @@ type t = {
   seed_key : string;  (** structural key of the unpatched module *)
   seed_prune_hash : string option;
       (** dead-edit skeleton hash of the unpatched module, when pruning *)
-  table : table;
+  table : counters;
+      (** live: [get] reads current values. It serves as a snapshot only
+          once nothing evaluates on this evaluator again (an engine's
+          final result); take {!counters} otherwise. *)
 }
-
-(** Current value of one live counter (no snapshot is taken). *)
-val count : t -> counter -> int
 
 (** Snapshot of the live table. *)
 val counters : t -> counters
-
-(** The live table itself, not a copy: a snapshot only because nothing
-    evaluates on [t] again. For an engine's final result, so each result
-    retains no extra block. *)
-val final_counters : t -> counters
 
 val create : Config.t -> Problem.t -> t
 

@@ -504,7 +504,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let gen_stats = ref [] in
   let out_of_resources () =
     Unix.gettimeofday () > deadline
-    || Evaluate.count ev Probes >= cfg.max_probes
+    || Evaluate.get ev.table Probes >= cfg.max_probes
   in
   (* Lineage is journal-only state: the hashing it needs is paid only when
      a journal is open (the same rule [journal_generation]'s diversity
@@ -517,9 +517,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   (* Evaluator work that predates funnel tracking (a slice probe that fell
      back to the whole design leaves counters on [ev]) lands on a "setup"
      accounting row, so funnel sums still tile the run_end counters. *)
-  if track && Evaluate.count ev Lookups > 0 then begin
+  if track && Evaluate.get ev.table Lookups > 0 then begin
     let r = funnel_get funnel "setup" in
-    r.f_proposed <- Evaluate.count ev Lookups;
+    r.f_proposed <- Evaluate.get ev.table Lookups;
     funnel_charge funnel ev "setup"
   end;
   (* Operator of each population slot, parallel to [popn]; used to credit
@@ -701,9 +701,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           | Some _ -> 1.0
           | None -> List.fold_left Float.max 0. fits);
         mean_fitness = mean fits;
-        probes_so_far = Evaluate.count ev Probes;
-        lookups_so_far = Evaluate.count ev Lookups;
-        memo_hits_so_far = Evaluate.count ev Memo_hits;
+        probes_so_far = Evaluate.get ev.table Probes;
+        lookups_so_far = Evaluate.get ev.table Lookups;
+        memo_hits_so_far = Evaluate.get ev.table Memo_hits;
       }
     in
     gen_stats := stats :: !gen_stats;
@@ -746,14 +746,14 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   (* ddmin probes (non-slice mode: they run on [ev]) land on a "minimize"
      accounting row so the funnel still tiles the run_end counters. *)
   let unfunnelled =
-    Evaluate.count ev Lookups - Evaluate.get funnel.snap Lookups
+    Evaluate.get ev.table Lookups - Evaluate.get funnel.snap Lookups
   in
   if track && unfunnelled > 0 then begin
     funnel_charge funnel ev "minimize";
     let r = funnel_get funnel "minimize" in
     r.f_proposed <- r.f_proposed + unfunnelled
   end;
-  let counters = Evaluate.final_counters ev in
+  let counters = ev.table in
   if Obs.Journal.enabled () then begin
     (* Genealogy of the winner — or, when the search came up empty, of the
        best surviving candidate, which is what a user debugs next. *)
@@ -793,9 +793,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           | None -> Obs.Json.Null
           | Some p -> Obs.Json.Str (Patch.to_string p) );
         ("generations", Obs.Json.Int !gen);
-        ("probes", Obs.Json.Int (Evaluate.count ev Probes));
-        ("lookups", Obs.Json.Int (Evaluate.count ev Lookups));
-        ("memo_hits", Obs.Json.Int (Evaluate.count ev Memo_hits));
+        ("probes", Obs.Json.Int (Evaluate.get ev.table Probes));
+        ("lookups", Obs.Json.Int (Evaluate.get ev.table Lookups));
+        ("memo_hits", Obs.Json.Int (Evaluate.get ev.table Memo_hits));
         ("mutants", Obs.Json.Int !mutants);
         ("wall_seconds", Obs.Json.Float (Unix.gettimeofday () -. t0));
       ];

@@ -12,8 +12,9 @@
 
     Soundness rests on two facts. First, the repair slice is {e exact}:
     it is closed under fan-in, so for a fixed testbench its in-cone
-    outputs simulate byte-identically to the whole design — a candidate that repairs the slice's outputs is a genuine
-    candidate, not an artifact of the cut. Second, every slice-plausible
+    outputs simulate byte-identically to the whole design — a candidate
+    that repairs the slice's outputs is a genuine candidate, not an
+    artifact of the cut. Second, every slice-plausible
     candidate is {e stitched} back into the whole module ({!stitch} —
     kept statements retain their node ids, so the patch applies
     unchanged) and re-verified against the full oracle by the caller

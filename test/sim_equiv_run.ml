@@ -68,7 +68,7 @@ let fitness_scenario (d : Bench_suite.Defects.t) : bool =
     let o =
       Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem)
     in
-    (o, (Cirfix.Evaluate.count ev Compiled_fallbacks))
+    (o, Cirfix.Evaluate.get ev.table Compiled_fallbacks)
   in
   let oe, _ = score Sim.Simulate.Event in
   let oc, fallbacks = score Sim.Simulate.Compiled in

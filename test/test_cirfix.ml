@@ -489,11 +489,11 @@ let test_evaluate_cache_and_compile_errors () =
   let problem = motivating_problem () in
   let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   let original = Cirfix.Problem.target_module problem in
+  let count = Cirfix.Evaluate.get ev.table in
   let o1 = Cirfix.Evaluate.eval_module ev original in
-  let probes_after_first = Cirfix.Evaluate.count ev Probes in
+  let probes_after_first = count Probes in
   let o2 = Cirfix.Evaluate.eval_module ev original in
-  Alcotest.(check int) "cached" probes_after_first
-    (Cirfix.Evaluate.count ev Probes);
+  Alcotest.(check int) "cached" probes_after_first (count Probes);
   Alcotest.(check (float 1e-9)) "same fitness" o1.fitness o2.fitness;
   (* A candidate reading an undeclared identifier counts as a compile
      error with fitness 0. *)
@@ -535,14 +535,13 @@ let test_oversized_candidate_rejected () =
     (match o.status with
     | Cirfix.Evaluate.Rejected_oversize -> true
     | _ -> false);
-  Alcotest.(check int) "counted once" 1
-    (Cirfix.Evaluate.count ev Oversize_rejects);
-  Alcotest.(check int) "not a compile error" 0
-    (Cirfix.Evaluate.count ev Compile_errors);
+  let count = Cirfix.Evaluate.get ev.table in
+  Alcotest.(check int) "counted once" 1 (count Oversize_rejects);
+  Alcotest.(check int) "not a compile error" 0 (count Compile_errors);
   (* Repeat lookups hit the memo cache instead of re-counting. *)
   ignore (Cirfix.Evaluate.eval_module ev big);
-  Alcotest.(check int) "memoized" 1 (Cirfix.Evaluate.count ev Oversize_rejects);
-  Alcotest.(check int) "no simulation spent" 0 (Cirfix.Evaluate.count ev Probes)
+  Alcotest.(check int) "memoized" 1 (count Oversize_rejects);
+  Alcotest.(check int) "no simulation spent" 0 (count Probes)
 
 (* A mutant part-select with an absurd bound. The simulator rejects it as
    too wide; the pruning lanes hash the candidate before any simulation,
@@ -646,17 +645,16 @@ let test_backend_memo_isolation () =
   (* Second lookup under the same backend is the memo hit; the backend
      counters record where the one real simulation ran. *)
   ignore (Cirfix.Evaluate.eval_module ev m);
-  Alcotest.(check int) "one probe" 1 (Cirfix.Evaluate.count ev Probes);
-  Alcotest.(check int) "one memo hit" 1 (Cirfix.Evaluate.count ev Memo_hits);
-  Alcotest.(check int) "compiled sim counted" 1
-    (Cirfix.Evaluate.count ev Sims_compiled);
-  Alcotest.(check int) "no event sims" 0 (Cirfix.Evaluate.count ev Sims_event);
+  let count = Cirfix.Evaluate.get ev.table in
+  Alcotest.(check int) "one probe" 1 (count Probes);
+  Alcotest.(check int) "one memo hit" 1 (count Memo_hits);
+  Alcotest.(check int) "compiled sim counted" 1 (count Sims_compiled);
+  Alcotest.(check int) "no event sims" 0 (count Sims_event);
   let ev_e = Cirfix.Evaluate.create cfg_e problem in
   ignore (Cirfix.Evaluate.eval_module ev_e m);
-  Alcotest.(check int) "event sim counted" 1
-    (Cirfix.Evaluate.count ev_e Sims_event);
-  Alcotest.(check int) "no compiled sims" 0
-    (Cirfix.Evaluate.count ev_e Sims_compiled)
+  let count = Cirfix.Evaluate.get ev_e.table in
+  Alcotest.(check int) "event sim counted" 1 (count Sims_event);
+  Alcotest.(check int) "no compiled sims" 0 (count Sims_compiled)
 
 let test_brute_force_edit_inventory () =
   let problem = motivating_problem () in

@@ -315,7 +315,7 @@ let test_evaluate_rejected_racy () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected Rejected_racy");
   Alcotest.(check (float 0.0)) "fitness zero" 0.0 o.fitness;
-  let count = Cirfix.Evaluate.count ev in
+  let count = Cirfix.Evaluate.get ev.table in
   Alcotest.(check int) "counted once" 1 (count Racy_rejects);
   Alcotest.(check int) "no simulation spent" 0 (count Probes);
   (* Memoized: a second evaluation must not recount. *)
@@ -329,7 +329,7 @@ let test_evaluate_screen_off_simulates () =
   Alcotest.(check bool) "simulated when screening is off" true
     (o.status = Cirfix.Evaluate.Simulated);
   Alcotest.(check int) "no racy rejects" 0
-    (Cirfix.Evaluate.count ev Racy_rejects)
+    (Cirfix.Evaluate.get ev.table Racy_rejects)
 
 let test_evaluate_runtime_races_counted () =
   let problem = screen_problem () in
@@ -339,7 +339,7 @@ let test_evaluate_runtime_races_counted () =
   Alcotest.(check bool) "simulated" true (o.status = Cirfix.Evaluate.Simulated);
   Alcotest.(check bool) "dynamic write-write race observed" true (o.races > 0);
   Alcotest.(check int) "totalled on the evaluator" o.races
-    (Cirfix.Evaluate.count ev Runtime_races)
+    (Cirfix.Evaluate.get ev.table Runtime_races)
 
 (* --- GP integration: counters and jobs-independence -------------------- *)
 
