@@ -52,8 +52,9 @@ type outcome = {
 
     One table holds every count the evaluator keeps. Each [counter] is a
     row; its {!name} is its journal key. Adding or deleting a counter is
-    one constructor plus its name: snapshots, journal records, the GP
-    funnel groups and the [Obs.Metrics] mirrors all walk the table. *)
+    one constructor (in the type and in {!all_counters}) plus its name:
+    snapshots, journal records, the GP funnel groups and the
+    [Obs.Metrics] mirrors all walk the table. *)
 
 type counter =
   | Lookups  (** evaluations requested, memoized or not *)
