@@ -1,0 +1,199 @@
+(* Static-analysis golden: every module-level analysis that reads the
+   dependence graph, printed over three input sets so that a change to
+   the graph (or to any consumer of it) shows up as a diff.
+
+   Inputs, in output order:
+   - the 22 design+testbench pairs (11 projects x {tb, tb2});
+   - the 32 defect scenarios' faulty designs;
+   - seeded [Mutate.mutate] mutants of every scenario's target module,
+     in rounds: round r holds mutant r of every scenario, so a prefix of
+     the rounds is a prefix of the output.
+
+   For each input it prints [Analysis.check_module] findings (with the
+   design as context), the [Analysis.screen] verdict under the default
+   screen checks, [Race.check_design] findings under the testbench top
+   and the single-module [Race.screen] verdict, [Lint.check_module]
+   findings, and the [Slice.slice] plan of every output port. Pairs and
+   scenarios cover every module; mutants cover the mutated target.
+
+   Usage: deps_golden_run [--all] [--expect FILE]
+   The default prints the pairs, the scenarios and the first
+   [smoke_rounds] mutant rounds; --all prints every round. With
+   --expect, the output must equal FILE (--all) or be a prefix of it
+   (default), else the run fails naming the first differing line; only
+   a one-line summary is printed then. Regenerate the fixture with
+   [deps_golden_run --all > test/fixtures/deps-expected.txt]. *)
+
+open Verilog.Ast
+
+let rounds = 12
+let smoke_rounds = 2
+
+let findings buf label fs =
+  List.iter
+    (fun f ->
+      Buffer.add_string buf
+        (Format.asprintf "  %s %a\n" label Verilog.Lint.pp_finding f))
+    fs
+
+let ids l = String.concat " " (List.map string_of_int l)
+
+let verdict = function None -> "pass" | Some r -> "reject: " ^ r
+
+let report_module buf (design : design) (m : module_decl) =
+  Printf.bprintf buf " module %s\n" m.mod_id;
+  findings buf "analysis" (Verilog.Analysis.check_module ~design m);
+  Printf.bprintf buf "  screen %s\n"
+    (verdict
+       (Verilog.Analysis.screen ~checks:Cirfix.Config.default.screen_checks m));
+  Printf.bprintf buf "  race-screen %s\n"
+    (verdict
+       (Verilog.Race.screen ~hazards:Verilog.Race.all_hazards m));
+  findings buf "lint" (Verilog.Lint.check_module m);
+  List.iter
+    (fun o ->
+      let p = Verilog.Slice.slice ~design m ~outputs:[ o ] in
+      Printf.bprintf buf
+        "  slice %s: kept [%s] dropped [%s] outputs [%s] inputs [%s] \
+         procs %d/%d\n"
+        o (ids p.sl_kept) (ids p.sl_dropped)
+        (String.concat " " p.sl_outputs)
+        (String.concat " " p.sl_inputs)
+        p.sl_procs_kept p.sl_procs_total)
+    (Verilog.Slice.output_ports m)
+
+let report buf ~label ~top (design : design) (modules : module_decl list) =
+  Printf.bprintf buf "== %s\n" label;
+  findings buf "race" (Verilog.Race.check_design ~top design);
+  List.iter (report_module buf design) modules
+
+let parse label src =
+  match Verilog.Parser.parse_design_result src with
+  | Ok d -> Some d
+  | Error e ->
+      Printf.printf "FAIL %s: parse error: %s\n" label e;
+      None
+
+let find_module (d : design) name =
+  List.find (fun (m : module_decl) -> m.mod_id = name) d
+
+(* One scenario's faulty design (with the repair testbench). *)
+let scenario_design (d : Bench_suite.Defects.t) =
+  let p = Bench_suite.Projects.find d.project in
+  parse
+    (Printf.sprintf "scenario #%d" d.id)
+    (Bench_suite.Defects.inject d ^ "\n" ^ Bench_suite.Projects.tb_source p)
+
+let describe e =
+  let s = Cirfix.Patch.edit_to_string e in
+  if String.length s <= 100 then s else String.sub s 0 100 ^ "..."
+
+(* A random walk of single mutations from the faulty target: mutant r
+   applies one [Mutate.mutate] edit to mutant r-1, restarting from the
+   faulty module every four steps. Draws that yield no applicable edit
+   leave the module unchanged. *)
+let mutant_walk (d : Bench_suite.Defects.t) (target : module_decl) ~n =
+  let rng = Random.State.make [| 0xdeb5; d.id |] in
+  let cfg = Cirfix.Config.default in
+  let step (m : module_decl) =
+    let fl_stmts = Verilog.Ast_utils.stmts_of_module m in
+    match Cirfix.Mutate.mutate rng cfg m ~fl_stmts with
+    | None -> (m, "none")
+    | Some e -> (
+        match Cirfix.Patch.apply_edit m e with
+        | Some m' -> (m', describe e)
+        | None -> (m, "inapplicable " ^ describe e))
+  in
+  let rec go r prev acc =
+    if r = n then List.rev acc
+    else
+      let base = if r mod 4 = 0 then target else prev in
+      let m, e = step base in
+      go (r + 1) m ((m, e) :: acc)
+  in
+  go 0 target []
+
+let () =
+  let all = Array.exists (String.equal "--all") Sys.argv in
+  let expect =
+    let rec find i =
+      if i + 1 >= Array.length Sys.argv then None
+      else if Sys.argv.(i) = "--expect" then Some Sys.argv.(i + 1)
+      else find (i + 1)
+    in
+    find 1
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (p : Bench_suite.Projects.t) ->
+      List.iteri
+        (fun i tb ->
+          let label = Printf.sprintf "pair %s tb%d" p.name (i + 1) in
+          match parse label (Bench_suite.Projects.design_source p ^ "\n" ^ tb) with
+          | None -> ()
+          | Some design -> report buf ~label ~top:p.tb_module design design)
+        [ Bench_suite.Projects.tb_source p; Bench_suite.Projects.tb2_source p ])
+    Bench_suite.Projects.all;
+  let scenarios =
+    List.filter_map
+      (fun (d : Bench_suite.Defects.t) ->
+        Option.map (fun design -> (d, design)) (scenario_design d))
+      Bench_suite.Defects.all
+  in
+  List.iter
+    (fun ((d : Bench_suite.Defects.t), design) ->
+      let p = Bench_suite.Projects.find d.project in
+      report buf
+        ~label:(Printf.sprintf "scenario #%d %s" d.id d.project)
+        ~top:p.tb_module design design)
+    scenarios;
+  let n = if all then rounds else smoke_rounds in
+  let walks =
+    List.map
+      (fun ((d : Bench_suite.Defects.t), design) ->
+        (d, design, mutant_walk d (find_module design d.target) ~n))
+      scenarios
+  in
+  for r = 0 to n - 1 do
+    List.iter
+      (fun ((d : Bench_suite.Defects.t), design, walk) ->
+        let m, edit = List.nth walk r in
+        let p = Bench_suite.Projects.find d.project in
+        let design' =
+          List.map
+            (fun (x : module_decl) -> if x.mod_id = d.target then m else x)
+            design
+        in
+        report buf
+          ~label:(Printf.sprintf "mutant #%d.%d %s" d.id r edit)
+          ~top:p.tb_module design' [ m ])
+      walks
+  done;
+  let out = Buffer.contents buf in
+  match expect with
+  | None -> print_string out
+  | Some file ->
+      let want = In_channel.with_open_bin file In_channel.input_all in
+      let ok =
+        if all then String.equal out want
+        else
+          String.length out <= String.length want
+          && String.equal out (String.sub want 0 (String.length out))
+      in
+      if not ok then begin
+        let got_l = String.split_on_char '\n' out
+        and want_l = String.split_on_char '\n' want in
+        let rec first i = function
+          | g :: gs, w :: ws -> if g = w then first (i + 1) (gs, ws) else (i, g, w)
+          | g :: _, [] -> (i, g, "<end of file>")
+          | [], _ -> (i, "<end of output>", "")
+        in
+        let i, g, w = first 1 (got_l, want_l) in
+        Printf.eprintf "deps golden: line %d differs from %s\n  got:  %s\n  want: %s\n"
+          i file g w;
+        exit 1
+      end
+      else
+        Printf.printf "deps golden: %d lines match %s\n"
+          (List.length (String.split_on_char '\n' out) - 1)
+          file
