@@ -286,28 +286,11 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
     sc
 
   and bind_ports ~parent ~child ~(child_mod : module_decl) ~inst_name conns =
-    let directions = Hashtbl.create 8 in
+    let bindings, extra = Verilog.Deps.resolve_conns child_mod conns in
+    if extra <> [] then fail "too many positional connections for %s" inst_name;
     List.iter
-      (fun item ->
-        match item.it with
-        | PortDecl (dir, _, _, names) ->
-            List.iter (fun n -> Hashtbl.replace directions n dir) names
-        | _ -> ())
-      child_mod.items;
-    let pairs =
-      List.mapi
-        (fun i conn ->
-          match conn with
-          | Named (p, e) -> (p, e)
-          | Positional e -> (
-              match List.nth_opt child_mod.mod_ports i with
-              | Some p -> (p, Some e)
-              | None -> fail "too many positional connections for %s" inst_name))
-        conns
-    in
-    List.iter
-      (fun (port, expr_opt) ->
-        match expr_opt with
+      (fun ({ port; dir; conn } : Verilog.Deps.binding) ->
+        match conn with
         | None -> ()
         | Some e -> (
             let inner =
@@ -315,7 +298,7 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
               | Some (Runtime.Bvar v) -> v
               | _ -> fail "instance %s has no port %s" inst_name port
             in
-            match Hashtbl.find_opt directions port with
+            match dir with
             | Some Input ->
                 (* Drive the child net from the parent expression. *)
                 let thunk () =
@@ -351,7 +334,7 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
                   }
             | Some Inout -> fail "inout ports are not supported (%s)" port
             | None -> fail "%s is not a port of %s" port child_mod.mod_id))
-      pairs
+      bindings
   in
 
   let top_mod = find_module design top in

@@ -1,43 +1,10 @@
-(** Semantic static analysis over a module: a def-use/driver graph and four
-    analyses on top of it. Unlike {!Lint}, which checks style and
-    synthesizability conventions, this pass reasons about semantics —
+(** Semantic static analysis over a module's dependence graph ({!Deps}).
+    Unlike {!Lint}, which checks style and synthesizability conventions,
+    this pass reasons about semantics —
     combinational feedback, x-propagation seeds, width truncation, and
     statically-decided control flow — and is cheap enough to run on every
     repair candidate before simulation (the repair engine's pre-simulation
     mutant screener). *)
-
-module Names : Set.S with type elt = string
-
-(** {1 Driver graph} *)
-
-type driver_kind =
-  | Cont_assign  (** continuous [assign] *)
-  | Comb_proc  (** combinational / level-sensitive always block *)
-  | Seq_proc  (** clocked (edge-sensitive) or self-timed always block *)
-
-type driver = {
-  dk : driver_kind;
-  dnode : Ast.id;  (** node id of the driving statement or item *)
-  dsupports : Names.t;
-      (** signals whose change can re-evaluate this driver at zero delay
-          and propagate to the target (empty for [Seq_proc]) *)
-}
-
-type graph
-(** A module-level def-use summary: every net mapped to its structural
-    drivers, plus the read set, initialization facts, and the constant
-    environment used by the width checker. *)
-
-val build : Ast.module_decl -> graph
-
-val drivers_of : graph -> string -> driver list
-(** Structural drivers of a net, in source order. *)
-
-val nets : graph -> string list
-(** All driven nets, sorted. *)
-
-val reads : graph -> Names.t
-(** Every identifier read anywhere in the module. *)
 
 (** {1 Analyses} *)
 

@@ -6,7 +6,7 @@
 
 open Ast
 
-module Names = Set.Make (String)
+module Names = Deps.Names
 
 type severity = Warning | Error
 
@@ -20,49 +20,6 @@ type finding = {
 
 let finding severity rule ~modname node fmt =
   Printf.ksprintf (fun message -> { severity; rule; modname; node; message }) fmt
-
-(* Sensitivity-list classification for an always process. *)
-type process_style =
-  | Clocked (* posedge/negedge in the list *)
-  | Combinational (* level or star sensitivity *)
-  | Mixed (* both edge and level items: usually a mistake *)
-
-let style_of_specs specs =
-  let edge =
-    List.exists (function Posedge _ | Negedge _ -> true | _ -> false) specs
-  in
-  let level =
-    List.exists (function Level _ | AnyChange -> true | _ -> false) specs
-  in
-  match (edge, level) with
-  | true, true -> Mixed
-  | true, false -> Clocked
-  | _ -> Combinational
-
-(* Names read / written inside a statement. *)
-let reads_writes (s : stmt) : Names.t * Names.t =
-  let reads =
-    Ast_utils.fold_stmt
-      (fun acc _ -> acc)
-      (fun acc (e : expr) ->
-        match e.e with
-        | Ident n | Index (n, _) | RangeSel (n, _, _) -> Names.add n acc
-        | _ -> acc)
-      Names.empty s
-  in
-  let writes =
-    Ast_utils.fold_stmt
-      (fun acc (sub : stmt) ->
-        match sub.s with
-        | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) ->
-            List.fold_left
-              (fun acc n -> Names.add n acc)
-              acc (Ast_utils.lvalue_base lhs)
-        | _ -> acc)
-      (fun acc _ -> acc)
-      Names.empty s
-  in
-  (reads, writes)
 
 (* Does a statement contain any delay/event/wait timing control? *)
 let has_timing (s : stmt) =
@@ -129,84 +86,56 @@ let rec always_assigns name (s : stmt) : bool =
   | _ -> false
 
 let check_always ~(params : Names.t) ~modname (acc : finding list)
-    (item : item) (s : stmt) : finding list =
-  match s.s with
-  | EventCtrl (specs, body) -> (
-      let style = style_of_specs specs in
+    (n : Deps.node) (s : stmt) : finding list =
+  match (n.kind, s.s) with
+  | Deps.Always sens, EventCtrl (_, body) -> (
       let acc =
-        if style = Mixed then
+        if sens.style = Deps.Mixed then
           finding Error "mixed-sensitivity" ~modname s.sid
             "sensitivity list mixes edge and level items"
           :: acc
         else acc
       in
-      match (style, body) with
+      match (sens.style, body) with
       | (Combinational | Mixed), Some body ->
-          let reads, writes = reads_writes body in
           (* Incomplete sensitivity: a read signal missing from the list
              (unless the star form is used). *)
-          let star = List.mem AnyChange specs in
-          let listed =
-            List.fold_left
-              (fun acc spec ->
-                match spec with
-                | Level e | Posedge e | Negedge e ->
-                    List.fold_left
-                      (fun acc n -> Names.add n acc)
-                      acc (Ast_utils.expr_idents e)
-                | AnyChange -> acc)
-              Names.empty specs
-          in
           let acc =
-            if star then acc
+            if sens.star then acc
             else
               Names.fold
-                (fun n acc ->
-                  if Names.mem n listed || Names.mem n writes
-                     || Names.mem n params (* constants never change *) then
+                (fun r acc ->
+                  if Names.mem r sens.listed || Names.mem r n.writes
+                     || Names.mem r params (* constants never change *) then
                     acc
                   else
                     finding Warning "incomplete-sensitivity" ~modname s.sid
                       "combinational block reads %s but is not sensitive to it"
-                      n
+                      r
                     :: acc)
-                reads acc
+                n.reads acc
           in
           (* Latch inference: a written signal not assigned on all paths. *)
           let acc =
             Names.fold
-              (fun n acc ->
-                if always_assigns n body then acc
+              (fun w acc ->
+                if always_assigns w body then acc
                 else
                   finding Warning "inferred-latch" ~modname s.sid
                     "%s is not assigned on every path of a combinational block (latch inferred)"
-                    n
+                    w
                   :: acc)
-              writes acc
+              n.writes acc
           in
           (* Combinational blocks should use blocking assignments. *)
-          let nba =
-            Ast_utils.fold_stmt
-              (fun acc (sub : stmt) ->
-                acc || match sub.s with Nonblocking _ -> true | _ -> false)
-              (fun acc _ -> acc)
-              false body
-          in
-          if nba then
+          if not (Names.is_empty n.nba) then
             finding Warning "nonblocking-in-comb" ~modname s.sid
               "non-blocking assignment inside a combinational block"
             :: acc
           else acc
-      | Clocked, Some body ->
+      | Clocked, Some _ ->
           (* Clocked blocks should use non-blocking assignments. *)
-          let blk =
-            Ast_utils.fold_stmt
-              (fun acc (sub : stmt) ->
-                acc || match sub.s with Blocking _ -> true | _ -> false)
-              (fun acc _ -> acc)
-              false body
-          in
-          if blk then
+          if not (Names.is_empty n.blk) then
             finding Warning "blocking-in-clocked" ~modname s.sid
               "blocking assignment inside a clocked block"
             :: acc
@@ -216,60 +145,51 @@ let check_always ~(params : Names.t) ~modname (acc : finding list)
       (* An always process without a leading event control free-runs. *)
       if has_timing s then acc
       else
-        finding Error "free-running-always" ~modname item.iid
+        finding Error "free-running-always" ~modname n.id
           "always block has no timing control and will loop at time 0"
         :: acc
 
-(* Collect the names driven by each kind of writer for multi-driver
-   detection. *)
-let drivers (m : module_decl) : (string * string) list =
+(* The structural drivers of each net, one entry per continuous
+   assignment and per always block, for multi-driver detection. *)
+let drivers (g : Deps.t) : (string * string) list =
   List.concat_map
-    (fun (item : item) ->
-      match item.it with
-      | ContAssign assigns ->
+    (fun (n : Deps.node) ->
+      match n.kind with
+      | Assign ->
           List.concat_map
-            (fun (lhs, _) ->
-              List.map (fun n -> (n, "assign")) (Ast_utils.lvalue_base lhs))
-            assigns
-      | Always s ->
-          let _, writes = reads_writes s in
-          Names.fold (fun n acc -> (n, "always") :: acc) writes []
+            (fun (a : Deps.assign) -> List.map (fun t -> (t, "assign")) a.a_targets)
+            n.assigns
+      | Always _ | Timed -> Names.fold (fun w acc -> (w, "always") :: acc) n.writes []
       | _ -> [])
-    m.items
+    (Deps.nodes g)
 
 let check_module (m : module_decl) : finding list =
   let modname = m.mod_id in
-  let params =
-    List.fold_left
-      (fun acc (item : item) ->
-        match item.it with
-        | ParamDecl (_, pairs) ->
-            List.fold_left (fun acc (n, _) -> Names.add n acc) acc pairs
-        | _ -> acc)
-      Names.empty m.items
-  in
+  let g = Deps.build m in
+  let params = Deps.params g in
   let acc = ref [] in
   List.iter
-    (fun (item : item) ->
-      match item.it with
-      | Always s -> acc := check_always ~params ~modname !acc item s
-      | Initial s ->
+    (fun (n : Deps.node) ->
+      match (n.kind, n.item.it) with
+      | (Always _ | Timed), Always s ->
+          acc := check_always ~params ~modname !acc n s
+      | Initial, Initial s ->
           (* $display-only initial blocks are fine; warn on synthesis
              blockers like delays driving design state. *)
           if has_timing s then
             acc :=
-              finding Warning "delay-in-design" ~modname item.iid
+              finding Warning "delay-in-design" ~modname n.id
                 "initial/timed logic is not synthesizable (testbench-only construct)"
               :: !acc
       | _ -> ())
-    m.items;
+    (Deps.nodes g);
   (* Multiple structural drivers for one net. *)
   let tally = Hashtbl.create 8 in
   List.iter
     (fun (n, kind) ->
       Hashtbl.replace tally n
         (kind :: Option.value (Hashtbl.find_opt tally n) ~default:[]))
-    (drivers m);
+    (drivers g);
   (* Any net with more than one structural driver is contention: two
      continuous assigns, two always blocks, or a mix of the two. The mixed
      case keeps its more specific diagnosis. *)
@@ -302,3 +222,10 @@ let pp_finding fmt (f : finding) =
   Format.fprintf fmt "%s [%s] %s:%d: %s"
     (match f.severity with Warning -> "warning" | Error -> "error")
     f.rule f.modname f.node f.message
+
+(* A screener's one-line rejection reason: the first Error-severity
+   finding, else the first finding; [None] when there is none. *)
+let screen_reason (findings : finding list) : string option =
+  match List.find_opt (fun f -> f.severity = Error) findings with
+  | Some f -> Some (Format.asprintf "%a" pp_finding f)
+  | None -> Option.map (Format.asprintf "%a" pp_finding) (List.nth_opt findings 0)

@@ -381,6 +381,111 @@ let test_gp_race_knobs_deterministic () =
     (counts r2.counters);
   Alcotest.(check int) "same mutants" r1.mutants_generated r2.mutants_generated
 
+(* --- Port binding: one resolver for the analyses and the elaborator ----- *)
+
+(* Four instances of one child, one per connection style. Each child
+   blocking-assigns its output on the clock edge the parent reads it on,
+   so Race reports one blocking-read-write per instance whose clock and
+   output ports it aliased to the parent's nets. *)
+let ports_child =
+  "module child(clk, a, y); input clk; input a; output y; reg y;\n\
+   always @(posedge clk) y = a;\n\
+   endmodule\n"
+
+let ports_src =
+  ports_child
+  ^ "module top(clk, p, o1, o2, o3, o4);\n\
+     input clk, p; output o1, o2, o3, o4; reg r1, r2, r3, r4;\n\
+     child u_pos(clk, p, o1);\n\
+     child u_named(.y(o2), .clk(clk), .a(p));\n\
+     child u_mixed(clk, .y(o3), .a(p));\n\
+     child u_open(.clk(clk), .a(), .y(o4));\n\
+     always @(posedge clk) begin r1 <= o1; r2 <= o2; r3 <= o3; r4 <= o4; end\n\
+     endmodule"
+
+let over_src =
+  ports_child
+  ^ "module top(clk, p, o1); input clk, p; output o1; reg r1;\n\
+     child u_over(clk, p, o1, p);\n\
+     always @(posedge clk) r1 <= o1;\n\
+     endmodule"
+
+let find_m (d : Verilog.Ast.design) name =
+  List.find (fun (m : Verilog.Ast.module_decl) -> m.mod_id = name) d
+
+(* Hierarchical child ports the dependence graph binds to a connection. *)
+let deps_bound (d : Verilog.Ast.design) =
+  List.concat_map
+    (fun (n : Verilog.Deps.node) ->
+      match n.kind with
+      | Instance { inst; bindings; _ } ->
+          List.filter_map
+            (fun (b : Verilog.Deps.binding) ->
+              Option.map (fun _ -> "top." ^ inst ^ "." ^ b.port) b.conn)
+            bindings
+      | _ -> [])
+    (Verilog.Deps.nodes (Verilog.Deps.build ~design:d (find_m d "top")))
+  |> List.sort compare
+
+(* Child ports the elaborator drives from, or into, the parent. *)
+let elaborate_bound (d : Verilog.Ast.design) =
+  let el = Sim.Elaborate.elaborate d ~top:"top" in
+  List.filter_map
+    (fun (cb : Sim.Elaborate.comb) ->
+      match cb.cb_desc with
+      | CPortIn (_, v, _) | CPortOut (_, _, v) -> Some v.Sim.Runtime.v_name
+      | CInit _ | CAssign _ -> None)
+    el.combs
+  |> List.sort compare
+
+let slice_inputs (d : Verilog.Ast.design) out =
+  (Verilog.Slice.slice ~design:d (find_m d "top") ~outputs:[ out ]).sl_inputs
+
+let race_read_signals (d : Verilog.Ast.design) =
+  Verilog.Race.check_design ~top:"top" d
+  |> List.filter_map (fun (f : Verilog.Lint.finding) ->
+         if f.rule = "blocking-read-write" then
+           Some (List.hd (String.split_on_char ' ' f.message))
+         else None)
+  |> List.sort compare
+
+let test_ports_styles () =
+  let d = parse ports_src in
+  let bound = elaborate_bound d in
+  Alcotest.(check (list string)) "elaborator binds every connected port"
+    [
+      "top.u_mixed.a"; "top.u_mixed.clk"; "top.u_mixed.y"; "top.u_named.a";
+      "top.u_named.clk"; "top.u_named.y"; "top.u_open.clk"; "top.u_open.y";
+      "top.u_pos.a"; "top.u_pos.clk"; "top.u_pos.y";
+    ]
+    bound;
+  Alcotest.(check (list string)) "graph binds the same ports" bound (deps_bound d);
+  List.iter
+    (fun o ->
+      Alcotest.(check (list string)) ("slice inputs of " ^ o) [ "clk"; "p" ]
+        (slice_inputs d o))
+    [ "o1"; "o2"; "o3" ];
+  Alcotest.(check (list string)) "slice skips the unconnected .a()" [ "clk" ]
+    (slice_inputs d "o4");
+  Alcotest.(check (list string)) "race aliases every output"
+    [ "top.o1"; "top.o2"; "top.o3"; "top.o4" ]
+    (race_read_signals d)
+
+let test_ports_too_many_positional () =
+  let d = parse over_src in
+  (match Sim.Elaborate.elaborate d ~top:"top" with
+  | _ -> Alcotest.fail "elaboration accepted a fourth positional connection"
+  | exception Sim.Runtime.Elab_error msg ->
+      Alcotest.(check string) "elaborator message"
+        "too many positional connections for u_over" msg);
+  Alcotest.(check (list string)) "graph drops the extra connection"
+    [ "top.u_over.a"; "top.u_over.clk"; "top.u_over.y" ]
+    (deps_bound d);
+  Alcotest.(check (list string)) "slice inputs" [ "clk"; "p" ]
+    (slice_inputs d "o1");
+  Alcotest.(check (list string)) "race aliases the output" [ "top.o1" ]
+    (race_read_signals d)
+
 let () =
   Alcotest.run "race"
     [
@@ -403,6 +508,13 @@ let () =
           Alcotest.test_case "screen" `Quick test_static_screen;
           Alcotest.test_case "benchmarks clean" `Quick
             test_static_benchmarks_clean;
+        ] );
+      ( "ports",
+        [
+          Alcotest.test_case "connection styles bind alike" `Quick
+            test_ports_styles;
+          Alcotest.test_case "too many positional" `Quick
+            test_ports_too_many_positional;
         ] );
       ( "full-case",
         [

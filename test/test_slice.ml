@@ -22,15 +22,15 @@ let chains_src =
 (* The node writing [net], for tests that need concrete item ids. *)
 let writer g net =
   match
-    List.find_opt (fun (n : Slice.node) -> Slice.Names.mem net n.n_writes)
-      (Slice.nodes g)
+    List.find_opt (fun (n : Deps.node) -> Deps.Names.mem net n.writes)
+      (Deps.nodes g)
   with
   | Some n -> n
   | None -> Alcotest.fail ("no node writes " ^ net)
 
 let test_backward_cone () =
   let m = parse_m chains_src in
-  let g = Slice.build m in
+  let g = Deps.build m in
   let ids, names = Slice.backward g (Slice.Names.singleton "y") in
   Alcotest.(check int) "y cone: two nodes" 2 (Slice.Ids.cardinal ids);
   Alcotest.(check bool) "y cone names" true
@@ -50,19 +50,19 @@ let test_write_closure () =
        always @(posedge clk) y <= s;\n\
        endmodule"
   in
-  let g = Slice.build m in
+  let g = Deps.build m in
   let ids, _ = Slice.backward g (Slice.Names.singleton "y") in
   Alcotest.(check int) "all three nodes kept" 3 (Slice.Ids.cardinal ids)
 
 let test_forward_cone () =
   let m = parse_m chains_src in
-  let g = Slice.build m in
+  let g = Deps.build m in
   let t_writer = writer g "t" in
-  let fwd = Slice.forward g (Slice.Ids.singleton t_writer.n_id) in
+  let fwd = Slice.forward g (Slice.Ids.singleton t_writer.id) in
   Alcotest.(check bool) "reaches y's writer" true
-    (Slice.Ids.mem (writer g "y").n_id fwd);
+    (Slice.Ids.mem (writer g "y").id fwd);
   Alcotest.(check bool) "does not reach z's writer" false
-    (Slice.Ids.mem (writer g "z").n_id fwd)
+    (Slice.Ids.mem (writer g "z").id fwd)
 
 let test_slice_extraction () =
   let m = parse_m chains_src in
