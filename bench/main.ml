@@ -1257,35 +1257,14 @@ let sim_perf () =
 let profile_perf () =
   section "Simulator self-profile: per-edge cost ledger (writes BENCH_profile.json)";
   let runs = if !quick then 10 else 30 in
-  let profile_backend design spec backend =
-    let run () = Sim.Simulate.run ~backend design spec in
-    match run () with
-    | Error (Sim.Simulate.Elab_failure e) -> Error e
-    | Ok warm ->
-        Obs.Profile.start ();
-        let t0 = Obs.Clock.now_ns () in
-        let last = ref warm in
-        for _ = 1 to runs do
-          match run () with
-          | Ok r -> last := r
-          | Error (Sim.Simulate.Elab_failure e) -> failwith e
-        done;
-        let wall_ns = Obs.Clock.now_ns () - t0 in
-        Obs.Profile.stop ();
-        let report = Obs.Profile.report () in
-        let edges = runs * List.length !last.Sim.Simulate.trace in
-        Ok
-          ( Sim.Simulate.backend_used_to_string !last.Sim.Simulate.backend_used,
-            report, wall_ns, edges )
-  in
   let backend_json name = function
-    | Error e ->
+    | Error (Sim.Simulate.Elab_failure e) ->
         Obs.Json.Obj
           [
             ("backend", Obs.Json.Str name);
             ("error", Obs.Json.Str e);
           ]
-    | Ok (used, (report : Obs.Profile.report), wall_ns, edges) ->
+    | Ok { Sim.Simulate.used; report; wall_ns; edges } ->
         let per_edge ns =
           if edges = 0 then 0. else float_of_int ns /. float_of_int edges
         in
@@ -1301,22 +1280,11 @@ let profile_perf () =
                    ])
                select)
         in
-        let is_proc n =
-          List.exists
-            (fun pre ->
-              String.length n > String.length pre
-              && String.sub n 0 (String.length pre) = pre)
-            [ "proc:"; "init:"; "commit:"; "gen:"; "node:" ]
-        in
-        let rec take n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | x :: tl -> x :: take (n - 1) tl
-        in
         Obs.Json.Obj
           [
             ("backend", Obs.Json.Str name);
-            ("backend_used", Obs.Json.Str used);
+            ( "backend_used",
+              Obs.Json.Str (Sim.Simulate.backend_used_to_string used) );
             ("edges", Obs.Json.Int edges);
             ("wall_ns", Obs.Json.Int wall_ns);
             ("attributed_ns", Obs.Json.Int report.r_total_ns);
@@ -1329,10 +1297,8 @@ let profile_perf () =
             ("regions", rows (Obs.Profile.regions report));
             ( "top_processes",
               rows
-                (take 5
-                   (List.filter
-                      (fun (n, _, _) -> is_proc n)
-                      (Obs.Profile.by_leaf report))) );
+                (List.filteri (fun i _ -> i < 5) (Sim.Simulate.proc_frames report))
+            );
           ]
   in
   Printf.printf "%-22s %10s %14s %14s %9s %9s\n" "project" "edges/run"
@@ -1346,11 +1312,12 @@ let profile_perf () =
           ^ Bench_suite.Projects.tb_source p
         in
         let design = Result.get_ok (Verilog.Parser.parse_design_result src) in
-        let ev = profile_backend design spec Sim.Simulate.Event in
-        let cp = profile_backend design spec Sim.Simulate.Compiled in
+        let profile backend = Sim.Simulate.profile ~runs ~backend design spec in
+        let ev = profile Sim.Simulate.Event in
+        let cp = profile Sim.Simulate.Compiled in
         let cell = function
           | Error _ -> ("-", "-")
-          | Ok (_, (r : Obs.Profile.report), wall_ns, edges) ->
+          | Ok { Sim.Simulate.report = r; wall_ns; edges; _ } ->
               ( (if edges = 0 then "-"
                  else
                    Printf.sprintf "%.1f"
@@ -1363,7 +1330,7 @@ let profile_perf () =
         in
         let e_ns, e_cov = cell ev and c_ns, c_cov = cell cp in
         let edges_per_run =
-          match ev with Ok (_, _, _, e) -> e / runs | Error _ -> 0
+          match ev with Ok p -> p.edges / runs | Error _ -> 0
         in
         Printf.printf "%-22s %10d %14s %14s %9s %9s\n" p.name edges_per_run
           e_ns c_ns e_cov c_cov;

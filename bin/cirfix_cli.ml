@@ -844,57 +844,24 @@ let brute_cmd =
 let region_order =
   [ "elab"; "setup"; "comb"; "active"; "nba"; "monitor"; "advance"; "collect" ]
 
-let is_proc_frame name =
-  List.exists
-    (fun pre ->
-      String.length name > String.length pre
-      && String.sub name 0 (String.length pre) = pre)
-    [ "proc:"; "init:"; "commit:"; "gen:"; "node:" ]
-
-(* One profiled measurement of a backend: a warm-up run (unprofiled, so a
-   compiled cache miss does not pollute the ledger), then [runs] profiled
-   runs under one wall-clock measurement. *)
-type backend_profile = {
-  pb_name : string;
-  pb_used : string; (* backend actually used (fallbacks are visible) *)
-  pb_report : Obs.Profile.report;
-  pb_wall_ns : int;
-  pb_edges : int; (* recorder samples per run x runs *)
-}
+(* One profiled measurement of a backend ({!Sim.Simulate.profile}). *)
+type backend_profile = { pb_name : string; pb : Sim.Simulate.profiled }
 
 let profile_backend ~runs design spec backend name : backend_profile =
-  let run () =
-    match Sim.Simulate.run ~backend design spec with
-    | Error (Sim.Simulate.Elab_failure m) ->
-        or_die (Error (Printf.sprintf "elaboration failed: %s" m))
-    | Ok r -> r
-  in
-  let warm = run () in
-  Obs.Profile.start ();
-  let t0 = Obs.Clock.now_ns () in
-  let last = ref warm in
-  for _ = 1 to runs do
-    last := run ()
-  done;
-  let wall_ns = Obs.Clock.now_ns () - t0 in
-  Obs.Profile.stop ();
-  {
-    pb_name = name;
-    pb_used = Sim.Simulate.backend_used_to_string !last.Sim.Simulate.backend_used;
-    pb_report = Obs.Profile.report ();
-    pb_wall_ns = wall_ns;
-    pb_edges = runs * List.length !last.Sim.Simulate.trace;
-  }
+  match Sim.Simulate.profile ~runs ~backend design spec with
+  | Error (Sim.Simulate.Elab_failure m) ->
+      or_die (Error (Printf.sprintf "elaboration failed: %s" m))
+  | Ok pb -> { pb_name = name; pb }
 
 let coverage_of (b : backend_profile) =
-  if b.pb_wall_ns = 0 then 1.0
-  else float_of_int b.pb_report.r_total_ns /. float_of_int b.pb_wall_ns
+  if b.pb.wall_ns = 0 then 1.0
+  else float_of_int b.pb.report.r_total_ns /. float_of_int b.pb.wall_ns
 
 (* Rows of (label, per-backend ns/edge cells), over the union of names
    seen by any backend, canonical regions first then by time. *)
 let ledger_rows ~select (backends : backend_profile list) =
   let per_backend =
-    List.map (fun b -> (b, select b.pb_report)) backends
+    List.map (fun b -> (b, select b.pb.report)) backends
   in
   let names =
     List.concat_map (fun (_, rows) -> List.map (fun (n, _, _) -> n) rows)
@@ -932,8 +899,8 @@ let ledger_rows ~select (backends : backend_profile list) =
                    (fun acc (n', ns, _) -> if n' = n then acc + ns else acc)
                    0 rows
                in
-               if b.pb_edges = 0 then None
-               else Some (float_of_int ns /. float_of_int b.pb_edges))
+               if b.pb.edges = 0 then None
+               else Some (float_of_int ns /. float_of_int b.pb.edges))
              per_backend ))
 
 let print_ledger (backends : backend_profile list) ~top_k =
@@ -970,29 +937,22 @@ let print_ledger (backends : backend_profile list) ~top_k =
     (List.map
        (fun (n, cells) -> (n, List.map cell cells))
        (ledger_rows ~select:Obs.Profile.regions backends));
-  let proc_rows =
-    ledger_rows
-      ~select:(fun r ->
-        List.filter (fun (n, _, _) -> is_proc_frame n) (Obs.Profile.by_leaf r))
-      backends
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
+  let proc_rows = ledger_rows ~select:Sim.Simulate.proc_frames backends in
   table
     (Printf.sprintf "top %d process/node frames (self time)" top_k)
-    (List.map (fun (n, cells) -> (n, List.map cell cells)) (take top_k proc_rows));
+    (List.map
+       (fun (n, cells) -> (n, List.map cell cells))
+       (List.filteri (fun i _ -> i < top_k) proc_rows));
   List.iter
     (fun b ->
       Printf.printf
         "%s: %d edges, %.2f ms wall, %.2f ms attributed (%.1f%% coverage, \
          backend: %s)\n"
-        b.pb_name b.pb_edges
-        (float_of_int b.pb_wall_ns /. 1e6)
-        (float_of_int b.pb_report.r_total_ns /. 1e6)
-        (100. *. coverage_of b) b.pb_used)
+        b.pb_name b.pb.edges
+        (float_of_int b.pb.wall_ns /. 1e6)
+        (float_of_int b.pb.report.r_total_ns /. 1e6)
+        (100. *. coverage_of b)
+        (Sim.Simulate.backend_used_to_string b.pb.used))
     backends
 
 let profile_json (backends : backend_profile list) ~runs =
@@ -1006,11 +966,12 @@ let profile_json (backends : backend_profile list) ~runs =
                Obs.Json.Obj
                  [
                    ("backend", Obs.Json.Str b.pb_name);
-                   ("backend_used", Obs.Json.Str b.pb_used);
-                   ("edges", Obs.Json.Int b.pb_edges);
-                   ("wall_ns", Obs.Json.Int b.pb_wall_ns);
+                   ( "backend_used",
+                     Obs.Json.Str (Sim.Simulate.backend_used_to_string b.pb.used) );
+                   ("edges", Obs.Json.Int b.pb.edges);
+                   ("wall_ns", Obs.Json.Int b.pb.wall_ns);
                    ("coverage", Obs.Json.Float (coverage_of b));
-                   ("report", Obs.Profile.to_json b.pb_report);
+                   ("report", Obs.Profile.to_json b.pb.report);
                  ])
              backends) );
     ]
@@ -1038,7 +999,7 @@ let profile_run design testbench top clock dut which runs top_k folded out
     (fun b ->
       List.iter
         (fun msg -> Printf.eprintf "profile imbalance (%s): %s\n" b.pb_name msg)
-        b.pb_report.Obs.Profile.r_imbalances)
+        b.pb.report.Obs.Profile.r_imbalances)
     backends;
   print_ledger backends ~top_k;
   (match folded with
@@ -1052,7 +1013,7 @@ let profile_run design testbench top clock dut which runs top_k folded out
                   Printf.fprintf oc "%s;%s %d\n" b.pb_name
                     (String.concat ";" p.p_stack)
                     p.p_ns)
-                b.pb_report.r_paths)
+                b.pb.report.r_paths)
             backends);
       Printf.printf "folded stacks written to %s\n" path);
   (match out with

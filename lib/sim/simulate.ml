@@ -303,3 +303,48 @@ let run_source ?max_steps ?max_time ?check_races ?backend ~(source : string)
   match Verilog.Parser.parse_design_result source with
   | Error msg -> Error (Elab_failure msg)
   | Ok design -> run ?max_steps ?max_time ?check_races ?backend design spec
+
+(* --- Profiled runs ------------------------------------------------------ *)
+
+type profiled = {
+  used : backend_used; (* of the last profiled run *)
+  report : Obs.Profile.report;
+  wall_ns : int; (* over all profiled runs *)
+  edges : int; (* recorded samples per run x runs *)
+}
+
+(* One unprofiled warm-up run, so that a compiled cache miss does not
+   pollute the ledger, then [runs] profiled runs under one wall-clock
+   measurement. [Error] when the warm-up fails to elaborate. *)
+let profile ~runs ~backend (design : Verilog.Ast.design) (spec : spec) :
+    (profiled, error) Stdlib.result =
+  match run ~backend design spec with
+  | Error e -> Error e
+  | Ok warm ->
+      Obs.Profile.start ();
+      let t0 = Obs.Clock.now_ns () in
+      let last = ref warm in
+      for _ = 1 to runs do
+        match run ~backend design spec with
+        | Ok r -> last := r
+        | Error (Elab_failure e) -> failwith e
+      done;
+      let wall_ns = Obs.Clock.now_ns () - t0 in
+      Obs.Profile.stop ();
+      Ok
+        {
+          used = !last.backend_used;
+          report = Obs.Profile.report ();
+          wall_ns;
+          edges = runs * List.length !last.trace;
+        }
+
+(* Self time of the process and node frames (always/initial bodies,
+   NBA commits, generated and compiled nodes), hottest first. *)
+let proc_frames (r : Obs.Profile.report) =
+  List.filter
+    (fun (name, _, _) ->
+      List.exists
+        (fun pre -> String.starts_with ~prefix:pre name && name <> pre)
+        [ "proc:"; "init:"; "commit:"; "gen:"; "node:" ])
+    (Obs.Profile.by_leaf r)
