@@ -127,14 +127,14 @@ let expr_idents e =
     [] e
   |> List.rev
 
-let lvalue_base = function
-  | LId n | LIndex (n, _) | LRange (n, _, _) -> [ n ]
-  | LConcat lvs ->
-      List.concat_map
-        (function
-          | LId n | LIndex (n, _) | LRange (n, _, _) -> [ n ]
-          | LConcat _ -> [])
-        lvs
+(* Assigned nets of an lvalue, left to right, through nested
+   concatenations. *)
+let lvalue_base lv =
+  let rec go acc = function
+    | LId n | LIndex (n, _) | LRange (n, _, _) -> n :: acc
+    | LConcat lvs -> List.fold_left go acc lvs
+  in
+  List.rev (go [] lv)
 
 (* Node ids of an expression subtree. *)
 let expr_subtree_ids e = fold_expr (fun acc (x : expr) -> x.eid :: acc) [] e
