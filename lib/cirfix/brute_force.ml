@@ -90,12 +90,11 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         (Evaluate.eval_module whole_ev (Slicing.stitch s patch)).fitness >= 1.0
   in
   let original = Problem.target_module problem in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. cfg.max_wall_seconds in
+  let t0 = Obs.Clock.now_ns () in
   let tried = ref 0 in
   let found = ref None in
   let out_of_resources () =
-    Unix.gettimeofday () > deadline
+    Obs.Clock.seconds_since t0 > cfg.max_wall_seconds
     || Evaluate.get ev.table Probes >= cfg.max_probes
   in
   let edits = single_edits original in
@@ -122,7 +121,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ("best", Obs.Json.Float !best);
       ]
       @ Evaluate.journal_fields ~final:false (Evaluate.counters ev)
-      @ [ ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0)) ])
+      @ [ ("elapsed_s", Obs.Json.Float (Obs.Clock.seconds_since t0)) ])
   in
   Pool.with_pool ~jobs:cfg.jobs @@ fun pool ->
   (* The enumeration order of the sequential sweep, as a lazy stream:
@@ -213,7 +212,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ("probes", Obs.Json.Int (Evaluate.get counters Probes));
         ("lookups", Obs.Json.Int (Evaluate.get counters Lookups));
         ("memo_hits", Obs.Json.Int (Evaluate.get counters Memo_hits));
-        ("wall_seconds", Obs.Json.Float (Unix.gettimeofday () -. t0));
+        ("wall_seconds", Obs.Json.Float (Obs.Clock.seconds_since t0));
       ];
     (* Terminal record; [elapsed_s] is the documented timing field,
        excluded from the cross-[jobs] byte-equality contract. *)
@@ -222,7 +221,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
         ("type", Obs.Json.Str "run_end");
         ( "status",
           Obs.Json.Str (if !found <> None then "repaired" else "no_repair") );
-        ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0));
+        ("elapsed_s", Obs.Json.Float (Obs.Clock.seconds_since t0));
       ]
       @ Evaluate.journal_fields ~final:true counters
       @ [ ("tried", Obs.Json.Int !tried) ]
@@ -239,7 +238,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
   {
     repaired = !found;
     counters;
-    wall_seconds = Unix.gettimeofday () -. t0;
+    wall_seconds = Obs.Clock.seconds_since t0;
     candidates_tried = !tried;
     sliced = slicing <> None;
     stitched_verifies = !stitched;

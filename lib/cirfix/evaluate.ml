@@ -295,14 +295,14 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
   let max_time =
     min ev.cfg.max_sim_time ((ev.problem.golden_end_time * 2) + 1_000)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   match
     Sim.Simulate.run ~max_steps ~max_time ~check_races:ev.cfg.check_races
       ~backend:ev.cfg.backend design ev.problem.spec
   with
   | Error (Sim.Simulate.Elab_failure msg) -> unsimulated (Compile_error msg)
   | Ok r -> (
-      let sim_seconds = Unix.gettimeofday () -. t0 in
+      let sim_seconds = Obs.Clock.seconds_since t0 in
       let sim_backend = Sim.Simulate.backend_used_to_string r.backend_used in
       let races = List.length r.races in
       let scored status =
@@ -467,7 +467,7 @@ let lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
     lane_hashes option =
   if (not ev.lanes_enabled) || oversize ev candidate then None
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     let sem = Verilog.Canon.semantic_hash candidate in
     let prune =
       match ev.seed_prune_hash with
@@ -475,7 +475,7 @@ let lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
           Some (Verilog.Dataflow.prune_hash candidate)
       | _ -> None
     in
-    add_seconds ev Lane_seconds (Unix.gettimeofday () -. t0);
+    add_seconds ev Lane_seconds (Obs.Clock.seconds_since t0);
     Some { lh_sem = sem; lh_prune = prune }
   end
 

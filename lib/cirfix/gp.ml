@@ -296,23 +296,19 @@ let journal_funnel (f : funnel) : unit =
    from state the determinism contract already covers (population, memo
    counters), so the journal is byte-identical across [jobs] — except
    [elapsed_s], which consumers must strip before comparing. Diversity is
-   the number of structurally distinct programs in the population; the
-   hashing is only paid when a journal is open. *)
-let journal_generation (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
-    (popn : candidate array) ~(gen : int) ~(mutants : int) ~(found : bool)
+   the number of structurally distinct programs in the population, counted
+   over [hashes], the members' structural hashes (slot-aligned with
+   [popn]). *)
+let journal_generation (ev : Evaluate.t) (popn : candidate array)
+    ~(hashes : string array) ~(gen : int) ~(mutants : int) ~(found : bool)
     ~(elapsed : float) : unit =
   let fits = Array.map (fun c -> c.outcome.fitness) popn in
   Array.sort compare fits;
   let n = Array.length fits in
   let fl = Array.to_list fits in
   let diversity =
-    let seen = Hashtbl.create (Array.length popn) in
-    Array.iter
-      (fun c ->
-        Hashtbl.replace seen
-          (Verilog.Ast_utils.structural_hash (Patch.apply original c.patch))
-          ())
-      popn;
+    let seen = Hashtbl.create (Array.length hashes) in
+    Array.iter (fun h -> Hashtbl.replace seen h ()) hashes;
     Hashtbl.length seen
   in
   Obs.Journal.emit
@@ -399,7 +395,9 @@ let journal_localization (original : Verilog.Ast.module_decl)
 
 (* Fault-localize a parent: simulate (cached) and run Algorithm 2 against
    its own mismatch set — CirFix re-localizes per parent to support
-   dependent multi-edit repairs (paper Sec. 3). [focus] is the slicing
+   dependent multi-edit repairs (paper Sec. 3). The result is a function
+   of the parent's patch alone, so [repair] computes it once per distinct
+   patch (see [Patch_tbl]). [focus] is the slicing
    backward/forward intersection (Slicing.focus): when narrowing the
    localization to it leaves something, mutation targets shrink to the
    nodes both upstream of the mismatch and downstream of the suspicious
@@ -463,6 +461,25 @@ let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
       let stmts, fl = narrow (fl_stmts, r.fl) in
       (m, stmts, fl))
 
+(* Per-run table from a parent's patch to its [localize_parent] result.
+   The patch determines the module ([Patch.apply] is pure) and, through
+   the evaluator's memo (one stored outcome per key, returned on every
+   later lookup), the parent's outcome, so a hit is exactly what a fresh
+   localization would return. The key is the patch itself, not the
+   module's structural hash: that hash ignores node ids, which the stored
+   localization carries and [Mutate] draws from. The hash folds over
+   every edit, because [Hashtbl.hash] on the list would stop after a
+   bounded prefix and patches sharing their first edits would collide. *)
+module Patch_tbl = Hashtbl.Make (struct
+  type t = Patch.t
+
+  let equal = ( = )
+
+  let hash (p : t) =
+    List.fold_left (fun h e -> (h * 65599) + Hashtbl.hash e) 0 p
+    land max_int
+end)
+
 let repair ?(on_generation : (generation_stats -> unit) option)
     (cfg : Config.t) (whole_problem : Problem.t) : result =
   let rng = Random.State.make [| cfg.seed |] in
@@ -498,18 +515,27 @@ let repair ?(on_generation : (generation_stats -> unit) option)
         (Evaluate.eval_module whole_ev (Slicing.stitch s patch)).fitness >= 1.0
   in
   let original = Problem.target_module problem in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. cfg.max_wall_seconds in
+  let t0 = Obs.Clock.now_ns () in
   let mutants = ref 0 in
   let gen_stats = ref [] in
   let out_of_resources () =
-    Unix.gettimeofday () > deadline
+    Obs.Clock.seconds_since t0 > cfg.max_wall_seconds
     || Evaluate.get ev.table Probes >= cfg.max_probes
   in
+  let localized = Patch_tbl.create 256 in
+  let localize (parent : candidate) =
+    match Patch_tbl.find_opt localized parent.patch with
+    | Some l -> l
+    | None ->
+        let l = localize_parent ev original cfg ~focus parent in
+        Patch_tbl.add localized parent.patch l;
+        l
+  in
   (* Lineage is journal-only state: the hashing it needs is paid only when
-     a journal is open (the same rule [journal_generation]'s diversity
-     count follows). The funnel follows the same gate: it is observable
-     only through the journal, so it is tracked only while one is open. *)
+     a journal is open, once per committed candidate; the same hashes feed
+     [journal_generation]'s diversity count. The funnel follows the same
+     gate: it is observable only through the journal, so it is tracked
+     only while one is open. *)
   let lineage : (string, lineage_node) Hashtbl.t = Hashtbl.create 64 in
   let hash_of_mod = Verilog.Ast_utils.structural_hash in
   let track = Obs.Journal.enabled () in
@@ -522,9 +548,15 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     r.f_proposed <- Evaluate.get ev.table Lookups;
     funnel_charge funnel ev "setup"
   end;
-  (* Operator of each population slot, parallel to [popn]; used to credit
-     elitism survival to the operator that made the survivor. *)
+  (* Operator and structural hash of each population slot, parallel to
+     [popn] while a journal is open. The operator credits elitism survival
+     to the operator that made the survivor; the hash names the slot as a
+     lineage parent ("" when no journal is open). *)
   let popn_ops = ref (Array.make (max cfg.pop_size 1) "seed") in
+  let popn_hashes =
+    ref (Array.make (max cfg.pop_size 1) (if track then hash_of_mod original else ""))
+  in
+  let slot_hash i = if track then (!popn_hashes).(i) else "" in
   if Obs.Journal.enabled () then
     Obs.Journal.emit
       ([
@@ -558,7 +590,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     in
     journal_localization original ~mismatch;
     journal_attribution ev initial ~gen:0;
-    record_lineage lineage ~hash:(hash_of_mod original)
+    record_lineage lineage ~hash:(!popn_hashes).(0)
       ~prov:{ p_op = "seed"; p_target = None; p_parents = [] }
       ~gen:0 ~fitness:initial.outcome.fitness
   end;
@@ -572,14 +604,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   while !found = None && !gen < cfg.max_generations && not (out_of_resources ()) do
     incr gen;
     let t_gen = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-    let t_gen_wall = Unix.gettimeofday () in
-    (* Parent hashes for lineage, computed once per generation (journal
-       open only); "" placeholders otherwise. *)
-    let popn_hashes =
-      if Obs.Journal.enabled () then
-        Array.map (fun c -> hash_of_mod (Patch.apply original c.patch)) !popn
-      else Array.map (fun _ -> "") !popn
-    in
+    let t_gen_wall = Obs.Clock.now_ns () in
     (* Propose: all RNG draws and patch materialization, sequentially on
        the main domain. (The wall-clock guard mirrors the sequential
        loop's: a generation stops growing when the trial is out of time.) *)
@@ -589,8 +614,8 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     while !child_count < cfg.pop_size && not (out_of_resources ()) do
       let pi = tournament_idx rng cfg !popn in
       let parent = (!popn).(pi) in
-      let parents = [ popn_hashes.(pi) ] in
-      let m, fl_stmts, fl = localize_parent ev original cfg ~focus parent in
+      let parents = [ slot_hash pi ] in
+      let m, fl_stmts, fl = localize parent in
       let children =
         if cfg.use_templates && Random.State.float rng 1.0 <= cfg.rt_threshold
         then
@@ -605,7 +630,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
         else (
           let pi2 = tournament_idx rng cfg !popn in
           let parent2 = (!popn).(pi2) in
-          let cross_parents = [ popn_hashes.(pi); popn_hashes.(pi2) ] in
+          let cross_parents = [ slot_hash pi; slot_hash pi2 ] in
           let c1, c2 = Mutate.crossover rng parent.patch parent2.patch in
           let prov =
             { p_op = "crossover"; p_target = None; p_parents = cross_parents }
@@ -637,15 +662,19 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let t_select = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
     let child_popn = ref [] in
     let child_ops = ref [] in
+    let child_hashes = ref [] in
     Array.iteri
       (fun i patch ->
         if !found = None && not (out_of_resources ()) then (
           incr mutants;
           let c = { patch; outcome = Evaluate.commit prepared i } in
           if track then funnel_charge funnel ev (snd tagged_batch.(i)).p_op;
-          if Obs.Journal.enabled () then
-            record_lineage lineage ~hash:(hash_of_mod mods.(i))
-              ~prov:(snd tagged_batch.(i)) ~gen:!gen ~fitness:c.outcome.fitness;
+          if track then begin
+            let hash = hash_of_mod mods.(i) in
+            record_lineage lineage ~hash ~prov:(snd tagged_batch.(i)) ~gen:!gen
+              ~fitness:c.outcome.fitness;
+            child_hashes := hash :: !child_hashes
+          end;
           if c.outcome.fitness >= 1.0 && stitched_ok c.patch then
             found := Some c;
           child_ops := (snd tagged_batch.(i)).p_op :: !child_ops;
@@ -667,30 +696,36 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let elites = Array.to_list (Array.sub sorted 0 (min elite_n (Array.length sorted))) in
     (* Credit each survivor's operator. Elites are physical members of the
        previous population, so an identity scan recovers each one's slot
-       (and thus its operator) without re-sorting or rehashing. *)
-    let elite_ops =
+       (and thus its operator and hash) without re-sorting or rehashing. *)
+    let elite_slots =
       if not track then []
       else
         List.map
           (fun e ->
-            let op = ref "seed" in
+            let slot = ref 0 in
             (try
                Array.iteri
-                 (fun i c -> if c == e then (op := (!popn_ops).(i); raise Exit))
+                 (fun i c -> if c == e then (slot := i; raise Exit))
                  !popn
              with Exit -> ());
-            let r = funnel_get funnel !op in
+            let r = funnel_get funnel (!popn_ops).(!slot) in
             r.f_survived <- r.f_survived + 1;
-            !op)
+            !slot)
           elites
     in
     let next = Array.of_list (elites @ !child_popn) in
     if Array.length next > 0 then begin
       popn := next;
-      if track then
-        (* [child_popn] is consed (reverse batch order); [child_ops] is
-           consed identically, so the two lists stay slot-aligned. *)
-        popn_ops := Array.of_list (elite_ops @ !child_ops)
+      if track then begin
+        (* [child_popn] is consed (reverse batch order); [child_ops] and
+           [child_hashes] are consed identically, so the lists stay
+           slot-aligned. *)
+        let carry a children =
+          Array.of_list (List.map (fun i -> a.(i)) elite_slots @ children)
+        in
+        popn_ops := carry !popn_ops !child_ops;
+        popn_hashes := carry !popn_hashes !child_hashes
+      end
     end;
     let fits = Array.to_list (Array.map (fun c -> c.outcome.fitness) !popn) in
     let stats =
@@ -708,9 +743,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     in
     gen_stats := stats :: !gen_stats;
     if Obs.Journal.enabled () then begin
-      journal_generation ev original !popn ~gen:!gen ~mutants:!mutants
-        ~found:(!found <> None)
-        ~elapsed:(Unix.gettimeofday () -. t_gen_wall);
+      journal_generation ev !popn ~hashes:!popn_hashes ~gen:!gen
+        ~mutants:!mutants ~found:(!found <> None)
+        ~elapsed:(Obs.Clock.seconds_since t_gen_wall);
       let best =
         Array.fold_left
           (fun acc c -> if better c acc then c else acc)
@@ -797,7 +832,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
         ("lookups", Obs.Json.Int (Evaluate.get ev.table Lookups));
         ("memo_hits", Obs.Json.Int (Evaluate.get ev.table Memo_hits));
         ("mutants", Obs.Json.Int !mutants);
-        ("wall_seconds", Obs.Json.Float (Unix.gettimeofday () -. t0));
+        ("wall_seconds", Obs.Json.Float (Obs.Clock.seconds_since t0));
       ];
     journal_funnel funnel;
     (* Terminal record: emitted last so `tail -f` consumers can detect
@@ -809,7 +844,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
          ("type", Obs.Json.Str "run_end");
          ( "status",
            Obs.Json.Str (if !found <> None then "repaired" else "no_repair") );
-         ("elapsed_s", Obs.Json.Float (Unix.gettimeofday () -. t0));
+         ("elapsed_s", Obs.Json.Float (Obs.Clock.seconds_since t0));
        ]
       @ Evaluate.journal_fields ~final:true counters
       @ [
@@ -843,7 +878,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     generations = List.rev !gen_stats;
     counters;
     mutants_generated = !mutants;
-    wall_seconds = Unix.gettimeofday () -. t0;
+    wall_seconds = Obs.Clock.seconds_since t0;
     initial_fitness = initial.outcome.fitness;
     sliced = slicing <> None;
     stitched_verifies = !stitched;

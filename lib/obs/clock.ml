@@ -7,3 +7,8 @@
    absence of contention. *)
 
 let now_ns () : int = Int64.to_int (Monotonic_clock.now ())
+
+(* Seconds elapsed since [t0], a [now_ns] reading: the monotonic
+   replacement for [Unix.gettimeofday () -. t0] in budgets and elapsed
+   fields, which would jump with wall-clock adjustments. *)
+let seconds_since (t0 : int) : float = Float.of_int (now_ns () - t0) *. 1e-9
