@@ -13,40 +13,6 @@
    branch — which is what makes mutants land in the dead-edit lane;
    the run fails unless that lane actually fired. *)
 
-(* Defect 5's faulty counter with provably-dead code spliced in: edits
-   confined to the dead region leave [Dataflow.prune_hash] unchanged,
-   so the evaluator serves them via the dead-edit lane (and, under
-   check_pruning, simulates them anyway to assert fitness equality). *)
-let synthetic_problem () : Cirfix.Problem.t =
-  let d = Bench_suite.Defects.find 5 in
-  let p = Bench_suite.Projects.find d.project in
-  let faulty =
-    let src =
-      List.fold_left
-        (fun src rw -> Bench_suite.Defects.replace_once ~defect:d.id src rw)
-        (Bench_suite.Projects.design_source p)
-        d.rewrites
-    in
-    Bench_suite.Defects.replace_once ~defect:d.id src
-      ( "reg overflow_out;",
-        "reg overflow_out;\n  reg [3:0] dbg_trace;" )
-  in
-  let faulty =
-    Bench_suite.Defects.replace_once ~defect:d.id faulty
-      ( "begin: COUNTER",
-        "begin: COUNTER\n\
-         \    dbg_trace <= counter_out;\n\
-         \    if (1'b0) begin\n\
-         \      dbg_trace <= 4'b0000;\n\
-         \    end" )
-  in
-  Cirfix.Problem.make ~name:"counter#5+dead"
-    ~faulty
-    ~golden:(Bench_suite.Projects.design_source p)
-    ~testbench:(Bench_suite.Projects.tb_source p)
-    ~target:d.target
-    (Bench_suite.Projects.spec p)
-
 let () =
   let scale = ref 0.05 in
   let ids = ref [] in
@@ -83,7 +49,7 @@ let () =
         use_fault_loc = false;
       }
     in
-    let r = Cirfix.Gp.repair cfg (synthetic_problem ()) in
+    let r = Cirfix.Gp.repair cfg (Dead_code.problem ()) in
     Printf.printf
       "synthetic dead-code counter   probes %5d semantic_hits %4d dead_edit_skips %4d\n%!"
       r.probes r.semantic_hits r.dead_edit_skips;

@@ -656,6 +656,63 @@ let test_backend_memo_isolation () =
   Alcotest.(check int) "event sim counted" 1 (count Sims_event);
   Alcotest.(check int) "no compiled sims" 0 (count Sims_compiled)
 
+(* The invariant per-parent localization rests on: the evaluator stores
+   one outcome per memo key and every later lookup of that key — through
+   [eval_module] or through [prepare]/[commit] on a domain pool — returns
+   that same record, so a parent's outcome is a function of its patch.
+   Covered for a plain miss (first looked up speculatively, on the pool),
+   a semantic-lane store and a dead-edit store, on the dead-code counter. *)
+let test_memo_key_one_outcome () =
+  let problem = Dead_code.problem () in
+  let ev = Cirfix.Evaluate.create { Cirfix.Config.default with jobs = 1 } problem in
+  let count = Cirfix.Evaluate.get ev.table in
+  let variant rw =
+    let src =
+      Bench_suite.Defects.replace_once ~defect:5 (Dead_code.faulty_source ()) rw
+    in
+    match Verilog.Parser.parse_design_result src with
+    | Ok d -> List.find (fun (m : Verilog.Ast.module_decl) -> m.mod_id = "counter") d
+    | Error e -> Alcotest.fail e
+  in
+  let seed = Cirfix.Problem.target_module problem in
+  (* Live behaviour changed: simulated. *)
+  let plain = variant ("counter_out + 2;", "counter_out + 3;") in
+  (* Commuted operands: the seed's semantic twin. *)
+  let twin = variant ("counter_out + 2;", "2 + counter_out;") in
+  (* An edit inside the if (1'b0) branch: provably dead. *)
+  let dead = variant ("dbg_trace <= 4'b0000;", "dbg_trace <= 4'b0101;") in
+  let same what (a : Cirfix.Evaluate.outcome) b =
+    Alcotest.(check bool) (what ^ ": one outcome per key") true (a == b)
+  in
+  Cirfix.Pool.with_pool ~jobs:2 @@ fun pool ->
+  let commit_all mods =
+    let p = Cirfix.Evaluate.prepare ev ~pool mods in
+    Array.mapi (fun i _ -> Cirfix.Evaluate.commit p i) mods
+  in
+  let o_seed = Cirfix.Evaluate.eval_module ev seed in
+  (* Plain miss: resolved by a speculative result at commit. *)
+  let probes = count Probes in
+  let via_pool = commit_all [| plain; plain |] in
+  Alcotest.(check int) "plain: one simulation" (probes + 1) (count Probes);
+  same "plain, commit" via_pool.(0) via_pool.(1);
+  same "plain, eval_module" via_pool.(0) (Cirfix.Evaluate.eval_module ev plain);
+  same "plain, eval_module again" via_pool.(0)
+    (Cirfix.Evaluate.eval_module ev plain);
+  List.iter
+    (fun (what, m, counter) ->
+      let before = count counter in
+      let o = Cirfix.Evaluate.eval_module ev m in
+      Alcotest.(check int) (what ^ ": lane fired") (before + 1) (count counter);
+      same what o (Cirfix.Evaluate.eval_module ev m);
+      let c = commit_all [| m; seed; m |] in
+      same (what ^ ", commit") o c.(0);
+      same (what ^ ", commit again") o c.(2);
+      same (what ^ ", seed") o_seed c.(1))
+    [
+      ("semantic", twin, Cirfix.Evaluate.Semantic_hits);
+      ("dead-edit", dead, Cirfix.Evaluate.Dead_edit_skips);
+    ]
+
 let test_brute_force_edit_inventory () =
   let problem = motivating_problem () in
   let original = Cirfix.Problem.target_module problem in
@@ -816,6 +873,8 @@ let () =
           Alcotest.test_case "without fault loc" `Slow test_gp_without_fault_loc;
           Alcotest.test_case "backend memo isolation" `Quick
             test_backend_memo_isolation;
+          Alcotest.test_case "memo key has one outcome" `Quick
+            test_memo_key_one_outcome;
           Alcotest.test_case "brute force inventory" `Quick
             test_brute_force_edit_inventory;
           Alcotest.test_case "brute force small" `Slow test_brute_force_small_defect;
