@@ -114,15 +114,7 @@ let mutant_walk (d : Bench_suite.Defects.t) (target : module_decl) ~n =
   go 0 target []
 
 let () =
-  let all = Array.exists (String.equal "--all") Sys.argv in
-  let expect =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = "--expect" then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
+  let all = Golden.all () in
   let buf = Buffer.create (1 lsl 20) in
   List.iter
     (fun (p : Bench_suite.Projects.t) ->
@@ -169,31 +161,4 @@ let () =
           ~top:p.tb_module design' [ m ])
       walks
   done;
-  let out = Buffer.contents buf in
-  match expect with
-  | None -> print_string out
-  | Some file ->
-      let want = In_channel.with_open_bin file In_channel.input_all in
-      let ok =
-        if all then String.equal out want
-        else
-          String.length out <= String.length want
-          && String.equal out (String.sub want 0 (String.length out))
-      in
-      if not ok then begin
-        let got_l = String.split_on_char '\n' out
-        and want_l = String.split_on_char '\n' want in
-        let rec first i = function
-          | g :: gs, w :: ws -> if g = w then first (i + 1) (gs, ws) else (i, g, w)
-          | g :: _, [] -> (i, g, "<end of file>")
-          | [], _ -> (i, "<end of output>", "")
-        in
-        let i, g, w = first 1 (got_l, want_l) in
-        Printf.eprintf "deps golden: line %d differs from %s\n  got:  %s\n  want: %s\n"
-          i file g w;
-        exit 1
-      end
-      else
-        Printf.printf "deps golden: %d lines match %s\n"
-          (List.length (String.split_on_char '\n' out) - 1)
-          file
+  Golden.finish ~name:"deps golden" (Buffer.contents buf)
