@@ -5,8 +5,8 @@
    Runs, in output order:
    - per seed (1, then 2), per configuration (default, no fault
      localization, no templates, slice-based repair, two domains), per
-     scenario (#2 #3 #4 #11 #15): [Runner.scenario_config] with the probe
-     budget cut to [max_probes];
+     scenario (#2 #3 #4 #11 #15, and i2c #18, where slicing engages):
+     [Runner.scenario_config] with the probe budget cut to [max_probes];
    - then the heavy scenarios #25 and #28 at seed 1 under the unreduced
      [Runner.scenario_config].
    Every run lifts the wall budget out of reach, so its result depends
@@ -23,7 +23,7 @@
    one-line summary is printed then. Regenerate the fixture with
    [gp_golden_run --all > test/fixtures/gp-expected.txt]. *)
 
-let scenarios = [ 2; 3; 4; 11; 15 ]
+let scenarios = [ 2; 3; 4; 11; 15; 18 ]
 let heavy = [ 25; 28 ]
 let seeds = [ 1; 2 ]
 let max_probes = 1000
