@@ -341,7 +341,7 @@ let localize design golden testbench target top clock dut =
            (Verilog.Pp.stmt_to_string s)))
     (Cirfix.Fault_loc.fl_statements m r);
   (* Slice membership: the backward cone of the mismatching outputs
-     (Verilog.Slice), the region a --slice repair run would search. *)
+     (Verilog.Slice), the region slice-based repair would search. *)
   let plan =
     let outs = Verilog.Slice.output_ports m in
     let seed = List.filter (fun o -> List.mem o outs) mismatch in
@@ -520,14 +520,6 @@ let race_screen_arg =
            $(b,race) subcommand) before simulating them; rejections\n\
            are reported as racy rejects.")
 
-let race_check_arg =
-  Arg.(
-    value & flag
-    & info [ "race-check" ]
-        ~doc:
-          "Run candidate simulations with the dynamic race checker\n\
-           enabled and report the total races observed.")
-
 let no_prune_arg =
   Arg.(
     value & flag
@@ -547,22 +539,10 @@ let check_pruning_arg =
            value the pruning lane served. Slow; for differential\n\
            testing of the pruner.")
 
-let slice_flag =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:
-          "Slice-based repair: extract the backward cone of the mismatching\n\
-           outputs and run mutation, localization and candidate simulation\n\
-           on the slice; every slice-plausible candidate is stitched back\n\
-           into the whole design and re-verified there before being\n\
-           reported. Falls back silently to whole-design repair when the\n\
-           target is not the DUT module or the cone covers the design.")
-
 (* The search configuration [repair] and [brute] both take from flags. *)
 let search_config =
-  let make max_probes wall jobs backend race_screen no_prune check_pruning
-      slice =
+  let make max_probes wall jobs backend race_screen no_prune check_pruning =
+
     {
       Cirfix.Config.default with
       max_probes;
@@ -572,7 +552,6 @@ let search_config =
       screen_races = race_screen;
       prune = not no_prune;
       check_pruning;
-      slice;
     }
   in
   Term.(
@@ -581,14 +560,14 @@ let search_config =
     $ Arg.(
         value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
     $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
-    $ check_pruning_arg $ slice_flag)
+    $ check_pruning_arg)
 
 (* Print the summary table of a search run (GP or brute-force), aligned:
    memo behaviour and the per-status reject breakdown, rates relative to
-   evaluations requested; for a --slice run, [slice] = (engaged, stitched
-   verifications). *)
-let print_summary (c : Cirfix.Evaluate.counters) ~mutants ~show_races ~jobs
-    ~wall_seconds ~slice =
+   evaluations requested; [stitched] is the stitched-verification count
+   of a run whose slicing engaged. *)
+let print_summary (c : Cirfix.Evaluate.counters) ~mutants ~jobs ~wall_seconds
+    ~stitched =
   let get = Cirfix.Evaluate.get c and secs = Cirfix.Evaluate.seconds c in
   let lookups = get Lookups and probes = get Probes in
   (* Values are unpadded: [Stats.kv_table] recomputes both column widths
@@ -615,13 +594,6 @@ let print_summary (c : Cirfix.Evaluate.counters) ~mutants ~show_races ~jobs
   @ (match mutants with
     | Some m -> [ ("mutants generated", Printf.sprintf "%d" m) ]
     | None -> [])
-  @ (if show_races then
-       [
-         ( "runtime races",
-           Printf.sprintf "%d  (%.2f per 1000 sims)" (get Runtime_races)
-             (Cirfix.Stats.races_per_ksim ~races:(get Runtime_races) ~probes) );
-       ]
-     else [])
   (* Per-backend breakdown: counts are jobs-invariant (accounted at
      commit time); the in-sim rates are timing and vary run to run. *)
   @ [
@@ -634,15 +606,12 @@ let print_summary (c : Cirfix.Evaluate.counters) ~mutants ~show_races ~jobs
           jobs );
       ("wall time", Printf.sprintf "%.1f  s" wall_seconds);
     ]
-  @ (match slice with
+  @ (match stitched with
     | None -> []
-    | Some (sliced, stitched) ->
+    | Some n ->
         [
-          ( "slice",
-            if sliced then
-              Printf.sprintf "engaged  (%d sims on the slice)" probes
-            else "fell back to whole-design repair" );
-          ("stitched verifies", Printf.sprintf "%d" stitched);
+          ("slice", Printf.sprintf "engaged  (%d sims on the slice)" probes);
+          ("stitched verifies", Printf.sprintf "%d" n);
         ])
   |> Cirfix.Stats.kv_table |> print_endline
 
@@ -683,18 +652,10 @@ let make_progress ~enabled =
   end
 
 let repair design golden testbench target top clock dut seed pop_size
-    generations race_check (cfg : Cirfix.Config.t) output progress obs =
+    generations (cfg : Cirfix.Config.t) output progress obs =
   with_obs obs @@ fun () ->
   let problem = load_problem design golden testbench target top clock dut in
-  let cfg =
-    {
-      cfg with
-      seed;
-      pop_size;
-      max_generations = generations;
-      check_races = race_check;
-    }
-  in
+  let cfg = { cfg with seed; pop_size; max_generations = generations } in
   let show_progress, clear_progress = make_progress ~enabled:progress in
   let live = progress && Unix.isatty Unix.stderr in
   let t_start = Unix.gettimeofday () in
@@ -720,9 +681,9 @@ let repair design golden testbench target top clock dut seed pop_size
   let r = Cirfix.Gp.repair ~on_generation cfg problem in
   clear_progress ();
   Printf.printf "initial fitness: %.4f\n" r.initial_fitness;
-  print_summary r.counters ~mutants:(Some r.mutants_generated)
-    ~show_races:race_check ~jobs:cfg.jobs ~wall_seconds:r.wall_seconds
-    ~slice:(if cfg.slice then Some (r.sliced, r.stitched_verifies) else None);
+  print_summary r.counters ~mutants:(Some r.mutants_generated) ~jobs:cfg.jobs
+    ~wall_seconds:r.wall_seconds
+    ~stitched:(if r.sliced then Some r.stitched_verifies else None);
   (* Replay the final design (repaired when found, else the faulty
      original) under the repair testbench with coverage enabled, so the
      summary reports how much of the target the oracle actually
@@ -778,7 +739,7 @@ let repair_cmd =
       $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
       $ Arg.(value & opt int 60 & info [ "pop-size" ] ~doc:"Population size.")
       $ Arg.(value & opt int 40 & info [ "generations" ] ~doc:"Max generations.")
-      $ race_check_arg $ search_config
+      $ search_config
       $ Arg.(
           value
           & opt (some string) None
@@ -810,9 +771,9 @@ let brute design golden testbench target top clock dut max_depth
   clear_progress ();
   Printf.printf "candidates tried: %d (depth <= %d)\n" r.candidates_tried
     max_depth;
-  print_summary r.counters ~mutants:None ~show_races:false ~jobs:cfg.jobs
+  print_summary r.counters ~mutants:None ~jobs:cfg.jobs
     ~wall_seconds:r.wall_seconds
-    ~slice:(if cfg.slice then Some (r.sliced, r.stitched_verifies) else None);
+    ~stitched:(if r.sliced then Some r.stitched_verifies else None);
   match r.repaired with
   | Some patch ->
       Printf.printf "REPAIRED (%d edits):\n  %s\n" (List.length patch)
@@ -1232,7 +1193,7 @@ let race_cmd =
 
 (* --- scenarios ------------------------------------------------------------------ *)
 
-let scenarios id dump run_it trials jobs race_screen race_check =
+let scenarios id dump run_it trials jobs race_screen =
   let selected =
     match id with
     | Some n -> [ Bench_suite.Defects.find n ]
@@ -1251,7 +1212,6 @@ let scenarios id dump run_it trials jobs race_screen race_check =
           {
             (Bench_suite.Runner.scenario_config d) with
             screen_races = race_screen;
-            check_races = race_check;
           }
         in
         let s = Bench_suite.Runner.run_defect ~cfg ~trials ~pool d in
@@ -1266,8 +1226,6 @@ let scenarios id dump run_it trials jobs race_screen race_check =
           (Cirfix.Stats.sims_per_sec ~probes:(get Probes)
              ~wall_seconds:s.total_seconds)
           (get Static_rejects) (get Oversize_rejects) (get Racy_rejects);
-        if race_check then
-          Printf.printf "  runtime races: %d\n" (get Runtime_races);
         (match s.patch with
         | Some p -> Printf.printf "  patch: %s\n" (Cirfix.Patch.to_string p)
         | None -> ())))
@@ -1286,7 +1244,7 @@ let scenarios_cmd =
       $ Arg.(value & flag & info [ "dump-faulty" ] ~doc:"Print the faulty source.")
       $ Arg.(value & flag & info [ "run" ] ~doc:"Run CirFix on the scenario(s).")
       $ Arg.(value & opt int 5 & info [ "trials" ] ~doc:"Trials per scenario.")
-      $ jobs_arg $ race_screen_arg $ race_check_arg)
+      $ jobs_arg $ race_screen_arg)
 
 (* --- report ---------------------------------------------------------------------- *)
 

@@ -69,28 +69,16 @@ let single_edits (m : module_decl) : Patch.edit list =
 let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     (whole_problem : Problem.t) :
     result =
-  (* Slice-based search (see Gp.repair): the enumeration runs over the
-     sliced module — fewer statements, so fewer single edits and cheaper
-     simulations — and every slice-plausible patch is stitched back into
-     the whole design and re-verified before being reported. *)
-  let whole_ev = Evaluate.create cfg whole_problem in
-  let slicing = if cfg.slice then Slicing.prepare whole_ev else None in
-  let problem =
-    match slicing with Some s -> s.Slicing.sliced | None -> whole_problem
-  in
-  let ev =
-    match slicing with Some _ -> Evaluate.create cfg problem | None -> whole_ev
-  in
-  let stitched = ref 0 in
-  let stitched_ok (patch : Patch.t) : bool =
-    match slicing with
-    | None -> true
-    | Some s ->
-        incr stitched;
-        (Evaluate.eval_module whole_ev (Slicing.stitch s patch)).fitness >= 1.0
-  in
-  let original = Problem.target_module problem in
   let t0 = Obs.Clock.now_ns () in
+  (* Slice-based search (see Gp.repair): when the slicer engages, the
+     enumeration runs over the sliced module — fewer statements, so fewer
+     single edits and cheaper simulations — and every slice-plausible
+     patch is stitched back into the whole design and re-verified before
+     being reported. *)
+  let sl = Slicing.start cfg whole_problem in
+  let ev = sl.ev in
+  let problem = ev.problem in
+  let original = Problem.target_module problem in
   let tried = ref 0 in
   let found = ref None in
   let out_of_resources () =
@@ -107,8 +95,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
          ("single_edits", Obs.Json.Int (List.length edits));
        ]
       @ Config.journal_fields cfg);
-  if Obs.Journal.enabled () then
-    Option.iter (fun s -> Obs.Journal.emit (Slicing.journal_record s)) slicing;
+  Slicing.journal sl;
   (* Best fitness seen so far (over committed candidates), reported in
      journal batch records. *)
   let best = ref 0. in
@@ -165,7 +152,7 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
               incr tried;
               let o = Evaluate.commit prepared i in
               if o.fitness > !best then best := o.fitness;
-              if o.fitness >= 1.0 && stitched_ok p then found := Some p;
+              if o.fitness >= 1.0 && Slicing.accept sl p then found := Some p;
               if Obs.Journal.enabled () && !tried mod journal_quantum = 0 then
                 journal_batch ~depth:!d;
               Option.iter
@@ -225,21 +212,13 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
       ]
       @ Evaluate.journal_fields ~final:true counters
       @ [ ("tried", Obs.Json.Int !tried) ]
-      @
-      if cfg.slice then
-        [
-          ( "slice_sims",
-            Obs.Json.Int
-              (if slicing <> None then Evaluate.get counters Probes else 0) );
-          ("stitched_verifies", Obs.Json.Int !stitched);
-        ]
-      else [])
+      @ Slicing.run_end_fields sl)
   end;
   {
     repaired = !found;
     counters;
     wall_seconds = Obs.Clock.seconds_since t0;
     candidates_tried = !tried;
-    sliced = slicing <> None;
-    stitched_verifies = !stitched;
+    sliced = sl.slice <> None;
+    stitched_verifies = sl.stitched;
   }

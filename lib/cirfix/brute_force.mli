@@ -10,8 +10,8 @@ type result = {
   wall_seconds : float;
   candidates_tried : int;
   sliced : bool;
-      (** slice-based search actually engaged ([cfg.slice] and the slicer
-          found a strictly smaller exact slice) *)
+      (** slice-based search engaged: the slicer found a strictly
+          smaller exact slice ({!Slicing.start}) *)
   stitched_verifies : int;
       (** slice-plausible candidates stitched back into the whole design
           and re-verified on the full oracle before being reported *)

@@ -37,15 +37,11 @@ type t = {
       (* pre-simulation race screening: candidate modules containing a race
          hazard (Verilog.Race) are rejected without being simulated, under
          their own statistic (Rejected_racy) *)
-  check_races : bool;
-      (* runtime race checking: candidate simulations run with the dynamic
-         same-timestep access checker enabled (Sim.Runtime); observed races
-         are totalled across the trial *)
   prune : bool;
       (* static pruning lanes: fold semantically-equivalent candidates onto
          already-scored ones (Verilog.Canon) and skip provably-dead edits
          (Verilog.Dataflow) without simulating; disabled automatically when
-         [check_races] is set or the target takes parameter overrides *)
+         the target takes parameter overrides *)
   check_pruning : bool;
       (* verification mode: every static-lane decision is double-checked by
          simulating the candidate anyway and asserting fitness equality —
@@ -56,15 +52,6 @@ type t = {
          the levelized cycle evaluator, falling back per design to the
          event engine on designs the compiler rejects (every fallback is
          recorded in stats and the journal, never silent) *)
-  slice : bool;
-      (* slice-based repair: extract the backward cone of the mismatching
-         outputs (Verilog.Slice) and run mutation, localization and
-         per-candidate simulation on the slice; every slice-plausible
-         candidate is stitched back into the whole design and re-verified
-         there before being reported (the acceptance gate — slicing can
-         only prune, never unsoundly accept). Falls back silently to
-         whole-design repair when the target is not the DUT module or the
-         cone covers the whole design. *)
 }
 
 (* One evaluation domain per recommended core, minus one for the main
@@ -96,15 +83,12 @@ let default =
     use_fault_loc = true;
     screen_mutants = true;
     screen_checks = [ Verilog.Analysis.Comb_loop ];
-    (* Race detection is opt-in: screening narrows the search space beyond
-       what the paper's loop does, and runtime checking costs per-access
-       bookkeeping, so both default off. *)
+    (* Race screening is opt-in: it narrows the search space beyond what
+       the paper's loop does. *)
     screen_races = false;
-    check_races = false;
     prune = true;
     check_pruning = false;
     backend = Sim.Simulate.Auto;
-    slice = false;
   }
 
 (* Configuration fields recorded in a repair journal's run header.
@@ -121,11 +105,9 @@ let journal_fields (t : t) : (string * Obs.Json.t) list =
     ("phi", Obs.Json.Float t.phi);
     ("screen_mutants", Obs.Json.Bool t.screen_mutants);
     ("screen_races", Obs.Json.Bool t.screen_races);
-    ("check_races", Obs.Json.Bool t.check_races);
     ("prune", Obs.Json.Bool t.prune);
     ("check_pruning", Obs.Json.Bool t.check_pruning);
     ("backend", Obs.Json.Str (Sim.Simulate.backend_to_string t.backend));
-    ("slice", Obs.Json.Bool t.slice);
   ]
 
 (* The paper's full-scale configuration, for completeness. *)

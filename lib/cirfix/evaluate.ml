@@ -36,9 +36,6 @@ type outcome = {
   fitness : float;
   trace : Sim.Recorder.trace;
   status : status;
-  races : int;
-      (* dynamic races observed during this candidate's simulation; 0
-         unless [cfg.check_races] and the candidate was simulated *)
   sim_backend : string;
       (* which backend actually ran ("event", "compiled", or
          "fallback:<reason>" per Sim.Simulate.backend_used_to_string);
@@ -62,7 +59,6 @@ type counter =
   | Racy_rejects
   | Semantic_hits
   | Dead_edit_skips
-  | Runtime_races
   | Sims_event
   | Sims_compiled
   | Compiled_fallbacks
@@ -71,7 +67,7 @@ let all_counters =
   [
     Lookups; Probes; Memo_hits; Compile_errors; Static_rejects;
     Oversize_rejects; Racy_rejects; Semantic_hits; Dead_edit_skips;
-    Runtime_races; Sims_event; Sims_compiled; Compiled_fallbacks;
+    Sims_event; Sims_compiled; Compiled_fallbacks;
   ]
 
 let name = function
@@ -84,7 +80,6 @@ let name = function
   | Racy_rejects -> "racy_rejects"
   | Semantic_hits -> "semantic_hits"
   | Dead_edit_skips -> "dead_edit_skips"
-  | Runtime_races -> "runtime_races"
   | Sims_event -> "sims_event"
   | Sims_compiled -> "sims_compiled"
   | Compiled_fallbacks -> "compiled_fallbacks"
@@ -131,8 +126,7 @@ let add : counters -> counters -> counters = Array.map2 ( + )
 let diff : counters -> counters -> counters = Array.map2 ( - )
 
 (* Journal form. [run_end] carries the whole table in order, lookups under
-   the key "evals". Runtime races and the per-backend simulation counts are
-   run totals only, so the per-generation and per-batch progress records
+   the key "evals". The per-backend simulation counts are run totals only, so the per-generation and per-batch progress records
    carry the search-disposition counters alone, and open with probes before
    lookups, the order existing journals have. Timers are never journaled:
    they vary run to run, and journals are byte-identical across [jobs]. *)
@@ -147,7 +141,7 @@ let journal_fields ~(final : bool) (c : counters) : (string * Obs.Json.t) list =
     field Probes :: field Lookups
     :: List.filter_map
          (function
-           | Lookups | Probes | Runtime_races | Sims_event | Sims_compiled
+           | Lookups | Probes | Sims_event | Sims_compiled
            | Compiled_fallbacks ->
                None
            | k -> Some (field k))
@@ -162,10 +156,9 @@ type t = {
       (* semantic hash -> cache key of the first candidate that produced
          it (the donor); consulted on structural cache misses *)
   lanes_enabled : bool;
-      (* static pruning lanes active: [cfg.prune], no runtime race
-         checking (reused outcomes cannot reproduce dynamic race counts),
-         and the target module is never instantiated with parameter
-         overrides (Dataflow/Canon facts assume declaration defaults) *)
+      (* static pruning lanes active: [cfg.prune], and the target module
+         is never instantiated with parameter overrides (Dataflow/Canon
+         facts assume declaration defaults) *)
   seed_key : string; (* structural key of the unpatched module *)
   seed_prune_hash : string option;
       (* dead-edit skeleton of the unpatched module, when lanes are on *)
@@ -199,10 +192,7 @@ let target_param_overridden (problem : Problem.t) : bool =
 
 let create (cfg : Config.t) (problem : Problem.t) : t =
   let target = Problem.target_module problem in
-  let lanes_enabled =
-    cfg.prune && (not cfg.check_races)
-    && not (target_param_overridden problem)
-  in
+  let lanes_enabled = cfg.prune && not (target_param_overridden problem) in
   {
     problem;
     cfg;
@@ -228,7 +218,6 @@ let unsimulated status =
     fitness = 0.;
     trace = [];
     status;
-    races = 0;
     sim_backend = "";
     sim_seconds = 0.;
   }
@@ -297,14 +286,13 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
   in
   let t0 = Obs.Clock.now_ns () in
   match
-    Sim.Simulate.run ~max_steps ~max_time ~check_races:ev.cfg.check_races
-      ~backend:ev.cfg.backend design ev.problem.spec
+    Sim.Simulate.run ~max_steps ~max_time ~backend:ev.cfg.backend design
+      ev.problem.spec
   with
   | Error (Sim.Simulate.Elab_failure msg) -> unsimulated (Compile_error msg)
   | Ok r -> (
       let sim_seconds = Obs.Clock.seconds_since t0 in
       let sim_backend = Sim.Simulate.backend_used_to_string r.backend_used in
-      let races = List.length r.races in
       let scored status =
         {
           fitness =
@@ -312,7 +300,6 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
               ~actual:r.trace;
           trace = r.trace;
           status;
-          races;
           sim_backend;
           sim_seconds;
         }
@@ -328,7 +315,6 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
             fitness = 0.;
             trace = [];
             status = Sim_diverged m;
-            races;
             sim_backend;
             sim_seconds;
           })
@@ -391,7 +377,6 @@ let compute (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
 (* Counter accounting for a freshly computed (non-memoized) outcome,
    mirroring what the sequential path charges per status. *)
 let account (ev : t) (o : outcome) =
-  if o.races > 0 then bump ev Runtime_races ~by:o.races;
   (* Per-backend accounting. [sim_backend] is deterministic for a given
      design (compilation either succeeds or falls back identically on
      every domain), so these counters stay jobs-invariant like the rest

@@ -37,9 +37,6 @@ type outcome = {
   fitness : float;
   trace : Sim.Recorder.trace;
   status : status;
-  races : int;
-      (** dynamic races observed during the candidate's simulation; 0
-          unless [cfg.check_races] and the candidate was simulated *)
   sim_backend : string;
       (** which backend actually ran ("event", "compiled", or
           "fallback:<reason>"); "" when the candidate was never simulated *)
@@ -69,7 +66,6 @@ type counter =
           form ({!Verilog.Canon}) *)
   | Dead_edit_skips
       (** served by the dead-edit proof ({!Verilog.Dataflow}) *)
-  | Runtime_races  (** dynamic races observed across fresh simulations *)
   | Sims_event  (** fresh simulations on the event engine, fallbacks too *)
   | Sims_compiled  (** fresh simulations on the compiled backend *)
   | Compiled_fallbacks
@@ -114,8 +110,7 @@ val diff : counters -> counters -> counters
 (** The counters as journal fields. [~final:true] is the [run_end] form:
     every counter in table order, lookups under the key ["evals"].
     [~final:false] is the per-generation / per-batch form: the
-    search-disposition counters only (no runtime races or per-backend
-    simulation counts), opening with [probes] then [lookups]. *)
+    search-disposition counters only (no per-backend simulation counts), opening with [probes] then [lookups]. *)
 val journal_fields : final:bool -> counters -> (string * Obs.Json.t) list
 
 type t = {
@@ -126,8 +121,8 @@ type t = {
   sem_tbl : (string, string) Hashtbl.t;
       (** semantic hash -> structural cache key of the donor candidate *)
   lanes_enabled : bool;
-      (** static pruning active: [cfg.prune], no runtime race checking,
-          and no parameter overrides on any instance of the target *)
+      (** static pruning active: [cfg.prune] and no parameter overrides
+          on any instance of the target *)
   seed_key : string;  (** structural key of the unpatched module *)
   seed_prune_hash : string option;
       (** dead-edit skeleton hash of the unpatched module, when pruning *)

@@ -192,8 +192,8 @@ let journal_lineage ~(winner : string)
    proposed -> screened/pruned -> simulated -> survived selection ->
    in-winner-lineage, keyed by the provenance operator string ("seed",
    "delete", "insert", "replace", "template:<name>", "crossover", plus
-   the accounting pseudo-operators "setup" and "minimize" for evaluator
-   work outside the proposal stream). All bumps happen on sequentially-
+   the accounting pseudo-operator "minimize" for evaluator work after the
+   proposal stream). All bumps happen on sequentially-
    committed state, so the funnel is byte-identical across [jobs].
 
    Stage semantics (each evaluated proposal lands in exactly one, by
@@ -250,8 +250,8 @@ let funnel_get (f : funnel) (op : string) : funnel_row =
       r
 
 (* Charge the counter movement since the last snapshot to [op], then
-   re-snapshot. Deltas are 0/1 per commit; the "setup" and "minimize"
-   rows charge whole evaluation phases in one aggregate step. *)
+   re-snapshot. Deltas are 0/1 per commit; the "minimize" row charges the
+   whole minimization phase in one aggregate step. *)
 let funnel_charge (f : funnel) (ev : Evaluate.t) (op : string) : unit =
   let now = Evaluate.counters ev in
   let d = Evaluate.diff now f.snap in
@@ -483,39 +483,20 @@ end)
 let repair ?(on_generation : (generation_stats -> unit) option)
     (cfg : Config.t) (whole_problem : Problem.t) : result =
   let rng = Random.State.make [| cfg.seed |] in
-  (* Slice-based repair: when enabled and the slicer finds a strictly
-     smaller exact slice, the search (mutation, localization, candidate
-     simulation) runs on the sliced problem; [whole_ev] then only scores
-     the seed and re-verifies plausible winners stitched back into the
-     whole design (the acceptance gate). When slicing cannot engage,
-     [whole_ev] IS the search evaluator and nothing changes. *)
-  let whole_ev = Evaluate.create cfg whole_problem in
-  let slicing = if cfg.slice then Slicing.prepare whole_ev else None in
-  let problem =
-    match slicing with Some s -> s.Slicing.sliced | None -> whole_problem
-  in
-  let ev =
-    match slicing with Some _ -> Evaluate.create cfg problem | None -> whole_ev
-  in
+  let t0 = Obs.Clock.now_ns () in
+  (* When the slicer finds a strictly smaller exact slice, the search
+     (mutation, localization, candidate simulation) runs on it and
+     plausible winners are re-verified on the whole design; otherwise
+     [ev] is the whole design's evaluator. *)
+  let sl = Slicing.start cfg whole_problem in
+  let ev = sl.ev in
+  let problem = ev.problem in
   let focus =
-    match slicing with
+    match sl.slice with
     | Some s -> s.Slicing.focus
     | None -> Fault_loc.IdSet.empty
   in
-  let stitched = ref 0 in
-  (* The acceptance gate: a slice-plausible patch counts as a repair only
-     if the stitched whole design reaches fitness 1.0 on the full oracle.
-     Runs at sequential commit time, so counters and the winning patch
-     stay independent of [cfg.jobs]. *)
-  let stitched_ok (patch : Patch.t) : bool =
-    match slicing with
-    | None -> true
-    | Some s ->
-        incr stitched;
-        (Evaluate.eval_module whole_ev (Slicing.stitch s patch)).fitness >= 1.0
-  in
   let original = Problem.target_module problem in
-  let t0 = Obs.Clock.now_ns () in
   let mutants = ref 0 in
   let gen_stats = ref [] in
   let out_of_resources () =
@@ -540,14 +521,6 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let hash_of_mod = Verilog.Ast_utils.structural_hash in
   let track = Obs.Journal.enabled () in
   let funnel = { tbl = Hashtbl.create 16; snap = Evaluate.zero } in
-  (* Evaluator work that predates funnel tracking (a slice probe that fell
-     back to the whole design leaves counters on [ev]) lands on a "setup"
-     accounting row, so funnel sums still tile the run_end counters. *)
-  if track && Evaluate.get ev.table Lookups > 0 then begin
-    let r = funnel_get funnel "setup" in
-    r.f_proposed <- Evaluate.get ev.table Lookups;
-    funnel_charge funnel ev "setup"
-  end;
   (* Operator and structural hash of each population slot, parallel to
      [popn] while a journal is open. The operator credits elitism survival
      to the operator that made the survivor; the hash names the slot as a
@@ -565,13 +538,10 @@ let repair ?(on_generation : (generation_stats -> unit) option)
          ("problem", Obs.Json.Str problem.name);
        ]
       @ Config.journal_fields cfg);
-  if Obs.Journal.enabled () then
-    Option.iter
-      (fun s -> Obs.Journal.emit (Slicing.journal_record s))
-      slicing;
+  Slicing.journal sl;
   Pool.with_pool ~jobs:cfg.jobs @@ fun pool ->
 
-  let initial = { patch = []; outcome = Evaluate.eval_patch ev original [] } in
+  let initial = { patch = []; outcome = sl.seed } in
   if track then begin
     let r = funnel_get funnel "seed" in
     r.f_proposed <- r.f_proposed + 1;
@@ -579,7 +549,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   end;
   let found =
     ref
-      (if initial.outcome.fitness >= 1.0 && stitched_ok initial.patch then
+      (if initial.outcome.fitness >= 1.0 && Slicing.accept sl initial.patch then
          Some initial
        else None)
   in
@@ -675,7 +645,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
               ~fitness:c.outcome.fitness;
             child_hashes := hash :: !child_hashes
           end;
-          if c.outcome.fitness >= 1.0 && stitched_ok c.patch then
+          if c.outcome.fitness >= 1.0 && Slicing.accept sl c.patch then
             found := Some c;
           child_ops := (snd tagged_batch.(i)).p_op :: !child_ops;
           child_popn := c :: !child_popn))
@@ -765,20 +735,18 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   done;
 
   let t_min = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-  (* In slice mode, minimize against the WHOLE design: every ddmin probe
+  (* Minimize against the WHOLE design: on a sliced run every ddmin probe
      then re-verifies on the full oracle, so the minimized patch repairs
      the whole module by construction, not just the slice. *)
+  let whole_target = Slicing.whole_target sl in
   let minimized =
     Option.map
-      (fun c ->
-        match slicing with
-        | None -> Minimize.minimize ev original c.patch
-        | Some s -> Minimize.minimize whole_ev s.Slicing.whole_target c.patch)
+      (fun c -> Minimize.minimize sl.whole_ev whole_target c.patch)
       !found
   in
   if !found <> None && Obs.Trace.enabled () then
     Obs.Trace.complete ~cat:"gp" ~name:"gp.minimize" t_min;
-  (* ddmin probes (non-slice mode: they run on [ev]) land on a "minimize"
+  (* ddmin probes (on a whole-design run they run on [ev]) land on a "minimize"
      accounting row so the funnel still tiles the run_end counters. *)
   let unfunnelled =
     Evaluate.get ev.table Lookups - Evaluate.get funnel.snap Lookups
@@ -855,33 +823,19 @@ let repair ?(on_generation : (generation_stats -> unit) option)
          ( "in_lineage",
            Obs.Json.Int (funnel_total funnel (fun r -> r.f_lineage)) );
        ]
-      @
-      if cfg.slice then
-        [
-          ( "slice_sims",
-            Obs.Json.Int
-              (if slicing <> None then Evaluate.get counters Probes else 0) );
-          ("stitched_verifies", Obs.Json.Int !stitched);
-        ]
-      else [])
+      @ Slicing.run_end_fields sl)
   end;
   {
     repaired = !found;
     minimized;
-    repaired_module =
-      Option.map
-        (fun p ->
-          match slicing with
-          | None -> Patch.apply original p
-          | Some s -> Slicing.stitch s p)
-        minimized;
+    repaired_module = Option.map (Patch.apply whole_target) minimized;
     generations = List.rev !gen_stats;
     counters;
     mutants_generated = !mutants;
     wall_seconds = Obs.Clock.seconds_since t0;
     initial_fitness = initial.outcome.fitness;
-    sliced = slicing <> None;
-    stitched_verifies = !stitched;
+    sliced = sl.slice <> None;
+    stitched_verifies = sl.stitched;
     (* Flat copies of [counters]. The perfbench harness is kept frozen so
        its numbers stay comparable across changes, and it reads these
        eleven by field name; in-repo code reads [counters]. *)

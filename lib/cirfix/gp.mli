@@ -39,9 +39,9 @@ type result = {
   wall_seconds : float;
   initial_fitness : float;  (** fitness of the unpatched faulty design *)
   sliced : bool;
-      (** slice-based repair actually engaged ([cfg.slice] and the slicer
-          found a strictly smaller exact slice); when false under
-          [cfg.slice], the run silently fell back to whole-design repair *)
+      (** slice-based repair engaged: the slicer found a strictly smaller
+          exact slice ({!Slicing.start}); when false, the run searched the
+          whole design *)
   stitched_verifies : int;
       (** slice-plausible candidates stitched back into the whole design
           and re-verified on the full oracle — the slicing acceptance

@@ -43,7 +43,7 @@ let subtree_ids (m : Verilog.Ast.module_decl) (items : Slice.Ids.t) :
           item)
     Fault_loc.IdSet.empty m.items
 
-let prepare (whole_ev : Evaluate.t) : t option =
+let prepare (whole_ev : Evaluate.t) ~(seed : Evaluate.outcome) : t option =
   let problem = whole_ev.problem in
   match dut_instance problem.spec with
   | None -> None
@@ -57,13 +57,10 @@ let prepare (whole_ev : Evaluate.t) : t option =
           match Slice.output_ports whole_target with
           | [] -> None
           | out_ports ->
-              (* Score the unpatched seed on the whole design: the
-                 mismatching outputs seed the cone, and the evaluation
-                 primes [whole_ev]'s cache for later stitched verifies. *)
-              let seed_outcome = Evaluate.eval_module whole_ev whole_target in
+              (* The seed's mismatching outputs seed the cone. *)
               let mismatch =
                 Fitness.mismatched_signals ~expected:problem.oracle
-                  ~actual:seed_outcome.trace
+                  ~actual:seed.trace
               in
               let tb_read =
                 Slice.tb_read_outputs ~tb ~inst ~target:whole_target
@@ -125,6 +122,39 @@ let prepare (whole_ev : Evaluate.t) : t option =
 let stitch (s : t) (patch : Patch.t) : Verilog.Ast.module_decl =
   Patch.apply s.whole_target patch
 
+type run = {
+  whole_ev : Evaluate.t;
+  ev : Evaluate.t;
+  seed : Evaluate.outcome;
+  slice : t option;
+  mutable stitched : int;
+}
+
+(* Score the unpatched seed on the whole design, then try to slice. The
+   seed evaluation both seeds the cone and primes [whole_ev]'s cache for
+   the stitched verifies; on fallback it is the run's own seed lookup, so
+   a whole-design run issues exactly the lookups it always did. *)
+let start (cfg : Config.t) (problem : Problem.t) : run =
+  let whole_ev = Evaluate.create cfg problem in
+  let seed = Evaluate.eval_module whole_ev (Problem.target_module problem) in
+  match prepare whole_ev ~seed with
+  | None -> { whole_ev; ev = whole_ev; seed; slice = None; stitched = 0 }
+  | Some s ->
+      let ev = Evaluate.create cfg s.sliced in
+      let seed = Evaluate.eval_module ev (Problem.target_module s.sliced) in
+      { whole_ev; ev; seed; slice = Some s; stitched = 0 }
+
+let whole_target (r : run) = Problem.target_module r.whole_ev.problem
+
+(* The acceptance gate: a slice-plausible patch counts as a repair only if
+   the stitched whole design reaches fitness 1.0 on the full oracle. *)
+let accept (r : run) (patch : Patch.t) : bool =
+  match r.slice with
+  | None -> true
+  | Some s ->
+      r.stitched <- r.stitched + 1;
+      (Evaluate.eval_module r.whole_ev (stitch s patch)).fitness >= 1.0
+
 let journal_record (s : t) : (string * Obs.Json.t) list =
   let p = s.plan in
   let strs l = Obs.Json.List (List.map (fun x -> Obs.Json.Str x) l) in
@@ -146,3 +176,16 @@ let journal_record (s : t) : (string * Obs.Json.t) list =
     ("focus_nodes", Obs.Json.Int (Fault_loc.IdSet.cardinal s.focus));
     ("structural_hash", Obs.Json.Str p.sl_hash);
   ]
+
+let journal (r : run) : unit =
+  if Obs.Journal.enabled () then
+    Option.iter (fun s -> Obs.Journal.emit (journal_record s)) r.slice
+
+let run_end_fields (r : run) : (string * Obs.Json.t) list =
+  match r.slice with
+  | None -> []
+  | Some _ ->
+      [
+        ("slice_sims", Obs.Json.Int (Evaluate.get r.ev.table Probes));
+        ("stitched_verifies", Obs.Json.Int r.stitched);
+      ]

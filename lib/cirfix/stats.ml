@@ -16,11 +16,6 @@ let sims_per_sec ~probes ~wall_seconds =
 let coverage_percent ~covered ~total =
   if total <= 0 then 0. else 100. *. float_of_int covered /. float_of_int total
 
-(* Dynamic race density: races flagged by the runtime checker per thousand
-   candidate simulations (0 when nothing was simulated). *)
-let races_per_ksim ~races ~probes =
-  if probes <= 0 then 0. else 1000. *. float_of_int races /. float_of_int probes
-
 (* Percentage helper for counter breakdowns (0 when the total is 0). *)
 let percent ~part ~total =
   if total <= 0 then 0. else 100. *. float_of_int part /. float_of_int total

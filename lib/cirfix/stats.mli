@@ -13,10 +13,6 @@ val sims_per_sec : probes:int -> wall_seconds:float -> float
 (** Statement coverage as a percentage; 0 when [total] is 0. *)
 val coverage_percent : covered:int -> total:int -> float
 
-(** Races flagged by the runtime checker per thousand simulations; 0 when
-    [probes] is 0. *)
-val races_per_ksim : races:int -> probes:int -> float
-
 (** [percent ~part ~total] as a percentage; 0 when [total] is 0. *)
 val percent : part:int -> total:int -> float
 

@@ -78,8 +78,8 @@ type dop =
                clock/stimulus generator shape.  Self-reschedules via
                [Runtime.schedule_at]. *)
 type cproc =
-  | Pfiber of int option * string * (unit -> unit)
-    (* pid, profiler label, compiled body *)
+  | Pfiber of string * (unit -> unit)
+    (* profiler label, compiled body (an always body loops forever) *)
   | Pedge of {
       pe_tick : unit -> unit; (* budget/coverage entry of the @() stmt *)
       pe_wait : Engine.wait; (* resolved, deduplicated sensitivity *)
@@ -921,7 +921,6 @@ let compile (elab : Elaborate.elaborated) : artifact =
   let st = elab.Elaborate.st in
   let reads = Hashtbl.create 256 and writes = Hashtbl.create 256 in
   (* Processes first: their read/write sets drive const/dead analysis. *)
-  let next_pid = ref 0 in
   let procs =
     List.map
       (fun (p : Elaborate.process) ->
@@ -935,15 +934,17 @@ let compile (elab : Elaborate.elaborated) : artifact =
         in
         match p.Elaborate.pr_kind with
         | Elaborate.PInitial ->
-            Pfiber (None, label "init", compile_stmt env p.Elaborate.pr_body)
+            Pfiber (label "init", compile_stmt env p.Elaborate.pr_body)
         | Elaborate.PAlways -> (
-            let pid = !next_pid in
-            incr next_pid;
             match compile_always env p.Elaborate.pr_body with
             | Some cp -> cp
             | None ->
-                Pfiber
-                  (Some pid, label "proc", compile_stmt env p.Elaborate.pr_body)))
+                let body = compile_stmt env p.Elaborate.pr_body in
+                let rec loop () =
+                  body ();
+                  loop ()
+                in
+                Pfiber (label "proc", loop)))
       elab.Elaborate.procs
   in
   (* Node compilation gets scratch read/write tables: const/dead analysis
@@ -1204,20 +1205,10 @@ let launch (art : artifact) =
   List.iter
     (fun cp ->
       match cp with
-      | Pfiber (None, label, body) ->
+      | Pfiber (label, body) ->
           Engine.spawn
             ?prof:(if prof then Some (Obs.Profile.site label) else None)
             st body
-      | Pfiber (Some pid, label, body) ->
-          Engine.spawn ~pid
-            ?prof:(if prof then Some (Obs.Profile.site label) else None)
-            st
-            (fun () ->
-              let rec loop () =
-                body ();
-                loop ()
-              in
-              loop ())
       | Pedge { pe_tick; pe_wait; pe_body; pe_label } -> (
           let pe_body = prof_wrap pe_label pe_body in
           (* The arm/wake pair replays the fiber's lifecycle without a

@@ -290,7 +290,7 @@ and exec_systask st sc task args =
 
 (* --- Process spawning and the run loop ----------------------------------- *)
 
-let park ?prof (st : Runtime.state) ~(pid : int) (w : wait)
+let park ?prof (st : Runtime.state) (w : wait)
     (resume : unit -> unit) =
   let resumed = ref false in
   let resume () =
@@ -308,10 +308,6 @@ let park ?prof (st : Runtime.state) ~(pid : int) (w : wait)
       resumed := true;
       resume ())
   in
-  (* Each fiber segment runs attributed to its process; for edge/event
-     waits the activation cause is stamped by the waker (set_var /
-     trigger_event), for delays it is known here. *)
-  let resume () = Runtime.with_proc st pid resume in
   (* Profiling: each resumed segment runs under the process's frame, so
      fiber time lands on "region;proc" paths. [Fun.protect] (not a bare
      leave) because $finish propagates out of segments as an exception. *)
@@ -325,8 +321,7 @@ let park ?prof (st : Runtime.state) ~(pid : int) (w : wait)
   in
   match w with
   | WDelay n ->
-      Runtime.schedule_at st ~time:(st.now + n) (fun () ->
-          Runtime.with_cause st Runtime.Cause_delay resume)
+      Runtime.schedule_at st ~time:(st.now + n) resume
   | WEvent v -> Runtime.add_waiter st v Runtime.Any resume
   | WEdges edges ->
       (* The whole group shares one fired flag: a single wake-up per
@@ -340,10 +335,9 @@ let park ?prof (st : Runtime.state) ~(pid : int) (w : wait)
             Runtime.add_waiter ~fired st v edge resume))
         edges
 
-(* [pid]: race-checker identity. Always processes get distinct ids;
-   initial blocks pass the default -1 and stay untracked. [prof]: the
-   profiler site charged for every fiber segment of this process. *)
-let spawn ?(pid = -1) ?prof (st : Runtime.state) (body : unit -> unit) =
+(* [prof]: the profiler site charged for every fiber segment of this
+   process. *)
+let spawn ?prof (st : Runtime.state) (body : unit -> unit) =
   let fiber () =
     match_with body ()
       {
@@ -355,7 +349,7 @@ let spawn ?(pid = -1) ?prof (st : Runtime.state) (body : unit -> unit) =
             | Suspend w ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    park ?prof st ~pid w (fun () -> continue k ()))
+                    park ?prof st w (fun () -> continue k ()))
             | _ -> None);
       }
   in
@@ -367,9 +361,7 @@ let spawn ?(pid = -1) ?prof (st : Runtime.state) (body : unit -> unit) =
           Obs.Profile.enter site;
           Fun.protect ~finally:(fun () -> Obs.Profile.leave site) fiber
   in
-  Runtime.schedule_active st (fun () ->
-      Runtime.with_cause st Runtime.Cause_start (fun () ->
-          Runtime.with_proc st pid fiber))
+  Runtime.schedule_active st fiber
 
 type outcome =
   | Finished (* $finish reached *)
@@ -386,7 +378,6 @@ let launch (elab : Elaborate.elaborated) =
       List.iter (fun v -> Runtime.subscribe v cb.cb_eval) cb.cb_support;
       Runtime.schedule_active st cb.cb_eval)
     elab.combs;
-  let next_pid = ref 0 in
   (* Profiler identity: one site per source process, named by its scope
      and the root statement's node id, so event-engine and compiled runs
      attribute to the same labels. Sites are only interned when the
@@ -406,9 +397,7 @@ let launch (elab : Elaborate.elaborated) =
           spawn ?prof:(prof_site "init" p) st (fun () ->
               exec st p.pr_scope p.pr_body)
       | Elaborate.PAlways ->
-          let pid = !next_pid in
-          incr next_pid;
-          spawn ~pid ?prof:(prof_site "proc" p) st (fun () ->
+          spawn ?prof:(prof_site "proc" p) st (fun () ->
               let rec loop () =
                 exec st p.pr_scope p.pr_body;
                 loop ()

@@ -20,7 +20,7 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Vec.t =
   | Number v -> v
   | IntLit n -> Vec.of_int int_width n
   | String _ -> Vec.zero 1 (* strings only appear as system-task formats *)
-  | Ident name -> read_ident st sc name
+  | Ident name -> read_ident sc name
   | Index (name, idx) -> (
       let iv = eval st sc idx in
       match Runtime.scope_find sc name with
@@ -29,7 +29,6 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Vec.t =
           | None -> Vec.all_x 1
           | Some i -> [ Vec.get c i ] |> fun l -> Vec.of_bits (Array.of_list l))
       | Some (Bvar v) -> (
-          Runtime.note_read st v;
           match Vec.to_int iv with
           | None -> if v.v_array = None then Vec.all_x 1 else Vec.all_x v.v_width
           | Some i ->
@@ -41,7 +40,6 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Vec.t =
       | None -> raise (Runtime.Elab_error ("undeclared identifier " ^ name)))
   | RangeSel (name, me, le) -> (
       let v = Runtime.scope_var sc name in
-      Runtime.note_read st v;
       match (Vec.to_int (eval st sc me), Vec.to_int (eval st sc le)) with
       | Some m, Some l ->
           let a = Runtime.storage_index v m and b = Runtime.storage_index v l in
@@ -126,15 +124,13 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Vec.t =
   | Call (f, _) ->
       raise (Runtime.Elab_error ("unsupported system function " ^ f))
 
-and read_ident st sc name =
+and read_ident sc name =
   match Runtime.scope_find sc name with
   | Some (Bconst c) -> c
   | Some (Bvar v) ->
       if v.v_kind = Runtime.NamedEvent then
         raise (Runtime.Elab_error ("named event used as value: " ^ name))
-      else (
-        Runtime.note_read st v;
-        v.v_value)
+      else v.v_value
   | None -> raise (Runtime.Elab_error ("undeclared identifier " ^ name))
 
 (* Evaluate an expression to an int, for delays and replication counts. *)

@@ -41,49 +41,6 @@ type var = {
 
 type binding = Bvar of var | Bconst of Vec.t
 
-(* --- Dynamic (TSan-style) race checking ---------------------------------
-
-   When enabled, every procedural access from a tracked process (always
-   blocks; initial blocks are testbench convention and exempt) is logged
-   per timestep. Two accesses to one variable race when they come from
-   different processes *activated by the same event* (both woken by the
-   same signal edge, or both by a delay expiring at this time) and at
-   least one is a write: their relative order is a scheduler choice, not a
-   consequence of the design. The activation-cause condition is what keeps
-   ordinary wake-up dataflow (a comb block re-reading the signal whose
-   change woke it) from being reported. *)
-
-type cause =
-  | Cause_none (* not inside a tracked process activation *)
-  | Cause_start (* initial activation at time 0 *)
-  | Cause_delay (* resumed by a delay expiring at the current time *)
-  | Cause_edge of string * edge (* woken by this signal transition *)
-
-type race_access = {
-  ra_pid : int;
-  ra_write : bool;
-  ra_cause : cause;
-  ra_sid : int; (* statement node of the access *)
-}
-
-type race_event = {
-  re_var : string; (* hierarchical variable name *)
-  re_write_write : bool; (* write-write vs read-write conflict *)
-  re_writer_sid : int; (* source node of a write involved *)
-  re_other_sid : int; (* source node of the other access *)
-  re_time : int;
-}
-
-type race_checker = {
-  mutable rc_pid : int; (* executing process, -1 when untracked *)
-  mutable rc_cause : cause; (* what activated the executing process *)
-  mutable rc_sid : int; (* statement node currently executing *)
-  mutable rc_time : int; (* timestep the log belongs to *)
-  rc_log : (string, race_access list) Hashtbl.t;
-  mutable rc_events : race_event list; (* newest first *)
-  rc_seen : (string * int * int * bool, unit) Hashtbl.t; (* dedup *)
-}
-
 type scope = {
   sc_path : string;
   sc_module : string; (* module type name *)
@@ -131,7 +88,6 @@ type state = {
   display_log : Buffer.t; (* $display / $monitor output *)
   mutable coverage : (int, int) Hashtbl.t option;
       (* per-statement-node execution counts, when enabled *)
-  mutable race : race_checker option; (* dynamic race log, when enabled *)
   mutable end_of_step_hooks : (state -> unit) list;
   mutable all_vars : var list;
   mutable waiter_vars : var list; (* vars that may hold stale waiters *)
@@ -162,7 +118,6 @@ let create ?(max_steps = 2_000_000) ?(max_time = 1_000_000) () =
     max_time;
     display_log = Buffer.create 256;
     coverage = None;
-    race = None;
     end_of_step_hooks = [];
     all_vars = [];
     waiter_vars = [];
@@ -183,110 +138,7 @@ let tick st =
 
 let enable_coverage st = st.coverage <- Some (Hashtbl.create 256)
 
-let enable_race_check st =
-  st.race <-
-    Some
-      {
-        rc_pid = -1;
-        rc_cause = Cause_none;
-        rc_sid = -1;
-        rc_time = -1;
-        rc_log = Hashtbl.create 64;
-        rc_events = [];
-        rc_seen = Hashtbl.create 16;
-      }
-
-let race_events st =
-  match st.race with None -> [] | Some rc -> List.rev rc.rc_events
-
-let same_region a b =
-  match (a, b) with
-  | Cause_delay, Cause_delay -> true
-  | Cause_start, Cause_start -> true
-  | Cause_edge (n1, e1), Cause_edge (n2, e2) -> n1 = n2 && e1 = e2
-  | _ -> false
-
-(* Run [f] attributed to process [pid] (used by the engine around each
-   fiber segment). Cheap no-ops when the checker is off. *)
-let with_proc st pid f =
-  match st.race with
-  | None -> f ()
-  | Some rc ->
-      let saved = rc.rc_pid in
-      rc.rc_pid <- pid;
-      Fun.protect ~finally:(fun () -> rc.rc_pid <- saved) f
-
-let with_cause st cause f =
-  match st.race with
-  | None -> f ()
-  | Some rc ->
-      let saved = rc.rc_cause in
-      rc.rc_cause <- cause;
-      Fun.protect ~finally:(fun () -> rc.rc_cause <- saved) f
-
-let note_access st (v : var) ~(is_write : bool) =
-  match st.race with
-  | None -> ()
-  | Some rc ->
-      if rc.rc_pid >= 0 && v.v_kind = Variable then begin
-        if rc.rc_time <> st.now then begin
-          Hashtbl.reset rc.rc_log;
-          rc.rc_time <- st.now
-        end;
-        let prior =
-          Option.value (Hashtbl.find_opt rc.rc_log v.v_name) ~default:[]
-        in
-        List.iter
-          (fun a ->
-            if
-              a.ra_pid <> rc.rc_pid
-              && (is_write || a.ra_write)
-              && same_region a.ra_cause rc.rc_cause
-            then begin
-              let ww = is_write && a.ra_write in
-              let writer, other =
-                if a.ra_write then (a.ra_sid, rc.rc_sid)
-                else (rc.rc_sid, a.ra_sid)
-              in
-              let key = (v.v_name, min writer other, max writer other, ww) in
-              if not (Hashtbl.mem rc.rc_seen key) then begin
-                Hashtbl.add rc.rc_seen key ();
-                rc.rc_events <-
-                  {
-                    re_var = v.v_name;
-                    re_write_write = ww;
-                    re_writer_sid = writer;
-                    re_other_sid = other;
-                    re_time = st.now;
-                  }
-                  :: rc.rc_events
-              end
-            end)
-          prior;
-        (* One log entry per (process, kind) per variable per timestep
-           bounds the log on hot loops. *)
-        if
-          not
-            (List.exists
-               (fun a ->
-                 a.ra_pid = rc.rc_pid && a.ra_write = is_write
-                 && same_region a.ra_cause rc.rc_cause)
-               prior)
-        then
-          Hashtbl.replace rc.rc_log v.v_name
-            ({
-               ra_pid = rc.rc_pid;
-               ra_write = is_write;
-               ra_cause = rc.rc_cause;
-               ra_sid = rc.rc_sid;
-             }
-            :: prior)
-      end
-
-let note_read st v = note_access st v ~is_write:false
-
 let cover st sid =
-  (match st.race with Some rc -> rc.rc_sid <- sid | None -> ());
   match st.coverage with
   | None -> ()
   | Some h ->
@@ -347,7 +199,6 @@ let edge_of_transition (old_b : Bit.t) (new_b : Bit.t) : edge option =
    persistent subscribers when it changes. *)
 let set_var st (v : var) (value : Vec.t) =
   let value = Vec.resize v.v_width value in
-  note_access st v ~is_write:true;
   if not (Vec.equal v.v_value value) then (
     let old_lsb = Vec.get v.v_value 0 in
     v.v_value <- value;
@@ -356,20 +207,6 @@ let set_var st (v : var) (value : Vec.t) =
     | waiters ->
         let new_lsb = Vec.get value 0 in
         let fired_edge = edge_of_transition old_lsb new_lsb in
-        (* Waiters woken by this transition are activated by it: their
-           subsequent accesses carry this cause, so the race checker can
-           tell co-triggered processes (same cause -> racy) from wake-up
-           dataflow. *)
-        let wake_k =
-          match st.race with
-          | None -> fun w -> schedule_active st w.w_k
-          | Some _ ->
-              let cause =
-                Cause_edge
-                  (v.v_name, match fired_edge with Some e -> e | None -> Any)
-              in
-              fun w -> schedule_active st (fun () -> with_cause st cause w.w_k)
-        in
         let matches w =
           (not !(w.w_fired))
           &&
@@ -387,7 +224,7 @@ let set_var st (v : var) (value : Vec.t) =
                the partition before either sets the shared flag. *)
             if not !(w.w_fired) then (
               w.w_fired := true;
-              wake_k w))
+              schedule_active st w.w_k))
           woken);
     List.iter (fun s -> schedule_active st s) v.v_subscribers)
 
@@ -397,7 +234,6 @@ let set_array_word st (v : var) idx (value : Vec.t) =
   | Some (lo, hi) ->
       if idx >= lo && idx <= hi then (
         let value = Vec.resize v.v_width value in
-        note_access st v ~is_write:true;
         if not (Vec.equal v.v_words.(idx - lo) value) then (
           v.v_words.(idx - lo) <- value;
           List.iter (fun s -> schedule_active st s) v.v_subscribers))
@@ -413,18 +249,11 @@ let get_array_word (v : var) idx =
 let trigger_event st (v : var) =
   let woken = v.v_waiters in
   v.v_waiters <- [];
-  let wake_k =
-    match st.race with
-    | None -> fun w -> schedule_active st w.w_k
-    | Some _ ->
-        let cause = Cause_edge (v.v_name, Any) in
-        fun w -> schedule_active st (fun () -> with_cause st cause w.w_k)
-  in
   List.iter
     (fun w ->
       if not !(w.w_fired) then (
         w.w_fired := true;
-        wake_k w))
+        schedule_active st w.w_k))
     woken
 
 let add_waiter ?(fired = ref false) st (v : var) edge k =

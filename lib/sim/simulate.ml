@@ -45,8 +45,6 @@ type result = {
   display : string;
   end_time : int;
   steps : int;
-  races : Runtime.race_event list;
-      (* dynamic race-checker findings; empty unless [check_races] *)
   backend_used : backend_used;
 }
 
@@ -166,13 +164,12 @@ let pack_result (st : Runtime.state) recorder outcome backend_used =
     display = Buffer.contents st.display_log;
     end_time = st.now;
     steps = st.steps;
-    races = Runtime.race_events st;
     backend_used;
   }
 
 (* --- Event backend ------------------------------------------------------ *)
 
-let run_event ~max_steps ~max_time ~check_races ~obs design (spec : spec)
+let run_event ~max_steps ~max_time ~obs design (spec : spec)
     backend_used : (result, error) Stdlib.result =
   let t_elab = if obs && Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
   match
@@ -181,7 +178,6 @@ let run_event ~max_steps ~max_time ~check_races ~obs design (spec : spec)
           let elab =
             Elaborate.elaborate ~max_steps ~max_time design ~top:spec.top
           in
-          if check_races then Runtime.enable_race_check elab.st;
           let recorder =
             Recorder.attach elab.st ~clock:spec.clock
               ~instance_path:spec.dut_path
@@ -239,19 +235,15 @@ let run_artifact ~max_steps ~max_time ~obs (art : Compile.artifact)
                  pack_result st recorder outcome Used_compiled)))
 
 (* Simulate [design] under [spec]. Elaboration failures (the simulator
-   analogue of a mutant that does not compile) are reported as [Error].
-   [check_races] enables the runtime race checker and forces the event
-   backend (the race instrumentation lives in the interpreter). *)
-let run ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
-    ?(check_races = false) ?(backend = Event) (design : Verilog.Ast.design)
-    (spec : spec) : (result, error) Stdlib.result =
+   analogue of a mutant that does not compile) are reported as [Error]. *)
+let run ?(max_steps = 2_000_000) ?(max_time = 1_000_000) ?(backend = Event)
+    (design : Verilog.Ast.design) (spec : spec) : (result, error) Stdlib.result =
   (* One boolean decides whether the run maintains scheduler counters and
      emits spans; when no sink is active the only overhead left in the
      simulator is a per-dispatch branch on [obs_enabled]. *)
   let obs = obs_enabled () in
-  let want_compiled = backend <> Event && not check_races in
-  if not want_compiled then
-    run_event ~max_steps ~max_time ~check_races ~obs design spec Used_event
+  if backend = Event then
+    run_event ~max_steps ~max_time ~obs design spec Used_event
   else begin
     (* Key hashing and the cache probe are real per-run cost of the
        compiled path; charge them as (amortized) elaboration. *)
@@ -293,16 +285,15 @@ let run ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
     | Error e -> Error e
     | Ok (Ok art) -> run_artifact ~max_steps ~max_time ~obs art spec
     | Ok (Error reason) ->
-        run_event ~max_steps ~max_time ~check_races:false ~obs design spec
-          (Used_fallback reason)
+        run_event ~max_steps ~max_time ~obs design spec (Used_fallback reason)
   end
 
 (* Convenience: parse sources then simulate. *)
-let run_source ?max_steps ?max_time ?check_races ?backend ~(source : string)
-    (spec : spec) : (result, error) Stdlib.result =
+let run_source ?max_steps ?max_time ?backend ~(source : string) (spec : spec) :
+    (result, error) Stdlib.result =
   match Verilog.Parser.parse_design_result source with
   | Error msg -> Error (Elab_failure msg)
-  | Ok design -> run ?max_steps ?max_time ?check_races ?backend design spec
+  | Ok design -> run ?max_steps ?max_time ?backend design spec
 
 (* --- Profiled runs ------------------------------------------------------ *)
 

@@ -455,7 +455,7 @@ let check_width ~modname (env : env) (g : Deps.t) : Lint.finding list =
 
 (* Per-output backward-cone sizes (the [cone] rule family): how much of
    the module each output port transitively depends on — the slicing
-   opportunity `cirfix slice` / `repair --slice` exploits. Outputs are
+   opportunity `cirfix slice` and slice-based repair exploit. Outputs are
    reported name-sorted, anchored at the port declaration. *)
 let check_cone ~modname (m : module_decl) (g : Deps.t) : Lint.finding list =
   let total_size = Ast_utils.module_size m in

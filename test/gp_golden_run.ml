@@ -1,11 +1,11 @@
-(* Repair-loop golden: [Gp.repair] over small defect scenarios under five
+(* Repair-loop golden: [Gp.repair] over small defect scenarios under four
    configurations, printed so that any change to the mutant stream, the
    evaluator's accounting or the minimized winner shows up as a diff.
 
    Runs, in output order:
    - per seed (1, then 2), per configuration (default, no fault
-     localization, no templates, slice-based repair, two domains), per
-     scenario (#2 #3 #4 #11 #15, and i2c #18, where slicing engages):
+     localization, no templates, two domains), per scenario (#2 #3 #4
+     #11 #15, and i2c #18, where slicing engages):
      [Runner.scenario_config] with the probe budget cut to [max_probes];
    - then the heavy scenarios #25 and #28 at seed 1 under the unreduced
      [Runner.scenario_config].
@@ -33,7 +33,6 @@ let configs : (string * (Cirfix.Config.t -> Cirfix.Config.t)) list =
     ("default", Fun.id);
     ("no-fault-loc", fun c -> { c with use_fault_loc = false });
     ("no-templates", fun c -> { c with use_templates = false });
-    ("slice", fun c -> { c with slice = true });
     ("jobs2", fun c -> { c with jobs = 2 });
   ]
 

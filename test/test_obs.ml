@@ -129,8 +129,16 @@ let test_json_escaping_roundtrip () =
 (* The journal must be byte-identical across [jobs] once wall-clock fields
    are stripped: records are derived only from sequentially-committed
    state. This is the cross-process analogue of Gp's determinism test. *)
-let journal_of (search : Cirfix.Config.t -> Cirfix.Problem.t -> unit) ~jobs =
+(* Run [f] with a journal open; its result and the journal's contents. *)
+let with_journal f =
   let path = Filename.temp_file "cirfix-journal" ".jsonl" in
+  Journal.open_file path;
+  let r = Fun.protect ~finally:(fun () -> Journal.close ()) f in
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (s, r)
+
+let journal_of (search : Cirfix.Config.t -> Cirfix.Problem.t -> unit) ~jobs =
   let problem = Bench_suite.Defects.problem (Bench_suite.Defects.find 3) in
   let cfg =
     {
@@ -143,16 +151,25 @@ let journal_of (search : Cirfix.Config.t -> Cirfix.Problem.t -> unit) ~jobs =
       max_wall_seconds = 600.0;
     }
   in
-  Journal.open_file path;
-  Fun.protect
-    ~finally:(fun () -> Journal.close ())
-    (fun () -> search cfg problem);
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Sys.remove path;
-  s
+  fst (with_journal (fun () -> search cfg problem))
+
+(* A repair whose slicing engages: i2c #18's watchdog lies outside the
+   mismatch cone. At seed 2 it repairs within the budget, so the run
+   exercises the stitched acceptance gate and whole-design minimization. *)
+let sliced_repair ~jobs =
+  let d = Bench_suite.Defects.find 18 in
+  let cfg =
+    {
+      (Bench_suite.Runner.scenario_config d) with
+      jobs;
+      seed = 2;
+      max_probes = 400;
+      max_wall_seconds = 600.0;
+    }
+  in
+  with_journal (fun () -> Cirfix.Gp.repair cfg (Bench_suite.Defects.problem d))
+
+let sliced_j1 = lazy (sliced_repair ~jobs:1)
 
 let journal_of_repair =
   journal_of (fun cfg p -> ignore (Cirfix.Gp.repair cfg p))
@@ -228,9 +245,7 @@ let test_funnel_determinism () =
 
 (* Funnel totals must tile the run_end counters exactly: every evaluator
    outcome is charged to exactly one operator row, so the per-stage sums
-   reconcile with the run-wide counts (no double counting, no leaks). The
-   slice run falls back to the whole design, so its seed evaluation lands
-   on the "setup" row. *)
+   reconcile with the run-wide counts (no double counting, no leaks). *)
 let check_funnel_reconciliation journal =
   let run, funnel, run_end = funnel_and_end journal in
   let ops = Report.list_of "operators" funnel in
@@ -257,13 +272,37 @@ let check_funnel_reconciliation journal =
 
 let test_funnel_reconciliation () =
   ignore (check_funnel_reconciliation (journal_of_repair ~jobs:1));
-  let sliced =
-    journal_of
-      (fun cfg p -> ignore (Cirfix.Gp.repair { cfg with slice = true } p))
-      ~jobs:1
+  (* On an engaged slice the funnel tiles the search evaluator's counters;
+     the whole-design seed and stitched verifies stay off it. *)
+  let journal, (r : Cirfix.Gp.result) = Lazy.force sliced_j1 in
+  Alcotest.(check bool) "slicing engaged" true r.sliced;
+  ignore (check_funnel_reconciliation journal);
+  let records, _ = Aggregate.parse_lenient journal in
+  Alcotest.(check bool) "slice record present" true
+    (Report.last_of_type "slice" records <> None);
+  let run_end =
+    find_exn "run_end record" (Report.last_of_type "run_end" records)
   in
-  Alcotest.(check bool) "setup row present" true
-    (List.mem "setup" (check_funnel_reconciliation sliced))
+  Alcotest.(check int) "slice_sims = probes" (Report.i_of "probes" run_end)
+    (Report.i_of "slice_sims" run_end);
+  Alcotest.(check int) "stitched_verifies" r.stitched_verifies
+    (Report.i_of "stitched_verifies" run_end)
+
+(* An engaged slice keeps the jobs-independence contract: the same
+   counters, stitched verifies and minimized patch at -j 1 and -j 2. *)
+let test_sliced_determinism () =
+  let _, (r1 : Cirfix.Gp.result) = Lazy.force sliced_j1 in
+  let _, (r2 : Cirfix.Gp.result) = sliced_repair ~jobs:2 in
+  Alcotest.(check bool) "repaired" true (r1.minimized <> None);
+  let counts (r : Cirfix.Gp.result) =
+    r.stitched_verifies
+    :: List.map (Cirfix.Evaluate.get r.counters) Cirfix.Evaluate.all_counters
+  in
+  Alcotest.(check (list int)) "same counters" (counts r1) (counts r2);
+  Alcotest.(check (option string))
+    "same minimized patch"
+    (Option.map Cirfix.Patch.to_string r1.minimized)
+    (Option.map Cirfix.Patch.to_string r2.minimized)
 
 (* Both engines' [run_end] records carry the whole counter table: every
    counter's key exactly once, in table order (lookups under "evals"). *)
@@ -349,5 +388,7 @@ let () =
             test_funnel_reconciliation;
           Alcotest.test_case "run_end carries every counter" `Slow
             test_run_end_counters;
+          Alcotest.test_case "sliced run jobs-independent" `Slow
+            test_sliced_determinism;
         ] );
     ]

@@ -1,8 +1,7 @@
 (* Tests for the race-detection subsystem: the static elaboration-aware
    analyzer (Verilog.Race), the full-case refinement of the latch lint,
-   the dynamic same-timestep access checker (Sim.Runtime), and their
-   integration into candidate evaluation (Rejected_racy, race counters,
-   and determinism across the parallelism degree). *)
+   and its integration into candidate evaluation (Rejected_racy, the
+   racy-reject counter, and determinism across the parallelism degree). *)
 
 let parse src =
   match Verilog.Parser.parse_design_result src with
@@ -205,77 +204,6 @@ let test_lint_casez_still_needs_default () =
   Alcotest.(check bool) "latch inferred" true
     (has "inferred-latch" (Verilog.Lint.check_module m))
 
-(* --- Dynamic checker --------------------------------------------------- *)
-
-(* Two clocked processes race through a blocking write of [a]; whether
-   [out] sees the old or new value depends on scheduler order. *)
-let racy_sim_src ~blocking =
-  Printf.sprintf
-    "module dut(c, q); input c; output q; reg q;\n\
-     initial q = 0;\n\
-     always @(posedge c) q <= 1'b1;\n\
-     endmodule\n\
-     module tb;\n\
-     reg clk; reg a; reg b; reg out; wire q;\n\
-     dut d(clk, q);\n\
-     initial begin clk = 0; a = 0; b = 0; out = 0; #22 $finish; end\n\
-     always #5 clk = ~clk;\n\
-     always @(posedge clk) a %s b + 1;\n\
-     always @(posedge clk) out %s a;\n\
-     endmodule"
-    (if blocking then "=" else "<=")
-    (if blocking then "=" else "<=")
-
-let sim_spec : Sim.Simulate.spec =
-  { top = "tb"; clock = "tb.clk"; dut_path = "tb.d" }
-
-let run_races src =
-  match Sim.Simulate.run_source ~check_races:true ~source:src sim_spec with
-  | Error (Sim.Simulate.Elab_failure e) -> Alcotest.fail e
-  | Ok r -> r.races
-
-let test_dynamic_flags_seeded_race () =
-  match run_races (racy_sim_src ~blocking:true) with
-  | [ e ] ->
-      Alcotest.(check string) "raced variable" "tb.a" e.re_var;
-      Alcotest.(check bool) "read-write" false e.re_write_write;
-      Alcotest.(check bool) "writer attributed to a source node" true
-        (e.re_writer_sid >= 0);
-      Alcotest.(check bool) "other access attributed" true (e.re_other_sid >= 0)
-  | rs -> Alcotest.failf "expected exactly one race, got %d" (List.length rs)
-
-let test_dynamic_nba_clean () =
-  Alcotest.(check int) "no races with NBA" 0
-    (List.length (run_races (racy_sim_src ~blocking:false)))
-
-let test_dynamic_off_by_default () =
-  match
-    Sim.Simulate.run_source ~source:(racy_sim_src ~blocking:true) sim_spec
-  with
-  | Error (Sim.Simulate.Elab_failure e) -> Alcotest.fail e
-  | Ok r -> Alcotest.(check int) "checker off" 0 (List.length r.races)
-
-let test_dynamic_benchmarks_clean () =
-  (* The shipped suite must simulate race-free: the dynamic checker's
-     false positives would otherwise pollute every repair trial. *)
-  List.iter
-    (fun (p : Bench_suite.Projects.t) ->
-      let spec = Bench_suite.Projects.spec p in
-      List.iter
-        (fun (label, tb) ->
-          let source = Bench_suite.Projects.design_source p ^ "\n" ^ tb in
-          match Sim.Simulate.run_source ~check_races:true ~source spec with
-          | Error (Sim.Simulate.Elab_failure e) -> Alcotest.fail e
-          | Ok r ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s/%s dynamic race-clean" p.name label)
-                0 (List.length r.races))
-        [
-          ("tb", Bench_suite.Projects.tb_source p);
-          ("tb2", Bench_suite.Projects.tb2_source p);
-        ])
-    Bench_suite.Projects.all
-
 (* --- Evaluation integration ------------------------------------------- *)
 
 let screen_problem () =
@@ -331,16 +259,6 @@ let test_evaluate_screen_off_simulates () =
   Alcotest.(check int) "no racy rejects" 0
     (Cirfix.Evaluate.get ev.table Racy_rejects)
 
-let test_evaluate_runtime_races_counted () =
-  let problem = screen_problem () in
-  let cfg = { Cirfix.Config.default with check_races = true } in
-  let ev = Cirfix.Evaluate.create cfg problem in
-  let o = Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem) in
-  Alcotest.(check bool) "simulated" true (o.status = Cirfix.Evaluate.Simulated);
-  Alcotest.(check bool) "dynamic write-write race observed" true (o.races > 0);
-  Alcotest.(check int) "totalled on the evaluator" o.races
-    (Cirfix.Evaluate.get ev.table Runtime_races)
-
 (* --- GP integration: counters and jobs-independence -------------------- *)
 
 let race_cfg (d : Bench_suite.Defects.t) ~jobs =
@@ -351,7 +269,6 @@ let race_cfg (d : Bench_suite.Defects.t) ~jobs =
     max_wall_seconds = 120.0;
     jobs;
     screen_races = true;
-    check_races = true;
   }
 
 let test_gp_reports_racy_rejects () =
@@ -525,22 +442,11 @@ let () =
           Alcotest.test_case "casez stays conservative" `Quick
             test_lint_casez_still_needs_default;
         ] );
-      ( "dynamic",
-        [
-          Alcotest.test_case "seeded race flagged" `Quick
-            test_dynamic_flags_seeded_race;
-          Alcotest.test_case "NBA clean" `Quick test_dynamic_nba_clean;
-          Alcotest.test_case "off by default" `Quick test_dynamic_off_by_default;
-          Alcotest.test_case "benchmarks clean" `Quick
-            test_dynamic_benchmarks_clean;
-        ] );
       ( "evaluate",
         [
           Alcotest.test_case "rejected racy" `Quick test_evaluate_rejected_racy;
           Alcotest.test_case "screen off simulates" `Quick
             test_evaluate_screen_off_simulates;
-          Alcotest.test_case "runtime races counted" `Quick
-            test_evaluate_runtime_races_counted;
         ] );
       ( "gp",
         [

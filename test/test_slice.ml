@@ -105,8 +105,7 @@ let test_rewrite_testbench () =
 let test_prepare_engages () =
   let d = Bench_suite.Defects.find 18 in
   let problem = Bench_suite.Defects.problem d in
-  let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
-  match Cirfix.Slicing.prepare ev with
+  match (Cirfix.Slicing.start Cirfix.Config.default problem).slice with
   | None -> Alcotest.fail "prepare fell back on i2c"
   | Some s ->
       Alcotest.(check bool) "dropped something" true (s.plan.sl_dropped <> []);
@@ -121,9 +120,8 @@ let test_prepare_engages () =
 let test_prepare_falls_back () =
   let d = Bench_suite.Defects.find 31 in
   let problem = Bench_suite.Defects.problem d in
-  let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   Alcotest.(check bool) "prepare returns None" true
-    (Cirfix.Slicing.prepare ev = None)
+    ((Cirfix.Slicing.start Cirfix.Config.default problem).slice = None)
 
 let () =
   Alcotest.run "slice"
