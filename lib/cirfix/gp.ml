@@ -193,8 +193,8 @@ let journal_lineage ~(winner : string)
    in-winner-lineage, keyed by the provenance operator string ("seed",
    "delete", "insert", "replace", "template:<name>", "crossover", plus
    the accounting pseudo-operator "minimize" for evaluator work after the
-   proposal stream). All bumps happen on sequentially-
-   committed state, so the funnel is byte-identical across [jobs].
+   proposal stream). All bumps happen on sequentially-committed state, so
+   the funnel is byte-identical across [jobs].
 
    Stage semantics (each evaluated proposal lands in exactly one, by
    construction of the evaluator's disposition counters):
@@ -746,8 +746,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   in
   if !found <> None && Obs.Trace.enabled () then
     Obs.Trace.complete ~cat:"gp" ~name:"gp.minimize" t_min;
-  (* ddmin probes (on a whole-design run they run on [ev]) land on a "minimize"
-     accounting row so the funnel still tiles the run_end counters. *)
+  (* ddmin probes (on [ev] when the run searched the whole design) land on
+     a "minimize" accounting row so the funnel still tiles the run_end
+     counters. *)
   let unfunnelled =
     Evaluate.get ev.table Lookups - Evaluate.get funnel.snap Lookups
   in

@@ -82,7 +82,9 @@ val whole_target : run -> Verilog.Ast.module_decl
 val accept : run -> Patch.t -> bool
 (** The acceptance gate for a candidate that reached fitness 1.0 on [ev]:
     always true without a slice; with one, the patch is stitched into the
-    whole module and must reach fitness 1.0 on the full oracle. *)
+    whole module and must reach fitness 1.0 on the full oracle. Engines
+    call it from their sequential commit loop, so [whole_ev]'s counters
+    and the accepted patch stay independent of [cfg.jobs]. *)
 
 val journal : run -> unit
 (** Emit the [slice] journal record when slicing engaged and a journal is
