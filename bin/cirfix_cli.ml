@@ -542,7 +542,6 @@ let check_pruning_arg =
 (* The search configuration [repair] and [brute] both take from flags. *)
 let search_config =
   let make max_probes wall jobs backend race_screen no_prune check_pruning =
-
     {
       Cirfix.Config.default with
       max_probes;

@@ -126,10 +126,11 @@ let add : counters -> counters -> counters = Array.map2 ( + )
 let diff : counters -> counters -> counters = Array.map2 ( - )
 
 (* Journal form. [run_end] carries the whole table in order, lookups under
-   the key "evals". The per-backend simulation counts are run totals only, so the per-generation and per-batch progress records
-   carry the search-disposition counters alone, and open with probes before
-   lookups, the order existing journals have. Timers are never journaled:
-   they vary run to run, and journals are byte-identical across [jobs]. *)
+   the key "evals". The per-backend simulation counts are run totals only,
+   so the per-generation and per-batch progress records carry the
+   search-disposition counters alone, and open with probes before lookups,
+   the order existing journals have. Timers are never journaled: they vary
+   run to run, and journals are byte-identical across [jobs]. *)
 let journal_fields ~(final : bool) (c : counters) : (string * Obs.Json.t) list =
   let field k = (name k, Obs.Json.Int (get c k)) in
   if final then

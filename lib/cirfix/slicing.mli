@@ -1,15 +1,14 @@
 (** Slice-based repair support: bridges {!Verilog.Slice} into the repair
     engines ({!Gp}, {!Brute_force}).
 
-    {!prepare} derives a sliced repair problem from a whole-design one:
+    {!start} derives a sliced repair problem from a whole-design one:
     the backward cone of the mismatching outputs is extracted as a
     standalone module, the testbench instance is rewired to it, and the
     oracle is restricted to the slice's outputs. Mutation, localization
     and per-candidate simulation then run on the slice, which is strictly
-    smaller. Every engine run tries it ({!start}); {!prepare} returns
-    [None] whenever slicing cannot help (target is not the DUT module, or
-    the cone covers the whole design), and the run then searches the
-    whole design.
+    smaller. Every engine run calls it; whenever slicing cannot help
+    (target is not the DUT module, or the cone covers the whole design),
+    the run searches the whole design.
 
     Soundness rests on two facts. First, the repair slice is {e exact}:
     it is closed under fan-in, so for a fixed testbench its in-cone
@@ -39,14 +38,6 @@ val dut_instance : Sim.Simulate.spec -> string option
 (** The DUT instance name when the recorded path is a direct child of the
     testbench top (["tb.dut"] gives ["dut"]); [None] for deeper paths. *)
 
-val prepare : Evaluate.t -> seed:Evaluate.outcome -> t option
-(** [prepare whole_ev ~seed] slices [whole_ev.problem], where [seed] is
-    the unpatched target's outcome on [whole_ev]. Seeds the cone with the
-    mismatching output ports plus any outputs the testbench reads back
-    (reactive stimulus), and extracts a backward-only slice. [None] when
-    the problem's DUT instance is not the target module or the slice
-    drops nothing. *)
-
 val stitch : t -> Patch.t -> Verilog.Ast.module_decl
 (** Apply a slice-found patch to the whole module. *)
 
@@ -71,10 +62,14 @@ type run = {
 }
 
 val start : Config.t -> Problem.t -> run
-(** Score the unpatched seed on the whole design and {!prepare} a slice.
-    When it engages, the seed is scored again on a fresh evaluator over
-    the sliced problem; otherwise the whole-design seed lookup is the
-    run's one seed lookup. *)
+(** Score the unpatched seed on the whole design, then slice: seed the
+    cone with the mismatching output ports plus any outputs the
+    testbench reads back (reactive stimulus) and extract a backward-only
+    slice. The slice engages unless the problem's DUT instance is not
+    the target module or the slice drops nothing. When it engages, the
+    seed is scored again on a fresh evaluator over the sliced problem;
+    otherwise the whole-design seed lookup is the run's one seed
+    lookup. *)
 
 val whole_target : run -> Verilog.Ast.module_decl
 (** The unsliced module under repair. *)

@@ -290,8 +290,7 @@ and exec_systask st sc task args =
 
 (* --- Process spawning and the run loop ----------------------------------- *)
 
-let park ?prof (st : Runtime.state) (w : wait)
-    (resume : unit -> unit) =
+let park ?prof (st : Runtime.state) (w : wait) (resume : unit -> unit) =
   let resumed = ref false in
   let resume () =
     if !resumed then (
