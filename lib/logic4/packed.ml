@@ -1,7 +1,8 @@
 (* Packed 4-state vectors: two bitplanes in native ints.
 
-   The compiled simulation backend evaluates combinational nets over this
-   representation instead of [Vec.t] bit arrays.  A value of width <= 61 is
+   The simulator stores every variable and evaluates every expression over
+   this representation; [Vec.t] bit arrays remain the wide fallback and
+   the trace/display format.  A value of width <= 61 is
    stored as two machine integers (bitplanes): plane [a] holds the value
    bits, plane [b] the unknown bits.  Per bit position:
 
@@ -83,6 +84,7 @@ let equal x y =
 
 let resize w p =
   match p with
+  | _ when width p = w -> p
   | S s when w <= max_packed_width ->
       (* Truncate or V0-extend, exactly like Vec.resize. *)
       S { w; a = s.a land mask w; b = s.b land mask w }
@@ -188,7 +190,7 @@ let lognot = function
 
 (* --- Reductions (1-bit results) --------------------------------------- *)
 
-let bit1 bit =
+let of_bit bit =
   match bit with
   | Bit.V0 -> S { w = 1; a = 0; b = 0 }
   | Bit.V1 -> S { w = 1; a = 1; b = 0 }
@@ -199,16 +201,16 @@ let reduce_and = function
   | S { w; a; b } ->
       let m = mask w in
       (* A definite 0 anywhere dominates; otherwise any x/z poisons. *)
-      if lnot a land lnot b land m <> 0 then bit1 Bit.V0
-      else if b <> 0 then bit1 Bit.X
-      else bit1 Bit.V1
+      if lnot a land lnot b land m <> 0 then of_bit Bit.V0
+      else if b <> 0 then of_bit Bit.X
+      else of_bit Bit.V1
   | p -> of_vec (Vec.reduce_and (to_vec p))
 
 let reduce_or = function
   | S { a; b; _ } ->
-      if a land lnot b <> 0 then bit1 Bit.V1
-      else if b <> 0 then bit1 Bit.X
-      else bit1 Bit.V0
+      if a land lnot b <> 0 then of_bit Bit.V1
+      else if b <> 0 then of_bit Bit.X
+      else of_bit Bit.V0
   | p -> of_vec (Vec.reduce_or (to_vec p))
 
 let parity n =
@@ -222,43 +224,43 @@ let parity n =
 
 let reduce_xor = function
   | S { a; b; _ } ->
-      if b <> 0 then bit1 Bit.X
-      else if parity a = 1 then bit1 Bit.V1
-      else bit1 Bit.V0
+      if b <> 0 then of_bit Bit.X
+      else if parity a = 1 then of_bit Bit.V1
+      else of_bit Bit.V0
   | p -> of_vec (Vec.reduce_xor (to_vec p))
 
 (* --- Logical ops ------------------------------------------------------ *)
 
 let of_bool3 = function
-  | Some true -> bit1 Bit.V1
-  | Some false -> bit1 Bit.V0
-  | None -> bit1 Bit.X
+  | Some true -> of_bit Bit.V1
+  | Some false -> of_bit Bit.V0
+  | None -> of_bit Bit.X
 
 let log_and x y =
   match (to_bool x, to_bool y) with
-  | Some false, _ | _, Some false -> bit1 Bit.V0
-  | Some true, Some true -> bit1 Bit.V1
-  | _ -> bit1 Bit.X
+  | Some false, _ | _, Some false -> of_bit Bit.V0
+  | Some true, Some true -> of_bit Bit.V1
+  | _ -> of_bit Bit.X
 
 let log_or x y =
   match (to_bool x, to_bool y) with
-  | Some true, _ | _, Some true -> bit1 Bit.V1
-  | Some false, Some false -> bit1 Bit.V0
-  | _ -> bit1 Bit.X
+  | Some true, _ | _, Some true -> of_bit Bit.V1
+  | Some false, Some false -> of_bit Bit.V0
+  | _ -> of_bit Bit.X
 
 let log_not x =
   match to_bool x with
   | Some bb -> of_bool3 (Some (not bb))
-  | None -> bit1 Bit.X
+  | None -> of_bit Bit.X
 
 (* --- Comparisons (1-bit results) -------------------------------------- *)
 
 let cmp2 fast vecop x y =
   match (x, y) with
   | S p, S q ->
-      if p.b lor q.b <> 0 then bit1 Bit.X
-      else if fast p.a q.a then bit1 Bit.V1
-      else bit1 Bit.V0
+      if p.b lor q.b <> 0 then of_bit Bit.X
+      else if fast p.a q.a then of_bit Bit.V1
+      else of_bit Bit.V0
   | _ -> of_vec (vecop (to_vec x) (to_vec y))
 
 let eq x y = cmp2 ( = ) Vec.eq x y
@@ -270,12 +272,12 @@ let ge x y = cmp2 ( >= ) Vec.ge x y
 
 let case_eq x y =
   match (x, y) with
-  | S p, S q -> if p.a = q.a && p.b = q.b then bit1 Bit.V1 else bit1 Bit.V0
+  | S p, S q -> if p.a = q.a && p.b = q.b then of_bit Bit.V1 else of_bit Bit.V0
   | _ -> of_vec (Vec.case_eq (to_vec x) (to_vec y))
 
 let case_neq x y =
   match (x, y) with
-  | S p, S q -> if p.a = q.a && p.b = q.b then bit1 Bit.V0 else bit1 Bit.V1
+  | S p, S q -> if p.a = q.a && p.b = q.b then of_bit Bit.V0 else of_bit Bit.V1
   | _ -> of_vec (Vec.case_neq (to_vec x) (to_vec y))
 
 (* --- Shifts (width of the left operand is preserved) ------------------ *)
@@ -311,8 +313,12 @@ let concat hi lo =
 
 let replicate k p =
   if k <= 0 then invalid_arg "Packed.replicate";
-  let rec go acc n = if n = 0 then acc else go (concat acc p) (n - 1) in
-  go p (k - 1)
+  (* A wide result is built once: repeated [concat] through [Vec] would
+     copy quadratically in [k]. *)
+  if k * width p > max_packed_width then of_vec (Vec.replicate k (to_vec p))
+  else
+    let rec go acc n = if n = 0 then acc else go (concat acc p) (n - 1) in
+    go p (k - 1)
 
 let select p ~msb ~lsb =
   let wr = msb - lsb + 1 in

@@ -1,7 +1,14 @@
-(* Packed 4-state vectors: two bitplanes per net, stored in native ints for
-   widths up to [max_packed_width]; wider values fall through to [Vec].
+(* Packed 4-state vectors, the simulator's runtime value type: two
+   bitplanes per net, stored in native ints for widths up to
+   [max_packed_width]; wider values fall through to [Vec].
    Every operation is observationally identical to its [Vec] counterpart
-   (pinned by the fuzz suite) -- this module only changes the cost model. *)
+   (pinned by the fuzz suite) -- this module only changes the cost model.
+
+   Values are canonical: [S] iff the width is at most [max_packed_width],
+   and the planes of an [S] hold no bits at or above [w].  Every function
+   here returns canonical values, and [equal] (hence the simulator's
+   change detection) is exact only on canonical values, so code outside
+   this module must not build [S]/[V] by hand. *)
 
 type t = S of { w : int; a : int; b : int } | V of Vec.t
 
@@ -13,8 +20,11 @@ val to_vec : t -> Vec.t
 val zero : int -> t
 val all_x : int -> t
 val of_int : int -> int -> t
+val of_bit : Bit.t -> t
 val get : t -> int -> Bit.t
 val equal : t -> t -> bool
+
+(* Same-width resize returns its argument. *)
 val resize : int -> t -> t
 val to_bool : t -> bool option
 val to_int : t -> int option

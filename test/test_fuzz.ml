@@ -249,7 +249,7 @@ let test_canon_differential () =
                v_lsb = 0;
                v_is_output = false;
                v_array = None;
-               v_value = random_vec rng w;
+               v_value = Logic4.Packed.of_vec (random_vec rng w);
                v_words = [||];
                v_waiters = [];
                v_subscribers = [];
@@ -260,7 +260,8 @@ let test_canon_differential () =
     match
       (Sim.Eval.eval st sc e, Sim.Eval.eval st sc canon)
     with
-    | v1, v2 ->
+    | p1, p2 ->
+        let v1 = Logic4.Packed.to_vec p1 and v2 = Logic4.Packed.to_vec p2 in
         if not (Logic4.Vec.equal v1 v2) then
           Alcotest.failf "canon changed the value of %s\ncanon: %s\n%s <> %s"
             (show e) (show canon)
@@ -309,11 +310,23 @@ let test_packed_differential () =
            if Logic4.Bit.equal a b then a else Logic4.Bit.X))
   in
   let rng = Random.State.make [| 0xBACC |] in
+  (* Agreement, plus canonical form: [S] exactly up to 61 bits, planes
+     clear above the width -- what makes [P.equal] exact. *)
   let check name vv pv =
     if not (V.equal vv (P.to_vec pv)) then
       Alcotest.failf "Packed.%s disagrees with Vec.%s: %s <> %s" name name
         (V.to_string vv)
         (V.to_string (P.to_vec pv))
+    else if pv <> P.of_vec vv then
+      Alcotest.failf "Packed.%s returned a non-canonical value" name
+  in
+  (* Ops with preconditions must agree on raising as well. *)
+  let check_raising name vf pf =
+    let attempt f = try Some (f ()) with Invalid_argument _ -> None in
+    match (attempt vf, attempt pf) with
+    | Some vv, Some pv -> check name vv pv
+    | None, None -> ()
+    | _ -> Alcotest.failf "Packed.%s and Vec.%s disagree on raising" name name
   in
   let binops =
     [
@@ -379,8 +392,28 @@ let test_packed_differential () =
     if P.to_bool pa <> V.to_bool va then Alcotest.failf "to_bool disagrees";
     if P.to_int pa <> V.to_int va then Alcotest.failf "to_int disagrees";
     if P.has_xz pa <> V.has_xz va then Alcotest.failf "has_xz disagrees";
-    let i = Random.State.int rng wa in
-    if P.get pa i <> V.get va i then Alcotest.failf "get disagrees at %d" i
+    let i = Random.State.int rng (wa + 8) - 4 in
+    if P.get pa i <> V.get va i then Alcotest.failf "get disagrees at %d" i;
+    (* Equality, mixed widths included, and its agreement with equal
+       bits at one width. *)
+    if P.equal pa pb <> V.equal va vb then Alcotest.failf "equal disagrees";
+    if not (P.equal pa (P.of_vec (V.of_string (V.to_string va)))) then
+      Alcotest.failf "equal misses an equal value";
+    if P.equal pa (P.resize (wa + 1) pa) then
+      Alcotest.failf "equal ignores a width difference";
+    (* Ranges past either end, and reversed ones. *)
+    let lsb = Random.State.int rng (wa + 8) - 4 in
+    let msb = lsb + Random.State.int rng (wa + 6) - 2 in
+    check_raising "select"
+      (fun () -> V.select va ~msb ~lsb)
+      (fun () -> P.select pa ~msb ~lsb);
+    check_raising "insert"
+      (fun () -> V.insert ~into:va ~msb ~lsb vb)
+      (fun () -> P.insert ~into:pa ~msb ~lsb pb);
+    (* Resize across the packed boundary in both directions. *)
+    List.iter
+      (fun w -> check "resize" (V.resize w va) (P.resize w pa))
+      [ wa; 60; 61; 62; 1 + Random.State.int rng 70 ]
   done
 
 (* Equal semantic hashes must mean equal canonical modules — the hash is
