@@ -100,7 +100,7 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
                 let value =
                   match List.assoc_opt name overrides with
                   | Some v when not local -> v
-                  | _ -> Eval.eval st sc default
+                  | _ -> Packed.to_vec (Eval.eval st sc default)
                 in
                 Hashtbl.replace sc.sc_bindings name (Runtime.Bconst value))
               pairs
@@ -182,11 +182,11 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
           v_lsb = lsb;
           v_is_output = d.di_dir = Some Output;
           v_array = array;
-          v_value = Vec.all_x width;
+          v_value = Packed.all_x width;
           v_words =
             (match array with
             | None -> [||]
-            | Some (lo, hi) -> Array.init (hi - lo + 1) (fun _ -> Vec.all_x width));
+            | Some (lo, hi) -> Array.make (hi - lo + 1) (Packed.all_x width));
           v_waiters = [];
           v_subscribers = [];
           v_on_waiter_list = false;
@@ -222,11 +222,11 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
                     v_lsb = 0;
                     v_is_output = false;
                     v_array = None;
-                    v_value = Vec.zero 1;
+                    v_value = Packed.zero 1;
                     v_words = [||];
                     v_waiters = [];
                     v_subscribers = [];
-          v_on_waiter_list = false;
+                    v_on_waiter_list = false;
                   }
                 in
                 Hashtbl.replace sc.sc_bindings name (Runtime.Bvar v);
@@ -266,7 +266,7 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
             let overrides =
               List.mapi
                 (fun i (name_opt, e) ->
-                  let v = Eval.eval st sc e in
+                  let v = Packed.to_vec (Eval.eval st sc e) in
                   match name_opt with
                   | Some n -> (n, v)
                   | None -> (

@@ -19,18 +19,17 @@ let suspend w = perform (Suspend w)
 
 (* --- System task helpers ------------------------------------------------ *)
 
-let format_value fmt_char (v : Vec.t) =
+let format_value fmt_char (v : Packed.t) =
   match fmt_char with
-  | 'b' -> Vec.to_string v
   | 'd' | 't' -> (
-      match Vec.to_int v with
+      match Packed.to_int v with
       | Some n -> string_of_int n
-      | None -> String.make 1 (if Vec.has_xz v then 'x' else '?'))
+      | None -> String.make 1 (if Packed.has_xz v then 'x' else '?'))
   | 'h' | 'x' -> (
-      match Vec.to_int v with
+      match Packed.to_int v with
       | Some n -> Printf.sprintf "%x" n
       | None -> "x")
-  | _ -> Vec.to_string v
+  | _ -> Vec.to_string (Packed.to_vec v)
 
 (* Render $display-style arguments: a leading format string consumes
    subsequent values at each % directive. *)
@@ -41,7 +40,7 @@ let render_args st sc (args : expr list) : string =
       let values = ref (List.map (Eval.eval st sc) rest) in
       let next_value () =
         match !values with
-        | [] -> Vec.zero 1
+        | [] -> Packed.zero 1
         | v :: tl ->
             values := tl;
             v
@@ -171,23 +170,7 @@ let rec exec (st : Runtime.state) (sc : Runtime.scope) (s : stmt) : unit =
       | Some false | None -> Option.iter (exec st sc) e)
   | CaseStmt (kind, subject, arms, default) ->
       let sv = Eval.eval st sc subject in
-      let matches pattern =
-        let pv = Eval.eval st sc pattern in
-        let w = max (Vec.width sv) (Vec.width pv) in
-        let wild (b : Bit.t) =
-          match kind with
-          | Case -> false
-          | Casez -> b = Bit.Z
-          | Casex -> b = Bit.X || b = Bit.Z
-        in
-        let rec go i =
-          if i >= w then true
-          else (
-            let a = Vec.get sv i and b = Vec.get pv i in
-            (wild a || wild b || Bit.equal a b) && go (i + 1))
-        in
-        go 0
-      in
+      let matches pattern = Eval.case_matches kind sv (Eval.eval st sc pattern) in
       let rec try_arms = function
         | [] -> Option.iter (exec st sc) default
         | arm :: rest ->

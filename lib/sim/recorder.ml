@@ -9,10 +9,19 @@ open Logic4
 type sample = { t : int; values : (string * Vec.t) list }
 type trace = sample list
 
+(* An observed signal and its last sampled value: while [v_value] is
+   physically unchanged, samples share one entry instead of converting
+   the value to a [Vec.t] again. *)
+type observed = {
+  o_var : Runtime.var;
+  mutable o_last : Packed.t;
+  mutable o_entry : string * Vec.t;
+}
+
 type t = {
   mutable samples : sample list; (* reverse order while recording *)
   clk : Runtime.var;
-  observed : (string * Runtime.var) list;
+  observed : observed list;
   mutable prev_clk : Bit.t;
 }
 
@@ -33,30 +42,35 @@ let attach (st : Runtime.state) ~(clock : string) ~(instance_path : string) : t
            && String.length v.v_name > String.length prefix
            && String.sub v.v_name 0 (String.length prefix) = prefix
            && not (String.contains_from v.v_name (String.length prefix) '.'))
-    |> List.map (fun (v : Runtime.var) -> (v.Runtime.v_local, v))
-    |> List.sort compare
+    |> List.sort (fun (a : Runtime.var) b -> compare a.v_local b.v_local)
+    |> List.map (fun (v : Runtime.var) ->
+           let entry = (v.v_local, Packed.to_vec v.v_value) in
+           { o_var = v; o_last = v.v_value; o_entry = entry })
   in
   if observed = [] then
     raise
       (Runtime.Elab_error
          ("recorder: no output ports found under " ^ instance_path));
-  let r = { samples = []; clk; observed; prev_clk = Vec.get clk.v_value 0 } in
+  let r = { samples = []; clk; observed; prev_clk = Packed.get clk.v_value 0 } in
+  let value o =
+    let p = o.o_var.Runtime.v_value in
+    if p != o.o_last then begin
+      o.o_last <- p;
+      o.o_entry <- (o.o_var.v_local, Packed.to_vec p)
+    end;
+    o.o_entry
+  in
   let hook (st : Runtime.state) =
-    let cur = Vec.get r.clk.v_value 0 in
+    let cur = Packed.get r.clk.v_value 0 in
     if Runtime.edge_of_transition r.prev_clk cur = Some Runtime.Pos then
-      r.samples <-
-        {
-          t = st.now;
-          values = List.map (fun (n, v) -> (n, v.Runtime.v_value)) r.observed;
-        }
-        :: r.samples;
+      r.samples <- { t = st.now; values = List.map value r.observed } :: r.samples;
     r.prev_clk <- cur
   in
   st.end_of_step_hooks <- st.end_of_step_hooks @ [ hook ];
   r
 
 let trace (r : t) : trace = List.rev r.samples
-let signal_names (r : t) = List.map fst r.observed
+let signal_names (r : t) = List.map (fun o -> o.o_var.Runtime.v_local) r.observed
 
 (* --- Trace utilities ----------------------------------------------------- *)
 

@@ -23,8 +23,8 @@ type var = {
   v_lsb : int;
   v_is_output : bool; (* output port of its module *)
   v_array : (int * int) option; (* memory dimension (lo, hi) *)
-  mutable v_value : Vec.t;
-  mutable v_words : Vec.t array; (* only when v_array is Some *)
+  mutable v_value : Packed.t;
+  mutable v_words : Packed.t array; (* only when v_array is Some *)
   (* Edge-sensitive waiters: one-shot continuations resumed on a matching
      transition. A waiter group suspended on several signals shares one
      [fired] flag; stale entries are purged periodically so fiber stacks
@@ -196,16 +196,17 @@ let edge_of_transition (old_b : Bit.t) (new_b : Bit.t) : edge option =
   | `L, `L | `H, `H | `U, `U -> None
 
 (* Assign a new value to a scalar variable, waking edge waiters and
-   persistent subscribers when it changes. *)
-let set_var st (v : var) (value : Vec.t) =
-  let value = Vec.resize v.v_width value in
-  if not (Vec.equal v.v_value value) then (
-    let old_lsb = Vec.get v.v_value 0 in
+   persistent subscribers when it changes. A store replaces [v_value] only
+   on change, so readers may compare values by physical identity. *)
+let set_var st (v : var) (value : Packed.t) =
+  let value = Packed.resize v.v_width value in
+  if not (Packed.equal v.v_value value) then (
+    let old_lsb = Packed.get v.v_value 0 in
     v.v_value <- value;
     (match v.v_waiters with
     | [] -> ()
     | waiters ->
-        let new_lsb = Vec.get value 0 in
+        let new_lsb = Packed.get value 0 in
         let fired_edge = edge_of_transition old_lsb new_lsb in
         let matches w =
           (not !(w.w_fired))
@@ -228,13 +229,13 @@ let set_var st (v : var) (value : Vec.t) =
           woken);
     List.iter (fun s -> schedule_active st s) v.v_subscribers)
 
-let set_array_word st (v : var) idx (value : Vec.t) =
+let set_array_word st (v : var) idx (value : Packed.t) =
   match v.v_array with
   | None -> invalid_arg "set_array_word: not an array"
   | Some (lo, hi) ->
       if idx >= lo && idx <= hi then (
-        let value = Vec.resize v.v_width value in
-        if not (Vec.equal v.v_words.(idx - lo) value) then (
+        let value = Packed.resize v.v_width value in
+        if not (Packed.equal v.v_words.(idx - lo) value) then (
           v.v_words.(idx - lo) <- value;
           List.iter (fun s -> schedule_active st s) v.v_subscribers))
 
@@ -243,7 +244,7 @@ let get_array_word (v : var) idx =
   | None -> invalid_arg "get_array_word: not an array"
   | Some (lo, hi) ->
       if idx >= lo && idx <= hi then v.v_words.(idx - lo)
-      else Vec.all_x v.v_width
+      else Packed.all_x v.v_width
 
 (* Trigger a named event: wakes all current waiters (no value change). *)
 let trigger_event st (v : var) =

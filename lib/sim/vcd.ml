@@ -8,7 +8,7 @@ open Logic4
 type watched = {
   w_var : Runtime.var;
   w_code : string; (* short identifier code *)
-  mutable w_last : Vec.t option; (* last dumped value *)
+  mutable w_last : Packed.t option; (* last dumped value *)
 }
 
 type t = {
@@ -28,9 +28,14 @@ let code_of_int n =
   in
   go n ""
 
-let value_str (v : Vec.t) =
-  if Vec.width v = 1 then String.make 1 (Bit.to_char (Vec.get v 0))
-  else "b" ^ Vec.to_string v ^ " "
+let value_str (v : Packed.t) =
+  if Packed.width v = 1 then String.make 1 (Bit.to_char (Packed.get v 0))
+  else "b" ^ Vec.to_string (Packed.to_vec v) ^ " "
+
+let changed w =
+  match w.w_last with
+  | None -> true
+  | Some p -> not (Packed.equal p w.w_var.Runtime.v_value)
 
 (* Watch every scalar variable elaborated in [st] (arrays are skipped:
    VCD has no standard memory representation). *)
@@ -64,11 +69,7 @@ let attach (st : Runtime.state) : t =
     d.watched;
   Buffer.add_string d.init "$end\n";
   let hook (st : Runtime.state) =
-    let dirty =
-      List.filter
-        (fun w -> w.w_last <> Some w.w_var.Runtime.v_value)
-        d.watched
-    in
+    let dirty = List.filter changed d.watched in
     if dirty <> [] then (
       if st.now > d.last_time then (
         Buffer.add_string d.changes (Printf.sprintf "#%d\n" st.now);
@@ -124,7 +125,7 @@ let to_string ?(timescale = "1ns") (d : t) : string =
      hook when $finish cuts the step short; flush them here. Rendering
      does not mutate [d], so repeated calls produce identical output. *)
   let pending =
-    List.filter (fun w -> w.w_last <> Some w.w_var.Runtime.v_value) d.watched
+    List.filter changed d.watched
   in
   if pending <> [] then (
     if d.st.now > d.last_time then

@@ -18,7 +18,7 @@ let run ?(max_steps = 100_000) ?(max_time = 100_000) src =
 (* Value of [top.name] after the run. *)
 let value elab name =
   match Sim.Runtime.find_var elab.Sim.Elaborate.st ("top." ^ name) with
-  | Some v -> v.Sim.Runtime.v_value
+  | Some v -> Packed.to_vec v.Sim.Runtime.v_value
   | None -> Alcotest.failf "no variable top.%s" name
 
 let check_val elab name expected =
