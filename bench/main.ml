@@ -1055,10 +1055,11 @@ let sim_perf () =
       \  \"fallback_projects\": %d,\n\
       \  \"median_speedup\": %.3f,\n\
       \  \"note\": \"sims/sec = whole simulations of the project testbench \
-       per second, median of %d runs, artifact cache warm; the compiled \
-       backend shares the event engine's scheduler for processes and wins \
-       on the combinational cloud only, so the speedup is bounded well \
-       below the 10x a full cycle-level rewrite would give\",\n\
+       per second, median of %d runs, artifact cache warm; both backends \
+       run on one scheduler over the same packed values, and the compiled \
+       one adds the levelized combinational cloud and runs clocked and \
+       clock-generator processes as direct scheduler callbacks, while \
+       other processes stay fibers as in the event backend\",\n\
       \  \"projects\": [\n%s\n  ]\n}\n"
       reps (List.length eligible) (List.length fallbacks)
       (Cirfix.Stats.median speedups)
