@@ -205,7 +205,9 @@ let figure2 () =
         if i < 6 || i > List.length tr - 3 then
           Printf.printf "  %4d,%s\n" s.t
             (String.concat ","
-               (List.map (fun (_, v) -> Logic4.Vec.to_string v) s.values))
+               (List.map
+                  (fun (_, v) -> Logic4.Vec.to_string (Logic4.Packed.to_vec v))
+                  s.values))
         else if i = 6 then Printf.printf "  ...\n")
       tr
   in
@@ -214,7 +216,7 @@ let figure2 () =
   | s :: _ ->
       Printf.printf "columns: time,%s\n\n" (String.concat "," (List.map fst s.values)));
   show "Simulation Result (faulty)" o.trace;
-  show "Expected Behavior (oracle)" prob.oracle;
+  show "Expected Behavior (oracle)" (Cirfix.Oracle.to_trace prob.oracle);
   Printf.printf "\nmismatched signals: %s\n"
     (String.concat ", "
        (Cirfix.Fitness.mismatched_signals ~expected:prob.oracle ~actual:o.trace));
@@ -752,9 +754,9 @@ let perf () =
   let rng = Random.State.make [| 1 |] in
   let fl = Cirfix.Fault_loc.localize original ~mismatch:[ "overflow_out" ] in
   let fl_stmts = Cirfix.Fault_loc.fl_statements original fl in
-  (* Synthetic long trace (2000 samples, 2 signals): exercises the
-     hash-join scoring path, which is linear in trace length where the old
-     per-sample list lookup was quadratic. *)
+  (* Synthetic long trace (2000 samples, 2 signals): scoring walks the
+     actual trace once against the columnar oracle, so its cost is linear
+     in trace length. *)
   let long_trace which : Sim.Recorder.trace =
     List.init 2000 (fun i ->
         let v = (i * 7) + which in
@@ -762,12 +764,13 @@ let perf () =
           Sim.Recorder.t = (i * 10) + 5;
           values =
             [
-              ("count", Logic4.Vec.of_int 4 (v land 15));
-              ("overflow_out", Logic4.Vec.of_int 1 ((v lsr 4) land 1));
+              ("count", Logic4.Packed.of_int 4 (v land 15));
+              ("overflow_out", Logic4.Packed.of_int 1 ((v lsr 4) land 1));
             ];
         })
   in
-  let long_expected = long_trace 0 and long_actual = long_trace 3 in
+  let long_expected = Cirfix.Oracle.of_trace (long_trace 0)
+  and long_actual = long_trace 3 in
   let tests =
     [
       Test.make ~name:"T2: parse counter+tb" (Staged.stage (fun () ->

@@ -42,7 +42,10 @@ let () =
   print_endline "\n=== waveform: faulty vs expected ===";
   let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   let o = Cirfix.Evaluate.eval_module ev (Cirfix.Problem.target_module problem) in
-  print_string (Sim.Wave.render_diff ~expected:problem.oracle ~actual:o.trace);
+  print_string
+    (Sim.Wave.render_diff
+       ~expected:(Cirfix.Oracle.to_trace problem.oracle)
+       ~actual:o.trace);
 
   (* 4. VCD dump for a real waveform viewer. *)
   let elab2 = Sim.Elaborate.elaborate problem.design ~top:problem.spec.top in

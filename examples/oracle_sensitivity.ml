@@ -19,7 +19,7 @@ let () =
       let thinned = { problem with oracle } in
       Printf.printf "oracle at %3.0f%% (%d of %d samples):\n"
         (100. *. Cirfix.Oracle.coverage ~full oracle)
-        (List.length oracle) (List.length full);
+        (Cirfix.Oracle.length oracle) (Cirfix.Oracle.length full);
       let cfg =
         {
           (Bench_suite.Runner.scenario_config d) with

@@ -127,11 +127,10 @@ let () =
       ~testbench ~target:"traffic_light" spec
   in
   Printf.printf "oracle: %d sampled clock edges, %d output bits per sample\n"
-    (List.length problem.oracle)
-    (match problem.oracle with
-    | s :: _ ->
-        List.fold_left (fun acc (_, v) -> acc + Logic4.Vec.width v) 0 s.values
-    | [] -> 0);
+    (Cirfix.Oracle.length problem.oracle)
+    (Array.fold_left
+       (fun acc (c : Cirfix.Oracle.column) -> acc + c.width)
+       0 problem.oracle.columns);
 
   let ev = Cirfix.Evaluate.create Cirfix.Config.default problem in
   let faulty_fit =

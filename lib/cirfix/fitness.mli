@@ -8,11 +8,23 @@
     [max(0, sum) / total] in [0, 1]; 1.0 marks a plausible
     (testbench-adequate) repair.
 
+    Each signal's score is computed from four integer counts (matches,
+    defined mismatches, x/z matches, x/z mismatches) as
+    [matches - mismatches + phi * (xz_matches - xz_mismatches)], and its
+    total likewise with every count added. For an oracle column of at most
+    61 bits the counts of one sample come from popcounts over the
+    bitplanes of the {!Oracle} column and of the recorded
+    {!Logic4.Packed} value; wider columns are compared bit by bit. For an
+    integer or dyadic [phi] (1, 2, 3, 0.5, ...) the result equals the
+    per-bit running sum of the definition exactly; any other [phi] gets
+    the count-based value, which can differ from such a running sum in
+    the last bits.
+
     The aggregate {!score} is defined as the fold of the per-signal
     breakdown {!score_by_signal}, so per-signal sums and totals add up to
     the aggregate exactly — the identity the repair journal's attribution
-    records rely on. Both passes index the actual trace by timestamp once,
-    so scoring is linear in the trace length. *)
+    records rely on. Scoring walks the actual trace once, so it is linear
+    in the trace length. *)
 
 type score = {
   sum : float;  (** signed fitness sum over all timestamps and bits *)
@@ -25,18 +37,21 @@ type signal_score = {
   s_total : float;  (** attainable magnitude for this signal *)
   s_fitness : float;  (** [max(0, s_sum) / s_total], in [0, 1] *)
   first_divergence : int option;
-      (** timestamp of the first sample where any bit of this signal
-          scored negatively (defined mismatch or x/z mismatch); [None]
-          when the signal never diverges from the oracle *)
+      (** timestamp of the earliest oracle sample (in oracle order) where
+          any bit of this signal scored negatively (defined mismatch or
+          x/z mismatch); [None] when the signal never diverges from the
+          oracle *)
 }
 
 (** Per-signal scoring breakdown of [actual] against [expected], sorted by
-    signal name. Timestamps or signals missing from [actual] (e.g. after an
-    aborted simulation) are scored as all-x; a narrower actual vector is
-    zero-extended to the expected width. *)
+    signal name. Each oracle sample is scored against the last sample of
+    [actual] with its timestamp. Timestamps or signals missing from
+    [actual] (e.g. after an aborted simulation) are scored as all-x; a
+    narrower actual value is zero-extended to the oracle's width, a wider
+    one truncated. *)
 val score_by_signal :
   phi:float ->
-  expected:Sim.Recorder.trace ->
+  expected:Oracle.t ->
   actual:Sim.Recorder.trace ->
   (string * signal_score) list
 
@@ -44,20 +59,20 @@ val score_by_signal :
     {!score_by_signal}. *)
 val score :
   phi:float ->
-  expected:Sim.Recorder.trace ->
+  expected:Oracle.t ->
   actual:Sim.Recorder.trace ->
   score
 
 (** [fitness ~phi ~expected ~actual] is [(score ...).fitness]. *)
 val fitness :
   phi:float ->
-  expected:Sim.Recorder.trace ->
+  expected:Oracle.t ->
   actual:Sim.Recorder.trace ->
   float
 
 (** Output wires/registers whose value ever disagrees with the oracle: the
     starting mismatch set for fault localization (Algorithm 2, line 2).
-    Sorted, duplicate-free. A signal is in this set iff its
+    Sorted, duplicate-free: the signals whose
     {!signal_score.first_divergence} is [Some _]. *)
 val mismatched_signals :
-  expected:Sim.Recorder.trace -> actual:Sim.Recorder.trace -> string list
+  expected:Oracle.t -> actual:Sim.Recorder.trace -> string list

@@ -440,9 +440,7 @@ let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
       | Evaluate.Compile_error _ | Evaluate.Rejected_static _
       | Evaluate.Rejected_oversize | Evaluate.Rejected_racy _ ->
           (* Nothing simulated: blame every recorded output. *)
-          (match ev.problem.oracle with
-          | [] -> []
-          | s :: _ -> List.map fst s.values)
+          Oracle.signal_names ev.problem.oracle
     in
     let r = Fault_loc.localize m ~mismatch in
     let fl_stmts = Fault_loc.fl_statements m r in

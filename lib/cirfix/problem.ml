@@ -49,7 +49,8 @@ let make ~name ~(faulty : string) ~(golden : string) ~(testbench : string)
   in
   let oracle =
     match golden_run.outcome with
-    | Sim.Engine.Finished | Sim.Engine.Quiescent -> golden_run.trace
+    | Sim.Engine.Finished | Sim.Engine.Quiescent ->
+        Oracle.of_trace golden_run.trace
     | Sim.Engine.Time_limit_reached ->
         raise (Problem_error "golden design hit the time limit")
     | Sim.Engine.Budget_exceeded m ->

@@ -64,6 +64,11 @@ let of_int w n =
   if w <= max_packed_width then S { w; a = n land mask w; b = 0 }
   else V (Vec.of_int w n)
 
+let of_planes w ~a ~b =
+  if w < 0 || w > max_packed_width then invalid_arg "Packed.of_planes";
+  let m = mask w in
+  S { w; a = a land m; b = b land m }
+
 let get p i =
   match p with
   | V v -> Vec.get v i

@@ -21,6 +21,10 @@ val zero : int -> t
 val all_x : int -> t
 val of_int : int -> int -> t
 val of_bit : Bit.t -> t
+
+(* [of_planes w ~a ~b] is the width-[w] value with bitplanes [a] and [b],
+   masked to [w] bits; [w] must be at most [max_packed_width]. *)
+val of_planes : int -> a:int -> b:int -> t
 val get : t -> int -> Bit.t
 val equal : t -> t -> bool
 

@@ -2,21 +2,21 @@
    output wires and registers at every rising edge of the clock during an
    otherwise standard simulation. The recorder is an observer installed in
    the scheduler's monitor region, which is exactly what the paper's ~10
-   lines of added testbench Verilog achieve. *)
+   lines of added testbench Verilog achieve.
+
+   A sample holds each observed signal's [Packed.t] value exactly as the
+   simulator stores it, so recording converts nothing: the fitness function
+   scores those bitplanes directly against the columnar oracle, and only
+   output ([pp], [Wave], [Oracle.to_csv]) turns them into bit strings. *)
 
 open Logic4
 
-type sample = { t : int; values : (string * Vec.t) list }
+type sample = { t : int; values : (string * Packed.t) list }
 type trace = sample list
 
-(* An observed signal and its last sampled value: while [v_value] is
-   physically unchanged, samples share one entry instead of converting
-   the value to a [Vec.t] again. *)
-type observed = {
-  o_var : Runtime.var;
-  mutable o_last : Packed.t;
-  mutable o_entry : string * Vec.t;
-}
+(* An observed signal and its last sample entry: while [v_value] is
+   physically unchanged, samples share that one entry. *)
+type observed = { o_var : Runtime.var; mutable o_entry : string * Packed.t }
 
 type t = {
   mutable samples : sample list; (* reverse order while recording *)
@@ -44,8 +44,7 @@ let attach (st : Runtime.state) ~(clock : string) ~(instance_path : string) : t
            && not (String.contains_from v.v_name (String.length prefix) '.'))
     |> List.sort (fun (a : Runtime.var) b -> compare a.v_local b.v_local)
     |> List.map (fun (v : Runtime.var) ->
-           let entry = (v.v_local, Packed.to_vec v.v_value) in
-           { o_var = v; o_last = v.v_value; o_entry = entry })
+           { o_var = v; o_entry = (v.v_local, v.v_value) })
   in
   if observed = [] then
     raise
@@ -54,10 +53,7 @@ let attach (st : Runtime.state) ~(clock : string) ~(instance_path : string) : t
   let r = { samples = []; clk; observed; prev_clk = Packed.get clk.v_value 0 } in
   let value o =
     let p = o.o_var.Runtime.v_value in
-    if p != o.o_last then begin
-      o.o_last <- p;
-      o.o_entry <- (o.o_var.v_local, Packed.to_vec p)
-    end;
+    if p != snd o.o_entry then o.o_entry <- (o.o_var.v_local, p);
     o.o_entry
   in
   let hook (st : Runtime.state) =
@@ -74,12 +70,6 @@ let signal_names (r : t) = List.map (fun o -> o.o_var.Runtime.v_local) r.observe
 
 (* --- Trace utilities ----------------------------------------------------- *)
 
-let total_bits (tr : trace) =
-  List.fold_left
-    (fun acc s ->
-      List.fold_left (fun acc (_, v) -> acc + Vec.width v) acc s.values)
-    0 tr
-
 (* Render a trace in the CSV-like shape of the paper's Figure 2. *)
 let pp fmt (tr : trace) =
   (match tr with
@@ -91,7 +81,9 @@ let pp fmt (tr : trace) =
         (fun s ->
           Format.fprintf fmt "%d,%s@," s.t
             (String.concat ","
-               (List.map (fun (_, v) -> Vec.to_string v) s.values)))
+               (List.map
+                  (fun (_, v) -> Vec.to_string (Packed.to_vec v))
+                  s.values)))
         tr);
   ()
 

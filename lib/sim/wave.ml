@@ -15,10 +15,10 @@ let level_char (b : Bit.t) =
 
 (* Compact value cell: decimal for narrow defined vectors, binary with
    x/z otherwise. *)
-let cell (v : Vec.t) =
-  match Vec.to_int v with
-  | Some n when Vec.width v > 1 -> string_of_int n
-  | _ -> Vec.to_string v
+let cell (v : Packed.t) =
+  match Packed.to_int v with
+  | Some n when Packed.width v > 1 -> string_of_int n
+  | _ -> Vec.to_string (Packed.to_vec v)
 
 let render (trace : Recorder.trace) : string =
   match trace with
@@ -56,9 +56,9 @@ let render (trace : Recorder.trace) : string =
             (fun (s : Recorder.sample) w ->
               let v = List.assoc name s.values in
               let s_cell =
-                if Vec.width v = 1 then
+                if Packed.width v = 1 then
                   (* level drawing: repeat the level char across the cell *)
-                  String.make w (level_char (Vec.get v 0))
+                  String.make w (level_char (Packed.get v 0))
                 else (
                   let changed = !prev <> Some v in
                   let text = if changed then cell v else "" in
@@ -95,7 +95,8 @@ let render_diff ~(expected : Recorder.trace) ~(actual : Recorder.trace) :
               List.exists
                 (fun (n, ov) ->
                   match List.assoc_opt n a.values with
-                  | Some av -> not (Vec.equal (Vec.resize (Vec.width ov) av) ov)
+                  | Some av ->
+                      not (Packed.equal (Packed.resize (Packed.width ov) av) ov)
                   | None -> true)
                 es.values
             then Some es.t

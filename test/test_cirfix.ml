@@ -6,20 +6,22 @@
 open Logic4
 
 let sample t values : Sim.Recorder.sample =
-  { t; values = List.map (fun (n, s) -> (n, Vec.of_string s)) values }
+  { t; values = List.map (fun (n, s) -> (n, Packed.of_vec (Vec.of_string s))) values }
+
+let oracle = Cirfix.Oracle.of_trace
 
 (* --- Fitness (paper Sec. 3.2) --------------------------------------------- *)
 
 let test_fitness_perfect () =
   let tr = [ sample 5 [ ("q", "1010") ]; sample 15 [ ("q", "0001") ] ] in
   Alcotest.(check (float 1e-9)) "identical" 1.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:tr ~actual:tr)
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle tr) ~actual:tr)
 
 let test_fitness_xz_match_counts_phi () =
   (* (x,x) matches contribute phi to both sum and total: still 1.0. *)
   let tr = [ sample 5 [ ("q", "xx10") ] ] in
   Alcotest.(check (float 1e-9)) "xx match" 1.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:tr ~actual:tr)
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle tr) ~actual:tr)
 
 let test_fitness_formula_values () =
   (* expected 1010, actual 1000: 3 bit matches (+3), 1 mismatch (-1),
@@ -27,29 +29,29 @@ let test_fitness_formula_values () =
   let e = [ sample 5 [ ("q", "1010") ] ] in
   let a = [ sample 5 [ ("q", "1000") ] ] in
   Alcotest.(check (float 1e-9)) "binary mismatch" 0.5
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a);
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a);
   (* expected 10, actual 1x with phi=2: match +1, x-mismatch -2;
      sum=-1 -> clamped to 0. *)
   let e = [ sample 5 [ ("q", "10") ] ] in
   let a = [ sample 5 [ ("q", "1x") ] ] in
   Alcotest.(check (float 1e-9)) "x penalty clamps" 0.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a);
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a);
   (* same comparison with phi=1: sum = 1-1 = 0, total 2 -> 0. *)
   Alcotest.(check (float 1e-9)) "phi=1" 0.0
-    (Cirfix.Fitness.fitness ~phi:1.0 ~expected:e ~actual:a);
+    (Cirfix.Fitness.fitness ~phi:1.0 ~expected:(oracle e) ~actual:a);
   (* expected 110, actual 1x0: +1 +1 -phi = 2-2=0, total 4 -> 0/4. *)
   let e = [ sample 5 [ ("q", "110") ] ] in
   let a = [ sample 5 [ ("q", "1x0") ] ] in
   Alcotest.(check (float 1e-9)) "partial x" 0.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a);
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a);
   (* phi weighting direction: larger phi hurts more. With a wider vector
      11110 vs 1111x: phi=2 -> (4-2)/6 = 1/3. *)
   let e = [ sample 5 [ ("q", "11110") ] ] in
   let a = [ sample 5 [ ("q", "1111x") ] ] in
   Alcotest.(check (float 1e-9)) "phi=2 wider" (2. /. 6.)
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a);
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a);
   Alcotest.(check (float 1e-9)) "phi=3 wider" (1. /. 7.)
-    (Cirfix.Fitness.fitness ~phi:3.0 ~expected:e ~actual:a)
+    (Cirfix.Fitness.fitness ~phi:3.0 ~expected:(oracle e) ~actual:a)
 
 let test_fitness_missing_sample () =
   (* A missing timestamp scores as all-x for that sample. *)
@@ -57,34 +59,34 @@ let test_fitness_missing_sample () =
   let a = [ sample 5 [ ("q", "11") ] ] in
   (* t=5: +2; t=15: -2*phi = -4; sum=-2 -> 0 *)
   Alcotest.(check (float 1e-9)) "missing" 0.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a);
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a);
   (* And a missing signal within a sample behaves the same way. *)
   let a2 = [ sample 5 [ ("other", "11") ]; sample 15 [ ("q", "11") ] ] in
-  let f = Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a2 in
+  let f = Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a2 in
   Alcotest.(check bool) "missing signal penalized" true (f < 1.0)
 
 let test_fitness_z_cases () =
   (* (z,z) is a phi-weighted match; (z,0) is a phi-weighted mismatch. *)
   let e = [ sample 1 [ ("q", "z") ] ] in
   Alcotest.(check (float 1e-9)) "zz" 1.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e)
        ~actual:[ sample 1 [ ("q", "z") ] ]);
   Alcotest.(check (float 1e-9)) "z0" 0.0
-    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:e
+    (Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e)
        ~actual:[ sample 1 [ ("q", "0") ] ]);
   (* (x,z): both undefined but different -> treated as x/z mismatch. *)
   Alcotest.(check (float 1e-9)) "xz differ" 0.0
     (Cirfix.Fitness.fitness ~phi:2.0
-       ~expected:[ sample 1 [ ("q", "x") ] ]
+       ~expected:(oracle [ sample 1 [ ("q", "x") ] ])
        ~actual:[ sample 1 [ ("q", "z") ] ])
 
 let test_mismatched_signals () =
   let e = [ sample 5 [ ("a", "10"); ("b", "11") ]; sample 15 [ ("a", "10"); ("b", "00") ] ] in
   let a = [ sample 5 [ ("a", "10"); ("b", "11") ]; sample 15 [ ("a", "10"); ("b", "01") ] ] in
   Alcotest.(check (list string)) "only b" [ "b" ]
-    (Cirfix.Fitness.mismatched_signals ~expected:e ~actual:a);
+    (Cirfix.Fitness.mismatched_signals ~expected:(oracle e) ~actual:a);
   Alcotest.(check (list string)) "none" []
-    (Cirfix.Fitness.mismatched_signals ~expected:e ~actual:e)
+    (Cirfix.Fitness.mismatched_signals ~expected:(oracle e) ~actual:e)
 
 (* --- Fault localization (Algorithm 2) -------------------------------------- *)
 
@@ -361,13 +363,13 @@ let test_ddmin_all_needed () =
 (* --- Oracle ------------------------------------------------------------------ *)
 
 let test_oracle_thin () =
-  let tr = List.init 8 (fun i -> sample (i * 10) [ ("q", "1") ]) in
+  let tr = oracle (List.init 8 (fun i -> sample (i * 10) [ ("q", "1") ])) in
   let half = Cirfix.Oracle.thin ~keep:2 tr in
-  Alcotest.(check int) "half" 4 (List.length half);
+  Alcotest.(check int) "half" 4 (Cirfix.Oracle.length half);
   Alcotest.(check int) "quarter" 2
-    (List.length (Cirfix.Oracle.thin ~keep:4 tr));
+    (Cirfix.Oracle.length (Cirfix.Oracle.thin ~keep:4 tr));
   Alcotest.(check int) "keep 1 = all" 8
-    (List.length (Cirfix.Oracle.thin ~keep:1 tr));
+    (Cirfix.Oracle.length (Cirfix.Oracle.thin ~keep:1 tr));
   Alcotest.(check (float 1e-9)) "coverage" 0.5
     (Cirfix.Oracle.coverage ~full:tr half)
 
@@ -375,15 +377,38 @@ let test_oracle_csv () =
   let tr =
     [ sample 5 [ ("a", "10"); ("b", "x") ]; sample 15 [ ("a", "11"); ("b", "0") ] ]
   in
-  let tr2 = Cirfix.Oracle.of_csv (Cirfix.Oracle.to_csv tr) in
+  let tr2 =
+    Cirfix.Oracle.to_trace (Cirfix.Oracle.of_csv (Cirfix.Oracle.to_csv (oracle tr)))
+  in
   Alcotest.(check int) "length" 2 (List.length tr2);
   let s = List.nth tr2 1 in
   Alcotest.(check int) "time" 15 s.Sim.Recorder.t;
   Alcotest.(check string) "value" "11"
-    (Vec.to_string (List.assoc "a" s.values));
+    (Vec.to_string (Packed.to_vec (List.assoc "a" s.values)));
   Alcotest.check_raises "bad header"
     (Cirfix.Oracle.Oracle_error "csv header must start with 'time'")
-    (fun () -> ignore (Cirfix.Oracle.of_csv "a,b\n1,0"))
+    (fun () -> ignore (Cirfix.Oracle.of_csv "a,b\n1,0"));
+  (* Bad cells name their row (a line of the text) and column. *)
+  Alcotest.check_raises "bad digit"
+    (Cirfix.Oracle.Oracle_error "csv row 2, column a: bad value \"2\"")
+    (fun () -> ignore (Cirfix.Oracle.of_csv "time,a\n5,2"));
+  Alcotest.check_raises "empty cell"
+    (Cirfix.Oracle.Oracle_error "csv row 2, column b: bad value \"\"")
+    (fun () -> ignore (Cirfix.Oracle.of_csv "time,a,b\n5,1,"));
+  Alcotest.check_raises "width changes"
+    (Cirfix.Oracle.Oracle_error "csv row 3, column a: width 1, but width 2 in row 2")
+    (fun () -> ignore (Cirfix.Oracle.of_csv "time,a\n5,01\n15,1"));
+  (* A 70-bit column (past the 61-bit plane limit) with x/z round-trips. *)
+  let wide = "1x" ^ String.make 60 '0' ^ "z0101xz1" in
+  let tr = [ sample 5 [ ("w", wide); ("n", "x1") ]; sample 15 [ ("w", String.make 70 'z'); ("n", "01") ] ] in
+  let o = oracle tr in
+  Alcotest.(check string) "70-bit csv" (Cirfix.Oracle.to_csv o)
+    (Cirfix.Oracle.to_csv (Cirfix.Oracle.of_csv (Cirfix.Oracle.to_csv o)));
+  Alcotest.(check bool) "70-bit oracle" true
+    (Cirfix.Oracle.of_csv (Cirfix.Oracle.to_csv o) = o);
+  Alcotest.(check string) "70-bit value" wide
+    (Vec.to_string
+       (Packed.to_vec (List.assoc "w" (List.hd (Cirfix.Oracle.to_trace o)).values)))
 
 (* --- Statistics ----------------------------------------------------------------- *)
 
@@ -779,17 +804,17 @@ let prop_fitness_bounded =
   QCheck.Test.make ~name:"fitness in [0,1]" ~count:200
     (QCheck.pair trace_arb trace_arb) (fun (e, a) ->
       QCheck.assume (e <> []);
-      let f = Cirfix.Fitness.fitness ~phi:2.0 ~expected:e ~actual:a in
+      let f = Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle e) ~actual:a in
       f >= 0.0 && f <= 1.0)
 
 let prop_fitness_reflexive =
   QCheck.Test.make ~name:"fitness of self is 1" ~count:200 trace_arb (fun t ->
       QCheck.assume (t <> []);
-      Cirfix.Fitness.fitness ~phi:2.0 ~expected:t ~actual:t = 1.0)
+      Cirfix.Fitness.fitness ~phi:2.0 ~expected:(oracle t) ~actual:t = 1.0)
 
 let prop_self_has_no_mismatch =
   QCheck.Test.make ~name:"no mismatched signals vs self" ~count:200 trace_arb
-    (fun t -> Cirfix.Fitness.mismatched_signals ~expected:t ~actual:t = [])
+    (fun t -> Cirfix.Fitness.mismatched_signals ~expected:(oracle t) ~actual:t = [])
 
 let prop_ddmin_result_fails =
   QCheck.Test.make ~name:"ddmin result still satisfies the predicate"

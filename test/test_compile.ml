@@ -248,7 +248,7 @@ let test_boundary_stores_and_edges () =
         (List.length e.Sim.Simulate.trace > 30);
       let last = List.nth e.Sim.Simulate.trace (List.length e.Sim.Simulate.trace - 1) in
       Alcotest.(check bool) "edges on the 64-bit reg's LSB" true
-        (Logic4.Vec.to_int (List.assoc "edges" last.Sim.Recorder.values) > Some 0)
+        (Logic4.Packed.to_int (List.assoc "edges" last.Sim.Recorder.values) > Some 0)
   | Error (Sim.Simulate.Elab_failure m), _ | _, Error (Sim.Simulate.Elab_failure m)
     ->
       Alcotest.failf "elab failed: %s" m

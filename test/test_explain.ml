@@ -6,7 +6,9 @@
 open Logic4
 
 let sample t values : Sim.Recorder.sample =
-  { t; values = List.map (fun (n, s) -> (n, Vec.of_string s)) values }
+  { t; values = List.map (fun (n, s) -> (n, Packed.of_vec (Vec.of_string s))) values }
+
+let oracle = Cirfix.Oracle.of_trace
 
 let sig_score name scores =
   match List.assoc_opt name scores with
@@ -20,7 +22,7 @@ let test_missing_sample_is_all_x () =
      scores as an x/z mismatch (-phi each), and the signal diverges at 15. *)
   let e = [ sample 5 [ ("q", "11") ]; sample 15 [ ("q", "11") ] ] in
   let a = [ sample 5 [ ("q", "11") ] ] in
-  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:e ~actual:a) in
+  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:(oracle e) ~actual:a) in
   Alcotest.(check (float 1e-9)) "sum" (-2.) s.s_sum;
   Alcotest.(check (float 1e-9)) "total" 6. s.s_total;
   Alcotest.(check (float 1e-9)) "fitness clamps" 0. s.s_fitness;
@@ -32,12 +34,12 @@ let test_width_mismatch_zero_extends () =
      ({!Vec.resize} semantics): "111" against "0111" matches perfectly... *)
   let e = [ sample 5 [ ("q", "0111") ] ] in
   let a = [ sample 5 [ ("q", "111") ] ] in
-  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:e ~actual:a) in
+  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:(oracle e) ~actual:a) in
   Alcotest.(check (float 1e-9)) "zero-extended match" 1.0 s.s_fitness;
   Alcotest.(check (option int)) "no divergence" None s.first_divergence;
   (* ...while "111" against "1111" mismatches exactly the high bit. *)
   let e = [ sample 5 [ ("q", "1111") ] ] in
-  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:e ~actual:a) in
+  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:(oracle e) ~actual:a) in
   Alcotest.(check (float 1e-9)) "sum" 2. s.s_sum;
   Alcotest.(check (float 1e-9)) "total" 4. s.s_total;
   Alcotest.(check (option int)) "diverges" (Some 5) s.first_divergence
@@ -47,16 +49,16 @@ let test_phi_weighted_xz () =
      (-phi, phi toward the total). *)
   let e = [ sample 7 [ ("q", "10") ] ] in
   let a = [ sample 7 [ ("q", "1x") ] ] in
-  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:e ~actual:a) in
+  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:(oracle e) ~actual:a) in
   Alcotest.(check (float 1e-9)) "sum phi=2" (-1.) s.s_sum;
   Alcotest.(check (float 1e-9)) "total phi=2" 3. s.s_total;
-  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:1.0 ~expected:e ~actual:a) in
+  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:1.0 ~expected:(oracle e) ~actual:a) in
   Alcotest.(check (float 1e-9)) "sum phi=1" 0. s.s_sum;
   Alcotest.(check (float 1e-9)) "total phi=1" 2. s.s_total;
   (* (x,x) is a phi-weighted match: positive contribution, no divergence. *)
   let e = [ sample 7 [ ("q", "x1") ] ] in
   let a = [ sample 7 [ ("q", "x1") ] ] in
-  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:e ~actual:a) in
+  let s = sig_score "q" (Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:(oracle e) ~actual:a) in
   Alcotest.(check (float 1e-9)) "xx match sum" 3. s.s_sum;
   Alcotest.(check (option int)) "xx match no divergence" None s.first_divergence
 
@@ -80,8 +82,8 @@ let test_sums_equal_aggregate_exactly () =
   in
   List.iter
     (fun phi ->
-      let agg = Cirfix.Fitness.score ~phi ~expected:e ~actual:a in
-      let per = Cirfix.Fitness.score_by_signal ~phi ~expected:e ~actual:a in
+      let agg = Cirfix.Fitness.score ~phi ~expected:(oracle e) ~actual:a in
+      let per = Cirfix.Fitness.score_by_signal ~phi ~expected:(oracle e) ~actual:a in
       let sum = List.fold_left (fun acc (_, s) -> acc +. s.Cirfix.Fitness.s_sum) 0. per in
       let total =
         List.fold_left (fun acc (_, s) -> acc +. s.Cirfix.Fitness.s_total) 0. per
@@ -103,9 +105,9 @@ let test_divergence_iff_mismatched () =
      starting mismatch set. *)
   let e = [ sample 5 [ ("good", "11"); ("bad", "10") ] ] in
   let a = [ sample 5 [ ("good", "11"); ("bad", "11") ] ] in
-  let mism = Cirfix.Fitness.mismatched_signals ~expected:e ~actual:a in
+  let mism = Cirfix.Fitness.mismatched_signals ~expected:(oracle e) ~actual:a in
   Alcotest.(check (list string)) "mismatch set" [ "bad" ] mism;
-  let per = Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:e ~actual:a in
+  let per = Cirfix.Fitness.score_by_signal ~phi:2.0 ~expected:(oracle e) ~actual:a in
   List.iter
     (fun (name, (s : Cirfix.Fitness.signal_score)) ->
       Alcotest.(check bool)

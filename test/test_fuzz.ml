@@ -450,6 +450,305 @@ let test_semantic_hash_collision_free () =
           canon_printed
   done
 
+(* --- Fitness differential fuzz --------------------------------------------
+
+   [Cirfix.Fitness] scores a recorded trace against the columnar oracle by
+   counting bits with popcount over bitplanes. The reference below is the
+   per-bit scorer it replaced: a list oracle of [Vec] values, joined to
+   the actual trace through a timestamp table and [List.assoc], classified
+   bit by bit with a running float sum. Random traces (widths 1..70, x/z,
+   missing samples and signals, narrower and wider actuals, repeated and
+   out-of-order timestamps, thinned and restricted oracles) must score
+   exactly alike. *)
+
+module Ref_fitness = struct
+  open Logic4
+
+  type sample = int * (string * Vec.t) list
+
+  let of_trace (tr : Sim.Recorder.trace) : sample list =
+    List.map
+      (fun (s : Sim.Recorder.sample) ->
+        (s.t, List.map (fun (n, v) -> (n, Packed.to_vec v)) s.values))
+      tr
+
+  (* The list oracle's [thin], [restrict], [coverage] and signal names. *)
+  let thin ~keep (o : sample list) =
+    if keep <= 1 then o else List.filteri (fun i _ -> i mod keep = 0) o
+
+  let restrict ~names (o : sample list) =
+    List.map (fun (t, vs) -> (t, List.filter (fun (n, _) -> List.mem n names) vs)) o
+
+  let coverage ~(full : sample list) (o : sample list) =
+    if full = [] then 0.
+    else float_of_int (List.length o) /. float_of_int (List.length full)
+
+  let signal_names (o : sample list) =
+    match o with [] -> [] | (_, vs) :: _ -> List.map fst vs
+
+  let classify (o : Bit.t) (s : Bit.t) =
+    match (o, s) with
+    | Bit.V0, Bit.V0 | Bit.V1, Bit.V1 -> `Match
+    | Bit.X, Bit.X | Bit.Z, Bit.Z -> `XzMatch
+    | Bit.V0, Bit.V1 | Bit.V1, Bit.V0 -> `Mismatch
+    | _ -> `XzMismatch
+
+  let by_time (actual : sample list) =
+    let tbl = Hashtbl.create 16 in
+    List.iter (fun (t, vs) -> Hashtbl.replace tbl t vs) actual;
+    tbl
+
+  let lookup tbl t name w =
+    match Hashtbl.find_opt tbl t with
+    | None -> Vec.all_x w
+    | Some l -> (
+        match List.assoc_opt name l with Some v -> v | None -> Vec.all_x w)
+
+  let score_vec ~phi ov av =
+    let sum = ref 0. and total = ref 0. and diverged = ref false in
+    for i = 0 to Vec.width ov - 1 do
+      match classify (Vec.get ov i) (Vec.get av i) with
+      | `Match ->
+          sum := !sum +. 1.;
+          total := !total +. 1.
+      | `XzMatch ->
+          sum := !sum +. phi;
+          total := !total +. phi
+      | `Mismatch ->
+          sum := !sum -. 1.;
+          total := !total +. 1.;
+          diverged := true
+      | `XzMismatch ->
+          sum := !sum -. phi;
+          total := !total +. phi;
+          diverged := true
+    done;
+    (!sum, !total, !diverged)
+
+  let score_by_signal ~phi ~(expected : sample list) ~(actual : sample list) :
+      (string * Cirfix.Fitness.signal_score) list =
+    let tbl = by_time actual in
+    let cells = Hashtbl.create 8 in
+    List.iter
+      (fun (t, vs) ->
+        List.iter
+          (fun (name, ov) ->
+            let dsum, dtotal, diverged =
+              score_vec ~phi ov (lookup tbl t name (Vec.width ov))
+            in
+            let sum, total, first =
+              Option.value (Hashtbl.find_opt cells name) ~default:(0., 0., None)
+            in
+            Hashtbl.replace cells name
+              ( sum +. dsum,
+                total +. dtotal,
+                if diverged && first = None then Some t else first ))
+          vs)
+      expected;
+    Hashtbl.fold (fun name c acc -> (name, c) :: acc) cells []
+    |> List.sort compare
+    |> List.map (fun (name, (s_sum, s_total, first_divergence)) ->
+           ( name,
+             {
+               Cirfix.Fitness.s_sum;
+               s_total;
+               s_fitness =
+                 (if s_total <= 0. then 0. else Float.max 0. s_sum /. s_total);
+               first_divergence;
+             } ))
+
+  let score ~phi ~expected ~actual : Cirfix.Fitness.score =
+    let sum, total =
+      List.fold_left
+        (fun (sum, total) (_, (s : Cirfix.Fitness.signal_score)) ->
+          (sum +. s.s_sum, total +. s.s_total))
+        (0., 0.)
+        (score_by_signal ~phi ~expected ~actual)
+    in
+    { sum; total; fitness = (if total <= 0. then 0. else Float.max 0. sum /. total) }
+
+  let mismatched_signals ~(expected : sample list) ~(actual : sample list) =
+    let tbl = by_time actual in
+    let bad = Hashtbl.create 8 in
+    List.iter
+      (fun (t, vs) ->
+        List.iter
+          (fun (name, ov) ->
+            let av = lookup tbl t name (Vec.width ov) in
+            if not (Vec.equal (Vec.resize (Vec.width ov) av) ov) then
+              Hashtbl.replace bad name ())
+          vs)
+      expected;
+    Hashtbl.fold (fun k () acc -> k :: acc) bad [] |> List.sort compare
+end
+
+(* A random expected trace: 0..5 signals in random name order, widths
+   1..70 (clustered around the 61-bit plane limit), 0..24 samples at
+   strictly increasing times, values with x/z. *)
+let random_expected rng : Sim.Recorder.trace =
+  let names =
+    List.filteri (fun _ _ -> Random.State.bool rng) [ "a"; "b"; "c"; "d"; "e" ]
+    |> List.map (fun n -> (Random.State.bits rng, n))
+    |> List.sort compare |> List.map snd
+  in
+  let signals = List.map (fun n -> (n, random_width rng)) names in
+  let defined = Random.State.bool rng in
+  let value w =
+    (* Defined-only traces make the fully-matching case common. *)
+    Logic4.Packed.of_vec
+      (if defined then
+         Logic4.Vec.resize w (Logic4.Vec.of_int (min w 30) (Random.State.bits rng))
+       else random_vec rng w)
+  in
+  let time = ref 0 in
+  List.init (Random.State.int rng 25) (fun _ ->
+      time := !time + 1 + Random.State.int rng 10;
+      {
+        Sim.Recorder.t = !time;
+        values = List.map (fun (n, w) -> (n, value w)) signals;
+      })
+
+(* An actual trace derived from [expected]: samples kept, dropped,
+   repeated with other values, or joined by samples at other times;
+   signals kept, dropped, perturbed, resized narrower or wider, reordered,
+   or joined by unknown signals; sometimes out of time order. *)
+let random_actual rng (expected : Sim.Recorder.trace) : Sim.Recorder.trace =
+  let module P = Logic4.Packed in
+  let perturb v =
+    let w = P.width v in
+    match Random.State.int rng 8 with
+    | 0 -> P.of_vec (random_vec rng w)
+    | 1 -> P.of_vec (random_vec rng (1 + Random.State.int rng 70))
+    | 2 -> P.resize (max 1 (w - 1 - Random.State.int rng 4)) v
+    | 3 -> P.resize (w + 1 + Random.State.int rng 4) v
+    | 4 ->
+        let i = Random.State.int rng w in
+        P.of_vec (Logic4.Vec.set (P.to_vec v) i (random_bit rng))
+    | _ -> v
+  in
+  let values vs =
+    let vs =
+      List.filter_map
+        (fun (n, v) ->
+          if Random.State.int rng 10 = 0 then None else Some (n, perturb v))
+        vs
+    in
+    let vs =
+      if Random.State.int rng 8 = 0 then
+        ("zz", P.of_vec (random_vec rng 3)) :: List.rev vs
+      else vs
+    in
+    vs
+  in
+  let samples =
+    List.concat_map
+      (fun (s : Sim.Recorder.sample) ->
+        match Random.State.int rng 12 with
+        | 0 -> []
+        | 1 -> [ { s with values = values s.values }; { s with values = values s.values } ]
+        | 2 -> [ { s with values = values s.values }; { Sim.Recorder.t = s.t + 1; values = values s.values } ]
+        | _ -> [ { s with values = values s.values } ])
+      expected
+  in
+  if Random.State.int rng 6 = 0 then
+    List.map (fun s -> (Random.State.bits rng, s)) samples
+    |> List.sort (fun (x, _) (y, _) -> compare x y) |> List.map snd
+  else samples
+
+(* The oracle and its list reference, thinned and restricted alike. *)
+let random_oracle rng expected =
+  let o = Cirfix.Oracle.of_trace expected
+  and r = Ref_fitness.of_trace expected in
+  let o, r =
+    if Random.State.int rng 3 = 0 then
+      let keep = 1 + Random.State.int rng 4 in
+      (Cirfix.Oracle.thin ~keep o, Ref_fitness.thin ~keep r)
+    else (o, r)
+  in
+  if Random.State.int rng 3 = 0 then
+    let names = List.filter (fun _ -> Random.State.bool rng) [ "a"; "b"; "c"; "zz" ] in
+    (Cirfix.Oracle.restrict ~names o, Ref_fitness.restrict ~names r)
+  else (o, r)
+
+let test_fitness_differential () =
+  let rng = Random.State.make [| 0xF17 |] in
+  let show (name, (s : Cirfix.Fitness.signal_score)) =
+    Printf.sprintf "%s: sum %h total %h fitness %h first %s" name s.s_sum
+      s.s_total s.s_fitness
+      (match s.first_divergence with None -> "-" | Some t -> string_of_int t)
+  in
+  for case = 1 to 1500 do
+    let expected = random_expected rng in
+    let actual =
+      if Random.State.int rng 10 = 0 then expected else random_actual rng expected
+    in
+    let o, r = random_oracle rng expected in
+    let ra = Ref_fitness.of_trace actual in
+    List.iter
+      (fun phi ->
+        let got = Cirfix.Fitness.score_by_signal ~phi ~expected:o ~actual
+        and want = Ref_fitness.score_by_signal ~phi ~expected:r ~actual:ra in
+        if got <> want then
+          Alcotest.failf "case %d, phi %g: per-signal scores differ\n got: %s\nwant: %s\n%s"
+            case phi
+            (String.concat "; " (List.map show got))
+            (String.concat "; " (List.map show want))
+            (Sim.Recorder.to_string actual);
+        let got = Cirfix.Fitness.score ~phi ~expected:o ~actual
+        and want = Ref_fitness.score ~phi ~expected:r ~actual:ra in
+        if got <> want then
+          Alcotest.failf "case %d, phi %g: aggregate %h/%h <> %h/%h" case phi got.sum
+            got.total want.sum want.total;
+        if Cirfix.Fitness.fitness ~phi ~expected:o ~actual <> want.fitness then
+          Alcotest.failf "case %d, phi %g: fitness differs" case phi)
+      [ 1.; 2.; 3.; 0.5 ];
+    let mism = Cirfix.Fitness.mismatched_signals ~expected:o ~actual in
+    Alcotest.(check (list string))
+      (Printf.sprintf "case %d mismatched signals" case)
+      (Ref_fitness.mismatched_signals ~expected:r ~actual:ra)
+      mism;
+    Alcotest.(check (list string))
+      (Printf.sprintf "case %d mismatched = diverging" case)
+      (Cirfix.Fitness.score_by_signal ~phi:2. ~expected:o ~actual
+      |> List.filter_map (fun (n, (s : Cirfix.Fitness.signal_score)) ->
+             if s.first_divergence <> None then Some n else None))
+      mism
+  done
+
+(* The columnar oracle against the list code it replaced: [to_trace]
+   inverts [of_trace] both ways, and [thin], [restrict], [coverage] and
+   [signal_names] agree with the list versions. *)
+let test_oracle_columnar () =
+  let rng = Random.State.make [| 0x0C01 |] in
+  let trace_of_ref (r : Ref_fitness.sample list) =
+    List.map
+      (fun (t, vs) ->
+        {
+          Sim.Recorder.t;
+          values = List.map (fun (n, v) -> (n, Logic4.Packed.of_vec v)) vs;
+        })
+      r
+  in
+  for case = 1 to 500 do
+    let expected = random_expected rng in
+    let full = Cirfix.Oracle.of_trace expected in
+    if Cirfix.Oracle.to_trace full <> expected then
+      Alcotest.failf "case %d: to_trace (of_trace tr) <> tr" case;
+    let o, r = random_oracle rng expected in
+    if Cirfix.Oracle.of_trace (Cirfix.Oracle.to_trace o) <> o then
+      Alcotest.failf "case %d: of_trace (to_trace o) <> o" case;
+    if Cirfix.Oracle.to_trace o <> trace_of_ref r then
+      Alcotest.failf "case %d: thin/restrict disagree with the list code" case;
+    Alcotest.(check (list string))
+      (Printf.sprintf "case %d signal names" case)
+      (Ref_fitness.signal_names r)
+      (Cirfix.Oracle.signal_names o);
+    if
+      Cirfix.Oracle.coverage ~full o
+      <> Ref_fitness.coverage ~full:(Ref_fitness.of_trace expected) r
+    then Alcotest.failf "case %d: coverage differs" case
+  done
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -466,6 +765,13 @@ let () =
         [
           Alcotest.test_case "differential vs Vec" `Slow
             test_packed_differential;
+        ] );
+      ( "fitness",
+        [
+          Alcotest.test_case "differential vs per-bit scorer" `Quick
+            test_fitness_differential;
+          Alcotest.test_case "columnar oracle vs list oracle" `Quick
+            test_oracle_columnar;
         ] );
       ( "canon",
         [

@@ -629,7 +629,7 @@ let test_recorder_samples () =
       Alcotest.(check (list string)) "signals" [ "q" ] names;
       let at t =
         let s = List.find (fun (s : Sim.Recorder.sample) -> s.t = t) r.trace in
-        Vec.to_string (List.assoc "q" s.values)
+        Vec.to_string (Packed.to_vec (List.assoc "q" s.values))
       in
       (* sampling is in the monitor region, after the NBA update lands *)
       Alcotest.(check string) "q before d rises" "0" (at 5);
@@ -647,7 +647,7 @@ let test_recorder_csv_roundtrip () =
   | Error _ -> Alcotest.fail "sim failed"
   | Ok r ->
       let csv = Sim.Recorder.to_string r.trace in
-      let back = Cirfix.Oracle.of_csv csv in
+      let back = Cirfix.Oracle.to_trace (Cirfix.Oracle.of_csv csv) in
       Alcotest.(check int) "same length" (List.length r.trace) (List.length back);
       List.iter2
         (fun (a : Sim.Recorder.sample) (b : Sim.Recorder.sample) ->
@@ -655,7 +655,7 @@ let test_recorder_csv_roundtrip () =
           List.iter2
             (fun (n1, v1) (n2, v2) ->
               Alcotest.(check string) "name" n1 n2;
-              Alcotest.(check bool) "value" true (Vec.equal v1 v2))
+              Alcotest.(check bool) "value" true (Packed.equal v1 v2))
             a.values b.values)
         r.trace back
 

@@ -620,7 +620,7 @@ let test_coverage_disabled_is_free () =
 (* --- Wave renderer ------------------------------------------------------------ *)
 
 let sample t values : Sim.Recorder.sample =
-  { t; values = List.map (fun (n, s) -> (n, Logic4.Vec.of_string s)) values }
+  { t; values = List.map (fun (n, s) -> (n, Logic4.Packed.of_vec (Logic4.Vec.of_string s))) values }
 
 let test_wave_levels () =
   let tr = [ sample 5 [ ("q", "0") ]; sample 15 [ ("q", "1") ]; sample 25 [ ("q", "x") ] ] in
