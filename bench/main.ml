@@ -1081,7 +1081,28 @@ let sim_perf () =
    ledger (elab / setup / comb / active / nba / monitor / advance /
    collect), attribution coverage against measured wall time, and the
    hottest process frames. One unprofiled warm-up fills the artifact
-   cache so a compiled cache miss does not pollute the ledger. *)
+   cache so a compiled cache miss does not pollute the ledger.
+
+   A pass is that warm-up plus [runs] profiled runs, a few milliseconds
+   to a few hundred, so one pass reads a burst of host load as a
+   regression: the same binary read tate_pairing compiled wall_ns +32%,
+   +25% and -1% in three back-to-back single-pass checks. Each project x
+   backend therefore reports the pass with the median wall time of
+   [profile_passes] independent passes; each pass profiles every project
+   on both backends. *)
+let profile_passes = 7
+
+let median_pass (ps : (Sim.Simulate.profiled, _) result list) =
+  match List.filter_map Result.to_option ps with
+  | [] -> List.hd ps
+  | ok ->
+      let sorted =
+        List.sort
+          (fun (a : Sim.Simulate.profiled) b -> compare a.wall_ns b.wall_ns)
+          ok
+      in
+      Ok (List.nth sorted (List.length sorted / 2))
+
 let profile_perf () =
   section "Simulator self-profile: per-edge cost ledger (writes BENCH_profile.json)";
   let runs = if !quick then 10 else 30 in
@@ -1131,7 +1152,7 @@ let profile_perf () =
   in
   Printf.printf "%-22s %10s %14s %14s %9s %9s\n" "project" "edges/run"
     "event ns/edge" "comp ns/edge" "cov(ev)" "cov(cp)";
-  let rows =
+  let profilers =
     List.map
       (fun (p : Bench_suite.Projects.t) ->
         let spec = Bench_suite.Projects.spec p in
@@ -1140,9 +1161,25 @@ let profile_perf () =
           ^ Bench_suite.Projects.tb_source p
         in
         let design = Result.get_ok (Verilog.Parser.parse_design_result src) in
-        let profile backend = Sim.Simulate.profile ~runs ~backend design spec in
-        let ev = profile Sim.Simulate.Event in
-        let cp = profile Sim.Simulate.Compiled in
+        fun backend -> Sim.Simulate.profile ~runs ~backend design spec)
+      Bench_suite.Projects.all
+  in
+  (* Pass-major, so one project's passes spread over the whole
+     measurement instead of running back to back. *)
+  let passes =
+    List.init profile_passes (fun _ ->
+        List.map
+          (fun profile ->
+            let ev = profile Sim.Simulate.Event in
+            (ev, profile Sim.Simulate.Compiled))
+          profilers)
+  in
+  let rows =
+    List.mapi
+      (fun i (p : Bench_suite.Projects.t) ->
+        let mine = List.map (fun pass -> List.nth pass i) passes in
+        let ev = median_pass (List.map fst mine) in
+        let cp = median_pass (List.map snd mine) in
         let cell = function
           | Error _ -> ("-", "-")
           | Ok { Sim.Simulate.report = r; wall_ns; edges; _ } ->
@@ -1176,10 +1213,14 @@ let profile_perf () =
     Obs.Json.Obj
       [
         ("runs_per_measurement", Obs.Json.Int runs);
+        ("passes_per_measurement", Obs.Json.Int profile_passes);
         ( "note",
           Obs.Json.Str
-            "ns/edge = profiler-attributed nanoseconds per recorded clock \
-             edge; coverage = attributed / measured wall time over the \
+            "each project x backend row is the pass with the median \
+             wall_ns of passes_per_measurement independent passes (warm-up \
+             plus runs_per_measurement profiled runs each); ns/edge = \
+             profiler-attributed nanoseconds per recorded clock edge; \
+             coverage = attributed / measured wall time over the pass's \
              profiled runs. Regions are inclusive of nested process and \
              node frames; top_processes are self-time leaves." );
         ("projects", Obs.Json.List rows);

@@ -3,14 +3,20 @@
    memoized on a structural digest of the materialized module (distinct
    patches frequently collapse to the same program).
 
-   Evaluation splits into a pure compute step ([compute], safe to run on
-   any domain: it touches only immutable fields of [t]) and a sequential
-   accounting step that owns the memo cache and the counters. The batch API
-   ([prepare] / [commit]) exploits this: a batch of candidates is scored
-   speculatively across a domain pool, then committed one by one on the
-   main domain with exactly the accounting the sequential path would have
-   produced — which is what keeps probe counts and cache state identical
-   for every [jobs] setting. *)
+   Evaluation splits into pure per-candidate work (the memo key, the lane
+   hashes and lane probe, and [compute]: screens, simulation, fitness),
+   safe to run on any domain, and a sequential accounting step that owns
+   the memo cache and the counters. The batch API ([prepare] / [commit])
+   exploits this: on a pool of more than one domain, every piece of pure
+   work for a batch runs in [Pool.map] tasks, and the main domain keeps
+   only the dedupe of first-seen keys and the commits, which charge
+   exactly the accounting the sequential path would have produced. That
+   is what keeps probe counts and cache state identical for every [jobs]
+   setting.
+
+   Invariant: [cache] and [sem_tbl] are written only while committing
+   ([eval_module] / [commit]), never while a [Pool.map] of [prepare] runs,
+   so the workers' reads of them are race-free. *)
 
 type status =
   | Simulated (* ran to completion (or quiesced) *)
@@ -257,9 +263,12 @@ let bump ?(by = 1) (ev : t) (k : counter) : unit =
   if Obs.Metrics.enabled () then
     Option.iter (fun m -> Obs.Metrics.add m by) metrics.(i)
 
-let add_seconds (ev : t) (t : timer) (dt : float) : unit =
+let add_ns (ev : t) (t : timer) (ns : int) : unit =
   let i = timer_index t in
-  ev.table.(i) <- ev.table.(i) + Float.to_int (dt *. 1e9)
+  ev.table.(i) <- ev.table.(i) + ns
+
+let add_seconds (ev : t) (t : timer) (dt : float) : unit =
+  add_ns ev t (Float.to_int (dt *. 1e9))
 
 let status_label = function
   | Simulated -> "simulated"
@@ -422,11 +431,13 @@ let account (ev : t) (o : outcome) =
      edit cannot change behaviour and the seed's fitness is reused under
      [Skipped_dead_edit] ([dead_edit_skips]).
 
-   Lane decisions are made only on the main domain, sequentially, against
-   monotonically-growing state (sem_tbl, cache) — a hit observed during
-   [prepare] is therefore still a hit at [commit] time, which keeps
-   results identical across [jobs] settings. Outcomes whose status is
-   tied to the candidate's structure, not its semantics (the static and
+   Lane decisions are made at commit, sequentially on the main domain,
+   against monotonically-growing state (sem_tbl, cache). [prepare] may
+   hash and probe on worker domains, reading that state while nothing
+   writes it (the invariant in the header); a hit probed there is still a
+   hit at [commit] time, and a miss probed there is probed again, which
+   keeps results identical across [jobs] settings. Outcomes whose status
+   is tied to the candidate's structure, not its semantics (the static and
    size screens), are never donated through the semantic lane. *)
 
 type lane_probe =
@@ -448,10 +459,11 @@ type lane_hashes = {
   lh_prune : string option; (* None when provably not needed *)
 }
 
-(* Main domain only: reads [sem_tbl] and accumulates [lane_seconds]. *)
-let lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
-    lane_hashes option =
-  if (not ev.lanes_enabled) || oversize ev candidate then None
+(* The hashes and the nanoseconds spent computing them. Reads [sem_tbl]
+   and writes nothing, so it runs on any domain under the invariant. *)
+let timed_lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
+    lane_hashes option * int =
+  if (not ev.lanes_enabled) || oversize ev candidate then (None, 0)
   else begin
     let t0 = Obs.Clock.now_ns () in
     let sem = Verilog.Canon.semantic_hash candidate in
@@ -461,12 +473,18 @@ let lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
           Some (Verilog.Dataflow.prune_hash candidate)
       | _ -> None
     in
-    add_seconds ev Lane_seconds (Obs.Clock.seconds_since t0);
-    Some { lh_sem = sem; lh_prune = prune }
+    (Some { lh_sem = sem; lh_prune = prune }, Obs.Clock.now_ns () - t0)
   end
 
-(* Read-only lane probe over precomputed hashes: pure table lookups.
-   Callers on the main domain only. *)
+(* [timed_lane_hashes] charged to [Lane_seconds]; main domain only. *)
+let lane_hashes (ev : t) (candidate : Verilog.Ast.module_decl) :
+    lane_hashes option =
+  let h, ns = timed_lane_hashes ev candidate in
+  add_ns ev Lane_seconds ns;
+  h
+
+(* Read-only lane probe over precomputed hashes: pure table lookups, safe
+   on any domain under the invariant. *)
 let lane_probe (ev : t) (key : string) (h : lane_hashes option) : lane_probe =
   match h with
   | None -> Lane_none None
@@ -561,52 +579,66 @@ let attribution (ev : t) (o : outcome) : (string * Fitness.signal_score) list =
 
 (* --- Batched evaluation over a domain pool ------------------------------ *)
 
+(* What the pool learned about one first-seen uncached key: its lane
+   hashes and, when the lanes left it to a fresh compute, that outcome. *)
+type speculation = {
+  sp_hashes : lane_hashes option;
+  sp_outcome : outcome option;
+}
+
 type prepared = {
   ev : t;
   candidates : Verilog.Ast.module_decl array;
   keys : string array;
-  computed : (string, outcome) Hashtbl.t;
-      (* speculative results for keys that were cache misses at prepare
-         time; empty on the sequential path *)
-  hashes : (string, lane_hashes option) Hashtbl.t;
-      (* lane hashes computed while screening the batch, so [commit] does
-         not hash the same candidate a second time; empty on the
-         sequential path *)
+  speculated : (string, speculation) Hashtbl.t;
+      (* one entry per key that was a cache miss at prepare time; empty on
+         the sequential path *)
 }
 
+(* One pool task: hash and probe the lanes as of the batch start, and
+   compute the outcome only when no lane serves the key. Lane state only
+   grows until commit, so a lane hit here is still one there; a miss here
+   may turn into a hit (an earlier commit of the batch donated), which
+   merely wastes the speculation. *)
+let speculate (ev : t) (key : string) (candidate : Verilog.Ast.module_decl) :
+    speculation * int =
+  let h, ns = timed_lane_hashes ev candidate in
+  let sp_outcome =
+    match lane_probe ev key h with
+    | Lane_sem _ | Lane_dead _ -> None
+    | Lane_none _ -> Some (compute ev candidate)
+  in
+  ({ sp_hashes = h; sp_outcome }, ns)
+
+(* With a pool of one domain, [Pool.map] is [Array.map] and nothing is
+   speculated: each [commit] evaluates on demand, the sequential path. *)
 let prepare (ev : t) ~(pool : Pool.t)
     (candidates : Verilog.Ast.module_decl array) : prepared =
   let t_prep = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-  let keys = Array.map (key_of ev.cfg) candidates in
-  let computed = Hashtbl.create (Array.length candidates) in
-  let hashes = Hashtbl.create (Array.length candidates) in
+  let keys = Pool.map pool (key_of ev.cfg) candidates in
+  let speculated = Hashtbl.create (Array.length candidates) in
   if Pool.size pool > 1 then begin
-    (* First occurrence of each un-cached key gets scored; duplicates and
+    (* First occurrence of each un-cached key gets a task; duplicates and
        cache hits are resolved at commit time, exactly as the sequential
-       path would. Keys the static lanes already serve are not scored
-       either: lane state only grows, so a hit probed here is still a hit
-       at commit time (the reverse miss merely wastes a speculation). *)
+       path would. The main domain keeps the dedupe, the stores and the
+       lane nanoseconds the workers measured. *)
+    let first = Hashtbl.create (Array.length candidates) in
     let to_run = ref [] in
     Array.iteri
       (fun i key ->
-        if
-          (not (Hashtbl.mem ev.cache key))
-          && not (Hashtbl.mem hashes key)
+        if (not (Hashtbl.mem ev.cache key)) && not (Hashtbl.mem first key)
         then begin
-          let h = lane_hashes ev candidates.(i) in
-          Hashtbl.replace hashes key h;
-          match lane_probe ev key h with
-          | Lane_sem _ | Lane_dead _ -> ()
-          | Lane_none _ ->
-              Hashtbl.replace computed key oversize_outcome
-                (* claimed; overwritten below *);
-              to_run := (key, candidates.(i)) :: !to_run
+          Hashtbl.replace first key ();
+          to_run := (key, candidates.(i)) :: !to_run
         end)
       keys;
     let batch = Array.of_list (List.rev !to_run) in
-    let outcomes = Pool.map pool (fun (_, c) -> compute ev c) batch in
+    let results = Pool.map pool (fun (key, c) -> speculate ev key c) batch in
     Array.iteri
-      (fun j (key, _) -> Hashtbl.replace computed key outcomes.(j))
+      (fun j (key, _) ->
+        let sp, ns = results.(j) in
+        add_ns ev Lane_seconds ns;
+        Hashtbl.replace speculated key sp)
       batch
   end;
   if Obs.Trace.enabled () then
@@ -614,18 +646,23 @@ let prepare (ev : t) ~(pool : Pool.t)
       ~args:
         [
           ("batch", Obs.Json.Int (Array.length candidates));
-          ("speculated", Obs.Json.Int (Hashtbl.length computed));
+          ( "speculated",
+            Obs.Json.Int
+              (Hashtbl.fold
+                 (fun _ sp n ->
+                   if Option.is_some sp.sp_outcome then n + 1 else n)
+                 speculated 0) );
         ]
       ~name:"eval.prepare_batch" t_prep;
-  { ev; candidates; keys; computed; hashes }
+  { ev; candidates; keys; speculated }
 
 (* Commit candidate [i]: byte-for-byte the accounting of [eval_module],
-   with the simulation replaced by the speculative result when one was
-   prepared. On a pool of size 1 nothing was prepared, so this IS
-   [eval_module]. Commit order defines the sequential semantics: callers
-   must commit in batch index order and may stop early (un-committed
-   speculative work is discarded, leaving cache and counters exactly as a
-   sequential run would). *)
+   with the lane hashes and the simulation replaced by the speculative
+   ones when they were prepared. On a pool of size 1 nothing was
+   prepared, so this IS [eval_module]. Commit order defines the
+   sequential semantics: callers must commit in batch index order and may
+   stop early (un-committed speculative work is discarded, leaving cache
+   and counters exactly as a sequential run would). *)
 let commit (p : prepared) (i : int) : outcome =
   let ev = p.ev in
   bump ev Lookups;
@@ -635,12 +672,13 @@ let commit (p : prepared) (i : int) : outcome =
       bump ev Memo_hits;
       o
   | None ->
+      let sp = Hashtbl.find_opt p.speculated key in
       let hashes =
-        match Hashtbl.find_opt p.hashes key with
-        | Some h -> h
+        match sp with
+        | Some s -> s.sp_hashes
         | None -> lane_hashes ev p.candidates.(i)
       in
       resolve_miss ev p.candidates.(i) key ~hashes (fun () ->
-          match Hashtbl.find_opt p.computed key with
-          | Some o -> o
-          | None -> compute ev p.candidates.(i))
+          match sp with
+          | Some { sp_outcome = Some o; _ } -> o
+          | _ -> compute ev p.candidates.(i))

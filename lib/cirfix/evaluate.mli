@@ -4,11 +4,15 @@
     materialized module; candidate simulations run under budgets scaled to
     the golden run so runaway mutants are cut off quickly.
 
-    Scoring splits into a pure compute step (safe on any domain) and
-    sequential accounting that owns the memo cache and counters. The
-    {!prepare}/{!commit} pair batches the compute step over a {!Pool}
-    while keeping accounting — and therefore probe counts and cache
-    state — identical to the sequential path for every [jobs] setting. *)
+    Scoring splits into pure per-candidate work (memo key, lane hashes
+    and lane probe, screens, simulation, fitness), safe on any domain,
+    and sequential accounting that owns the memo cache and counters. The
+    {!prepare}/{!commit} pair runs the pure work of a batch over a
+    {!Pool} while keeping accounting — and therefore probe counts and
+    cache state — identical to the sequential path for every [jobs]
+    setting. The cache and the semantic table are written only by
+    commits ({!eval_module}, {!commit}), never while {!prepare}'s pool
+    tasks read them. *)
 
 type status =
   | Simulated  (** ran to completion (or quiesced) *)
@@ -87,7 +91,9 @@ val pruned : counter list
 (** Wall-clock accumulators carried next to the counts. Timing only: they
     vary run to run and are never journaled. *)
 type timer =
-  | Lane_seconds  (** deciding the static pruning lanes *)
+  | Lane_seconds
+      (** hashing for the static pruning lanes, summed across domains
+          (with [jobs > 1] the hashing runs in pool tasks) *)
   | Sim_seconds_event  (** inside the event engine *)
   | Sim_seconds_compiled  (** inside the compiled backend *)
 
@@ -157,10 +163,12 @@ val attribution : t -> outcome -> (string * Fitness.signal_score) list
     speculatively across a pool, awaiting sequential commitment. *)
 type prepared
 
-(** [prepare ev ~pool candidates] scores the cache-missing candidates of
-    the batch across [pool] without touching [ev]'s cache or counters.
-    With a pool of size 1 this is free: nothing is precomputed and each
-    {!commit} evaluates on demand — the sequential path. *)
+(** [prepare ev ~pool candidates] computes the batch's memo keys and,
+    for each first-seen cache-missing key, its lane hashes, a read-only
+    lane probe and (when no lane serves it) its outcome, all as [pool]
+    tasks. It writes nothing of [ev] but the [Lane_seconds] timer. With a
+    pool of size 1 only the keys are computed, on the calling domain, and
+    each {!commit} evaluates on demand — the sequential path. *)
 val prepare : t -> pool:Pool.t -> Verilog.Ast.module_decl array -> prepared
 
 (** [commit p i] finalizes candidate [i] with exactly the accounting of

@@ -681,6 +681,15 @@ let test_backend_memo_isolation () =
   Alcotest.(check int) "event sim counted" 1 (count Sims_event);
   Alcotest.(check int) "no compiled sims" 0 (count Sims_compiled)
 
+(* The dead-code counter's target module with one source rewrite. *)
+let dead_code_variant rw =
+  let src =
+    Bench_suite.Defects.replace_once ~defect:5 (Dead_code.faulty_source ()) rw
+  in
+  match Verilog.Parser.parse_design_result src with
+  | Ok d -> List.find (fun (m : Verilog.Ast.module_decl) -> m.mod_id = "counter") d
+  | Error e -> Alcotest.fail e
+
 (* The invariant per-parent localization rests on: the evaluator stores
    one outcome per memo key and every later lookup of that key — through
    [eval_module] or through [prepare]/[commit] on a domain pool — returns
@@ -691,14 +700,7 @@ let test_memo_key_one_outcome () =
   let problem = Dead_code.problem () in
   let ev = Cirfix.Evaluate.create { Cirfix.Config.default with jobs = 1 } problem in
   let count = Cirfix.Evaluate.get ev.table in
-  let variant rw =
-    let src =
-      Bench_suite.Defects.replace_once ~defect:5 (Dead_code.faulty_source ()) rw
-    in
-    match Verilog.Parser.parse_design_result src with
-    | Ok d -> List.find (fun (m : Verilog.Ast.module_decl) -> m.mod_id = "counter") d
-    | Error e -> Alcotest.fail e
-  in
+  let variant = dead_code_variant in
   let seed = Cirfix.Problem.target_module problem in
   (* Live behaviour changed: simulated. *)
   let plain = variant ("counter_out + 2;", "counter_out + 3;") in
@@ -737,6 +739,67 @@ let test_memo_key_one_outcome () =
       ("semantic", twin, Cirfix.Evaluate.Semantic_hits);
       ("dead-edit", dead, Cirfix.Evaluate.Dead_edit_skips);
     ]
+
+(* [prepare] on a pool runs the memo keys, the lane hashes, the lane
+   probes and the simulations in worker tasks; committing must still
+   decide exactly what the sequential path does. The second batch holds a
+   plain miss and its duplicate, the seed (a memo hit), and a semantic
+   twin and a dead edit whose donor and seed were scored in the first
+   batch, so their lane probes run in the pool tasks. *)
+let test_speculation_matches_sequential () =
+  let problem = Dead_code.problem () in
+  let seed = Cirfix.Problem.target_module problem in
+  let plain = dead_code_variant ("counter_out + 2;", "counter_out + 3;") in
+  let twin = dead_code_variant ("counter_out + 2;", "2 + counter_out;") in
+  let dead =
+    dead_code_variant ("dbg_trace <= 4'b0000;", "dbg_trace <= 4'b0101;")
+  in
+  let batches = [ [| seed |]; [| plain; plain; seed; twin; dead |] ] in
+  let evaluator jobs =
+    Cirfix.Evaluate.create { Cirfix.Config.default with jobs } problem
+  in
+  let seq = evaluator 1 in
+  let expected =
+    List.map (Array.map (Cirfix.Evaluate.eval_module seq)) batches
+  in
+  let par = evaluator 2 in
+  let lane_seconds () =
+    Cirfix.Evaluate.seconds (Cirfix.Evaluate.counters par) Lane_seconds
+  in
+  let lane_before = ref 0. in
+  let got =
+    Cirfix.Pool.with_pool ~jobs:2 @@ fun pool ->
+    List.map
+      (fun mods ->
+        lane_before := lane_seconds ();
+        let p = Cirfix.Evaluate.prepare par ~pool mods in
+        Array.mapi (fun i _ -> Cirfix.Evaluate.commit p i) mods)
+      batches
+  in
+  List.iteri
+    (fun b (want, have) ->
+      Array.iteri
+        (fun i (w : Cirfix.Evaluate.outcome) ->
+          let h : Cirfix.Evaluate.outcome = have.(i) in
+          let what = Printf.sprintf "batch %d, candidate %d" b i in
+          Alcotest.(check (float 0.)) (what ^ ": fitness") w.fitness h.fitness;
+          Alcotest.(check string) (what ^ ": status")
+            (Cirfix.Evaluate.status_label w.status)
+            (Cirfix.Evaluate.status_label h.status))
+        want)
+    (List.combine expected got);
+  let table ev =
+    let c = Cirfix.Evaluate.counters ev in
+    List.map
+      (fun k -> (Cirfix.Evaluate.name k, Cirfix.Evaluate.get c k))
+      Cirfix.Evaluate.all_counters
+  in
+  Alcotest.(check (list (pair string int))) "counters" (table seq) (table par);
+  let count = Cirfix.Evaluate.get seq.table in
+  Alcotest.(check int) "semantic lane fired" 1 (count Semantic_hits);
+  Alcotest.(check int) "dead-edit lane fired" 1 (count Dead_edit_skips);
+  Alcotest.(check bool) "lane time charged by the pool batch" true
+    (lane_seconds () > !lane_before)
 
 let test_brute_force_edit_inventory () =
   let problem = motivating_problem () in
@@ -900,6 +963,8 @@ let () =
             test_backend_memo_isolation;
           Alcotest.test_case "memo key has one outcome" `Quick
             test_memo_key_one_outcome;
+          Alcotest.test_case "speculation matches sequential" `Quick
+            test_speculation_matches_sequential;
           Alcotest.test_case "brute force inventory" `Quick
             test_brute_force_edit_inventory;
           Alcotest.test_case "brute force small" `Slow test_brute_force_small_defect;
