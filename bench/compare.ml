@@ -1,163 +1,105 @@
 (* Bench regression guard: compare freshly measured BENCH_*.json
-   artifacts against the committed copies, direction-aware, with a
-   percentage tolerance. Throughput/quality fields (per_sec, speedup,
-   rate) regress when the fresh value falls below committed * (1 - tol);
-   cost fields (wall, seconds) regress when it rises above
-   committed * (1 + tol). Exits 1 on any regression, 0 otherwise.
+   artifacts against the committed copies, row by row. Both files are
+   {"artifact", "note", "cores", "rows": [{"name", "value", "unit",
+   "better", "bound"?}]} (bench/main.ml writes them). Rows join by name.
+   A committed row with a bound regresses when the fresh value is worse,
+   in the row's own "better" direction, by more than that fraction of the
+   committed value, or when the fresh file lacks it. Rows without a bound
+   are reported and never fail. Exits 1 on any regression, 0 otherwise,
+   2 on an unreadable file.
 
    Timing medians are hardware-sensitive, so this is an opt-in gate
    (`dune build @bench-check`), not part of `dune runtest`: the committed
    numbers are only meaningful as a baseline on comparable hardware.
 
-   Usage: compare.exe [--tolerance PCT] COMMITTED FRESH [COMMITTED FRESH ...] *)
+   Usage: compare.exe COMMITTED FRESH [COMMITTED FRESH ...] *)
 
 open Obs
 
-let tolerance = ref 25.0
+type row = { value : float; higher : bool; bound : float option }
+
 let regressions = ref 0
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
+let fail path msg =
+  Printf.eprintf "%s: %s\n" path msg;
+  exit 2
 
-let higher_better name =
-  contains name "per_sec" || contains name "speedup" || contains name "rate"
-
-(* Sub-millisecond one-shot costs (compile_ms and friends) are jitter,
-   not signal, so only wall-clock style fields gate. *)
-let lower_better name = contains name "wall" || contains name "seconds"
-
-let read_json path =
+let read_rows path =
   let text = In_channel.with_open_text path In_channel.input_all in
-  match Json.parse text with
-  | Ok v -> v
-  | Error e -> Printf.eprintf "%s: parse error: %s\n" path e; exit 2
-
-(* Rows of a bench artifact: the per-project or per-scenario objects,
-   labelled stably so committed and fresh line up even if order moved. *)
-let rows v =
-  let of_key k = match Json.member k v with Some (Json.List l) -> l | _ -> [] in
-  match of_key "projects" with [] -> of_key "scenarios" | l -> l
-
-let row_label row =
-  let str k =
-    match Json.member k row with Some (Json.Str s) -> Some s | _ -> None
+  let doc = match Json.parse text with Ok v -> v | Error e -> fail path e in
+  let row r =
+    let field k = Json.member k r in
+    match
+      ( Option.bind (field "name") Json.to_string_opt,
+        Option.bind (field "value") Json.to_float_opt,
+        field "better" )
+    with
+    | Some name, Some value, Some (Json.Str ("higher" | "lower" as better)) ->
+        ( name,
+          {
+            value;
+            higher = better = "higher";
+            bound = Option.bind (field "bound") Json.to_float_opt;
+          } )
+    | _ -> fail path ("malformed row " ^ Json.to_string r)
   in
-  let int k =
-    match Json.member k row with Some (Json.Int i) -> Some i | _ -> None
-  in
-  match (int "id", str "project") with
-  | Some id, Some p -> Printf.sprintf "%d:%s" id p
-  | None, Some p -> p
-  | Some id, None -> string_of_int id
-  | None, None -> "?"
-
-(* Rows plus one level of nesting: BENCH_profile.json keeps its gated
-   fields under a per-project "backends" list, so those expand to
-   "project/backend" sub-rows. *)
-let labelled_rows v =
-  List.concat_map
-    (fun row ->
-      let base = row_label row in
-      let nested =
-        match Json.member "backends" row with
-        | Some (Json.List bs) ->
-            List.map
-              (fun b ->
-                let bl =
-                  match Json.member "backend" b with
-                  | Some (Json.Str s) -> s
-                  | _ -> "?"
-                in
-                (base ^ "/" ^ bl, b))
-              bs
-        | _ -> []
-      in
-      (base, row) :: nested)
-    (rows v)
-
-let gated_fields row =
-  match row with
-  | Json.Obj fields ->
-      List.filter_map
-        (fun (k, v) ->
-          if not (higher_better k || lower_better k) then None
-          else Option.map (fun f -> (k, f)) (Json.to_float_opt v))
-        fields
-  | _ -> []
-
-let check ~label ~field ~committed ~fresh =
-  let tol = !tolerance /. 100.0 in
-  let delta =
-    if committed = 0.0 then 0.0 else (fresh -. committed) /. committed *. 100.0
-  in
-  let worse =
-    if higher_better field then fresh < committed *. (1.0 -. tol)
-    else fresh > committed *. (1.0 +. tol)
-  in
-  let verdict =
-    if worse then (incr regressions; "REGRESSION")
-    else if abs_float delta > !tolerance then "improved"
-    else "ok"
-  in
-  Printf.printf "  %-42s %12.2f %12.2f %+7.1f%%  %s\n"
-    (label ^ "." ^ field) committed fresh delta verdict
+  match Json.member "rows" doc with
+  | Some (Json.List rows) -> List.map row rows
+  | _ -> fail path "no rows"
 
 let compare_pair committed_path fresh_path =
-  Printf.printf "%s vs %s (tolerance +/-%.0f%%)\n" committed_path fresh_path
-    !tolerance;
-  let committed = read_json committed_path and fresh = read_json fresh_path in
-  (* Top-level gated scalars (e.g. median_speedup). *)
-  (match committed with
-  | Json.Obj fields ->
-      List.iter
-        (fun (k, v) ->
-          match (Json.to_float_opt v, Json.member k fresh) with
-          | Some c, Some fv when higher_better k || lower_better k -> (
-              match Json.to_float_opt fv with
-              | Some f -> check ~label:"(top)" ~field:k ~committed:c ~fresh:f
-              | None -> ())
-          | _ -> ())
-        fields
-  | _ -> ());
-  let fresh_rows = labelled_rows fresh in
+  Printf.printf "%s vs %s\n" committed_path fresh_path;
+  let fresh = read_rows fresh_path in
   List.iter
-    (fun (label, crow) ->
-      match List.assoc_opt label fresh_rows with
+    (fun (name, c) ->
+      let bound =
+        match c.bound with
+        | Some b -> Printf.sprintf "%.0f%%" (b *. 100.)
+        | None -> "-"
+      in
+      let line value delta verdict =
+        Printf.printf "  %-48s %12.2f %12s %8s %5s  %s\n" name c.value value
+          delta bound verdict
+      in
+      match List.assoc_opt name fresh with
+      | None when c.bound = None -> line "-" "" "missing, not gated"
       | None ->
-          (* Quick-mode runs may measure a subset; absence is not a
-             regression, but say so rather than silently narrowing. *)
-          Printf.printf "  %-42s (not in fresh run, skipped)\n" label
-      | Some frow ->
-          List.iter
-            (fun (field, c) ->
-              match Json.member field frow with
-              | Some v -> (
-                  match Json.to_float_opt v with
-                  | Some f -> check ~label ~field ~committed:c ~fresh:f
-                  | None -> ())
-              | None -> ())
-            (gated_fields crow))
-    (labelled_rows committed)
+          incr regressions;
+          line "-" "" "MISSING"
+      | Some f ->
+          let delta =
+            if c.value = 0.0 then 0.0
+            else (f.value -. c.value) /. c.value *. 100.0
+          in
+          let worse b =
+            if c.higher then f.value < c.value *. (1.0 -. b)
+            else f.value > c.value *. (1.0 +. b)
+          in
+          let verdict =
+            match c.bound with
+            | Some b when worse b -> incr regressions; "REGRESSION"
+            | Some _ -> "ok"
+            | None -> "not gated"
+          in
+          line
+            (Printf.sprintf "%.2f" f.value)
+            (Printf.sprintf "%+.1f%%" delta)
+            verdict)
+    (read_rows committed_path)
 
 let () =
-  let rec parse_args = function
-    | "--tolerance" :: pct :: rest ->
-        tolerance := float_of_string pct;
-        parse_args rest
+  let rec pairs = function
     | committed :: fresh :: rest ->
         compare_pair committed fresh;
-        parse_args rest
+        pairs rest
     | [] -> ()
     | [ odd ] ->
         Printf.eprintf "unpaired argument %s (expected COMMITTED FRESH pairs)\n"
           odd;
         exit 2
   in
-  parse_args (List.tl (Array.to_list Sys.argv));
+  pairs (List.tl (Array.to_list Sys.argv));
   if !regressions > 0 then (
-    Printf.printf "\n%d regression(s) beyond +/-%.0f%%\n" !regressions
-      !tolerance;
+    Printf.printf "\n%d gated row(s) regressed or missing\n" !regressions;
     exit 1)
-  else Printf.printf "\nno regressions beyond +/-%.0f%%\n" !tolerance
+  else Printf.printf "\nno gated row regressed\n"

@@ -489,15 +489,54 @@ let ablation_params () =
     \ exact GP parameter values; the flat response across cells agrees.)\n"
 
 (* ------------------------------------------------------------------ *)
+(* BENCH_*.json: one schema for every throughput artifact              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every artifact is {"artifact", "note", "cores", "rows"}, and a row is
+   {"name", "value", "unit", "better", "bound"?}, the vocabulary of
+   BENCHMARK.json. bench/compare.ml gates a committed row only when it
+   carries a bound: the fresh value may be worse by at most that fraction.
+   Rows without a bound are reported, never gated. *)
+let gate = 0.25
+
+let row better ?bound name unit value =
+  Obs.Json.Obj
+    ([
+       ("name", Obs.Json.Str name);
+       ("value", Obs.Json.Float value);
+       ("unit", Obs.Json.Str unit);
+       ("better", Obs.Json.Str better);
+     ]
+    @ match bound with None -> [] | Some b -> [ ("bound", Obs.Json.Float b) ])
+
+let higher = row "higher"
+let lower = row "lower"
+
+let write_bench ~file ~artifact ~note rows =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [
+                ("artifact", Obs.Json.Str artifact);
+                ("note", Obs.Json.Str note);
+                ("cores", Obs.Json.Int (Domain.recommended_domain_count ()));
+                ("rows", Obs.Json.List rows);
+              ]));
+      output_char oc '\n');
+  Printf.printf "wrote %s (%d rows)\n" file (List.length rows)
+
+(* ------------------------------------------------------------------ *)
 (* Parallel repair throughput (BENCH_repair.json)                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Measure the parallel evaluation layer: run the same seeded GP search
    at jobs=1 and jobs=N on the counter and decoder scenarios, record
-   wall time / sims-per-second / speedup, and check the determinism
-   contract (identical patch and probe count at every jobs value). The
-   budget is probe-bound with a generous wall limit, so both runs do the
-   same work and the comparison is fair. *)
+   wall time / sims-per-second / speedup, and enforce the determinism
+   contract (identical patch, probe and mutant counts at every jobs
+   value; exit 1 otherwise). The budget is probe-bound with a generous
+   wall limit, so both runs do the same work and the comparison is
+   fair. *)
 let repair_perf () =
   section "Parallel repair throughput (writes BENCH_repair.json)";
   let jobs_hi = max 2 (Cirfix.Config.default_jobs ()) in
@@ -518,59 +557,54 @@ let repair_perf () =
   Printf.printf "%-4s %-16s %10s %10s %12s %12s %8s %s\n" "Id" "Project"
     "wall(j=1)" "wall(j=N)" "sims/s(j=1)" "sims/s(j=N)" "speedup"
     "deterministic";
+  let probes_of (r : Cirfix.Gp.result) = Cirfix.Evaluate.get r.counters Probes in
+  let diverged = ref [] in
   let rows =
-    List.map
+    List.concat_map
       (fun id ->
         let d, r1 = run id 1 in
         let _, rn = run id jobs_hi in
-        let s1 =
-          Cirfix.Stats.sims_per_sec ~probes:r1.probes
-            ~wall_seconds:r1.wall_seconds
-        and sn =
-          Cirfix.Stats.sims_per_sec ~probes:rn.probes
-            ~wall_seconds:rn.wall_seconds
+        let sims (r : Cirfix.Gp.result) =
+          Cirfix.Stats.sims_per_sec ~probes:(probes_of r)
+            ~wall_seconds:r.wall_seconds
         in
+        let s1 = sims r1 and sn = sims rn in
         let speedup = if s1 > 0. then sn /. s1 else 0. in
         let deterministic =
-          r1.probes = rn.probes && r1.minimized = rn.minimized
+          probes_of r1 = probes_of rn
+          && r1.minimized = rn.minimized
           && r1.mutants_generated = rn.mutants_generated
         in
+        if not deterministic then diverged := id :: !diverged;
         Printf.printf "%-4d %-16s %10.2f %10.2f %12.1f %12.1f %7.2fx %b\n" d.id
           d.project r1.wall_seconds rn.wall_seconds s1 sn speedup deterministic;
-        (d, r1, rn, s1, sn, speedup, deterministic))
+        let name field = Printf.sprintf "%d:%s.%s" d.id d.project field in
+        [
+          lower (name "probes") "count" (float_of_int (probes_of r1));
+          lower ~bound:gate (name "wall_seconds_jobs1") "s" r1.wall_seconds;
+          lower ~bound:gate (name "wall_seconds_jobsN") "s" rn.wall_seconds;
+          higher ~bound:gate (name "sims_per_sec_jobs1") "1/s" s1;
+          higher ~bound:gate (name "sims_per_sec_jobsN") "1/s" sn;
+          higher ~bound:gate (name "speedup") "ratio" speedup;
+        ])
       scenarios
   in
-  let json_row (d : Bench_suite.Defects.t) (r1 : Cirfix.Gp.result)
-      (rn : Cirfix.Gp.result) s1 sn speedup deterministic =
-    Printf.sprintf
-      "    { \"id\": %d, \"project\": \"%s\", \"probes\": %d,\n\
-      \      \"wall_seconds_jobs1\": %.3f, \"wall_seconds_jobsN\": %.3f,\n\
-      \      \"sims_per_sec_jobs1\": %.1f, \"sims_per_sec_jobsN\": %.1f,\n\
-      \      \"speedup\": %.3f, \"deterministic\": %b }"
-      d.id d.project r1.probes r1.wall_seconds rn.wall_seconds s1 sn speedup
-      deterministic
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"jobs_low\": 1,\n\
-      \  \"jobs_high\": %d,\n\
-      \  \"cores_available\": %d,\n\
-      \  \"note\": \"speedup is bounded by physical cores; on a single-core \
-       host the parallel layer adds coordination overhead and speedup <= 1 \
-       is expected\",\n\
-      \  \"scenarios\": [\n%s\n  ]\n}\n"
+  write_bench ~file:"BENCH_repair.json" ~artifact:"repair-perf"
+    ~note:
+      (Printf.sprintf
+         "seeded GP repair at jobs=1 and jobs=N=%d on the same probe budget; \
+          speedup is bounded by physical cores, and on a single-core host \
+          the parallel layer adds coordination overhead, so speedup <= 1 is \
+          expected"
+         jobs_hi)
+    rows;
+  if !diverged <> [] then (
+    Printf.eprintf
+      "repair-perf: jobs=1 and jobs=%d differ in probes, minimized patch or \
+       mutants on scenario(s) %s\n"
       jobs_hi
-      (Domain.recommended_domain_count ())
-      (String.concat ",\n"
-         (List.map
-            (fun (d, r1, rn, s1, sn, sp, det) -> json_row d r1 rn s1 sn sp det)
-            rows))
-  in
-  Out_channel.with_open_text "BENCH_repair.json" (fun oc ->
-      output_string oc json);
-  Printf.printf "\nwrote BENCH_repair.json (jobs_high=%d, cores=%d)\n" jobs_hi
-    (Domain.recommended_domain_count ())
+      (String.concat ", " (List.rev_map string_of_int !diverged));
+    exit 1)
 
 (* ------------------------------------------------------------------ *)
 (* Static pruning (BENCH_dataflow.json)                                 *)
@@ -619,7 +653,7 @@ let dataflow_prune () =
   section "Static pruning: sims avoided vs analysis overhead (writes BENCH_dataflow.json)";
   let budget = if !quick then 1_500 else 6_000 in
   let runs =
-    ("dead-code counter", None,
+    ("dead-code counter",
      fun () ->
        let cfg =
          {
@@ -639,7 +673,6 @@ let dataflow_prune () =
          (fun (id, probes) ->
            let d = Bench_suite.Defects.find id in
            ( Printf.sprintf "%s#%d" d.project d.id,
-             Some d,
              fun () ->
                let cfg =
                  {
@@ -667,68 +700,49 @@ let dataflow_prune () =
   in
   Printf.printf "%-20s %8s %8s %9s %9s %10s %9s\n" "Scenario" "lookups"
     "probes" "sem-hits" "dead-skip" "hit-rate%" "lane-ms";
+  let results = List.map (fun (label, run) -> (label, run ())) runs in
   let rows =
-    List.map
-      (fun (label, _, run) ->
-        let r : Cirfix.Gp.result = run () in
-        let avoided = r.semantic_hits + r.dead_edit_skips in
-        let hit_rate =
-          Cirfix.Stats.percent ~part:r.semantic_hits ~total:r.lookups
+    List.concat_map
+      (fun (label, (r : Cirfix.Gp.result)) ->
+        let get = Cirfix.Evaluate.get r.counters in
+        let lane_seconds = Cirfix.Evaluate.seconds r.counters Lane_seconds in
+        Printf.printf "%-20s %8d %8d %9d %9d %9.2f%% %9.1f\n" label
+          (get Lookups) (get Probes) (get Semantic_hits) (get Dead_edit_skips)
+          (Cirfix.Stats.percent ~part:(get Semantic_hits) ~total:(get Lookups))
+          (1000. *. lane_seconds);
+        let name field = label ^ "." ^ field in
+        let count better field c =
+          better (name field) "count" (float_of_int (get c))
         in
-        let overhead_pct =
-          if r.wall_seconds > 0. then
-            100. *. r.lane_seconds /. r.wall_seconds
-          else 0.
-        in
-        Printf.printf "%-20s %8d %8d %9d %9d %9.2f%% %9.1f\n" label r.lookups
-          r.probes r.semantic_hits r.dead_edit_skips hit_rate
-          (1000. *. r.lane_seconds);
-        (label, r, avoided, hit_rate, overhead_pct))
-      runs
+        [
+          count lower "lookups" Lookups;
+          count lower "probes" Probes;
+          count higher "semantic_hits" Semantic_hits;
+          count higher "dead_edit_skips" Dead_edit_skips;
+          lower (name "lane_seconds") "s" lane_seconds;
+          lower (name "wall_seconds") "s" r.wall_seconds;
+        ])
+      results
   in
-  let total_avoided =
-    List.fold_left (fun acc (_, _, a, _, _) -> acc + a) 0 rows
+  let total f = List.fold_left (fun acc (_, r) -> acc +. f r) 0. results in
+  let avoided (r : Cirfix.Gp.result) =
+    float_of_int
+      (Cirfix.Evaluate.sum r.counters [ Semantic_hits; Dead_edit_skips ])
   in
-  let total_lane =
-    List.fold_left
-      (fun acc (_, (r : Cirfix.Gp.result), _, _, _) -> acc +. r.lane_seconds)
-      0. rows
-  in
-  let total_wall =
-    List.fold_left
-      (fun acc (_, (r : Cirfix.Gp.result), _, _, _) -> acc +. r.wall_seconds)
-      0. rows
-  in
-  let overall_overhead =
-    if total_wall > 0. then 100. *. total_lane /. total_wall else 0.
+  let lane (r : Cirfix.Gp.result) =
+    Cirfix.Evaluate.seconds r.counters Lane_seconds
   in
   Printf.printf
-    "\ntotal sims avoided statically: %d; analysis overhead %.2f%% of repair wall time\n"
-    total_avoided overall_overhead;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sims_avoided\": %d,\n\
-      \  \"analysis_overhead_pct\": %.3f,\n\
-      \  \"scenarios\": [\n%s\n  ]\n}\n"
-      total_avoided overall_overhead
-      (String.concat ",\n"
-         (List.map
-            (fun (label, (r : Cirfix.Gp.result), avoided, hit_rate, overhead)
-            ->
-              Printf.sprintf
-                "    { \"scenario\": \"%s\", \"lookups\": %d, \"probes\": %d,\n\
-                \      \"semantic_hits\": %d, \"dead_edit_skips\": %d,\n\
-                \      \"sims_avoided\": %d, \"semantic_hit_rate_pct\": %.3f,\n\
-                \      \"lane_seconds\": %.6f, \"wall_seconds\": %.3f,\n\
-                \      \"analysis_overhead_pct\": %.3f }"
-                label r.lookups r.probes r.semantic_hits r.dead_edit_skips
-                avoided hit_rate r.lane_seconds r.wall_seconds overhead)
-            rows))
-  in
-  Out_channel.with_open_text "BENCH_dataflow.json" (fun oc ->
-      output_string oc json);
-  Printf.printf "wrote BENCH_dataflow.json\n"
+    "\ntotal sims avoided statically: %.0f; analysis overhead %.2f%% of \
+     repair wall time\n"
+    (total avoided)
+    (100. *. total lane /. total (fun r -> r.wall_seconds));
+  write_bench ~file:"BENCH_dataflow.json" ~artifact:"dataflow-prune"
+    ~note:
+      "simulations the static pruning lanes avoid (semantic folds plus \
+       dead-edit skips) against the wall seconds spent hashing for them, \
+       per seeded GP run"
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                            *)
@@ -891,24 +905,22 @@ let obs_overhead () =
     (t_disabled *. 1e3) (ratio t_disabled);
   Printf.printf "enabled run: %d journal records, %d trace events, %d profile paths\n"
     !enabled_records !enabled_events !enabled_profile_paths;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"scenario\": %d,\n\
-      \  \"baseline_ms\": %.3f,\n\
-      \  \"enabled_ms\": %.3f,\n\
-      \  \"disabled_ms\": %.3f,\n\
-      \  \"disabled_overhead\": %.4f,\n\
-      \  \"journal_records\": %d,\n\
-      \  \"trace_events\": %d,\n\
-      \  \"profile_paths\": %d\n\
-       }\n"
-      d.id (t_baseline *. 1e3) (t_enabled *. 1e3) (t_disabled *. 1e3)
-      (ratio t_disabled) !enabled_records !enabled_events
-      !enabled_profile_paths
-  in
-  Out_channel.with_open_text "BENCH_obs.json" (fun oc -> output_string oc json);
-  Printf.printf "wrote BENCH_obs.json\n";
+  let count name c = higher name "count" (float_of_int c) in
+  write_bench ~file:"BENCH_obs.json" ~artifact:"obs-overhead"
+    ~note:
+      (Printf.sprintf
+         "min-of-5 wall of one seeded repair of scenario #%d with the sinks \
+          never enabled (baseline), all four enabled, and disabled again \
+          after use; the counts come from the enabled run"
+         d.id)
+    [
+      lower "baseline_ms" "ms" (t_baseline *. 1e3);
+      lower "enabled_ms" "ms" (t_enabled *. 1e3);
+      lower "disabled_ms" "ms" (t_disabled *. 1e3);
+      count "journal_records" !enabled_records;
+      count "trace_events" !enabled_events;
+      count "profile_paths" !enabled_profile_paths;
+    ];
   if !obs_overhead_check then begin
     if !enabled_records = 0 then (
       Printf.eprintf "obs-overhead: enabled run produced no journal records\n";
@@ -936,13 +948,12 @@ let obs_overhead () =
 (* ------------------------------------------------------------------ *)
 
 (* Per-project sims/sec under the event engine and the compiled cycle
-   evaluator, plus the compile-time amortization curve: the one-off cost
-   of lowering a design (elaborate + compile) against the per-run saving,
-   and the run count at which the compiled backend breaks even. Run
-   times are medians over repeated simulations with the artifact cache
-   warm (the repair loop's steady state — one design, thousands of
-   candidate runs). Projects the compiler rejects are reported as
-   fallbacks with the reason, never skipped silently. *)
+   evaluator, plus the one-off cost of lowering a design (elaborate +
+   compile). Run times are medians over repeated simulations with the
+   artifact cache warm (the repair loop's steady state — one design,
+   thousands of candidate runs). A project the compiler rejects gets no
+   compiled rows, so @bench-check reports them missing; the fallback
+   reason is printed. *)
 let sim_perf () =
   section "Simulation backend throughput (writes BENCH_sim.json)";
   let reps = if !quick then 7 else 21 in
@@ -957,9 +968,9 @@ let sim_perf () =
     in
     Cirfix.Stats.median samples
   in
-  Printf.printf "%-22s %12s %12s %8s %11s %10s\n" "project" "event/s"
-    "compiled/s" "speedup" "compile(ms)" "breakeven";
-  let rows =
+  Printf.printf "%-22s %12s %12s %8s %11s\n" "project" "event/s" "compiled/s"
+    "speedup" "compile(ms)";
+  let measured =
     List.map
       (fun (p : Bench_suite.Projects.t) ->
         let spec = Bench_suite.Projects.spec p in
@@ -969,108 +980,55 @@ let sim_perf () =
         in
         let design = Result.get_ok (Verilog.Parser.parse_design_result src) in
         let run backend () = Sim.Simulate.run ~backend design spec in
-        let backend_used =
-          match run Sim.Simulate.Compiled () with
-          | Ok r -> Sim.Simulate.backend_used_to_string r.backend_used
-          | Error (Sim.Simulate.Elab_failure e) -> "elab-error:" ^ e
-        in
         let t_event = median_time (run Sim.Simulate.Event) in
-        let eligible = String.equal backend_used "compiled" in
-        if not eligible then begin
-          Printf.printf "%-22s %12.1f %12s %8s %11s %10s  (%s)\n" p.name
-            (1. /. t_event) "-" "-" "-" "-" backend_used;
-          (p, backend_used, t_event, None)
-        end
-        else begin
-          let t_compiled = median_time (run Sim.Simulate.Compiled) in
-          let t_compile_once =
-            median_time (fun () ->
-                Sim.Compile.compile
-                  (Sim.Elaborate.elaborate design ~top:spec.Sim.Simulate.top))
-          in
-          let speedup = t_event /. t_compiled in
-          (* Runs needed before compile cost is paid back by the per-run
-             saving; never pays back when the compiled run is slower. *)
-          let breakeven =
-            if t_event > t_compiled then
-              Some
-                (int_of_float
-                   (Float.ceil (t_compile_once /. (t_event -. t_compiled))))
-            else None
-          in
-          Printf.printf "%-22s %12.1f %12.1f %7.2fx %11.2f %10s\n" p.name
-            (1. /. t_event) (1. /. t_compiled) speedup
-            (1000. *. t_compile_once)
-            (match breakeven with Some n -> string_of_int n | None -> "never");
-          (p, backend_used, t_event, Some (t_compiled, t_compile_once, speedup, breakeven))
-        end)
+        let name field = p.name ^ "." ^ field in
+        let event_row =
+          higher ~bound:gate (name "sims_per_sec_event") "1/s" (1. /. t_event)
+        in
+        match run Sim.Simulate.Auto () with
+        | Ok { backend_used = Used_compiled; _ } ->
+            let t_compiled = median_time (run Sim.Simulate.Auto) in
+            let t_compile_once =
+              median_time (fun () ->
+                  Sim.Compile.compile
+                    (Sim.Elaborate.elaborate design ~top:spec.Sim.Simulate.top))
+            in
+            let speedup = t_event /. t_compiled in
+            Printf.printf "%-22s %12.1f %12.1f %7.2fx %11.3f\n" p.name
+              (1. /. t_event) (1. /. t_compiled) speedup
+              (1000. *. t_compile_once);
+            ( Some speedup,
+              [
+                event_row;
+                higher ~bound:gate (name "sims_per_sec_compiled") "1/s"
+                  (1. /. t_compiled);
+                higher ~bound:gate (name "speedup") "ratio" speedup;
+                lower (name "compile_ms") "ms" (1000. *. t_compile_once);
+              ] )
+        | fallback ->
+            Printf.printf "%-22s %12.1f  (%s)\n" p.name (1. /. t_event)
+              (match fallback with
+              | Ok r -> Sim.Simulate.backend_used_to_string r.backend_used
+              | Error (Sim.Simulate.Elab_failure e) -> "elab-error:" ^ e);
+            (None, [ event_row ]))
       Bench_suite.Projects.all
   in
-  let eligible =
-    List.filter_map
-      (fun (p, _, te, c) -> Option.map (fun c -> (p, te, c)) c)
-      rows
-  in
-  let speedups = List.map (fun (_, _, (_, _, s, _)) -> s) eligible in
-  let fallbacks = List.filter (fun (_, b, _, _) -> b <> "compiled") rows in
-  Printf.printf
-    "\n%d/%d projects compiled-eligible (%d fallbacks); median speedup %.2fx, \
-     best %.2fx\n"
-    (List.length eligible) (List.length rows) (List.length fallbacks)
-    (Cirfix.Stats.median speedups)
-    (List.fold_left Float.max 0. speedups);
-  let json_row ((p : Bench_suite.Projects.t), backend_used, t_event, compiled) =
-    let base =
-      Printf.sprintf
-        "    { \"project\": \"%s\", \"backend_used\": \"%s\",\n\
-        \      \"sims_per_sec_event\": %.1f"
-        p.name (String.escaped backend_used) (1. /. t_event)
-    in
-    match compiled with
-    | None -> base ^ " }"
-    | Some (t_compiled, t_compile_once, speedup, breakeven) ->
-        (* Amortized cost ratio (compiled vs event) after n runs of one
-           design: the curve the repair loop rides down as candidates of
-           a single project reuse the cached artifact. *)
-        let curve =
-          List.map
-            (fun n ->
-              let nf = float_of_int n in
-              Printf.sprintf "{ \"runs\": %d, \"cost_ratio\": %.3f }" n
-                ((t_compile_once +. (nf *. t_compiled)) /. (nf *. t_event)))
-            [ 1; 10; 100; 1000 ]
-        in
-        Printf.sprintf
-          "%s,\n\
-          \      \"sims_per_sec_compiled\": %.1f, \"speedup\": %.3f,\n\
-          \      \"compile_ms\": %.3f, \"breakeven_runs\": %s,\n\
-          \      \"amortization\": [%s] }"
-          base (1. /. t_compiled) speedup
-          (1000. *. t_compile_once)
-          (match breakeven with Some n -> string_of_int n | None -> "null")
-          (String.concat ", " curve)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"reps_per_median\": %d,\n\
-      \  \"eligible_projects\": %d,\n\
-      \  \"fallback_projects\": %d,\n\
-      \  \"median_speedup\": %.3f,\n\
-      \  \"note\": \"sims/sec = whole simulations of the project testbench \
-       per second, median of %d runs, artifact cache warm; both backends \
-       run on one scheduler over the same packed values, and the compiled \
-       one adds the levelized combinational cloud and runs clocked and \
-       clock-generator processes as direct scheduler callbacks, while \
-       other processes stay fibers as in the event backend\",\n\
-      \  \"projects\": [\n%s\n  ]\n}\n"
-      reps (List.length eligible) (List.length fallbacks)
-      (Cirfix.Stats.median speedups)
-      reps
-      (String.concat ",\n" (List.map json_row rows))
-  in
-  Out_channel.with_open_text "BENCH_sim.json" (fun oc -> output_string oc json);
-  Printf.printf "wrote BENCH_sim.json\n"
+  let speedups = List.filter_map fst measured in
+  Printf.printf "\n%d/%d projects compiled; median speedup %.2fx\n"
+    (List.length speedups) (List.length measured)
+    (Cirfix.Stats.median speedups);
+  write_bench ~file:"BENCH_sim.json" ~artifact:"sim-perf"
+    ~note:
+      (Printf.sprintf
+         "sims/sec = whole simulations of the project testbench per second, \
+          median of %d runs, artifact cache warm; both backends run on one \
+          scheduler over the same packed values, and the compiled one adds \
+          the levelized combinational cloud and runs clocked and \
+          clock-generator processes as direct scheduler callbacks, while \
+          other processes stay fibers as in the event backend"
+         reps)
+    (higher ~bound:gate "median_speedup" "ratio" (Cirfix.Stats.median speedups)
+    :: List.concat_map snd measured)
 
 (* ------------------------------------------------------------------ *)
 (* Simulator self-profile: per-edge cost ledger (BENCH_profile.json)    *)
@@ -1079,9 +1037,11 @@ let sim_perf () =
 (* Where each simulated nanosecond goes, per recorded clock edge, for
    every suite project on both backends: the self-profiler's per-region
    ledger (elab / setup / comb / active / nba / monitor / advance /
-   collect), attribution coverage against measured wall time, and the
-   hottest process frames. One unprofiled warm-up fills the artifact
-   cache so a compiled cache miss does not pollute the ledger.
+   collect) and attribution coverage against measured wall time. One
+   unprofiled warm-up fills the artifact cache so a compiled cache miss
+   does not pollute the ledger. The hottest process frames stay with
+   `cirfix profile`: which five frames are hottest moves between runs,
+   and the artifact's row names must not.
 
    A pass is that warm-up plus [runs] profiled runs, a few milliseconds
    to a few hundred, so one pass reads a burst of host load as a
@@ -1106,50 +1066,6 @@ let median_pass (ps : (Sim.Simulate.profiled, _) result list) =
 let profile_perf () =
   section "Simulator self-profile: per-edge cost ledger (writes BENCH_profile.json)";
   let runs = if !quick then 10 else 30 in
-  let backend_json name = function
-    | Error (Sim.Simulate.Elab_failure e) ->
-        Obs.Json.Obj
-          [
-            ("backend", Obs.Json.Str name);
-            ("error", Obs.Json.Str e);
-          ]
-    | Ok { Sim.Simulate.used; report; wall_ns; edges } ->
-        let per_edge ns =
-          if edges = 0 then 0. else float_of_int ns /. float_of_int edges
-        in
-        let rows select =
-          Obs.Json.List
-            (List.map
-               (fun (n, ns, count) ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.Str n);
-                     ("ns_per_edge", Obs.Json.Float (per_edge ns));
-                     ("count", Obs.Json.Int count);
-                   ])
-               select)
-        in
-        Obs.Json.Obj
-          [
-            ("backend", Obs.Json.Str name);
-            ( "backend_used",
-              Obs.Json.Str (Sim.Simulate.backend_used_to_string used) );
-            ("edges", Obs.Json.Int edges);
-            ("wall_ns", Obs.Json.Int wall_ns);
-            ("attributed_ns", Obs.Json.Int report.r_total_ns);
-            ( "coverage",
-              Obs.Json.Float
-                (if wall_ns = 0 then 1.0
-                 else float_of_int report.r_total_ns /. float_of_int wall_ns)
-            );
-            ("ns_per_edge", Obs.Json.Float (per_edge report.r_total_ns));
-            ("regions", rows (Obs.Profile.regions report));
-            ( "top_processes",
-              rows
-                (List.filteri (fun i _ -> i < 5) (Sim.Simulate.proc_frames report))
-            );
-          ]
-  in
   Printf.printf "%-22s %10s %14s %14s %9s %9s\n" "project" "edges/run"
     "event ns/edge" "comp ns/edge" "cov(ev)" "cov(cp)";
   let profilers =
@@ -1171,65 +1087,59 @@ let profile_perf () =
         List.map
           (fun profile ->
             let ev = profile Sim.Simulate.Event in
-            (ev, profile Sim.Simulate.Compiled))
+            (ev, profile Sim.Simulate.Auto))
           profilers)
   in
+  (* A failed elaboration or a compiled fallback writes no rows for that
+     backend, so @bench-check reports its gated row missing. *)
+  let backend_rows project backend = function
+    | Ok (pr : Sim.Simulate.profiled)
+      when backend = "event" || pr.used = Sim.Simulate.Used_compiled ->
+        let name field = Printf.sprintf "%s/%s.%s" project backend field in
+        [
+          lower ~bound:gate (name "wall_ns") "ns" (float_of_int pr.wall_ns);
+          higher (name "edges") "count" (float_of_int pr.edges);
+          higher (name "coverage") "ratio" pr.coverage;
+          lower (name "ns_per_edge") "ns/edge" pr.ns_per_edge;
+        ]
+        @ List.map
+            (fun (region, v) -> lower (name ("region." ^ region)) "ns/edge" v)
+            pr.regions
+    | _ -> []
+  in
   let rows =
-    List.mapi
-      (fun i (p : Bench_suite.Projects.t) ->
-        let mine = List.map (fun pass -> List.nth pass i) passes in
-        let ev = median_pass (List.map fst mine) in
-        let cp = median_pass (List.map snd mine) in
-        let cell = function
-          | Error _ -> ("-", "-")
-          | Ok { Sim.Simulate.report = r; wall_ns; edges; _ } ->
-              ( (if edges = 0 then "-"
-                 else
-                   Printf.sprintf "%.1f"
-                     (float_of_int r.r_total_ns /. float_of_int edges)),
-                if wall_ns = 0 then "-"
-                else
-                  Printf.sprintf "%.1f%%"
-                    (100. *. float_of_int r.r_total_ns /. float_of_int wall_ns)
-              )
-        in
-        let e_ns, e_cov = cell ev and c_ns, c_cov = cell cp in
-        let edges_per_run =
-          match ev with Ok p -> p.edges / runs | Error _ -> 0
-        in
-        Printf.printf "%-22s %10d %14s %14s %9s %9s\n" p.name edges_per_run
-          e_ns c_ns e_cov c_cov;
-        Obs.Json.Obj
-          [
-            ("project", Obs.Json.Str p.name);
-            ("edges_per_run", Obs.Json.Int edges_per_run);
-            ( "backends",
-              Obs.Json.List [ backend_json "event" ev; backend_json "compiled" cp ]
-            );
-          ])
-      Bench_suite.Projects.all
+    List.concat
+      (List.mapi
+         (fun i (p : Bench_suite.Projects.t) ->
+           let mine = List.map (fun pass -> List.nth pass i) passes in
+           let ev = median_pass (List.map fst mine) in
+           let cp = median_pass (List.map snd mine) in
+           let cell = function
+             | Error _ -> ("-", "-")
+             | Ok (pr : Sim.Simulate.profiled) ->
+                 ( Printf.sprintf "%.1f" pr.ns_per_edge,
+                   Printf.sprintf "%.1f%%" (100. *. pr.coverage) )
+           in
+           let e_ns, e_cov = cell ev and c_ns, c_cov = cell cp in
+           let edges_per_run =
+             match ev with Ok p -> p.edges / runs | Error _ -> 0
+           in
+           Printf.printf "%-22s %10d %14s %14s %9s %9s\n" p.name edges_per_run
+             e_ns c_ns e_cov c_cov;
+           backend_rows p.name "event" ev @ backend_rows p.name "compiled" cp)
+         Bench_suite.Projects.all)
   in
-  let json =
-    Obs.Json.Obj
-      [
-        ("runs_per_measurement", Obs.Json.Int runs);
-        ("passes_per_measurement", Obs.Json.Int profile_passes);
-        ( "note",
-          Obs.Json.Str
-            "each project x backend row is the pass with the median \
-             wall_ns of passes_per_measurement independent passes (warm-up \
-             plus runs_per_measurement profiled runs each); ns/edge = \
-             profiler-attributed nanoseconds per recorded clock edge; \
-             coverage = attributed / measured wall time over the pass's \
-             profiled runs. Regions are inclusive of nested process and \
-             node frames; top_processes are self-time leaves." );
-        ("projects", Obs.Json.List rows);
-      ]
-  in
-  Out_channel.with_open_text "BENCH_profile.json" (fun oc ->
-      output_string oc (Obs.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "wrote BENCH_profile.json\n"
+  write_bench ~file:"BENCH_profile.json" ~artifact:"profile-perf"
+    ~note:
+      (Printf.sprintf
+         "each project/backend is the pass with the median wall_ns of %d \
+          independent passes (a warm-up plus %d profiled runs each); wall_ns \
+          and edges cover the pass's profiled runs; ns_per_edge = \
+          profiler-attributed nanoseconds per recorded clock edge; coverage = \
+          attributed / measured wall time; regions are inclusive of nested \
+          process and node frames"
+         profile_passes runs)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Campaign throughput (BENCH_campaign.json)                            *)
@@ -1238,8 +1148,7 @@ let profile_perf () =
 (* Corpus-level repair rate and cost over a FIXED scenario subset x 2
    seeds at half budget — deliberately the same configuration in quick
    and full mode, so the committed baseline and a @bench-check re-measure
-   always compare like against like. repair_rate gates higher-better,
-   the wall columns lower-better (bench/compare.ml). *)
+   always compare like against like. *)
 let campaign_perf () =
   section "Campaign: corpus repair rate and cost (writes BENCH_campaign.json)";
   let ids = [ 1; 3; 4; 5; 6; 7 ] in
@@ -1267,84 +1176,33 @@ let campaign_perf () =
        (Sys.readdir out_dir);
      Unix.rmdir out_dir
    with Sys_error _ | Unix.Unix_error _ -> ());
-  let mean = function
-    | [] -> 0.
-    | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-  in
+  let jobs = Bench_suite.Campaign.aggregate results in
   Printf.printf "%-24s %12s %12s %12s\n" "Scenario" "repair rate" "mean wall"
     "mean probes";
   let rows =
-    List.map
-      (fun id ->
-        let rs =
-          List.filter
-            (fun (r : Bench_suite.Campaign.job_result) ->
-              r.r_job.c_defect.id = id)
-            results
-        in
-        let n = List.length rs in
-        let repaired =
-          List.length
-            (List.filter
-               (fun (r : Bench_suite.Campaign.job_result) ->
-                 r.r_outcome = Bench_suite.Campaign.Repaired)
-               rs)
-        in
-        let rate =
-          if n = 0 then 0. else float_of_int repaired /. float_of_int n
-        in
-        let wall = mean (List.map (fun r -> r.Bench_suite.Campaign.r_wall) rs) in
-        let probes =
-          mean
-            (List.map
-               (fun r -> float_of_int r.Bench_suite.Campaign.r_probes)
-               rs)
-        in
-        let project =
-          match rs with
-          | r :: _ -> r.r_job.c_defect.project
-          | [] -> "?"
-        in
-        Printf.printf "%2d %-21s %11.0f%% %11.3fs %12.0f\n" id project
-          (100. *. rate) wall probes;
-        (id, project, rate, wall, probes))
-      ids
+    List.concat_map
+      (fun (sc : Obs.Aggregate.scenario_stats) ->
+        let rate = Obs.Aggregate.repair_rate sc.sc_cells in
+        Printf.printf "%2d %-21s %11.0f%% %11.3fs %12.0f\n" sc.sc_id
+          sc.sc_project (100. *. rate) sc.sc_mean_wall sc.sc_mean_probes;
+        let name field = Printf.sprintf "%d:%s.%s" sc.sc_id sc.sc_project field in
+        [
+          higher ~bound:gate (name "repair_rate") "ratio" rate;
+          lower ~bound:gate (name "mean_wall_seconds") "s" sc.sc_mean_wall;
+          lower (name "mean_probes") "count" sc.sc_mean_probes;
+        ])
+      (Obs.Aggregate.by_scenario jobs)
   in
-  let jobs_total = List.length results in
-  let repaired_total =
-    List.length
-      (List.filter
-         (fun (r : Bench_suite.Campaign.job_result) ->
-           r.r_outcome = Bench_suite.Campaign.Repaired)
-         results)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"seeds\": %d,\n\
-      \  \"budget_scale\": %.2f,\n\
-      \  \"note\": \"fixed subset, identical in quick and full mode; \
-       repair_rate gates higher-better, wall columns lower-better\",\n\
-      \  \"repair_rate\": %.4f,\n\
-      \  \"total_wall_seconds\": %.3f,\n\
-      \  \"scenarios\": [\n%s\n  ]\n}\n"
-      seeds budget_scale
-      (if jobs_total = 0 then 0.
-       else float_of_int repaired_total /. float_of_int jobs_total)
-      total_wall
-      (String.concat ",\n"
-         (List.map
-            (fun (id, project, rate, wall, probes) ->
-              Printf.sprintf
-                "    { \"id\": %d, \"project\": \"%s\", \"repair_rate\": \
-                 %.4f,\n\
-                \      \"mean_wall_seconds\": %.3f, \"mean_probes\": %.0f }"
-                id project rate wall probes)
-            rows))
-  in
-  Out_channel.with_open_text "BENCH_campaign.json" (fun oc ->
-      output_string oc json);
-  Printf.printf "wrote BENCH_campaign.json\n"
+  write_bench ~file:"BENCH_campaign.json" ~artifact:"campaign-perf"
+    ~note:
+      (Printf.sprintf
+         "scenarios %s x seeds 1..%d at budget_scale %.2f, identical in \
+          quick and full mode"
+         (String.concat "," (List.map string_of_int ids))
+         seeds budget_scale)
+    (higher ~bound:gate "repair_rate" "ratio" (Obs.Aggregate.repair_rate jobs)
+    :: lower ~bound:gate "total_wall_seconds" "s" total_wall
+    :: rows)
 
 (* ------------------------------------------------------------------ *)
 

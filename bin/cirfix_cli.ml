@@ -86,18 +86,17 @@ let backend_arg =
         (enum
            [
              ("event", Sim.Simulate.Event);
-             ("compiled", Sim.Simulate.Compiled);
              ("auto", Sim.Simulate.Auto);
            ])
         Sim.Simulate.Auto
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Simulation backend: $(b,event) interprets on the event-driven\n\
-           scheduler; $(b,compiled) lowers each design once to a levelized\n\
-           cycle evaluator and reuses it; $(b,auto) (the default) compiles\n\
-           when the design is supported and falls back to the event engine\n\
-           otherwise. Fallbacks are reported, never silent, and both\n\
-           backends produce identical traces and fitness scores.")
+           scheduler; $(b,auto) (the default) lowers each design once to a\n\
+           levelized cycle evaluator and reuses it, falling back to the\n\
+           event engine when the design is not supported. Fallbacks are\n\
+           reported, never silent, and both backends produce identical\n\
+           traces and fitness scores.")
 
 (* --- Observability options ----------------------------------------------
 
@@ -799,11 +798,6 @@ let brute_cmd =
 
 (* --- profile ---------------------------------------------------------------- *)
 
-(* Canonical ledger row order: pipeline position, not alphabetical, so
-   event and compiled columns line up on the same phases. *)
-let region_order =
-  [ "elab"; "setup"; "comb"; "active"; "nba"; "monitor"; "advance"; "collect" ]
-
 (* One profiled measurement of a backend ({!Sim.Simulate.profile}). *)
 type backend_profile = { pb_name : string; pb : Sim.Simulate.profiled }
 
@@ -813,55 +807,18 @@ let profile_backend ~runs design spec backend name : backend_profile =
       or_die (Error (Printf.sprintf "elaboration failed: %s" m))
   | Ok pb -> { pb_name = name; pb }
 
-let coverage_of (b : backend_profile) =
-  if b.pb.wall_ns = 0 then 1.0
-  else float_of_int b.pb.report.r_total_ns /. float_of_int b.pb.wall_ns
-
-(* Rows of (label, per-backend ns/edge cells), over the union of names
-   seen by any backend, canonical regions first then by time. *)
-let ledger_rows ~select (backends : backend_profile list) =
-  let per_backend =
-    List.map (fun b -> (b, select b.pb.report)) backends
-  in
-  let names =
-    List.concat_map (fun (_, rows) -> List.map (fun (n, _, _) -> n) rows)
-      per_backend
-    |> List.sort_uniq compare
-  in
-  let rank n =
-    let rec idx i = function
-      | [] -> List.length region_order
-      | r :: _ when r = n -> i
-      | _ :: tl -> idx (i + 1) tl
-    in
-    idx 0 region_order
-  in
-  let time_of n =
-    List.fold_left
-      (fun acc (_, rows) ->
-        List.fold_left
-          (fun acc (n', ns, _) -> if n' = n then max acc ns else acc)
-          acc rows)
-      0 per_backend
-  in
-  List.sort
-    (fun a b ->
-      match compare (rank a) (rank b) with
-      | 0 -> compare (time_of b, a) (time_of a, b)
-      | c -> c)
-    names
-  |> List.map (fun n ->
-         ( n,
-           List.map
-             (fun (b, rows) ->
-               let ns =
-                 List.fold_left
-                   (fun acc (n', ns, _) -> if n' = n then acc + ns else acc)
-                   0 rows
-               in
-               if b.pb.edges = 0 then None
-               else Some (float_of_int ns /. float_of_int b.pb.edges))
-             per_backend ))
+(* Rows of (label, per-backend ns/edge cells) over the union of the names
+   any backend reports: regions in pipeline order, then by time. *)
+let ledger_rows select (backends : backend_profile list) =
+  let cells n = List.map (fun b -> List.assoc_opt n (select b.pb)) backends in
+  let hottest n = List.fold_left max None (cells n) in
+  List.concat_map (fun b -> List.map fst (select b.pb)) backends
+  |> List.sort_uniq compare
+  |> List.stable_sort (fun a b ->
+         compare
+           (Sim.Simulate.region_rank a, hottest b)
+           (Sim.Simulate.region_rank b, hottest a))
+  |> List.map (fun n -> (n, cells n))
 
 let print_ledger (backends : backend_profile list) ~top_k =
   let cell = function None -> "-" | Some v -> Printf.sprintf "%.1f" v in
@@ -896,8 +853,8 @@ let print_ledger (backends : backend_profile list) ~top_k =
   table "per-edge cost ledger (by scheduler region)"
     (List.map
        (fun (n, cells) -> (n, List.map cell cells))
-       (ledger_rows ~select:Obs.Profile.regions backends));
-  let proc_rows = ledger_rows ~select:Sim.Simulate.proc_frames backends in
+       (ledger_rows (fun p -> p.regions) backends));
+  let proc_rows = ledger_rows (fun p -> p.processes) backends in
   table
     (Printf.sprintf "top %d process/node frames (self time)" top_k)
     (List.map
@@ -911,7 +868,7 @@ let print_ledger (backends : backend_profile list) ~top_k =
         b.pb_name b.pb.edges
         (float_of_int b.pb.wall_ns /. 1e6)
         (float_of_int b.pb.report.r_total_ns /. 1e6)
-        (100. *. coverage_of b)
+        (100. *. b.pb.coverage)
         (Sim.Simulate.backend_used_to_string b.pb.used))
     backends
 
@@ -930,7 +887,7 @@ let profile_json (backends : backend_profile list) ~runs =
                      Obs.Json.Str (Sim.Simulate.backend_used_to_string b.pb.used) );
                    ("edges", Obs.Json.Int b.pb.edges);
                    ("wall_ns", Obs.Json.Int b.pb.wall_ns);
-                   ("coverage", Obs.Json.Float (coverage_of b));
+                   ("coverage", Obs.Json.Float b.pb.coverage);
                    ("report", Obs.Profile.to_json b.pb.report);
                  ])
              backends) );
@@ -946,9 +903,9 @@ let profile_run design testbench top clock dut which runs top_k folded out
   let wanted =
     match which with
     | `Both ->
-        [ (Sim.Simulate.Event, "event"); (Sim.Simulate.Compiled, "compiled") ]
+        [ (Sim.Simulate.Event, "event"); (Sim.Simulate.Auto, "compiled") ]
     | `Event -> [ (Sim.Simulate.Event, "event") ]
-    | `Compiled -> [ (Sim.Simulate.Compiled, "compiled") ]
+    | `Compiled -> [ (Sim.Simulate.Auto, "compiled") ]
   in
   let backends =
     List.map
@@ -984,11 +941,11 @@ let profile_run design testbench top clock dut which runs top_k folded out
           output_char oc '\n');
       Printf.printf "profile JSON written to %s\n" path);
   if check then begin
-    let bad = List.filter (fun b -> coverage_of b < 0.9) backends in
+    let bad = List.filter (fun b -> b.pb.coverage < 0.9) backends in
     List.iter
       (fun b ->
         Printf.eprintf "coverage check failed: %s attributes %.1f%% < 90%%\n"
-          b.pb_name (100. *. coverage_of b))
+          b.pb_name (100. *. b.pb.coverage))
       bad;
     if bad <> [] then exit 1
   end;
@@ -1337,54 +1294,23 @@ let campaign ids quick seeds jobs out_dir budget_scale progress =
     Bench_suite.Campaign.run ~config ~on_done ~jobs ~out_dir job_list
   in
   clear_progress ();
-  (* Per-scenario summary on stdout; the machine-readable view is the
-     manifest (and `cirfix dashboard --table`). *)
-  let by_id =
-    List.sort_uniq compare
-      (List.map (fun (d : Bench_suite.Defects.t) -> d.id) scenarios)
-  in
+  (* Per-scenario summary on stdout, counted as `cirfix dashboard` counts
+     the manifest. *)
+  let done_jobs = Bench_suite.Campaign.aggregate results in
   List.iter
-    (fun id ->
-      let rs =
-        List.filter
-          (fun (r : Bench_suite.Campaign.job_result) ->
-            r.r_job.c_defect.id = id)
-          results
-      in
-      let count p = List.length (List.filter p rs) in
-      let project =
-        match rs with
-        | r :: _ -> r.r_job.c_defect.project
-        | [] -> "?"
-      in
-      Printf.printf "scenario %2d  %-22s  repaired %d/%d  correct %d/%d%s\n"
-        id project
-        (count (fun r -> r.r_outcome = Bench_suite.Campaign.Repaired))
-        (List.length rs)
-        (count (fun r -> r.r_correct))
-        (List.length rs)
-        (match
-           count (fun r ->
-               match r.r_outcome with
-               | Bench_suite.Campaign.Failed _ -> true
-               | _ -> false)
-         with
-        | 0 -> ""
-        | n -> Printf.sprintf "  errors %d" n))
-    by_id;
-  let total = List.length results in
-  let repaired_total =
-    List.length
-      (List.filter
-         (fun (r : Bench_suite.Campaign.job_result) ->
-           r.r_outcome = Bench_suite.Campaign.Repaired)
-         results)
-  in
+    (fun (sc : Obs.Aggregate.scenario_stats) ->
+      Printf.printf
+        "scenario %2d  %-22s  repaired %d/%d  correct %d/%d  mean %.2fs %.0f \
+         probes%s\n"
+        sc.sc_id sc.sc_project sc.sc_repaired sc.sc_jobs sc.sc_correct
+        sc.sc_jobs sc.sc_mean_wall sc.sc_mean_probes
+        (if sc.sc_errors = 0 then ""
+         else Printf.sprintf "  errors %d" sc.sc_errors))
+    (Obs.Aggregate.by_scenario done_jobs);
   Printf.printf
     "campaign: %d job(s), repair rate %.1f%%, wall %.1fs; manifest: %s\n"
-    total
-    (if total = 0 then 0.
-     else 100. *. float_of_int repaired_total /. float_of_int total)
+    (List.length done_jobs)
+    (100. *. Obs.Aggregate.repair_rate done_jobs)
     (Unix.gettimeofday () -. t0)
     (Filename.concat out_dir "manifest.jsonl")
 

@@ -40,7 +40,7 @@ let () =
       | Some (r, m) ->
           let correct = Bench_suite.Defects.is_correct d m in
           Printf.printf "  plausible repair in %d probes; validation bench: %s\n"
-            r.probes
+            (Cirfix.Evaluate.get r.counters Probes)
             (if correct then "PASSES (correct)" else "fails (overfits)");
           Printf.printf "  patch: %s\n"
             (Cirfix.Patch.to_string (Option.get r.minimized)));

@@ -66,7 +66,8 @@ let () =
   in
   let seed, result, patch, repaired = attempt 1 in
   Printf.printf "repaired on seed %d after %d fitness probes (%.2fs)\n" seed
-    result.probes result.wall_seconds;
+    (Cirfix.Evaluate.get result.counters Probes)
+    result.wall_seconds;
   Printf.printf "minimized patch (%d edits): %s\n\n" (List.length patch)
     (Cirfix.Patch.to_string patch);
 

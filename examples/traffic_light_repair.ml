@@ -155,7 +155,8 @@ let () =
     let r = Cirfix.Gp.repair { cfg with seed } problem in
     match (r.minimized, r.repaired_module) with
     | Some patch, Some m ->
-        Printf.printf "repaired on seed %d (%d probes, %.2fs)\n" seed r.probes
+        Printf.printf "repaired on seed %d (%d probes, %.2fs)\n" seed
+          (Cirfix.Evaluate.get r.counters Probes)
           r.wall_seconds;
         Printf.printf "patch: %s\n\n" (Cirfix.Patch.to_string patch);
         print_endline "--- repaired controller (for developer review) ---";

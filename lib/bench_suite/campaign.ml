@@ -74,6 +74,9 @@ let manifest_record (r : job_result) : Obs.Json.t =
     | Failed msg -> [ ("error", Obs.Json.Str msg) ]
     | _ -> [])
 
+let aggregate (results : job_result list) : Obs.Aggregate.job list =
+  Obs.Aggregate.jobs_of_manifest (List.map manifest_record results)
+
 let run ?(config = fun d -> Runner.scenario_config d)
     ?(on_done = fun ~done_:_ ~total:_ _ -> ()) ~(jobs : int)
     ~(out_dir : string) (js : job list) : job_result list =
@@ -130,13 +133,14 @@ let run ?(config = fun d -> Runner.scenario_config d)
       match res with
       | Error msg -> (Failed msg, false, None, 0)
       | Ok r -> (
-          match r.Cirfix.Gp.repaired_module with
-          | None -> (No_repair, false, None, r.Cirfix.Gp.probes)
+          let probes = Cirfix.Evaluate.get r.Cirfix.Gp.counters Probes in
+          match r.repaired_module with
+          | None -> (No_repair, false, None, probes)
           | Some repaired ->
               ( Repaired,
                 (try Defects.is_correct d repaired with _ -> false),
-                Option.map List.length r.Cirfix.Gp.minimized,
-                r.Cirfix.Gp.probes ))
+                Option.map List.length r.minimized,
+                probes ))
     in
     let result =
       {

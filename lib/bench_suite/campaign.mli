@@ -41,6 +41,10 @@ val quick_config : Defects.t -> Cirfix.Config.t
 val status_string : outcome -> string
 (** "repaired" | "no_repair" | "error". *)
 
+val aggregate : job_result list -> Obs.Aggregate.job list
+(** The results as {!Obs.Aggregate} reads them back from the manifest, so
+    in-process summaries and `cirfix dashboard` count the same way. *)
+
 val run :
   ?config:(Defects.t -> Cirfix.Config.t) ->
   ?on_done:(done_:int -> total:int -> job_result -> unit) ->

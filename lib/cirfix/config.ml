@@ -48,7 +48,7 @@ type t = {
          slow, for differential testing only *)
   backend : Sim.Simulate.backend;
       (* simulation backend for candidate scoring: [Event] interprets on
-         the effects scheduler; [Compiled] and [Auto] lower the design to
+         the effects scheduler; [Auto] lowers the design to
          the levelized cycle evaluator, falling back per design to the
          event engine on designs the compiler rejects (every fallback is
          recorded in stats and the journal, never silent) *)

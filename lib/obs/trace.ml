@@ -83,17 +83,6 @@ let complete ?(cat = "cirfix") ?(args = []) ~(name : string) (start : int) :
            (float_of_int (now - start) /. 1e3)
            (tid ()) (args_str args))
 
-let instant ?(cat = "cirfix") ?(args = []) (name : string) : unit =
-  match !sink with
-  | None -> ()
-  | Some s ->
-      emit s
-        (Printf.sprintf
-           {|{"name":"%s","cat":"%s","ph":"i","ts":%.3f,"pid":1,"tid":%d,"s":"t"%s}|}
-           (Json.escape_string name) (Json.escape_string cat)
-           (rel_us s (Clock.now_ns ()))
-           (tid ()) (args_str args))
-
 (* Counter track sample ("C" event); values plot as stacked series. *)
 let counter ?(cat = "cirfix") ~(name : string) (values : (string * float) list)
     : unit =

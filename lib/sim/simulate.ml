@@ -2,12 +2,12 @@
    recorder, returning the run outcome, recorded trace, and $display log.
 
    Two backends share this entry point.  [Event] interprets the AST on the
-   effects-fiber scheduler.  [Compiled] lowers the elaborated design once
+   effects-fiber scheduler.  [Auto] lowers the elaborated design once
    (levelized combinational schedule + partially-evaluated processes, see
    {!Compile}) and reuses the artifact across runs of the same design;
    designs the compiler rejects (combinational cycles, multiply-driven
-   nets) fall back to the event engine per design, never silently.  [Auto]
-   is [Compiled]-with-fallback and is what the repair loop uses. *)
+   nets) fall back to the event engine per design, never silently.  The
+   repair loop uses [Auto]. *)
 
 type spec = {
   top : string; (* testbench module to elaborate *)
@@ -15,18 +15,9 @@ type spec = {
   dut_path : string; (* qualified DUT instance, e.g. "tb.dut" *)
 }
 
-type backend = Event | Compiled | Auto
+type backend = Event | Auto
 
-let backend_to_string = function
-  | Event -> "event"
-  | Compiled -> "compiled"
-  | Auto -> "auto"
-
-let backend_of_string = function
-  | "event" -> Some Event
-  | "compiled" -> Some Compiled
-  | "auto" -> Some Auto
-  | _ -> None
+let backend_to_string = function Event -> "event" | Auto -> "auto"
 
 (* What actually ran, for stats/journal. *)
 type backend_used =
@@ -309,11 +300,41 @@ type profiled = {
   report : Obs.Profile.report;
   wall_ns : int; (* over all profiled runs *)
   edges : int; (* recorded samples per run x runs *)
+  coverage : float; (* attributed / measured wall; 1.0 when no time passed *)
+  ns_per_edge : float; (* attributed ns per recorded edge *)
+  regions : (string * float) list;
+      (* inclusive ns per edge by scheduler region, pipeline order *)
+  processes : (string * float) list;
+      (* self ns per edge of the process and node frames, hottest first *)
 }
+
+(* Pipeline position, not time, orders the regions, so the ledgers of two
+   backends line up on the same phases. *)
+let region_order =
+  [ "elab"; "setup"; "comb"; "active"; "nba"; "monitor"; "advance"; "collect" ]
+
+let region_rank name =
+  let rec go i = function
+    | [] -> i
+    | r :: _ when r = name -> i
+    | _ :: tl -> go (i + 1) tl
+  in
+  go 0 region_order
+
+(* Self time of the process and node frames (always/initial bodies,
+   NBA commits, generated and compiled nodes), hottest first. *)
+let proc_frames (r : Obs.Profile.report) =
+  List.filter
+    (fun (name, _, _) ->
+      List.exists
+        (fun pre -> String.starts_with ~prefix:pre name && name <> pre)
+        [ "proc:"; "init:"; "commit:"; "gen:"; "node:" ])
+    (Obs.Profile.by_leaf r)
 
 (* One unprofiled warm-up run, so that a compiled cache miss does not
    pollute the ledger, then [runs] profiled runs under one wall-clock
-   measurement. [Error] when the warm-up fails to elaborate. *)
+   measurement, summarized per recorded edge. [Error] when the warm-up
+   fails to elaborate. *)
 let profile ~runs ~backend (design : Verilog.Ast.design) (spec : spec) :
     (profiled, error) Stdlib.result =
   match run ~backend design spec with
@@ -329,20 +350,26 @@ let profile ~runs ~backend (design : Verilog.Ast.design) (spec : spec) :
       done;
       let wall_ns = Obs.Clock.now_ns () - t0 in
       Obs.Profile.stop ();
+      let report = Obs.Profile.report () in
+      let edges = runs * List.length !last.trace in
+      let per_edge ns =
+        if edges = 0 then 0. else float_of_int ns /. float_of_int edges
+      in
+      let per_edge_rows = List.map (fun (n, ns, _) -> (n, per_edge ns)) in
       Ok
         {
           used = !last.backend_used;
-          report = Obs.Profile.report ();
+          report;
           wall_ns;
-          edges = runs * List.length !last.trace;
+          edges;
+          coverage =
+            (if wall_ns = 0 then 1.0
+             else float_of_int report.r_total_ns /. float_of_int wall_ns);
+          ns_per_edge = per_edge report.r_total_ns;
+          regions =
+            Obs.Profile.regions report
+            |> List.stable_sort (fun (a, _, _) (b, _, _) ->
+                   compare (region_rank a) (region_rank b))
+            |> per_edge_rows;
+          processes = per_edge_rows (proc_frames report);
         }
-
-(* Self time of the process and node frames (always/initial bodies,
-   NBA commits, generated and compiled nodes), hottest first. *)
-let proc_frames (r : Obs.Profile.report) =
-  List.filter
-    (fun (name, _, _) ->
-      List.exists
-        (fun pre -> String.starts_with ~prefix:pre name && name <> pre)
-        [ "proc:"; "init:"; "commit:"; "gen:"; "node:" ])
-    (Obs.Profile.by_leaf r)

@@ -50,10 +50,11 @@ let () =
       }
     in
     let r = Cirfix.Gp.repair cfg (Dead_code.problem ()) in
+    let get = Cirfix.Evaluate.get r.counters in
     Printf.printf
       "synthetic dead-code counter   probes %5d semantic_hits %4d dead_edit_skips %4d\n%!"
-      r.probes r.semantic_hits r.dead_edit_skips;
-    if r.dead_edit_skips = 0 then (
+      (get Probes) (get Semantic_hits) (get Dead_edit_skips);
+    if get Dead_edit_skips = 0 then (
       print_endline "synthetic scenario never exercised the dead-edit lane";
       exit 1)
   end;
@@ -71,9 +72,11 @@ let () =
       let problem = Bench_suite.Defects.problem d in
       match Cirfix.Gp.repair cfg problem with
       | r ->
+          let get = Cirfix.Evaluate.get r.counters in
           Printf.printf
             "defect %2d %-20s probes %5d semantic_hits %4d dead_edit_skips %4d\n%!"
-            d.id d.project r.probes r.semantic_hits r.dead_edit_skips
+            d.id d.project (get Probes) (get Semantic_hits)
+            (get Dead_edit_skips)
       | exception Failure msg when String.length msg >= 13
                                    && String.sub msg 0 13 = "check-pruning" ->
           incr mismatches;

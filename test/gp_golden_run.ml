@@ -46,8 +46,9 @@ let run buf ~label (cfg : Cirfix.Config.t) (d : Bench_suite.Defects.t) =
         g.gen g.best_fitness g.mean_fitness g.probes_so_far g.lookups_so_far
         g.memo_hits_so_far)
     r.generations;
+  let get = Cirfix.Evaluate.get r.counters in
   Printf.bprintf buf "  probes %d lookups %d memo_hits %d repaired %b\n"
-    r.probes r.lookups r.memo_hits (r.repaired <> None);
+    (get Probes) (get Lookups) (get Memo_hits) (r.repaired <> None);
   Printf.bprintf buf "  patch %s\n"
     (match r.minimized with None -> "-" | Some p -> Cirfix.Patch.to_string p)
 

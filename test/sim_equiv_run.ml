@@ -27,7 +27,7 @@ let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
   let src = Bench_suite.Projects.design_source p ^ "\n" ^ tb in
   let design = Verilog.Parser.parse_design src in
   let run backend = Sim.Simulate.run ~backend design spec in
-  match (run Sim.Simulate.Event, run Sim.Simulate.Compiled) with
+  match (run Sim.Simulate.Event, run Sim.Simulate.Auto) with
   | Ok a, Ok b ->
       let tr (r : Sim.Simulate.result) = Sim.Recorder.to_string r.trace in
       let used = Sim.Simulate.backend_used_to_string b.backend_used in
@@ -71,7 +71,7 @@ let fitness_scenario (d : Bench_suite.Defects.t) : bool =
     (o, Cirfix.Evaluate.get ev.table Compiled_fallbacks)
   in
   let oe, _ = score Sim.Simulate.Event in
-  let oc, fallbacks = score Sim.Simulate.Compiled in
+  let oc, fallbacks = score Sim.Simulate.Auto in
   if fallbacks > 0 then
     Printf.printf "  fallback scenario #%d (%s)\n%!" d.id d.project;
   if

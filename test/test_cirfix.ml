@@ -506,7 +506,9 @@ let test_gp_deterministic () =
   in
   let r1 = Cirfix.Gp.repair cfg problem in
   let r2 = Cirfix.Gp.repair cfg problem in
-  Alcotest.(check int) "same probes" r1.probes r2.probes;
+  Alcotest.(check int) "same probes"
+    (Cirfix.Evaluate.get r1.counters Probes)
+    (Cirfix.Evaluate.get r2.counters Probes);
   Alcotest.(check bool) "same outcome" true
     ((r1.minimized = None) = (r2.minimized = None))
 
@@ -602,7 +604,8 @@ let test_gp_budget_exhaustion_graceful () =
   let cfg = { Cirfix.Config.default with max_probes = 1; max_generations = 2 } in
   let r = Cirfix.Gp.repair cfg problem in
   Alcotest.(check bool) "no repair" true (r.minimized = None);
-  Alcotest.(check bool) "stopped early" true (r.probes <= 2)
+  Alcotest.(check bool) "stopped early" true
+    (Cirfix.Evaluate.get r.counters Probes <= 2)
 
 let test_gp_generation_callback () =
   let problem = motivating_problem () in
@@ -654,14 +657,14 @@ let test_backend_memo_isolation () =
   let cfg_e =
     { Cirfix.Config.default with backend = Sim.Simulate.Event; jobs = 1 }
   in
-  let cfg_c = { cfg_e with backend = Sim.Simulate.Compiled } in
+  let cfg_c = { cfg_e with backend = Sim.Simulate.Auto } in
   Alcotest.(check bool) "keys differ across backends" false
     (String.equal
        (Cirfix.Evaluate.key_of cfg_e m)
        (Cirfix.Evaluate.key_of cfg_c m));
   let ev = Cirfix.Evaluate.create cfg_c problem in
   ignore (Cirfix.Evaluate.eval_module ev m);
-  (* Cached under the compiled-tagged key only: the event-tagged key of
+  (* Cached under the auto-tagged key only: the event-tagged key of
      the same module misses. *)
   Alcotest.(check bool) "hit under same backend" true
     (Hashtbl.mem ev.cache (Cirfix.Evaluate.key_of cfg_c m));

@@ -161,7 +161,7 @@ let run_both src =
     { Sim.Simulate.top = "top"; clock = "top.clk"; dut_path = "top.u" }
   in
   let run backend = Sim.Simulate.run ~backend design spec in
-  (run Sim.Simulate.Event, run Sim.Simulate.Compiled)
+  (run Sim.Simulate.Event, run Sim.Simulate.Auto)
 
 (* The compiled run [c] did not fall back and matches the event run [e]
    byte for byte. *)

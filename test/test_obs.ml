@@ -88,7 +88,8 @@ let test_trace_render_parses () =
       ~finally:(fun () -> ignore (Trace.stop ()))
       (fun () ->
         Trace.span ~cat:"test" "sp\"an\\name" (fun () -> ());
-        Trace.instant ~args:[ ("k", Json.Str "line1\nline2") ] "i";
+        Trace.complete ~args:[ ("k", Json.Str "line1\nline2") ] ~name:"c"
+          (Trace.begin_ ());
         Trace.render ())
   in
   match Json.parse json with

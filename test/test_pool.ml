@@ -198,7 +198,7 @@ let test_smoke_repair_jobs2 () =
   let d = Bench_suite.Defects.find 3 in
   let prob = Bench_suite.Defects.problem d in
   let r = Cirfix.Gp.repair (det_cfg d ~jobs:2) prob in
-  Alcotest.(check bool) "ran some probes" true (r.probes > 0);
+  Alcotest.(check bool) "ran some probes" true (Cirfix.Evaluate.get r.counters Probes > 0);
   Alcotest.(check bool) "faulty design is faulty" true
     (r.initial_fitness < 1.0);
   match r.repaired_module with

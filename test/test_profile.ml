@@ -146,14 +146,14 @@ let test_compiled_labels () =
     | Ok r ->
         Alcotest.(check string) "backend engaged"
           (match backend with
-          | Sim.Simulate.Compiled -> "compiled"
+          | Sim.Simulate.Auto -> "compiled"
           | _ -> "event")
           (Sim.Simulate.backend_used_to_string r.Sim.Simulate.backend_used)
     | Error (Sim.Simulate.Elab_failure m) -> Alcotest.failf "elab: %s" m);
     Profile.regions (Profile.report ()) |> List.map (fun (n, _, _) -> n)
   in
   let ev = regions Sim.Simulate.Event
-  and cp = regions Sim.Simulate.Compiled in
+  and cp = regions Sim.Simulate.Auto in
   List.iter
     (fun region ->
       Alcotest.(check bool)
