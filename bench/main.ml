@@ -836,8 +836,10 @@ let perf () =
    metrics, journal, AND the self-profiler) costs a boolean test per
    site when no sink is active. Measured as min-of-N wall time of the
    same seeded repair on the smallest scenario in three modes: baseline
-   (sinks never enabled), enabled (all four sinks active), and
-   disabled-again after use. With --check (the @obs-overhead dune
+   (sinks off), enabled (all four sinks active), and disabled-again after
+   use, interleaved round-robin after one warm-up each so that host load
+   hits all three alike; the baseline's warm-up runs before any enabled
+   run. With --check (the @obs-overhead dune
    alias), fails if disabled-again exceeds baseline by more than 2% —
    with an absolute floor so sub-millisecond scheduler jitter cannot
    fail the gate. *)
@@ -863,15 +865,6 @@ let obs_overhead () =
     f ();
     Unix.gettimeofday () -. t0
   in
-  let min_of n f =
-    ignore (time f);
-    (* warmup *)
-    let best = ref infinity in
-    for _ = 1 to n do
-      best := Float.min !best (time f)
-    done;
-    !best
-  in
   let run () = ignore (Cirfix.Gp.repair cfg prob) in
   let journal_tmp = Filename.temp_file "cirfix_obs" ".jsonl" in
   let enabled_records = ref 0 in
@@ -893,12 +886,18 @@ let obs_overhead () =
     Obs.Metrics.reset ();
     ignore (Obs.Trace.stop ())
   in
-  let t_baseline = min_of 5 run in
-  let t_enabled = min_of 5 run_enabled in
-  let t_disabled = min_of 5 run in
+  (* Round-robin, min per configuration, so a burst of host load hits all
+     three alike. The baseline's warm-up runs before any enabled run. *)
+  let configs = [| run; run_enabled; run |] in
+  Array.iter (fun f -> ignore (time f)) configs;
+  let best = Array.make (Array.length configs) infinity in
+  for _ = 1 to 5 do
+    Array.iteri (fun i f -> best.(i) <- Float.min best.(i) (time f)) configs
+  done;
+  let t_baseline = best.(0) and t_enabled = best.(1) and t_disabled = best.(2) in
   (try Sys.remove journal_tmp with Sys_error _ -> ());
   let ratio b = if t_baseline > 0. then b /. t_baseline else 0. in
-  Printf.printf "baseline (sinks never on):   %8.2f ms\n" (t_baseline *. 1e3);
+  Printf.printf "baseline (sinks off):        %8.2f ms\n" (t_baseline *. 1e3);
   Printf.printf "enabled (trace+metrics+jnl): %8.2f ms  (%.2fx)\n"
     (t_enabled *. 1e3) (ratio t_enabled);
   Printf.printf "disabled again after use:    %8.2f ms  (%.2fx)\n"
@@ -910,8 +909,9 @@ let obs_overhead () =
     ~note:
       (Printf.sprintf
          "min-of-5 wall of one seeded repair of scenario #%d with the sinks \
-          never enabled (baseline), all four enabled, and disabled again \
-          after use; the counts come from the enabled run"
+          off (baseline), all four enabled, and disabled again after use, \
+          timed round-robin after one warm-up each (the baseline's before \
+          any enabled run); the counts come from the enabled run"
          d.id)
     [
       lower "baseline_ms" "ms" (t_baseline *. 1e3);
@@ -1097,10 +1097,12 @@ let profile_perf () =
       when backend = "event" || pr.used = Sim.Simulate.Used_compiled ->
         let name field = Printf.sprintf "%s/%s.%s" project backend field in
         [
-          lower ~bound:gate (name "wall_ns") "ns" (float_of_int pr.wall_ns);
+          lower ~bound:gate (name "wall_ns_per_run") "ns"
+            (float_of_int pr.wall_ns /. float_of_int runs);
           higher (name "edges") "count" (float_of_int pr.edges);
           higher (name "coverage") "ratio" pr.coverage;
           lower (name "ns_per_edge") "ns/edge" pr.ns_per_edge;
+          lower (name "words_per_edge") "words/edge" pr.words_per_edge;
         ]
         @ List.map
             (fun (region, v) -> lower (name ("region." ^ region)) "ns/edge" v)
@@ -1132,12 +1134,15 @@ let profile_perf () =
   write_bench ~file:"BENCH_profile.json" ~artifact:"profile-perf"
     ~note:
       (Printf.sprintf
-         "each project/backend is the pass with the median wall_ns of %d \
-          independent passes (a warm-up plus %d profiled runs each); wall_ns \
-          and edges cover the pass's profiled runs; ns_per_edge = \
-          profiler-attributed nanoseconds per recorded clock edge; coverage = \
-          attributed / measured wall time; regions are inclusive of nested \
-          process and node frames"
+         "each project/backend is the pass with the median wall of %d \
+          independent passes (a warm-up plus %d profiled runs each); \
+          wall_ns_per_run = the pass's measured wall over its profiled runs, \
+          so quick and full runs compare; edges covers the pass's profiled \
+          runs; ns_per_edge = profiler-attributed nanoseconds per recorded \
+          clock edge; words_per_edge = minor-heap words allocated per \
+          recorded edge over the profiled runs; coverage = attributed / \
+          measured wall time; regions are inclusive of nested process and \
+          node frames"
          profile_passes runs)
     rows
 

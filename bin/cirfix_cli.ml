@@ -864,12 +864,13 @@ let print_ledger (backends : backend_profile list) ~top_k =
     (fun b ->
       Printf.printf
         "%s: %d edges, %.2f ms wall, %.2f ms attributed (%.1f%% coverage, \
-         backend: %s)\n"
+         backend: %s), %.1f words/edge allocated\n"
         b.pb_name b.pb.edges
         (float_of_int b.pb.wall_ns /. 1e6)
         (float_of_int b.pb.report.r_total_ns /. 1e6)
         (100. *. b.pb.coverage)
-        (Sim.Simulate.backend_used_to_string b.pb.used))
+        (Sim.Simulate.backend_used_to_string b.pb.used)
+        b.pb.words_per_edge)
     backends
 
 let profile_json (backends : backend_profile list) ~runs =
@@ -888,6 +889,7 @@ let profile_json (backends : backend_profile list) ~runs =
                    ("edges", Obs.Json.Int b.pb.edges);
                    ("wall_ns", Obs.Json.Int b.pb.wall_ns);
                    ("coverage", Obs.Json.Float b.pb.coverage);
+                   ("words_per_edge", Obs.Json.Float b.pb.words_per_edge);
                    ("report", Obs.Profile.to_json b.pb.report);
                  ])
              backends) );

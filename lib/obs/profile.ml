@@ -126,11 +126,17 @@ let enabled () = !enabled_flag
 
 let gc_base = ref (Gc.quick_stat ())
 
+(* Minor words are read with [Gc.minor_words]: [quick_stat]'s count only
+   advances at minor collections, so a profile shorter than one minor
+   heap would read 0 words. *)
+let minor_base = ref 0.
+
 let start () =
   Mutex.lock reg_m;
   List.iter reset_dstate !all_dstates;
   Mutex.unlock reg_m;
   gc_base := Gc.quick_stat ();
+  minor_base := Gc.minor_words ();
   enabled_flag := true
 
 let stop () = enabled_flag := false
@@ -169,6 +175,16 @@ let leave (s : site) =
     if parent = 0 then d.last_top <- d.cur;
     d.cur <- parent
   end
+
+let framed s f =
+  enter s;
+  match f () with
+  | v ->
+      leave s;
+      v
+  | exception e ->
+      leave s;
+      raise e
 
 let bump (s : site) =
   let d = Domain.DLS.get dkey in
@@ -255,7 +271,7 @@ let report () : report =
     r_paths = paths;
     r_gc =
       {
-        gd_minor_words = g1.minor_words -. g0.minor_words;
+        gd_minor_words = Gc.minor_words () -. !minor_base;
         gd_promoted_words = g1.promoted_words -. g0.promoted_words;
         gd_major_words = g1.major_words -. g0.major_words;
         gd_minor_collections = g1.minor_collections - g0.minor_collections;

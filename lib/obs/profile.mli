@@ -47,6 +47,11 @@ val leave : site -> unit
    that is not the innermost open frame records an imbalance (and still
    pops), as does leaving with no frame open. *)
 
+val framed : site -> (unit -> 'a) -> 'a
+(* [framed s f] runs [f] inside a frame of [s], closing it when [f]
+   returns or raises (simulated [$finish] escapes as an exception).
+   Allocates nothing. Only call when [enabled ()]. *)
+
 val bump : site -> unit
 (* Count-only attribution: record one occurrence of [site] under the
    current path without reading the clock. For high-frequency events

@@ -117,31 +117,190 @@ let note_write env v = Hashtbl.replace env.writes v.Runtime.v_name v
 
 (* --- Expressions -------------------------------------------------------- *)
 
-(* A compiled expression: a closure over packed values, plus whether it is
-   input-free (safe to fold at compile time), whether it is impure (reads
-   simulation time, the $random stream, or array words -- all invisible to
-   the var-level support set), and whether evaluating it may raise (a node
-   computing it then stays live even if nothing reads its targets, because
-   the event engine evaluates every binding and reports the error). *)
-type cexpr = { run : unit -> Packed.t; cconst : bool; cimpure : bool; craise : bool }
+(* A compiled expression.  A result whose width is bounded by
+   [Packed.max_packed_width] at compile time lives in a cell allocated
+   here, once: [Cell (c, eval)] writes the value into [c] and allocates
+   nothing.  Wider (or unbounded) results take the boxed route, [Boxed
+   run], over the boxed [Packed] operators.  Both routes use the same
+   operators ([Eval.binop_with]).  Width bounds are static because var and
+   constant widths are; only a conditional's arms may differ, and the
+   cell then holds the width of the arm taken.
 
-let dynamic run = { run; cconst = false; cimpure = false; craise = false }
-let impure run = { (dynamic run) with cimpure = true }
-let const_p p = { (dynamic (fun () -> p)) with cconst = true }
+   Alongside: [cw], the bound on the result width ([max_int] when
+   unknown); [src], the variable when the expression is a plain read of
+   one (a store can then share its boxed value); whether it is input-free
+   (safe to fold at compile time), impure (reads simulation time, the
+   $random stream, or array words -- all invisible to the var-level
+   support set), and whether evaluating it may raise (a node computing it
+   then stays live even if nothing reads its targets, because the event
+   engine evaluates every binding and reports the error). *)
+type value = Cell of Packed.cell * (unit -> unit) | Boxed of (unit -> Packed.t)
 
-(* [run] over subexpressions [cs]: constant, impure or raising when they are. *)
-let combine run cs =
+type cexpr = {
+  v : value;
+  cw : int;
+  src : Runtime.var option;
+  cconst : bool;
+  cimpure : bool;
+  craise : bool;
+}
+
+module P = Packed.Planes
+
+let narrow w = w <= Packed.max_packed_width
+let no_eval () = ()
+
+let leaf v cw =
+  { v; cw; src = None; cconst = false; cimpure = false; craise = false }
+
+(* An expression over subexpressions [cs]: constant, impure or raising
+   when they are. *)
+let combine v cw cs =
   {
-    run;
+    v;
+    cw;
+    src = None;
     cconst = List.for_all (fun c -> c.cconst) cs;
     cimpure = List.exists (fun c -> c.cimpure) cs;
     craise = List.exists (fun c -> c.craise) cs;
   }
 
+(* A boxed evaluator whose result is at most [cw] wide: into a cell when
+   that is narrow. *)
+let of_boxed cw run =
+  if narrow cw then (
+    let d = P.make cw in
+    Cell (d, fun () -> P.load d (run ())))
+  else Boxed run
+
+(* The boxed view of any compiled expression. *)
+let boxed ce =
+  match ce.v with
+  | Boxed run -> run
+  | Cell (c, eval) ->
+      fun () ->
+        eval ();
+        P.box c
+
+let const_p p =
+  let w = Packed.width p in
+  let v =
+    if narrow w then (
+      let c = P.make w in
+      P.load c p;
+      Cell (c, no_eval))
+    else Boxed (fun () -> p)
+  in
+  { (leaf v w) with cconst = true }
+
+(* A cell holding [all_x w] for good: results fixed by the compile-time
+   shape (an x/z constant index, say) without being input-free. *)
+let fixed_x w =
+  let c = P.make w in
+  P.set_x c w;
+  Cell (c, no_eval)
+
 (* Defer an elaboration error to execution time: the event engine only
    reports it when (and if) the statement actually runs. *)
 let raise_at_runtime msg =
-  { (dynamic (fun () -> raise (Runtime.Elab_error msg))) with craise = true }
+  { (leaf (Cell (P.make 1, fun () -> raise (Runtime.Elab_error msg))) 1) with craise = true }
+
+(* An index-valued view: the value, or -1 when it has x/z bits (see
+   [Packed.to_index]); folded when constant. *)
+let index_of ce : unit -> int =
+  match (ce.src, ce.v) with
+  | _ when ce.cconst ->
+      let n = Packed.to_index (boxed ce ()) in
+      fun () -> n
+  | Some v, _ -> fun () -> Packed.to_index v.v_value
+  | None, Cell (c, eval) ->
+      fun () ->
+        eval ();
+        P.to_index c.ca c.cb
+  | None, Boxed run -> fun () -> Packed.to_index (run ())
+
+(* A truth-valued view: [P.yes], [P.no] or [P.unknown]. *)
+let truth_of ce : unit -> int =
+  match (ce.src, ce.v) with
+  | _ when ce.cconst ->
+      let t = Packed.truth (boxed ce ()) in
+      fun () -> t
+  | Some v, _ -> fun () -> Packed.truth v.v_value
+  | None, Cell (c, eval) ->
+      fun () ->
+        eval ();
+        P.truth c.ca c.cb
+  | None, Boxed run -> fun () -> Packed.truth (run ())
+
+(* Bit [si] (in storage order, in range) of a variable's value. *)
+let load_bit d (p : Packed.t) si =
+  match p with
+  | S s -> P.select d s.a s.b ~msb:si ~lsb:si
+  | V _ -> P.load d (Packed.select p ~msb:si ~lsb:si)
+
+(* How an operator reads a narrow operand: straight from a variable's
+   boxed value, from a constant cell, or from a cell its evaluator fills.
+   Reading a variable in place saves the leaf's call and copy. *)
+type operand =
+  | Ovar of Runtime.var
+  | Ofixed of Packed.cell
+  | Oeval of Packed.cell * (unit -> unit)
+
+let operand ce =
+  match (ce.src, ce.v) with
+  | Some v, Cell _ -> Ovar v
+  | _, Cell (c, eval) -> if eval == no_eval then Ofixed c else Oeval (c, eval)
+  | _, Boxed _ -> invalid_arg "Compile.operand: boxed"
+
+(* [f] into [d] over one or two narrow operands; operands evaluate left to
+   right, as in the interpreter (variable reads have no effect to order). *)
+let un1 (f : P.op1) d = function
+  | Ovar u -> (
+      fun () -> match u.v_value with S s -> f d s.w s.a s.b | V _ -> assert false)
+  | Ofixed x -> fun () -> f d x.cw x.ca x.cb
+  | Oeval (x, ex) ->
+      fun () ->
+        ex ();
+        f d x.cw x.ca x.cb
+
+let bin2 (f : P.op2) d oa ob =
+  match (oa, ob) with
+  | Oeval (x, ex), Oeval (y, ey) ->
+      fun () ->
+        ex ();
+        ey ();
+        f d x.cw x.ca x.cb y.cw y.ca y.cb
+  | Oeval (x, ex), Ofixed y ->
+      fun () ->
+        ex ();
+        f d x.cw x.ca x.cb y.cw y.ca y.cb
+  | Ofixed x, Oeval (y, ey) ->
+      fun () ->
+        ey ();
+        f d x.cw x.ca x.cb y.cw y.ca y.cb
+  | Ofixed x, Ofixed y -> fun () -> f d x.cw x.ca x.cb y.cw y.ca y.cb
+  | Ovar u, Ofixed y -> (
+      fun () ->
+        match u.v_value with S s -> f d s.w s.a s.b y.cw y.ca y.cb | V _ -> assert false)
+  | Ofixed x, Ovar v -> (
+      fun () ->
+        match v.v_value with S t -> f d x.cw x.ca x.cb t.w t.a t.b | V _ -> assert false)
+  | Ovar u, Ovar v -> (
+      fun () ->
+        match (u.v_value, v.v_value) with
+        | S s, S t -> f d s.w s.a s.b t.w t.a t.b
+        | _ -> assert false)
+  | Ovar u, Oeval (y, ey) -> (
+      fun () ->
+        ey ();
+        match u.v_value with S s -> f d s.w s.a s.b y.cw y.ca y.cb | V _ -> assert false)
+  | Oeval (x, ex), Ovar v -> (
+      fun () ->
+        ex ();
+        match v.v_value with S t -> f d x.cw x.ca x.cb t.w t.a t.b | V _ -> assert false)
+
+let width_sum ws =
+  List.fold_left (fun acc w -> if acc > max_int - w then max_int else acc + w) 0 ws
 
 let rec compile_expr (env : env) (e : expr) : cexpr =
   let ce =
@@ -157,66 +316,106 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
               raise_at_runtime ("named event used as value: " ^ name)
             else (
               note_read env v;
-              dynamic (fun () -> v.v_value))
+              let w = v.v_width in
+              let value =
+                if narrow w then (
+                  let d = P.make w in
+                  Cell (d, fun () -> P.load d v.v_value))
+                else Boxed (fun () -> v.v_value)
+              in
+              { (leaf value w) with src = Some v })
         | None -> raise_at_runtime ("undeclared identifier " ^ name))
     | Index (name, idx) -> (
         let ci = compile_expr env idx in
+        let index = index_of ci in
         match Runtime.scope_find env.sc name with
         | Some (Bconst c) ->
+            let d = P.make 1 in
             combine
-              (fun () ->
-                match Packed.to_int (ci.run ()) with
-                | None -> Packed.all_x 1
-                | Some i -> Packed.of_bit (Vec.get c i))
-              [ ci ]
+              (Cell
+                 ( d,
+                   fun () ->
+                     let i = index () in
+                     if i < 0 then P.set_x d 1 else P.load d (Packed.of_bit (Vec.get c i)) ))
+              1 [ ci ]
         | Some (Bvar v) ->
             note_read env v;
+            let w = v.v_width in
             if v.v_array <> None then
+              let read () =
+                let i = index () in
+                if i < 0 then Packed.all_x w else Runtime.get_array_word v i
+              in
               {
-                (impure (fun () ->
-                     match Packed.to_int (ci.run ()) with
-                     | None -> Packed.all_x v.v_width
-                     | Some i -> Runtime.get_array_word v i))
-                with
+                (leaf (of_boxed w read) w) with
+                cimpure = true;
                 craise = ci.craise;
               }
             else
-              {
-                (combine
-                   (fun () ->
-                     match Packed.to_int (ci.run ()) with
-                     | None -> Packed.all_x 1
-                     | Some i ->
-                         let si = Runtime.storage_index v i in
-                         if si < 0 || si >= v.v_width then Packed.all_x 1
-                         else Packed.select v.v_value ~msb:si ~lsb:si)
-                   [ ci ])
-                with
-                cconst = false;
-              }
+              let d = P.make 1 in
+              let value =
+                if ci.cconst then (
+                  let i = index () in
+                  let si = if i < 0 then -1 else Runtime.storage_index v i in
+                  if si < 0 || si >= w then fixed_x 1
+                  else Cell (d, fun () -> load_bit d v.v_value si))
+                else
+                  Cell
+                    ( d,
+                      fun () ->
+                        let i = index () in
+                        if i < 0 then P.set_x d 1
+                        else
+                          let si = Runtime.storage_index v i in
+                          if si < 0 || si >= w then P.set_x d 1 else load_bit d v.v_value si )
+              in
+              { (combine value 1 [ ci ]) with cconst = false }
         | None ->
             (* The event engine evaluates the index before failing. *)
-            let run () =
-              ignore (ci.run ());
+            let eval () =
+              ignore (index ());
               raise (Runtime.Elab_error ("undeclared identifier " ^ name))
             in
-            { (dynamic run) with craise = true })
+            { (leaf (Cell (P.make 1, eval)) 1) with craise = true })
     | RangeSel (name, me, le) -> (
         match Runtime.scope_find env.sc name with
         | Some (Bvar v) ->
             note_read env v;
             let cm = compile_expr env me and cl = compile_expr env le in
+            let bounds m l =
+              let a = Runtime.storage_index v m and b = Runtime.storage_index v l in
+              (max a b, min a b)
+            in
             let run () =
-              match (Packed.to_int (cm.run ()), Packed.to_int (cl.run ())) with
+              match (Packed.to_int (boxed cm ()), Packed.to_int (boxed cl ())) with
               | Some m, Some l ->
-                  let a = Runtime.storage_index v m
-                  and b = Runtime.storage_index v l in
-                  let hi = max a b and lo = min a b in
+                  let hi, lo = bounds m l in
                   Eval.check_width "part-select" (hi - lo + 1);
                   Packed.select v.v_value ~msb:hi ~lsb:lo
               | _ -> Packed.all_x 1
             in
-            let ce = { (combine run [ cm; cl ]) with cconst = false } in
+            let value, cw =
+              if cm.cconst && cl.cconst then
+                match (index_of cm (), index_of cl ()) with
+                | m, l when m >= 0 && l >= 0 ->
+                    let hi, lo = bounds m l in
+                    let wr = hi - lo + 1 in
+                    if wr > max_vector_width then (Boxed run, max_int)
+                    else if narrow v.v_width && lo >= 0 && hi < v.v_width then (
+                      let d = P.make wr in
+                      ( Cell
+                          ( d,
+                            fun () ->
+                              match v.v_value with
+                              | S s -> P.select d s.a s.b ~msb:hi ~lsb:lo
+                              | p -> P.load d (Packed.select p ~msb:hi ~lsb:lo) ),
+                        wr ))
+                    else
+                      (of_boxed wr (fun () -> Packed.select v.v_value ~msb:hi ~lsb:lo), wr)
+                | _ -> (fixed_x 1, 1)
+              else (Boxed run, max_int)
+            in
+            let ce = { (combine value cw [ cm; cl ]) with cconst = false } in
             (* Constant bounds are width-checked once, here. *)
             let too_wide () =
               match run () with _ -> false | exception Runtime.Elab_error _ -> true
@@ -232,109 +431,231 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
             raise_at_runtime
               (Printf.sprintf "undeclared identifier %s in %s" name
                  env.sc.Runtime.sc_path))
-    | Unop (op, a) ->
+    | Unop (op, a) -> (
         let ca = compile_expr env a in
-        let f = Eval.unop op in
-        combine (fun () -> f (ca.run ())) [ ca ]
+        let cw = match op with Uplus | Uminus | Ubnot -> ca.cw | _ -> 1 in
+        match ca.v with
+        | Cell _ ->
+            let f = Eval.unop_with (fun planes _ -> planes) op in
+            let d = P.make cw in
+            combine (Cell (d, un1 f d (operand ca))) cw [ ca ]
+        | Boxed ra ->
+            let f = Eval.unop op in
+            combine (of_boxed cw (fun () -> f (ra ()))) cw [ ca ])
     | Binop (op, a, b) -> (
         let ca = compile_expr env a and cb = compile_expr env b in
-        match op with
-        | Land ->
-            (* Short-circuit like the interpreter (no observable side
-               effects either way, but keep the fast exit). *)
-            combine
-              (fun () ->
-                let av = ca.run () in
-                if Packed.to_bool av = Some false then Packed.of_int 1 0
-                else Packed.log_and av (cb.run ()))
-              [ ca; cb ]
-        | Lor ->
-            combine
-              (fun () ->
-                let av = ca.run () in
-                if Packed.to_bool av = Some true then Packed.of_int 1 1
-                else Packed.log_or av (cb.run ()))
-              [ ca; cb ]
+        let cw =
+          match op with
+          | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Bxnor -> max ca.cw cb.cw
+          | Shl | Shr -> ca.cw
+          | Land | Lor | Eq | Neq | Ceq | Cneq | Lt | Le | Gt | Ge -> 1
+        in
+        match (ca.v, cb.v) with
+        | Cell (x, ea), Cell (y, eb) ->
+            let d = P.make cw in
+            let value =
+              match op with
+              | Land ->
+                  (* Short-circuit like the interpreter (no observable side
+                     effects either way, but keep the fast exit). *)
+                  fun () ->
+                    ea ();
+                    if P.truth x.ca x.cb = P.no then P.set d 1 0 0
+                    else (
+                      eb ();
+                      P.log_and d x.cw x.ca x.cb y.cw y.ca y.cb)
+              | Lor ->
+                  fun () ->
+                    ea ();
+                    if P.truth x.ca x.cb = P.yes then P.set d 1 1 0
+                    else (
+                      eb ();
+                      P.log_or d x.cw x.ca x.cb y.cw y.ca y.cb)
+              | _ -> bin2 (Eval.binop_with (fun planes _ -> planes) op) d (operand ca) (operand cb)
+            in
+            combine (Cell (d, value)) cw [ ca; cb ]
         | _ ->
-            let f = Eval.binop op in
-            combine (fun () -> f (ca.run ()) (cb.run ())) [ ca; cb ])
-    | Cond (c, t, f) ->
+            let ra = boxed ca and rb = boxed cb in
+            let run =
+              match op with
+              | Land ->
+                  fun () ->
+                    let av = ra () in
+                    if Packed.to_bool av = Some false then Packed.of_int 1 0
+                    else Packed.log_and av (rb ())
+              | Lor ->
+                  fun () ->
+                    let av = ra () in
+                    if Packed.to_bool av = Some true then Packed.of_int 1 1
+                    else Packed.log_or av (rb ())
+              | _ ->
+                  let f = Eval.binop op in
+                  fun () ->
+                    let av = ra () in
+                    f av (rb ())
+            in
+            combine (of_boxed cw run) cw [ ca; cb ])
+    | Cond (c, t, f) -> (
         let cc = compile_expr env c
         and ct = compile_expr env t
         and cf = compile_expr env f in
-        combine
-          (fun () ->
-            match Packed.to_bool (cc.run ()) with
-            | Some true -> ct.run ()
-            | Some false -> cf.run ()
-            | None -> Packed.merge_x (ct.run ()) (cf.run ()))
-          [ cc; ct; cf ]
+        let truth = truth_of cc in
+        let cw = max ct.cw cf.cw in
+        match (ct.v, cf.v) with
+        | Cell (x, et), Cell (y, ef) ->
+            let d = P.make cw in
+            combine
+              (Cell
+                 ( d,
+                   fun () ->
+                     let tv = truth () in
+                     if tv = P.yes then (
+                       et ();
+                       P.set d x.cw x.ca x.cb)
+                     else if tv = P.no then (
+                       ef ();
+                       P.set d y.cw y.ca y.cb)
+                     else (
+                       (* The interpreter evaluates the else arm first. *)
+                       ef ();
+                       et ();
+                       P.merge_x d x.cw x.ca x.cb y.cw y.ca y.cb) ))
+              cw [ cc; ct; cf ]
+        | _ ->
+            let rt = boxed ct and rf = boxed cf in
+            combine
+              (of_boxed cw (fun () ->
+                   let tv = truth () in
+                   if tv = P.yes then rt ()
+                   else if tv = P.no then rf ()
+                   else Packed.merge_x (rt ()) (rf ())))
+              cw [ cc; ct; cf ])
     | Concat [] ->
         (* The interpreter fails on List.hd here; defer the same failure. *)
-        { (dynamic (fun () -> List.hd [])) with craise = true }
+        { (leaf (Boxed (fun () -> List.hd [])) max_int) with craise = true }
     | Concat es ->
         let cs = List.map (compile_expr env) es in
-        let hd = List.hd cs and tl = List.tl cs in
-        combine
-          (fun () ->
-            List.fold_left (fun acc c -> Packed.concat acc (c.run ())) (hd.run ()) tl)
-          cs
+        let cw = width_sum (List.map (fun c -> c.cw) cs) in
+        let cells =
+          List.filter_map (fun c -> match c.v with Cell (x, e) -> Some (x, e) | Boxed _ -> None) cs
+        in
+        if narrow cw && List.length cells = List.length cs then (
+          let parts = Array.of_list cells in
+          let d = P.make cw in
+          let hd, ehd = parts.(0) in
+          combine
+            (Cell
+               ( d,
+                 fun () ->
+                   ehd ();
+                   P.set d hd.cw hd.ca hd.cb;
+                   for i = 1 to Array.length parts - 1 do
+                     let x, e = parts.(i) in
+                     e ();
+                     P.concat d d.cw d.ca d.cb x.cw x.ca x.cb
+                   done ))
+            cw cs)
+        else
+          let runs = List.map boxed cs in
+          let hd = List.hd runs and tl = List.tl runs in
+          combine
+            (of_boxed cw (fun () ->
+                 List.fold_left (fun acc run -> Packed.concat acc (run ())) (hd ()) tl))
+            cw cs
     | Repl (n, x) ->
         let cn = compile_expr env n and cx = compile_expr env x in
+        let count = index_of cn in
+        let rx = boxed cx in
         let run () =
-          match Packed.to_int (cn.run ()) with
-          | Some k when k > 0 ->
-              let xv = cx.run () in
-              Eval.check_width "replication" (k * Packed.width xv);
-              Packed.replicate k xv
-          | _ -> Packed.all_x 1
+          let k = count () in
+          if k > 0 then (
+            let xv = rx () in
+            Eval.check_width "replication" (k * Packed.width xv);
+            Packed.replicate k xv)
+          else Packed.all_x 1
+        in
+        let value, cw =
+          if cn.cconst then
+            let k = count () in
+            if k <= 0 then (fixed_x 1, 1)
+            else
+              match cx.v with
+              | Cell (y, ex) when k * cx.cw <= Packed.max_packed_width ->
+                  let d = P.make (k * cx.cw) in
+                  ( Cell
+                      ( d,
+                        fun () ->
+                          ex ();
+                          P.replicate d k y.cw y.ca y.cb ),
+                    k * cx.cw )
+              | _ ->
+                  let cw = if cx.cw > max_int / k then max_int else k * cx.cw in
+                  (of_boxed cw run, cw)
+          else (Boxed run, max_int)
         in
         (* Width-checked at run time; a constant one is folded below. *)
-        { (combine run [ cn; cx ]) with craise = true }
+        { (combine value cw [ cn; cx ]) with craise = true }
     | Call ("$time", _) | Call ("$stime", _) ->
         let st = env.st in
-        impure (fun () -> Packed.of_int 64 st.Runtime.now)
+        { (leaf (Boxed (fun () -> Packed.of_int 64 st.Runtime.now)) 64) with cimpure = true }
     | Call ("$random", _) ->
         let st = env.st in
-        impure (fun () ->
-            Packed.of_int 32
-              ((st.Runtime.steps * 1103515245 + 12345) land 0x3FFFFFFF))
+        let d = P.make 32 in
+        {
+          (leaf
+             (Cell
+                ( d,
+                  fun () ->
+                    P.set d 32 ((st.Runtime.steps * 1103515245 + 12345) land 0x3FFFFFFF) 0 ))
+             32)
+          with
+          cimpure = true;
+        }
     | Call (f, _) -> raise_at_runtime ("unsupported system function " ^ f)
   in
   (* Constant folding: an input-free subexpression evaluates once at
      compile time.  A folding-time error becomes a deferred runtime error,
      matching the interpreter's report point. *)
   if ce.cconst then (
-    match ce.run () with
+    match boxed ce () with
     | p -> const_p p
     | exception Runtime.Elab_error msg -> raise_at_runtime msg)
   else ce
 
-let compile_bool env e =
-  let ce = compile_expr env e in
-  if ce.cconst then (
-    let b = Packed.to_bool (ce.run ()) in
-    (ce, fun () -> b))
-  else (ce, fun () -> Packed.to_bool (ce.run ()))
+let compile_truth env e = truth_of (compile_expr env e)
+let compile_index env e = index_of (compile_expr env e)
 
-let compile_int env e =
-  let ce = compile_expr env e in
-  if ce.cconst then (
-    let n = Packed.to_int (ce.run ()) in
-    (ce, fun () -> n))
-  else (ce, fun () -> Packed.to_int (ce.run ()))
+(* A delay amount: x/z reads as 0. *)
+let compile_delay env e =
+  let n = compile_index env e in
+  fun () -> max (n ()) 0
 
 (* --- Lvalues ------------------------------------------------------------ *)
 
-(* Mirrors Eval.prepare_store: index expressions are (re)evaluated at store
+(* A compiled lvalue.  [prep] evaluates its index expressions and resolves
+   the store into [target]/[lo]/[hi] (see [Runtime.target]) and [width],
+   the lvalue's width, in place; [static] when it has nothing to evaluate.
+   Mirrors Eval.prepare_store: index expressions are (re)evaluated at store
    time, identifier resolution happens once here.  [raises] is set when a
    store may raise, as [craise] is for expressions. *)
-let rec compile_store ?(raises = ref false) (env : env) (lv : lvalue) :
-    unit -> int * (Packed.t -> unit) =
+type cstore = {
+  mutable prep : unit -> unit;
+  mutable static : bool;
+  mutable target : Runtime.target;
+  mutable lo : int;
+  mutable hi : int;
+  mutable width : int;
+}
+
+let rec compile_store ?(raises = ref false) (env : env) (lv : lvalue) : cstore =
   let st = env.st in
+  let s =
+    { prep = no_eval; static = false; target = Runtime.Tnone; lo = 0; hi = 0; width = 1 }
+  in
   let fail msg =
     raises := true;
-    fun () -> raise (Runtime.Elab_error msg)
+    s.prep <- (fun () -> raise (Runtime.Elab_error msg));
+    s
   in
   let resolved name =
     match Runtime.scope_find env.sc name with
@@ -356,74 +677,116 @@ let rec compile_store ?(raises = ref false) (env : env) (lv : lvalue) :
           if v.v_kind = Runtime.NamedEvent then
             fail ("assignment to named event " ^ name)
           else (
-            let pair = (v.v_width, fun value -> Runtime.set_var st v value) in
-            fun () -> pair))
+            s.static <- true;
+            s.target <- Runtime.Tvar v;
+            s.width <- v.v_width;
+            s))
   | LIndex (name, idx) -> (
       match resolved name with
       | Error msg -> fail msg
       | Ok v ->
-          let ce, ci = compile_int env idx in
+          let ce = compile_expr env idx in
           if ce.craise then raises := true;
-          fun () -> (
-            match ci () with
-            | None -> (v.v_width, fun _ -> ())
-            | Some i ->
-                if v.v_array <> None then
-                  (v.v_width, fun value -> Runtime.set_array_word st v i value)
-                else (
-                  let si = Runtime.storage_index v i in
-                  ( 1,
-                    fun value ->
-                      if si >= 0 && si < v.v_width then
-                        Runtime.set_var st v
-                          (Packed.insert ~into:v.v_value ~msb:si ~lsb:si value) ))))
+          let index = index_of ce in
+          s.prep <-
+            (fun () ->
+              let i = index () in
+              if i < 0 then (
+                s.target <- Runtime.Tnone;
+                s.width <- v.v_width)
+              else if v.v_array <> None then (
+                s.target <- Runtime.Tword v;
+                s.lo <- i;
+                s.width <- v.v_width)
+              else (
+                let si = Runtime.storage_index v i in
+                s.width <- 1;
+                if si >= 0 && si < v.v_width then (
+                  s.target <- Runtime.Tbits v;
+                  s.lo <- si;
+                  s.hi <- si)
+                else s.target <- Runtime.Tnone));
+          s)
   | LRange (name, me, le) -> (
       match resolved name with
       | Error msg -> fail msg
       | Ok v ->
-          let cem, cm = compile_int env me and cel, cl = compile_int env le in
-          let prep () =
-            match (cm (), cl ()) with
-            | Some m, Some l ->
+          let cem = compile_expr env me and cel = compile_expr env le in
+          let cm = index_of cem and cl = index_of cel in
+          s.prep <-
+            (fun () ->
+              let l = cl () in
+              let m = cm () in
+              if m >= 0 && l >= 0 then (
                 let a = Runtime.storage_index v m
                 and b = Runtime.storage_index v l in
                 let hi = max a b and lo = min a b in
                 Eval.check_width "part-select" (hi - lo + 1);
-                ( hi - lo + 1,
-                  fun value ->
-                    Runtime.set_var st v
-                      (Packed.insert ~into:v.v_value ~msb:hi ~lsb:lo value) )
-            | _ -> (v.v_width, fun _ -> ())
-          in
+                s.target <- Runtime.Tbits v;
+                s.lo <- lo;
+                s.hi <- hi;
+                s.width <- hi - lo + 1)
+              else (
+                s.target <- Runtime.Tnone;
+                s.width <- v.v_width));
           (* Constant bounds are width-checked once, here. *)
           (if cem.craise || cel.craise || not (cem.cconst && cel.cconst) then
              raises := true
            else
-             match prep () with
-             | _ -> ()
+             match s.prep () with
+             | () -> ()
              | exception Runtime.Elab_error _ -> raises := true);
-          prep)
+          s)
   | LConcat lvs ->
       let parts = List.map (compile_store ~raises env) lvs in
-      fun () ->
-        let parts = List.map (fun p -> p ()) parts in
-        let total = List.fold_left (fun acc (w, _) -> acc + w) 0 parts in
-        ( total,
-          fun value ->
-            let value = Packed.resize total value in
-            let rec split hi = function
-              | [] -> ()
-              | (w, store) :: rest ->
-                  store (Packed.select value ~msb:hi ~lsb:(hi - w + 1));
-                  split (hi - w) rest
-            in
-            split (total - 1) parts )
+      s.prep <-
+        (fun () ->
+          let parts =
+            List.map
+              (fun p ->
+                p.prep ();
+                (p.width, p.target, p.lo, p.hi))
+              parts
+          in
+          s.width <- List.fold_left (fun acc (w, _, _, _) -> acc + w) 0 parts;
+          s.target <- Runtime.concat_target st parts);
+      s
 
-let compile_assign ?raises env lv =
-  let prep = compile_store ?raises env lv in
-  fun value ->
-    let w, store = prep () in
-    store (Packed.resize w value)
+(* Evaluate [ce], resolve [s], and hand the value to [k] (planes) or
+   [kb] (boxed): the shared shape of blocking stores, NBA scheduling and
+   combinational bindings.  A plain variable read hands over that
+   variable's boxed value, which a store then shares. *)
+let with_value ce (s : cstore) ~k ~kb : unit -> unit =
+  match (ce.src, ce.v) with
+  | Some u, _ ->
+      fun () ->
+        s.prep ();
+        kb s u.Runtime.v_value
+  | None, Cell (c, eval) ->
+      if s.static then fun () ->
+        eval ();
+        k s c.ca c.cb
+      else fun () ->
+        eval ();
+        s.prep ();
+        k s c.ca c.cb
+  | None, Boxed run ->
+      fun () ->
+        let value = run () in
+        s.prep ();
+        kb s value
+
+let compile_assign st ce s =
+  match (s.target, ce.src, ce.v) with
+  | Runtime.Tvar v, None, Cell (c, eval) when s.static ->
+      (* The common shape, [x = expr], in one closure. *)
+      fun () ->
+        eval ();
+        Runtime.set_var_planes st v c.ca c.cb
+  | _ ->
+      with_value ce s
+        ~k:(fun s a b -> Runtime.store_planes st s.target ~lo:s.lo ~hi:s.hi a b)
+        ~kb:(fun s value -> Runtime.store st s.target ~lo:s.lo ~hi:s.hi value)
 
 (* --- Statements --------------------------------------------------------- *)
 
@@ -431,182 +794,216 @@ let compile_assign ?raises env lv =
    the same Suspend effect, so parked continuations, NBA commit order and
    budget accounting are shared with the interpreter.  Runtime.tick calls
    mirror Engine.exec exactly (entry of every statement, plus one per loop
-   iteration), keeping step budgets and the $random stream aligned. *)
+   iteration), keeping step budgets and the $random stream aligned.  Loop
+   closures are built here, once, so executing a statement allocates
+   nothing of its own. *)
 let rec compile_stmt (env : env) (s : stmt) : unit -> unit =
   let st = env.st in
   let sid = s.sid in
-  let body =
-    match s.s with
-    | Null -> fun () -> ()
-    | Block (_, body) ->
-        let fs = Array.of_list (List.map (compile_stmt env) body) in
-        fun () -> Array.iter (fun f -> f ()) fs
-    | Blocking (lhs, delay, rhs) -> (
-        let crhs = (compile_expr env rhs).run in
-        let cassign = compile_assign env lhs in
-        match delay with
-        | None -> fun () -> cassign (crhs ())
-        | Some d ->
-            let _, cd = compile_int env d in
-            fun () ->
-              let value = crhs () in
-              let n = Option.value (cd ()) ~default:0 in
-              if n > 0 then Engine.suspend (Engine.WDelay n);
-              cassign value)
-    | Nonblocking (lhs, delay, rhs) ->
-        let crhs = (compile_expr env rhs).run in
-        let prep = compile_store env lhs in
-        let cd =
-          match delay with
-          | None -> fun () -> 0
-          | Some d ->
-              let _, cd = compile_int env d in
-              fun () -> Option.value (cd ()) ~default:0
-        in
-        fun () ->
-          let value = crhs () in
-          let _, store = prep () in
-          let n = cd () in
-          Runtime.schedule_nba st ~time:(st.Runtime.now + n) (fun () ->
-              store value)
-    | If (c, t, e) ->
-        let _, cc = compile_bool env c in
-        let ct = compile_opt env t and ce = compile_opt env e in
-        fun () -> ( match cc () with Some true -> ct () | Some false | None -> ce ())
-    | CaseStmt (kind, subject, arms, default) ->
-        let csubj = (compile_expr env subject).run in
-        let carms =
-          List.map
-            (fun arm ->
-              ( List.map (fun p -> (compile_expr env p).run) arm.patterns,
-                compile_opt env arm.arm_body ))
-            arms
-        in
-        let cdefault = compile_opt env default in
-        fun () ->
-          let sv = csubj () in
-          let matches cpat = Eval.case_matches kind sv (cpat ()) in
-          let rec try_arms = function
-            | [] -> cdefault ()
-            | (pats, cbody) :: rest ->
-                if List.exists matches pats then cbody () else try_arms rest
-          in
-          try_arms carms
-    | For (init, cond, step, body) ->
-        let cinit = compile_stmt env init in
-        let _, ccond = compile_bool env cond in
-        let cstep = compile_stmt env step in
-        let cbody = compile_stmt env body in
-        fun () ->
-          cinit ();
-          let rec loop () =
-            Runtime.tick st;
-            match ccond () with
-            | Some true ->
-                cbody ();
-                cstep ();
-                loop ()
-            | Some false | None -> ()
-          in
-          loop ()
-    | While (cond, body) ->
-        let _, ccond = compile_bool env cond in
-        let cbody = compile_stmt env body in
-        fun () ->
-          let rec loop () =
-            Runtime.tick st;
-            match ccond () with
-            | Some true ->
-                cbody ();
-                loop ()
-            | Some false | None -> ()
-          in
-          loop ()
-    | Repeat (count, body) ->
-        let _, ccount = compile_int env count in
-        let cbody = compile_stmt env body in
-        fun () -> (
-          match ccount () with
-          | None -> ()
-          | Some n ->
-              for _ = 1 to n do
-                Runtime.tick st;
-                cbody ()
-              done)
-    | Forever body ->
-        let cbody = compile_stmt env body in
-        fun () ->
-          let rec loop () =
-            Runtime.tick st;
-            cbody ();
-            loop ()
-          in
-          loop ()
-    | Delay (d, k) ->
-        let _, cd = compile_int env d in
-        let ck = compile_opt env k in
-        fun () ->
-          let n = Option.value (cd ()) ~default:0 in
-          Engine.suspend (Engine.WDelay (max n 0));
-          ck ()
-    | EventCtrl (specs, k) -> (
-        let ck = compile_opt env k in
-        (* Sensitivity resolution is static; a resolution error is only
-           reported if the statement actually executes. *)
-        match Engine.resolve_wait st env.sc specs k with
-        | wait ->
-            (match wait with
-            | Engine.WEdges edges ->
-                List.iter (fun (v, _) -> note_read env v) edges
-            | Engine.WEvent v -> note_read env v
-            | Engine.WDelay _ -> ());
-            fun () ->
-              Engine.suspend wait;
-              ck ()
-        | exception Runtime.Elab_error msg ->
-            fun () -> raise (Runtime.Elab_error msg))
-    | Wait (cond, k) ->
-        let _, ccond = compile_bool env cond in
-        let support = Elaborate.expr_support env.sc cond in
-        List.iter (note_read env) support;
-        let edges = List.map (fun v -> (v, Runtime.Any)) support in
-        let ck = compile_opt env k in
-        fun () ->
-          let rec loop () =
-            Runtime.tick st;
-            match ccond () with
-            | Some true -> ()
-            | Some false | None ->
-                if support = [] then
-                  raise (Runtime.Elab_error "wait() on a constant that is false");
-                Engine.suspend (Engine.WEdges edges);
-                loop ()
-          in
-          loop ();
-          ck ()
-    | Trigger name -> (
-        match Runtime.scope_find env.sc name with
-        | Some (Runtime.Bvar v) when v.Runtime.v_kind = Runtime.NamedEvent ->
-            fun () -> Runtime.trigger_event st v
-        | _ ->
-            let msg = "-> target is not an event: " ^ name in
-            fun () -> raise (Runtime.Elab_error msg))
-    | SysTask (task, args) ->
-        (* Delegate to the interpreter so $display formatting and $monitor
-           hooks stay byte-identical.  Argument vars count as reads. *)
-        List.iter
-          (fun a -> List.iter (note_read env) (Elaborate.expr_support env.sc a))
-          args;
-        let sc = env.sc in
-        fun () -> Engine.exec_systask st sc task args
-  in
-  fun () ->
-    Runtime.tick st;
-    Runtime.cover st sid;
+  (* Every statement starts with the entry Engine.exec performs: the
+     budget tick and the coverage count.  The common shapes below fuse it
+     into their own closure; the rest run [body] after it. *)
+  let entered body () =
+    Runtime.enter_stmt st sid;
     body ()
+  in
+  match s.s with
+  | Null -> fun () -> Runtime.enter_stmt st sid
+  | Block (_, body) ->
+      let fs = Array.of_list (List.map (compile_stmt env) body) in
+      fun () ->
+        Runtime.enter_stmt st sid;
+        for i = 0 to Array.length fs - 1 do
+          fs.(i) ()
+        done
+  | Blocking (lhs, delay, rhs) -> (
+      let ce = compile_expr env rhs in
+      let cs = compile_store env lhs in
+      match (delay, cs.target, ce.src, ce.v) with
+      | None, Runtime.Tvar v, None, Cell (c, eval) when cs.static ->
+          fun () ->
+            Runtime.enter_stmt st sid;
+            eval ();
+            Runtime.set_var_planes st v c.ca c.cb
+      | None, _, _, _ -> entered (compile_assign st ce cs)
+      | Some d, _, _, _ ->
+          let crhs = boxed ce in
+          let cd = compile_delay env d in
+          entered (fun () ->
+              let value = crhs () in
+              let n = cd () in
+              if n > 0 then Engine.suspend (Engine.WDelay n);
+              cs.prep ();
+              Runtime.store st cs.target ~lo:cs.lo ~hi:cs.hi value))
+  | Nonblocking (lhs, delay, rhs) -> (
+      let ce = compile_expr env rhs in
+      let cs = compile_store env lhs in
+      let cd = match delay with None -> fun () -> 0 | Some d -> compile_delay env d in
+      (* The index is resolved and the value captured now; the delay
+         evaluates last, as in the interpreter. *)
+      match (delay, cs.target, ce.src, ce.v) with
+      | None, Runtime.Tvar _, None, Cell (c, eval) when cs.static ->
+          (* The common shape, [x <= expr], in one closure. *)
+          let target = cs.target in
+          fun () ->
+            Runtime.enter_stmt st sid;
+            eval ();
+            Runtime.schedule_nba_planes st ~time:st.Runtime.now target ~lo:0 ~hi:0 ~a:c.ca
+              ~b:c.cb
+      | _ ->
+          entered
+            (with_value ce cs
+               ~k:(fun s a b ->
+                 Runtime.schedule_nba_planes st ~time:(st.Runtime.now + cd ()) s.target
+                   ~lo:s.lo ~hi:s.hi ~a ~b)
+               ~kb:(fun s value ->
+                 Runtime.schedule_nba st ~time:(st.Runtime.now + cd ()) s.target ~lo:s.lo
+                   ~hi:s.hi value)))
+  | If (c, t, e) ->
+      let cc = compile_truth env c in
+      let ct = compile_opt env t and ce = compile_opt env e in
+      fun () ->
+        Runtime.enter_stmt st sid;
+        if cc () = P.yes then ct () else ce ()
+  | CaseStmt (kind, subject, arms, default) ->
+      let csubj = compile_expr env subject in
+      (* The subject is evaluated once per execution, then the patterns
+         in order: planes when both sides are narrow. *)
+      let subj_box = ref (Packed.zero 1) in
+      let eval_subject =
+        match csubj.v with
+        | Cell (_, es) -> es
+        | Boxed rs -> fun () -> subj_box := rs ()
+      in
+      let matcher p =
+        let cp = compile_expr env p in
+        match (csubj.v, cp.v) with
+        | Cell (sc, _), Cell (pc, ep) ->
+            fun () ->
+              ep ();
+              Eval.case_matches_planes kind sc.ca sc.cb pc.ca pc.cb
+        | Cell (sc, _), Boxed rp -> fun () -> Eval.case_matches kind (P.box sc) (rp ())
+        | Boxed _, _ ->
+            let rp = boxed cp in
+            fun () -> Eval.case_matches kind !subj_box (rp ())
+      in
+      let carms =
+        Array.of_list
+          (List.map
+             (fun arm ->
+               (Array.of_list (List.map matcher arm.patterns), compile_opt env arm.arm_body))
+             arms)
+      in
+      let cdefault = compile_opt env default in
+      let rec any_match pats i = i < Array.length pats && (pats.(i) () || any_match pats (i + 1)) in
+      let rec try_arms i =
+        if i = Array.length carms then cdefault ()
+        else
+          let pats, cbody = carms.(i) in
+          if any_match pats 0 then cbody () else try_arms (i + 1)
+      in
+      fun () ->
+        Runtime.enter_stmt st sid;
+        eval_subject ();
+        try_arms 0
+  | For (init, cond, step, body) ->
+      let cinit = compile_stmt env init in
+      let ccond = compile_truth env cond in
+      let cstep = compile_stmt env step in
+      let cbody = compile_stmt env body in
+      let rec loop () =
+        Runtime.tick st;
+        if ccond () = P.yes then (
+          cbody ();
+          cstep ();
+          loop ())
+      in
+      entered (fun () ->
+          cinit ();
+          loop ())
+  | While (cond, body) ->
+      let ccond = compile_truth env cond in
+      let cbody = compile_stmt env body in
+      let rec loop () =
+        Runtime.tick st;
+        if ccond () = P.yes then (
+          cbody ();
+          loop ())
+      in
+      entered loop
+  | Repeat (count, body) ->
+      let ccount = compile_index env count in
+      let cbody = compile_stmt env body in
+      entered (fun () ->
+          for _ = 1 to ccount () do
+            Runtime.tick st;
+            cbody ()
+          done)
+  | Forever body ->
+      let cbody = compile_stmt env body in
+      let rec loop () =
+        Runtime.tick st;
+        cbody ();
+        loop ()
+      in
+      entered loop
+  | Delay (d, k) ->
+      let cd = compile_delay env d in
+      let ck = compile_opt env k in
+      entered (fun () ->
+          Engine.suspend (Engine.WDelay (cd ()));
+          ck ())
+  | EventCtrl (specs, k) -> (
+      let ck = compile_opt env k in
+      (* Sensitivity resolution is static; a resolution error is only
+         reported if the statement actually executes. *)
+      match Engine.resolve_wait st env.sc specs k with
+      | wait ->
+          (match wait with
+          | Engine.WEdges edges ->
+              List.iter (fun (v, _) -> note_read env v) edges
+          | Engine.WEvent v -> note_read env v
+          | Engine.WDelay _ -> ());
+          entered (fun () ->
+              Engine.suspend wait;
+              ck ())
+      | exception Runtime.Elab_error msg ->
+          entered (fun () -> raise (Runtime.Elab_error msg)))
+  | Wait (cond, k) ->
+      let ccond = compile_truth env cond in
+      let support = Elaborate.expr_support env.sc cond in
+      List.iter (note_read env) support;
+      let edges = List.map (fun v -> (v, Runtime.Any)) support in
+      let ck = compile_opt env k in
+      let rec loop () =
+        Runtime.tick st;
+        if ccond () <> P.yes then (
+          if support = [] then
+            raise (Runtime.Elab_error "wait() on a constant that is false");
+          Engine.suspend (Engine.WEdges edges);
+          loop ())
+      in
+      entered (fun () ->
+          loop ();
+          ck ())
+  | Trigger name -> (
+      match Runtime.scope_find env.sc name with
+      | Some (Runtime.Bvar v) when v.Runtime.v_kind = Runtime.NamedEvent ->
+          entered (fun () -> Runtime.trigger_event st v)
+      | _ ->
+          let msg = "-> target is not an event: " ^ name in
+          entered (fun () -> raise (Runtime.Elab_error msg)))
+  | SysTask (task, args) ->
+      (* Delegate to the interpreter so $display formatting and $monitor
+         hooks stay byte-identical.  Argument vars count as reads. *)
+      List.iter
+        (fun a -> List.iter (note_read env) (Elaborate.expr_support env.sc a))
+        args;
+      let sc = env.sc in
+      entered (fun () -> Engine.exec_systask st sc task args)
 
 and compile_opt env = function
-  | None -> fun () -> ()
+  | None -> no_eval
   | Some s -> compile_stmt env s
 
 (* --- Cyclic process shapes ---------------------------------------------- *)
@@ -632,9 +1029,7 @@ and opt_suspend_free = function None -> true | Some s -> suspend_free s
 
 (* Entry thunk of a statement: the budget/coverage accounting the
    interpreter performs before dispatching on the statement kind. *)
-let stmt_entry (st : Runtime.state) sid () =
-  Runtime.tick st;
-  Runtime.cover st sid
+let stmt_entry (st : Runtime.state) sid () = Runtime.enter_stmt st sid
 
 (* Classify an always body; [None] means it stays a fiber.  The compiled
    closures perform the same tick/cover accounting in the same order as
@@ -642,13 +1037,13 @@ let stmt_entry (st : Runtime.state) sid () =
 let compile_always (env : env) (s : stmt) : cproc option =
   let st = env.st in
   let seg_delay (si : stmt) d k =
-    let _, cd = compile_int env d in
+    let cd = compile_delay env d in
     let ck = compile_opt env k in
     let entry = stmt_entry st si.sid in
     Dwait
       ( (fun () ->
           entry ();
-          Option.value (cd ()) ~default:0),
+          cd ()),
         ck )
   in
   match s.s with
@@ -660,15 +1055,9 @@ let compile_always (env : env) (s : stmt) : cproc option =
             match wait with
             | Engine.WEdges edges ->
                 (* One waiter entry per (var, edge), as park installs. *)
-                let seen = Hashtbl.create 4 in
-                Engine.WEdges
-                  (List.filter
-                     (fun ((v : Runtime.var), e) ->
-                       if Hashtbl.mem seen (v.Runtime.v_name, e) then false
-                       else (
-                         Hashtbl.add seen (v.Runtime.v_name, e) ();
-                         true))
-                     edges)
+                let distinct = ref [] in
+                Engine.iter_distinct (fun v e -> distinct := (v, e) :: !distinct) edges;
+                Engine.WEdges (List.rev !distinct)
             | w -> w
           in
           (match wait with
@@ -725,6 +1114,7 @@ let lvalue_targets sc lv = Elaborate.lvalue_support sc lv
 
 (* One levelized node per combinational binding. *)
 let compile_node (envs : env) (cb : Elaborate.comb) : node =
+  let st = envs.st in
   let mk ?(ce = const_p (Packed.zero 1)) ?(raises = ref false) eval targets =
     let support = cb.Elaborate.cb_support in
     {
@@ -744,16 +1134,20 @@ let compile_node (envs : env) (cb : Elaborate.comb) : node =
   match cb.Elaborate.cb_desc with
   | Elaborate.CInit (sc, v, e) | Elaborate.CPortIn (sc, v, e) ->
       let ce = compile_expr { envs with sc } e in
-      mk ~ce (fun () -> Runtime.set_var envs.st v (ce.run ())) [ v ]
+      let s =
+        { prep = no_eval; static = true; target = Runtime.Tvar v; lo = 0; hi = 0; width = v.v_width }
+      in
+      mk ~ce (compile_assign st ce s) [ v ]
   | Elaborate.CAssign (sc, lhs, rhs) ->
       let env = { envs with sc } and raises = ref false in
       let ce = compile_expr env rhs in
-      let cassign = compile_assign ~raises env lhs in
-      mk ~ce ~raises (fun () -> cassign (ce.run ())) (lvalue_targets sc lhs)
+      let s = compile_store ~raises env lhs in
+      mk ~ce ~raises (compile_assign st ce s) (lvalue_targets sc lhs)
   | Elaborate.CPortOut (sc, lv, inner) ->
       let raises = ref false in
-      let cassign = compile_assign ~raises { envs with sc } lv in
-      mk ~raises (fun () -> cassign inner.Runtime.v_value) (lvalue_targets sc lv)
+      let s = compile_store ~raises { envs with sc } lv in
+      let ce = { (leaf (Boxed (fun () -> inner.Runtime.v_value)) inner.v_width) with src = Some inner } in
+      mk ~raises (compile_assign st ce s) (lvalue_targets sc lv)
 
 (* Topologically order nodes by driver dependency.  Raises [Fallback] on a
    multiply-driven combinational net or a combinational cycle. *)
@@ -974,8 +1368,8 @@ let reset (art : artifact) ~max_steps ~max_time =
   st.Runtime.max_steps <- max_steps;
   st.Runtime.max_time <- max_time;
   st.Runtime.horizon <- [];
-  Queue.clear st.Runtime.current.Runtime.sl_active;
-  st.Runtime.current.Runtime.sl_nba <- [];
+  Runtime.clear st.Runtime.current.Runtime.sl_active;
+  st.Runtime.current.Runtime.sl_nba.Runtime.len <- 0;
   List.iter
     (fun (v : Runtime.var) -> v.Runtime.v_on_waiter_list <- false)
     st.Runtime.waiter_vars;
@@ -1019,9 +1413,12 @@ let launch (art : artifact) =
     art.a_t0;
   let n_inputs = Array.length art.a_inputs in
   let last_seen = Array.make (max n_inputs 1) (Packed.zero 1) in
+  (* Writes only what changed: a pointer store into a major-heap array
+     pays the write barrier, a read does not. *)
   let snapshot () =
     for i = 0 to n_inputs - 1 do
-      last_seen.(i) <- art.a_inputs.(i).Runtime.v_value
+      let cur = art.a_inputs.(i).Runtime.v_value in
+      if cur != last_seen.(i) then last_seen.(i) <- cur
     done
   in
   (* One settle pass walks the dynamic schedule in topo order, evaluating
@@ -1061,9 +1458,12 @@ let launch (art : artifact) =
     done;
     eval_node nd
   in
+  let dynamic = art.a_dynamic in
   let settle_dynamic () =
     if prof then Obs.Profile.enter prof_comb;
-    Array.iter eval_dirty art.a_dynamic;
+    for i = 0 to Array.length dynamic - 1 do
+      eval_dirty dynamic.(i)
+    done;
     snapshot ();
     if prof then Obs.Profile.leave prof_comb
   in
@@ -1082,15 +1482,12 @@ let launch (art : artifact) =
       Array.iter eval_force art.a_t0;
       snapshot ();
       if prof then Obs.Profile.leave prof_comb);
-  (* Profiled callbacks run under their process's frame; Fun.protect (not
-     a bare leave) because $finish escapes bodies as an exception. *)
+  (* Profiled callbacks run under their process's frame. *)
   let prof_wrap label f =
     if not prof then f
     else begin
       let site = Obs.Profile.site label in
-      fun () ->
-        Obs.Profile.enter site;
-        Fun.protect ~finally:(fun () -> Obs.Profile.leave site) f
+      fun () -> Obs.Profile.framed site f
     end
   in
   List.iter
@@ -1107,55 +1504,7 @@ let launch (art : artifact) =
              wake run the body then re-arm.  The initial arm is scheduled
              exactly where [Engine.spawn] schedules the fiber start, so
              time-0 ordering is unchanged. *)
-          let note_listed (v : Runtime.var) =
-            if not v.Runtime.v_on_waiter_list then begin
-              v.Runtime.v_on_waiter_list <- true;
-              st.Runtime.waiter_vars <- v :: st.Runtime.waiter_vars
-            end
-          in
           match pe_wait with
-          | Engine.WEdges [ (v, e) ] ->
-              (* Single-signal sensitivity (the clocked-register shape):
-                 one waiter record reused for the life of the run.  The
-                 wake path removed it from [v_waiters] before calling us,
-                 so re-adding on arm never duplicates. *)
-              let fired = ref false in
-              let wake_ref = ref (fun () -> ()) in
-              let w : Runtime.waiter =
-                { w_edge = e; w_fired = fired; w_k = (fun () -> !wake_ref ()) }
-              in
-              let rec arm () =
-                pe_tick ();
-                fired := false;
-                v.Runtime.v_waiters <- w :: v.Runtime.v_waiters;
-                note_listed v
-              and wake () =
-                pe_body ();
-                arm ()
-              in
-              wake_ref := wake;
-              Runtime.schedule_active st arm
-          | Engine.WEvent v ->
-              let fired = ref false in
-              let wake_ref = ref (fun () -> ()) in
-              let w : Runtime.waiter =
-                {
-                  w_edge = Runtime.Any;
-                  w_fired = fired;
-                  w_k = (fun () -> !wake_ref ());
-                }
-              in
-              let rec arm () =
-                pe_tick ();
-                fired := false;
-                v.Runtime.v_waiters <- w :: v.Runtime.v_waiters;
-                note_listed v
-              and wake () =
-                pe_body ();
-                arm ()
-              in
-              wake_ref := wake;
-              Runtime.schedule_active st arm
           | Engine.WDelay n ->
               let rec arm () =
                 pe_tick ();
@@ -1165,19 +1514,38 @@ let launch (art : artifact) =
                 arm ()
               in
               Runtime.schedule_active st arm
-          | Engine.WEdges edges ->
-              (* Mixed sensitivity: fresh shared-fired group per arm, as
-                 [Engine.park] installs. *)
+          | Engine.WEdges _ | Engine.WEvent _ ->
+              (* One waiter record per (var, edge), sharing one fired flag
+                 as [Engine.park] installs a group, reused for the life of
+                 the run.  A wake drops the fired records of the var that
+                 changed; records left on the other vars of a mixed group
+                 are stale until purged, so arming moves them back to the
+                 front rather than adding a second copy. *)
+              let edges =
+                match pe_wait with
+                | Engine.WEdges edges -> edges
+                | Engine.WEvent v -> [ (v, Runtime.Any) ]
+                | Engine.WDelay _ -> []
+              in
+              let fired = ref false in
+              let wake_ref = ref (fun () -> ()) in
+              let group =
+                List.map
+                  (fun (v, e) ->
+                    ( v,
+                      ({ w_edge = e; w_fired = fired; w_k = (fun () -> !wake_ref ()) }
+                        : Runtime.waiter) ))
+                  edges
+              in
               let rec arm () =
                 pe_tick ();
-                let fired = ref false in
-                List.iter
-                  (fun (v, e) -> Runtime.add_waiter ~fired st v e wake)
-                  edges
+                fired := false;
+                Runtime.rearm_group st group
               and wake () =
                 pe_body ();
                 arm ()
               in
+              wake_ref := wake;
               Runtime.schedule_active st arm)
       | Pdelay { pd_entry; pd_ops; pd_label } ->
           let n_ops = Array.length pd_ops in

@@ -194,15 +194,21 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
       in
       Hashtbl.replace sc.sc_bindings name (Runtime.Bvar v);
       st.all_vars <- v :: st.all_vars;
-      (* Declaration initializer (wire w = e / reg r = e). *)
-      match d.di_init with
-      | None -> ()
-      | Some e ->
-          let thunk () = Runtime.set_var st v (Eval.eval st sc e) in
-          add_comb
-            { cb_eval = thunk; cb_support = expr_support sc e; cb_desc = CInit (sc, v, e) }
+      Option.map (fun e -> (v, e)) d.di_init
     in
-    List.iter (fun n -> make_var n (Hashtbl.find decls n)) (List.rev !decl_order);
+    let inits =
+      List.filter_map (fun n -> make_var n (Hashtbl.find decls n)) (List.rev !decl_order)
+    in
+    (* Declaration initializers (wire w = e / reg r = e), once every
+       variable of the module exists: the support of [e] may name one
+       declared after [w] (an output port declared ahead of the memory it
+       reads), and a support missing it would never re-evaluate [w]. *)
+    List.iter
+      (fun ((v : Runtime.var), e) ->
+        let thunk () = Runtime.set_var st v (Eval.eval st sc e) in
+        add_comb
+          { cb_eval = thunk; cb_support = expr_support sc e; cb_desc = CInit (sc, v, e) })
+      inits;
 
     (* Pass 3: events, assigns, processes, instances. *)
     List.iter

@@ -141,8 +141,7 @@ let resolve_wait st sc (specs : event_spec list) (body : stmt option) : wait =
 (* --- Statement execution ------------------------------------------------ *)
 
 let rec exec (st : Runtime.state) (sc : Runtime.scope) (s : stmt) : unit =
-  Runtime.tick st;
-  Runtime.cover st s.sid;
+  Runtime.enter_stmt st s.sid;
   match s.s with
   | Null -> ()
   | Block (_, body) -> List.iter (exec st sc) body
@@ -157,13 +156,13 @@ let rec exec (st : Runtime.state) (sc : Runtime.scope) (s : stmt) : unit =
           Eval.assign st sc lhs value)
   | Nonblocking (lhs, delay, rhs) ->
       let value = Eval.eval st sc rhs in
-      let _, store = Eval.prepare_store st sc lhs in
+      let _, target, lo, hi = Eval.prepare_store st sc lhs in
       let n =
         match delay with
         | None -> 0
         | Some d -> Option.value (Eval.eval_int st sc d) ~default:0
       in
-      Runtime.schedule_nba st ~time:(st.now + n) (fun () -> store value)
+      Runtime.schedule_nba st ~time:(st.now + n) target ~lo ~hi value
   | If (c, t, e) -> (
       match Eval.eval_bool st sc c with
       | Some true -> Option.iter (exec st sc) t
@@ -273,6 +272,25 @@ and exec_systask st sc task args =
 
 (* --- Process spawning and the run loop ----------------------------------- *)
 
+(* [f v edge] once per distinct (var name, edge) of a sensitivity list,
+   in first-occurrence order. *)
+let iter_distinct f edges =
+  let rec go seen = function
+    | [] -> ()
+    | ((v : Runtime.var), edge) :: rest ->
+        if
+          List.exists
+            (fun ((u : Runtime.var), e) ->
+              e = edge && String.equal u.Runtime.v_name v.Runtime.v_name)
+            seen
+        then go seen rest
+        else begin
+          f v edge;
+          go ((v, edge) :: seen) rest
+        end
+  in
+  go [] edges
+
 let park ?prof (st : Runtime.state) (w : wait) (resume : unit -> unit) =
   let resumed = ref false in
   let resume () =
@@ -291,15 +309,11 @@ let park ?prof (st : Runtime.state) (w : wait) (resume : unit -> unit) =
       resume ())
   in
   (* Profiling: each resumed segment runs under the process's frame, so
-     fiber time lands on "region;proc" paths. [Fun.protect] (not a bare
-     leave) because $finish propagates out of segments as an exception. *)
+     fiber time lands on "region;proc" paths. *)
   let resume =
     match prof with
     | None -> resume
-    | Some site ->
-        fun () ->
-          Obs.Profile.enter site;
-          Fun.protect ~finally:(fun () -> Obs.Profile.leave site) resume
+    | Some site -> fun () -> Obs.Profile.framed site resume
   in
   match w with
   | WDelay n ->
@@ -309,13 +323,7 @@ let park ?prof (st : Runtime.state) (w : wait) (resume : unit -> unit) =
       (* The whole group shares one fired flag: a single wake-up per
          suspension, and sibling entries become purgeable immediately. *)
       let fired = ref false in
-      let seen = Hashtbl.create 4 in
-      List.iter
-        (fun ((v : Runtime.var), edge) ->
-          if not (Hashtbl.mem seen (v.Runtime.v_name, edge)) then (
-            Hashtbl.add seen (v.Runtime.v_name, edge) ();
-            Runtime.add_waiter ~fired st v edge resume))
-        edges
+      iter_distinct (fun v edge -> Runtime.add_waiter ~fired st v edge resume) edges
 
 (* [prof]: the profiler site charged for every fiber segment of this
    process. *)
@@ -338,10 +346,7 @@ let spawn ?prof (st : Runtime.state) (body : unit -> unit) =
   let fiber =
     match prof with
     | None -> fiber
-    | Some site ->
-        fun () ->
-          Obs.Profile.enter site;
-          Fun.protect ~finally:(fun () -> Obs.Profile.leave site) fiber
+    | Some site -> fun () -> Obs.Profile.framed site fiber
   in
   Runtime.schedule_active st fiber
 

@@ -92,57 +92,77 @@ and read_ident sc name =
       else v.v_value
   | None -> raise (Runtime.Elab_error ("undeclared identifier " ^ name))
 
-(* Operator tables, shared with the compiled backend. The short-circuit
-   exits of [Land]/[Lor] live in the callers. *)
-and unop op : Packed.t -> Packed.t =
+(* The operator table, shared with the compiled backend: each AST
+   operator maps to its plane operator ([Packed.Planes], which the
+   compiled backend runs on preallocated cells) and to the boxed wrapper
+   over it; [pick] chooses the view.  The short-circuit exits of
+   [Land]/[Lor] live in the callers. *)
+and unop_with : 'a. (Packed.Planes.op1 -> (Packed.t -> Packed.t) -> 'a) -> unop -> 'a =
+ fun pick op ->
+  let module P = Packed.Planes in
   match op with
-  | Uplus -> fun v -> v
-  | Uminus -> Packed.neg
-  | Unot -> Packed.log_not
-  | Ubnot -> Packed.lognot
-  | Uand -> Packed.reduce_and
-  | Uor -> Packed.reduce_or
-  | Uxor -> Packed.reduce_xor
-  | Unand -> fun v -> Packed.lognot (Packed.reduce_and v)
-  | Unor -> fun v -> Packed.lognot (Packed.reduce_or v)
-  | Uxnor -> fun v -> Packed.lognot (Packed.reduce_xor v)
+  | Uplus -> pick P.set (fun v -> v)
+  | Uminus -> pick P.neg Packed.neg
+  | Unot -> pick P.log_not Packed.log_not
+  | Ubnot -> pick P.lognot Packed.lognot
+  | Uand -> pick P.reduce_and Packed.reduce_and
+  | Uor -> pick P.reduce_or Packed.reduce_or
+  | Uxor -> pick P.reduce_xor Packed.reduce_xor
+  | Unand -> pick P.reduce_nand (fun v -> Packed.lognot (Packed.reduce_and v))
+  | Unor -> pick P.reduce_nor (fun v -> Packed.lognot (Packed.reduce_or v))
+  | Uxnor -> pick P.reduce_xnor (fun v -> Packed.lognot (Packed.reduce_xor v))
 
-and binop op : Packed.t -> Packed.t -> Packed.t =
+and binop_with :
+      'a. (Packed.Planes.op2 -> (Packed.t -> Packed.t -> Packed.t) -> 'a) -> binop -> 'a =
+ fun pick op ->
+  let module P = Packed.Planes in
   match op with
-  | Add -> Packed.add
-  | Sub -> Packed.sub
-  | Mul -> Packed.mul
-  | Div -> Packed.div
-  | Mod -> Packed.rem
-  | Land -> Packed.log_and
-  | Lor -> Packed.log_or
-  | Band -> Packed.logand
-  | Bor -> Packed.logor
-  | Bxor -> Packed.logxor
-  | Bxnor -> fun x y -> Packed.lognot (Packed.logxor x y)
-  | Eq -> Packed.eq
-  | Neq -> Packed.neq
-  | Ceq -> Packed.case_eq
-  | Cneq -> Packed.case_neq
-  | Lt -> Packed.lt
-  | Le -> Packed.le
-  | Gt -> Packed.gt
-  | Ge -> Packed.ge
-  | Shl -> Packed.shift_left
-  | Shr -> Packed.shift_right
+  | Add -> pick P.add Packed.add
+  | Sub -> pick P.sub Packed.sub
+  | Mul -> pick P.mul Packed.mul
+  | Div -> pick P.div Packed.div
+  | Mod -> pick P.rem Packed.rem
+  | Land -> pick P.log_and Packed.log_and
+  | Lor -> pick P.log_or Packed.log_or
+  | Band -> pick P.logand Packed.logand
+  | Bor -> pick P.logor Packed.logor
+  | Bxor -> pick P.logxor Packed.logxor
+  | Bxnor -> pick P.logxnor (fun x y -> Packed.lognot (Packed.logxor x y))
+  | Eq -> pick P.eq Packed.eq
+  | Neq -> pick P.neq Packed.neq
+  | Ceq -> pick P.case_eq Packed.case_eq
+  | Cneq -> pick P.case_neq Packed.case_neq
+  | Lt -> pick P.lt Packed.lt
+  | Le -> pick P.le Packed.le
+  | Gt -> pick P.gt Packed.gt
+  | Ge -> pick P.ge Packed.ge
+  | Shl ->
+      pick
+        (fun d xw xa xb _ ya yb -> P.shift_left d xw xa xb (P.to_index ya yb))
+        Packed.shift_left
+  | Shr ->
+      pick
+        (fun d xw xa xb _ ya yb -> P.shift_right d xw xa xb (P.to_index ya yb))
+        Packed.shift_right
+
+and unop op = unop_with (fun _ boxed -> boxed) op
+and binop op = binop_with (fun _ boxed -> boxed) op
 
 (* Does case label [pv] match subject [sv]? Bits compare 4-valued, with
    z (casez) or x and z (casex) on either side as wildcards; the narrower
-   side is zero-extended. Shared by both backends. *)
-let case_matches kind (sv : Packed.t) (pv : Packed.t) =
+   side is zero-extended. Shared by both backends; [case_matches_planes]
+   is the narrow case on planes. *)
+let case_matches_planes kind sa sb pa pb =
   let wild_plane a b =
     match kind with Case -> 0 | Casez -> lnot a land b | Casex -> b
   in
+  (* Planes are zero above each width, so zero-extension is free. *)
+  let wild = wild_plane sa sb lor wild_plane pa pb in
+  ((sa lxor pa) lor (sb lxor pb)) land lnot wild = 0
+
+let case_matches kind (sv : Packed.t) (pv : Packed.t) =
   match (sv, pv) with
-  | S p, S q ->
-      (* Planes are zero above each width, so zero-extension is free. *)
-      let wild = wild_plane p.a p.b lor wild_plane q.a q.b in
-      ((p.a lxor q.a) lor (p.b lxor q.b)) land lnot wild = 0
+  | S p, S q -> case_matches_planes kind p.a p.b q.a q.b
   | _ ->
       let wild (b : Bit.t) =
         match kind with
@@ -167,31 +187,27 @@ let eval_bool st sc e = Packed.to_bool (eval st sc e)
 
 (* --- Assignment -------------------------------------------------------- *)
 
-(* Resolve an lvalue into its write targets. Returns a closure that, given
-   a value, performs the store (used by both blocking and NBA paths so the
-   index expressions are evaluated at scheduling time, per IEEE). *)
+(* Resolve an lvalue into its width and store target (see
+   [Runtime.target]), evaluating index expressions now: both the blocking
+   and the NBA paths resolve at execution time, per IEEE. *)
 let rec prepare_store (st : Runtime.state) (sc : Runtime.scope)
-    (lv : lvalue) : int * (Packed.t -> unit) =
+    (lv : lvalue) : int * Runtime.target * int * int =
   match lv with
   | LId name ->
       let v = Runtime.scope_var sc name in
       if v.v_kind = Runtime.NamedEvent then
         raise (Runtime.Elab_error ("assignment to named event " ^ name));
-      (v.v_width, fun value -> Runtime.set_var st v value)
+      (v.v_width, Runtime.Tvar v, 0, 0)
   | LIndex (name, idx) -> (
       let v = Runtime.scope_var sc name in
       match Packed.to_int (eval st sc idx) with
-      | None -> (v.v_width, fun _ -> ())
+      | None -> (v.v_width, Runtime.Tnone, 0, 0)
       | Some i ->
-          if v.v_array <> None then
-            (v.v_width, fun value -> Runtime.set_array_word st v i value)
-          else (
+          if v.v_array <> None then (v.v_width, Runtime.Tword v, i, 0)
+          else
             let si = Runtime.storage_index v i in
-            ( 1,
-              fun value ->
-                if si >= 0 && si < v.v_width then
-                  Runtime.set_var st v
-                    (Packed.insert ~into:v.v_value ~msb:si ~lsb:si value) )))
+            if si >= 0 && si < v.v_width then (1, Runtime.Tbits v, si, si)
+            else (1, Runtime.Tnone, 0, 0))
   | LRange (name, me, le) -> (
       let v = Runtime.scope_var sc name in
       match (Packed.to_int (eval st sc me), Packed.to_int (eval st sc le)) with
@@ -199,27 +215,12 @@ let rec prepare_store (st : Runtime.state) (sc : Runtime.scope)
           let a = Runtime.storage_index v m and b = Runtime.storage_index v l in
           let hi = max a b and lo = min a b in
           check_width "part-select" (hi - lo + 1);
-          ( hi - lo + 1,
-            fun value ->
-              Runtime.set_var st v
-                (Packed.insert ~into:v.v_value ~msb:hi ~lsb:lo value) )
-      | _ -> (v.v_width, fun _ -> ()))
+          (hi - lo + 1, Runtime.Tbits v, lo, hi)
+      | _ -> (v.v_width, Runtime.Tnone, 0, 0))
   | LConcat lvs ->
-      (* {a, b} = v assigns the high part to a, the low part to b. *)
       let parts = List.map (prepare_store st sc) lvs in
-      let total = List.fold_left (fun acc (w, _) -> acc + w) 0 parts in
-      ( total,
-        fun value ->
-          let value = Packed.resize total value in
-          (* Parts are listed most-significant first; peel each part's slice
-             off the top of the remaining range. *)
-          let rec split hi = function
-            | [] -> ()
-            | (w, store) :: rest ->
-                store (Packed.select value ~msb:hi ~lsb:(hi - w + 1));
-                split (hi - w) rest
-          in
-          split (total - 1) parts )
+      let total = List.fold_left (fun acc (w, _, _, _) -> acc + w) 0 parts in
+      (total, Runtime.concat_target st parts, 0, 0)
 
 (* Count-only attribution: one bump per committed assignment, charged
    under whatever process/region frame is open. No clock read — at this
@@ -227,6 +228,6 @@ let rec prepare_store (st : Runtime.state) (sc : Runtime.scope)
 let prof_assign = Obs.Profile.site "eval.assign"
 
 let assign st sc lv value =
-  let w, store = prepare_store st sc lv in
+  let _, target, lo, hi = prepare_store st sc lv in
   if st.Runtime.obs_profile then Obs.Profile.bump prof_assign;
-  store (Packed.resize w value)
+  Runtime.store st target ~lo ~hi value

@@ -22,7 +22,7 @@ type t = {
   mutable samples : sample list; (* reverse order while recording *)
   clk : Runtime.var;
   observed : observed list;
-  mutable prev_clk : Bit.t;
+  mutable prev_clk : int; (* LSB class, see [Runtime.lsb_class] *)
 }
 
 (* Observe the output ports of instance [instance_path] (e.g. "tb.dut") on
@@ -50,15 +50,15 @@ let attach (st : Runtime.state) ~(clock : string) ~(instance_path : string) : t
     raise
       (Runtime.Elab_error
          ("recorder: no output ports found under " ^ instance_path));
-  let r = { samples = []; clk; observed; prev_clk = Packed.get clk.v_value 0 } in
+  let r = { samples = []; clk; observed; prev_clk = Runtime.lsb_class_of clk.v_value } in
   let value o =
     let p = o.o_var.Runtime.v_value in
     if p != snd o.o_entry then o.o_entry <- (o.o_var.v_local, p);
     o.o_entry
   in
   let hook (st : Runtime.state) =
-    let cur = Packed.get r.clk.v_value 0 in
-    if Runtime.edge_of_transition r.prev_clk cur = Some Runtime.Pos then
+    let cur = Runtime.lsb_class_of r.clk.v_value in
+    if Runtime.edge_of_classes r.prev_clk cur = Some Runtime.Pos then
       r.samples <- { t = st.now; values = List.map value r.observed } :: r.samples;
     r.prev_clk <- cur
   in

@@ -115,11 +115,7 @@ let prof_collect = Obs.Profile.site "collect"
 let prof_setup = Obs.Profile.site "setup"
 
 let prof_frame site f =
-  if Obs.Profile.enabled () then begin
-    Obs.Profile.enter site;
-    Fun.protect ~finally:(fun () -> Obs.Profile.leave site) f
-  end
-  else f ()
+  if Obs.Profile.enabled () then Obs.Profile.framed site f else f ()
 
 let obs_elab_done ~ok ~top t_elab =
   if Obs.Trace.enabled () then
@@ -302,6 +298,7 @@ type profiled = {
   edges : int; (* recorded samples per run x runs *)
   coverage : float; (* attributed / measured wall; 1.0 when no time passed *)
   ns_per_edge : float; (* attributed ns per recorded edge *)
+  words_per_edge : float; (* minor-heap words allocated per recorded edge *)
   regions : (string * float) list;
       (* inclusive ns per edge by scheduler region, pipeline order *)
   processes : (string * float) list;
@@ -366,6 +363,9 @@ let profile ~runs ~backend (design : Verilog.Ast.design) (spec : spec) :
             (if wall_ns = 0 then 1.0
              else float_of_int report.r_total_ns /. float_of_int wall_ns);
           ns_per_edge = per_edge report.r_total_ns;
+          words_per_edge =
+            (if edges = 0 then 0.
+             else report.r_gc.gd_minor_words /. float_of_int edges);
           regions =
             Obs.Profile.regions report
             |> List.stable_sort (fun (a, _, _) (b, _, _) ->

@@ -5,9 +5,9 @@
    Inputs, in output order:
    - the 22 design+testbench pairs (11 projects x {tb, tb2});
    - the 32 defect scenarios' faulty designs;
-   - seeded [Mutate.mutate] mutants of every scenario's target module,
-     in rounds: round r holds mutant r of every scenario, so a prefix of
-     the rounds is a prefix of the output.
+   - the seeded mutant walks of every scenario's target module
+     ([Mutants.walk]), in rounds: round r holds mutant r of every
+     scenario, so a prefix of the rounds is a prefix of the output.
 
    For each input it prints [Analysis.check_module] findings (with the
    design as context), the [Analysis.screen] verdict under the default
@@ -18,16 +18,13 @@
 
    Usage: deps_golden_run [--all] [--expect FILE]
    The default prints the pairs, the scenarios and the first
-   [smoke_rounds] mutant rounds; --all prints every round. With
+   [Mutants.smoke_rounds] mutant rounds; --all prints every round. With
    --expect, the output must equal FILE (--all) or be a prefix of it
    (default), else the run fails naming the first differing line; only
    a one-line summary is printed then. Regenerate the fixture with
    [deps_golden_run --all > test/fixtures/deps-expected.txt]. *)
 
 open Verilog.Ast
-
-let rounds = 12
-let smoke_rounds = 2
 
 let findings buf label fs =
   List.iter
@@ -84,35 +81,6 @@ let scenario_design (d : Bench_suite.Defects.t) =
     (Printf.sprintf "scenario #%d" d.id)
     (Bench_suite.Defects.inject d ^ "\n" ^ Bench_suite.Projects.tb_source p)
 
-let describe e =
-  let s = Cirfix.Patch.edit_to_string e in
-  if String.length s <= 100 then s else String.sub s 0 100 ^ "..."
-
-(* A random walk of single mutations from the faulty target: mutant r
-   applies one [Mutate.mutate] edit to mutant r-1, restarting from the
-   faulty module every four steps. Draws that yield no applicable edit
-   leave the module unchanged. *)
-let mutant_walk (d : Bench_suite.Defects.t) (target : module_decl) ~n =
-  let rng = Random.State.make [| 0xdeb5; d.id |] in
-  let cfg = Cirfix.Config.default in
-  let step (m : module_decl) =
-    let fl_stmts = Verilog.Ast_utils.stmts_of_module m in
-    match Cirfix.Mutate.mutate rng cfg m ~fl_stmts with
-    | None -> (m, "none")
-    | Some e -> (
-        match Cirfix.Patch.apply_edit m e with
-        | Some m' -> (m', describe e)
-        | None -> (m, "inapplicable " ^ describe e))
-  in
-  let rec go r prev acc =
-    if r = n then List.rev acc
-    else
-      let base = if r mod 4 = 0 then target else prev in
-      let m, e = step base in
-      go (r + 1) m ((m, e) :: acc)
-  in
-  go 0 target []
-
 let () =
   let all = Golden.all () in
   let buf = Buffer.create (1 lsl 20) in
@@ -139,11 +107,11 @@ let () =
         ~label:(Printf.sprintf "scenario #%d %s" d.id d.project)
         ~top:p.tb_module design design)
     scenarios;
-  let n = if all then rounds else smoke_rounds in
+  let n = if all then Mutants.rounds else Mutants.smoke_rounds in
   let walks =
     List.map
       (fun ((d : Bench_suite.Defects.t), design) ->
-        (d, design, mutant_walk d (find_module design d.target) ~n))
+        (d, design, Mutants.walk d (find_module design d.target) ~n))
       scenarios
   in
   for r = 0 to n - 1 do

@@ -3,7 +3,7 @@
    and every defect scenario, or fall back — visibly — to the event
    engine.
 
-   Two passes:
+   Three passes:
 
    - trace pass: every project x {tb, tb2} pair is simulated under both
      backends; the recorded trace (Sim.Recorder), $display log, outcome,
@@ -18,22 +18,30 @@
      repair loop relies on: a --backend flip may change throughput, never
      scores.
 
-   Usage: sim_equiv_run [--all]
-   The default is a fast smoke subset (wired into `dune runtest`); --all
-   sweeps all projects and all scenarios (`dune build @sim-equiv`). *)
+   - mutant pass: the seeded mutant walks of every scenario (the ones
+     deps_golden_run prints, see [Mutants]) run under both backends with
+     the repair loop's candidate budgets; trace, display, outcome, steps
+     and end time must be byte-identical, or both backends must fail
+     elaboration with the same message.
 
-let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
-  let spec = Bench_suite.Projects.spec p in
-  let src = Bench_suite.Projects.design_source p ^ "\n" ^ tb in
-  let design = Verilog.Parser.parse_design src in
-  let run backend = Sim.Simulate.run ~backend design spec in
+   Usage: sim_equiv_run [--all]
+   The default is a fast smoke subset (wired into `dune runtest`): four
+   projects, scenarios #1-#6 and the first [Mutants.smoke_rounds] mutant
+   rounds; --all sweeps all projects, all scenarios and all
+   [Mutants.rounds] rounds (`dune build @sim-equiv`). *)
+
+(* Event and [Auto] results of one design must agree on the trace, the
+   $display log, the outcome, the step count and the end time, or fail
+   elaboration with the same message. *)
+let same_runs label design spec ?max_steps ?max_time () : bool =
+  let run backend = Sim.Simulate.run ?max_steps ?max_time ~backend design spec in
   match (run Sim.Simulate.Event, run Sim.Simulate.Auto) with
   | Ok a, Ok b ->
       let tr (r : Sim.Simulate.result) = Sim.Recorder.to_string r.trace in
       let used = Sim.Simulate.backend_used_to_string b.backend_used in
       (match b.backend_used with
       | Sim.Simulate.Used_fallback reason ->
-          Printf.printf "  fallback %s tb%d: %s\n%!" p.name idx reason
+          Printf.printf "  fallback %s: %s\n%!" label reason
       | _ -> ());
       if
         String.equal (tr a) (tr b)
@@ -43,10 +51,10 @@ let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
       then true
       else begin
         Printf.printf
-          "FAIL %s tb%d (%s): trace=%b display=%b outcome=%b steps=%d/%d \
+          "FAIL %s (%s): trace=%b display=%b outcome=%b steps=%d/%d \
            end_time=%d/%d\n\
            %!"
-          p.name idx used
+          label used
           (String.equal (tr a) (tr b))
           (String.equal a.display b.display)
           (a.outcome = b.outcome) a.steps b.steps a.end_time b.end_time;
@@ -55,13 +63,35 @@ let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
   | Error (Sim.Simulate.Elab_failure ea), Error (Sim.Simulate.Elab_failure eb)
     when String.equal ea eb ->
       true
+  | Error (Sim.Simulate.Elab_failure ea), Error (Sim.Simulate.Elab_failure eb)
+    ->
+      Printf.printf "FAIL %s: elaboration error differs: %S vs %S\n%!" label ea
+        eb;
+      false
   | _ ->
-      Printf.printf "FAIL %s tb%d: result kind differs between backends\n%!"
-        p.name idx;
+      Printf.printf "FAIL %s: result kind differs between backends\n%!" label;
       false
 
-let fitness_scenario (d : Bench_suite.Defects.t) : bool =
-  let problem = Bench_suite.Defects.problem d in
+let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
+  let spec = Bench_suite.Projects.spec p in
+  let src = Bench_suite.Projects.design_source p ^ "\n" ^ tb in
+  let design = Verilog.Parser.parse_design src in
+  same_runs (Printf.sprintf "%s tb%d" p.name idx) design spec ()
+
+(* Mutant [m] of scenario [problem], under the candidate budgets the
+   repair loop gives it (Evaluate.simulate_candidate). *)
+let mutant_run (problem : Cirfix.Problem.t) label m : bool =
+  let cfg = Cirfix.Config.default in
+  let max_steps =
+    min cfg.max_sim_steps ((problem.golden_steps * 10) + 5_000)
+  and max_time =
+    min cfg.max_sim_time ((problem.golden_end_time * 2) + 1_000)
+  in
+  same_runs label
+    (Cirfix.Problem.with_candidate problem m)
+    problem.spec ~max_steps ~max_time ()
+
+let fitness_scenario (d : Bench_suite.Defects.t) problem : bool =
   let score backend =
     let cfg = { Cirfix.Config.default with backend; jobs = 1 } in
     let ev = Cirfix.Evaluate.create cfg problem in
@@ -102,12 +132,17 @@ let () =
             [ "counter"; "decoder_3_to_8"; "flip_flop"; "fsm_full" ])
         Bench_suite.Projects.all
   in
+  let problems =
+    List.map
+      (fun d -> (d, Bench_suite.Defects.problem d))
+      Bench_suite.Defects.all
+  in
   let scenarios =
-    if all then Bench_suite.Defects.all
+    if all then problems
     else
       List.filter
-        (fun (d : Bench_suite.Defects.t) -> d.id <= 6)
-        Bench_suite.Defects.all
+        (fun ((d : Bench_suite.Defects.t), _) -> d.id <= 6)
+        problems
   in
   let failures = ref 0 in
   let pairs = ref 0 in
@@ -125,10 +160,32 @@ let () =
     (List.length scenarios);
   let scored = ref 0 in
   List.iter
-    (fun d ->
+    (fun (d, problem) ->
       incr scored;
-      if not (fitness_scenario d) then incr failures)
+      if not (fitness_scenario d problem) then incr failures)
     scenarios;
-  Printf.printf "sim-equiv: %d trace pairs, %d scenarios, %d failures\n%!"
-    !pairs !scored !failures;
+  (* Seeded mutants of every scenario, round by round, as
+     deps_golden_run walks them. *)
+  let n = if all then Mutants.rounds else Mutants.smoke_rounds in
+  Printf.printf "== mutant equivalence (%d rounds x %d scenarios)\n%!" n
+    (List.length problems);
+  let walks =
+    List.map
+      (fun ((d : Bench_suite.Defects.t), problem) ->
+        (d, problem, Mutants.walk d (Cirfix.Problem.target_module problem) ~n))
+      problems
+  in
+  let mutants = ref 0 in
+  for r = 0 to n - 1 do
+    List.iter
+      (fun ((d : Bench_suite.Defects.t), problem, walk) ->
+        let m, edit = List.nth walk r in
+        incr mutants;
+        let label = Printf.sprintf "mutant #%d.%d %s" d.id r edit in
+        if not (mutant_run problem label m) then incr failures)
+      walks
+  done;
+  Printf.printf
+    "sim-equiv: %d trace pairs, %d scenarios, %d mutants, %d failures\n%!"
+    !pairs !scored !mutants !failures;
   if !failures > 0 then exit 1

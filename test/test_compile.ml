@@ -14,7 +14,10 @@
      nonblocking commits compile (no fallback) and reproduce the event
      engine's observable behaviour exactly;
    - the store and edge paths around the 61-bit packed boundary, and
-     unread bindings whose evaluation raises, agree across backends. *)
+     unread bindings whose evaluation raises, agree across backends;
+   - the corners of the allocation-free clock edge (NBA log order, index
+     capture, delayed and abandoned NBAs, wide stores, x/z logic) agree
+     across backends. *)
 
 let contains s sub =
   let n = String.length sub in
@@ -295,6 +298,213 @@ let test_unread_raising_binding () =
       ("nope = x", "undeclared identifier nope in top.u");
     ]
 
+(* The corners of the allocation-free clock edge: one NBA log shared by
+   compiled bodies and the event engine, stores that box only on change,
+   waiter groups reused across arms, plane-valued expressions beside the
+   boxed wide path.  Each design must compile and match the event engine
+   byte for byte. *)
+let corner_src ~decls ~body ~outputs =
+  Printf.sprintf
+    "module dut(clk, %s);\n\
+    \  input clk;\n\
+    %s\n\
+    %s\n\
+     endmodule\n\
+     module top;\n\
+    \  reg clk;\n\
+    \  dut u(clk);\n\
+    \  initial clk = 0;\n\
+    \  always #5 clk = ~clk;\n\
+    \  initial #200 $finish;\n\
+     endmodule\n"
+    outputs decls body
+
+let check_corner ?(expect = []) src =
+  match run_both src with
+  | Ok e, Ok c ->
+      check_same_run e c;
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool)
+            (Printf.sprintf "display mentions %S" sub)
+            true
+            (contains e.Sim.Simulate.display sub))
+        expect
+  | Error (Sim.Simulate.Elab_failure m), _ | _, Error (Sim.Simulate.Elab_failure m)
+    ->
+      Alcotest.failf "elab failed: %s" m
+
+(* x goes 0 -> 1 -> 0 inside one NBA region: the 0 -> 1 commit wakes the
+   posedge waiter even though x ends the region where it started. *)
+let test_nba_pulse_wakes_posedge () =
+  check_corner ~expect:[ "hits 1"; "hits 9" ]
+    (corner_src ~outputs:"x, hits"
+       ~decls:"  output x;\n  output [7:0] hits;\n  reg x;\n  reg [7:0] hits;"
+       ~body:
+         "  initial begin x = 0; hits = 0; end\n\
+         \  always @(posedge clk) begin x <= 1; x <= 0; end\n\
+         \  always @(posedge x) begin hits = hits + 1; $display(\"hits %0d\", hits); end")
+
+(* The word index is resolved when the NBA is scheduled: the blocking
+   [i = i + 1] after it does not move the commit. *)
+let test_nba_word_index_at_schedule () =
+  check_corner ~expect:[ "4 5 6 3"; "10 11 12 f" ]
+    (corner_src ~outputs:"w0, w3"
+       ~decls:
+         "  output [7:0] w0, w3;\n\
+         \  reg [7:0] mem [0:3];\n\
+         \  reg [1:0] i;\n\
+         \  reg [7:0] n;\n\
+         \  wire [7:0] w0 = mem[0];\n\
+         \  wire [7:0] w3 = mem[3];"
+       ~body:
+         "  initial begin i = 0; n = 0; end\n\
+         \  always @(posedge clk) begin\n\
+         \    mem[i] <= n;\n\
+         \    i = i + 1;\n\
+         \    n = n + 1;\n\
+         \  end\n\
+         \  always @(negedge clk) $display(\"%h %h %h %h\", mem[0], mem[1], mem[2], mem[3]);")
+
+(* A delayed NBA commits in a later slot's log, after the clock edge that
+   scheduled it and before the next. *)
+let test_delayed_nba () =
+  check_corner ~expect:[ "7 q=1"; "17 q=0" ]
+    (corner_src ~outputs:"q"
+       ~decls:"  output q;\n  reg q, d;"
+       ~body:
+         "  initial begin q = 0; d = 1; end\n\
+         \  always @(posedge clk) begin q <= #2 d; d = ~d; end\n\
+         \  always @(q) $display(\"%0t q=%b\", $time, q);")
+
+(* $finish in the middle of a body: the NBAs the body scheduled before it
+   are never applied. *)
+let test_finish_drops_pending_nbas () =
+  let src =
+    "module dut(clk, q);\n\
+    \  input clk;\n\
+    \  output [7:0] q;\n\
+    \  reg [7:0] q, r;\n\
+    \  initial begin q = 0; r = 0; end\n\
+    \  always @(posedge clk) begin\n\
+    \    q <= q + 1;\n\
+    \    r <= 8'hAA;\n\
+    \    if (q == 3) $finish;\n\
+    \  end\n\
+     endmodule\n\
+     module top;\n\
+    \  reg clk;\n\
+    \  wire [7:0] q;\n\
+    \  dut u(clk, q);\n\
+    \  initial clk = 0;\n\
+    \  always #5 clk = ~clk;\n\
+     endmodule\n"
+  in
+  check_corner src;
+  (* Final state, read from each backend's elaborated variables. *)
+  let design = Verilog.Parser.parse_design src in
+  let final run =
+    let elab = Sim.Elaborate.elaborate design ~top:"top" in
+    let outcome = run elab in
+    Alcotest.(check bool) "finished" true (outcome = Sim.Engine.Finished);
+    let value name =
+      match Sim.Runtime.find_var elab.Sim.Elaborate.st name with
+      | Some v -> Logic4.Packed.to_int v.Sim.Runtime.v_value
+      | None -> Alcotest.failf "no var %s" name
+    in
+    (value "top.u.q", value "top.u.r")
+  in
+  let event = final Sim.Engine.run
+  and compiled = final (fun elab -> Sim.Compile.run (Sim.Compile.compile elab)) in
+  Alcotest.(check (pair (option int) (option int)))
+    "q stays 3, r keeps its last committed value" (Some 3, Some 0xAA) event;
+  Alcotest.(check (pair (option int) (option int))) "same final state" event compiled
+
+(* Values of 62 bits and more take the boxed route inside the same
+   compiled bodies: blocking and nonblocking stores, a wide concatenation
+   and a narrow select of a wide value. *)
+let test_wide_stores () =
+  check_corner ~expect:[ "1" ]
+    (corner_src ~outputs:"w, big, lo"
+       ~decls:
+         "  output [63:0] w;\n\
+         \  output [69:0] big;\n\
+         \  output [3:0] lo;\n\
+         \  reg [63:0] w;\n\
+         \  reg [69:0] big;\n\
+         \  reg [3:0] lo;"
+       ~body:
+         "  initial begin w = 64'h8000_0000_0000_0001; big = 0; lo = 0; end\n\
+         \  always @(posedge clk) begin\n\
+         \    w <= {w[62:0], ~w[63]};\n\
+         \    big = {big[68:0], w[0]} + 70'd3;\n\
+         \    lo <= big[69:66] ^ w[63:60];\n\
+         \    $display(\"%b %b %b\", w, big, lo);\n\
+         \  end")
+
+(* Logical and conditional operators on x/z operands: short-circuit exits,
+   unknown truth, and the bitwise merge of a ?: with an unknown
+   condition. *)
+let test_logic_on_xz () =
+  check_corner ~expect:[ "x" ]
+    (corner_src ~outputs:"r"
+       ~decls:
+         "  output [15:0] r;\n\
+         \  reg [15:0] r;\n\
+         \  reg [3:0] a;\n\
+         \  reg b, c;"
+       ~body:
+         "  initial begin a = 4'bx01z; end\n\
+         \  always @(posedge clk) begin\n\
+         \    r[0] <= a && b;\n\
+         \    r[1] <= a || b;\n\
+         \    r[2] <= b && 1'b0;\n\
+         \    r[3] <= c || 1'b1;\n\
+         \    r[7:4] <= b ? a : ~a;\n\
+         \    r[11:8] <= 1'bx ? 4'b1010 : 4'b1001;\n\
+         \    r[15:12] <= (a[0] && b) ? 4'hF : {a[3], 3'b010};\n\
+         \    $display(\"%b %b %b %b\", r, a, b, c);\n\
+         \    a = a + 1;\n\
+         \    if (a == 4'd3) b = 1;\n\
+         \    c = b;\n\
+         \  end")
+
+(* A mixed-sensitivity process reuses its waiter records: a wake through
+   one signal leaves the record on the other stale, and re-arming must
+   move it, not add a second live copy, or the list grows by one per
+   clock edge. *)
+let test_mixed_edge_waiters_reused () =
+  let src =
+    "module dut(clk, rst, q);\n\
+    \  input clk, rst;\n\
+    \  output [7:0] q;\n\
+    \  reg [7:0] q;\n\
+    \  always @(posedge clk or posedge rst)\n\
+    \    if (rst) q <= 0; else q <= q + 1;\n\
+     endmodule\n\
+     module top;\n\
+    \  reg clk, rst;\n\
+    \  wire [7:0] q;\n\
+    \  dut u(clk, rst, q);\n\
+    \  initial begin clk = 0; rst = 1; #7 rst = 0; end\n\
+    \  always #5 clk = ~clk;\n\
+    \  initial #400 $finish;\n\
+     endmodule\n"
+  in
+  check_corner src;
+  let elab = Sim.Elaborate.elaborate (Verilog.Parser.parse_design src) ~top:"top" in
+  ignore (Sim.Compile.run (Sim.Compile.compile elab));
+  List.iter
+    (fun name ->
+      match Sim.Runtime.find_var elab.Sim.Elaborate.st name with
+      | Some v ->
+          Alcotest.(check int)
+            (name ^ " holds one waiter record")
+            1
+            (List.length v.Sim.Runtime.v_waiters)
+      | None -> Alcotest.failf "no var %s" name)
+    [ "top.u.clk"; "top.u.rst" ]
+
 let () =
   Alcotest.run "compile"
     [
@@ -320,5 +530,19 @@ let () =
             test_boundary_stores_and_edges;
           Alcotest.test_case "unread binding that raises" `Quick
             test_unread_raising_binding;
+        ] );
+      ( "edge corners",
+        [
+          Alcotest.test_case "nba pulse wakes posedge" `Quick
+            test_nba_pulse_wakes_posedge;
+          Alcotest.test_case "nba word index at schedule" `Quick
+            test_nba_word_index_at_schedule;
+          Alcotest.test_case "delayed nba" `Quick test_delayed_nba;
+          Alcotest.test_case "finish drops pending nbas" `Quick
+            test_finish_drops_pending_nbas;
+          Alcotest.test_case "wide stores" `Quick test_wide_stores;
+          Alcotest.test_case "logic on x/z" `Quick test_logic_on_xz;
+          Alcotest.test_case "mixed-edge waiters reused" `Quick
+            test_mixed_edge_waiters_reused;
         ] );
     ]
