@@ -877,14 +877,15 @@ let obs_overhead () =
     Obs.Profile.start ();
     ignore (Cirfix.Gp.repair cfg prob);
     enabled_records := Obs.Journal.records ();
-    enabled_events := Obs.Trace.events ();
     Obs.Profile.stop ();
     enabled_profile_paths :=
       List.length (Obs.Profile.report ()).Obs.Profile.r_paths;
     Obs.Journal.close ();
     Obs.Metrics.set_enabled false;
     Obs.Metrics.reset ();
-    ignore (Obs.Trace.stop ())
+    (* One event per line, between the document's head and tail lines. *)
+    let doc = Option.value (Obs.Trace.stop ()) ~default:"" in
+    enabled_events := List.length (String.split_on_char '\n' doc) - 2
   in
   (* Round-robin, min per configuration, so a burst of host load hits all
      three alike. The baseline's warm-up runs before any enabled run. *)

@@ -189,14 +189,17 @@ let with_obs ?(detail = false) (trace, metrics, journal, profile)
   let code =
     Fun.protect
       ~finally:(fun () ->
+        (* Trace and profile are two exports of one span store, so its
+           imbalances are reported once. *)
+        if trace <> None || profile <> None then
+          List.iter
+            (fun msg -> Printf.eprintf "span imbalance: %s\n" msg)
+            (Obs.Profile.imbalances ());
         (match profile with
         | None -> ()
         | Some path ->
             Obs.Profile.stop ();
             let r = Obs.Profile.report () in
-            List.iter
-              (fun msg -> Printf.eprintf "profile imbalance: %s\n" msg)
-              r.Obs.Profile.r_imbalances;
             Out_channel.with_open_text path (fun oc ->
                 output_string oc (Obs.Json.to_string (Obs.Profile.to_json r));
                 output_char oc '\n');
@@ -208,9 +211,6 @@ let with_obs ?(detail = false) (trace, metrics, journal, profile)
         (match trace with
         | None -> ()
         | Some path ->
-            List.iter
-              (fun msg -> Printf.eprintf "trace imbalance: %s\n" msg)
-              (Obs.Trace.imbalances ());
             Obs.Trace.write_file path;
             Printf.eprintf "trace written to %s\n%!" path);
         (match metrics with
@@ -540,13 +540,12 @@ let check_pruning_arg =
 
 (* The search configuration [repair] and [brute] both take from flags. *)
 let search_config =
-  let make max_probes wall jobs backend race_screen no_prune check_pruning =
+  let make max_probes wall jobs race_screen no_prune check_pruning =
     {
       Cirfix.Config.default with
       max_probes;
       max_wall_seconds = wall;
       jobs;
-      backend;
       screen_races = race_screen;
       prune = not no_prune;
       check_pruning;
@@ -557,7 +556,7 @@ let search_config =
     $ Arg.(value & opt int 8000 & info [ "max-probes" ] ~doc:"Fitness budget.")
     $ Arg.(
         value & opt float 120.0 & info [ "wall" ] ~doc:"Wall-clock bound (s).")
-    $ jobs_arg $ backend_arg $ race_screen_arg $ no_prune_arg
+    $ jobs_arg $ race_screen_arg $ no_prune_arg
     $ check_pruning_arg)
 
 (* Print the summary table of a search run (GP or brute-force), aligned:

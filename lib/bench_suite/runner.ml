@@ -76,6 +76,8 @@ let summarize (d : Defects.t) (results : Cirfix.Gp.result list) :
             repaired_module = Some m;
           })
 
+let site_trial = Obs.Profile.site ~span:"bench" "trial"
+
 (* [pool]: when given (and wider than one domain), all [trials] seeds run
    speculatively in parallel — each trial forced to jobs=1 so the pool is
    not oversubscribed — and the fold above discards the trials a
@@ -86,15 +88,10 @@ let run_defect ?(cfg = Cirfix.Config.default) ?(trials = 5)
     ?(on_trial : (int -> unit) option) ?(pool : Cirfix.Pool.t option)
     (d : Defects.t) : trial_summary =
   let problem = Defects.problem d in
-  (* One seeded trial, under a trace span when tracing. *)
+  (* One seeded trial, framed when recording. *)
   let trial (cfg : Cirfix.Config.t) seed =
-    let t = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-    let r = Cirfix.Gp.repair { cfg with seed } problem in
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"bench"
-        ~args:[ ("seed", Obs.Json.Int seed) ]
-        ~name:"trial" t;
-    r
+    Obs.Profile.framed site_trial ~args:[ ("seed", Obs.Json.Int seed) ]
+      (fun () -> Cirfix.Gp.repair { cfg with seed } problem)
   in
   match pool with
   | Some pool when Cirfix.Pool.size pool > 1 && trials > 1 ->

@@ -66,6 +66,8 @@ let single_edits (m : module_decl) : Patch.edit list =
   in
   deletes @ replaces @ inserts @ templates
 
+let site_chunk = Obs.Profile.site ~span:"brute" "brute.chunk"
+
 let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     (whole_problem : Problem.t) :
     result =
@@ -143,7 +145,8 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
       stream := rest;
       if Array.length chunk = 0 then exhausted := true
       else begin
-        let t_chunk = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
+        let on = Obs.Profile.recording () in
+        if on then Obs.Profile.enter site_chunk;
         let mods = Array.map (Patch.apply original) chunk in
         let prepared = Evaluate.prepare ev ~pool mods in
         Array.iteri
@@ -166,14 +169,10 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
                     })
                 on_progress))
           chunk;
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"brute"
+        if on then
+          Obs.Profile.leave site_chunk
             ~args:
-              [
-                ("depth", Obs.Json.Int !d);
-                ("chunk", Obs.Json.Int (Array.length chunk));
-              ]
-            ~name:"brute.chunk" t_chunk
+              [ ("depth", Obs.Json.Int !d); ("chunk", Obs.Json.Int (Array.length chunk)) ]
       end
     done;
     (* Depth boundary: flush a record so partial quanta are visible. The

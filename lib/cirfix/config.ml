@@ -46,12 +46,6 @@ type t = {
       (* verification mode: every static-lane decision is double-checked by
          simulating the candidate anyway and asserting fitness equality —
          slow, for differential testing only *)
-  backend : Sim.Simulate.backend;
-      (* simulation backend for candidate scoring: [Event] interprets on
-         the effects scheduler; [Auto] lowers the design to
-         the levelized cycle evaluator, falling back per design to the
-         event engine on designs the compiler rejects (every fallback is
-         recorded in stats and the journal, never silent) *)
 }
 
 (* One evaluation domain per recommended core, minus one for the main
@@ -88,7 +82,6 @@ let default =
     screen_races = false;
     prune = true;
     check_pruning = false;
-    backend = Sim.Simulate.Auto;
   }
 
 (* Configuration fields recorded in a repair journal's run header.
@@ -107,7 +100,6 @@ let journal_fields (t : t) : (string * Obs.Json.t) list =
     ("screen_races", Obs.Json.Bool t.screen_races);
     ("prune", Obs.Json.Bool t.prune);
     ("check_pruning", Obs.Json.Bool t.check_pruning);
-    ("backend", Obs.Json.Str (Sim.Simulate.backend_to_string t.backend));
   ]
 
 (* The paper's full-scale configuration, for completeness. *)

@@ -174,13 +174,8 @@ type t = {
 
 let counters (ev : t) : counters = Array.copy ev.table
 
-(* Memo keys are prefixed with the configured backend so cached fitness
-   can never leak across backends: flipping [--backend] between otherwise
-   identical runs always re-simulates. *)
-let key_of (cfg : Config.t) (candidate : Verilog.Ast.module_decl) : string =
-  Sim.Simulate.backend_to_string cfg.backend
-  ^ "|"
-  ^ Verilog.Ast_utils.structural_hash candidate
+let key_of (candidate : Verilog.Ast.module_decl) : string =
+  Verilog.Ast_utils.structural_hash candidate
 
 (* The semantic/dead-edit facts are computed against the target module's
    declaration-default parameters, so a design that instantiates the
@@ -207,7 +202,7 @@ let create (cfg : Config.t) (problem : Problem.t) : t =
     cache = Hashtbl.create 256;
     sem_tbl = Hashtbl.create 256;
     lanes_enabled;
-    seed_key = key_of cfg target;
+    seed_key = key_of target;
     seed_prune_hash =
       (if lanes_enabled then Some (Verilog.Dataflow.prune_hash target)
        else None);
@@ -280,7 +275,7 @@ let status_label = function
   | Skipped_dead_edit -> "skipped_dead_edit"
 
 (* Elaborate and simulate one candidate — the post-screening tail of
-   [compute_unspanned], also the reference evaluation [cfg.check_pruning]
+   [compute], also the reference evaluation [cfg.check_pruning]
    verifies static-lane decisions against. Touches no mutable state. *)
 let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
     outcome =
@@ -296,7 +291,7 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
   in
   let t0 = Obs.Clock.now_ns () in
   match
-    Sim.Simulate.run ~max_steps ~max_time ~backend:ev.cfg.backend design
+    Sim.Simulate.run ~max_steps ~max_time ~backend:Sim.Simulate.Auto design
       ev.problem.spec
   with
   | Error (Sim.Simulate.Elab_failure msg) -> unsimulated (Compile_error msg)
@@ -329,60 +324,56 @@ let simulate_candidate (ev : t) (candidate : Verilog.Ast.module_decl) :
             sim_seconds;
           })
 
-(* Score one candidate without touching the cache or any counter. Reads
-   only immutable state ([cfg], [problem], [original_size]), so concurrent
-   calls from worker domains are safe. *)
-let compute_unspanned (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
-  if oversize ev candidate then oversize_outcome
-  else begin
-    let screened =
-      if ev.cfg.screen_mutants then begin
-        let t = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-        let r = Verilog.Analysis.screen ~checks:ev.cfg.screen_checks candidate in
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"eval" ~name:"screen.static" t;
-        r
-      end
-      else None
-    in
-    let racy () =
-      if ev.cfg.screen_races then begin
-        let t = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-        let r = Verilog.Race.screen ~hazards:Verilog.Race.all_hazards candidate in
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"eval" ~name:"screen.race" t;
-        r
-      end
-      else None
-    in
-    match screened with
-    | Some msg ->
-        (* Pre-simulation screening: the candidate is statically doomed,
-           so reject it (scored like a compile error) without spending a
-           simulation. *)
-        unsimulated (Rejected_static msg)
-    | None ->
-    match racy () with
-    | Some msg ->
-        (* Race screening: the candidate module contains a static race
-           hazard; rejected without a simulation, under its own count. *)
-        unsimulated (Rejected_racy msg)
-    | None -> simulate_candidate ev candidate
-  end
+let site_screen_static = Obs.Profile.site ~span:"eval" "screen.static"
+let site_screen_race = Obs.Profile.site ~span:"eval" "screen.race"
+let site_evaluate = Obs.Profile.site ~span:"eval" "evaluate"
+let site_prepare = Obs.Profile.site ~span:"eval" "eval.prepare_batch"
 
-(* [compute_unspanned] under a per-candidate trace span carrying the
-   resulting status; runs on whatever domain called it, so the span lands
-   on that worker's track. *)
+(* Score one candidate without touching the cache or any counter, under
+   a per-candidate frame whose event carries the resulting status. Reads
+   only immutable state ([cfg], [problem], [original_size]), so
+   concurrent calls from worker domains are safe, and the frame lands on
+   the calling domain's track. *)
 let compute (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
-  if not (Obs.Trace.enabled ()) then compute_unspanned ev candidate
-  else begin
-    let t = Obs.Trace.begin_ () in
-    let o = compute_unspanned ev candidate in
-    Obs.Trace.complete ~cat:"eval"
-      ~args:[ ("status", Obs.Json.Str (status_label o.status)) ]
-      ~name:"evaluate" t;
-    o
-  end
+  let on = Obs.Profile.recording () in
+  if on then Obs.Profile.enter site_evaluate;
+  let screen site enabled f =
+    if not enabled then None
+    else begin
+      if on then Obs.Profile.enter site;
+      let r = f candidate in
+      if on then Obs.Profile.leave site;
+      r
+    end
+  in
+  let o =
+    if oversize ev candidate then oversize_outcome
+    else
+      match
+        screen site_screen_static ev.cfg.screen_mutants
+          (Verilog.Analysis.screen ~checks:ev.cfg.screen_checks)
+      with
+      | Some msg ->
+          (* Pre-simulation screening: the candidate is statically doomed,
+             so reject it (scored like a compile error) without spending a
+             simulation. *)
+          unsimulated (Rejected_static msg)
+      | None -> (
+          match
+            screen site_screen_race ev.cfg.screen_races
+              (Verilog.Race.screen ~hazards:Verilog.Race.all_hazards)
+          with
+          | Some msg ->
+              (* Race screening: the candidate module contains a static
+                 race hazard; rejected without a simulation, under its own
+                 count. *)
+              unsimulated (Rejected_racy msg)
+          | None -> simulate_candidate ev candidate)
+  in
+  if on then
+    Obs.Profile.leave site_evaluate
+      ~args:[ ("status", Obs.Json.Str (status_label o.status)) ];
+  o
 
 (* Counter accounting for a freshly computed (non-memoized) outcome,
    mirroring what the sequential path charges per status. *)
@@ -557,7 +548,7 @@ let resolve_miss (ev : t) (candidate : Verilog.Ast.module_decl)
 
 let eval_module (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
   bump ev Lookups;
-  let key = key_of ev.cfg candidate in
+  let key = key_of candidate in
   match Hashtbl.find_opt ev.cache key with
   | Some o ->
       bump ev Memo_hits;
@@ -614,8 +605,9 @@ let speculate (ev : t) (key : string) (candidate : Verilog.Ast.module_decl) :
    speculated: each [commit] evaluates on demand, the sequential path. *)
 let prepare (ev : t) ~(pool : Pool.t)
     (candidates : Verilog.Ast.module_decl array) : prepared =
-  let t_prep = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-  let keys = Pool.map pool (key_of ev.cfg) candidates in
+  let on = Obs.Profile.recording () in
+  if on then Obs.Profile.enter site_prepare;
+  let keys = Pool.map pool key_of candidates in
   let speculated = Hashtbl.create (Array.length candidates) in
   if Pool.size pool > 1 then begin
     (* First occurrence of each un-cached key gets a task; duplicates and
@@ -641,8 +633,8 @@ let prepare (ev : t) ~(pool : Pool.t)
         Hashtbl.replace speculated key sp)
       batch
   end;
-  if Obs.Trace.enabled () then
-    Obs.Trace.complete ~cat:"eval"
+  if on then
+    Obs.Profile.leave site_prepare
       ~args:
         [
           ("batch", Obs.Json.Int (Array.length candidates));
@@ -652,8 +644,7 @@ let prepare (ev : t) ~(pool : Pool.t)
                  (fun _ sp n ->
                    if Option.is_some sp.sp_outcome then n + 1 else n)
                  speculated 0) );
-        ]
-      ~name:"eval.prepare_batch" t_prep;
+        ];
   { ev; candidates; keys; speculated }
 
 (* Commit candidate [i]: byte-for-byte the accounting of [eval_module],

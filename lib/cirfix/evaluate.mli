@@ -143,10 +143,8 @@ val counters : t -> counters
 
 val create : Config.t -> Problem.t -> t
 
-(** Memo-cache key for a candidate under a configuration: the configured
-    backend's name prefixed onto the module's structural hash, so cached
-    fitness can never leak between [--backend] settings. *)
-val key_of : Config.t -> Verilog.Ast.module_decl -> string
+(** Memo-cache key for a candidate: its structural hash. *)
+val key_of : Verilog.Ast.module_decl -> string
 val eval_module : t -> Verilog.Ast.module_decl -> outcome
 val eval_patch : t -> Verilog.Ast.module_decl -> Patch.t -> outcome
 

@@ -478,6 +478,11 @@ module Patch_tbl = Hashtbl.Make (struct
     land max_int
 end)
 
+let site_generation = Obs.Profile.site ~span:"gp" "gp.generation"
+let site_propose = Obs.Profile.site ~span:"gp" "gp.propose"
+let site_select = Obs.Profile.site ~span:"gp" "gp.select"
+let site_minimize = Obs.Profile.site ~span:"gp" "gp.minimize"
+
 let repair ?(on_generation : (generation_stats -> unit) option)
     (cfg : Config.t) (whole_problem : Problem.t) : result =
   let rng = Random.State.make [| cfg.seed |] in
@@ -571,12 +576,13 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let gen = ref 0 in
   while !found = None && !gen < cfg.max_generations && not (out_of_resources ()) do
     incr gen;
-    let t_gen = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
+    let on = Obs.Profile.recording () in
+    if on then Obs.Profile.enter site_generation;
     let t_gen_wall = Obs.Clock.now_ns () in
     (* Propose: all RNG draws and patch materialization, sequentially on
        the main domain. (The wall-clock guard mirrors the sequential
        loop's: a generation stops growing when the trial is out of time.) *)
-    let t_propose = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
+    if on then Obs.Profile.enter site_propose;
     let proposals = ref [] in
     let child_count = ref 0 in
     while !child_count < cfg.pop_size && not (out_of_resources ()) do
@@ -618,16 +624,15 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let tagged_batch = Array.of_list (List.rev !proposals) in
     let batch = Array.map fst tagged_batch in
     let mods = Array.map (Patch.apply original) batch in
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"gp"
-        ~args:[ ("proposals", Obs.Json.Int (Array.length batch)) ]
-        ~name:"gp.propose" t_propose;
+    if on then
+      Obs.Profile.leave site_propose
+        ~args:[ ("proposals", Obs.Json.Int (Array.length batch)) ];
     (* Evaluate: score the batch across the pool, then select by committing
        in batch order with the sequential guards. Stopping at the first
        plausible repair (or on budget exhaustion) discards the remaining
        speculative work, so counters match a jobs=1 run exactly. *)
     let prepared = Evaluate.prepare ev ~pool mods in
-    let t_select = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
+    if on then Obs.Profile.enter site_select;
     let child_popn = ref [] in
     let child_ops = ref [] in
     let child_hashes = ref [] in
@@ -648,8 +653,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           child_ops := (snd tagged_batch.(i)).p_op :: !child_ops;
           child_popn := c :: !child_popn))
       batch;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"gp" ~name:"gp.select" t_select;
+    if on then Obs.Profile.leave site_select;
     (* Elitism: carry the top e% of the previous generation forward. *)
     let elite_n =
       max 1 (int_of_float (cfg.elitism *. float_of_int cfg.pop_size))
@@ -721,29 +725,24 @@ let repair ?(on_generation : (generation_stats -> unit) option)
       in
       journal_attribution ev best ~gen:!gen
     end;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"gp"
+    if on then
+      Obs.Profile.leave site_generation
         ~args:
-          [
-            ("gen", Obs.Json.Int !gen);
-            ("best", Obs.Json.Float stats.best_fitness);
-          ]
-        ~name:"gp.generation" t_gen;
+          [ ("gen", Obs.Json.Int !gen); ("best", Obs.Json.Float stats.best_fitness) ];
     Option.iter (fun f -> f stats) on_generation
   done;
 
-  let t_min = if Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
   (* Minimize against the WHOLE design: on a sliced run every ddmin probe
      then re-verifies on the full oracle, so the minimized patch repairs
      the whole module by construction, not just the slice. *)
   let whole_target = Slicing.whole_target sl in
   let minimized =
     Option.map
-      (fun c -> Minimize.minimize sl.whole_ev whole_target c.patch)
+      (fun c ->
+        Obs.Profile.framed site_minimize (fun () ->
+            Minimize.minimize sl.whole_ev whole_target c.patch))
       !found
   in
-  if !found <> None && Obs.Trace.enabled () then
-    Obs.Trace.complete ~cat:"gp" ~name:"gp.minimize" t_min;
   (* ddmin probes (on [ev] when the run searched the whole design) land on
      a "minimize" accounting row so the funnel still tiles the run_end
      counters. *)

@@ -31,6 +31,9 @@ let rec worker_loop (t : t) =
       (* stop was set and the queue is drained *)
       Mutex.unlock t.m
 
+let site_worker = Obs.Profile.site ~span:"pool" "pool.worker"
+let site_task = Obs.Profile.site ~span:"pool" "pool.task"
+
 let create ~jobs : t =
   let t =
     {
@@ -48,12 +51,12 @@ let create ~jobs : t =
       (max 0 (jobs - 1))
       (fun _ ->
         Domain.spawn (fun () ->
-            (* A worker's whole lifetime shows as one span on its track,
-               with the tasks it ran nested inside. *)
-            let traced = Obs.Trace.enabled () in
-            if traced then Obs.Trace.push ~cat:"pool" "pool.worker";
+            (* A worker's whole lifetime is one frame on its track, with
+               the tasks it ran nested inside. *)
+            let on = Obs.Profile.recording () in
+            if on then Obs.Profile.enter site_worker;
             worker_loop t;
-            if traced then Obs.Trace.pop ()));
+            if on then Obs.Profile.leave site_worker));
   t
 
 let shutdown (t : t) =
@@ -82,13 +85,10 @@ let map (t : t) (f : 'a -> 'b) (xs : 'a array) : 'b array =
     for i = 0 to n - 1 do
       Queue.add
         (fun () ->
-          (if not (Obs.Trace.enabled ()) then (
-             try results.(i) <- Some (f xs.(i)) with e -> errors.(i) <- Some e)
-           else
-             let t0 = Obs.Trace.begin_ () in
-             (try results.(i) <- Some (f xs.(i))
-              with e -> errors.(i) <- Some e);
-             Obs.Trace.complete ~cat:"pool" ~name:"pool.task" t0);
+          let on = Obs.Profile.recording () in
+          if on then Obs.Profile.enter site_task;
+          (try results.(i) <- Some (f xs.(i)) with e -> errors.(i) <- Some e);
+          if on then Obs.Profile.leave site_task;
           Mutex.lock t.m;
           decr remaining;
           if !remaining = 0 then Condition.broadcast t.finished;

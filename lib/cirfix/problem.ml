@@ -26,14 +26,16 @@ let with_candidate (p : t) (candidate : Verilog.Ast.module_decl) :
       if m.mod_id = p.target then candidate else m)
     p.design
 
+let site_parse = Obs.Profile.site ~span:"problem" "parse"
+let site_golden = Obs.Profile.site ~span:"problem" "golden_sim"
+
 (* Build a problem from faulty sources, deriving the oracle by simulating
    the golden sources under the same spec. *)
 let make ~name ~(faulty : string) ~(golden : string) ~(testbench : string)
     ~(target : string) (spec : Sim.Simulate.spec) : t =
   let parse what src =
-    Obs.Trace.span ~cat:"problem"
+    Obs.Profile.framed site_parse
       ~args:[ ("what", Obs.Json.Str what) ]
-      "parse"
       (fun () ->
         match Verilog.Parser.parse_design_result src with
         | Ok d -> d
@@ -41,7 +43,7 @@ let make ~name ~(faulty : string) ~(golden : string) ~(testbench : string)
   in
   let golden_design = parse "golden" (golden ^ "\n" ^ testbench) in
   let golden_run =
-    Obs.Trace.span ~cat:"problem" "golden_sim" @@ fun () ->
+    Obs.Profile.framed site_golden @@ fun () ->
     match Sim.Simulate.run golden_design spec with
     | Ok r -> r
     | Error (Sim.Simulate.Elab_failure msg) ->

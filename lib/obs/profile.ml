@@ -1,15 +1,20 @@
-(* Self-profiler implementation. See the .mli for the contract.
+(* The span store. See the .mli for the contract.
 
-   Data structure: each domain owns a path tree grown on demand. A path
-   id names a stack of sites (via a parent array); the current path and
-   the timestamp of the last transition are the only mutable hot state.
-   [enter]/[leave] charge [now - last] to the open path, so self time
-   accumulates without ever walking the stack, and the (path, site) ->
-   child-path transition is memoized in an int-keyed table, making the
-   steady-state hot path free of allocation. Trees merge at report
-   time. *)
+   Each domain owns a path tree grown on demand: a path id names a stack
+   of sites (via a parent array), and the open path and the time of the
+   last transition are the only mutable hot state. [enter]/[leave]
+   charge [now - last] to the open path without walking the stack, and
+   the (path, site) -> child transition is memoized in an int-keyed
+   table, so the steady state allocates nothing. A path is open at most
+   once at a time, so a frame's opening time is kept per path id. Timeline
+   events go to the domain's own buffer, so recording takes no lock. *)
 
-type site = { s_id : int; s_name : string }
+type site = {
+  s_id : int;
+  s_name : string;
+  s_cat : string option; (* span-level: the timeline category *)
+  s_tiled : bool;
+}
 
 let site_name s = s.s_name
 
@@ -17,57 +22,74 @@ let site_name s = s.s_name
 
 let reg_m = Mutex.create ()
 let sites : (string, site) Hashtbl.t = Hashtbl.create 64
-let next_id = ref 0
 
 (* Transition keys pack (path lsl site_bits) lor site_id into an int;
    site ids are bounded so path ids get the remaining bits. *)
 let site_bits = 20
-let max_sites = 1 lsl site_bits
 
-let site name : site =
+let site ?span ?(tiled = false) name : site =
   Mutex.lock reg_m;
   let s =
     match Hashtbl.find_opt sites name with
     | Some s -> s
     | None ->
-        let s = { s_id = !next_id; s_name = name } in
-        if s.s_id >= max_sites then (
-          Mutex.unlock reg_m;
-          invalid_arg "Profile.site: too many distinct sites");
-        incr next_id;
+        let s_id = Hashtbl.length sites in
+        let s = { s_id; s_name = name; s_cat = span; s_tiled = tiled } in
         Hashtbl.add sites name s;
         s
   in
   Mutex.unlock reg_m;
+  if s.s_id >= 1 lsl site_bits then
+    invalid_arg "Profile.site: too many distinct sites";
+  if s.s_cat <> span || s.s_tiled <> tiled then
+    invalid_arg ("Profile.site: " ^ name ^ " redeclared with other properties");
   s
 
 (* --- Per-domain accumulators ------------------------------------------ *)
 
+(* The root sentinel's site: the top level tiles, like a tiled frame. *)
+let root = { s_id = -1; s_name = ""; s_cat = None; s_tiled = true }
+
+type event = {
+  e_name : string;
+  e_cat : string;
+  e_tid : int;
+  e_ts_ns : int;
+  e_dur_ns : int option;
+  e_args : (string * Json.t) list;
+}
+
 type dstate = {
+  tid : int; (* the owning domain's id *)
   mutable cur : int; (* open path id; 0 = nothing open *)
   mutable last_ns : int; (* monotonic time of the last transition *)
-  mutable last_top : int; (* last top-level path closed; 0 = none *)
+  mutable last_closed : int; (* path closed since the last enter; 0 = none *)
   trans : (int, int) Hashtbl.t; (* (cur, site) -> child path id *)
   mutable parent : int array; (* path id -> parent path id *)
-  mutable psite : int array; (* path id -> site id of its leaf *)
+  mutable psite : site array; (* path id -> its leaf site *)
   mutable ns : int array; (* path id -> accumulated self time *)
   mutable cnt : int array; (* path id -> entries/bumps *)
+  mutable opened : int array; (* path id -> when its open frame opened *)
   mutable n_paths : int; (* used slots; slot 0 is the root sentinel *)
   mutable imbalance : string list; (* newest first *)
+  mutable events : event list; (* timeline, newest first *)
 }
 
 let fresh_dstate () =
   {
+    tid = (Domain.self () :> int);
     cur = 0;
     last_ns = 0;
-    last_top = 0;
+    last_closed = 0;
     trans = Hashtbl.create 256;
     parent = Array.make 64 0;
-    psite = Array.make 64 (-1);
+    psite = Array.make 64 root;
     ns = Array.make 64 0;
     cnt = Array.make 64 0;
+    opened = Array.make 64 0;
     n_paths = 1;
     imbalance = [];
+    events = [];
   }
 
 let all_dstates : dstate list ref = ref []
@@ -80,13 +102,13 @@ let dkey =
       Mutex.unlock reg_m;
       d)
 
-let reset_dstate d =
+let reset_tree d =
   d.cur <- 0;
   d.last_ns <- 0;
-  d.last_top <- 0;
+  d.last_closed <- 0;
   Hashtbl.reset d.trans;
   Array.fill d.parent 0 (Array.length d.parent) 0;
-  Array.fill d.psite 0 (Array.length d.psite) (-1);
+  Array.fill d.psite 0 (Array.length d.psite) root;
   Array.fill d.ns 0 (Array.length d.ns) 0;
   Array.fill d.cnt 0 (Array.length d.cnt) 0;
   d.n_paths <- 1;
@@ -101,9 +123,10 @@ let grow d =
     a'
   in
   d.parent <- extend d.parent 0;
-  d.psite <- extend d.psite (-1);
+  d.psite <- extend d.psite root;
   d.ns <- extend d.ns 0;
-  d.cnt <- extend d.cnt 0
+  d.cnt <- extend d.cnt 0;
+  d.opened <- extend d.opened 0
 
 (* Child path of [d.cur] through site [s], created on first use. *)
 let transition d (s : site) : int =
@@ -115,14 +138,19 @@ let transition d (s : site) : int =
       if id >= Array.length d.ns then grow d;
       d.n_paths <- id + 1;
       d.parent.(id) <- d.cur;
-      d.psite.(id) <- s.s_id;
+      d.psite.(id) <- s;
       Hashtbl.add d.trans key id;
       id
 
 (* --- Lifecycle --------------------------------------------------------- *)
 
 let enabled_flag = ref false
+let timeline_flag = ref false
+let recording_flag = ref false
 let enabled () = !enabled_flag
+let timeline () = !timeline_flag
+let recording () = !recording_flag
+let set_recording () = recording_flag := !enabled_flag || !timeline_flag
 
 let gc_base = ref (Gc.quick_stat ())
 
@@ -131,65 +159,132 @@ let gc_base = ref (Gc.quick_stat ())
    heap would read 0 words. *)
 let minor_base = ref 0.
 
-let start () =
+let with_dstates f =
   Mutex.lock reg_m;
-  List.iter reset_dstate !all_dstates;
-  Mutex.unlock reg_m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock reg_m) (fun () -> f !all_dstates)
+
+let start () =
+  with_dstates (List.iter reset_tree);
   gc_base := Gc.quick_stat ();
   minor_base := Gc.minor_words ();
-  enabled_flag := true
+  enabled_flag := true;
+  set_recording ()
 
-let stop () = enabled_flag := false
+let stop () =
+  enabled_flag := false;
+  set_recording ()
+
+let start_timeline () =
+  with_dstates
+    (List.iter (fun d ->
+         if not !enabled_flag then reset_tree d;
+         d.events <- []));
+  timeline_flag := true;
+  set_recording ()
+
+let stop_timeline () =
+  if not !timeline_flag then None
+  else begin
+    timeline_flag := false;
+    set_recording ();
+    Some
+      (with_dstates
+         (List.concat_map (fun d ->
+              let evs = List.rev d.events in
+              d.events <- [];
+              evs)))
+  end
 
 (* --- Hot path ---------------------------------------------------------- *)
+
+(* Charge the time since the last transition. Inside a tiled frame (and
+   at the root) the gap after a child closed belongs to that child:
+   trailing-edge attribution. The glue between consecutive frames of a
+   loop is overhead adjacent to the frame that just ran, and charging it
+   there lets the children tile their parent's wall time. *)
+let charge d now =
+  let c = d.cur in
+  let target =
+    if d.psite.(c).s_tiled && d.last_closed <> 0 && d.parent.(d.last_closed) = c then
+      d.last_closed
+    else c
+  in
+  if target <> 0 then d.ns.(target) <- d.ns.(target) + (now - d.last_ns);
+  d.last_ns <- now
 
 let enter (s : site) =
   let d = Domain.DLS.get dkey in
   let now = Clock.now_ns () in
-  if d.cur <> 0 then d.ns.(d.cur) <- d.ns.(d.cur) + (now - d.last_ns)
-  else if d.last_top <> 0 then
-    (* Trailing-edge attribution: the gap between a top-level frame
-       closing and the next one opening is scheduler glue plus profiler
-       call overhead, charged to the frame that just closed so ledgers
-       tile the measured wall time. *)
-    d.ns.(d.last_top) <- d.ns.(d.last_top) + (now - d.last_ns);
-  d.last_ns <- now;
+  charge d now;
   let id = transition d s in
   d.cnt.(id) <- d.cnt.(id) + 1;
+  d.opened.(id) <- now;
+  d.last_closed <- 0;
   d.cur <- id
 
-let leave (s : site) =
+let leave ?(args = []) (s : site) =
   let d = Domain.DLS.get dkey in
   if d.cur = 0 then
     d.imbalance <-
       Printf.sprintf "leave %s with no frame open" s.s_name :: d.imbalance
   else begin
     let now = Clock.now_ns () in
-    d.ns.(d.cur) <- d.ns.(d.cur) + (now - d.last_ns);
-    d.last_ns <- now;
-    if d.psite.(d.cur) <> s.s_id then
+    charge d now;
+    if d.psite.(d.cur) != s then
       d.imbalance <-
         Printf.sprintf "leave %s while a different frame is open" s.s_name
-        :: d.imbalance;
-    let parent = d.parent.(d.cur) in
-    if parent = 0 then d.last_top <- d.cur;
-    d.cur <- parent
+        :: d.imbalance
+    else begin
+      match s.s_cat with
+      | Some e_cat when !timeline_flag ->
+          let e_ts_ns = d.opened.(d.cur) in
+          d.events <-
+            { e_name = s.s_name; e_cat; e_tid = d.tid; e_ts_ns;
+              e_dur_ns = Some (now - e_ts_ns); e_args = args }
+            :: d.events
+      | _ -> ()
+    end;
+    d.last_closed <- d.cur;
+    d.cur <- d.parent.(d.cur)
   end
 
-let framed s f =
-  enter s;
-  match f () with
-  | v ->
-      leave s;
-      v
-  | exception e ->
-      leave s;
-      raise e
+let unwind_to (s : site) =
+  let d = Domain.DLS.get dkey in
+  let rec is_open id = id <> 0 && (d.psite.(id) == s || is_open d.parent.(id)) in
+  if d.cur <> 0 && d.psite.(d.cur) != s && is_open d.cur then begin
+    charge d (Clock.now_ns ());
+    while d.psite.(d.cur) != s do
+      d.cur <- d.parent.(d.cur)
+    done;
+    d.last_closed <- 0
+  end
+
+let framed ?args s f =
+  if not !recording_flag then f ()
+  else begin
+    enter s;
+    match f () with
+    | v ->
+        leave ?args s;
+        v
+    | exception e ->
+        leave ?args s;
+        raise e
+  end
 
 let bump (s : site) =
   let d = Domain.DLS.get dkey in
   let id = transition d s in
   d.cnt.(id) <- d.cnt.(id) + 1
+
+let sample ~cat ~name values =
+  if !timeline_flag then begin
+    let d = Domain.DLS.get dkey in
+    d.events <-
+      { e_name = name; e_cat = cat; e_tid = d.tid; e_ts_ns = Clock.now_ns ();
+        e_dur_ns = None; e_args = List.map (fun (k, v) -> (k, Json.Float v)) values }
+      :: d.events
+  end
 
 (* --- Reporting --------------------------------------------------------- *)
 
@@ -210,36 +305,29 @@ type report = {
   r_imbalances : string list;
 }
 
-let imbalances () =
-  Mutex.lock reg_m;
-  let out = List.concat_map (fun d -> d.imbalance) !all_dstates in
-  Mutex.unlock reg_m;
-  out
+let imbalances_of ds =
+  List.concat_map
+    (fun d ->
+      if d.cur = 0 then d.imbalance
+      else
+        Printf.sprintf "frame %s still open" d.psite.(d.cur).s_name
+        :: d.imbalance)
+    ds
+
+let imbalances () = with_dstates imbalances_of
 
 let report () : report =
   Mutex.lock reg_m;
-  let name_of_id =
-    let a = Array.make !next_id "?" in
-    Hashtbl.iter (fun _ s -> a.(s.s_id) <- s.s_name) sites;
-    a
-  in
   (* Fold every domain's tree into one (stack -> ns, count) table; the
      stack key is the folded string itself, which is also what we emit. *)
   let merged : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 256 in
-  let imbal = ref [] in
   List.iter
     (fun d ->
-      imbal := d.imbalance @ !imbal;
-      if d.cur <> 0 then
-        imbal :=
-          Printf.sprintf "frame %s still open at report time"
-            name_of_id.(d.psite.(d.cur))
-          :: !imbal;
       for id = 1 to d.n_paths - 1 do
         if d.ns.(id) <> 0 || d.cnt.(id) <> 0 then begin
           let rec stack id acc =
             if id = 0 then acc
-            else stack d.parent.(id) (name_of_id.(d.psite.(id)) :: acc)
+            else stack d.parent.(id) (d.psite.(id).s_name :: acc)
           in
           let key = String.concat ";" (stack id []) in
           let nsr, cntr =
@@ -255,6 +343,7 @@ let report () : report =
         end
       done)
     !all_dstates;
+  let imbal = imbalances_of !all_dstates in
   Mutex.unlock reg_m;
   let paths =
     Hashtbl.fold
@@ -277,7 +366,7 @@ let report () : report =
         gd_minor_collections = g1.minor_collections - g0.minor_collections;
         gd_major_collections = g1.major_collections - g0.major_collections;
       };
-    r_imbalances = !imbal;
+    r_imbalances = imbal;
   }
 
 (* Sorted descending by time, name as tiebreak, so ledgers are stable. *)
@@ -317,19 +406,12 @@ let regions (r : report) =
       | [] -> None)
     r
 
-let by_leaf ?prefix (r : report) =
-  let keep name =
-    match prefix with
-    | None -> true
-    | Some pre ->
-        String.length name >= String.length pre
-        && String.sub name 0 (String.length pre) = pre
-  in
+let by_leaf (r : report) =
   group
     (fun p ->
       match List.rev p.p_stack with
-      | leaf :: _ when keep leaf -> Some (leaf, p.p_ns, p.p_count)
-      | _ -> None)
+      | leaf :: _ -> Some (leaf, p.p_ns, p.p_count)
+      | [] -> None)
     r
 
 let folded ?(zero_ns = false) (r : report) =

@@ -387,7 +387,9 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
               (max a b, min a b)
             in
             let run () =
-              match (Packed.to_int (boxed cm ()), Packed.to_int (boxed cl ())) with
+              let m = Packed.to_int (boxed cm ()) in
+              let l = Packed.to_int (boxed cl ()) in
+              match (m, l) with
               | Some m, Some l ->
                   let hi, lo = bounds m l in
                   Eval.check_width "part-select" (hi - lo + 1);
@@ -396,7 +398,9 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
             in
             let value, cw =
               if cm.cconst && cl.cconst then
-                match (index_of cm (), index_of cl ()) with
+                let m = index_of cm () in
+                let l = index_of cl () in
+                match (m, l) with
                 | m, l when m >= 0 && l >= 0 ->
                     let hi, lo = bounds m l in
                     let wr = hi - lo + 1 in
@@ -516,9 +520,8 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                        ef ();
                        P.set d y.cw y.ca y.cb)
                      else (
-                       (* The interpreter evaluates the else arm first. *)
-                       ef ();
                        et ();
+                       ef ();
                        P.merge_x d x.cw x.ca x.cb y.cw y.ca y.cb) ))
               cw [ cc; ct; cf ]
         | _ ->
@@ -528,7 +531,10 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                    let tv = truth () in
                    if tv = P.yes then rt ()
                    else if tv = P.no then rf ()
-                   else Packed.merge_x (rt ()) (rf ())))
+                   else
+                     let vt = rt () in
+                     let vf = rf () in
+                     Packed.merge_x vt vf))
               cw [ cc; ct; cf ])
     | Concat [] ->
         (* The interpreter fails on List.hd here; defer the same failure. *)
@@ -715,8 +721,8 @@ let rec compile_store ?(raises = ref false) (env : env) (lv : lvalue) : cstore =
           let cm = index_of cem and cl = index_of cel in
           s.prep <-
             (fun () ->
-              let l = cl () in
               let m = cm () in
+              let l = cl () in
               if m >= 0 && l >= 0 then (
                 let a = Runtime.storage_index v m
                 and b = Runtime.storage_index v l in

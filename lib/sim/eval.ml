@@ -41,7 +41,10 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
       | None -> raise (Runtime.Elab_error ("undeclared identifier " ^ name)))
   | RangeSel (name, me, le) -> (
       let v = Runtime.scope_var sc name in
-      match (Packed.to_int (eval st sc me), Packed.to_int (eval st sc le)) with
+      (* Bounds evaluate msb first, as in every backend. *)
+      let m = Packed.to_int (eval st sc me) in
+      let l = Packed.to_int (eval st sc le) in
+      match (m, l) with
       | Some m, Some l ->
           let a = Runtime.storage_index v m and b = Runtime.storage_index v l in
           let hi = max a b and lo = min a b in
@@ -61,14 +64,15 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
       | Some true -> eval st sc t
       | Some false -> eval st sc f
       | None ->
-          (* IEEE: merge both arms bitwise; differing bits become x. *)
-          Packed.merge_x (eval st sc t) (eval st sc f))
+          (* IEEE: merge both arms bitwise; differing bits become x.
+             The then-arm evaluates first, as in every backend. *)
+          let tv = eval st sc t in
+          let fv = eval st sc f in
+          Packed.merge_x tv fv)
   | Concat es ->
-      (* Verilog {a, b}: a is most significant. *)
-      List.fold_left
-        (fun acc x -> Packed.concat acc (eval st sc x))
-        (eval st sc (List.hd es))
-        (List.tl es)
+      (* Verilog {a, b}: a is most significant, and evaluates first. *)
+      let hd = eval st sc (List.hd es) in
+      List.fold_left (fun acc x -> Packed.concat acc (eval st sc x)) hd (List.tl es)
   | Repl (n, x) -> (
       match Packed.to_int (eval st sc n) with
       | Some k when k > 0 ->
@@ -210,7 +214,9 @@ let rec prepare_store (st : Runtime.state) (sc : Runtime.scope)
             else (1, Runtime.Tnone, 0, 0))
   | LRange (name, me, le) -> (
       let v = Runtime.scope_var sc name in
-      match (Packed.to_int (eval st sc me), Packed.to_int (eval st sc le)) with
+      let m = Packed.to_int (eval st sc me) in
+      let l = Packed.to_int (eval st sc le) in
+      match (m, l) with
       | Some m, Some l ->
           let a = Runtime.storage_index v m and b = Runtime.storage_index v l in
           let hi = max a b and lo = min a b in

@@ -511,8 +511,9 @@ let storage_index (v : var) (i : int) =
   if v.v_msb >= v.v_lsb then i - v.v_lsb else v.v_lsb - i
 
 (* Profiler region sites for the scheduler, interned once. These are the
-   top-level frames of the per-edge cost ledger: everything a process or
-   compiled node charges nests under one of them. *)
+   frames of the per-edge cost ledger that tile the run frame
+   ([Simulate]): everything a process or compiled node charges nests
+   under one of them. *)
 let prof_active = Obs.Profile.site "active"
 let prof_nba = Obs.Profile.site "nba"
 let prof_monitor = Obs.Profile.site "monitor"
@@ -573,8 +574,8 @@ let run_loop st =
       end
     done;
     (* Monitor region; the end-of-delta waiter purge is charged here too,
-       so the profiled regions tile the whole timestep — any gap between
-       top-level frames is dropped time the ledger cannot account for. *)
+       so the profiled regions tile the whole timestep — work between two
+       region frames would be charged to the region before it. *)
     if prof then Obs.Profile.enter prof_monitor;
     purge_waiters st;
     if not st.finished then (

@@ -17,8 +17,6 @@ type spec = {
 
 type backend = Event | Auto
 
-let backend_to_string = function Event -> "event" | Auto -> "auto"
-
 (* What actually ran, for stats/journal. *)
 type backend_used =
   | Used_event
@@ -101,43 +99,30 @@ let cache_add key entry =
   in
   cache := take cache_capacity ((key, entry) :: List.remove_assoc key !cache)
 
-(* --- Observability helpers ---------------------------------------------- *)
+(* --- Observability -------------------------------------------------------- *)
 
-let obs_enabled () =
-  Obs.Trace.enabled () || Obs.Metrics.enabled () || Obs.Profile.enabled ()
+(* Any sink on: the run keeps scheduler counters. *)
+let obs_enabled () = Obs.Profile.recording () || Obs.Metrics.enabled ()
 
-(* Elaboration/compilation and result packing run outside the scheduler
-   loop yet are real per-run cost (the event backend re-elaborates every
-   run); charging them keeps the ledger's region sum close to measured
-   wall time. *)
-let prof_elab = Obs.Profile.site "elab"
-let prof_collect = Obs.Profile.site "collect"
+(* The two boundaries of a run, one frame each: elaboration (artifact
+   cache probe, elaboration, compilation, recorder attach) and the run
+   (setup, scheduler regions, result packing). The profiler-only region
+   frames nest under the run frame and tile it. *)
+let site_elab = Obs.Profile.site ~span:"sim" "sim.elaborate"
+let site_run = Obs.Profile.site ~span:"sim" ~tiled:true "sim.run"
 let prof_setup = Obs.Profile.site "setup"
+let prof_collect = Obs.Profile.site "collect"
 
-let prof_frame site f =
-  if Obs.Profile.enabled () then Obs.Profile.framed site f else f ()
+let leave_elab ~ok ~top =
+  Obs.Profile.leave site_elab
+    ~args:
+      (if not (Obs.Profile.timeline ()) then []
+       else if ok then [ ("top", Obs.Json.Str top) ]
+       else [ ("ok", Obs.Json.Bool false) ])
 
-let obs_elab_done ~ok ~top t_elab =
-  if Obs.Trace.enabled () then
-    Obs.Trace.complete ~cat:"sim"
-      ~args:
-        (if ok then [ ("top", Obs.Json.Str top) ]
-         else [ ("ok", Obs.Json.Bool false) ])
-      ~name:"sim.elaborate" t_elab
-
-let obs_run_done (st : Runtime.state) t_run =
-  if Obs.Trace.enabled () then
-    Obs.Trace.complete ~cat:"sim"
-      ~args:
-        [
-          ("steps", Obs.Json.Int st.steps);
-          ("end_time", Obs.Json.Int st.now);
-          ("active_dispatches", Obs.Json.Int st.obs_active_dispatches);
-          ("nba_dispatches", Obs.Json.Int st.obs_nba_dispatches);
-          ("timesteps", Obs.Json.Int st.obs_timesteps);
-          ("max_queue", Obs.Json.Int st.obs_max_queue);
-        ]
-      ~name:"sim.run" t_run;
+(* End a run that started at [t_run]: observe it in Metrics, and close
+   the run frame, with any region frame an exception escaped. *)
+let leave_run ~framed (st : Runtime.state) t_run =
   if Obs.Metrics.enabled () then begin
     let wall_ns = Obs.Clock.now_ns () - t_run in
     Obs.Metrics.observe (Obs.Metrics.histogram "sim.wall_us") (wall_ns / 1000);
@@ -149,138 +134,135 @@ let obs_run_done (st : Runtime.state) t_run =
     Obs.Metrics.observe
       (Obs.Metrics.histogram "sim.max_queue_depth")
       st.obs_max_queue
+  end;
+  if framed then begin
+    Obs.Profile.unwind_to site_run;
+    Obs.Profile.leave site_run
+      ~args:
+        (if not (Obs.Profile.timeline ()) then []
+         else
+           [
+             ("steps", Obs.Json.Int st.steps);
+             ("end_time", Obs.Json.Int st.now);
+             ("active_dispatches", Obs.Json.Int st.obs_active_dispatches);
+             ("nba_dispatches", Obs.Json.Int st.obs_nba_dispatches);
+             ("timesteps", Obs.Json.Int st.obs_timesteps);
+             ("max_queue", Obs.Json.Int st.obs_max_queue);
+           ])
   end
 
-let pack_result (st : Runtime.state) recorder outcome backend_used =
-  {
-    outcome;
-    trace = Recorder.trace recorder;
-    display = Buffer.contents st.display_log;
-    end_time = st.now;
-    steps = st.steps;
-    backend_used;
-  }
+let collect (st : Runtime.state) recorder outcome backend_used =
+  if st.obs_profile then Obs.Profile.enter prof_collect;
+  let r =
+    {
+      outcome;
+      trace = Recorder.trace recorder;
+      display = Buffer.contents st.display_log;
+      end_time = st.now;
+      steps = st.steps;
+      backend_used;
+    }
+  in
+  if st.obs_profile then Obs.Profile.leave prof_collect;
+  r
 
-(* --- Event backend ------------------------------------------------------ *)
+(* --- Elaboration --------------------------------------------------------- *)
 
-let run_event ~max_steps ~max_time ~obs design (spec : spec)
-    backend_used : (result, error) Stdlib.result =
-  let t_elab = if obs && Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-  match
-    prof_frame prof_elab (fun () ->
-        try
+(* What the elaboration boundary hands the run. *)
+type elaborated =
+  | Interpreted of Elaborate.elaborated * Recorder.t * backend_used
+  | Compiled of Compile.artifact
+
+let elaborate_event ~max_steps ~max_time design (spec : spec) used =
+  let elab = Elaborate.elaborate ~max_steps ~max_time design ~top:spec.top in
+  let recorder =
+    Recorder.attach elab.st ~clock:spec.clock ~instance_path:spec.dut_path
+  in
+  Interpreted (elab, recorder, used)
+
+(* Raises [Runtime.Elab_error]: a design that fails to elaborate fails
+   identically under either backend, and is not cached. *)
+let elaborate ~max_steps ~max_time ~backend design (spec : spec) =
+  if backend = Event then
+    elaborate_event ~max_steps ~max_time design spec Used_event
+  else begin
+    let key = design_key design ~top:spec.top in
+    let entry =
+      match cache_find key with
+      | Some entry -> entry
+      | None ->
           let elab =
             Elaborate.elaborate ~max_steps ~max_time design ~top:spec.top
           in
-          let recorder =
-            Recorder.attach elab.st ~clock:spec.clock
-              ~instance_path:spec.dut_path
+          let entry : cache_entry =
+            match Compile.compile elab with
+            | art -> Ok art
+            | exception Compile.Fallback reason -> Error reason
           in
-          Ok (elab, recorder)
-        with Runtime.Elab_error msg -> Error (Elab_failure msg))
-  with
-  | Error e ->
-      if obs then obs_elab_done ~ok:false ~top:spec.top t_elab;
-      Error e
-  | Ok (elab, recorder) -> (
-      if obs then begin
-        elab.st.obs_enabled <- true;
-        elab.st.obs_profile <- Obs.Profile.enabled ();
-        obs_elab_done ~ok:true ~top:spec.top t_elab
-      end;
-      let t_run = if obs && Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-      (* Runtime scope errors (e.g. a mutant reading an undeclared name
-         discovered only when that path executes) also count as failures. *)
-      match Engine.run elab with
-      | exception Runtime.Elab_error msg ->
-          if obs then obs_run_done elab.st t_run;
-          Error (Elab_failure msg)
-      | outcome ->
-          if obs then obs_run_done elab.st t_run;
-          Ok
-            (prof_frame prof_collect (fun () ->
-                 pack_result elab.st recorder outcome backend_used)))
+          cache_add key entry;
+          entry
+    in
+    match entry with
+    | Ok art -> Compiled art
+    | Error reason ->
+        elaborate_event ~max_steps ~max_time design spec (Used_fallback reason)
+  end
 
-(* --- Compiled backend --------------------------------------------------- *)
+(* --- Run ----------------------------------------------------------------- *)
 
-let run_artifact ~max_steps ~max_time ~obs (art : Compile.artifact)
-    (spec : spec) : (result, error) Stdlib.result =
-  let st = art.Compile.a_elab.Elaborate.st in
+(* The run frame's contents: setup, the scheduler loop, result packing.
+   Runtime scope errors (e.g. a mutant reading an undeclared name
+   discovered only when that path executes) also count as failures. *)
+let execute ~max_steps ~max_time ~obs (spec : spec) (st : Runtime.state) e =
+  let prof = Obs.Profile.enabled () in
   match
-    prof_frame prof_setup (fun () ->
+    match e with
+    | Interpreted (elab, recorder, used) ->
+        st.obs_enabled <- obs;
+        st.obs_profile <- prof;
+        (Engine.run elab, recorder, used)
+    | Compiled art ->
+        if prof then Obs.Profile.enter prof_setup;
         Compile.reset art ~max_steps ~max_time;
         st.obs_enabled <- obs;
-        st.obs_profile <- Obs.Profile.enabled ();
-        try
-          Ok (Recorder.attach st ~clock:spec.clock ~instance_path:spec.dut_path)
-        with Runtime.Elab_error msg -> Error (Elab_failure msg))
+        st.obs_profile <- prof;
+        let recorder =
+          Recorder.attach st ~clock:spec.clock ~instance_path:spec.dut_path
+        in
+        if prof then Obs.Profile.leave prof_setup;
+        (Compile.run art, recorder, Used_compiled)
   with
-  | Error e -> Error e
-  | Ok recorder -> (
-      let t_run = if obs && Obs.Trace.enabled () then Obs.Trace.begin_ () else 0 in
-      match Compile.run art with
-      | exception Runtime.Elab_error msg ->
-          if obs then obs_run_done st t_run;
-          Error (Elab_failure msg)
-      | outcome ->
-          if obs then obs_run_done st t_run;
-          Ok
-            (prof_frame prof_collect (fun () ->
-                 pack_result st recorder outcome Used_compiled)))
+  | exception Runtime.Elab_error msg -> Error (Elab_failure msg)
+  | outcome, recorder, used -> Ok (collect st recorder outcome used)
 
 (* Simulate [design] under [spec]. Elaboration failures (the simulator
    analogue of a mutant that does not compile) are reported as [Error]. *)
 let run ?(max_steps = 2_000_000) ?(max_time = 1_000_000) ?(backend = Event)
     (design : Verilog.Ast.design) (spec : spec) : (result, error) Stdlib.result =
   (* One boolean decides whether the run maintains scheduler counters and
-     emits spans; when no sink is active the only overhead left in the
-     simulator is a per-dispatch branch on [obs_enabled]. *)
+     frames its boundaries; when no sink is active the only overhead left
+     in the simulator is a per-dispatch branch on [obs_enabled]. *)
   let obs = obs_enabled () in
-  if backend = Event then
-    run_event ~max_steps ~max_time ~obs design spec Used_event
-  else begin
-    (* Key hashing and the cache probe are real per-run cost of the
-       compiled path; charge them as (amortized) elaboration. *)
-    let key, cached =
-      prof_frame prof_elab (fun () ->
-          let key = design_key design ~top:spec.top in
-          (key, cache_find key))
-    in
-    let entry =
-      match cached with
-      | Some entry -> Ok entry
-      | None -> (
-          let t_elab =
-            if obs && Obs.Trace.enabled () then Obs.Trace.begin_ () else 0
-          in
-          match
-            prof_frame prof_elab (fun () ->
-                let elab =
-                  Elaborate.elaborate ~max_steps ~max_time design ~top:spec.top
-                in
-                Compile.compile elab)
-          with
-          | art ->
-              if obs then obs_elab_done ~ok:true ~top:spec.top t_elab;
-              let entry : cache_entry = Ok art in
-              cache_add key entry;
-              Ok entry
-          | exception Compile.Fallback reason ->
-              if obs then obs_elab_done ~ok:true ~top:spec.top t_elab;
-              let entry : cache_entry = Error reason in
-              cache_add key entry;
-              Ok entry
-          | exception Runtime.Elab_error msg ->
-              (* Fails identically under either backend; report directly. *)
-              if obs then obs_elab_done ~ok:false ~top:spec.top t_elab;
-              Error (Elab_failure msg))
-    in
-    match entry with
-    | Error e -> Error e
-    | Ok (Ok art) -> run_artifact ~max_steps ~max_time ~obs art spec
-    | Ok (Error reason) ->
-        run_event ~max_steps ~max_time ~obs design spec (Used_fallback reason)
-  end
+  let framed = Obs.Profile.recording () in
+  if framed then Obs.Profile.enter site_elab;
+  match elaborate ~max_steps ~max_time ~backend design spec with
+  | exception Runtime.Elab_error msg ->
+      if framed then leave_elab ~ok:false ~top:spec.top;
+      Error (Elab_failure msg)
+  | e ->
+      let st =
+        match e with
+        | Interpreted (elab, _, _) -> elab.st
+        | Compiled art -> art.a_elab.st
+      in
+      if framed then begin
+        leave_elab ~ok:true ~top:spec.top;
+        Obs.Profile.enter site_run
+      end;
+      let t_run = if obs then Obs.Clock.now_ns () else 0 in
+      let r = execute ~max_steps ~max_time ~obs spec st e in
+      if obs then leave_run ~framed st t_run;
+      r
 
 (* Convenience: parse sources then simulate. *)
 let run_source ?max_steps ?max_time ?backend ~(source : string) (spec : spec) :
@@ -317,6 +299,27 @@ let region_rank name =
     | _ :: tl -> go (i + 1) tl
   in
   go 0 region_order
+
+(* The region ledger of a report, wherever the simulation frames sit in
+   the tree: the elaboration frame is [elab], and each frame directly
+   under a run frame is its region, inclusive of the process and node
+   frames nested in it. The run frame's own time (before its first
+   region opens) belongs to no region. *)
+let sim_regions (r : Obs.Profile.report) =
+  let elab = Obs.Profile.site_name site_elab
+  and run = Obs.Profile.site_name site_run in
+  Obs.Profile.group
+    (fun p ->
+      let at_path rest = if rest = [] then p.p_count else 0 in
+      let rec go = function
+        | s :: rest when s = elab -> Some ("elab", p.p_ns, at_path rest)
+        | s :: region :: rest when s = run ->
+            Some (region, p.p_ns, at_path rest)
+        | _ :: rest -> go rest
+        | [] -> None
+      in
+      go p.p_stack)
+    r
 
 (* Self time of the process and node frames (always/initial bodies,
    NBA commits, generated and compiled nodes), hottest first. *)
@@ -367,7 +370,7 @@ let profile ~runs ~backend (design : Verilog.Ast.design) (spec : spec) :
             (if edges = 0 then 0.
              else report.r_gc.gd_minor_words /. float_of_int edges);
           regions =
-            Obs.Profile.regions report
+            sim_regions report
             |> List.stable_sort (fun (a, _, _) (b, _, _) ->
                    compare (region_rank a) (region_rank b))
             |> per_edge_rows;

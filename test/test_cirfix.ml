@@ -522,6 +522,12 @@ let test_evaluate_cache_and_compile_errors () =
   let o2 = Cirfix.Evaluate.eval_module ev original in
   Alcotest.(check int) "cached" probes_after_first (count Probes);
   Alcotest.(check (float 1e-9)) "same fitness" o1.fitness o2.fitness;
+  (* The one real simulation ran on the compiled backend, and the memo
+     key is the structural hash alone. *)
+  Alcotest.(check int) "compiled sim counted" 1 (count Sims_compiled);
+  Alcotest.(check int) "no event sims" 0 (count Sims_event);
+  Alcotest.(check bool) "memo keyed by structural hash" true
+    (Hashtbl.mem ev.cache (Verilog.Ast_utils.structural_hash original));
   (* A candidate reading an undeclared identifier counts as a compile
      error with fitness 0. *)
   let broken =
@@ -647,42 +653,6 @@ let test_gp_without_fault_loc () =
     if r.minimized <> None then true else if seed >= 3 then false else attempt (seed + 1)
   in
   Alcotest.(check bool) "repaired without fault loc" true (attempt 1)
-
-let test_backend_memo_isolation () =
-  (* Memo keys are backend-prefixed, so a fitness cached under one
-     --backend setting can never serve a lookup under another: flipping
-     the backend always misses the memo and re-simulates. *)
-  let problem = motivating_problem () in
-  let m = Cirfix.Problem.target_module problem in
-  let cfg_e =
-    { Cirfix.Config.default with backend = Sim.Simulate.Event; jobs = 1 }
-  in
-  let cfg_c = { cfg_e with backend = Sim.Simulate.Auto } in
-  Alcotest.(check bool) "keys differ across backends" false
-    (String.equal
-       (Cirfix.Evaluate.key_of cfg_e m)
-       (Cirfix.Evaluate.key_of cfg_c m));
-  let ev = Cirfix.Evaluate.create cfg_c problem in
-  ignore (Cirfix.Evaluate.eval_module ev m);
-  (* Cached under the auto-tagged key only: the event-tagged key of
-     the same module misses. *)
-  Alcotest.(check bool) "hit under same backend" true
-    (Hashtbl.mem ev.cache (Cirfix.Evaluate.key_of cfg_c m));
-  Alcotest.(check bool) "miss under flipped backend" false
-    (Hashtbl.mem ev.cache (Cirfix.Evaluate.key_of cfg_e m));
-  (* Second lookup under the same backend is the memo hit; the backend
-     counters record where the one real simulation ran. *)
-  ignore (Cirfix.Evaluate.eval_module ev m);
-  let count = Cirfix.Evaluate.get ev.table in
-  Alcotest.(check int) "one probe" 1 (count Probes);
-  Alcotest.(check int) "one memo hit" 1 (count Memo_hits);
-  Alcotest.(check int) "compiled sim counted" 1 (count Sims_compiled);
-  Alcotest.(check int) "no event sims" 0 (count Sims_event);
-  let ev_e = Cirfix.Evaluate.create cfg_e problem in
-  ignore (Cirfix.Evaluate.eval_module ev_e m);
-  let count = Cirfix.Evaluate.get ev_e.table in
-  Alcotest.(check int) "event sim counted" 1 (count Sims_event);
-  Alcotest.(check int) "no compiled sims" 0 (count Sims_compiled)
 
 (* The dead-code counter's target module with one source rewrite. *)
 let dead_code_variant rw =
@@ -962,8 +932,6 @@ let () =
           Alcotest.test_case "generation callback" `Quick
             test_gp_generation_callback;
           Alcotest.test_case "without fault loc" `Slow test_gp_without_fault_loc;
-          Alcotest.test_case "backend memo isolation" `Quick
-            test_backend_memo_isolation;
           Alcotest.test_case "memo key has one outcome" `Quick
             test_memo_key_one_outcome;
           Alcotest.test_case "speculation matches sequential" `Quick

@@ -298,6 +298,28 @@ let test_unread_raising_binding () =
       ("nope = x", "undeclared identifier nope in top.u");
     ]
 
+(* Where two operands both raise, the order the language leaves open is
+   fixed and shared: a conditional on x evaluates its then-arm before its
+   else-arm, and a part-select its msb before its lsb, so both backends
+   report the first operand's error. *)
+let test_raising_operand_order () =
+  List.iter
+    (fun (assign, msg) ->
+      match run_both (raising_src assign) with
+      | Error (Sim.Simulate.Elab_failure me), Error (Sim.Simulate.Elab_failure mc)
+        ->
+          Alcotest.(check string) (assign ^ ": event error") msg me;
+          Alcotest.(check string) (assign ^ ": same error") me mc
+      | Ok _, _ -> Alcotest.failf "%s: event run should fail" assign
+      | _, Ok _ -> Alcotest.failf "%s: compiled run should fail" assign)
+    [
+      ("unused = 1'bx ? nope1 : nope2", "undeclared identifier nope1");
+      ( "unused = 1'bx ? {70000{x}} : {80000{x}}",
+        "replication too wide (560000 bits)" );
+      ("unused = x[nope1:nope2]", "undeclared identifier nope1");
+      ("unused[nope1:nope2] = x", "undeclared identifier nope1");
+    ]
+
 (* The corners of the allocation-free clock edge: one NBA log shared by
    compiled bodies and the event engine, stores that box only on change,
    waiter groups reused across arms, plane-valued expressions beside the
@@ -530,6 +552,8 @@ let () =
             test_boundary_stores_and_edges;
           Alcotest.test_case "unread binding that raises" `Quick
             test_unread_raising_binding;
+          Alcotest.test_case "operand order when both raise" `Quick
+            test_raising_operand_order;
         ] );
       ( "edge corners",
         [

@@ -1,6 +1,7 @@
 (* Tests for the observability layer (lib/obs): histogram bucketing edges,
-   span-stack imbalance detection, JSON escaping round-trips, and the
-   jobs-independence contract of the repair journal. *)
+   span imbalance detection, the Chrome timeline as an export of the span
+   store, JSON escaping round-trips, and the jobs-independence contract
+   of the repair journal. *)
 
 open Obs
 
@@ -51,60 +52,176 @@ let test_histogram_buckets () =
       Alcotest.(check int) "max_int bucket" 1
         (bucket_count hist "2305843009213693952"))
 
+(* Nesting and imbalance belong to the span store, whichever export is
+   recording: with only a timeline on, a frame left open and a stray
+   leave both surface in [Profile.imbalances]. *)
 let test_span_imbalance () =
   Trace.start ();
   Fun.protect
     ~finally:(fun () -> ignore (Trace.stop ()))
     (fun () ->
-      Trace.push "outer";
-      Trace.push "inner";
-      Trace.pop ();
+      let outer = Profile.site ~span:"test" "test.outer"
+      and inner = Profile.site ~span:"test" "test.inner" in
+      Profile.enter outer;
+      Profile.enter inner;
+      Profile.leave inner;
       (* "outer" is still open: it must be reported as an imbalance. *)
-      let open_spans = Trace.imbalances () in
+      let open_spans = Profile.imbalances () in
       Alcotest.(check int) "one open span" 1 (List.length open_spans);
       let mentions_outer =
         List.exists
           (fun m ->
             try
-              ignore (Str.search_forward (Str.regexp_string "outer") m 0);
+              ignore (Str.search_forward (Str.regexp_string "test.outer") m 0);
               true
             with Not_found -> false)
           open_spans
       in
       Alcotest.(check bool) "names the open span" true mentions_outer;
       (* Close "outer"; the stack is balanced again. *)
-      Trace.pop ();
+      Profile.leave outer;
       Alcotest.(check int) "balanced after closing" 0
-        (List.length (Trace.imbalances ()));
-      (* A stray pop on an empty stack is flagged, not fatal. *)
-      Trace.pop ();
-      Alcotest.(check int) "stray pop recorded" 1
-        (List.length (Trace.imbalances ())))
+        (List.length (Profile.imbalances ()));
+      (* A stray leave on an empty stack is flagged, not fatal. *)
+      Profile.leave outer;
+      Alcotest.(check int) "stray leave recorded" 1
+        (List.length (Profile.imbalances ())))
 
-let test_trace_render_parses () =
-  Trace.start ();
-  let json =
-    Fun.protect
-      ~finally:(fun () -> ignore (Trace.stop ()))
-      (fun () ->
-        Trace.span ~cat:"test" "sp\"an\\name" (fun () -> ());
-        Trace.complete ~args:[ ("k", Json.Str "line1\nline2") ] ~name:"c"
-          (Trace.begin_ ());
-        Trace.render ())
-  in
-  match Json.parse json with
+(* The "traceEvents" of a rendered timeline, each line checked to hold
+   exactly one event. *)
+let timeline_events (doc : string) : Json.t list =
+  let lines = String.split_on_char '\n' doc in
+  List.iteri
+    (fun i line ->
+      if i > 0 && i < List.length lines - 1 then
+        let line =
+          if String.ends_with ~suffix:"," line then
+            String.sub line 0 (String.length line - 1)
+          else line
+        in
+        match Json.parse line with
+        | Ok (Json.Obj _) -> ()
+        | _ -> Alcotest.failf "line %d is not one event: %s" i line)
+    lines;
+  match Json.parse doc with
   | Error msg -> Alcotest.failf "trace output is not valid JSON: %s" msg
   | Ok v -> (
       match Json.member "traceEvents" v with
-      | Some (Json.List events) ->
-          let has name =
-            List.exists
-              (fun e -> Json.member "name" e = Some (Json.Str name))
-              events
-          in
-          Alcotest.(check bool) "escaped span name survives" true
-            (has "sp\"an\\name")
+      | Some (Json.List events) -> events
       | _ -> Alcotest.fail "traceEvents missing")
+
+let str_field key e =
+  match Json.member key e with Some (Json.Str s) -> s | _ -> ""
+
+let test_trace_render_parses () =
+  Trace.start ();
+  let doc =
+    Fun.protect
+      ~finally:(fun () -> ignore (Trace.stop ()))
+      (fun () ->
+        let gnarly = Profile.site ~span:"te\"st" "sp\"an\\name"
+        and c = Profile.site ~span:"test" "c" in
+        Profile.framed gnarly (fun () -> ());
+        Profile.enter c;
+        Profile.leave c ~args:[ ("k", Json.Str "line1\nline2") ];
+        Trace.counter ~name:"cnt\"" [ ("v", 1.) ];
+        Option.get (Trace.stop ()))
+  in
+  let events = timeline_events doc in
+  let has name = List.exists (fun e -> str_field "name" e = name) events in
+  Alcotest.(check bool) "escaped span name survives" true (has "sp\"an\\name");
+  Alcotest.(check bool) "escaped counter name survives" true (has "cnt\"");
+  Alcotest.(check bool) "args survive" true
+    (List.exists
+       (fun e ->
+         Option.bind (Json.member "args" e) (Json.member "k")
+         = Some (Json.Str "line1\nline2"))
+       events)
+
+(* A tiny two-domain repair with both exports of the store on. *)
+let traced_and_profiled_repair () =
+  let problem = Bench_suite.Defects.problem (Bench_suite.Defects.find 3) in
+  let cfg =
+    {
+      Cirfix.Config.default with
+      jobs = 2;
+      seed = 1;
+      pop_size = 10;
+      max_generations = 2;
+      max_probes = 100;
+      max_wall_seconds = 600.0;
+    }
+  in
+  Trace.start ();
+  Profile.start ();
+  ignore (Cirfix.Gp.repair cfg problem);
+  Profile.stop ();
+  let report = Profile.report () in
+  let doc = Option.get (Trace.stop ()) in
+  let spans =
+    List.filter (fun e -> str_field "ph" e = "X") (timeline_events doc)
+  in
+  (report, spans)
+
+let repair_exports = lazy (traced_and_profiled_repair ())
+
+(* The span-level sites a repair passes through. *)
+let span_sites =
+  [
+    "parse"; "golden_sim"; "gp.generation"; "gp.propose"; "gp.select";
+    "gp.minimize"; "eval.prepare_batch"; "evaluate"; "screen.static";
+    "screen.race"; "sim.elaborate"; "sim.run"; "pool.worker"; "pool.task";
+  ]
+
+(* One run, one set of frames: every timeline event is a closed frame of
+   a span-level site, and each such site has exactly as many events as
+   the profile tree has entries of it; the tree also holds the
+   profiler-only frames the timeline leaves out. *)
+let test_one_store_two_exports () =
+  let report, spans = Lazy.force repair_exports in
+  Alcotest.(check (list string)) "no imbalances" [] report.Profile.r_imbalances;
+  let events_of name =
+    List.length (List.filter (fun e -> str_field "name" e = name) spans)
+  in
+  let entries = Profile.by_leaf report in
+  let x_names =
+    List.sort_uniq compare (List.map (str_field "name") spans)
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " is a span-level site") true
+        (List.mem n span_sites))
+    x_names;
+  List.iter
+    (fun (name, _, count) ->
+      if List.mem name span_sites then
+        Alcotest.(check int) (name ^ ": one event per frame") count
+          (events_of name)
+      else
+        Alcotest.(check int) (name ^ ": profiler-only, no event") 0
+          (events_of name))
+    entries;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " in the timeline") true (List.mem n x_names))
+    [ "gp.generation"; "evaluate"; "sim.run"; "pool.task" ];
+  Alcotest.(check bool) "tree holds profiler-only frames" true
+    (List.exists (fun (n, _, _) -> n = "active") entries)
+
+let test_timeline_every_domain () =
+  let _, spans = Lazy.force repair_exports in
+  let tid e =
+    match Json.member "tid" e with Some (Json.Int t) -> t | _ -> -1
+  in
+  let tids = List.sort_uniq compare (List.map tid spans) in
+  Alcotest.(check int) "main domain and one worker" 2 (List.length tids);
+  let main =
+    tid (List.find (fun e -> str_field "name" e = "gp.generation") spans)
+  in
+  Alcotest.(check bool) "the worker's lifetime is on its own track" true
+    (List.exists
+       (fun e -> str_field "name" e = "pool.worker" && tid e <> main)
+       spans)
 
 let test_json_escaping_roundtrip () =
   let gnarly =
@@ -335,7 +452,7 @@ let test_run_end_counters () =
    that); the corpus reader skips and counts every bad line. *)
 let test_truncated_journal () =
   let good =
-    {|{"type":"run","engine":"gp","problem":"p","seed":1,"pop_size":2,"max_generations":1,"max_probes":9,"phi":2.0,"screen_mutants":true,"screen_races":false,"check_races":false,"prune":true,"check_pruning":false,"backend":"auto","slice":false}
+    {|{"type":"run","engine":"gp","problem":"p","seed":1,"pop_size":2,"max_generations":1,"max_probes":9,"phi":2.0,"screen_mutants":true,"screen_races":false,"check_races":false,"prune":true,"check_pruning":false,"slice":false}
 {"type":"generation","gen":1,"best":0.5,"median":0.5,"mean":0.5,"worst":0.0,"diversity":1,"population":2,"mutants":2,"probes":2,"lookups":2,"memo_hits":0,"compile_errors":0,"static_rejects":0,"oversize_rejects":0,"racy_rejects":0,"semantic_hits":0,"dead_edit_skips":0,"elapsed_s":0.1}
 |}
   in
@@ -371,6 +488,10 @@ let () =
           Alcotest.test_case "span imbalance" `Quick test_span_imbalance;
           Alcotest.test_case "render parses with gnarly names" `Quick
             test_trace_render_parses;
+          Alcotest.test_case "one store, two exports" `Quick
+            test_one_store_two_exports;
+          Alcotest.test_case "events from every pool domain" `Quick
+            test_timeline_every_domain;
         ] );
       ( "json",
         [ Alcotest.test_case "escaping round-trip" `Quick

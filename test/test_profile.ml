@@ -1,7 +1,8 @@
-(* Tests for the simulator self-profiler (lib/obs/profile.ml): path-tree
+(* Tests for the span store's profiler (lib/obs/profile.ml): path-tree
    accumulation and nesting, imbalance detection, determinism of the
-   folded-stack structure across same-seed simulations, and the
-   disabled-profiler contract (one boolean test per site, no allocation). *)
+   folded-stack structure across same-seed simulations, the region
+   ledger under the simulation frames, the shape of a profiled repair,
+   and the disabled contract (one boolean test per site, no allocation). *)
 
 open Obs
 
@@ -107,11 +108,10 @@ let test_folded_determinism () =
     (String.length f1 > 0);
   Alcotest.(check string) "same structure and counts across runs" f1 f2;
   (* The stacks carry the per-process attribution the ledger is built
-     from: scheduler regions at the root, processes nested below. *)
+     from: scheduler regions under the run frame, processes below. *)
   Alcotest.(check bool) "has an active region" true
     (List.exists
-       (fun line ->
-         String.length line >= 6 && String.sub line 0 6 = "active")
+       (String.starts_with ~prefix:"sim.run;active")
        (String.split_on_char '\n' f1));
   Alcotest.(check bool) "attributes a testbench process" true
     (let re = Str.regexp_string "proc:counter_tb" in
@@ -129,9 +129,9 @@ let test_disabled_no_alloc () =
   let site = Profile.site "test.disabled" in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    if Profile.enabled () then Profile.enter site;
+    if Profile.recording () then Profile.enter site;
     if Profile.enabled () then Profile.bump site;
-    if Profile.enabled () then Profile.leave site
+    if Profile.recording () then Profile.leave site
   done;
   let w1 = Gc.minor_words () in
   Alcotest.(check bool) "no allocation on the guarded hot path" true
@@ -140,17 +140,22 @@ let test_disabled_no_alloc () =
 (* A profiled simulation on the compiled backend uses the same region
    labels as the event backend, so ledgers line up side by side. *)
 let test_compiled_labels () =
+  let design = Verilog.Parser.parse_design counter_src in
   let regions backend =
-    with_profiler @@ fun () ->
-    (match Sim.Simulate.run_source ~backend ~source:counter_src spec with
-    | Ok r ->
+    match Sim.Simulate.profile ~runs:2 ~backend design spec with
+    | Ok p ->
         Alcotest.(check string) "backend engaged"
           (match backend with
           | Sim.Simulate.Auto -> "compiled"
           | _ -> "event")
-          (Sim.Simulate.backend_used_to_string r.Sim.Simulate.backend_used)
-    | Error (Sim.Simulate.Elab_failure m) -> Alcotest.failf "elab: %s" m);
-    Profile.regions (Profile.report ()) |> List.map (fun (n, _, _) -> n)
+          (Sim.Simulate.backend_used_to_string p.Sim.Simulate.used);
+        (* The regions tile the simulation: the run frame keeps only the
+           instant before its first region opens. *)
+        let sum = List.fold_left (fun a (_, ns) -> a +. ns) 0. p.regions in
+        Alcotest.(check bool) "regions tile the attributed time" true
+          (sum >= 0.95 *. p.ns_per_edge);
+        List.map fst p.regions
+    | Error (Sim.Simulate.Elab_failure m) -> Alcotest.failf "elab: %s" m
   in
   let ev = regions Sim.Simulate.Event
   and cp = regions Sim.Simulate.Auto in
@@ -163,6 +168,116 @@ let test_compiled_labels () =
         (Printf.sprintf "compiled ledger has %s" region)
         true (List.mem region cp))
     [ "elab"; "setup"; "active"; "nba"; "advance" ]
+
+(* A run that raises at run time (a continuous assignment reading an
+   undeclared name) escapes the region frames it was in; the run frame's
+   close unwinds them, so the next run's regions nest under its own run
+   frame rather than under the failed run's. *)
+let raising_src =
+  {|
+module d(input clk, output reg [7:0] q);
+  wire [7:0] unused;
+  assign unused = nope;
+  initial q = 0;
+  always @(posedge clk) q <= q + 1;
+endmodule
+module top;
+  reg clk;
+  wire [7:0] q;
+  d u(clk, q);
+  initial clk = 0;
+  always #5 clk = ~clk;
+  initial #50 $finish;
+endmodule
+|}
+
+let test_raising_run_unwinds () =
+  let raising = Verilog.Parser.parse_design raising_src
+  and good = Verilog.Parser.parse_design counter_src in
+  let raising_spec : Sim.Simulate.spec =
+    { top = "top"; clock = "top.clk"; dut_path = "top.u" }
+  in
+  let r =
+    with_profiler @@ fun () ->
+    List.iter
+      (fun backend ->
+        (match Sim.Simulate.run ~backend raising raising_spec with
+        | Error (Sim.Simulate.Elab_failure _) -> ()
+        | Ok _ -> Alcotest.fail "the raising design should fail");
+        match Sim.Simulate.run ~backend good spec with
+        | Ok _ -> ()
+        | Error (Sim.Simulate.Elab_failure m) -> Alcotest.failf "elab: %s" m)
+      [ Sim.Simulate.Event; Sim.Simulate.Auto ];
+    Profile.report ()
+  in
+  Alcotest.(check (list string)) "no imbalances" [] r.Profile.r_imbalances;
+  let roots =
+    List.sort_uniq compare
+      (List.map (fun (p : Profile.path) -> List.hd p.p_stack) r.Profile.r_paths)
+  in
+  Alcotest.(check (list string)) "only simulation frames at the root"
+    [ "sim.elaborate"; "sim.run" ] roots;
+  List.iter
+    (fun (p : Profile.path) ->
+      if List.length (List.filter (String.equal "sim.run") p.p_stack) > 1 then
+        Alcotest.failf "%s: a run nested in a run"
+          (String.concat ";" p.p_stack))
+    r.Profile.r_paths
+
+(* A profiled repair is one tree: the repair's layers at the top, and
+   every simulation region under a simulation frame. *)
+let test_repair_nesting () =
+  let problem = Bench_suite.Defects.problem (Bench_suite.Defects.find 3) in
+  let cfg =
+    {
+      Cirfix.Config.default with
+      jobs = 2;
+      seed = 1;
+      pop_size = 10;
+      max_generations = 2;
+      max_probes = 100;
+      max_wall_seconds = 600.0;
+    }
+  in
+  let r =
+    with_profiler @@ fun () ->
+    ignore (Cirfix.Gp.repair cfg problem);
+    Profile.report ()
+  in
+  Alcotest.(check (list string)) "no imbalances" [] r.Profile.r_imbalances;
+  let regions =
+    [ "elab"; "setup"; "comb"; "active"; "nba"; "monitor"; "advance"; "collect" ]
+  in
+  let is_gp = String.starts_with ~prefix:"gp." in
+  List.iter
+    (fun (p : Profile.path) ->
+      let stack = String.concat ";" p.p_stack in
+      (match p.p_stack with
+      | root :: _ ->
+          Alcotest.(check bool) (stack ^ ": no region at the root") false
+            (List.mem root regions)
+      | [] -> ());
+      (* Every region sits under a simulation frame. *)
+      let rec under_sim = function
+        | [] -> ()
+        | f :: _ when f = "sim.run" || f = "sim.elaborate" -> ()
+        | f :: rest ->
+            if List.mem f regions then
+              Alcotest.failf "%s: region %s outside a simulation frame" stack f;
+            under_sim rest
+      in
+      under_sim p.p_stack;
+      if List.exists is_gp p.p_stack then
+        Alcotest.(check bool) (stack ^ ": gp frames are roots") true
+          (is_gp (List.hd p.p_stack)))
+    r.Profile.r_paths;
+  let roots = List.map (fun (n, _, _) -> n) (Profile.regions r) in
+  Alcotest.(check bool) "generations are top-level frames" true
+    (List.mem "gp.generation" roots);
+  Alcotest.(check bool) "simulations are attributed" true
+    (List.exists
+       (fun (p : Profile.path) -> List.mem "active" p.p_stack)
+       r.Profile.r_paths)
 
 let () =
   Alcotest.run "profile"
@@ -178,6 +293,10 @@ let () =
             test_folded_determinism;
           Alcotest.test_case "region labels match across backends" `Quick
             test_compiled_labels;
+          Alcotest.test_case "raising run unwinds its regions" `Quick
+            test_raising_run_unwinds;
+          Alcotest.test_case "repair layers at the top" `Quick
+            test_repair_nesting;
         ] );
       ( "disabled",
         [
