@@ -100,9 +100,10 @@ let backend_arg =
 
 (* --- Observability options ----------------------------------------------
 
-   Three independent sinks, each enabled by naming an output file. All
-   default off; when off, the instrumented code paths reduce to a boolean
-   test per site. *)
+   Four sinks, each enabled by naming an output file: the trace timeline
+   and the profile are two exports of one span store, the metrics
+   registry and the journal stand alone. All default off; when off, the
+   instrumented code paths reduce to a boolean test per site. *)
 
 let obs_args =
   let trace =
@@ -120,7 +121,7 @@ let obs_args =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Write the metrics registry (counters, gauges, log-scale\n\
+            "Write the metrics registry (counters and log-scale\n\
              histograms) as JSON here and print a one-line summary to\n\
              stderr.")
   in
@@ -146,8 +147,9 @@ let obs_args =
   in
   Term.(const (fun t m j p -> (t, m, j, p)) $ trace $ metrics $ journal $ profile)
 
-(* The journal summary of a profiled run: per-region totals and GC work,
-   small enough to sit beside the other journal records. The full path
+(* The journal summary of a profiled run: per-region totals, pool-worker
+   idle time (outside the total) and GC work, small enough to sit beside
+   the other journal records. The full path
    tree goes to the --profile file, not the journal, and the record is
    only emitted when profiling was requested, so default journals stay
    byte-identical across parallelism degrees. *)
@@ -155,6 +157,7 @@ let profile_journal_record (r : Obs.Profile.report) =
   [
     ("type", Obs.Json.Str "profile");
     ("total_ns", Obs.Json.Int r.r_total_ns);
+    ("idle_ns", Obs.Json.Int r.r_idle_ns);
     ( "regions",
       Obs.Json.List
         (List.map

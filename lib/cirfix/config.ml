@@ -27,12 +27,11 @@ type t = {
   use_fix_loc : bool; (* ablation A1: restrict insert/replace sources *)
   use_templates : bool;
   use_fault_loc : bool; (* when false, every statement is a target *)
-  screen_mutants : bool;
-      (* pre-simulation static screening: statically-doomed mutants are
-         rejected (scored like compile errors) without being simulated *)
   screen_checks : Verilog.Analysis.check list;
-      (* which analyses the screener runs; keep this to cheap checks whose
-         findings imply a wasted simulation *)
+      (* pre-simulation static screening: the analyses run on every
+         mutant, which is rejected (scored like a compile error) without
+         being simulated when one fires; keep this to cheap checks whose
+         findings imply a wasted simulation, [] to screen nothing *)
   screen_races : bool;
       (* pre-simulation race screening: candidate modules containing a race
          hazard (Verilog.Race) are rejected without being simulated, under
@@ -75,7 +74,6 @@ let default =
     use_fix_loc = true;
     use_templates = true;
     use_fault_loc = true;
-    screen_mutants = true;
     screen_checks = [ Verilog.Analysis.Comb_loop ];
     (* Race screening is opt-in: it narrows the search space beyond what
        the paper's loop does. *)
@@ -96,7 +94,6 @@ let journal_fields (t : t) : (string * Obs.Json.t) list =
     ("max_generations", Obs.Json.Int t.max_generations);
     ("max_probes", Obs.Json.Int t.max_probes);
     ("phi", Obs.Json.Float t.phi);
-    ("screen_mutants", Obs.Json.Bool t.screen_mutants);
     ("screen_races", Obs.Json.Bool t.screen_races);
     ("prune", Obs.Json.Bool t.prune);
     ("check_pruning", Obs.Json.Bool t.check_pruning);

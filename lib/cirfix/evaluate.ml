@@ -350,7 +350,7 @@ let compute (ev : t) (candidate : Verilog.Ast.module_decl) : outcome =
     if oversize ev candidate then oversize_outcome
     else
       match
-        screen site_screen_static ev.cfg.screen_mutants
+        screen site_screen_static (ev.cfg.screen_checks <> [])
           (Verilog.Analysis.screen ~checks:ev.cfg.screen_checks)
       with
       | Some msg ->

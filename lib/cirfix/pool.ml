@@ -15,24 +15,29 @@ type t = {
 
 let size t = max 1 t.jobs
 
+let site_worker = Obs.Profile.site ~span:"pool" "pool.worker"
+let site_task = Obs.Profile.site ~span:"pool" "pool.task"
+
+(* Waiting for the lock and for work is idle time, not run time. *)
+let site_idle = Obs.Profile.site ~idle:true "pool.idle"
+
 (* Worker loop: claim a task, run it unlocked, repeat. Tasks never raise:
    [map] wraps user code and stores exceptions in the batch's error slots. *)
 let rec worker_loop (t : t) =
+  let on = Obs.Profile.enabled () in
+  if on then Obs.Profile.enter site_idle;
   Mutex.lock t.m;
   while Queue.is_empty t.tasks && not t.stop do
     Condition.wait t.work t.m
   done;
-  match Queue.take_opt t.tasks with
+  let next = Queue.take_opt t.tasks in
+  Mutex.unlock t.m;
+  if on then Obs.Profile.leave site_idle;
+  match next with
   | Some task ->
-      Mutex.unlock t.m;
       task ();
       worker_loop t
-  | None ->
-      (* stop was set and the queue is drained *)
-      Mutex.unlock t.m
-
-let site_worker = Obs.Profile.site ~span:"pool" "pool.worker"
-let site_task = Obs.Profile.site ~span:"pool" "pool.task"
+  | None -> (* stop was set and the queue is drained *) ()
 
 let create ~jobs : t =
   let t =
@@ -88,11 +93,13 @@ let map (t : t) (f : 'a -> 'b) (xs : 'a array) : 'b array =
           let on = Obs.Profile.recording () in
           if on then Obs.Profile.enter site_task;
           (try results.(i) <- Some (f xs.(i)) with e -> errors.(i) <- Some e);
-          if on then Obs.Profile.leave site_task;
+          (* Reporting completion is part of the task's frame, so a
+             worker's time is either a task or idle. *)
           Mutex.lock t.m;
           decr remaining;
           if !remaining = 0 then Condition.broadcast t.finished;
-          Mutex.unlock t.m)
+          Mutex.unlock t.m;
+          if on then Obs.Profile.leave site_task)
         t.tasks
     done;
     Condition.broadcast t.work;

@@ -1,4 +1,4 @@
-(* Process-global metrics registry: named counters, gauges, and log-scale
+(* Process-global metrics registry: named counters and log-scale
    histograms, dumpable as JSON and as a one-line human summary.
 
    Instruments register eagerly at module load (registration is cheap and
@@ -9,7 +9,6 @@
    concurrently without a lock. *)
 
 type counter = { c_name : string; c : int Atomic.t }
-type gauge = { g_name : string; mutable g : float }
 
 (* Log2 bucketing: observation 0 lands in bucket 0; a positive value v
    lands in the bucket whose index is the bit length of v, i.e. bucket k
@@ -30,7 +29,6 @@ let set_enabled b = enabled_flag := b
 
 let reg_m = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 8
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let with_reg f =
@@ -45,15 +43,6 @@ let counter (name : string) : counter =
           let c = { c_name = name; c = Atomic.make 0 } in
           Hashtbl.add counters name c;
           c)
-
-let gauge (name : string) : gauge =
-  with_reg (fun () ->
-      match Hashtbl.find_opt gauges name with
-      | Some g -> g
-      | None ->
-          let g = { g_name = name; g = 0. } in
-          Hashtbl.add gauges name g;
-          g)
 
 let histogram (name : string) : histogram =
   with_reg (fun () ->
@@ -75,7 +64,6 @@ let histogram (name : string) : histogram =
 let incr (c : counter) = Atomic.incr c.c
 let add (c : counter) (n : int) = ignore (Atomic.fetch_and_add c.c n)
 let value (c : counter) = Atomic.get c.c
-let set_gauge (g : gauge) (v : float) = g.g <- v
 
 let bucket_of (v : int) : int =
   (* Bit length of a non-negative value; 0 -> 0, max_int -> 62. *)
@@ -102,9 +90,6 @@ let dump () : Json.t =
         sorted_fold counters
         |> List.map (fun (name, c) -> (name, Json.Int (Atomic.get c.c)))
       in
-      let gauges_j =
-        sorted_fold gauges |> List.map (fun (name, g) -> (name, Json.Float g.g))
-      in
       let histograms_j =
         sorted_fold histograms
         |> List.map (fun (name, h) ->
@@ -127,7 +112,6 @@ let dump () : Json.t =
       Json.Obj
         [
           ("counters", Json.Obj counters_j);
-          ("gauges", Json.Obj gauges_j);
           ("histograms", Json.Obj histograms_j);
         ])
 
@@ -160,7 +144,6 @@ let summary () : string =
 let reset () =
   with_reg (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c.c 0) counters;
-      Hashtbl.iter (fun _ g -> g.g <- 0.) gauges;
       Hashtbl.iter
         (fun _ h ->
           Array.iter (fun b -> Atomic.set b 0) h.buckets;

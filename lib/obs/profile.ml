@@ -14,6 +14,7 @@ type site = {
   s_name : string;
   s_cat : string option; (* span-level: the timeline category *)
   s_tiled : bool;
+  s_idle : bool; (* waiting, not work: kept out of paths and total *)
 }
 
 let site_name s = s.s_name
@@ -27,28 +28,31 @@ let sites : (string, site) Hashtbl.t = Hashtbl.create 64
    site ids are bounded so path ids get the remaining bits. *)
 let site_bits = 20
 
-let site ?span ?(tiled = false) name : site =
+let site ?span ?(tiled = false) ?(idle = false) name : site =
   Mutex.lock reg_m;
   let s =
     match Hashtbl.find_opt sites name with
     | Some s -> s
     | None ->
         let s_id = Hashtbl.length sites in
-        let s = { s_id; s_name = name; s_cat = span; s_tiled = tiled } in
+        let s =
+          { s_id; s_name = name; s_cat = span; s_tiled = tiled; s_idle = idle }
+        in
         Hashtbl.add sites name s;
         s
   in
   Mutex.unlock reg_m;
   if s.s_id >= 1 lsl site_bits then
     invalid_arg "Profile.site: too many distinct sites";
-  if s.s_cat <> span || s.s_tiled <> tiled then
+  if s.s_cat <> span || s.s_tiled <> tiled || s.s_idle <> idle then
     invalid_arg ("Profile.site: " ^ name ^ " redeclared with other properties");
   s
 
 (* --- Per-domain accumulators ------------------------------------------ *)
 
 (* The root sentinel's site: the top level tiles, like a tiled frame. *)
-let root = { s_id = -1; s_name = ""; s_cat = None; s_tiled = true }
+let root =
+  { s_id = -1; s_name = ""; s_cat = None; s_tiled = true; s_idle = false }
 
 type event = {
   e_name : string;
@@ -300,6 +304,7 @@ type gc_delta = {
 
 type report = {
   r_total_ns : int;
+  r_idle_ns : int;
   r_paths : path list;
   r_gc : gc_delta;
   r_imbalances : string list;
@@ -321,10 +326,12 @@ let report () : report =
   (* Fold every domain's tree into one (stack -> ns, count) table; the
      stack key is the folded string itself, which is also what we emit. *)
   let merged : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 256 in
+  let idle = ref 0 in
   List.iter
     (fun d ->
       for id = 1 to d.n_paths - 1 do
-        if d.ns.(id) <> 0 || d.cnt.(id) <> 0 then begin
+        if d.psite.(id).s_idle then idle := !idle + d.ns.(id)
+        else if d.ns.(id) <> 0 || d.cnt.(id) <> 0 then begin
           let rec stack id acc =
             if id = 0 then acc
             else stack d.parent.(id) (d.psite.(id).s_name :: acc)
@@ -357,6 +364,7 @@ let report () : report =
   let g0 = !gc_base and g1 = Gc.quick_stat () in
   {
     r_total_ns = total;
+    r_idle_ns = !idle;
     r_paths = paths;
     r_gc =
       {
@@ -430,6 +438,7 @@ let to_json (r : report) : Json.t =
   Json.Obj
     [
       ("total_ns", Json.Int r.r_total_ns);
+      ("idle_ns", Json.Int r.r_idle_ns);
       ( "paths",
         Json.List
           (List.map

@@ -23,12 +23,15 @@ type site
 (* An interned attribution point, created at module load or once per
    launch: mutex-guarded and idempotent per name. *)
 
-val site : ?span:string -> ?tiled:bool -> string -> site
+val site : ?span:string -> ?tiled:bool -> ?idle:bool -> string -> site
 (* [site name] is a profiler-only site. [site ~span:cat name] is a
    span-level site: closing one of its frames while a timeline records
    appends an event of category [cat]. [~tiled:true] marks a frame whose
-   children tile it, like the top level does (see [enter]). Redeclaring
-   a name with other properties raises [Invalid_argument]. *)
+   children tile it, like the top level does (see [enter]). [~idle:true]
+   marks a wait (a pool worker with no work): its self time is reported
+   as [r_idle_ns], outside the paths and the total the shares divide
+   by. Redeclaring a name with other properties raises
+   [Invalid_argument]. *)
 
 val site_name : site -> string
 
@@ -118,6 +121,7 @@ type gc_delta = {
 
 type report = {
   r_total_ns : int; (* sum of self time over all paths, all domains *)
+  r_idle_ns : int; (* self time of idle sites, all domains; not in paths *)
   r_paths : path list; (* merged across domains, sorted by stack *)
   r_gc : gc_delta; (* since [start], on the reporting domain *)
   r_imbalances : string list; (* as [imbalances ()] *)

@@ -731,8 +731,8 @@ let render_profiling (records : Json.t list) : string =
       | None -> ());
       Buffer.contents buf
 
-(* Optional metrics dump ({!Metrics.dump} JSON): counters, gauges, and
-   histograms as tables. *)
+(* Optional metrics dump ({!Metrics.dump} JSON): counters and histograms
+   as tables. *)
 let render_metrics (metrics : Json.t option) : string =
   match metrics with
   | None -> missing "metrics (pass --metrics)"
@@ -748,13 +748,6 @@ let render_metrics (metrics : Json.t option) : string =
           Buffer.add_string buf
             (table [ "counter"; "value" ]
                (List.map (fun (k, v) -> [ html_escape k; scalar_cell v ]) cs)));
-      (match obj "gauges" with
-      | [] -> ()
-      | gs ->
-          Buffer.add_string buf "<h3>gauges</h3>\n";
-          Buffer.add_string buf
-            (table [ "gauge"; "value" ]
-               (List.map (fun (k, v) -> [ html_escape k; scalar_cell v ]) gs)));
       (match obj "histograms" with
       | [] -> ()
       | hs ->

@@ -10,146 +10,20 @@ open Ast
 module Names = Deps.Names
 module SMap = Map.Make (String)
 
-(* --- Declaration environment ------------------------------------------- *)
-
-type env = {
-  params : int SMap.t; (* constant-valued parameters *)
-  widths : int SMap.t; (* declared net widths *)
-  arrays : Names.t; (* memories (word-select indexing) *)
-  regs : Names.t; (* nets declared reg (not integer) *)
-  decl_inited : Names.t; (* nets with a declaration initializer *)
-  decl_node : id SMap.t; (* name -> first declaring item *)
-}
-
-(* Constant folding over parameters; [None] when not statically known. *)
-let rec const_eval (env : env) (e : expr) : int option =
-  match e.e with
-  | Number v -> Logic4.Vec.to_int v
-  | IntLit n -> Some n
-  | Ident n -> SMap.find_opt n env.params
-  | Unop (op, a) -> (
-      match (const_eval env a, op) with
-      | Some x, Uplus -> Some x
-      | Some x, Uminus -> Some (-x)
-      | Some x, Unot -> Some (if x = 0 then 1 else 0)
-      | _ -> None)
-  | Binop (op, a, b) -> (
-      match (const_eval env a, const_eval env b) with
-      | Some x, Some y -> (
-          let bool_ c = Some (if c then 1 else 0) in
-          match op with
-          | Add -> Some (x + y)
-          | Sub -> Some (x - y)
-          | Mul -> Some (x * y)
-          | Div -> if y = 0 then None else Some (x / y)
-          | Mod -> if y = 0 then None else Some (x mod y)
-          | Land -> bool_ (x <> 0 && y <> 0)
-          | Lor -> bool_ (x <> 0 || y <> 0)
-          | Band -> Some (x land y)
-          | Bor -> Some (x lor y)
-          | Bxor -> Some (x lxor y)
-          | Eq | Ceq -> bool_ (x = y)
-          | Neq | Cneq -> bool_ (x <> y)
-          | Lt -> bool_ (x < y)
-          | Le -> bool_ (x <= y)
-          | Gt -> bool_ (x > y)
-          | Ge -> bool_ (x >= y)
-          | Shl -> if y >= 0 && y < 62 then Some (x lsl y) else None
-          | Shr -> if y >= 0 && y < 62 then Some (x lsr y) else None
-          | Bxnor -> None)
-      | _ -> None)
-  | Cond (c, t, f) -> (
-      match const_eval env c with
-      | Some 0 -> const_eval env f
-      | Some _ -> const_eval env t
-      | None -> None)
-  | _ -> None
-
-let range_width env (r : range) : int option =
-  match (const_eval env r.msb, const_eval env r.lsb) with
-  | Some m, Some l -> Some (abs (m - l) + 1)
-  | _ -> None
-
-let build_env (m : module_decl) : env =
-  let empty =
-    {
-      params = SMap.empty;
-      widths = SMap.empty;
-      arrays = Names.empty;
-      regs = Names.empty;
-      decl_inited = Names.empty;
-      decl_node = SMap.empty;
-    }
-  in
-  let declare n iid env =
-    if SMap.mem n env.decl_node then env
-    else { env with decl_node = SMap.add n iid env.decl_node }
-  in
-  List.fold_left
-    (fun env (item : item) ->
-      match item.it with
-      | ParamDecl (_, pairs) ->
-          List.fold_left
-            (fun env (n, e) ->
-              match const_eval env e with
-              | Some v -> { env with params = SMap.add n v env.params }
-              | None -> env)
-            env pairs
-      | PortDecl (_, kind, range, names) ->
-          let w =
-            match range with
-            | None -> Some 1
-            | Some r -> range_width env r
-          in
-          List.fold_left
-            (fun env n ->
-              let env = declare n item.iid env in
-              let env =
-                match w with
-                | Some w -> { env with widths = SMap.add n w env.widths }
-                | None -> env
-              in
-              match kind with
-              | Some Reg -> { env with regs = Names.add n env.regs }
-              | _ -> env)
-            env names
-      | NetDecl (kind, range, ds) ->
-          let w =
-            match (kind, range) with
-            | Integer, _ -> Some 32
-            | _, None -> Some 1
-            | _, Some r -> range_width env r
-          in
-          List.fold_left
-            (fun env d ->
-              let env = declare d.d_name item.iid env in
-              let env =
-                match w with
-                | Some w -> { env with widths = SMap.add d.d_name w env.widths }
-                | None -> env
-              in
-              let env =
-                if d.d_array <> None then
-                  { env with arrays = Names.add d.d_name env.arrays }
-                else env
-              in
-              let env =
-                if kind = Reg then { env with regs = Names.add d.d_name env.regs }
-                else env
-              in
-              if d.d_init <> None then
-                { env with decl_inited = Names.add d.d_name env.decl_inited }
-              else env)
-            env ds
-      | _ -> env)
-    empty m.items
-
 (* --- Expression widths -------------------------------------------------- *)
+
+(* Widths read the module's one declaration environment
+   ({!Dataflow.denv}), whose parameters and range bounds go through the
+   elaborator's 4-valued evaluation: a sized parameter that wraps gives
+   the width the simulator records. *)
 
 (* Self-determined width; [None] means context-determined (unsized
    literals, parameters) or unknown — such operands adapt to the other
-   side and are never reported as truncating. *)
-let rec width_of (env : env) (e : expr) : int option =
+   side and are never reported as truncating. [Dataflow.expr_width]
+   answers a different question over the same environment (the width
+   the simulator's evaluator returns, 32 for an unsized literal), so the
+   two stay apart. *)
+let rec width_of (d : Dataflow.denv) (e : expr) : int option =
   let join a b =
     match (a, b) with
     | Some x, Some y -> Some (max x y)
@@ -159,46 +33,41 @@ let rec width_of (env : env) (e : expr) : int option =
   match e.e with
   | Number v -> Some (Logic4.Vec.width v)
   | IntLit _ | String _ -> None
-  | Ident n -> if SMap.mem n env.params then None else SMap.find_opt n env.widths
+  | Ident n ->
+      if Dataflow.param_value d n <> None then None else Dataflow.net_width d n
   | Index (n, _) ->
-      if Names.mem n env.arrays then SMap.find_opt n env.widths else Some 1
-  | RangeSel (_, a, b) -> (
-      match (const_eval env a, const_eval env b) with
-      | Some m, Some l -> Some (abs (m - l) + 1)
-      | _ -> None)
-  | Unop ((Uplus | Uminus | Ubnot), a) -> width_of env a
+      if Dataflow.is_array d n then Dataflow.net_width d n else Some 1
+  | RangeSel (_, a, b) -> Dataflow.span_width d a b
+  | Unop ((Uplus | Uminus | Ubnot), a) -> width_of d a
   | Unop (_, _) -> Some 1 (* reductions and ! *)
   | Binop ((Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Bxnor), a, b) ->
-      join (width_of env a) (width_of env b)
-  | Binop ((Shl | Shr), a, _) -> width_of env a
+      join (width_of d a) (width_of d b)
+  | Binop ((Shl | Shr), a, _) -> width_of d a
   | Binop (_, _, _) -> Some 1 (* relational, logical, case equality *)
-  | Cond (_, t, f) -> join (width_of env t) (width_of env f)
+  | Cond (_, t, f) -> join (width_of d t) (width_of d f)
   | Concat es ->
       List.fold_left
         (fun acc x ->
-          match (acc, width_of env x) with
+          match (acc, width_of d x) with
           | Some a, Some w -> Some (a + w)
           | _ -> None)
         (Some 0) es
   | Repl (n, x) -> (
-      match (const_eval env n, width_of env x) with
+      match (Dataflow.param_int d n, width_of d x) with
       | Some k, Some w when k > 0 -> Some (k * w)
       | _ -> None)
   | Call _ -> None
 
-let rec lvalue_width (env : env) (lv : lvalue) : int option =
+let rec lvalue_width (d : Dataflow.denv) (lv : lvalue) : int option =
   match lv with
-  | LId n -> SMap.find_opt n env.widths
+  | LId n -> Dataflow.net_width d n
   | LIndex (n, _) ->
-      if Names.mem n env.arrays then SMap.find_opt n env.widths else Some 1
-  | LRange (_, a, b) -> (
-      match (const_eval env a, const_eval env b) with
-      | Some m, Some l -> Some (abs (m - l) + 1)
-      | _ -> None)
+      if Dataflow.is_array d n then Dataflow.net_width d n else Some 1
+  | LRange (_, a, b) -> Dataflow.span_width d a b
   | LConcat lvs ->
       List.fold_left
         (fun acc l ->
-          match (acc, lvalue_width env l) with
+          match (acc, lvalue_width d l) with
           | Some a, Some w -> Some (a + w)
           | _ -> None)
         (Some 0) lvs
@@ -328,9 +197,10 @@ let check_comb_loop ~modname (g : Deps.t) : Lint.finding list =
 (* X-propagation seeds: state registers that are read but have no
    initialization path, so they hold x from power-on and poison every
    computation they feed. *)
-let check_uninit_reg ~modname (m : module_decl) (env : env) (g : Deps.t) :
-    Lint.finding list =
-  let node_of n = Option.value (SMap.find_opt n env.decl_node) ~default:m.mid in
+let check_uninit_reg ~modname (m : module_decl) (d : Dataflow.denv)
+    (g : Deps.t) : Lint.finding list =
+  let decl_nodes = Dataflow.decl_nodes m in
+  let node_of n = Option.value (SMap.find_opt n decl_nodes) ~default:m.mid in
   let reads = Deps.all_reads g in
   let resets = Names.filter resetish_name reads in
   (* Zero-delay drivers recompute a net combinationally; clocked and
@@ -363,27 +233,27 @@ let check_uninit_reg ~modname (m : module_decl) (env : env) (g : Deps.t) :
       (Names.empty, Names.empty, Names.empty, Names.empty)
       (Deps.nodes g)
   in
-  Names.fold
-    (fun r acc ->
+  List.filter_map
+    (fun r ->
       if
         (not (Names.mem r reads))
-        || Names.mem r env.arrays
-        || Names.mem r env.decl_inited
+        || Dataflow.is_array d r
+        || Dataflow.is_inited d r
         || Names.mem r init_writes
         || Names.mem r comb_driven
-      then acc
+      then None
       else if not (Names.mem r state_driven) then
-        finding Lint.Warning "uninit-reg" ~modname (node_of r)
-          "%s is read but never assigned: it stays x forever" r
-        :: acc
-      else if Names.mem r reset_guarded then acc
+        Some
+          (finding Lint.Warning "uninit-reg" ~modname (node_of r)
+             "%s is read but never assigned: it stays x forever" r)
+      else if Names.mem r reset_guarded then None
       else
-        finding Lint.Warning "uninit-reg" ~modname (node_of r)
-          "%s is read but has no reset path or initial value (powers up as x)"
-          r
-        :: acc)
-    env.regs []
-  |> List.rev
+        Some
+          (finding Lint.Warning "uninit-reg" ~modname (node_of r)
+             "%s is read but has no reset path or initial value (powers up \
+              as x)"
+             r))
+    (Dataflow.regs d)
 
 (* Bits needed to represent a non-negative literal value. *)
 let bits_needed v =
@@ -391,10 +261,10 @@ let bits_needed v =
   go 0 v
 
 (* Width / truncation checking on assignments and port connections. *)
-let check_width ~modname (env : env) (g : Deps.t) : Lint.finding list =
+let check_width ~modname (d : Dataflow.denv) (g : Deps.t) : Lint.finding list =
   let acc = ref [] in
   let check_assign node lhs rhs =
-    match lvalue_width env lhs with
+    match lvalue_width d lhs with
     | None -> ()
     | Some lw -> (
         match rhs.e with
@@ -409,7 +279,7 @@ let check_width ~modname (env : env) (g : Deps.t) : Lint.finding list =
                   (if lw = 1 then "" else "s")
                 :: !acc
         | _ -> (
-            match width_of env rhs with
+            match width_of d rhs with
             | Some rw when rw > lw ->
                 acc :=
                   finding Lint.Warning "width-truncation" ~modname node
@@ -434,12 +304,12 @@ let check_width ~modname (env : env) (g : Deps.t) : Lint.finding list =
                (fun () _ -> ())
                () s)
       | Instance { inst; child = Some callee; bindings }, _ ->
-          let cenv = build_env callee in
+          let callee_d = Dataflow.denv_of callee in
           List.iter
             (fun (b : Deps.binding) ->
-              match (b.conn, SMap.find_opt b.port cenv.widths) with
+              match (b.conn, Dataflow.net_width callee_d b.port) with
               | Some e, Some pw -> (
-                  match width_of env e with
+                  match width_of d e with
                   | Some ew when pw <> ew ->
                       acc :=
                         finding Lint.Warning "port-width" ~modname n.id
@@ -492,19 +362,22 @@ let check_module ?design ?(checks = all_checks) (m : module_decl) :
     Lint.finding list =
   let modname = m.mod_id in
   let g = Deps.build ?design m in
-  (* The declaration environment is only built for the checks that read
-     it: the default screen (comb loops alone) never pays for it. *)
-  let env = lazy (build_env m) in
+  (* The declaration environment and the dataflow fixpoint are built only
+     for the checks that read them, each at most once: the default screen
+     (comb loops alone) pays for neither. *)
+  let denv = lazy (Dataflow.denv_of m) in
+  let facts = lazy (Dataflow.facts_of m) in
   List.concat_map
     (function
       | Comb_loop -> check_comb_loop ~modname g
-      | Uninit_reg -> check_uninit_reg ~modname m (Lazy.force env) g
-      | Width -> check_width ~modname (Lazy.force env) g
+      | Uninit_reg -> check_uninit_reg ~modname m (Lazy.force denv) g
+      | Width -> check_width ~modname (Lazy.force denv) g
       (* Constant conditions (if / ?: / while / case subjects) are proved
          by the dataflow fixpoint, which also carries the remaining
          dataflow rules. *)
-      | Const_cond -> Dataflow.const_cond_findings ~modname m
-      | Dataflow_facts -> Dataflow.extra_findings ~modname m
+      | Const_cond ->
+          Dataflow.const_cond_findings ~modname m (Lazy.force facts)
+      | Dataflow_facts -> Dataflow.extra_findings ~modname m (Lazy.force facts)
       | Cone -> check_cone ~modname m g)
     checks
 

@@ -13,13 +13,33 @@
 
 (* Declarations of one module: parameter values (evaluated in
    declaration order, as the elaborator does), net widths, memories,
-   storage kinds and port directions. *)
+   storage kinds and port directions. The one per-module declaration
+   environment: [Analysis]'s width and uninit-reg rules read it too. *)
 type denv
 
 val denv_of : Ast.module_decl -> denv
 val param_value : denv -> string -> Logic4.Vec.t option
+
+(* Storage width; a range the evaluator cannot fold counts as 1 bit. *)
 val net_width : denv -> string -> int option
 val is_array : denv -> string -> bool
+
+(* Names declared [reg] (not [integer]), name-sorted. *)
+val regs : denv -> string list
+
+(* Has a declaration initializer ([reg r = e], [wire w = e]). *)
+val is_inited : denv -> string -> bool
+
+(* Parameters-only integer value of an expression (range bounds,
+   replication counts), through the abstract evaluator. *)
+val param_int : denv -> Ast.expr -> int option
+
+(* Width of an [msb:lsb] range or part-select whose bounds [param_int]
+   folds. *)
+val span_width : denv -> Ast.expr -> Ast.expr -> int option
+
+(* Name -> first declaring item (port, net or event declaration). *)
+val decl_nodes : Ast.module_decl -> Ast.id Map.Make(String).t
 
 (* Width of the vector the simulator's evaluator would return for this
    expression, when it is statically determined. *)
@@ -46,13 +66,14 @@ type facts
 val facts_of : Ast.module_decl -> facts
 
 (* The "constant-condition" rule (stable id shared with PR 1's check,
-   which now delegates here). *)
+   which now delegates here), over the module's facts. *)
 val const_cond_findings :
-  modname:string -> Ast.module_decl -> Lint.finding list
+  modname:string -> Ast.module_decl -> facts -> Lint.finding list
 
 (* The remaining dataflow rules: constant-net, x-source,
    unreachable-code and dead-assignment, in pinned order. *)
-val extra_findings : modname:string -> Ast.module_decl -> Lint.finding list
+val extra_findings :
+  modname:string -> Ast.module_decl -> facts -> Lint.finding list
 
 (* Hash of the module with provably-dead code erased: statements in
    branches decided by parameters/literals alone and stores to

@@ -139,7 +139,7 @@ let test_journal_close_idempotent () =
 
 let synthetic_journal =
   [
-    {|{"type":"run","engine":"gp","problem":"toy","seed":1,"pop_size":4,"max_generations":2,"max_probes":10,"phi":2,"screen_mutants":true,"screen_races":false,"check_races":false}|};
+    {|{"type":"run","engine":"gp","problem":"toy","seed":1,"pop_size":4,"max_generations":2,"max_probes":10,"phi":2,"screen_races":false}|};
     {|{"type":"localization","mismatch":["q"],"iterations":2,"implicated":2,"nodes":[{"id":3,"round":1,"weight":1},{"id":5,"round":2,"weight":0.5}],"source":[{"text":"module toy;","weight":0},{"text":"assign q = 0;","weight":1}]}|};
     {|{"type":"attribution","gen":0,"fitness":0.5,"status":"simulated","signals":[{"name":"q","sum":1,"total":2,"fitness":0.5,"first_divergence":15}]}|};
     {|{"type":"generation","gen":1,"best":0.75,"median":0.5,"mean":0.5,"worst":0.25,"diversity":3,"population":4,"mutants":4,"probes":5,"lookups":5,"memo_hits":0,"compile_errors":0,"static_rejects":0,"oversize_rejects":0,"racy_rejects":0,"elapsed_s":0.01}|};

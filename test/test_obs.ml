@@ -452,7 +452,7 @@ let test_run_end_counters () =
    that); the corpus reader skips and counts every bad line. *)
 let test_truncated_journal () =
   let good =
-    {|{"type":"run","engine":"gp","problem":"p","seed":1,"pop_size":2,"max_generations":1,"max_probes":9,"phi":2.0,"screen_mutants":true,"screen_races":false,"check_races":false,"prune":true,"check_pruning":false,"slice":false}
+    {|{"type":"run","engine":"gp","problem":"p","seed":1,"pop_size":2,"max_generations":1,"max_probes":9,"phi":2.0,"screen_races":false,"prune":true,"check_pruning":false}
 {"type":"generation","gen":1,"best":0.5,"median":0.5,"mean":0.5,"worst":0.0,"diversity":1,"population":2,"mutants":2,"probes":2,"lookups":2,"memo_hits":0,"compile_errors":0,"static_rejects":0,"oversize_rejects":0,"racy_rejects":0,"semantic_hits":0,"dead_edit_skips":0,"elapsed_s":0.1}
 |}
   in

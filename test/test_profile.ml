@@ -226,24 +226,26 @@ let test_raising_run_unwinds () =
 
 (* A profiled repair is one tree: the repair's layers at the top, and
    every simulation region under a simulation frame. *)
+let profiled_repair =
+  lazy
+    (let problem = Bench_suite.Defects.problem (Bench_suite.Defects.find 3) in
+     let cfg =
+       {
+         Cirfix.Config.default with
+         jobs = 2;
+         seed = 1;
+         pop_size = 10;
+         max_generations = 2;
+         max_probes = 100;
+         max_wall_seconds = 600.0;
+       }
+     in
+     with_profiler @@ fun () ->
+     ignore (Cirfix.Gp.repair cfg problem);
+     Profile.report ())
+
 let test_repair_nesting () =
-  let problem = Bench_suite.Defects.problem (Bench_suite.Defects.find 3) in
-  let cfg =
-    {
-      Cirfix.Config.default with
-      jobs = 2;
-      seed = 1;
-      pop_size = 10;
-      max_generations = 2;
-      max_probes = 100;
-      max_wall_seconds = 600.0;
-    }
-  in
-  let r =
-    with_profiler @@ fun () ->
-    ignore (Cirfix.Gp.repair cfg problem);
-    Profile.report ()
-  in
+  let r = Lazy.force profiled_repair in
   Alcotest.(check (list string)) "no imbalances" [] r.Profile.r_imbalances;
   let regions =
     [ "elab"; "setup"; "comb"; "active"; "nba"; "monitor"; "advance"; "collect" ]
@@ -279,6 +281,28 @@ let test_repair_nesting () =
        (fun (p : Profile.path) -> List.mem "active" p.p_stack)
        r.Profile.r_paths)
 
+(* A pool worker's wait for work is idle time, not run time: it is
+   reported apart, and the top-level shares divide work alone. *)
+let test_worker_idle () =
+  let r = Lazy.force profiled_repair in
+  Alcotest.(check bool) "worker idle time reported" true (r.Profile.r_idle_ns > 0);
+  Alcotest.(check bool) "no idle frame among the paths" false
+    (List.exists
+       (fun (p : Profile.path) -> List.mem "pool.idle" p.p_stack)
+       r.Profile.r_paths);
+  let worker_self =
+    List.fold_left
+      (fun acc (p : Profile.path) ->
+        if p.p_stack = [ "pool.worker" ] then acc + p.p_ns else acc)
+      0 r.Profile.r_paths
+  in
+  if 20 * worker_self >= r.Profile.r_total_ns then
+    Alcotest.failf "pool.worker self time %d ns is 5%% or more of %d ns"
+      worker_self r.Profile.r_total_ns;
+  Alcotest.(check int) "top-level regions sum to the total"
+    r.Profile.r_total_ns
+    (List.fold_left (fun acc (_, ns, _) -> acc + ns) 0 (Profile.regions r))
+
 let () =
   Alcotest.run "profile"
     [
@@ -297,6 +321,8 @@ let () =
             test_raising_run_unwinds;
           Alcotest.test_case "repair layers at the top" `Quick
             test_repair_nesting;
+          Alcotest.test_case "worker idle outside the shares" `Quick
+            test_worker_idle;
         ] );
       ( "disabled",
         [

@@ -418,6 +418,44 @@ let test_analysis_literal_overflow () =
   Alcotest.(check bool) "7 into 4 bits clean" false
     (List.mem "width-truncation" (rules (analyze fits)))
 
+(* Width findings read the simulator's widths: the two corner designs
+   of fixtures/analysis_env.v that elaborate, checked against the widths
+   the elaborator records. A rangeless reg redeclaration keeps the
+   port's 8 bits; 3'd7 + 3'd1 wraps to 0, so [P:0] is 1 bit. *)
+let test_analysis_width_follows_simulator () =
+  let case ~top src ~net ~sim_width ~truncations =
+    let m = parse_m src in
+    let elab = Sim.Elaborate.elaborate [ m ] ~top in
+    (match Sim.Runtime.find_var elab.Sim.Elaborate.st (top ^ "." ^ net) with
+    | Some v ->
+        Alcotest.(check int) (net ^ " simulated width") sim_width
+          v.Sim.Runtime.v_width
+    | None -> Alcotest.fail (net ^ " not elaborated"));
+    let found =
+      List.filter
+        (fun (f : Verilog.Lint.finding) ->
+          f.rule = "width-truncation"
+          && String.ends_with ~suffix:(Printf.sprintf "%d-bit %s" sim_width net)
+               f.message)
+        (analyze ~checks:[ Verilog.Analysis.Width ] m)
+    in
+    Alcotest.(check int) (net ^ " truncations") truncations (List.length found);
+    Alcotest.(check int) (net ^ " width findings") truncations
+      (List.length (analyze ~checks:[ Verilog.Analysis.Width ] m))
+  in
+  case ~top:"redecl"
+    "module redecl(clk, d, q2); input clk; input [7:0] d;\n\
+     output [7:0] q2; reg q2;\n\
+     always @(posedge clk) q2 <= d;\n\
+     endmodule"
+    ~net:"q2" ~sim_width:8 ~truncations:0;
+  case ~top:"wrap"
+    "module wrap(clk, w); input clk; parameter P = 3'd7 + 3'd1;\n\
+     output [P:0] w; reg [P:0] w;\n\
+     always @(posedge clk) w <= 8'hff;\n\
+     endmodule"
+    ~net:"w" ~sim_width:1 ~truncations:1
+
 let test_analysis_port_width () =
   let d =
     parse
@@ -548,9 +586,9 @@ let test_gp_screener_end_to_end () =
   let r = Cirfix.Gp.repair cfg problem in
   Alcotest.(check bool) "screener fired" true
     ((Cirfix.Evaluate.get r.counters Static_rejects) > 0);
-  (* Disabling the screener recovers the old behavior: nothing is
+  (* An empty check list recovers the unscreened behavior: nothing is
      statically rejected. *)
-  let off = Cirfix.Gp.repair { cfg with screen_mutants = false } problem in
+  let off = Cirfix.Gp.repair { cfg with screen_checks = [] } problem in
   Alcotest.(check int) "screening off" 0
     (Cirfix.Evaluate.get off.counters Static_rejects)
 
@@ -732,6 +770,8 @@ let () =
           Alcotest.test_case "literal overflow" `Quick
             test_analysis_literal_overflow;
           Alcotest.test_case "port width" `Quick test_analysis_port_width;
+          Alcotest.test_case "width follows simulator" `Quick
+            test_analysis_width_follows_simulator;
           Alcotest.test_case "constant condition" `Quick test_analysis_const_cond;
           Alcotest.test_case "screen" `Quick test_analysis_screen;
           Alcotest.test_case "evaluate rejects static" `Quick
