@@ -147,8 +147,12 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
       else begin
         let on = Obs.Profile.recording () in
         if on then Obs.Profile.enter site_chunk;
-        let mods = Array.map (Patch.apply original) chunk in
-        let prepared = Evaluate.prepare ev ~pool mods in
+        let cands =
+          Pool.map pool
+            (fun p -> Evaluate.candidate (Patch.apply original p))
+            chunk
+        in
+        let prepared = Evaluate.prepare ev ~pool cands in
         Array.iteri
           (fun i p ->
             if !found = None && not (out_of_resources ()) then (
@@ -180,7 +184,10 @@ let search ?(max_depth = 2) ?on_progress (cfg : Config.t)
     if Obs.Journal.enabled () then journal_batch ~depth:!d;
     incr d
   done;
-  let counters = ev.table in
+  (* A copy made now, not the table allocated when the search started:
+     the result outlives the run, and a block promoted early pins the
+     major-heap pool it landed in (see the end of [Gp.repair]). *)
+  let counters = Evaluate.counters ev in
   if Obs.Journal.enabled () then begin
     Obs.Journal.emit
       [

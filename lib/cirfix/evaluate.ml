@@ -3,8 +3,8 @@
    memoized on a structural digest of the materialized module (distinct
    patches frequently collapse to the same program).
 
-   Evaluation splits into pure per-candidate work (the memo key, the lane
-   hashes and lane probe, and [compute]: screens, simulation, fitness),
+   Evaluation splits into pure per-candidate work (the lane hashes and
+   lane probe, and [compute]: screens, simulation, fitness),
    safe to run on any domain, and a sequential accounting step that owns
    the memo cache and the counters. The batch API ([prepare] / [commit])
    exploits this: on a pool of more than one domain, every piece of pure
@@ -577,10 +577,18 @@ type speculation = {
   sp_outcome : outcome option;
 }
 
+(* A candidate as a batch takes it: its memo key and its module, which is
+   materialized only when an evaluation needs it (a memo miss). A caller
+   that knows a candidate's key without its module (Gp's patch table)
+   passes a suspended [Patch.apply]. Forced on the main domain only. *)
+type candidate = { c_key : string; c_module : Verilog.Ast.module_decl Lazy.t }
+
+let candidate (m : Verilog.Ast.module_decl) : candidate =
+  { c_key = key_of m; c_module = Lazy.from_val m }
+
 type prepared = {
   ev : t;
-  candidates : Verilog.Ast.module_decl array;
-  keys : string array;
+  candidates : candidate array;
   speculated : (string, speculation) Hashtbl.t;
       (* one entry per key that was a cache miss at prepare time; empty on
          the sequential path *)
@@ -603,11 +611,10 @@ let speculate (ev : t) (key : string) (candidate : Verilog.Ast.module_decl) :
 
 (* With a pool of one domain, [Pool.map] is [Array.map] and nothing is
    speculated: each [commit] evaluates on demand, the sequential path. *)
-let prepare (ev : t) ~(pool : Pool.t)
-    (candidates : Verilog.Ast.module_decl array) : prepared =
+let prepare (ev : t) ~(pool : Pool.t) (candidates : candidate array) : prepared
+    =
   let on = Obs.Profile.recording () in
   if on then Obs.Profile.enter site_prepare;
-  let keys = Pool.map pool key_of candidates in
   let speculated = Hashtbl.create (Array.length candidates) in
   if Pool.size pool > 1 then begin
     (* First occurrence of each un-cached key gets a task; duplicates and
@@ -616,14 +623,14 @@ let prepare (ev : t) ~(pool : Pool.t)
        lane nanoseconds the workers measured. *)
     let first = Hashtbl.create (Array.length candidates) in
     let to_run = ref [] in
-    Array.iteri
-      (fun i key ->
+    Array.iter
+      (fun { c_key = key; c_module } ->
         if (not (Hashtbl.mem ev.cache key)) && not (Hashtbl.mem first key)
         then begin
           Hashtbl.replace first key ();
-          to_run := (key, candidates.(i)) :: !to_run
+          to_run := (key, Lazy.force c_module) :: !to_run
         end)
-      keys;
+      candidates;
     let batch = Array.of_list (List.rev !to_run) in
     let results = Pool.map pool (fun (key, c) -> speculate ev key c) batch in
     Array.iteri
@@ -645,7 +652,7 @@ let prepare (ev : t) ~(pool : Pool.t)
                    if Option.is_some sp.sp_outcome then n + 1 else n)
                  speculated 0) );
         ];
-  { ev; candidates; keys; speculated }
+  { ev; candidates; speculated }
 
 (* Commit candidate [i]: byte-for-byte the accounting of [eval_module],
    with the lane hashes and the simulation replaced by the speculative
@@ -657,19 +664,18 @@ let prepare (ev : t) ~(pool : Pool.t)
 let commit (p : prepared) (i : int) : outcome =
   let ev = p.ev in
   bump ev Lookups;
-  let key = p.keys.(i) in
+  let { c_key = key; c_module } = p.candidates.(i) in
   match Hashtbl.find_opt ev.cache key with
   | Some o ->
       bump ev Memo_hits;
       o
   | None ->
+      let m = Lazy.force c_module in
       let sp = Hashtbl.find_opt p.speculated key in
       let hashes =
-        match sp with
-        | Some s -> s.sp_hashes
-        | None -> lane_hashes ev p.candidates.(i)
+        match sp with Some s -> s.sp_hashes | None -> lane_hashes ev m
       in
-      resolve_miss ev p.candidates.(i) key ~hashes (fun () ->
+      resolve_miss ev m key ~hashes (fun () ->
           match sp with
           | Some { sp_outcome = Some o; _ } -> o
-          | _ -> compute ev p.candidates.(i))
+          | _ -> compute ev m)

@@ -157,17 +157,30 @@ val status_label : status -> string
     per-signal sums add up to the outcome's aggregate score exactly. *)
 val attribution : t -> outcome -> (string * Fitness.signal_score) list
 
+(** A candidate as a batch takes it: its memo key ({!key_of} of its
+    module) and its module, materialized only when an evaluation needs it
+    (a memo miss). A caller that knows the key without the module passes
+    a suspended computation of it; batches force it on the calling domain
+    only. *)
+type candidate = {
+  c_key : string;
+  c_module : Verilog.Ast.module_decl Lazy.t;
+}
+
+(** The candidate of a materialized module: hashes it. *)
+val candidate : Verilog.Ast.module_decl -> candidate
+
 (** A batch of candidates whose simulations have (possibly) been run
     speculatively across a pool, awaiting sequential commitment. *)
 type prepared
 
-(** [prepare ev ~pool candidates] computes the batch's memo keys and,
-    for each first-seen cache-missing key, its lane hashes, a read-only
-    lane probe and (when no lane serves it) its outcome, all as [pool]
-    tasks. It writes nothing of [ev] but the [Lane_seconds] timer. With a
-    pool of size 1 only the keys are computed, on the calling domain, and
-    each {!commit} evaluates on demand — the sequential path. *)
-val prepare : t -> pool:Pool.t -> Verilog.Ast.module_decl array -> prepared
+(** [prepare ev ~pool candidates] computes, for each first-seen
+    cache-missing key of the batch, its lane hashes, a read-only lane
+    probe and (when no lane serves it) its outcome, all as [pool] tasks.
+    It writes nothing of [ev] but the [Lane_seconds] timer. With a pool of
+    size 1 nothing is computed: each {!commit} evaluates on demand — the
+    sequential path. *)
+val prepare : t -> pool:Pool.t -> candidate array -> prepared
 
 (** [commit p i] finalizes candidate [i] with exactly the accounting of
     {!eval_module} (cache insertion, probe/reject counters), reusing the

@@ -393,11 +393,16 @@ let journal_localization (original : Verilog.Ast.module_decl)
 
 (* --- The repair loop ------------------------------------------------------ *)
 
+(* What [localize_parent] returns: the parent's module, its
+   fault-localized statements and node ids. *)
+type localized =
+  Verilog.Ast.module_decl * Verilog.Ast.stmt list * Fault_loc.IdSet.t
+
 (* Fault-localize a parent: simulate (cached) and run Algorithm 2 against
    its own mismatch set — CirFix re-localizes per parent to support
    dependent multi-edit repairs (paper Sec. 3). The result is a function
    of the parent's patch alone, so [repair] computes it once per distinct
-   patch (see [Patch_tbl]). [focus] is the slicing
+   patch (see [Patch_table]). [focus] is the slicing
    backward/forward intersection (Slicing.focus): when narrowing the
    localization to it leaves something, mutation targets shrink to the
    nodes both upstream of the mismatch and downstream of the suspicious
@@ -405,7 +410,7 @@ let journal_localization (original : Verilog.Ast.module_decl)
    never empties the target set. *)
 let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
     (cfg : Config.t) ~(focus : Fault_loc.IdSet.t) (parent : candidate) :
-    Verilog.Ast.module_decl * Verilog.Ast.stmt list * Fault_loc.IdSet.t =
+    localized =
   let m = Patch.apply original parent.patch in
   let narrow (stmts, fl) =
     if Fault_loc.IdSet.is_empty focus then (stmts, fl)
@@ -459,15 +464,21 @@ let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
       let stmts, fl = narrow (fl_stmts, r.fl) in
       (m, stmts, fl))
 
-(* Per-run table from a parent's patch to its [localize_parent] result.
-   The patch determines the module ([Patch.apply] is pure) and, through
-   the evaluator's memo (one stored outcome per key, returned on every
-   later lookup), the parent's outcome, so a hit is exactly what a fresh
-   localization would return. The key is the patch itself, not the
-   module's structural hash: that hash ignores node ids, which the stored
-   localization carries and [Mutate] draws from. The hash folds over
-   every edit, because [Hashtbl.hash] on the list would stop after a
-   bounded prefix and patches sharing their first edits would collide. *)
+(* The per-run patch table: every proposed patch with its memo key and,
+   once it has been a parent, its [localize_parent] result. A patch
+   determines its module ([Patch.apply] is pure) and, through the
+   evaluator's memo (one stored outcome per key, returned on every later
+   lookup), its outcome; so a repeated proposal -- most proposals are --
+   takes its key from here, with no [Patch.apply] and no structural hash,
+   and a stored localization is exactly what a fresh one would return.
+   Only first-seen patches are materialized and hashed, as pool tasks; a
+   repeated patch's module is materialized again only when something
+   needs it (a memo miss, a localization). The key is the patch itself,
+   not the module's structural hash: that hash ignores node ids, which
+   the stored localization carries and [Mutate] draws from. The hash
+   folds over every edit, because [Hashtbl.hash] on the list would stop
+   after a bounded prefix and patches sharing their first edits would
+   collide. *)
 module Patch_tbl = Hashtbl.Make (struct
   type t = Patch.t
 
@@ -477,6 +488,56 @@ module Patch_tbl = Hashtbl.Make (struct
     List.fold_left (fun h e -> (h * 65599) + Hashtbl.hash e) 0 p
     land max_int
 end)
+
+module Patch_table = struct
+  type entry = { key : string; mutable loc : localized option }
+
+  type t = { original : Verilog.Ast.module_decl; entries : entry Patch_tbl.t }
+
+  let create (original : Verilog.Ast.module_decl) : t =
+    let entries = Patch_tbl.create 1024 in
+    Patch_tbl.add entries [] { key = Evaluate.key_of original; loc = None };
+    { original; entries }
+
+  (* The entry of a patch already resolved (every population member's). *)
+  let entry (t : t) (p : Patch.t) : entry = Patch_tbl.find t.entries p
+  let key (t : t) (p : Patch.t) : string = (entry t p).key
+
+  let resolve (t : t) ~(pool : Pool.t) (batch : Patch.t array) :
+      Evaluate.candidate array =
+    let fresh = Patch_tbl.create 64 and order = ref [] in
+    Array.iter
+      (fun p ->
+        if not (Patch_tbl.mem t.entries p || Patch_tbl.mem fresh p) then begin
+          Patch_tbl.add fresh p None;
+          order := p :: !order
+        end)
+      batch;
+    let first_seen = Array.of_list (List.rev !order) in
+    let made =
+      Pool.map pool
+        (fun p -> Evaluate.candidate (Patch.apply t.original p))
+        first_seen
+    in
+    Array.iteri
+      (fun j p ->
+        Patch_tbl.replace fresh p (Some made.(j));
+        Patch_tbl.add t.entries p { key = made.(j).c_key; loc = None })
+      first_seen;
+    Array.map
+      (fun p ->
+        match Patch_tbl.find_opt fresh p with
+        | Some (Some c) -> c
+        | _ ->
+            {
+              Evaluate.c_key = key t p;
+              c_module = lazy (Patch.apply t.original p);
+            })
+      batch
+end
+
+(* A float read from a record is that record's box; this one is new. *)
+let fresh_float (x : float) = Float.Array.get (Float.Array.make 1 x) 0
 
 let site_generation = Obs.Profile.site ~span:"gp" "gp.generation"
 let site_propose = Obs.Profile.site ~span:"gp" "gp.propose"
@@ -506,13 +567,14 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     Obs.Clock.seconds_since t0 > cfg.max_wall_seconds
     || Evaluate.get ev.table Probes >= cfg.max_probes
   in
-  let localized = Patch_tbl.create 256 in
+  let patches = Patch_table.create original in
   let localize (parent : candidate) =
-    match Patch_tbl.find_opt localized parent.patch with
+    let e = Patch_table.entry patches parent.patch in
+    match e.loc with
     | Some l -> l
     | None ->
         let l = localize_parent ev original cfg ~focus parent in
-        Patch_tbl.add localized parent.patch l;
+        e.loc <- Some l;
         l
   in
   (* Lineage is journal-only state: the hashing it needs is paid only when
@@ -521,7 +583,6 @@ let repair ?(on_generation : (generation_stats -> unit) option)
      gate: it is observable only through the journal, so it is tracked
      only while one is open. *)
   let lineage : (string, lineage_node) Hashtbl.t = Hashtbl.create 64 in
-  let hash_of_mod = Verilog.Ast_utils.structural_hash in
   let track = Obs.Journal.enabled () in
   let funnel = { tbl = Hashtbl.create 16; snap = Evaluate.zero } in
   (* Operator and structural hash of each population slot, parallel to
@@ -530,7 +591,9 @@ let repair ?(on_generation : (generation_stats -> unit) option)
      lineage parent ("" when no journal is open). *)
   let popn_ops = ref (Array.make (max cfg.pop_size 1) "seed") in
   let popn_hashes =
-    ref (Array.make (max cfg.pop_size 1) (if track then hash_of_mod original else ""))
+    ref
+      (Array.make (max cfg.pop_size 1)
+         (if track then Patch_table.key patches [] else ""))
   in
   let slot_hash i = if track then (!popn_hashes).(i) else "" in
   if Obs.Journal.enabled () then
@@ -623,7 +686,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     done;
     let tagged_batch = Array.of_list (List.rev !proposals) in
     let batch = Array.map fst tagged_batch in
-    let mods = Array.map (Patch.apply original) batch in
+    let cands = Patch_table.resolve patches ~pool batch in
     if on then
       Obs.Profile.leave site_propose
         ~args:[ ("proposals", Obs.Json.Int (Array.length batch)) ];
@@ -631,7 +694,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
        in batch order with the sequential guards. Stopping at the first
        plausible repair (or on budget exhaustion) discards the remaining
        speculative work, so counters match a jobs=1 run exactly. *)
-    let prepared = Evaluate.prepare ev ~pool mods in
+    let prepared = Evaluate.prepare ev ~pool cands in
     if on then Obs.Profile.enter site_select;
     let child_popn = ref [] in
     let child_ops = ref [] in
@@ -643,7 +706,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           let c = { patch; outcome = Evaluate.commit prepared i } in
           if track then funnel_charge funnel ev (snd tagged_batch.(i)).p_op;
           if track then begin
-            let hash = hash_of_mod mods.(i) in
+            let hash = cands.(i).c_key in
             record_lineage lineage ~hash ~prov:(snd tagged_batch.(i)) ~gen:!gen
               ~fitness:c.outcome.fitness;
             child_hashes := hash :: !child_hashes
@@ -754,7 +817,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let r = funnel_get funnel "minimize" in
     r.f_proposed <- r.f_proposed + unfunnelled
   end;
-  let counters = ev.table in
+  let counters = Evaluate.counters ev in
   if Obs.Journal.enabled () then begin
     (* Genealogy of the winner — or, when the search came up empty, of the
        best surviving candidate, which is what a user debugs next. *)
@@ -771,7 +834,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     in
     (match focus with
     | Some c ->
-        let winner = hash_of_mod (Patch.apply original c.patch) in
+        let winner = Patch_table.key patches c.patch in
         let nodes = genealogy lineage winner in
         if track then
           List.iter
@@ -823,15 +886,33 @@ let repair ?(on_generation : (generation_stats -> unit) option)
        ]
       @ Slicing.run_end_fields sl)
   end;
+  (* The result outlives the run, but its parts come from all along it: a
+     generation record (with two boxed floats) per generation, the seed's
+     fitness from the start, the counter table from the evaluator's
+     creation (hence [counters] is a copy). A block promoted on its own
+     pins the major-heap pool it landed in, with whatever else the run
+     left there, so a process that keeps results (a benchmark, a
+     campaign) grew by far more than the results. Built again here, at
+     the end, they sit together. *)
+  let generations =
+    List.rev_map
+      (fun g ->
+        {
+          g with
+          best_fitness = fresh_float g.best_fitness;
+          mean_fitness = fresh_float g.mean_fitness;
+        })
+      !gen_stats
+  in
   {
     repaired = !found;
     minimized;
     repaired_module = Option.map (Patch.apply whole_target) minimized;
-    generations = List.rev !gen_stats;
+    generations;
     counters;
     mutants_generated = !mutants;
     wall_seconds = Obs.Clock.seconds_since t0;
-    initial_fitness = initial.outcome.fitness;
+    initial_fitness = fresh_float initial.outcome.fitness;
     sliced = sl.slice <> None;
     stitched_verifies = sl.stitched;
     (* Flat copies of [counters]. The perfbench harness is kept frozen so

@@ -49,6 +49,23 @@ type result = {
           it rejected *)
 }
 
+(** The per-run patch table: every proposed patch with its memo key (and,
+    once it has been a parent, its localization). A repeated patch takes
+    its key from the table without being applied or hashed; only
+    first-seen patches are materialized and hashed, as pool tasks. *)
+module Patch_table : sig
+  type t
+
+  (** An empty table for patches of [original]; the empty patch is
+      already in it. *)
+  val create : Verilog.Ast.module_decl -> t
+
+  (** The batch's candidates: the key of each patch is
+      [Evaluate.key_of (Patch.apply original p)], and its module is
+      materialized when forced (at once for first-seen patches). *)
+  val resolve : t -> pool:Pool.t -> Patch.t array -> Evaluate.candidate array
+end
+
 (** Run one seeded repair trial. Terminates at a plausible repair (fitness
     1.0), or when generations, probes, or wall-clock budget are exhausted.
     [on_generation] observes progress. Candidate batches are evaluated

@@ -1,6 +1,8 @@
 (* The compiled simulation backend.
 
-   [compile] lowers an elaborated design into a reusable artifact:
+   [compile] lowers an elaborated design into a reusable artifact, and
+   [derive] builds the artifact of a design that differs from a compiled
+   one only in process bodies by compiling just those processes:
 
    - Combinational bindings (continuous assigns, declaration initializers,
      port bindings) are levelized: topologically sorted by driver
@@ -53,8 +55,6 @@ type node = {
   n_names : string list; (* local names of targets, for tests/debug *)
   n_supp_arr : Runtime.var array; (* support, for the per-node dirty scan *)
   n_seen : Packed.t array; (* support values at last evaluation *)
-  mutable n_const : bool;
-  mutable n_level : int;
   mutable n_prof : Obs.Profile.site option;
       (* profiler frame per evaluation; (re)assigned at every launch so a
          cached artifact honours the current profiling state *)
@@ -94,12 +94,22 @@ type cproc =
       pd_label : string; (* profiler label, "gen:<scope>#<sid>" *)
     }
 
+(* What a compiled process reads and writes: the distinct hierarchical
+   names, sorted.  Const and dead analysis read only the union over the
+   processes. *)
+type access = { ac_reads : string array; ac_writes : string array }
+
+(* Nodes are shared by every artifact derived from one base ({!derive}),
+   so what a node's schedule position depends on -- whether it is
+   constant, live, an input -- lives in the artifact, never in the node. *)
 type artifact = {
   a_elab : Elaborate.elaborated;
+  a_order : node array; (* every node, topo order *)
   a_t0 : node array; (* live nodes, topo order: the time-0 pass *)
   a_dynamic : node array; (* live non-const nodes, topo order *)
   a_inputs : Runtime.var array; (* external inputs of the comb cloud *)
-  a_procs : cproc list;
+  a_procs : cproc array; (* parallel to [a_elab.procs] *)
+  a_access : access array; (* parallel to [a_procs] *)
   a_stats : stats;
 }
 
@@ -108,12 +118,12 @@ type artifact = {
 type env = {
   st : Runtime.state;
   sc : Runtime.scope;
-  reads : (string, Runtime.var) Hashtbl.t; (* vars read by any process *)
-  writes : (string, Runtime.var) Hashtbl.t; (* vars written by any process *)
+  reads : (string, unit) Hashtbl.t; (* names of the vars the process reads *)
+  writes : (string, unit) Hashtbl.t; (* ... and writes *)
 }
 
-let note_read env v = Hashtbl.replace env.reads v.Runtime.v_name v
-let note_write env v = Hashtbl.replace env.writes v.Runtime.v_name v
+let note_read env v = Hashtbl.replace env.reads v.Runtime.v_name ()
+let note_write env v = Hashtbl.replace env.writes v.Runtime.v_name ()
 
 (* --- Expressions -------------------------------------------------------- *)
 
@@ -617,6 +627,10 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
           with
           cimpure = true;
         }
+    | Call ("$clog2", [ a ]) ->
+        let ca = compile_expr env a in
+        let ra = boxed ca in
+        combine (of_boxed 32 (fun () -> Eval.clog2 (ra ()))) 32 [ ca ]
     | Call (f, _) -> raise_at_runtime ("unsupported system function " ^ f)
   in
   (* Constant folding: an input-free subexpression evaluates once at
@@ -1033,6 +1047,12 @@ let rec suspend_free (s : stmt) : bool =
 
 and opt_suspend_free = function None -> true | Some s -> suspend_free s
 
+(* Profiler label of a process, "<kind>:<scope>#<sid>": the event engine's
+   spawn-site label, so event and compiled runs of the same design
+   attribute to the same process names in the ledger. *)
+let proc_label kind (sc : Runtime.scope) sid =
+  String.concat "" [ kind; ":"; sc.Runtime.sc_path; "#"; string_of_int sid ]
+
 (* Entry thunk of a statement: the budget/coverage accounting the
    interpreter performs before dispatching on the statement kind. *)
 let stmt_entry (st : Runtime.state) sid () = Runtime.enter_stmt st sid
@@ -1077,8 +1097,7 @@ let compile_always (env : env) (s : stmt) : cproc option =
                  pe_tick = stmt_entry st s.sid;
                  pe_wait = wait;
                  pe_body = compile_opt env k;
-                 pe_label =
-                   Printf.sprintf "commit:%s#%d" env.sc.Runtime.sc_path s.sid;
+                 pe_label = proc_label "commit" env.sc s.sid;
                }))
   | Delay (d, k) when opt_suspend_free k ->
       (* Bare "always #d stmt": the delay op carries the loop's entry. *)
@@ -1087,7 +1106,7 @@ let compile_always (env : env) (s : stmt) : cproc option =
            {
              pd_entry = (fun () -> ());
              pd_ops = [| seg_delay s d k |];
-             pd_label = Printf.sprintf "gen:%s#%d" env.sc.Runtime.sc_path s.sid;
+             pd_label = proc_label "gen" env.sc s.sid;
            })
   | Block (_, stmts)
     when List.exists (fun si -> match si.s with Delay _ -> true | _ -> false)
@@ -1110,7 +1129,7 @@ let compile_always (env : env) (s : stmt) : cproc option =
            {
              pd_entry = stmt_entry st s.sid;
              pd_ops = Array.of_list ops;
-             pd_label = Printf.sprintf "gen:%s#%d" env.sc.Runtime.sc_path s.sid;
+             pd_label = proc_label "gen" env.sc s.sid;
            })
   | _ -> None
 
@@ -1132,8 +1151,6 @@ let compile_node (envs : env) (cb : Elaborate.comb) : node =
       n_names = List.map (fun (v : Runtime.var) -> v.Runtime.v_local) targets;
       n_supp_arr = Array.of_list support;
       n_seen = Array.make (List.length support) (Packed.zero 1);
-      n_const = false;
-      n_level = 0;
       n_prof = None;
     }
   in
@@ -1155,9 +1172,10 @@ let compile_node (envs : env) (cb : Elaborate.comb) : node =
       let ce = { (leaf (Boxed (fun () -> inner.Runtime.v_value)) inner.v_width) with src = Some inner } in
       mk ~raises (compile_assign st ce s) (lvalue_targets sc lv)
 
-(* Topologically order nodes by driver dependency.  Raises [Fallback] on a
-   multiply-driven combinational net or a combinational cycle. *)
-let levelize (nodes : node array) : node array =
+(* Topologically order nodes by driver dependency, with the depth of the
+   schedule.  Raises [Fallback] on a multiply-driven combinational net or
+   a combinational cycle. *)
+let levelize (nodes : node array) : node array * int =
   let n = Array.length nodes in
   let writer : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
@@ -1196,16 +1214,16 @@ let levelize (nodes : node array) : node array =
   Array.iteri
     (fun i _ -> List.iter (fun j -> succs.(j) <- i :: succs.(j)) deps.(i))
     nodes;
-  let order = ref [] and placed = ref 0 in
+  let order = ref [] and placed = ref 0 and depth = ref 0 in
+  let level = Array.make n 0 in
   let q = Queue.create () in
   (* Seed in elaboration order for a deterministic schedule. *)
   Array.iteri (fun i _ -> if indeg.(i) = 0 then Queue.push i q) nodes;
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
-    let lvl =
-      List.fold_left (fun acc j -> max acc (nodes.(j).n_level + 1)) 1 deps.(i)
-    in
-    nodes.(i).n_level <- lvl;
+    let lvl = List.fold_left (fun acc j -> max acc (level.(j) + 1)) 1 deps.(i) in
+    level.(i) <- lvl;
+    depth := max !depth lvl;
     order := i :: !order;
     incr placed;
     List.iter
@@ -1225,53 +1243,49 @@ let levelize (nodes : node array) : node array =
          ("combinational cycle through " ^ String.concat "," stuck)));
   (* [order] accumulated by prepending, so reversing it restores pop
      (topological) order. *)
-  Array.of_list (List.rev_map (fun i -> nodes.(i)) !order)
+  (Array.of_list (List.rev_map (fun i -> nodes.(i)) !order), !depth)
 
 (* --- Whole-design compilation ------------------------------------------- *)
 
-let compile (elab : Elaborate.elaborated) : artifact =
-  let st = elab.Elaborate.st in
+(* Compile one process, with what it reads and writes. *)
+let compile_process st (p : Elaborate.process) : cproc * access =
+  let env =
+    { st; sc = p.Elaborate.pr_scope; reads = Hashtbl.create 8; writes = Hashtbl.create 8 }
+  in
+  let label kind =
+    proc_label kind p.Elaborate.pr_scope p.Elaborate.pr_body.Verilog.Ast.sid
+  in
+  let cp =
+    match p.Elaborate.pr_kind with
+    | Elaborate.PInitial -> Pfiber (label "init", compile_stmt env p.Elaborate.pr_body)
+    | Elaborate.PAlways -> (
+        match compile_always env p.Elaborate.pr_body with
+        | Some cp -> cp
+        | None ->
+            let body = compile_stmt env p.Elaborate.pr_body in
+            let rec loop () =
+              body ();
+              loop ()
+            in
+            Pfiber (label "proc", loop))
+  in
+  let names tbl =
+    let a = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+    Array.sort String.compare a;
+    a
+  in
+  (cp, { ac_reads = names env.reads; ac_writes = names env.writes })
+
+(* The schedule of the levelized nodes [ordered] given what the processes
+   read and write: the live nodes, the live nodes that are not constant,
+   and the external inputs of those. *)
+let schedule (st : Runtime.state) (ordered : node array) (access : access array) =
   let reads = Hashtbl.create 256 and writes = Hashtbl.create 256 in
-  (* Processes first: their read/write sets drive const/dead analysis. *)
-  let procs =
-    List.map
-      (fun (p : Elaborate.process) ->
-        let env = { st; sc = p.Elaborate.pr_scope; reads; writes } in
-        (* Labels match the event engine's spawn sites, so event and
-           compiled runs of the same design attribute to the same
-           process names in the ledger. *)
-        let label kind =
-          Printf.sprintf "%s:%s#%d" kind p.Elaborate.pr_scope.Runtime.sc_path
-            p.Elaborate.pr_body.Verilog.Ast.sid
-        in
-        match p.Elaborate.pr_kind with
-        | Elaborate.PInitial ->
-            Pfiber (label "init", compile_stmt env p.Elaborate.pr_body)
-        | Elaborate.PAlways -> (
-            match compile_always env p.Elaborate.pr_body with
-            | Some cp -> cp
-            | None ->
-                let body = compile_stmt env p.Elaborate.pr_body in
-                let rec loop () =
-                  body ();
-                  loop ()
-                in
-                Pfiber (label "proc", loop)))
-      elab.Elaborate.procs
-  in
-  (* Node compilation gets scratch read/write tables: const/dead analysis
-     below must see only what *processes* touch, and the structured node
-     dependencies are carried by cb_support / n_targets instead. *)
-  let base_env =
-    {
-      st;
-      sc = elab.Elaborate.top_scope;
-      reads = Hashtbl.create 16;
-      writes = Hashtbl.create 16;
-    }
-  in
-  let nodes = Array.of_list (List.map (compile_node base_env) elab.Elaborate.combs) in
-  let ordered = levelize nodes in
+  Array.iter
+    (fun a ->
+      Array.iter (fun name -> Hashtbl.replace reads name ()) a.ac_reads;
+      Array.iter (fun name -> Hashtbl.replace writes name ()) a.ac_writes)
+    access;
   (* Constant propagation in topo order: a node is constant when nothing in
      its support can ever change after time 0. *)
   let const_var : (string, bool) Hashtbl.t = Hashtbl.create 64 in
@@ -1282,21 +1296,23 @@ let compile (elab : Elaborate.elaborated) : artifact =
         (* Not combinationally driven: constant iff no process writes it. *)
         not (Hashtbl.mem writes v.Runtime.v_name)
   in
-  Array.iter
-    (fun nd ->
-      nd.n_const <- (not nd.n_impure) && List.for_all var_const nd.n_support;
-      (* Single writer per net (levelize enforced it), so no merging. *)
-      List.iter
-        (fun (v : Runtime.var) ->
-          Hashtbl.replace const_var v.Runtime.v_name
-            (nd.n_const && not (Hashtbl.mem writes v.Runtime.v_name)))
-        nd.n_targets)
-    ordered;
+  let const =
+    Array.map
+      (fun nd ->
+        let c = (not nd.n_impure) && List.for_all var_const nd.n_support in
+        (* Single writer per net (levelize enforced it), so no merging. *)
+        List.iter
+          (fun (v : Runtime.var) ->
+            Hashtbl.replace const_var v.Runtime.v_name
+              (c && not (Hashtbl.mem writes v.Runtime.v_name)))
+          nd.n_targets;
+        c)
+      ordered
+  in
   (* Liveness, backwards: a node is dead when no target is read by any
      process, recorded as an output, or feeds a live node, and evaluating
      it cannot raise. *)
-  let live : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter (fun name _ -> Hashtbl.replace live name ()) reads;
+  let live = reads in
   List.iter
     (fun (v : Runtime.var) ->
       if v.Runtime.v_is_output then Hashtbl.replace live v.Runtime.v_name ())
@@ -1314,10 +1330,12 @@ let compile (elab : Elaborate.elaborated) : artifact =
         (fun (v : Runtime.var) -> Hashtbl.replace live v.Runtime.v_name ())
         nd.n_support
   done;
-  let alive = Array.of_list (List.filter node_live (Array.to_list ordered)) in
-  let dynamic =
-    Array.of_list (List.filter (fun nd -> not nd.n_const) (Array.to_list alive))
+  let is_live = Array.map node_live ordered in
+  let pick keep =
+    Array.of_list (List.filteri (fun i _ -> keep i) (Array.to_list ordered))
   in
+  let alive = pick (fun i -> is_live.(i)) in
+  let dynamic = pick (fun i -> is_live.(i) && not const.(i)) in
   (* External inputs: support vars of the dynamic schedule not themselves
      produced by a live node. *)
   let produced : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -1341,13 +1359,35 @@ let compile (elab : Elaborate.elaborated) : artifact =
     |> List.sort (fun (a : Runtime.var) b ->
            compare a.Runtime.v_name b.Runtime.v_name)
   in
-  let levels = Array.fold_left (fun acc nd -> max acc nd.n_level) 0 ordered in
+  (alive, dynamic, Array.of_list input_list)
+
+let compile (elab : Elaborate.elaborated) : artifact =
+  let st = elab.Elaborate.st in
+  (* Processes first: their read/write sets drive const/dead analysis. *)
+  let compiled = Array.of_list (List.map (compile_process st) elab.Elaborate.procs) in
+  (* Node compilation gets scratch read/write tables: const/dead analysis
+     must see only what *processes* touch, and the structured node
+     dependencies are carried by cb_support / n_targets instead. *)
+  let base_env =
+    {
+      st;
+      sc = elab.Elaborate.top_scope;
+      reads = Hashtbl.create 16;
+      writes = Hashtbl.create 16;
+    }
+  in
+  let nodes = Array.of_list (List.map (compile_node base_env) elab.Elaborate.combs) in
+  let ordered, levels = levelize nodes in
+  let access = Array.map snd compiled in
+  let alive, dynamic, inputs = schedule st ordered access in
   {
     a_elab = elab;
+    a_order = ordered;
     a_t0 = alive;
     a_dynamic = dynamic;
-    a_inputs = Array.of_list input_list;
-    a_procs = procs;
+    a_inputs = inputs;
+    a_procs = Array.map fst compiled;
+    a_access = access;
     a_stats =
       {
         c_nodes = Array.length nodes;
@@ -1356,6 +1396,43 @@ let compile (elab : Elaborate.elaborated) : artifact =
         c_levels = levels;
       };
   }
+
+(* The artifact of [elab], an elaboration derived from [base]'s by
+   {!Elaborate.rebind}, which changed the bodies of the processes at
+   positions [changed]: those are compiled, every other process, the state,
+   the nodes and their order are [base]'s. The schedule is [base]'s when
+   the changed processes read and write what they did, and is recomputed
+   from the new sets otherwise. *)
+let derive (base : artifact) (elab : Elaborate.elaborated) (changed : int list) :
+    artifact =
+  if changed = [] then { base with a_elab = elab }
+  else begin
+    let st = elab.Elaborate.st in
+    let procs = Array.copy base.a_procs and access = Array.copy base.a_access in
+    let bodies = Array.of_list elab.Elaborate.procs in
+    List.iter
+      (fun i ->
+        let cp, a = compile_process st bodies.(i) in
+        procs.(i) <- cp;
+        access.(i) <- a)
+      changed;
+    let art = { base with a_elab = elab; a_procs = procs; a_access = access } in
+    if List.for_all (fun i -> access.(i) = base.a_access.(i)) changed then art
+    else
+      let alive, dynamic, inputs = schedule st base.a_order access in
+      {
+        art with
+        a_t0 = alive;
+        a_dynamic = dynamic;
+        a_inputs = inputs;
+        a_stats =
+          {
+            base.a_stats with
+            c_const = Array.length alive - Array.length dynamic;
+            c_dead = Array.length base.a_order - Array.length alive;
+          };
+      }
+  end
 
 (* Target local names in schedule order, for the levelization tests. *)
 let schedule_order (art : artifact) : string list =
@@ -1496,7 +1573,7 @@ let launch (art : artifact) =
       fun () -> Obs.Profile.framed site f
     end
   in
-  List.iter
+  Array.iter
     (fun cp ->
       match cp with
       | Pfiber (label, body) ->

@@ -11,6 +11,7 @@ type process = {
   pr_scope : Runtime.scope;
   pr_body : stmt;
   pr_kind : proc_kind;
+  pr_item : int; (* index of its always/initial item in the module *)
 }
 
 (* Structured description of a combinational binding, used by the compiled
@@ -211,8 +212,8 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
       inits;
 
     (* Pass 3: events, assigns, processes, instances. *)
-    List.iter
-      (fun item ->
+    List.iteri
+      (fun i item ->
         match item.it with
         | ParamDecl _ | PortDecl _ | NetDecl _ | DefineStub _ -> ()
         | EventDecl names ->
@@ -255,9 +256,13 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
                   })
               assigns
         | Always body ->
-            procs := { pr_scope = sc; pr_body = body; pr_kind = PAlways } :: !procs
+            procs :=
+              { pr_scope = sc; pr_body = body; pr_kind = PAlways; pr_item = i }
+              :: !procs
         | Initial body ->
-            procs := { pr_scope = sc; pr_body = body; pr_kind = PInitial } :: !procs
+            procs :=
+              { pr_scope = sc; pr_body = body; pr_kind = PInitial; pr_item = i }
+              :: !procs
         | Instance { mod_name; inst_name; params; conns } ->
             let child_mod = find_module design mod_name in
             (* Parameter overrides are evaluated in the parent scope. *)
@@ -346,3 +351,69 @@ let elaborate ?(max_steps = 2_000_000) ?(max_time = 1_000_000)
   let top_mod = find_module design top in
   let top_scope = instantiate ~depth:0 ~path:top ~overrides:[] top_mod in
   { st; procs = List.rev !procs; combs = List.rev !combs; top_scope }
+
+(* --- Patch-local elaboration -------------------------------------------- *)
+
+(* The elaboration of [design], derived from [base], the elaboration of
+   [base_design] under the same top, when the two designs differ only in
+   the bodies of always/initial items: every module physically the same,
+   or the same header with the same items but for such bodies. Nothing
+   else elaboration reads can differ then, so [design] elaborates to
+   [base]'s state, scopes and combinational bindings, with the new bodies
+   in the processes of those items (in every scope of their module).
+   Returns the derived elaboration and the positions in [procs] of the
+   processes whose bodies changed; [None] when the designs differ in
+   anything else. *)
+let rebind (base : elaborated) ~(base_design : design) (design : design) :
+    (elaborated * int list) option =
+  let exception Differs in
+  (* (module name, changed item index, new body) *)
+  let edits = ref [] in
+  let diff_items name (bi : item) (i : item) idx =
+    if bi != i then
+      match (bi.it, i.it) with
+      | Always b, Always b' | Initial b, Initial b' ->
+          if b != b' then edits := (name, idx, b') :: !edits
+      | _ -> raise Differs
+  in
+  let diff_module (bm : module_decl) (m : module_decl) =
+    if bm != m then begin
+      if
+        (not (String.equal bm.mod_id m.mod_id))
+        || bm.mod_ports <> m.mod_ports
+        || List.compare_lengths bm.items m.items <> 0
+      then raise Differs;
+      let before = !edits in
+      List.iteri (fun idx (bi, i) -> diff_items m.mod_id bi i idx)
+        (List.combine bm.items m.items);
+      (* Elaboration instantiates the first module of a name; edits to a
+         later namesake would change nothing, but are not worth telling
+         apart. *)
+      if !edits != before && find_module design m.mod_id != m then
+        raise Differs
+    end
+  in
+  match
+    if List.compare_lengths base_design design <> 0 then raise Differs;
+    List.iter2 diff_module base_design design
+  with
+  | exception Differs -> None
+  | () when !edits = [] -> Some (base, [])
+  | () ->
+      let edits = !edits and changed = ref [] in
+      let procs =
+        List.mapi
+          (fun k (p : process) ->
+            let name = p.pr_scope.Runtime.sc_module in
+            match
+              List.find_opt
+                (fun (n, idx, _) -> idx = p.pr_item && String.equal n name)
+                edits
+            with
+            | Some (_, _, body) ->
+                changed := k :: !changed;
+                { p with pr_body = body }
+            | None -> p)
+          base.procs
+      in
+      Some ({ base with procs }, List.rev !changed)

@@ -15,6 +15,9 @@ let check_width what w =
       (Runtime.Elab_error
          (Printf.sprintf "%s too wide (%d bits)" what w))
 
+(* $clog2 of a value, a 32-bit integer (IEEE 1364-2005 17.11.1). *)
+let clog2 v = Packed.of_vec (Vec.clog2 (Packed.to_vec v))
+
 let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
   match e.e with
   | Number v -> Packed.of_vec v
@@ -84,6 +87,7 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
   | Call ("$random", _) ->
       (* Deterministic pseudo-random stream derived from sim state. *)
       Packed.of_int 32 ((st.steps * 1103515245 + 12345) land 0x3FFFFFFF)
+  | Call ("$clog2", [ a ]) -> clog2 (eval st sc a)
   | Call (f, _) ->
       raise (Runtime.Elab_error ("unsupported system function " ^ f))
 

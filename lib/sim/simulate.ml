@@ -4,7 +4,8 @@
    Two backends share this entry point.  [Event] interprets the AST on the
    effects-fiber scheduler.  [Auto] lowers the elaborated design once
    (levelized combinational schedule + partially-evaluated processes, see
-   {!Compile}) and reuses the artifact across runs of the same design;
+   {!Compile}) and builds a design that differs from an earlier one only
+   in process bodies by recompiling just those processes;
    designs the compiler rejects (combinational cycles, multiply-driven
    nets) fall back to the event engine per design, never silently.  The
    repair loop uses [Auto]. *)
@@ -39,73 +40,100 @@ type result = {
 
 type error = Elab_failure of string
 
-(* --- Compiled-artifact cache -------------------------------------------- *)
+(* --- Compiled artifacts: bases and patch-local builds ---------------------
 
-(* Per-domain LRU keyed by the design's structural hash: artifacts hold the
-   shared mutable elaborated state, so they must never cross domains, and
-   Domain.DLS gives each Pool worker its own cache without locks.  Repeat
-   runs of one design (the golden oracle, equivalence sweeps, benchmarks)
-   skip elaboration and compilation entirely. *)
+   Each domain keeps a few base artifacts: designs it elaborated and
+   compiled in full, each with the design it was built from. A design
+   whose modules are physically a base's, but for the bodies of
+   always/initial items (all a repair edit changes), is built from that
+   base: the same state, scopes, nodes and schedule, with only the changed
+   processes compiled ({!Elaborate.rebind}, {!Compile.derive}). Any other
+   design is built in full and becomes a base. Identity is physical, so
+   recognising a base costs a walk over the design's module and item
+   lists, never a hash. Artifacts hold the shared mutable elaborated
+   state, so they never cross domains; Domain.DLS gives each Pool worker
+   its own without locks, and only one artifact of a domain runs at a
+   time. *)
 
-let cache_capacity = 4
+type base = {
+  b_design : Verilog.Ast.design;
+  b_top : string;
+  b_elab : Elaborate.elaborated;
+  b_art : (Compile.artifact, string) Stdlib.result;
+      (* [Error reason]: the compiler rejected the design, and so every
+         design built from it, whose combinational bindings are the same *)
+}
 
-type cache_entry = (Compile.artifact, string) Stdlib.result
+let base_capacity = 4
 
-let artifact_cache : (string * cache_entry) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* Most recently used first. *)
+let bases : base list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-(* Hashing the whole AST on every run would dominate short simulations,
-   so each domain keeps the previous design's per-module hashes and reuses
-   a module's hash when the module at the same index is physically the
-   same value. The AST is immutable, so reuse is exact: a candidate design
-   re-hashes only its patched module, never the unchanged testbench, and
-   a repeated run of one parsed design re-hashes nothing. *)
-let module_hashes_memo :
-    (Verilog.Ast.module_decl * string) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* The last patch-local build, so a design run again right away (a warm-up
+   then a timed run, a re-verification) is built once. *)
+let last_derived :
+    (Verilog.Ast.design * string * Compile.artifact) option ref Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> ref None)
 
-let design_key (design : Verilog.Ast.design) ~top =
-  let memo = Domain.DLS.get module_hashes_memo in
-  let rec hash prev = function
-    | [] -> []
-    | m :: rest ->
-        let h, prev_rest =
-          match prev with
-          | (m', h) :: prev_rest when m' == m -> (h, prev_rest)
-          | _ :: prev_rest -> (Verilog.Ast_utils.structural_hash m, prev_rest)
-          | [] -> (Verilog.Ast_utils.structural_hash m, [])
-        in
-        (m, h) :: hash prev_rest rest
-  in
-  let hashes = hash !memo design in
-  memo := hashes;
-  top ^ "|" ^ String.concat "+" (List.map snd hashes)
+(* How many builds were full and how many patch-local; metrics only. *)
+let m_build_full = Obs.Metrics.counter "sim.build_full"
+let m_build_patch_local = Obs.Metrics.counter "sim.build_patch_local"
 
-let cache_find key =
-  let cache = Domain.DLS.get artifact_cache in
-  match List.assoc_opt key !cache with
-  | Some entry ->
-      (* Move to front. *)
-      cache := (key, entry) :: List.remove_assoc key !cache;
-      Some entry
-  | None -> None
+let count m = if Obs.Metrics.enabled () then Obs.Metrics.incr m
 
-let cache_add key entry =
-  let cache = Domain.DLS.get artifact_cache in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  cache := take cache_capacity ((key, entry) :: List.remove_assoc key !cache)
+let same_design a b = List.compare_lengths a b = 0 && List.for_all2 ( == ) a b
+
+(* The compiled artifact of [design] (or why the compiler rejects it),
+   from a base when one fits. Raises [Runtime.Elab_error] when a full
+   build fails to elaborate; such a design does not become a base. *)
+let build ~max_steps ~max_time (design : Verilog.Ast.design) ~top =
+  let cache = Domain.DLS.get bases in
+  let recent = Domain.DLS.get last_derived in
+  match !recent with
+  | Some (d, t, art) when String.equal t top && same_design d design -> Ok art
+  | _ -> (
+      let rec find = function
+        | [] -> None
+        | b :: rest -> (
+            if not (String.equal b.b_top top) then find rest
+            else
+              match Elaborate.rebind b.b_elab ~base_design:b.b_design design with
+              | Some derived -> Some (b, derived)
+              | None -> find rest)
+      in
+      match find !cache with
+      | Some (b, (elab, changed)) -> (
+          (match !cache with
+          | first :: _ when first == b -> ()
+          | l -> cache := b :: List.filter (fun b' -> b' != b) l);
+          match b.b_art with
+          | Error _ as e -> e
+          | Ok _ when changed = [] && same_design b.b_design design -> b.b_art
+          | Ok base ->
+              count m_build_patch_local;
+              let art = Compile.derive base elab changed in
+              recent := Some (design, top, art);
+              Ok art)
+      | None ->
+          count m_build_full;
+          let elab = Elaborate.elaborate ~max_steps ~max_time design ~top in
+          let b_art =
+            match Compile.compile elab with
+            | art -> Ok art
+            | exception Compile.Fallback reason -> Error reason
+          in
+          let b = { b_design = design; b_top = top; b_elab = elab; b_art } in
+          cache := List.filteri (fun i _ -> i < base_capacity) (b :: !cache);
+          b_art)
 
 (* --- Observability -------------------------------------------------------- *)
 
 (* Any sink on: the run keeps scheduler counters. *)
 let obs_enabled () = Obs.Profile.recording () || Obs.Metrics.enabled ()
 
-(* The two boundaries of a run, one frame each: elaboration (artifact
-   cache probe, elaboration, compilation, recorder attach) and the run
+(* The two boundaries of a run, one frame each: elaboration (base lookup
+   and a full or patch-local build, or the event engine's elaboration and
+   recorder attach) and the run
    (setup, scheduler regions, result packing). The profiler-only region
    frames nest under the run frame and tile it. *)
 let site_elab = Obs.Profile.site ~span:"sim" "sim.elaborate"
@@ -181,32 +209,15 @@ let elaborate_event ~max_steps ~max_time design (spec : spec) used =
   Interpreted (elab, recorder, used)
 
 (* Raises [Runtime.Elab_error]: a design that fails to elaborate fails
-   identically under either backend, and is not cached. *)
+   identically under either backend. *)
 let elaborate ~max_steps ~max_time ~backend design (spec : spec) =
   if backend = Event then
     elaborate_event ~max_steps ~max_time design spec Used_event
-  else begin
-    let key = design_key design ~top:spec.top in
-    let entry =
-      match cache_find key with
-      | Some entry -> entry
-      | None ->
-          let elab =
-            Elaborate.elaborate ~max_steps ~max_time design ~top:spec.top
-          in
-          let entry : cache_entry =
-            match Compile.compile elab with
-            | art -> Ok art
-            | exception Compile.Fallback reason -> Error reason
-          in
-          cache_add key entry;
-          entry
-    in
-    match entry with
+  else
+    match build ~max_steps ~max_time design ~top:spec.top with
     | Ok art -> Compiled art
     | Error reason ->
         elaborate_event ~max_steps ~max_time design spec (Used_fallback reason)
-  end
 
 (* --- Run ----------------------------------------------------------------- *)
 

@@ -327,6 +327,10 @@ let rec aeval (d : denv) (m : aval SMap.t) (e : expr) : aval =
       | None -> Any)
   | Call (("$time" | "$stime"), _) -> top_bits 64
   | Call ("$random", _) -> top_bits 32
+  | Call ("$clog2", [ a ]) -> (
+      match to_vec (aeval d m a) with
+      | Some v -> known (Vec.clog2 v)
+      | None -> top_bits 32)
   | Call _ -> Any
 
 and const_int d m e =
@@ -431,13 +435,14 @@ let denv_of (m : module_decl) : denv =
     if force || not (SMap.mem name cur.d_widths) then
       d := { cur with d_widths = SMap.add name w cur.d_widths }
   in
+  (* Every parameter first, in declaration order, each default evaluated
+     under the parameters so far; then the nets, whose ranges may name a
+     parameter declared after them. The elaborator's rule. Anything we
+     cannot evaluate is simply left out (reads become top). *)
   List.iter
     (fun (it : item) ->
       match it.it with
       | ParamDecl (_, pairs) ->
-          (* Declaration order, each default evaluated under the
-             parameters so far — the elaborator's rule. Anything we
-             cannot evaluate is simply left out (reads become top). *)
           List.iter
             (fun (name, e) ->
               match to_vec (aeval !d SMap.empty e) with
@@ -446,6 +451,11 @@ let denv_of (m : module_decl) : denv =
                     { !d with d_params = SMap.add name v !d.d_params }
               | None -> ())
             pairs
+      | _ -> ())
+    m.items;
+  List.iter
+    (fun (it : item) ->
+      match it.it with
       | PortDecl (dir, kind, range, names) ->
           let w =
             match range with
@@ -551,7 +561,7 @@ let rec expr_width d (e : expr) : int option =
       | Some _ -> Some 1
       | None -> None)
   | Call (("$time" | "$stime"), _) -> Some 64
-  | Call ("$random", _) -> Some 32
+  | Call ("$random", _) | Call ("$clog2", [ _ ]) -> Some 32
   | Call _ -> None
 
 (* An expression the concrete evaluator is guaranteed to evaluate

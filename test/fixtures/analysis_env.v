@@ -34,8 +34,8 @@ module negrange(clk, q, y);
   assign y = q;
 endmodule
 
-// A range no constant evaluator here can fold: the simulator rejects
-// the design (unsupported system function $clog2).
+// A range sized with $clog2: $clog2(16) is 4, so the simulator records
+// q as 4 bits and q <= d truncates nothing.
 module clog(clk, d, q);
   input clk;
   parameter DEPTH = 16;
@@ -71,4 +71,16 @@ module parent(x, z);
   input [7:0] x;
   output [3:0] z;
   child c (.a(x), .y(z));
+endmodule
+
+// A range naming a parameter declared after it: the simulator evaluates
+// every parameter before the nets, so q is 8 bits and q <= d truncates
+// nothing.
+module fwdparam(clk, d, q);
+  input clk;
+  input [7:0] d;
+  output [W-1:0] q;
+  reg [W-1:0] q;
+  parameter W = 8;
+  always @(posedge clk) q <= d;
 endmodule

@@ -26,18 +26,30 @@
      and end time must be byte-identical, or both backends must fail
      elaboration with the same message.
 
+   - patch-local pass: the same mutant walks, each run once on the
+     compiled backend built patch-locally from its scenario's seed (whose
+     base is warm) and once from a cold full build of a deep copy of the
+     design (a [Marshal] round trip: structurally identical, physically
+     sharing nothing with any base); trace, display, outcome, steps and
+     end time must be byte-identical, or both builds must fail
+     elaboration with the same message. Mutants whose edit reaches beyond
+     process bodies (a continuous assignment) are built in full both
+     times and counted apart. A printed-and-parsed copy would not do: the
+     parser reads a null statement in a branch or body position
+     ([if (c) ;]) as no statement, which executes one statement fewer.
+
    Usage: sim_equiv_run [--all]
    The default is a fast smoke subset (wired into `dune runtest`): four
    projects, scenarios #1-#6 and the first [Mutants.smoke_rounds] mutant
    rounds; --all sweeps all projects, all scenarios and all
    [Mutants.rounds] rounds (`dune build @sim-equiv`). *)
 
-(* Event and [Auto] results of one design must agree on the trace, the
-   $display log, the outcome, the step count and the end time, or fail
-   elaboration with the same message. *)
-let same_runs label design spec ?max_steps ?max_time () : bool =
-  let run backend = Sim.Simulate.run ?max_steps ?max_time ~backend design spec in
-  match (run Sim.Simulate.Event, run Sim.Simulate.Auto) with
+(* Two runs must agree on the trace, the $display log, the outcome, the
+   step count and the end time, or fail elaboration with the same
+   message. *)
+let same_results label (ra : (Sim.Simulate.result, Sim.Simulate.error) result)
+    (rb : (Sim.Simulate.result, Sim.Simulate.error) result) : bool =
+  match (ra, rb) with
   | Ok a, Ok b ->
       let tr (r : Sim.Simulate.result) = Sim.Recorder.to_string r.trace in
       let used = Sim.Simulate.backend_used_to_string b.backend_used in
@@ -71,8 +83,20 @@ let same_runs label design spec ?max_steps ?max_time () : bool =
         eb;
       false
   | _ ->
-      Printf.printf "FAIL %s: result kind differs between backends\n%!" label;
+      Printf.printf "FAIL %s: result kind differs between runs\n%!" label;
       false
+
+(* Event and [Auto] results of one design. *)
+let same_runs label design spec ?max_steps ?max_time () : bool =
+  let run backend = Sim.Simulate.run ?max_steps ?max_time ~backend design spec in
+  let a = run Sim.Simulate.Event in
+  same_results label a (run Sim.Simulate.Auto)
+
+(* The repair loop's candidate budgets (Evaluate.simulate_candidate). *)
+let budgets (problem : Cirfix.Problem.t) =
+  let cfg = Cirfix.Config.default in
+  ( min cfg.max_sim_steps ((problem.golden_steps * 10) + 5_000),
+    min cfg.max_sim_time ((problem.golden_end_time * 2) + 1_000) )
 
 let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
   let spec = Bench_suite.Projects.spec p in
@@ -83,12 +107,7 @@ let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
 (* Mutant [m] of scenario [problem], under the candidate budgets the
    repair loop gives it (Evaluate.simulate_candidate). *)
 let mutant_run (problem : Cirfix.Problem.t) label m : bool =
-  let cfg = Cirfix.Config.default in
-  let max_steps =
-    min cfg.max_sim_steps ((problem.golden_steps * 10) + 5_000)
-  and max_time =
-    min cfg.max_sim_time ((problem.golden_end_time * 2) + 1_000)
-  in
+  let max_steps, max_time = budgets problem in
   same_runs label
     (Cirfix.Problem.with_candidate problem m)
     problem.spec ~max_steps ~max_time ()
@@ -166,7 +185,49 @@ let () =
         if not (mutant_run problem label m) then incr failures)
       walks
   done;
+  (* Patch-local builds against cold full builds, scenario by scenario:
+     the seed warms its base, then each mutant is built from it and
+     compared with a deep copy of itself, which must be built in full. *)
+  Printf.printf "== patch-local equivalence (%d rounds x %d scenarios)\n%!" n
+    (List.length problems);
+  Obs.Metrics.set_enabled true;
+  let build_full = Obs.Metrics.counter "sim.build_full" in
+  let copy (d : Verilog.Ast.design) : Verilog.Ast.design =
+    Marshal.from_string (Marshal.to_string d []) 0
+  in
+  let local = ref 0 and full = ref 0 in
+  List.iter
+    (fun ((d : Bench_suite.Defects.t), (problem : Cirfix.Problem.t), walk) ->
+      let max_steps, max_time = budgets problem in
+      let run design =
+        Sim.Simulate.run ~max_steps ~max_time ~backend:Sim.Simulate.Auto design
+          problem.spec
+      in
+      let seed = Cirfix.Problem.target_module problem in
+      ignore (run (Cirfix.Problem.with_candidate problem seed));
+      List.iteri
+        (fun r (m, edit) ->
+          let design = Cirfix.Problem.with_candidate problem m in
+          let before = Obs.Metrics.value build_full in
+          let warm = run design in
+          if Obs.Metrics.value build_full > before then incr full else incr local;
+          let label = Printf.sprintf "patch-local #%d.%d %s" d.id r edit in
+          let fulls = Obs.Metrics.value build_full in
+          let cold = run (copy design) in
+          if Obs.Metrics.value build_full = fulls then begin
+            Printf.printf "FAIL %s: the copy was not built in full\n%!" label;
+            incr failures
+          end
+          else if not (same_results label warm cold) then incr failures)
+        walk)
+    walks;
+  Obs.Metrics.set_enabled false;
   Printf.printf
-    "sim-equiv: %d trace pairs, %d scenarios, %d mutants, %d failures\n%!"
-    !pairs !scored !mutants !failures;
+    "sim-equiv: %d trace pairs, %d scenarios, %d mutants, %d patch-local \
+     (%d built in full), %d failures\n%!"
+    !pairs !scored !mutants !local !full !failures;
+  if !local = 0 then begin
+    Printf.printf "FAIL no mutant was built patch-locally\n%!";
+    exit 1
+  end;
   if !failures > 0 then exit 1

@@ -686,7 +686,9 @@ let test_memo_key_one_outcome () =
   in
   Cirfix.Pool.with_pool ~jobs:2 @@ fun pool ->
   let commit_all mods =
-    let p = Cirfix.Evaluate.prepare ev ~pool mods in
+    let p =
+      Cirfix.Evaluate.prepare ev ~pool (Array.map Cirfix.Evaluate.candidate mods)
+    in
     Array.mapi (fun i _ -> Cirfix.Evaluate.commit p i) mods
   in
   let o_seed = Cirfix.Evaluate.eval_module ev seed in
@@ -745,7 +747,10 @@ let test_speculation_matches_sequential () =
     List.map
       (fun mods ->
         lane_before := lane_seconds ();
-        let p = Cirfix.Evaluate.prepare par ~pool mods in
+        let p =
+          Cirfix.Evaluate.prepare par ~pool
+            (Array.map Cirfix.Evaluate.candidate mods)
+        in
         Array.mapi (fun i _ -> Cirfix.Evaluate.commit p i) mods)
       batches
   in
@@ -863,6 +868,170 @@ let prop_ddmin_result_fails =
       let r = Cirfix.Minimize.ddmin test items in
       test r && List.length r = 1)
 
+(* --- Patch-local candidates ---------------------------------------------------- *)
+
+(* Target modules: fsm_full has two always items, and with
+   sdram_controller and counter every template finds a target. *)
+let sharing_modules () =
+  List.map
+    (fun id ->
+      Cirfix.Problem.target_module
+        (Bench_suite.Defects.problem (Bench_suite.Defects.find id)))
+    [ 11; 30; 4 ]
+
+(* Every node id (statement and expression) of an item. *)
+let item_ids (it : Verilog.Ast.item) =
+  Verilog.Ast_utils.fold_item
+    (fun acc (s : Verilog.Ast.stmt) -> s.sid :: acc)
+    (fun acc (e : Verilog.Ast.expr) -> e.eid :: acc)
+    [] it
+
+(* The edits the test applies to [m]: a delete, a replace and an insert
+   at a nonblocking assignment, and each template at its first target
+   where it applies, each with the node it targets. *)
+let sharing_edits (m : Verilog.Ast.module_decl) =
+  let stmts = Verilog.Ast_utils.stmts_of_module m in
+  let nonblocking =
+    List.filter
+      (fun (s : Verilog.Ast.stmt) ->
+        match s.s with Verilog.Ast.Nonblocking _ -> true | _ -> false)
+      stmts
+  in
+  let assign, other =
+    match nonblocking with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "two nonblocking assignments"
+  in
+  let signal =
+    Cirfix.Fault_loc.NameSet.choose (Cirfix.Fault_loc.stmt_idents assign)
+  in
+  let templates =
+    List.filter_map
+      (fun tpl ->
+        List.find_map
+          (fun target ->
+            match Cirfix.Templates.apply tpl ~signal m ~target with
+            | Some _ ->
+                Some
+                  ( Cirfix.Templates.to_string tpl,
+                    Cirfix.Patch.Template (tpl, target, Some signal),
+                    target )
+            | None -> None)
+          (Cirfix.Templates.eligible_targets tpl m))
+      Cirfix.Templates.all
+  in
+  [
+    ("delete", Cirfix.Patch.Delete assign.sid, assign.sid);
+    ("replace", Cirfix.Patch.Replace (assign.sid, other), assign.sid);
+    ("insert", Cirfix.Patch.Insert (assign.sid, other), assign.sid);
+  ]
+  @ templates
+
+(* [Patch.apply] rebuilds only the item its edit lands in: every other
+   item of the result is physically the seed's, which is what lets the
+   simulator recompile only the edited processes. Covered for a delete, a
+   replace, an insert and every template. *)
+let test_patch_shares_untouched_items () =
+  let covered = Hashtbl.create 16 in
+  let modules = sharing_modules () in
+  Alcotest.(check bool) "a module with several process items" true
+    (List.exists
+       (fun (m : Verilog.Ast.module_decl) ->
+         List.length
+           (List.filter
+              (fun (it : Verilog.Ast.item) ->
+                match it.it with Always _ | Initial _ -> true | _ -> false)
+              m.items)
+         > 1)
+       modules);
+  List.iter
+    (fun (m : Verilog.Ast.module_decl) ->
+      List.iter
+        (fun (what, e, target) ->
+          Hashtbl.replace covered what ();
+          let what = m.mod_id ^ " " ^ what in
+          let m' = Cirfix.Patch.apply m [ e ] in
+          Alcotest.(check bool) (what ^ ": applied") true (m' != m);
+          Alcotest.(check int) (what ^ ": same items")
+            (List.length m.items) (List.length m'.items);
+          List.iter2
+            (fun (it : Verilog.Ast.item) it' ->
+              if not (List.mem target (item_ids it)) then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: item %d untouched" what it.iid)
+                  true (it == it'))
+            m.items m'.items)
+        (sharing_edits m);
+      Alcotest.(check bool) "inapplicable edit: the module itself" true
+        (Cirfix.Patch.apply m [ Cirfix.Patch.Delete 424242 ] == m))
+    modules;
+  List.iter
+    (fun tpl ->
+      let name = Cirfix.Templates.to_string tpl in
+      Alcotest.(check bool) (name ^ " covered") true (Hashtbl.mem covered name))
+    Cirfix.Templates.all
+
+(* The patch table's key of a patch is the memo key of its module, for a
+   first-seen patch and for a repeat, whose module is materialized only
+   when forced. *)
+let test_patch_table_keys () =
+  let original = counter_module () in
+  let cfg = Cirfix.Config.default in
+  let rng = Random.State.make [| 11 |] in
+  let fl_stmts = Verilog.Ast_utils.stmts_of_module original in
+  let patches =
+    List.init 24 (fun i ->
+        List.filter_map
+          (fun _ -> Cirfix.Mutate.mutate rng cfg original ~fl_stmts)
+          (List.init ((i mod 3) + 1) Fun.id))
+  in
+  let batch = Array.of_list ([] :: patches @ patches) in
+  let table = Cirfix.Gp.Patch_table.create original in
+  Cirfix.Pool.with_pool ~jobs:2 @@ fun pool ->
+  List.iter
+    (fun round ->
+      let cands = Cirfix.Gp.Patch_table.resolve table ~pool batch in
+      Array.iteri
+        (fun i (c : Cirfix.Evaluate.candidate) ->
+          let want = Cirfix.Evaluate.key_of (Cirfix.Patch.apply original batch.(i)) in
+          let what = Printf.sprintf "%s, patch %d" round i in
+          Alcotest.(check string) (what ^ ": key") want c.c_key;
+          Alcotest.(check string) (what ^ ": module")
+            want
+            (Cirfix.Evaluate.key_of (Lazy.force c.c_module)))
+        cands)
+    [ "first seen"; "repeated" ]
+
+(* Every candidate build after a domain's first is patch-local: on a GP
+   repair, at most one full build per domain (the main domain's seed, a
+   worker's first candidate), every other compiled simulation built from
+   a base. *)
+let test_gp_builds_patch_local () =
+  let problem = motivating_problem () in
+  let full = Obs.Metrics.counter "sim.build_full"
+  and local = Obs.Metrics.counter "sim.build_patch_local" in
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  Obs.Metrics.set_enabled true;
+  List.iter
+    (fun jobs ->
+      Obs.Metrics.reset ();
+      let cfg =
+        { Cirfix.Config.default with seed = 2; jobs; max_probes = 300; max_generations = 6 }
+      in
+      let r = Cirfix.Gp.repair cfg problem in
+      let sims = Cirfix.Evaluate.get r.counters Sims_compiled in
+      let what = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check bool) (what ^ ": simulated") true (sims > 10);
+      Alcotest.(check bool)
+        (what ^ ": at most one full build per domain")
+        true
+        (Obs.Metrics.value full <= jobs);
+      Alcotest.(check bool)
+        (what ^ ": every other build patch-local")
+        true
+        (Obs.Metrics.value full + Obs.Metrics.value local >= sims - 1))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "cirfix"
     [
@@ -898,6 +1067,9 @@ let () =
           Alcotest.test_case "apply and no-op" `Quick test_patch_apply_and_noop;
           Alcotest.test_case "digest collapses" `Quick test_patch_digest_collapses;
           Alcotest.test_case "crossover" `Quick test_crossover;
+          Alcotest.test_case "untouched items shared" `Quick
+            test_patch_shares_untouched_items;
+          Alcotest.test_case "patch table keys" `Quick test_patch_table_keys;
         ] );
       ( "minimization",
         [
@@ -940,6 +1112,8 @@ let () =
             test_brute_force_edit_inventory;
           Alcotest.test_case "brute force small" `Slow test_brute_force_small_defect;
           Alcotest.test_case "fix localization pools" `Quick test_fix_loc_pools;
+          Alcotest.test_case "candidate builds patch-local" `Quick
+            test_gp_builds_patch_local;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

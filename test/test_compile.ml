@@ -17,7 +17,10 @@
      unread bindings whose evaluation raises, agree across backends;
    - the corners of the allocation-free clock edge (NBA log order, index
      capture, delayed and abandoned NBAs, wide stores, x/z logic) agree
-     across backends. *)
+     across backends;
+   - a patch-local build whose edited process reads or writes what the
+     base's did not (a binding dead or constant in the base) reschedules
+     the combinational nodes, and runs as a full build would. *)
 
 let contains s sub =
   let n = String.length sub in
@@ -527,6 +530,78 @@ let test_mixed_edge_waiters_reused () =
       | None -> Alcotest.failf "no var %s" name)
     [ "top.u.clk"; "top.u.rst" ]
 
+(* [dead] is read by no process and [frozen] reads a reg no process
+   writes, so in the base [dead] is dropped and [frozen] is evaluated at
+   time 0 only. The edits make a process read [dead], and write [r] and
+   read [frozen]: a build from the base must put both back in the
+   dynamic schedule. *)
+let patch_local_src =
+  "module dut(clk, d, q);\n\
+  \  input clk;\n\
+  \  input [3:0] d;\n\
+  \  output [3:0] q;\n\
+  \  reg [3:0] q, r;\n\
+  \  wire [3:0] dead = d + 4'd1;\n\
+  \  wire [3:0] frozen = r ^ 4'd5;\n\
+  \  always @(posedge clk) q <= d;\n\
+   endmodule\n\
+   module top;\n\
+  \  reg clk;\n\
+  \  reg [3:0] d;\n\
+  \  wire [3:0] q;\n\
+  \  dut u(clk, d, q);\n\
+  \  initial begin\n\
+  \    clk = 0; d = 3;\n\
+  \    #1 clk = 1; #1 clk = 0; d = 9;\n\
+  \    #1 clk = 1; #1 clk = 0; d = 4;\n\
+  \    #1 clk = 1; #1 $display(\"q=%b\", q);\n\
+  \    $finish;\n\
+  \  end\n\
+   endmodule\n"
+
+let test_patch_local_reschedules () =
+  let design = Verilog.Parser.parse_design patch_local_src in
+  let spec = { Sim.Simulate.top = "top"; clock = "top.clk"; dut_path = "top.u" } in
+  let run d = Sim.Simulate.run ~backend:Sim.Simulate.Auto d spec in
+  let dut = List.find (fun (m : Verilog.Ast.module_decl) -> m.mod_id = "dut") design in
+  let target =
+    List.find
+      (fun (s : Verilog.Ast.stmt) ->
+        match s.s with Verilog.Ast.Nonblocking _ -> true | _ -> false)
+      (Verilog.Ast_utils.stmts_of_module dut)
+  in
+  let id name = Verilog.Ast.mk_e (Verilog.Ast.Ident name) in
+  let nba lhs rhs = Verilog.Ast.mk_s (Verilog.Ast.Nonblocking (Verilog.Ast.LId lhs, None, id rhs)) in
+  let full = Obs.Metrics.counter "sim.build_full" in
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  Obs.Metrics.set_enabled true;
+  ignore (run design);
+  List.iter
+    (fun (what, replacement) ->
+      let dut' =
+        Option.get
+          (Verilog.Ast_utils.replace_stmt dut ~target:target.sid ~replacement)
+      in
+      let mutant = List.map (fun m -> if m == dut then dut' else m) design in
+      let fulls = Obs.Metrics.value full in
+      let warm = run mutant in
+      Alcotest.(check int) (what ^ ": built from the base") fulls (Obs.Metrics.value full);
+      let cold = run (Marshal.from_string (Marshal.to_string mutant []) 0) in
+      Alcotest.(check int) (what ^ ": copy built in full") (fulls + 1) (Obs.Metrics.value full);
+      match (warm, cold) with
+      | Ok w, Ok c ->
+          Alcotest.(check string) (what ^ ": trace")
+            (Sim.Recorder.to_string c.trace) (Sim.Recorder.to_string w.trace);
+          Alcotest.(check string) (what ^ ": display") c.display w.display;
+          Alcotest.(check bool) (what ^ ": q settles to a value") false
+            (contains w.display "x")
+      | _ -> Alcotest.fail (what ^ ": elaboration failed"))
+    [
+      ("reads a dead binding", nba "q" "dead");
+      ( "writes a constant one's input",
+        Verilog.Ast.mk_s (Verilog.Ast.Block (None, [ nba "r" "d"; nba "q" "frozen" ])) );
+    ]
+
 let () =
   Alcotest.run "compile"
     [
@@ -568,5 +643,10 @@ let () =
           Alcotest.test_case "logic on x/z" `Quick test_logic_on_xz;
           Alcotest.test_case "mixed-edge waiters reused" `Quick
             test_mixed_edge_waiters_reused;
+        ] );
+      ( "patch-local",
+        [
+          Alcotest.test_case "edits that change the schedule" `Quick
+            test_patch_local_reschedules;
         ] );
     ]
