@@ -1405,34 +1405,31 @@ let compile (elab : Elaborate.elaborated) : artifact =
    from the new sets otherwise. *)
 let derive (base : artifact) (elab : Elaborate.elaborated) (changed : int list) :
     artifact =
-  if changed = [] then { base with a_elab = elab }
-  else begin
-    let st = elab.Elaborate.st in
-    let procs = Array.copy base.a_procs and access = Array.copy base.a_access in
-    let bodies = Array.of_list elab.Elaborate.procs in
-    List.iter
-      (fun i ->
-        let cp, a = compile_process st bodies.(i) in
-        procs.(i) <- cp;
-        access.(i) <- a)
-      changed;
-    let art = { base with a_elab = elab; a_procs = procs; a_access = access } in
-    if List.for_all (fun i -> access.(i) = base.a_access.(i)) changed then art
-    else
-      let alive, dynamic, inputs = schedule st base.a_order access in
-      {
-        art with
-        a_t0 = alive;
-        a_dynamic = dynamic;
-        a_inputs = inputs;
-        a_stats =
-          {
-            base.a_stats with
-            c_const = Array.length alive - Array.length dynamic;
-            c_dead = Array.length base.a_order - Array.length alive;
-          };
-      }
-  end
+  let st = elab.Elaborate.st in
+  let procs = Array.copy base.a_procs and access = Array.copy base.a_access in
+  let bodies = Array.of_list elab.Elaborate.procs in
+  List.iter
+    (fun i ->
+      let cp, a = compile_process st bodies.(i) in
+      procs.(i) <- cp;
+      access.(i) <- a)
+    changed;
+  let art = { base with a_elab = elab; a_procs = procs; a_access = access } in
+  if List.for_all (fun i -> access.(i) = base.a_access.(i)) changed then art
+  else
+    let alive, dynamic, inputs = schedule st base.a_order access in
+    {
+      art with
+      a_t0 = alive;
+      a_dynamic = dynamic;
+      a_inputs = inputs;
+      a_stats =
+        {
+          base.a_stats with
+          c_const = Array.length alive - Array.length dynamic;
+          c_dead = Array.length base.a_order - Array.length alive;
+        };
+    }
 
 (* Target local names in schedule order, for the levelization tests. *)
 let schedule_order (art : artifact) : string list =

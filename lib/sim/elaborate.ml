@@ -398,7 +398,6 @@ let rebind (base : elaborated) ~(base_design : design) (design : design) :
     List.iter2 diff_module base_design design
   with
   | exception Differs -> None
-  | () when !edits = [] -> Some (base, [])
   | () ->
       let edits = !edits and changed = ref [] in
       let procs =

@@ -69,62 +69,45 @@ let base_capacity = 4
 (* Most recently used first. *)
 let bases : base list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-(* The last patch-local build, so a design run again right away (a warm-up
-   then a timed run, a re-verification) is built once. *)
-let last_derived :
-    (Verilog.Ast.design * string * Compile.artifact) option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
 (* How many builds were full and how many patch-local; metrics only. *)
 let m_build_full = Obs.Metrics.counter "sim.build_full"
 let m_build_patch_local = Obs.Metrics.counter "sim.build_patch_local"
 
 let count m = if Obs.Metrics.enabled () then Obs.Metrics.incr m
 
-let same_design a b = List.compare_lengths a b = 0 && List.for_all2 ( == ) a b
-
 (* The compiled artifact of [design] (or why the compiler rejects it),
    from a base when one fits. Raises [Runtime.Elab_error] when a full
    build fails to elaborate; such a design does not become a base. *)
 let build ~max_steps ~max_time (design : Verilog.Ast.design) ~top =
   let cache = Domain.DLS.get bases in
-  let recent = Domain.DLS.get last_derived in
-  match !recent with
-  | Some (d, t, art) when String.equal t top && same_design d design -> Ok art
-  | _ -> (
-      let rec find = function
-        | [] -> None
-        | b :: rest -> (
-            if not (String.equal b.b_top top) then find rest
-            else
-              match Elaborate.rebind b.b_elab ~base_design:b.b_design design with
-              | Some derived -> Some (b, derived)
-              | None -> find rest)
+  let rec find = function
+    | [] -> None
+    | b :: rest -> (
+        if not (String.equal b.b_top top) then find rest
+        else
+          match Elaborate.rebind b.b_elab ~base_design:b.b_design design with
+          | Some derived -> Some (b, derived)
+          | None -> find rest)
+  in
+  match find !cache with
+  | Some (b, (elab, changed)) -> (
+      cache := b :: List.filter (fun b' -> b' != b) !cache;
+      match b.b_art with
+      | Error _ as e -> e
+      | Ok base ->
+          count m_build_patch_local;
+          Ok (Compile.derive base elab changed))
+  | None ->
+      count m_build_full;
+      let elab = Elaborate.elaborate ~max_steps ~max_time design ~top in
+      let b_art =
+        match Compile.compile elab with
+        | art -> Ok art
+        | exception Compile.Fallback reason -> Error reason
       in
-      match find !cache with
-      | Some (b, (elab, changed)) -> (
-          (match !cache with
-          | first :: _ when first == b -> ()
-          | l -> cache := b :: List.filter (fun b' -> b' != b) l);
-          match b.b_art with
-          | Error _ as e -> e
-          | Ok _ when changed = [] && same_design b.b_design design -> b.b_art
-          | Ok base ->
-              count m_build_patch_local;
-              let art = Compile.derive base elab changed in
-              recent := Some (design, top, art);
-              Ok art)
-      | None ->
-          count m_build_full;
-          let elab = Elaborate.elaborate ~max_steps ~max_time design ~top in
-          let b_art =
-            match Compile.compile elab with
-            | art -> Ok art
-            | exception Compile.Fallback reason -> Error reason
-          in
-          let b = { b_design = design; b_top = top; b_elab = elab; b_art } in
-          cache := List.filteri (fun i _ -> i < base_capacity) (b :: !cache);
-          b_art)
+      let b = { b_design = design; b_top = top; b_elab = elab; b_art } in
+      cache := List.filteri (fun i _ -> i < base_capacity) (b :: !cache);
+      b_art
 
 (* --- Observability -------------------------------------------------------- *)
 

@@ -155,287 +155,170 @@ let stmt_size s =
 
 (* --- Rewriters --------------------------------------------------------- *)
 
-(* Rewrites share what they do not change: a node none of whose children
-   changed is returned itself, so a patched module keeps every untouched
-   subtree and item physically equal to its source's (the simulator
-   recompiles only the processes whose bodies are not physically the
-   base design's). Children are visited in a fixed order -- last to first
-   within a node, first to last along a list -- which first-match edits
-   depend on when a module repeats an id (an inserted copy of a
-   statement keeps the original's). *)
-
-let share_opt g o =
-  match o with
-  | None -> o
-  | Some x ->
-      let x' = g x in
-      if x' == x then o else Some x'
-
-let rec share_list g l =
-  match l with
-  | [] -> l
-  | x :: rest ->
-      let x' = g x in
-      let rest' = share_list g rest in
-      if x' == x && rest' == rest then l else x' :: rest'
-
-(* The edited item list of [m], or [m] itself when no item changed. *)
-let with_items (m : module_decl) g =
-  let items = share_list g m.items in
-  if items == m.items then m else { m with items }
-
 (* [rewrite_stmts f m] applies [f] to every statement top-down; when [f]
    returns [Some s'], [s'] is used and its children are not visited. The
    repair engine composes first-match-only edits on top of this. *)
 let rec rw_stmt f (s : stmt) : stmt =
   match f s with
   | Some s' -> s'
-  | None -> (
-      let sub = rw_stmt f in
-      let opt = share_opt sub in
-      match s.s with
-      | Block (lbl, body) ->
-          let body' = share_list sub body in
-          if body' != body then { s with s = Block (lbl, body') } else s
-      | If (c, t, e) ->
-          let e' = opt e in
-          let t' = opt t in
-          if t' != t || e' != e then { s with s = If (c, t', e') } else s
-      | CaseStmt (kind, subject, arms, default) ->
-          let default' = opt default in
-          let arms' =
-            share_list
-              (fun arm ->
-                let body = opt arm.arm_body in
-                if body == arm.arm_body then arm else { arm with arm_body = body })
-              arms
-          in
-          if arms' != arms || default' != default then
-            { s with s = CaseStmt (kind, subject, arms', default') }
-          else s
-      | For (init, cond, step, body) ->
-          let body' = sub body in
-          let step' = sub step in
-          let init' = sub init in
-          if init' != init || step' != step || body' != body then
-            { s with s = For (init', cond, step', body') }
-          else s
-      | While (c, body) ->
-          let body' = sub body in
-          if body' != body then { s with s = While (c, body') } else s
-      | Repeat (c, body) ->
-          let body' = sub body in
-          if body' != body then { s with s = Repeat (c, body') } else s
-      | Forever body ->
-          let body' = sub body in
-          if body' != body then { s with s = Forever body' } else s
-      | Delay (d, k) ->
-          let k' = opt k in
-          if k' != k then { s with s = Delay (d, k') } else s
-      | EventCtrl (specs, k) ->
-          let k' = opt k in
-          if k' != k then { s with s = EventCtrl (specs, k') } else s
-      | Wait (c, k) ->
-          let k' = opt k in
-          if k' != k then { s with s = Wait (c, k') } else s
-      | Blocking _ | Nonblocking _ | Trigger _ | SysTask _ | Null -> s)
+  | None ->
+      let k =
+        match s.s with
+        | Block (lbl, body) -> Block (lbl, List.map (rw_stmt f) body)
+        | If (c, t, e) ->
+            If (c, Option.map (rw_stmt f) t, Option.map (rw_stmt f) e)
+        | CaseStmt (kind, subject, arms, default) ->
+            CaseStmt
+              ( kind,
+                subject,
+                List.map
+                  (fun arm ->
+                    { arm with arm_body = Option.map (rw_stmt f) arm.arm_body })
+                  arms,
+                Option.map (rw_stmt f) default )
+        | For (init, cond, step, body) ->
+            For (rw_stmt f init, cond, rw_stmt f step, rw_stmt f body)
+        | While (c, body) -> While (c, rw_stmt f body)
+        | Repeat (c, body) -> Repeat (c, rw_stmt f body)
+        | Forever body -> Forever (rw_stmt f body)
+        | Delay (d, k) -> Delay (d, Option.map (rw_stmt f) k)
+        | EventCtrl (specs, k) -> EventCtrl (specs, Option.map (rw_stmt f) k)
+        | Wait (c, k) -> Wait (c, Option.map (rw_stmt f) k)
+        | ( Blocking _ | Nonblocking _ | Trigger _ | SysTask _ | Null ) as d -> d
+      in
+      { s with s = k }
 
-(* The item with its process body rewritten by [g]; other items as is. *)
-let rw_process_item g (item : item) =
+let rw_item_stmts f item =
   match item.it with
-  | Always s ->
-      let s' = g s in
-      if s' == s then item else { item with it = Always s' }
-  | Initial s ->
-      let s' = g s in
-      if s' == s then item else { item with it = Initial s' }
+  | Always s -> { item with it = Always (rw_stmt f s) }
+  | Initial s -> { item with it = Initial (rw_stmt f s) }
   | _ -> item
 
 let rewrite_stmts f (m : module_decl) : module_decl =
-  with_items m (rw_process_item (rw_stmt f))
+  { m with items = List.map (rw_item_stmts f) m.items }
 
 (* Expression rewriting, top-down, everywhere an expression occurs in
    procedural code and continuous assignments. *)
 let rec rw_expr f (e : expr) : expr =
   match f e with
   | Some e' -> e'
-  | None -> (
-      let sub = rw_expr f in
-      match e.e with
-      | Number _ | IntLit _ | Ident _ | String _ -> e
-      | Index (n, i) ->
-          let i' = sub i in
-          if i' != i then { e with e = Index (n, i') } else e
-      | RangeSel (n, a, b) ->
-          let b' = sub b in
-          let a' = sub a in
-          if a' != a || b' != b then { e with e = RangeSel (n, a', b') } else e
-      | Unop (op, a) ->
-          let a' = sub a in
-          if a' != a then { e with e = Unop (op, a') } else e
-      | Binop (op, a, b) ->
-          let b' = sub b in
-          let a' = sub a in
-          if a' != a || b' != b then { e with e = Binop (op, a', b') } else e
-      | Cond (c, t, fl) ->
-          let fl' = sub fl in
-          let t' = sub t in
-          let c' = sub c in
-          if c' != c || t' != t || fl' != fl then
-            { e with e = Cond (c', t', fl') }
-          else e
-      | Concat es ->
-          let es' = share_list sub es in
-          if es' != es then { e with e = Concat es' } else e
-      | Repl (n, x) ->
-          let x' = sub x in
-          let n' = sub n in
-          if n' != n || x' != x then { e with e = Repl (n', x') } else e
-      | Call (name, args) ->
-          let args' = share_list sub args in
-          if args' != args then { e with e = Call (name, args') } else e)
+  | None ->
+      let k =
+        match e.e with
+        | (Number _ | IntLit _ | Ident _ | String _) as d -> d
+        | Index (n, i) -> Index (n, rw_expr f i)
+        | RangeSel (n, a, b) -> RangeSel (n, rw_expr f a, rw_expr f b)
+        | Unop (op, a) -> Unop (op, rw_expr f a)
+        | Binop (op, a, b) -> Binop (op, rw_expr f a, rw_expr f b)
+        | Cond (c, t, fl) -> Cond (rw_expr f c, rw_expr f t, rw_expr f fl)
+        | Concat es -> Concat (List.map (rw_expr f) es)
+        | Repl (n, x) -> Repl (rw_expr f n, rw_expr f x)
+        | Call (name, args) -> Call (name, List.map (rw_expr f) args)
+      in
+      { e with e = k }
 
 let rw_lvalue f lv =
-  let rec go lv =
-    match lv with
-    | LId _ -> lv
-    | LIndex (n, e) ->
-        let e' = rw_expr f e in
-        if e' == e then lv else LIndex (n, e')
-    | LRange (n, a, b) ->
-        let b' = rw_expr f b in
-        let a' = rw_expr f a in
-        if a' == a && b' == b then lv else LRange (n, a', b')
-    | LConcat lvs ->
-        let lvs' = share_list go lvs in
-        if lvs' == lvs then lv else LConcat lvs'
+  let rec go = function
+    | LId _ as l -> l
+    | LIndex (n, e) -> LIndex (n, rw_expr f e)
+    | LRange (n, a, b) -> LRange (n, rw_expr f a, rw_expr f b)
+    | LConcat lvs -> LConcat (List.map go lvs)
   in
   go lv
 
-let rw_event_spec f spec =
-  match spec with
-  | Posedge e ->
-      let e' = rw_expr f e in
-      if e' == e then spec else Posedge e'
-  | Negedge e ->
-      let e' = rw_expr f e in
-      if e' == e then spec else Negedge e'
-  | Level e ->
-      let e' = rw_expr f e in
-      if e' == e then spec else Level e'
-  | AnyChange -> spec
+let rw_event_spec f = function
+  | Posedge e -> Posedge (rw_expr f e)
+  | Negedge e -> Negedge (rw_expr f e)
+  | Level e -> Level (rw_expr f e)
+  | AnyChange -> AnyChange
 
 let rec rw_stmt_exprs f (s : stmt) : stmt =
   let e = rw_expr f in
-  let sub = rw_stmt_exprs f in
-  let opt = share_opt sub in
-  let assign lhs d rhs mk =
-    let rhs' = e rhs in
-    let d' = share_opt e d in
-    let lhs' = rw_lvalue f lhs in
-    if lhs' != lhs || d' != d || rhs' != rhs then
-      { s with s = mk lhs' d' rhs' }
-    else s
+  let k =
+    match s.s with
+    | Block (lbl, body) -> Block (lbl, List.map (rw_stmt_exprs f) body)
+    | Blocking (lhs, d, rhs) ->
+        Blocking (rw_lvalue f lhs, Option.map e d, e rhs)
+    | Nonblocking (lhs, d, rhs) ->
+        Nonblocking (rw_lvalue f lhs, Option.map e d, e rhs)
+    | If (c, t, els) ->
+        If (e c, Option.map (rw_stmt_exprs f) t, Option.map (rw_stmt_exprs f) els)
+    | CaseStmt (kind, subject, arms, default) ->
+        CaseStmt
+          ( kind,
+            e subject,
+            List.map
+              (fun arm ->
+                {
+                  arm with
+                  patterns = List.map e arm.patterns;
+                  arm_body = Option.map (rw_stmt_exprs f) arm.arm_body;
+                })
+              arms,
+            Option.map (rw_stmt_exprs f) default )
+    | For (init, cond, step, body) ->
+        For
+          ( rw_stmt_exprs f init,
+            e cond,
+            rw_stmt_exprs f step,
+            rw_stmt_exprs f body )
+    | While (c, body) -> While (e c, rw_stmt_exprs f body)
+    | Repeat (c, body) -> Repeat (e c, rw_stmt_exprs f body)
+    | Forever body -> Forever (rw_stmt_exprs f body)
+    | Delay (d, k) -> Delay (e d, Option.map (rw_stmt_exprs f) k)
+    | EventCtrl (specs, k) ->
+        EventCtrl (List.map (rw_event_spec f) specs, Option.map (rw_stmt_exprs f) k)
+    | Wait (c, k) -> Wait (e c, Option.map (rw_stmt_exprs f) k)
+    | SysTask (name, args) -> SysTask (name, List.map e args)
+    | (Trigger _ | Null) as d -> d
   in
-  match s.s with
-  | Block (lbl, body) ->
-      let body' = share_list sub body in
-      if body' != body then { s with s = Block (lbl, body') } else s
-  | Blocking (lhs, d, rhs) -> assign lhs d rhs (fun l d r -> Blocking (l, d, r))
-  | Nonblocking (lhs, d, rhs) ->
-      assign lhs d rhs (fun l d r -> Nonblocking (l, d, r))
-  | If (c, t, els) ->
-      let els' = opt els in
-      let t' = opt t in
-      let c' = e c in
-      if c' != c || t' != t || els' != els then
-        { s with s = If (c', t', els') }
-      else s
-  | CaseStmt (kind, subject, arms, default) ->
-      let default' = opt default in
-      let arms' =
-        share_list
-          (fun arm ->
-            let body = opt arm.arm_body in
-            let patterns = share_list e arm.patterns in
-            if body == arm.arm_body && patterns == arm.patterns then arm
-            else { arm with patterns; arm_body = body })
-          arms
-      in
-      let subject' = e subject in
-      if subject' != subject || arms' != arms || default' != default then
-        { s with s = CaseStmt (kind, subject', arms', default') }
-      else s
-  | For (init, cond, step, body) ->
-      let body' = sub body in
-      let step' = sub step in
-      let cond' = e cond in
-      let init' = sub init in
-      if init' != init || cond' != cond || step' != step || body' != body then
-        { s with s = For (init', cond', step', body') }
-      else s
-  | While (c, body) ->
-      let body' = sub body in
-      let c' = e c in
-      if c' != c || body' != body then { s with s = While (c', body') } else s
-  | Repeat (c, body) ->
-      let body' = sub body in
-      let c' = e c in
-      if c' != c || body' != body then { s with s = Repeat (c', body') } else s
-  | Forever body ->
-      let body' = sub body in
-      if body' != body then { s with s = Forever body' } else s
-  | Delay (d, k) ->
-      let k' = opt k in
-      let d' = e d in
-      if d' != d || k' != k then { s with s = Delay (d', k') } else s
-  | EventCtrl (specs, k) ->
-      let k' = opt k in
-      let specs' = share_list (rw_event_spec f) specs in
-      if specs' != specs || k' != k then
-        { s with s = EventCtrl (specs', k') }
-      else s
-  | Wait (c, k) ->
-      let k' = opt k in
-      let c' = e c in
-      if c' != c || k' != k then { s with s = Wait (c', k') } else s
-  | SysTask (name, args) ->
-      let args' = share_list e args in
-      if args' != args then { s with s = SysTask (name, args') } else s
-  | Trigger _ | Null -> s
+  { s with s = k }
+
+let rw_item_exprs f item =
+  match item.it with
+  | Always s -> { item with it = Always (rw_stmt_exprs f s) }
+  | Initial s -> { item with it = Initial (rw_stmt_exprs f s) }
+  | ContAssign assigns ->
+      {
+        item with
+        it =
+          ContAssign
+            (List.map (fun (lhs, rhs) -> (rw_lvalue f lhs, rw_expr f rhs)) assigns);
+      }
+  | _ -> item
 
 let rewrite_exprs f (m : module_decl) : module_decl =
-  with_items m (fun item ->
-      match item.it with
-      | Always _ | Initial _ -> rw_process_item (rw_stmt_exprs f) item
-      | ContAssign assigns ->
-          let assigns' =
-            share_list
-              (fun ((lhs, rhs) as pair) ->
-                let rhs' = rw_expr f rhs in
-                let lhs' = rw_lvalue f lhs in
-                if lhs' == lhs && rhs' == rhs then pair else (lhs', rhs'))
-              assigns
-          in
-          if assigns' == assigns then item
-          else { item with it = ContAssign assigns' }
-      | _ -> item)
+  { m with items = List.map (rw_item_exprs f) m.items }
 
 (* --- Edit primitives (first match wins) -------------------------------- *)
+
+(* [m] with a first-match edit applied item by item, [None] when it fired
+   nowhere. [edit] rewrites one item and sets [fired] when the edit lands
+   in it. Every item the edit did not land in is kept physically as it is,
+   and items after the one it landed in are not visited: the simulator
+   recompiles only the processes whose items are not physically the base
+   design's. *)
+let edit_items (m : module_decl) fired edit =
+  let items =
+    List.map
+      (fun item ->
+        if !fired then item
+        else
+          let item' = edit item in
+          if !fired then item' else item)
+      m.items
+  in
+  if !fired then Some { m with items } else None
 
 (* Replace the first statement whose id is [target] with [replacement]. *)
 let replace_stmt m ~target ~replacement =
   let fired = ref false in
-  let m' =
-    rewrite_stmts
-      (fun s ->
-        if (not !fired) && s.sid = target then (
-          fired := true;
-          Some replacement)
-        else None)
-      m
-  in
-  if !fired then Some m' else None
+  edit_items m fired
+    (rw_item_stmts (fun s ->
+         if (not !fired) && s.sid = target then (
+           fired := true;
+           Some replacement)
+         else None))
 
 let delete_stmt m ~target =
   replace_stmt m ~target ~replacement:{ sid = target; s = Null }
@@ -443,112 +326,83 @@ let delete_stmt m ~target =
 (* Insert [stmt] after the first occurrence of statement [target]. If the
    target is an element of a begin/end block the insertion extends that
    block; if it is the direct body of a control statement we wrap the two
-   statements in a fresh block. Within a block, the elements themselves
-   are matched first to last, then searched inside last to first. *)
+   statements in a fresh block. *)
 let insert_after m ~target ~stmt:(new_stmt : stmt) =
   let fired = ref false in
   let rec widen (s : stmt) : stmt =
     if !fired then s
     else
-      let opt = share_opt widen in
       match s.s with
       | Block (lbl, body) ->
-          let rec go l =
-            match l with
-            | [] -> l
+          let rec go = function
+            | [] -> []
             | x :: rest ->
                 if (not !fired) && x.sid = target then (
                   fired := true;
                   x :: new_stmt :: rest)
-                else
-                  let rest' = go rest in
-                  let x' = widen x in
-                  if x' == x && rest' == rest then l else x' :: rest'
+                else widen x :: go rest
           in
-          let body' = go body in
-          if body' != body then { s with s = Block (lbl, body') } else s
-      | _ when s.sid = target ->
-          fired := true;
-          { sid = s.sid; s = Block (None, [ s; new_stmt ]) }
-      | If (c, t, e) ->
-          let e' = opt e in
-          let t' = opt t in
-          if t' != t || e' != e then { s with s = If (c, t', e') } else s
-      | CaseStmt (kind, subject, arms, default) ->
-          let default' = opt default in
-          let arms' =
-            share_list
-              (fun arm ->
-                let body = opt arm.arm_body in
-                if body == arm.arm_body then arm else { arm with arm_body = body })
-              arms
-          in
-          if arms' != arms || default' != default then
-            { s with s = CaseStmt (kind, subject, arms', default') }
-          else s
-      | For (init, cond, step, body) ->
-          let body' = widen body in
-          let step' = widen step in
-          let init' = widen init in
-          if init' != init || step' != step || body' != body then
-            { s with s = For (init', cond, step', body') }
-          else s
-      | While (c, body) ->
-          let body' = widen body in
-          if body' != body then { s with s = While (c, body') } else s
-      | Repeat (c, body) ->
-          let body' = widen body in
-          if body' != body then { s with s = Repeat (c, body') } else s
-      | Forever body ->
-          let body' = widen body in
-          if body' != body then { s with s = Forever body' } else s
-      | Delay (d, k) ->
-          let k' = opt k in
-          if k' != k then { s with s = Delay (d, k') } else s
-      | EventCtrl (specs, k) ->
-          let k' = opt k in
-          if k' != k then { s with s = EventCtrl (specs, k') } else s
-      | Wait (c, k) ->
-          let k' = opt k in
-          if k' != k then { s with s = Wait (c, k') } else s
-      | Blocking _ | Nonblocking _ | Trigger _ | SysTask _ | Null -> s
+          { s with s = Block (lbl, go body) }
+      | _ ->
+          if s.sid = target then (
+            fired := true;
+            { sid = s.sid; s = Block (None, [ s; new_stmt ]) })
+          else (
+            let k =
+              match s.s with
+              | If (c, t, e) -> If (c, Option.map widen t, Option.map widen e)
+              | CaseStmt (kind, subject, arms, default) ->
+                  CaseStmt
+                    ( kind,
+                      subject,
+                      List.map
+                        (fun arm ->
+                          { arm with arm_body = Option.map widen arm.arm_body })
+                        arms,
+                      Option.map widen default )
+              | For (init, cond, step, body) ->
+                  For (widen init, cond, widen step, widen body)
+              | While (c, body) -> While (c, widen body)
+              | Repeat (c, body) -> Repeat (c, widen body)
+              | Forever body -> Forever (widen body)
+              | Delay (d, k) -> Delay (d, Option.map widen k)
+              | EventCtrl (specs, k) -> EventCtrl (specs, Option.map widen k)
+              | Wait (c, k) -> Wait (c, Option.map widen k)
+              | d -> d
+            in
+            { s with s = k })
   in
-  let m' = with_items m (rw_process_item widen) in
-  if !fired then Some m' else None
+  edit_items m fired (fun item ->
+      match item.it with
+      | Always s -> { item with it = Always (widen s) }
+      | Initial s -> { item with it = Initial (widen s) }
+      | _ -> item)
 
 (* Transform the first statement with id [target] via [f]. *)
 let transform_stmt m ~target ~f =
   let fired = ref false in
-  let m' =
-    rewrite_stmts
-      (fun s ->
-        if (not !fired) && s.sid = target then (
-          match f s with
-          | Some s' ->
-              fired := true;
-              Some s'
-          | None -> None)
-        else None)
-      m
-  in
-  if !fired then Some m' else None
+  edit_items m fired
+    (rw_item_stmts (fun s ->
+         if (not !fired) && s.sid = target then (
+           match f s with
+           | Some s' ->
+               fired := true;
+               Some s'
+           | None -> None)
+         else None))
 
 (* Transform the first expression with id [target] via [f]. *)
 let transform_expr m ~target ~f =
   let fired = ref false in
-  let m' =
-    rewrite_exprs
-      (fun e ->
-        if (not !fired) && e.eid = target then (
-          match f e with
-          | Some e' ->
-              fired := true;
-              Some e'
-          | None -> None)
-        else None)
-      m
-  in
-  if !fired then Some m' else None
+  edit_items m fired
+    (rw_item_exprs (fun e ->
+         if (not !fired) && e.eid = target then (
+           match f e with
+           | Some e' ->
+               fired := true;
+               Some e'
+           | None -> None)
+         else None))
 
 (* --- Classification ---------------------------------------------------- *)
 
