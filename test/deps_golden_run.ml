@@ -63,34 +63,9 @@ let report_module buf (design : design) (m : module_decl) =
         p.sl_procs_kept p.sl_procs_total)
     (Verilog.Slice.output_ports m)
 
-let names l = String.concat " " l
-
-(* The compiled schedule of [design] under [top]. *)
-let schedule buf ~top (design : design) =
-  match Sim.Elaborate.elaborate design ~top with
-  | exception Sim.Runtime.Elab_error e ->
-      Printf.bprintf buf "  schedule elab-error: %s\n" e
-  | elab -> (
-      match Sim.Compile.compile elab with
-      | exception Sim.Compile.Fallback reason ->
-          Printf.bprintf buf "  schedule fallback: %s\n" reason
-      | art ->
-          let s = art.a_stats in
-          Printf.bprintf buf
-            "  schedule nodes %d const %d dead %d levels %d t0 [%s] dynamic \
-             [%s] inputs [%s]\n"
-            s.c_nodes s.c_const s.c_dead s.c_levels
-            (names (Sim.Compile.schedule_order art))
-            (names
-               (Array.to_list art.a_dynamic
-               |> List.concat_map (fun (nd : Sim.Compile.node) -> nd.n_names)))
-            (names
-               (Array.to_list art.a_inputs
-               |> List.map (fun (v : Sim.Runtime.var) -> v.v_name))))
-
 let report buf ~label ~top (design : design) (modules : module_decl list) =
   Printf.bprintf buf "== %s\n" label;
-  schedule buf ~top design;
+  Printf.bprintf buf "  schedule %s\n" (Schedule.of_design design ~top);
   findings buf "race" (Verilog.Race.check_design ~top design);
   List.iter (report_module buf design) modules
 

@@ -37,6 +37,11 @@
      times and counted apart. A printed-and-parsed copy would not do: the
      parser reads a null statement in a branch or body position
      ([if (c) ;]) as no statement, which executes one statement fewer.
+     Each patch-local mutant's schedule is also checked directly:
+     [Compile.derive] from the seed's full build must give the same
+     time-0 order, dynamic order, external inputs and statistics as
+     [Compile.compile] of a cold elaboration of the copy, or both must
+     fall back for the same reason.
 
    Usage: sim_equiv_run [--all]
    The default is a fast smoke subset (wired into `dune runtest`): four
@@ -195,7 +200,7 @@ let () =
   let copy (d : Verilog.Ast.design) : Verilog.Ast.design =
     Marshal.from_string (Marshal.to_string d []) 0
   in
-  let local = ref 0 and full = ref 0 in
+  let local = ref 0 and full = ref 0 and derived = ref 0 in
   List.iter
     (fun ((d : Bench_suite.Defects.t), (problem : Cirfix.Problem.t), walk) ->
       let max_steps, max_time = budgets problem in
@@ -203,8 +208,20 @@ let () =
         Sim.Simulate.run ~max_steps ~max_time ~backend:Sim.Simulate.Auto design
           problem.spec
       in
-      let seed = Cirfix.Problem.target_module problem in
-      ignore (run (Cirfix.Problem.with_candidate problem seed));
+      let seed =
+        Cirfix.Problem.with_candidate problem
+          (Cirfix.Problem.target_module problem)
+      in
+      ignore (run seed);
+      (* The seed's own full build, for the schedule check. *)
+      let base =
+        match
+          Sim.Elaborate.elaborate ~max_steps ~max_time seed
+            ~top:problem.spec.top
+        with
+        | elab -> Some (elab, Schedule.compiled elab)
+        | exception Sim.Runtime.Elab_error _ -> None
+      in
       List.iteri
         (fun r (m, edit) ->
           let design = Cirfix.Problem.with_candidate problem m in
@@ -218,15 +235,41 @@ let () =
             Printf.printf "FAIL %s: the copy was not built in full\n%!" label;
             incr failures
           end
-          else if not (same_results label warm cold) then incr failures)
+          else if not (same_results label warm cold) then incr failures;
+          match base with
+          | None -> ()
+          | Some (base_elab, base_art) -> (
+              match Sim.Elaborate.rebind base_elab ~base_design:seed design with
+              | None -> ()
+              | Some (elab, changed) ->
+                  incr derived;
+                  let derived =
+                    Schedule.describe
+                      (Result.map
+                         (fun b -> Sim.Compile.derive b elab changed)
+                         base_art)
+                  in
+                  let full =
+                    Schedule.of_design ~max_steps ~max_time (copy design)
+                      ~top:problem.spec.top
+                  in
+                  if not (String.equal derived full) then begin
+                    Printf.printf
+                      "FAIL %s: derived schedule differs\n\
+                      \  derive:  %s\n\
+                      \  compile: %s\n\
+                       %!"
+                      label derived full;
+                    incr failures
+                  end))
         walk)
     walks;
   Obs.Metrics.set_enabled false;
   Printf.printf
     "sim-equiv: %d trace pairs, %d scenarios, %d mutants, %d patch-local \
-     (%d built in full), %d failures\n%!"
-    !pairs !scored !mutants !local !full !failures;
-  if !local = 0 then begin
+     (%d built in full), %d derived schedules, %d failures\n%!"
+    !pairs !scored !mutants !local !full !derived !failures;
+  if !local = 0 || !derived = 0 then begin
     Printf.printf "FAIL no mutant was built patch-locally\n%!";
     exit 1
   end;
