@@ -94,10 +94,12 @@ type cproc =
       pd_label : string; (* profiler label, "gen:<scope>#<sid>" *)
     }
 
-(* What a compiled process reads and writes: the distinct hierarchical
-   names, sorted.  Const and dead analysis read only the union over the
-   processes. *)
-type access = { ac_reads : string array; ac_writes : string array }
+module Names = Verilog.Deps.Names
+
+(* What a compiled process reads and writes: the hierarchical names of the
+   variables among its {!Verilog.Deps.stmt_access}.  Const and dead
+   analysis read only the union over the processes. *)
+type access = { ac_reads : Names.t; ac_writes : Names.t }
 
 (* Nodes are shared by every artifact derived from one base ({!derive}),
    so what a node's schedule position depends on -- whether it is
@@ -115,15 +117,7 @@ type artifact = {
 
 (* --- Compile-time environment ------------------------------------------ *)
 
-type env = {
-  st : Runtime.state;
-  sc : Runtime.scope;
-  reads : (string, unit) Hashtbl.t; (* names of the vars the process reads *)
-  writes : (string, unit) Hashtbl.t; (* ... and writes *)
-}
-
-let note_read env v = Hashtbl.replace env.reads v.Runtime.v_name ()
-let note_write env v = Hashtbl.replace env.writes v.Runtime.v_name ()
+type env = { st : Runtime.state; sc : Runtime.scope }
 
 (* --- Expressions -------------------------------------------------------- *)
 
@@ -324,8 +318,7 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
         | Some (Bvar v) ->
             if v.v_kind = Runtime.NamedEvent then
               raise_at_runtime ("named event used as value: " ^ name)
-            else (
-              note_read env v;
+            else
               let w = v.v_width in
               let value =
                 if narrow w then (
@@ -333,7 +326,7 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                   Cell (d, fun () -> P.load d v.v_value))
                 else Boxed (fun () -> v.v_value)
               in
-              { (leaf value w) with src = Some v })
+              { (leaf value w) with src = Some v }
         | None -> raise_at_runtime ("undeclared identifier " ^ name))
     | Index (name, idx) -> (
         let ci = compile_expr env idx in
@@ -349,7 +342,6 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                      if i < 0 then P.set_x d 1 else P.load d (Packed.of_bit (Vec.get c i)) ))
               1 [ ci ]
         | Some (Bvar v) ->
-            note_read env v;
             let w = v.v_width in
             if v.v_array <> None then
               let read () =
@@ -390,7 +382,6 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
     | RangeSel (name, me, le) -> (
         match Runtime.scope_find env.sc name with
         | Some (Bvar v) ->
-            note_read env v;
             let cm = compile_expr env me and cl = compile_expr env le in
             let bounds m l =
               let a = Runtime.storage_index v m and b = Runtime.storage_index v l in
@@ -679,9 +670,7 @@ let rec compile_store ?(raises = ref false) (env : env) (lv : lvalue) : cstore =
   in
   let resolved name =
     match Runtime.scope_find env.sc name with
-    | Some (Bvar v) ->
-        note_write env v;
-        Ok v
+    | Some (Bvar v) -> Ok v
     | Some (Bconst _) ->
         Error (Printf.sprintf "%s is a parameter, not a variable" name)
     | None ->
@@ -979,11 +968,6 @@ let rec compile_stmt (env : env) (s : stmt) : unit -> unit =
          reported if the statement actually executes. *)
       match Engine.resolve_wait st env.sc specs k with
       | wait ->
-          (match wait with
-          | Engine.WEdges edges ->
-              List.iter (fun (v, _) -> note_read env v) edges
-          | Engine.WEvent v -> note_read env v
-          | Engine.WDelay _ -> ());
           entered (fun () ->
               Engine.suspend wait;
               ck ())
@@ -992,7 +976,6 @@ let rec compile_stmt (env : env) (s : stmt) : unit -> unit =
   | Wait (cond, k) ->
       let ccond = compile_truth env cond in
       let support = Elaborate.expr_support env.sc cond in
-      List.iter (note_read env) support;
       let edges = List.map (fun v -> (v, Runtime.Any)) support in
       let ck = compile_opt env k in
       let rec loop () =
@@ -1015,10 +998,7 @@ let rec compile_stmt (env : env) (s : stmt) : unit -> unit =
           entered (fun () -> raise (Runtime.Elab_error msg)))
   | SysTask (task, args) ->
       (* Delegate to the interpreter so $display formatting and $monitor
-         hooks stay byte-identical.  Argument vars count as reads. *)
-      List.iter
-        (fun a -> List.iter (note_read env) (Elaborate.expr_support env.sc a))
-        args;
+         hooks stay byte-identical. *)
       let sc = env.sc in
       entered (fun () -> Engine.exec_systask st sc task args)
 
@@ -1086,11 +1066,6 @@ let compile_always (env : env) (s : stmt) : cproc option =
                 Engine.WEdges (List.rev !distinct)
             | w -> w
           in
-          (match wait with
-          | Engine.WEdges edges ->
-              List.iter (fun (v, _) -> note_read env v) edges
-          | Engine.WEvent v -> note_read env v
-          | Engine.WDelay _ -> ());
           Some
             (Pedge
                {
@@ -1249,9 +1224,7 @@ let levelize (nodes : node array) : node array * int =
 
 (* Compile one process, with what it reads and writes. *)
 let compile_process st (p : Elaborate.process) : cproc * access =
-  let env =
-    { st; sc = p.Elaborate.pr_scope; reads = Hashtbl.create 8; writes = Hashtbl.create 8 }
-  in
+  let env = { st; sc = p.Elaborate.pr_scope } in
   let label kind =
     proc_label kind p.Elaborate.pr_scope p.Elaborate.pr_body.Verilog.Ast.sid
   in
@@ -1269,23 +1242,24 @@ let compile_process st (p : Elaborate.process) : cproc * access =
             in
             Pfiber (label "proc", loop))
   in
-  let names tbl =
-    let a = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-    Array.sort String.compare a;
-    a
+  let vars =
+    Names.filter_map (fun name ->
+        match Runtime.scope_find env.sc name with
+        | Some (Bvar v) -> Some v.Runtime.v_name
+        | _ -> None)
   in
-  (cp, { ac_reads = names env.reads; ac_writes = names env.writes })
+  let reads, writes = Verilog.Deps.stmt_access p.Elaborate.pr_body in
+  (cp, { ac_reads = vars reads; ac_writes = vars writes })
 
 (* The schedule of the levelized nodes [ordered] given what the processes
    read and write: the live nodes, the live nodes that are not constant,
    and the external inputs of those. *)
 let schedule (st : Runtime.state) (ordered : node array) (access : access array) =
-  let reads = Hashtbl.create 256 and writes = Hashtbl.create 256 in
-  Array.iter
-    (fun a ->
-      Array.iter (fun name -> Hashtbl.replace reads name ()) a.ac_reads;
-      Array.iter (fun name -> Hashtbl.replace writes name ()) a.ac_writes)
-    access;
+  let reads, writes =
+    Array.fold_left
+      (fun (r, w) a -> (Names.union r a.ac_reads, Names.union w a.ac_writes))
+      (Names.empty, Names.empty) access
+  in
   (* Constant propagation in topo order: a node is constant when nothing in
      its support can ever change after time 0. *)
   let const_var : (string, bool) Hashtbl.t = Hashtbl.create 64 in
@@ -1294,7 +1268,7 @@ let schedule (st : Runtime.state) (ordered : node array) (access : access array)
     | Some b -> b
     | None ->
         (* Not combinationally driven: constant iff no process writes it. *)
-        not (Hashtbl.mem writes v.Runtime.v_name)
+        not (Names.mem v.Runtime.v_name writes)
   in
   let const =
     Array.map
@@ -1304,7 +1278,7 @@ let schedule (st : Runtime.state) (ordered : node array) (access : access array)
         List.iter
           (fun (v : Runtime.var) ->
             Hashtbl.replace const_var v.Runtime.v_name
-              (c && not (Hashtbl.mem writes v.Runtime.v_name)))
+              (c && not (Names.mem v.Runtime.v_name writes)))
           nd.n_targets;
         c)
       ordered
@@ -1312,23 +1286,20 @@ let schedule (st : Runtime.state) (ordered : node array) (access : access array)
   (* Liveness, backwards: a node is dead when no target is read by any
      process, recorded as an output, or feeds a live node, and evaluating
      it cannot raise. *)
-  let live = reads in
+  let live = ref reads in
+  let mark (v : Runtime.var) = live := Names.add v.Runtime.v_name !live in
   List.iter
-    (fun (v : Runtime.var) ->
-      if v.Runtime.v_is_output then Hashtbl.replace live v.Runtime.v_name ())
+    (fun (v : Runtime.var) -> if v.Runtime.v_is_output then mark v)
     st.Runtime.all_vars;
   let node_live nd =
     nd.n_raises
     || List.exists
-         (fun (v : Runtime.var) -> Hashtbl.mem live v.Runtime.v_name)
+         (fun (v : Runtime.var) -> Names.mem v.Runtime.v_name !live)
          nd.n_targets
   in
   for i = Array.length ordered - 1 downto 0 do
     let nd = ordered.(i) in
-    if node_live nd then
-      List.iter
-        (fun (v : Runtime.var) -> Hashtbl.replace live v.Runtime.v_name ())
-        nd.n_support
+    if node_live nd then List.iter mark nd.n_support
   done;
   let is_live = Array.map node_live ordered in
   let pick keep =
@@ -1363,20 +1334,11 @@ let schedule (st : Runtime.state) (ordered : node array) (access : access array)
 
 let compile (elab : Elaborate.elaborated) : artifact =
   let st = elab.Elaborate.st in
-  (* Processes first: their read/write sets drive const/dead analysis. *)
+  (* Each process with what it reads and writes: the sets const/dead
+     analysis runs on. *)
   let compiled = Array.of_list (List.map (compile_process st) elab.Elaborate.procs) in
-  (* Node compilation gets scratch read/write tables: const/dead analysis
-     must see only what *processes* touch, and the structured node
-     dependencies are carried by cb_support / n_targets instead. *)
-  let base_env =
-    {
-      st;
-      sc = elab.Elaborate.top_scope;
-      reads = Hashtbl.create 16;
-      writes = Hashtbl.create 16;
-    }
-  in
-  let nodes = Array.of_list (List.map (compile_node base_env) elab.Elaborate.combs) in
+  let env = { st; sc = elab.Elaborate.top_scope } in
+  let nodes = Array.of_list (List.map (compile_node env) elab.Elaborate.combs) in
   let ordered, levels = levelize nodes in
   let access = Array.map snd compiled in
   let alive, dynamic, inputs = schedule st ordered access in
@@ -1415,7 +1377,11 @@ let derive (base : artifact) (elab : Elaborate.elaborated) (changed : int list) 
       access.(i) <- a)
     changed;
   let art = { base with a_elab = elab; a_procs = procs; a_access = access } in
-  if List.for_all (fun i -> access.(i) = base.a_access.(i)) changed then art
+  let same i =
+    Names.equal access.(i).ac_reads base.a_access.(i).ac_reads
+    && Names.equal access.(i).ac_writes base.a_access.(i).ac_writes
+  in
+  if List.for_all same changed then art
   else
     let alive, dynamic, inputs = schedule st base.a_order access in
     {

@@ -85,16 +85,10 @@ let edge_target st sc (e : expr) : Runtime.var =
         (Runtime.Elab_error
            ("edge expression must name a signal: " ^ Verilog.Pp.expr_to_string e))
 
-(* Variables read anywhere in a statement, for @-star sensitivity. *)
+(* Variables read anywhere in a statement, for @-star sensitivity, in
+   name order. *)
 let stmt_support sc (s : stmt) : Runtime.var list =
-  Verilog.Ast_utils.fold_stmt
-    (fun acc _ -> acc)
-    (fun acc (e : expr) ->
-      match e.e with
-      | Ident n | Index (n, _) | RangeSel (n, _, _) -> n :: acc
-      | _ -> acc)
-    [] s
-  |> List.sort_uniq compare
+  Verilog.Deps.(Names.elements (stmt_reads s))
   |> List.filter_map (fun name ->
          match Runtime.scope_find sc name with
          | Some (Runtime.Bvar v) when v.Runtime.v_kind <> Runtime.NamedEvent ->

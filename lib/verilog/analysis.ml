@@ -92,7 +92,7 @@ let reset_guarded_writes ~(guards : Names.t) (body : stmt) : Names.t =
       match sub.s with
       | If (c, Some t, _)
         when List.exists (fun n -> Names.mem n guards) (Ast_utils.expr_idents c) ->
-          Names.union acc (Deps.stmt_writes t)
+          Names.union acc (snd (Deps.stmt_access t))
       | _ -> acc)
     (fun acc _ -> acc)
     Names.empty body

@@ -1,6 +1,7 @@
 (* The module-level dependence graph: one node per value-computing item,
    built in one walk over the module's items. Analysis, Slice, Race and
-   Lint read it; see deps.mli for the node kinds and DESIGN.md
+   Lint read it, and the simulator takes per-process reads and writes
+   from the same folds; see deps.mli for the node kinds and DESIGN.md
    ("Dependence graph") for which consumer reads which field. *)
 
 open Ast
@@ -71,6 +72,9 @@ let add_targets acc lv =
 let item_reads (item : item) =
   Ast_utils.fold_item (fun acc _ -> acc) add_read Names.empty item
 
+let stmt_reads (s : stmt) =
+  Ast_utils.fold_stmt (fun acc _ -> acc) add_read Names.empty s
+
 (* Reads, blocking writes and non-blocking writes of a statement subtree,
    in one fold. *)
 let stmt_rw (s : stmt) =
@@ -87,9 +91,9 @@ let stmt_rw (s : stmt) =
   in
   (reads, !blk, !nba)
 
-let stmt_writes (s : stmt) =
-  let _, blk, nba = stmt_rw s in
-  Names.union blk nba
+let stmt_access (s : stmt) =
+  let reads, blk, nba = stmt_rw s in
+  (reads, Names.union blk nba)
 
 (* --- Sensitivity --------------------------------------------------------- *)
 

@@ -5,7 +5,9 @@
     with an initializer. The graph is built in one walk over the items
     and records, per node, what it reads and writes and, for zero-delay
     logic, which signals each assignment depends on. {!Analysis},
-    {!Slice}, {!Race} and {!Lint} are queries over it.
+    {!Slice}, {!Race} and {!Lint} are queries over it; the simulator's
+    compiled schedule and [@*] sensitivity read a process's access
+    through {!stmt_access} and {!stmt_reads}.
 
     Names are the module's own (unqualified) identifiers. "Reads" always
     means every identifier in [Ident], bit-select and part-select
@@ -138,5 +140,10 @@ val expr_reads : Names.t -> Ast.expr -> Names.t
 val item_reads : Ast.item -> Names.t
 (** Every identifier read anywhere in one item. *)
 
-val stmt_writes : Ast.stmt -> Names.t
-(** Nets assigned anywhere in a statement subtree. *)
+val stmt_reads : Ast.stmt -> Names.t
+(** Every identifier read anywhere in a statement subtree, event controls
+    included. *)
+
+val stmt_access : Ast.stmt -> Names.t * Names.t
+(** {!stmt_reads} and the nets assigned anywhere in a statement subtree,
+    by blocking or non-blocking assignment. *)
