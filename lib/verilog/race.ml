@@ -85,13 +85,17 @@ type flat = {
   mutable init_writes : Names.t; (* initial-block targets: changeable *)
   mutable cont : (Names.t * Names.t) list; (* (targets, support) edges *)
   ext_driven : Names.t; (* root inputs: change without a writer *)
+  mutable recursive : Lint.finding list; (* instances left unflattened *)
 }
 
 (* Add the instance of [m] at [path] to [f], then its known children.
-   Parameter overrides vary per instance but are constant within one, so
-   parameter names are simply dropped from every signal set. *)
+   [above] names the modules on the instantiation path, [m] included: an
+   instance of one of them would recurse without end, so it is reported
+   and not descended into. Parameter overrides vary per instance but are
+   constant within one, so parameter names are simply dropped from every
+   signal set. *)
 let rec flatten_module (f : flat) ~(graph_of : module_decl -> Deps.t)
-    ~(path : string) (m : module_decl) : unit =
+    ~(above : string list) ~(path : string) (m : module_decl) : unit =
   let g = graph_of m in
   let consts = Deps.params g in
   let q n = path ^ "." ^ n in
@@ -137,6 +141,14 @@ let rec flatten_module (f : flat) ~(graph_of : module_decl -> Deps.t)
               f.cont <-
                 (qualify (Names.of_list a.a_targets), qualify a.a_supports) :: f.cont)
             n.assigns
+      | Instance { inst; child = Some child; _ }, _
+        when List.mem child.mod_id above ->
+          f.recursive <-
+            Lint.finding Lint.Error "recursive-instance" ~modname:path n.id
+              "instance %s of %s recurses: %s is already on its \
+               instantiation path"
+              inst child.mod_id child.mod_id
+            :: f.recursive
       | Instance { inst; child = Some child; bindings }, _ ->
           let child_path = q inst in
           List.iter
@@ -157,7 +169,8 @@ let rec flatten_module (f : flat) ~(graph_of : module_decl -> Deps.t)
                       f.cont <- (Names.singleton cport, idents) :: f.cont;
                       f.cont <- (idents, Names.singleton cport) :: f.cont))
             bindings;
-          flatten_module f ~graph_of ~path:child_path child
+          flatten_module f ~graph_of ~above:(child.mod_id :: above)
+            ~path:child_path child
       | _ -> () (* opaque instances: nothing to bind *))
     (Deps.nodes g)
 
@@ -179,6 +192,7 @@ let flatten (design : design) ~(top : string) : flat option =
                 | Input | Inout -> Names.add (top ^ "." ^ n) acc
                 | Output -> acc)
               (Deps.port_directions root) Names.empty;
+          recursive = [];
         }
       in
       (* One graph per module, however many instances it has. *)
@@ -191,7 +205,7 @@ let flatten (design : design) ~(top : string) : flat option =
             Hashtbl.add graphs m.mod_id g;
             g
       in
-      flatten_module f ~graph_of ~path:top root;
+      flatten_module f ~graph_of ~above:[ top ] ~path:top root;
       f.procs <- List.rev f.procs;
       Some f
 
@@ -266,7 +280,7 @@ let pretty ~path sig_ =
 
 let check_flat ?(hazards = all_hazards) (f : flat) : Lint.finding list =
   let procs = Array.of_list (List.map (canon_proc f) f.procs) in
-  let findings = ref [] in
+  let findings = ref f.recursive in
   let add sev rule ~path node fmt =
     Printf.ksprintf
       (fun message ->
@@ -381,23 +395,36 @@ let check_design ?(hazards = all_hazards) ~(top : string) (design : design) :
   match flatten design ~top with None -> [] | Some f -> check_flat ~hazards f
 
 (* Top candidates: modules never instantiated by another module in the
-   design, in source order. *)
+   design, in source order, then, in source order, the first module of
+   each instantiation cycle that none of those reaches. *)
 let roots (design : design) : string list =
-  let instantiated =
-    List.fold_left
-      (fun acc (m : module_decl) ->
-        List.fold_left
-          (fun acc (item : item) ->
-            match item.it with
-            | Instance { mod_name; _ } -> Names.add mod_name acc
-            | _ -> acc)
-          acc m.items)
-      Names.empty design
+  let children (m : module_decl) =
+    List.filter_map
+      (fun (item : item) ->
+        match item.it with
+        | Instance { mod_name; _ } when mod_name <> m.mod_id ->
+            List.find_opt (fun (c : module_decl) -> c.mod_id = mod_name) design
+        | _ -> None)
+      m.items
   in
-  List.filter_map
-    (fun (m : module_decl) ->
-      if Names.mem m.mod_id instantiated then None else Some m.mod_id)
-    design
+  let instantiated =
+    List.concat_map children design
+    |> List.map (fun (m : module_decl) -> m.mod_id)
+    |> Names.of_list
+  in
+  let reached = Hashtbl.create 16 in
+  let rec reach (m : module_decl) =
+    if not (Hashtbl.mem reached m.mod_id) then begin
+      Hashtbl.add reached m.mod_id ();
+      List.iter reach (children m)
+    end
+  in
+  let pick keep =
+    List.filter (fun (m : module_decl) -> keep m && (reach m; true)) design
+  in
+  let tops = pick (fun m -> not (Names.mem m.mod_id instantiated)) in
+  let cycles = pick (fun m -> not (Hashtbl.mem reached m.mod_id)) in
+  List.map (fun (m : module_decl) -> m.mod_id) (tops @ cycles)
 
 let check_module ?(hazards = all_hazards) (m : module_decl) : Lint.finding list
     =

@@ -29,11 +29,14 @@ val check_design :
 (** Flatten the hierarchy under [top] and report hazards, sorted by
     (instance path, node, rule, message). A finding's [modname] is the
     instance path of the offending process; [node] its statement node.
-    Unknown [top] or opaque instances yield no findings. *)
+    Unknown [top] or opaque instances yield no findings. An instance of a
+    module already on its own instantiation path is not flattened: it is
+    an [Error] finding, [recursive-instance], at the instance's item. *)
 
 val roots : Ast.design -> string list
 (** Top candidates: modules never instantiated by another module of the
-    design, in source order. *)
+    design, in source order, then the first module, in source order, of
+    each instantiation cycle that none of those reaches. *)
 
 val check_module : ?hazards:hazard list -> Ast.module_decl -> Lint.finding list
 (** [check_design] with the single module as its own top: the per-module

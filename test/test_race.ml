@@ -139,6 +139,31 @@ let test_static_roots () =
   Alcotest.(check (list string)) "never-instantiated modules" [ "top" ]
     (Verilog.Race.roots (parse hier_src))
 
+(* An instance of a module on its own instantiation path is reported and
+   not flattened: a self-instance and a two-module cycle, checked under
+   an explicit top and as found by [roots]. *)
+let test_static_recursive () =
+  let recursive top d =
+    List.filter
+      (fun (f : Verilog.Lint.finding) ->
+        f.rule = "recursive-instance" && f.severity = Verilog.Lint.Error)
+      (Verilog.Race.check_design ~top d)
+    |> List.map (fun (f : Verilog.Lint.finding) -> f.modname)
+  in
+  let self = parse "module a(x); input x; a u(.x(x)); endmodule" in
+  Alcotest.(check (list string)) "self-instance" [ "a" ] (recursive "a" self);
+  Alcotest.(check (list string)) "self-instance is a root" [ "a" ]
+    (Verilog.Race.roots self);
+  let mutual =
+    parse
+      "module b(x); input x; c u(.x(x)); endmodule\n\
+       module c(x); input x; b u(.x(x)); endmodule"
+  in
+  Alcotest.(check (list string)) "two-module cycle" [ "b.u" ]
+    (recursive "b" mutual);
+  Alcotest.(check (list string)) "cycle entered at its first module" [ "b" ]
+    (Verilog.Race.roots mutual)
+
 let test_static_screen () =
   Alcotest.(check bool) "racy module screened" true
     (Verilog.Race.screen ~hazards:Verilog.Race.all_hazards (parse_m ww_src)
@@ -422,6 +447,7 @@ let () =
           Alcotest.test_case "cross-instance write-write" `Quick
             test_static_cross_instance_write_write;
           Alcotest.test_case "roots" `Quick test_static_roots;
+          Alcotest.test_case "recursive instances" `Quick test_static_recursive;
           Alcotest.test_case "screen" `Quick test_static_screen;
           Alcotest.test_case "benchmarks clean" `Quick
             test_static_benchmarks_clean;
