@@ -13,8 +13,11 @@
    design as context), the [Analysis.screen] verdict under the default
    screen checks, [Race.check_design] findings under the testbench top
    and the single-module [Race.screen] verdict, [Lint.check_module]
-   findings, and the [Slice.slice] plan of every output port. Pairs and
-   scenarios cover every module; mutants cover the mutated target.
+   findings, the module's [Dataflow.prune_hash] (a [prune] line, which
+   pins dead-code erasure and the constant folding it rests on) and
+   [Canon.semantic_hash] (a [semantic] line), and the [Slice.slice] plan
+   of every output port. Pairs and scenarios cover every module; mutants
+   cover the mutated target.
    Every input also gets one [schedule] line: the compiled backend's
    statistics, its time-0 order, its dynamic order and its external
    inputs ([Compile.compile] under the testbench top), or why the
@@ -51,6 +54,8 @@ let report_module buf (design : design) (m : module_decl) =
     (verdict
        (Verilog.Race.screen ~hazards:Verilog.Race.all_hazards m));
   findings buf "lint" (Verilog.Lint.check_module m);
+  Printf.bprintf buf "  prune %s\n" (Verilog.Dataflow.prune_hash m);
+  Printf.bprintf buf "  semantic %s\n" (Verilog.Canon.semantic_hash m);
   List.iter
     (fun o ->
       let p = Verilog.Slice.slice ~design m ~outputs:[ o ] in
