@@ -861,6 +861,15 @@ let facts_of (m : module_decl) : facts =
     f_decl_node = decl_nodes m;
   }
 
+let known_bits f n =
+  match SMap.find_opt n f.f_values with
+  | Some (Bits a) ->
+      let plane g = Logic4.Packed.of_vec (Vec.of_bits (Array.map g a)) in
+      Some
+        ( plane (function Some b -> b | None -> Bit.V0),
+          plane (function Some _ -> Bit.V1 | None -> Bit.V0) )
+  | _ -> None
+
 (* --- Lint findings ------------------------------------------------------- *)
 
 let truth_name = function

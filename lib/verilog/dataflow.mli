@@ -65,6 +65,12 @@ type facts
 
 val facts_of : Ast.module_decl -> facts
 
+(* A net's fixpoint value as [(value, known)], both of the net's width:
+   every bit set in [known] holds the corresponding bit of [value] at
+   every point of every run (of an instance with default parameters).
+   [None] when nothing drives the net or its width is not tracked. *)
+val known_bits : facts -> string -> (Logic4.Packed.t * Logic4.Packed.t) option
+
 (* The "constant-condition" rule (stable id shared with PR 1's check,
    which now delegates here), over the module's facts. *)
 val const_cond_findings :

@@ -97,6 +97,91 @@ let same_runs label design spec ?max_steps ?max_time () : bool =
   let a = run Sim.Simulate.Event in
   same_results label a (run Sim.Simulate.Auto)
 
+(* Known-bits soundness: every bit that [Dataflow.facts_of] calls known
+   must equal the net's bit (every word's bit, for a memory) at the end
+   of an event-backend run, in every instance whose parameters all keep
+   their default values (Dataflow evaluates the defaults). Designs that
+   fail to elaborate or to run are skipped. *)
+let known_instances = ref 0
+let known_bits = ref 0
+
+let facts_cache : (Verilog.Ast.module_decl * Verilog.Dataflow.facts) list ref =
+  ref []
+
+let facts_of (m : Verilog.Ast.module_decl) =
+  match List.assq_opt m !facts_cache with
+  | Some f -> f
+  | None ->
+      let f = Verilog.Dataflow.facts_of m in
+      facts_cache := (m, f) :: !facts_cache;
+      f
+
+let defaults_kept (m : Verilog.Ast.module_decl) (sc : Sim.Runtime.scope) =
+  let d = Verilog.Dataflow.denv_of m in
+  Hashtbl.fold
+    (fun name b ok ->
+      ok
+      &&
+      match b with
+      | Sim.Runtime.Bconst c -> (
+          match Verilog.Dataflow.param_value d name with
+          | Some v -> Logic4.Vec.equal v c
+          | None -> false)
+      | Sim.Runtime.Bvar _ -> true)
+    sc.Sim.Runtime.sc_bindings true
+
+let known_bits_run label (design : Verilog.Ast.design) (spec : Sim.Simulate.spec)
+    ?max_steps ?max_time () : bool =
+  match
+    let elab = Sim.Elaborate.elaborate ?max_steps ?max_time design ~top:spec.top in
+    ignore (Sim.Engine.run elab);
+    elab
+  with
+  | exception Sim.Runtime.Elab_error _ -> true
+  | elab ->
+      let ok = ref true in
+      List.iter
+        (fun (sc : Sim.Runtime.scope) ->
+          match
+            List.find_opt
+              (fun (m : Verilog.Ast.module_decl) -> m.mod_id = sc.sc_module)
+              design
+          with
+          | Some m when defaults_kept m sc ->
+              incr known_instances;
+              let facts = facts_of m in
+              Hashtbl.iter
+                (fun name b ->
+                  match (b, Verilog.Dataflow.known_bits facts name) with
+                  | Sim.Runtime.Bvar v, Some (value, known)
+                    when v.v_kind <> Sim.Runtime.NamedEvent ->
+                      let words =
+                        if v.v_array = None then [ v.v_value ]
+                        else Array.to_list v.v_words
+                      in
+                      for i = 0 to Logic4.Packed.width known - 1 do
+                        if Logic4.Packed.get known i = Logic4.Bit.V1 then
+                          List.iter
+                            (fun w ->
+                              incr known_bits;
+                              let want = Logic4.Packed.get value i
+                              and got = Logic4.Packed.get w i in
+                              if !ok && not (Logic4.Bit.equal want got) then begin
+                                ok := false;
+                                Printf.printf
+                                  "FAIL known-bits %s: %s bit %d is %c, \
+                                   Dataflow says %c\n%!"
+                                  label v.v_name i (Logic4.Bit.to_char got)
+                                  (Logic4.Bit.to_char want)
+                              end)
+                            words
+                      done
+                  | _ -> ())
+                sc.sc_bindings
+          | _ -> ())
+        elab.st.scopes;
+      !ok
+
 (* The repair loop's candidate budgets (Evaluate.simulate_candidate). *)
 let budgets (problem : Cirfix.Problem.t) =
   let cfg = Cirfix.Config.default in
@@ -107,15 +192,17 @@ let trace_pair (p : Bench_suite.Projects.t) idx (tb : string) : bool =
   let spec = Bench_suite.Projects.spec p in
   let src = Bench_suite.Projects.design_source p ^ "\n" ^ tb in
   let design = Verilog.Parser.parse_design src in
-  same_runs (Printf.sprintf "%s tb%d" p.name idx) design spec ()
+  let label = Printf.sprintf "%s tb%d" p.name idx in
+  let same = same_runs label design spec () in
+  known_bits_run label design spec () && same
 
 (* Mutant [m] of scenario [problem], under the candidate budgets the
    repair loop gives it (Evaluate.simulate_candidate). *)
 let mutant_run (problem : Cirfix.Problem.t) label m : bool =
   let max_steps, max_time = budgets problem in
-  same_runs label
-    (Cirfix.Problem.with_candidate problem m)
-    problem.spec ~max_steps ~max_time ()
+  let design = Cirfix.Problem.with_candidate problem m in
+  let same = same_runs label design problem.spec ~max_steps ~max_time () in
+  known_bits_run label design problem.spec ~max_steps ~max_time () && same
 
 (* The seed candidate of a scenario, as the evaluator scores it first:
    equal runs under both backends give equal fitness and status. *)
@@ -265,6 +352,8 @@ let () =
         walk)
     walks;
   Obs.Metrics.set_enabled false;
+  Printf.printf "known-bits: %d instances, %d known bits checked\n%!"
+    !known_instances !known_bits;
   Printf.printf
     "sim-equiv: %d trace pairs, %d scenarios, %d mutants, %d patch-local \
      (%d built in full), %d derived schedules, %d failures\n%!"
