@@ -69,6 +69,29 @@ let of_planes w ~a ~b =
   let m = mask w in
   S { w; a = a land m; b = b land m }
 
+(* The planes as values: see the mli. *)
+let to_plane_values = function
+  | S { w; a; b } -> (S { w; a; b = 0 }, S { w; a = b; b = 0 })
+  | V v ->
+      let plane f =
+        V (Vec.of_bits (Array.map (fun x -> if f x then Bit.V1 else Bit.V0) (Vec.to_bits v)))
+      in
+      (plane (fun x -> x = Bit.V1 || x = Bit.X), plane (fun x -> x = Bit.X || x = Bit.Z))
+
+let of_plane_values pa pb =
+  match (pa, pb) with
+  | S p, S q -> S { w = p.w; a = p.a; b = q.a }
+  | _ ->
+      let va = to_vec pa and vb = to_vec pb in
+      V
+        (Vec.of_bits
+           (Array.init (Vec.width va) (fun i ->
+                match (Vec.get va i, Vec.get vb i) with
+                | Bit.V0, Bit.V0 -> Bit.V0
+                | Bit.V1, Bit.V0 -> Bit.V1
+                | Bit.V1, _ -> Bit.X
+                | _ -> Bit.Z)))
+
 let get p i =
   match p with
   | V v -> Vec.get v i

@@ -25,6 +25,12 @@ val of_bit : Bit.t -> t
 (* [of_planes w ~a ~b] is the width-[w] value with bitplanes [a] and [b],
    masked to [w] bits; [w] must be at most [max_packed_width]. *)
 val of_planes : int -> a:int -> b:int -> t
+(* The two planes of a value as defined values of its width: [a] has a
+   1 where the bit is 1 or x, [b] where it is x or z. [of_plane_values]
+   is the inverse, for two defined values of one width; bitwise masks
+   over the planes (known bits, say) are then plain [logand]/[logor]. *)
+val to_plane_values : t -> t * t
+val of_plane_values : t -> t -> t
 val get : t -> int -> Bit.t
 val equal : t -> t -> bool
 

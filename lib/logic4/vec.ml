@@ -67,19 +67,6 @@ let has_xz v = not (is_fully_defined v)
 
 (* Ceiling of log2 of the unsigned value, 32 bits wide: the bit length of
    v - 1, so 0 and 1 give 0. Any x/z bit gives all-x. *)
-let clog2 v =
-  if has_xz v then all_x 32
-  else
-    let top = ref (-1) and ones = ref 0 in
-    Array.iteri
-      (fun i b ->
-        if b = Bit.V1 then begin
-          top := i;
-          incr ones
-        end)
-      v;
-    of_int 32 (if !ones <= 1 then max !top 0 else !top + 1)
-
 let resize w v =
   if w <= 0 then invalid_arg "Vec.resize: width must be positive";
   (* Arrays are immutable after construction, so same-width resize can

@@ -38,10 +38,6 @@ val equal : t -> t -> bool
 val is_fully_defined : t -> bool
 val has_xz : t -> bool
 
-(** [$clog2]: the ceiling of log2 of the unsigned value, as a 32-bit
-    vector ([clog2] of 0 and of 1 is 0); all-x on any x/z bit. *)
-val clog2 : t -> t
-
 (** [resize w v] truncates or zero-extends to width [w]. *)
 val resize : int -> t -> t
 

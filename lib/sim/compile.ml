@@ -126,9 +126,9 @@ type env = { st : Runtime.state; sc : Runtime.scope }
    here, once: [Cell (c, eval)] writes the value into [c] and allocates
    nothing.  Wider (or unbounded) results take the boxed route, [Boxed
    run], over the boxed [Packed] operators.  Both routes use the same
-   operators ([Eval.binop_with]).  Width bounds are static because var and
-   constant widths are; only a conditional's arms may differ, and the
-   cell then holds the width of the arm taken.
+   operators ([Verilog.Ops.binop_with]).  Width bounds are static because
+   var and constant widths are; only a conditional's arms may differ, and
+   the cell then holds the width of the arm taken.
 
    Alongside: [cw], the bound on the result width ([max_int] when
    unknown); [src], the variable when the expression is a plain read of
@@ -441,11 +441,11 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
         let cw = match op with Uplus | Uminus | Ubnot -> ca.cw | _ -> 1 in
         match ca.v with
         | Cell _ ->
-            let f = Eval.unop_with (fun planes _ -> planes) op in
+            let f = Verilog.Ops.unop_with (fun planes _ -> planes) op in
             let d = P.make cw in
             combine (Cell (d, un1 f d (operand ca))) cw [ ca ]
         | Boxed ra ->
-            let f = Eval.unop op in
+            let f = Verilog.Ops.unop op in
             combine (of_boxed cw (fun () -> f (ra ()))) cw [ ca ])
     | Binop (op, a, b) -> (
         let ca = compile_expr env a and cb = compile_expr env b in
@@ -476,7 +476,7 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                     else (
                       eb ();
                       P.log_or d x.cw x.ca x.cb y.cw y.ca y.cb)
-              | _ -> bin2 (Eval.binop_with (fun planes _ -> planes) op) d (operand ca) (operand cb)
+              | _ -> bin2 (Verilog.Ops.binop_with (fun planes _ -> planes) op) d (operand ca) (operand cb)
             in
             combine (Cell (d, value)) cw [ ca; cb ]
         | _ ->
@@ -494,7 +494,7 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                     if Packed.to_bool av = Some true then Packed.of_int 1 1
                     else Packed.log_or av (rb ())
               | _ ->
-                  let f = Eval.binop op in
+                  let f = Verilog.Ops.binop op in
                   fun () ->
                     let av = ra () in
                     f av (rb ())
@@ -621,7 +621,7 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
     | Call ("$clog2", [ a ]) ->
         let ca = compile_expr env a in
         let ra = boxed ca in
-        combine (of_boxed 32 (fun () -> Eval.clog2 (ra ()))) 32 [ ca ]
+        combine (of_boxed 32 (fun () -> Verilog.Ops.clog2 (ra ()))) 32 [ ca ]
     | Call (f, _) -> raise_at_runtime ("unsupported system function " ^ f)
   in
   (* Constant folding: an input-free subexpression evaluates once at
@@ -890,11 +890,11 @@ let rec compile_stmt (env : env) (s : stmt) : unit -> unit =
         | Cell (sc, _), Cell (pc, ep) ->
             fun () ->
               ep ();
-              Eval.case_matches_planes kind sc.ca sc.cb pc.ca pc.cb
-        | Cell (sc, _), Boxed rp -> fun () -> Eval.case_matches kind (P.box sc) (rp ())
+              Verilog.Ops.case_matches_planes kind sc.ca sc.cb pc.ca pc.cb
+        | Cell (sc, _), Boxed rp -> fun () -> Verilog.Ops.case_matches kind (P.box sc) (rp ())
         | Boxed _, _ ->
             let rp = boxed cp in
-            fun () -> Eval.case_matches kind !subj_box (rp ())
+            fun () -> Verilog.Ops.case_matches kind !subj_box (rp ())
       in
       let carms =
         Array.of_list

@@ -1,5 +1,6 @@
 (* Expression evaluation over the elaborated runtime state, computing on
-   [Logic4.Packed] values. Unsigned Verilog semantics; any x/z operand bit
+   [Logic4.Packed] values through the one operator table
+   ([Verilog.Ops]). Unsigned Verilog semantics; any x/z operand bit
    poisons arithmetic/relational results (see Logic4.Vec). *)
 
 open Logic4
@@ -14,9 +15,6 @@ let check_width what w =
     raise
       (Runtime.Elab_error
          (Printf.sprintf "%s too wide (%d bits)" what w))
-
-(* $clog2 of a value, a 32-bit integer (IEEE 1364-2005 17.11.1). *)
-let clog2 v = Packed.of_vec (Vec.clog2 (Packed.to_vec v))
 
 let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
   match e.e with
@@ -54,14 +52,14 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
           check_width "part-select" (hi - lo + 1);
           Packed.select v.v_value ~msb:hi ~lsb:lo
       | _ -> Packed.all_x 1)
-  | Unop (op, a) -> unop op (eval st sc a)
+  | Unop (op, a) -> Verilog.Ops.unop op (eval st sc a)
   | Binop (op, a, b) -> (
       let av = eval st sc a in
       (* Short-circuit logical operators when the left side decides. *)
       match op with
       | Land when Packed.to_bool av = Some false -> Packed.of_int 1 0
       | Lor when Packed.to_bool av = Some true -> Packed.of_int 1 1
-      | _ -> binop op av (eval st sc b))
+      | _ -> Verilog.Ops.binop op av (eval st sc b))
   | Cond (c, t, f) -> (
       match Packed.to_bool (eval st sc c) with
       | Some true -> eval st sc t
@@ -87,7 +85,7 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
   | Call ("$random", _) ->
       (* Deterministic pseudo-random stream derived from sim state. *)
       Packed.of_int 32 ((st.steps * 1103515245 + 12345) land 0x3FFFFFFF)
-  | Call ("$clog2", [ a ]) -> clog2 (eval st sc a)
+  | Call ("$clog2", [ a ]) -> Verilog.Ops.clog2 (eval st sc a)
   | Call (f, _) ->
       raise (Runtime.Elab_error ("unsupported system function " ^ f))
 
@@ -99,93 +97,6 @@ and read_ident sc name =
         raise (Runtime.Elab_error ("named event used as value: " ^ name))
       else v.v_value
   | None -> raise (Runtime.Elab_error ("undeclared identifier " ^ name))
-
-(* The operator table, shared with the compiled backend: each AST
-   operator maps to its plane operator ([Packed.Planes], which the
-   compiled backend runs on preallocated cells) and to the boxed wrapper
-   over it; [pick] chooses the view.  The short-circuit exits of
-   [Land]/[Lor] live in the callers. *)
-and unop_with : 'a. (Packed.Planes.op1 -> (Packed.t -> Packed.t) -> 'a) -> unop -> 'a =
- fun pick op ->
-  let module P = Packed.Planes in
-  match op with
-  | Uplus -> pick P.set (fun v -> v)
-  | Uminus -> pick P.neg Packed.neg
-  | Unot -> pick P.log_not Packed.log_not
-  | Ubnot -> pick P.lognot Packed.lognot
-  | Uand -> pick P.reduce_and Packed.reduce_and
-  | Uor -> pick P.reduce_or Packed.reduce_or
-  | Uxor -> pick P.reduce_xor Packed.reduce_xor
-  | Unand -> pick P.reduce_nand (fun v -> Packed.lognot (Packed.reduce_and v))
-  | Unor -> pick P.reduce_nor (fun v -> Packed.lognot (Packed.reduce_or v))
-  | Uxnor -> pick P.reduce_xnor (fun v -> Packed.lognot (Packed.reduce_xor v))
-
-and binop_with :
-      'a. (Packed.Planes.op2 -> (Packed.t -> Packed.t -> Packed.t) -> 'a) -> binop -> 'a =
- fun pick op ->
-  let module P = Packed.Planes in
-  match op with
-  | Add -> pick P.add Packed.add
-  | Sub -> pick P.sub Packed.sub
-  | Mul -> pick P.mul Packed.mul
-  | Div -> pick P.div Packed.div
-  | Mod -> pick P.rem Packed.rem
-  | Land -> pick P.log_and Packed.log_and
-  | Lor -> pick P.log_or Packed.log_or
-  | Band -> pick P.logand Packed.logand
-  | Bor -> pick P.logor Packed.logor
-  | Bxor -> pick P.logxor Packed.logxor
-  | Bxnor -> pick P.logxnor (fun x y -> Packed.lognot (Packed.logxor x y))
-  | Eq -> pick P.eq Packed.eq
-  | Neq -> pick P.neq Packed.neq
-  | Ceq -> pick P.case_eq Packed.case_eq
-  | Cneq -> pick P.case_neq Packed.case_neq
-  | Lt -> pick P.lt Packed.lt
-  | Le -> pick P.le Packed.le
-  | Gt -> pick P.gt Packed.gt
-  | Ge -> pick P.ge Packed.ge
-  | Shl ->
-      pick
-        (fun d xw xa xb _ ya yb -> P.shift_left d xw xa xb (P.to_index ya yb))
-        Packed.shift_left
-  | Shr ->
-      pick
-        (fun d xw xa xb _ ya yb -> P.shift_right d xw xa xb (P.to_index ya yb))
-        Packed.shift_right
-
-and unop op = unop_with (fun _ boxed -> boxed) op
-and binop op = binop_with (fun _ boxed -> boxed) op
-
-(* Does case label [pv] match subject [sv]? Bits compare 4-valued, with
-   z (casez) or x and z (casex) on either side as wildcards; the narrower
-   side is zero-extended. Shared by both backends; [case_matches_planes]
-   is the narrow case on planes. *)
-let case_matches_planes kind sa sb pa pb =
-  let wild_plane a b =
-    match kind with Case -> 0 | Casez -> lnot a land b | Casex -> b
-  in
-  (* Planes are zero above each width, so zero-extension is free. *)
-  let wild = wild_plane sa sb lor wild_plane pa pb in
-  ((sa lxor pa) lor (sb lxor pb)) land lnot wild = 0
-
-let case_matches kind (sv : Packed.t) (pv : Packed.t) =
-  match (sv, pv) with
-  | S p, S q -> case_matches_planes kind p.a p.b q.a q.b
-  | _ ->
-      let wild (b : Bit.t) =
-        match kind with
-        | Case -> false
-        | Casez -> b = Bit.Z
-        | Casex -> b = Bit.X || b = Bit.Z
-      in
-      let w = max (Packed.width sv) (Packed.width pv) in
-      let rec go i =
-        i >= w
-        ||
-        let a = Packed.get sv i and b = Packed.get pv i in
-        (wild a || wild b || Bit.equal a b) && go (i + 1)
-      in
-      go 0
 
 (* Evaluate an expression to an int, for delays and replication counts. *)
 let eval_int st sc e = Packed.to_int (eval st sc e)

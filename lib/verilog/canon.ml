@@ -32,7 +32,7 @@
    outcome is applied — see DESIGN.md "Static pruning". *)
 
 open Ast
-module Vec = Logic4.Vec
+module Packed = Logic4.Packed
 
 type ctx = { d : Dataflow.denv; drop_ok : bool }
 
@@ -46,11 +46,11 @@ let expr_key (e : expr) : string =
   Ast_utils.feed_expr st e;
   Printf.sprintf "%016Lx%016Lx" st.Ast_utils.h1 st.Ast_utils.h2
 
-let num v = { eid = 0; e = Number v }
+let num v = { eid = 0; e = Number (Packed.to_vec v) }
 
 let const_bool ctx (e : expr) : bool option =
   match Dataflow.eval_const ctx.d e with
-  | Some v -> Vec.to_bool v
+  | Some v -> Packed.to_bool v
   | None -> None
 
 let commutative = function
@@ -85,7 +85,7 @@ let rec canon ctx (e : expr) : expr =
       | None -> e)
   | IntLit n when n >= 0 ->
       (* The evaluator's rule for unsized literals. *)
-      num (Vec.of_int 32 n)
+      num (Packed.of_int 32 n)
   | _ -> (
       match Dataflow.eval_const ctx.d e with
       | Some v -> num v
@@ -157,15 +157,15 @@ and simp_binop ctx e op (a : expr) (b : expr) : expr =
              constant-false right operand forces 0 for any left value
              (x && 0 = 0) provided the left side cannot fault. *)
           match (const_bool ctx a, const_bool ctx b) with
-          | Some false, _ -> Some (num (Vec.of_int 1 0))
+          | Some false, _ -> Some (num (Packed.of_int 1 0))
           | _, Some false when Dataflow.safe_expr ctx.d a ->
-              Some (num (Vec.of_int 1 0))
+              Some (num (Packed.of_int 1 0))
           | _ -> None)
       | Lor -> (
           match (const_bool ctx a, const_bool ctx b) with
-          | Some true, _ -> Some (num (Vec.of_int 1 1))
+          | Some true, _ -> Some (num (Packed.of_int 1 1))
           | _, Some true when Dataflow.safe_expr ctx.d a ->
-              Some (num (Vec.of_int 1 1))
+              Some (num (Packed.of_int 1 1))
           | _ -> None)
       | _ -> None
   in

@@ -1,13 +1,17 @@
 (* Forward dataflow over one module: abstract interpretation with a
-   per-bit known-bits domain on 4-valued logic. Each bit of a net is
-   tracked as either a known [Bit.t] (0/1/x/z) or unknown (top); values
-   reach a fixpoint by join-accumulation over every driver — continuous
-   assignments, procedural writes, declaration initializers, ports and
-   instance connections — with control reachability pruned by the same
-   abstract values. The abstract evaluator mirrors [Sim.Eval] operator by
-   operator (same literal widths, the same short-circuit cases, the same
-   x-merge on conditionals), so a fully-known abstract value is exactly
-   the value the event-driven simulator would compute.
+   known-bits domain on 4-valued logic. A net's abstract value is a
+   [Logic4.Packed] value plus a known mask of the same width (the tnum of
+   the Linux eBPF verifier, over 0/1/x/z bits): each masked bit is
+   definitely that bit of the value in every execution, the others are
+   unknown (top). Values reach a fixpoint by join-accumulation over every
+   driver — continuous assignments, procedural writes, declaration
+   initializers, ports and instance connections — with control
+   reachability pruned by the same abstract values. Fully known operands
+   fold through the simulator's own operator table ([Ops]); partial
+   knowledge is mask formulas over the value's planes. The abstract
+   evaluator takes the same short-circuit and x-merge cases as
+   [Sim.Eval], so a fully known abstract value is exactly the value the
+   event-driven simulator computes.
 
    Two consumers sit on top:
 
@@ -27,9 +31,9 @@
 
 open Ast
 module Bit = Logic4.Bit
-module Vec = Logic4.Vec
+module Packed = Logic4.Packed
 module SMap = Map.Make (String)
-module SSet = Set.Make (String)
+module SSet = Deps.Names
 
 (* --- Declaration environment ------------------------------------------- *)
 
@@ -37,7 +41,7 @@ module SSet = Set.Make (String)
    [Canon] and [prune_hash] read it, and so do [Analysis]'s width and
    uninit-reg rules. *)
 type denv = {
-  d_params : Vec.t SMap.t; (* parameters, evaluated in declaration order *)
+  d_params : Packed.t SMap.t; (* parameters, evaluated in declaration order *)
   d_widths : int SMap.t; (* storage width of every declared net *)
   d_arrays : SSet.t; (* memories *)
   d_regs : SSet.t; (* reg storage; integers are loop counters, not state *)
@@ -49,149 +53,148 @@ type denv = {
 
 (* --- Abstract values ---------------------------------------------------- *)
 
-(* One bit: [Some b] — definitely [b] in every execution; [None] — top.
-   A vector is an LSB-first array of such bits, or [Any] when even the
-   width is unknown. *)
-type abit = Bit.t option
-type aval = Bits of abit array | Any
+(* [Bits { v; k }]: value [v] with known mask [k], a defined vector of
+   the same width (1 = known). Unknown bits of [v] are held at 0, so a
+   fact has one representation. [Any] when even the width is unknown, or
+   above [max_vector_width]: the simulator rejects such values. *)
+type aval = Bits of { v : Packed.t; k : Packed.t } | Any
 
-let known v = Bits (Array.init (Vec.width v) (fun i -> Some (Vec.get v i)))
-(* Values wider than [max_vector_width] are not tracked bit by bit: the
-   simulator rejects them, and the arrays would not fit in memory. *)
+let ones w = Packed.lognot (Packed.zero w)
+let full k = Packed.equal k (ones (Packed.width k))
+let known v = Bits { v; k = ones (Packed.width v) }
+let bit n = known (Packed.of_int 1 n)
+let x1 = known (Packed.all_x 1)
+
 let top_bits w =
-  if w > max_vector_width then Any else Bits (Array.make (max 1 w) None)
+  if w > max_vector_width then Any
+  else
+    let z = Packed.zero (max 1 w) in
+    Bits { v = z; k = z }
 
-(* Reads zero-extend out of range, like [Vec.get]. *)
-let abit_get a i = if i < Array.length a then a.(i) else Some Bit.V0
+let to_known = function Bits { v; k } when full k -> Some v | _ -> None
+let awidth = function Any -> None | Bits { v; _ } -> Some (Packed.width v)
 
-let to_vec = function
-  | Any -> None
-  | Bits a ->
-      if Array.for_all Option.is_some a then
-        Some
-          (Vec.of_bits
-             (Array.map (function Some b -> b | None -> Bit.X) a))
-      else None
+(* [v] where [k] is set, 0 elsewhere. *)
+let part v k =
+  if full k then Bits { v; k }
+  else
+    let a, b = Packed.to_plane_values v in
+    Bits { v = Packed.of_plane_values (Packed.logand a k) (Packed.logand b k); k }
+
+(* Truncation or zero-extension (by known 0 bits) to [w] bits, as a store
+   or a wider operand sees the value. *)
+let widen w v k =
+  (Packed.resize w v, Packed.lognot (Packed.resize w (Packed.lognot k)))
 
 let resize w = function
   | Any -> top_bits w
   | Bits _ when w > max_vector_width -> Any
-  | Bits a -> Bits (Array.init (max 1 w) (abit_get a))
+  | Bits { v; k } ->
+      let v, k = widen (max 1 w) v k in
+      Bits { v; k }
 
-let join_bit a b =
-  match (a, b) with
-  | Some x, Some y when Bit.equal x y -> Some x
-  | _ -> None
+(* Masks of a value's known 1, known 0 and known x bits (its unknown
+   bits are 0). *)
+let known1 v =
+  let a, b = Packed.to_plane_values v in
+  Packed.logand a (Packed.lognot b)
 
-let join a b =
-  match (a, b) with
+let known0 v k =
+  let a, b = Packed.to_plane_values v in
+  Packed.logand k (Packed.lognot (Packed.logor a b))
+
+let known_x v =
+  let a, b = Packed.to_plane_values v in
+  Packed.logand a b
+
+(* [f v1 k1 v2 k2] on two values at their common width. *)
+let both f x y =
+  match (x, y) with
   | Any, _ | _, Any -> Any
   | Bits x, Bits y ->
-      let w = max (Array.length x) (Array.length y) in
-      Bits (Array.init w (fun i -> join_bit (abit_get x i) (abit_get y i)))
+      let w = max (Packed.width x.v) (Packed.width y.v) in
+      let xv, xk = widen w x.v x.k and yv, yk = widen w y.v y.k in
+      f xv xk yv yk
 
-(* Abstract truth of a vector, mirroring [Vec.to_bool]: any known-1 bit
-   decides true regardless of the rest; all-known-0 decides false; known
-   bits with x/z and no 1 decide the x outcome (concrete [to_bool] would
-   return [None]). *)
+(* A bit known on both sides, and the same on both, stays known. *)
+let join a b =
+  match (a, b) with
+  | Bits x, Bits y when Packed.equal x.v y.v && Packed.equal x.k y.k -> a
+  | _ ->
+      both
+        (fun xv xk yv yk ->
+          let xa, xb = Packed.to_plane_values xv
+          and ya, yb = Packed.to_plane_values yv in
+          let diff = Packed.logor (Packed.logxor xa ya) (Packed.logxor xb yb) in
+          part xv (Packed.logand (Packed.logand xk yk) (Packed.lognot diff)))
+        a b
+
+(* Abstract truth of a vector, mirroring [Packed.to_bool]: any known-1
+   bit decides true regardless of the rest; all-known-0 decides false;
+   known bits with x/z and no 1 decide the x outcome (concrete [to_bool]
+   would return [None]). *)
 type truth = T_true | T_false | T_x | T_unknown
 
 let truth = function
   | Any -> T_unknown
-  | Bits a ->
-      if Array.exists (function Some Bit.V1 -> true | _ -> false) a then
-        T_true
-      else if Array.for_all (function Some Bit.V0 -> true | _ -> false) a
-      then T_false
-      else if Array.for_all Option.is_some a then T_x
-      else T_unknown
+  | Bits { v; k } -> (
+      (* Unknown bits are 0, so any 1 in [v] is a known 1. *)
+      match Packed.to_bool v with
+      | Some true -> T_true
+      | r when full k -> if r = Some false then T_false else T_x
+      | _ -> T_unknown)
 
 (* --- Abstract evaluation ------------------------------------------------ *)
 
-(* Per-bit tables for the bitwise operators, agreeing with [Vec.logand]
-   and friends: a known controlling value (0 for &, 1 for |) decides the
-   bit even when the other side is unknown. *)
-let band_bit a b =
-  match (a, b) with
-  | Some Bit.V0, _ | _, Some Bit.V0 -> Some Bit.V0
-  | Some x, Some y -> Some (Bit.log_and x y)
-  | _ -> None
+(* [&], [|], [^] and [~^] with an operand not fully known: a bit known on
+   both sides folds through the operator, and a known 0 (for [&]) or 1
+   (for [|]) on either side decides the bit alone, as in [Packed.logand]
+   and [Packed.logor]. An [Any] operand is top at the other's width. *)
+let bitwise op a b =
+  let top_as = function Any -> Any | Bits { v; _ } -> top_bits (Packed.width v) in
+  let a = if a = Any then top_as b else a
+  and b = if b = Any then top_as a else b in
+  both
+    (fun xv xk yv yk ->
+      let k = Packed.logand xk yk in
+      let k =
+        match op with
+        | Band -> Packed.logor k (Packed.logor (known0 xv xk) (known0 yv yk))
+        | Bor -> Packed.logor k (Packed.logor (known1 xv) (known1 yv))
+        | _ -> k
+      in
+      part (Ops.binop op xv yv) k)
+    a b
 
-let bor_bit a b =
-  match (a, b) with
-  | Some Bit.V1, _ | _, Some Bit.V1 -> Some Bit.V1
-  | Some x, Some y -> Some (Bit.log_or x y)
-  | _ -> None
+(* Conditional with an x/z test: the simulator's bitwise merge, known
+   where both arms are known or either is a known x. *)
+let xmerge =
+  both (fun tv tk fv fk ->
+      part (Packed.merge_x tv fv)
+        (Packed.logor (Packed.logand tk fk)
+           (Packed.logor (known_x tv) (known_x fv))))
 
-let bxor_bit a b =
-  match (a, b) with
-  | Some x, Some y -> Some (Bit.log_xor x y)
-  | _ -> None
-
-let bnot_bit = function Some x -> Some (Bit.log_not x) | None -> None
-
-let map2_bits f a b =
-  let w = max (Array.length a) (Array.length b) in
-  Bits (Array.init w (fun i -> f (abit_get a i) (abit_get b i)))
-
-let x1 = known (Vec.all_x 1)
-
-(* Exact operator application on fully-known values: precisely the calls
-   [Sim.Eval] makes. *)
-let unop_vec op v =
+(* A reduction of a value not fully known: a known controlling bit
+   decides it alone, and a known x/z bit makes an xor-reduction x. *)
+let reduce_partial op v k =
+  let any m = Packed.to_bool m = Some true in
   match op with
-  | Uplus -> v
-  | Uminus -> Vec.neg v
-  | Unot -> Vec.log_not v
-  | Ubnot -> Vec.lognot v
-  | Uand -> Vec.reduce_and v
-  | Uor -> Vec.reduce_or v
-  | Uxor -> Vec.reduce_xor v
-  | Unand -> Vec.lognot (Vec.reduce_and v)
-  | Unor -> Vec.lognot (Vec.reduce_or v)
-  | Uxnor -> Vec.lognot (Vec.reduce_xor v)
+  | (Uand | Unand) when any (known0 v k) -> bit (if op = Uand then 0 else 1)
+  | (Uor | Unor) when any v -> bit (if op = Uor then 1 else 0)
+  | (Uxor | Uxnor) when Packed.has_xz v -> x1
+  | _ -> top_bits 1
 
-let binop_vec op a b =
-  match op with
-  | Add -> Vec.add a b
-  | Sub -> Vec.sub a b
-  | Mul -> Vec.mul a b
-  | Div -> Vec.div a b
-  | Mod -> Vec.rem a b
-  | Land -> Vec.log_and a b
-  | Lor -> Vec.log_or a b
-  | Band -> Vec.logand a b
-  | Bor -> Vec.logor a b
-  | Bxor -> Vec.logxor a b
-  | Bxnor -> Vec.lognot (Vec.logxor a b)
-  | Eq -> Vec.eq a b
-  | Neq -> Vec.neq a b
-  | Ceq -> Vec.case_eq a b
-  | Cneq -> Vec.case_neq a b
-  | Lt -> Vec.lt a b
-  | Le -> Vec.le a b
-  | Gt -> Vec.gt a b
-  | Ge -> Vec.ge a b
-  | Shl -> Vec.shift_left a b
-  | Shr -> Vec.shift_right a b
+(* A declared net's width, unknown bits; [Any] for an undeclared name. *)
+let net_top d n = Option.fold ~none:Any ~some:top_bits (SMap.find_opt n d.d_widths)
 
-(* Conditional with an x/z test: per-bit merge, agreeing bits survive,
-   disagreeing bits go x — the widths zero-extend like the concrete
-   merge in [Sim.Eval]. A known-x on either side forces x. *)
-let xmerge t f =
-  match (t, f) with
-  | Any, _ | _, Any -> Any
-  | Bits x, Bits y ->
-      let w = max (Array.length x) (Array.length y) in
-      Bits
-        (Array.init w (fun i ->
-             match (abit_get x i, abit_get y i) with
-             | Some Bit.X, _ | _, Some Bit.X -> Some Bit.X
-             | Some a, Some b ->
-                 if Bit.equal a b then Some a else Some Bit.X
-             | _ -> None))
-
-let awidth = function Any -> None | Bits a -> Some (Array.length a)
+(* The truth of a value as an abstract bit: [&&], [||] and [!] are the
+   bitwise operators on it. *)
+let truth_bit a =
+  match truth a with
+  | T_true -> bit 1
+  | T_false -> bit 0
+  | T_x -> x1
+  | T_unknown -> top_bits 1
 
 (* [aeval d m e] — abstract value of [e] given net values [m] (nets
    absent from [m] are top, so an empty map gives the parameters-only
@@ -200,34 +203,24 @@ let awidth = function Any -> None | Bits a -> Some (Array.length a)
    range-selects, unknown calls) is simply [Any]. *)
 let rec aeval (d : denv) (m : aval SMap.t) (e : expr) : aval =
   match e.e with
-  | Number v -> known v
-  | IntLit n -> if n >= 0 then known (Vec.of_int 32 n) else Any
-  | String _ -> known (Vec.zero 1)
+  | Number v -> known (Packed.of_vec v)
+  | IntLit n -> if n >= 0 then known (Packed.of_int 32 n) else Any
+  | String _ -> known (Packed.zero 1)
   | Ident n -> (
-      match SMap.find_opt n d.d_params with
-      | Some v -> known v
-      | None -> (
-          match SMap.find_opt n m with
-          | Some v -> v
-          | None -> (
-              match SMap.find_opt n d.d_widths with
-              | Some w -> top_bits w
-              | None -> Any)))
+      match (SMap.find_opt n d.d_params, SMap.find_opt n m) with
+      | Some v, _ -> known v
+      | None, Some v -> v
+      | None, None -> net_top d n)
   | Index (n, ie) -> (
       match SMap.find_opt n d.d_params with
       | Some c -> (
-          match to_vec (aeval d m ie) with
+          match to_known (aeval d m ie) with
           | Some iv -> (
-              match Vec.to_int iv with
-              | Some i -> known (Vec.of_bits [| Vec.get c i |])
+              match Packed.to_int iv with
+              | Some i -> known (Packed.of_bit (Packed.get c i))
               | None -> x1)
           | None -> top_bits 1)
-      | None ->
-          if SSet.mem n d.d_arrays then
-            match SMap.find_opt n d.d_widths with
-            | Some w -> top_bits w
-            | None -> Any
-          else top_bits 1)
+      | None -> if SSet.mem n d.d_arrays then net_top d n else top_bits 1)
   | RangeSel (n, me, le) -> (
       if SMap.mem n d.d_params then Any
       else
@@ -236,158 +229,76 @@ let rec aeval (d : denv) (m : aval SMap.t) (e : expr) : aval =
         | _ -> Any)
   | Unop (op, a) -> (
       let av = aeval d m a in
-      match to_vec av with
-      | Some v -> known (unop_vec op v)
-      | None -> (
-          match (op, av) with
-          | Uplus, _ -> av
-          | Ubnot, Bits bits -> Bits (Array.map bnot_bit bits)
-          | Unot, _ -> (
-              match truth av with
-              | T_true -> known (Vec.of_int 1 0)
-              | T_false -> known (Vec.of_int 1 1)
-              | T_x -> x1
-              | T_unknown -> top_bits 1)
-          | (Uand | Unand | Uor | Unor | Uxor | Uxnor), Bits bits ->
-              reduce_partial op bits
-          | (Uand | Unand | Uor | Unor | Uxor | Uxnor), Any -> top_bits 1
-          | Uminus, Bits bits -> top_bits (Array.length bits)
-          | (Uminus | Ubnot), Any -> Any))
+      match (to_known av, op, av) with
+      | Some v, _, _ -> known (Ops.unop op v)
+      | None, Uplus, _ -> av
+      (* A value not fully known is true or unknown. *)
+      | None, Unot, _ -> if truth av = T_true then bit 0 else top_bits 1
+      | None, Ubnot, Bits { v; k } -> part (Packed.lognot v) k
+      | None, Uminus, Bits { v; _ } -> top_bits (Packed.width v)
+      | None, (Uminus | Ubnot), Any -> Any
+      | None, _, Bits { v; k } -> reduce_partial op v k
+      | None, _, Any -> top_bits 1)
   | Binop (op, a, b) -> (
       let av = aeval d m a in
       (* Short-circuit, as in the concrete evaluator. *)
       match (op, truth av) with
-      | Land, T_false -> known (Vec.of_int 1 0)
-      | Lor, T_true -> known (Vec.of_int 1 1)
+      | Land, T_false -> bit 0
+      | Lor, T_true -> bit 1
       | _ -> (
           let bv = aeval d m b in
-          match (to_vec av, to_vec bv) with
-          | Some x, Some y -> known (binop_vec op x y)
+          match (to_known av, to_known bv) with
+          | Some x, Some y -> known (Ops.binop op x y)
           | _ -> (
               match op with
-              | Band -> partial2 band_bit av bv
-              | Bor -> partial2 bor_bit av bv
-              | Bxor -> partial2 bxor_bit av bv
-              | Bxnor -> (
-                  match partial2 bxor_bit av bv with
-                  | Bits bits -> Bits (Array.map bnot_bit bits)
-                  | Any -> Any)
-              | Land -> (
-                  match (truth av, truth bv) with
-                  | T_false, _ | _, T_false -> known (Vec.of_int 1 0)
-                  | T_true, T_true -> known (Vec.of_int 1 1)
-                  | (T_true | T_x), T_x | T_x, T_true -> x1
-                  | _ -> top_bits 1)
-              | Lor -> (
-                  match (truth av, truth bv) with
-                  | T_true, _ | _, T_true -> known (Vec.of_int 1 1)
-                  | T_false, T_false -> known (Vec.of_int 1 0)
-                  | (T_false | T_x), T_x | T_x, T_false -> x1
-                  | _ -> top_bits 1)
+              | Band | Bor | Bxor | Bxnor -> bitwise op av bv
+              | Land -> bitwise Band (truth_bit av) (truth_bit bv)
+              | Lor -> bitwise Bor (truth_bit av) (truth_bit bv)
               | Eq | Neq | Ceq | Cneq | Lt | Le | Gt | Ge -> top_bits 1
               | Add | Sub | Mul | Div | Mod -> (
                   match (awidth av, awidth bv) with
                   | Some wa, Some wb -> top_bits (max wa wb)
                   | _ -> Any)
-              | Shl | Shr -> (
-                  match awidth av with
-                  | Some wa -> top_bits wa
-                  | None -> Any))))
+              | Shl | Shr -> Option.fold ~none:Any ~some:top_bits (awidth av))))
   | Cond (c, t, f) -> (
       match truth (aeval d m c) with
       | T_true -> aeval d m t
       | T_false -> aeval d m f
       | T_x -> xmerge (aeval d m t) (aeval d m f)
       | T_unknown -> join (aeval d m t) (aeval d m f))
-  | Concat es -> (
-      let vs = List.map (aeval d m) es in
-      if List.exists (function Any -> true | _ -> false) vs then Any
-      else
-        (* Head is the most significant part; LSB-first storage means the
-           last element's bits come first. *)
-        let arrays =
-          List.rev_map (function Bits a -> a | Any -> [||]) vs
-        in
-        let w = List.fold_left (fun acc a -> acc + Array.length a) 0 arrays in
-        if w > max_vector_width then Any else Bits (Array.concat arrays))
+  | Concat [] -> Any
+  | Concat (hd :: rest) ->
+      (* The head is the most significant part. *)
+      List.fold_left
+        (fun acc x ->
+          match (acc, aeval d m x) with
+          | Bits h, Bits l
+            when Packed.width h.v + Packed.width l.v <= max_vector_width ->
+              Bits { v = Packed.concat h.v l.v; k = Packed.concat h.k l.k }
+          | _ -> Any)
+        (aeval d m hd) rest
   | Repl (n, x) -> (
-      match to_vec (aeval d m n) with
+      match to_known (aeval d m n) with
       | Some nv -> (
-          match Vec.to_int nv with
-          | Some k when k > 0 -> (
+          match Packed.to_int nv with
+          | Some c when c > 0 -> (
               match aeval d m x with
-              | Any -> Any
-              | Bits bits ->
-                  let w = Array.length bits in
-                  if k * w > max_vector_width then Any
-                  else
-                    Bits
-                      (Array.init (k * w) (fun i -> bits.(i mod w))))
+              | Bits { v; k } when c <= max_vector_width / Packed.width v ->
+                  Bits { v = Packed.replicate c v; k = Packed.replicate c k }
+              | _ -> Any)
           | _ -> x1)
       | None -> Any)
   | Call (("$time" | "$stime"), _) -> top_bits 64
   | Call ("$random", _) -> top_bits 32
   | Call ("$clog2", [ a ]) -> (
-      match to_vec (aeval d m a) with
-      | Some v -> known (Vec.clog2 v)
+      match to_known (aeval d m a) with
+      | Some v -> known (Ops.clog2 v)
       | None -> top_bits 32)
   | Call _ -> Any
 
-and const_int d m e =
-  match to_vec (aeval d m e) with Some v -> Vec.to_int v | None -> None
-
-and partial2 f a b =
-  match (a, b) with
-  | Bits x, Bits y -> map2_bits f x y
-  | Any, Bits y -> map2_bits f (Array.make (Array.length y) None) y
-  | Bits x, Any -> map2_bits f x (Array.make (Array.length x) None)
-  | Any, Any -> Any
-
-and reduce_partial op bits =
-  (* A known controlling bit decides a reduction even with unknown
-     neighbours; otherwise only fully-known inputs (handled by the
-     caller) produce an exact answer. *)
-  let lognot1 = function
-    | Bits [| Some b |] -> Bits [| Some (Bit.log_not b) |]
-    | _ -> top_bits 1
-  in
-  match op with
-  | Uand | Unand ->
-      let r =
-        if Array.exists (function Some Bit.V0 -> true | _ -> false) bits
-        then known (Vec.of_int 1 0)
-        else top_bits 1
-      in
-      if op = Unand then lognot1 r else r
-  | Uor | Unor ->
-      let r =
-        if Array.exists (function Some Bit.V1 -> true | _ -> false) bits
-        then known (Vec.of_int 1 1)
-        else top_bits 1
-      in
-      if op = Unor then lognot1 r else r
-  | Uxor | Uxnor ->
-      if
-        Array.exists
-          (function Some (Bit.X | Bit.Z) -> true | _ -> false)
-          bits
-      then x1
-      else top_bits 1
-  | _ -> top_bits 1
+and const_int d m e = Option.bind (to_known (aeval d m e)) Packed.to_int
 
 (* --- Exact constant evaluation ------------------------------------------ *)
-
-let subexprs (e : expr) : expr list =
-  match e.e with
-  | Number _ | IntLit _ | String _ | Ident _ -> []
-  | Index (_, i) -> [ i ]
-  | RangeSel (_, a, b) -> [ a; b ]
-  | Unop (_, a) -> [ a ]
-  | Binop (_, a, b) -> [ a; b ]
-  | Cond (c, t, f) -> [ c; t; f ]
-  | Concat es -> es
-  | Repl (n, x) -> [ n; x ]
-  | Call (_, args) -> args
 
 (* [eval_const d e] is [Some v] only when the concrete evaluator returns
    [v] in every state without faulting. Requiring every subexpression to
@@ -395,12 +306,13 @@ let subexprs (e : expr) : expr list =
    controlling bit while a sibling subterm could raise: with the whole
    tree known, the abstract computation retraces the concrete one call
    for call. *)
-let rec fully_known d e =
-  to_vec (aeval d SMap.empty e) <> None
-  && List.for_all (fully_known d) (subexprs e)
-
 let eval_const d e =
-  if fully_known d e then to_vec (aeval d SMap.empty e) else None
+  let fully_known =
+    Ast_utils.fold_expr
+      (fun ok x -> ok && to_known (aeval d SMap.empty x) <> None)
+      true e
+  in
+  if fully_known then to_known (aeval d SMap.empty e) else None
 
 (* --- Declaration environment construction ------------------------------ *)
 
@@ -414,11 +326,23 @@ let span_width d msb lsb =
   | Some m, Some l -> Some (abs (m - l) + 1)
   | _ -> None
 
-let range_width d (r : range) = span_width d r.msb r.lsb
-
 let denv_of (m : module_decl) : denv =
-  let d =
-    ref
+  (* Every parameter first, in declaration order, each default evaluated
+     under the parameters so far; then the nets, whose ranges may name a
+     parameter declared after them. The elaborator's rule. Anything we
+     cannot evaluate is simply left out (reads become top). *)
+  let params =
+    List.fold_left
+      (fun d (it : item) ->
+        match it.it with
+        | ParamDecl (_, pairs) ->
+            List.fold_left
+              (fun d (name, e) ->
+                match to_known (aeval d SMap.empty e) with
+                | Some v -> { d with d_params = SMap.add name v d.d_params }
+                | None -> d)
+              d pairs
+        | _ -> d)
       {
         d_params = SMap.empty;
         d_widths = SMap.empty;
@@ -429,79 +353,54 @@ let denv_of (m : module_decl) : denv =
         d_ports = SSet.empty;
         d_events = SSet.empty;
       }
+      m.items
   in
-  let set_width ~force name w =
-    let cur = !d in
-    if force || not (SMap.mem name cur.d_widths) then
-      d := { cur with d_widths = SMap.add name w cur.d_widths }
+  let width d = function
+    | Some r -> Option.value (span_width d r.msb r.lsb) ~default:1
+    | None -> 1
   in
-  (* Every parameter first, in declaration order, each default evaluated
-     under the parameters so far; then the nets, whose ranges may name a
-     parameter declared after them. The elaborator's rule. Anything we
-     cannot evaluate is simply left out (reads become top). *)
-  List.iter
-    (fun (it : item) ->
-      match it.it with
-      | ParamDecl (_, pairs) ->
-          List.iter
-            (fun (name, e) ->
-              match to_vec (aeval !d SMap.empty e) with
-              | Some v ->
-                  d :=
-                    { !d with d_params = SMap.add name v !d.d_params }
-              | None -> ())
-            pairs
-      | _ -> ())
-    m.items;
-  List.iter
-    (fun (it : item) ->
+  let set_width ~force name w d =
+    if force || not (SMap.mem name d.d_widths) then
+      { d with d_widths = SMap.add name w d.d_widths }
+    else d
+  in
+  let add c n s = if c then SSet.add n s else s in
+  List.fold_left
+    (fun d (it : item) ->
       match it.it with
       | PortDecl (dir, kind, range, names) ->
-          let w =
-            match range with
-            | Some r -> Option.value (range_width !d r) ~default:1
-            | None -> 1
-          in
-          List.iter
-            (fun n ->
-              let cur = !d in
-              d := { cur with d_ports = SSet.add n cur.d_ports };
-              (match dir with
-              | Input | Inout ->
-                  d := { !d with d_inputs = SSet.add n !d.d_inputs }
-              | Output -> ());
-              if kind = Some Reg then
-                d := { !d with d_regs = SSet.add n !d.d_regs };
-              set_width ~force:(range <> None) n w)
-            names
+          let w = width d range in
+          List.fold_left
+            (fun d n ->
+              set_width ~force:(range <> None) n w
+                {
+                  d with
+                  d_ports = SSet.add n d.d_ports;
+                  d_inputs = add (dir <> Output) n d.d_inputs;
+                  d_regs = add (kind = Some Reg) n d.d_regs;
+                })
+            d names
       | NetDecl (kind, range, decls) ->
-          let base_w =
-            match (kind, range) with
-            | Integer, _ -> 32
-            | _, Some r -> Option.value (range_width !d r) ~default:1
-            | _, None -> 1
-          in
-          List.iter
-            (fun dec ->
-              if kind = Reg then
-                d := { !d with d_regs = SSet.add dec.d_name !d.d_regs };
-              if dec.d_array <> None then
-                d := { !d with d_arrays = SSet.add dec.d_name !d.d_arrays };
-              if dec.d_init <> None then
-                d := { !d with d_inited = SSet.add dec.d_name !d.d_inited };
-              set_width
-                ~force:(range <> None || kind = Integer)
-                dec.d_name base_w)
-            decls
+          let w = if kind = Integer then 32 else width d range in
+          List.fold_left
+            (fun d dec ->
+              let n = dec.d_name in
+              set_width ~force:(range <> None || kind = Integer) n w
+                {
+                  d with
+                  d_regs = add (kind = Reg) n d.d_regs;
+                  d_arrays = add (dec.d_array <> None) n d.d_arrays;
+                  d_inited = add (dec.d_init <> None) n d.d_inited;
+                })
+            d decls
       | EventDecl names ->
-          List.iter
-            (fun n ->
-              d := { !d with d_events = SSet.add n !d.d_events };
-              set_width ~force:false n 1)
-            names
-      | _ -> ())
-    m.items;
-  !d
+          List.fold_left
+            (fun d n ->
+              set_width ~force:false n 1
+                { d with d_events = SSet.add n d.d_events })
+            d names
+      | _ -> d)
+    params m.items
 
 let param_value d n = SMap.find_opt n d.d_params
 let net_width d n = SMap.find_opt n d.d_widths
@@ -518,12 +417,12 @@ let is_inited d n = SSet.mem n d.d_inited
    leaves unsized literals and parameters to their context. *)
 let rec expr_width d (e : expr) : int option =
   match e.e with
-  | Number v -> Some (Vec.width v)
+  | Number v -> Some (Packed.width (Packed.of_vec v))
   | IntLit _ -> Some 32
   | String _ -> Some 1
   | Ident n -> (
       match SMap.find_opt n d.d_params with
-      | Some v -> Some (Vec.width v)
+      | Some v -> Some (Packed.width v)
       | None ->
           if SSet.mem n d.d_arrays then None
           else SMap.find_opt n d.d_widths)
@@ -604,97 +503,95 @@ let module_has_anychange (m : module_decl) =
       | _ -> false)
     m.items
 
-(* --- Case-arm matching --------------------------------------------------- *)
+(* --- Case arms ------------------------------------------------------------ *)
 
-(* Exact replica of the engine's pattern match, including wildcarding of
-   subject bits under casez/casex. *)
-let case_matches kind sv pv =
-  let w = max (Vec.width sv) (Vec.width pv) in
-  let wild (b : Bit.t) =
-    match kind with
-    | Case -> false
-    | Casez -> b = Bit.Z
-    | Casex -> b = Bit.X || b = Bit.Z
+(* What a case arm can do, given the subject: [Taken i] — pattern [i] is
+   the first that definitely matches, so the arm runs whenever it is
+   reached; [Never] — every pattern definitely misses; [Unreached] — an
+   earlier arm is [Taken]; [Maybe] otherwise. *)
+type fate = Taken of int | Never | Unreached | Maybe
+
+(* The arms of a case statement whose subject has the fully known value
+   [sv] (or is not fully known), mapped through [f arm fate] in order, as
+   the simulator tries them. An arm's patterns go through [pconst] (their
+   fully known value, if any) only after [f] has seen the earlier arms.
+   Also returns whether some arm is [Taken], so the default never
+   runs. *)
+let map_arms kind sv pconst f arms =
+  let fate patterns =
+    match sv with
+    | None -> Maybe
+    | Some s ->
+        let rec go i all_no = function
+          | [] -> if all_no then Never else Maybe
+          | p :: ps -> (
+              match pconst p with
+              | Some pv when Ops.case_matches kind s pv -> Taken i
+              | Some _ -> go (i + 1) all_no ps
+              | None -> go (i + 1) false ps)
+        in
+        go 0 true patterns
   in
-  let rec go i =
-    if i >= w then true
-    else
-      let a = Vec.get sv i and b = Vec.get pv i in
-      (wild a || wild b || Bit.equal a b) && go (i + 1)
+  let taken = ref false in
+  let arms =
+    List.map
+      (fun arm ->
+        let fate = if !taken then Unreached else fate arm.patterns in
+        (match fate with Taken _ -> taken := true | _ -> ());
+        f arm fate)
+      arms
   in
-  go 0
+  (arms, !taken)
 
 (* --- Fixpoint ------------------------------------------------------------ *)
 
 type facts = {
   f_env : denv;
   f_values : aval SMap.t; (* per-net fixpoint values *)
-  f_reads : SSet.t; (* names read by any expression, trigger or event *)
+  f_reads : SSet.t; (* names read by any expression or event control *)
   f_written : SSet.t; (* lvalue bases and initializers *)
-  f_dead : SSet.t; (* declared, not a port, never read *)
+  f_dead : SSet.t; (* declared, not a port or event, never read *)
   f_decl_node : int SMap.t; (* name -> declaring item id *)
 }
 
 let reads_of (m : module_decl) =
-  let from_exprs =
-    Ast_utils.fold_module
-      (fun acc (s : stmt) ->
-        match s.s with Trigger n -> SSet.add n acc | _ -> acc)
-      (fun acc (e : expr) ->
-        match e.e with
-        | Ident n | Index (n, _) | RangeSel (n, _, _) -> SSet.add n acc
-        | _ -> acc)
-      SSet.empty m
-  in
   List.fold_left
-    (fun acc (it : item) ->
-      match it.it with
-      | EventDecl names -> List.fold_left (Fun.flip SSet.add) acc names
-      | _ -> acc)
-    from_exprs m.items
+    (fun acc it -> SSet.union acc (Deps.item_reads it))
+    SSet.empty m.items
 
-let written_of (m : module_decl) =
-  let add_lv acc lv =
-    List.fold_left (Fun.flip SSet.add) acc (Ast_utils.lvalue_base lv)
-  in
-  let from_stmts =
-    Ast_utils.fold_module
-      (fun acc (s : stmt) ->
-        match s.s with
-        | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) -> add_lv acc lhs
-        | _ -> acc)
-      (fun acc _ -> acc)
-      SSet.empty m
-  in
+(* Process and continuous-assignment targets, and initialized nets. *)
+let written_of d (m : module_decl) =
   List.fold_left
     (fun acc (it : item) ->
       match it.it with
+      | Always s | Initial s -> SSet.union acc (snd (Deps.stmt_access s))
       | ContAssign pairs ->
-          List.fold_left (fun acc (lhs, _) -> add_lv acc lhs) acc pairs
-      | NetDecl (_, _, decls) ->
           List.fold_left
-            (fun acc dec ->
-              if dec.d_init <> None then SSet.add dec.d_name acc else acc)
-            acc decls
+            (fun acc (lhs, _) ->
+              List.fold_left (Fun.flip SSet.add) acc (Ast_utils.lvalue_base lhs))
+            acc pairs
       | _ -> acc)
-    from_stmts m.items
+    d.d_inited m.items
+
+(* A declared net nobody reads; ports and named events never are. *)
+let is_dead d reads n =
+  SMap.mem n d.d_widths
+  && (not (SSet.mem n reads))
+  && (not (SSet.mem n d.d_ports))
+  && not (SSet.mem n d.d_events)
 
 let decl_nodes (m : module_decl) =
   List.fold_left
     (fun acc (it : item) ->
-      match it.it with
-      | PortDecl (_, _, _, names) | EventDecl names ->
-          List.fold_left
-            (fun acc n ->
-              if SMap.mem n acc then acc else SMap.add n it.iid acc)
-            acc names
-      | NetDecl (_, _, decls) ->
-          List.fold_left
-            (fun acc dec ->
-              if SMap.mem dec.d_name acc then acc
-              else SMap.add dec.d_name it.iid acc)
-            acc decls
-      | _ -> acc)
+      let names =
+        match it.it with
+        | PortDecl (_, _, _, names) | EventDecl names -> names
+        | NetDecl (_, _, decls) -> List.map (fun dec -> dec.d_name) decls
+        | _ -> []
+      in
+      List.fold_left
+        (fun acc n -> if SMap.mem n acc then acc else SMap.add n it.iid acc)
+        acc names)
     SMap.empty m.items
 
 let facts_of (m : module_decl) : facts =
@@ -706,22 +603,19 @@ let facts_of (m : module_decl) : facts =
       | Some w -> resize w v
       | None -> v
     in
-    let v' =
-      match SMap.find_opt name !map with
-      | Some old -> join old v
-      | None -> v
-    in
-    map := SMap.add name v' !map
+    map :=
+      SMap.update name
+        (function Some old -> Some (join old v) | None -> Some v)
+        !map
   in
   let assign lhs v =
     match lhs with
     | LId n -> contribute n v
-    | LIndex (n, _) | LRange (n, _, _) ->
+    | LIndex _ | LRange _ | LConcat _ ->
         (* A partial write: every bit of the target goes top. *)
-        contribute n Any
-    | LConcat lvs ->
-        List.iter (fun n -> contribute n Any) (Ast_utils.lvalue_base (LConcat lvs))
+        List.iter (fun n -> contribute n Any) (Ast_utils.lvalue_base lhs)
   in
+  let value e = to_known (aeval d !map e) in
   (* Reachability-aware abstract execution of one process body,
      accumulating write contributions under the current map. *)
   let rec absexec (s : stmt) =
@@ -737,29 +631,14 @@ let facts_of (m : module_decl) : facts =
             Option.iter absexec t;
             Option.iter absexec e)
     | CaseStmt (kind, subject, arms, default) ->
-        let sv = to_vec (aeval d !map subject) in
-        let definite = ref false in
-        List.iter
-          (fun arm ->
-            if not !definite then begin
-              let statuses =
-                List.map
-                  (fun p ->
-                    match (sv, to_vec (aeval d !map p)) with
-                    | Some s, Some pv ->
-                        if case_matches kind s pv then `Yes else `No
-                    | _ -> `Maybe)
-                  arm.patterns
-              in
-              if List.mem `Yes statuses then begin
-                Option.iter absexec arm.arm_body;
-                definite := true
-              end
-              else if not (List.for_all (( = ) `No) statuses) then
-                Option.iter absexec arm.arm_body
-            end)
-          arms;
-        if not !definite then Option.iter absexec default
+        let _, taken =
+          map_arms kind (value subject) value
+            (fun arm -> function
+              | Taken _ | Maybe -> Option.iter absexec arm.arm_body
+              | Never | Unreached -> ())
+            arms
+        in
+        if not taken then Option.iter absexec default
     | For (init, cond, step, body) -> (
         absexec init;
         match truth (aeval d !map cond) with
@@ -772,11 +651,9 @@ let facts_of (m : module_decl) : facts =
         | T_false | T_x -> ()
         | _ -> absexec body)
     | Repeat (c, body) -> (
-        match to_vec (aeval d !map c) with
-        | Some v -> (
-            match Vec.to_int v with
-            | Some n when n > 0 -> absexec body
-            | _ -> ())
+        match Option.map Packed.to_int (value c) with
+        | Some (Some n) when n > 0 -> absexec body
+        | Some _ -> ()
         | None -> absexec body)
     | Forever body -> absexec body
     | Delay (_, k) | EventCtrl (_, k) | Wait (_, k) ->
@@ -787,34 +664,27 @@ let facts_of (m : module_decl) : facts =
     List.iter
       (fun (it : item) ->
         match it.it with
-        | PortDecl (dir, _, _, names) -> (
-            match dir with
-            | Input | Inout ->
-                List.iter (fun n -> contribute n Any) names
-            | Output -> ())
+        | PortDecl ((Input | Inout), _, _, names) ->
+            List.iter (fun n -> contribute n Any) names
         | NetDecl (kind, _, decls) ->
             List.iter
               (fun dec ->
-                (match dec.d_init with
-                | Some e -> contribute dec.d_name (aeval d !map e)
-                | None -> ());
-                (* Power-up value of uninitialized storage is x (top
-                   when too wide to track, like [top_bits]). *)
-                match kind with
-                | (Reg | Integer) when dec.d_init = None ->
+                match (dec.d_init, kind) with
+                | Some e, _ -> contribute dec.d_name (aeval d !map e)
+                | None, (Reg | Integer) ->
+                    (* Power-up value of uninitialized storage is x (top
+                       when too wide to track, like [top_bits]). *)
                     let w =
                       Option.value (SMap.find_opt dec.d_name d.d_widths)
                         ~default:1
                     in
                     contribute dec.d_name
                       (if w > max_vector_width then Any
-                       else known (Vec.all_x w))
-                | _ -> ())
+                       else known (Packed.all_x w))
+                | None, _ -> ())
               decls
         | ContAssign pairs ->
-            List.iter
-              (fun (lhs, rhs) -> assign lhs (aeval d !map rhs))
-              pairs
+            List.iter (fun (lhs, rhs) -> assign lhs (aeval d !map rhs)) pairs
         | Always body | Initial body -> absexec body
         | Instance { conns; _ } ->
             (* The child may drive any net it is connected to. *)
@@ -828,7 +698,9 @@ let facts_of (m : module_decl) : facts =
                       (Ast_utils.expr_idents e)
                 | Named (_, None) -> ())
               conns
-        | ParamDecl _ | EventDecl _ | DefineStub _ -> ())
+        | PortDecl (Output, _, _, _) | ParamDecl _ | EventDecl _ | DefineStub _
+          ->
+            ())
       m.items
   in
   let stable = ref false in
@@ -840,90 +712,60 @@ let facts_of (m : module_decl) : facts =
     stable := SMap.equal ( = ) before !map
   done;
   let reads = reads_of m in
-  let written = written_of m in
-  let dead =
-    SMap.fold
-      (fun n _ acc ->
-        if
-          (not (SSet.mem n reads))
-          && (not (SSet.mem n d.d_ports))
-          && not (SSet.mem n d.d_events)
-        then SSet.add n acc
-        else acc)
-      d.d_widths SSet.empty
-  in
   {
     f_env = d;
     f_values = !map;
     f_reads = reads;
-    f_written = written;
-    f_dead = dead;
+    f_written = written_of d m;
+    f_dead =
+      SMap.fold
+        (fun n _ acc -> if is_dead d reads n then SSet.add n acc else acc)
+        d.d_widths SSet.empty;
     f_decl_node = decl_nodes m;
   }
 
 let known_bits f n =
   match SMap.find_opt n f.f_values with
-  | Some (Bits a) ->
-      let plane g = Logic4.Packed.of_vec (Vec.of_bits (Array.map g a)) in
-      Some
-        ( plane (function Some b -> b | None -> Bit.V0),
-          plane (function Some _ -> Bit.V1 | None -> Bit.V0) )
+  | Some (Bits { v; k }) -> Some (v, k)
   | _ -> None
 
 (* --- Lint findings ------------------------------------------------------- *)
-
-let truth_name = function
-  | T_true -> Some "true"
-  | T_false -> Some "false"
-  | T_x -> Some "x"
-  | T_unknown -> None
 
 (* Constant conditions, computed from dataflow facts: the fixpoint proves
    conditions over nets with constant drivers, not just parameters and
    literals, and x-decided conditions are reported too. *)
 let const_cond_findings ~modname (m : module_decl) (f : facts) :
     Lint.finding list =
-  let d = f.f_env and values = f.f_values in
   let acc = ref [] in
-  let flag node what name =
-    acc :=
-      Lint.finding Lint.Warning "constant-condition" ~modname node
-        "%s is constantly %s: a branch is unreachable" what name
-      :: !acc
+  let flag node fmt =
+    Printf.ksprintf
+      (fun msg ->
+        acc :=
+          Lint.finding Lint.Warning "constant-condition" ~modname node "%s" msg
+          :: !acc)
+      fmt
   in
-  let check_stmt (s : stmt) =
-    match s.s with
-    | If (c, _, _) -> (
-        match truth_name (truth (aeval d values c)) with
-        | Some name -> flag s.sid "if condition" name
-        | None -> ())
-    | While (c, _) -> (
-        match truth_name (truth (aeval d values c)) with
-        | Some name -> flag s.sid "while condition" name
-        | None -> ())
-    | CaseStmt (_, subject, _, _) -> (
-        match to_vec (aeval d values subject) with
-        | Some _ ->
-            acc :=
-              Lint.finding Lint.Warning "constant-condition" ~modname s.sid
-                "case subject is constant: all but one arm are unreachable"
-              :: !acc
-        | None -> ())
-    | _ -> ()
+  let eval e = aeval f.f_env f.f_values e in
+  let check node what c =
+    match truth (eval c) with
+    | T_true -> flag node "%s is constantly true: a branch is unreachable" what
+    | T_false -> flag node "%s is constantly false: a branch is unreachable" what
+    | T_x -> flag node "%s is constantly x: a branch is unreachable" what
+    | T_unknown -> ()
   in
-  let check_expr (e : expr) =
-    match e.e with
-    | Cond (c, _, _) -> (
-        match truth_name (truth (aeval d values c)) with
-        | Some name -> flag e.eid "conditional-expression test" name
-        | None -> ())
-    | _ -> ()
-  in
-  ignore
-    (Ast_utils.fold_module
-       (fun () s -> check_stmt s)
-       (fun () e -> check_expr e)
-       () m);
+  Ast_utils.fold_module
+    (fun () (s : stmt) ->
+      match s.s with
+      | If (c, _, _) -> check s.sid "if condition" c
+      | While (c, _) -> check s.sid "while condition" c
+      | CaseStmt (_, subject, _, _) when to_known (eval subject) <> None ->
+          flag s.sid "case subject is constant: all but one arm are unreachable"
+      | _ -> ())
+    (fun () (e : expr) ->
+      match e.e with
+      | Cond (c, _, _) -> check e.eid "conditional-expression test" c
+      | _ -> ())
+    () m;
   List.rev !acc
 
 (* The remaining dataflow rules: constant nets, x sources, unreachable
@@ -934,138 +776,92 @@ let extra_findings ~modname (m : module_decl) (f : facts) :
     Lint.finding list =
   let d = f.f_env and values = f.f_values in
   let acc = ref [] in
+  let flag rule node msg =
+    acc := Lint.finding Lint.Warning rule ~modname node "%s" msg :: !acc
+  in
+  let per_net rule =
+    SMap.iter
+      (fun name v ->
+        if SMap.mem name d.d_widths then
+          match rule name v with
+          | Some (id, msg) ->
+              flag id
+                (Option.value (SMap.find_opt name f.f_decl_node) ~default:m.mid)
+                msg
+          | None -> ())
+      values
+  in
   (* constant-net: a read (or output) net that settles to one fully
      defined value in every execution. *)
-  SMap.iter
-    (fun name v ->
-      if
-        SMap.mem name d.d_widths
-        && (SSet.mem name f.f_reads
-           || (SSet.mem name d.d_ports && not (SSet.mem name d.d_inputs)))
-      then
-        match to_vec v with
-        | Some vec when Vec.is_fully_defined vec ->
-            let node =
-              Option.value (SMap.find_opt name f.f_decl_node) ~default:m.mid
-            in
-            acc :=
-              Lint.finding Lint.Warning "constant-net" ~modname node
-                "%s is constantly %d'b%s" name (Vec.width vec)
-                (Vec.to_string vec)
-              :: !acc
-        | _ -> ())
-    values;
-  (* x-source: a driven, read net with definitely-x/z bits at fixpoint. *)
-  SMap.iter
-    (fun name v ->
-      let definitely_xz =
-        match v with
-        | Bits bits ->
-            Array.exists
-              (function Some (Bit.X | Bit.Z) -> true | _ -> false)
-              bits
-        | Any -> false
-      in
-      if
-        definitely_xz
-        && SMap.mem name d.d_widths
-        && SSet.mem name f.f_reads
-        && SSet.mem name f.f_written
-      then
-        let node =
-          Option.value (SMap.find_opt name f.f_decl_node) ~default:m.mid
-        in
-        acc :=
-          Lint.finding Lint.Warning "x-source" ~modname node
-            "%s carries x/z bits in steady state: x propagates to its readers"
-            name
-          :: !acc)
-    values;
-  acc := List.rev !acc;
-  (* unreachable-code: case arms that can never (or never again) match. *)
-  let extras = ref [] in
-  let check_stmt (s : stmt) =
+  per_net (fun name v ->
+      match to_known v with
+      | Some p
+        when (not (Packed.has_xz p))
+             && (SSet.mem name f.f_reads
+                || (SSet.mem name d.d_ports && not (SSet.mem name d.d_inputs)))
+        ->
+          let w = Packed.width p in
+          Some
+            ( "constant-net",
+              Printf.sprintf "%s is constantly %d'b%s" name w
+                (String.init w (fun i -> Bit.to_char (Packed.get p (w - 1 - i))))
+            )
+      | _ -> None);
+  (* x-source: a driven, read net with definitely-x/z bits at fixpoint
+     (unknown bits are 0, so an x/z in the value is a known one). *)
+  per_net (fun name v ->
+      match v with
+      | Bits { v; _ }
+        when Packed.has_xz v && SSet.mem name f.f_reads
+             && SSet.mem name f.f_written ->
+          Some
+            ( "x-source",
+              name
+              ^ " carries x/z bits in steady state: x propagates to its readers"
+            )
+      | _ -> None);
+  let dead_targets node lhs =
+    match Ast_utils.lvalue_base lhs with
+    | bases when bases <> [] && List.for_all (fun n -> SSet.mem n f.f_dead) bases
+      ->
+        flag "dead-assignment" node
+          ("assignment to " ^ String.concat ", " bases
+         ^ " is dead: the target is never read")
+    | _ -> ()
+  in
+  let check_stmt () (s : stmt) =
     match s.s with
     | CaseStmt (kind, subject, arms, _) -> (
-        match to_vec (aeval d values subject) with
+        (* unreachable-code: case arms that can never (or never again)
+           match. *)
+        let const e = to_known (aeval d values e) in
+        match const subject with
         | None -> ()
-        | Some sv ->
-            let definite = ref false in
-            List.iter
-              (fun arm ->
-                if !definite then
-                  extras :=
-                    Lint.finding Lint.Warning "unreachable-code" ~modname
-                      arm.arm_id
-                      "case arm is unreachable: an earlier arm always \
-                       matches"
-                    :: !extras
-                else
-                  let statuses =
-                    List.map
-                      (fun p ->
-                        match to_vec (aeval d values p) with
-                        | Some pv ->
-                            if case_matches kind sv pv then `Yes else `No
-                        | None -> `Maybe)
-                      arm.patterns
-                  in
-                  if List.mem `Yes statuses then definite := true
-                  else if List.for_all (( = ) `No) statuses then
-                    extras :=
-                      Lint.finding Lint.Warning "unreachable-code" ~modname
-                        arm.arm_id
-                        "case arm never matches: the subject is constant"
-                      :: !extras)
-              arms)
+        | sv ->
+            ignore
+              (map_arms kind sv const
+                 (fun arm -> function
+                   | Unreached ->
+                       flag "unreachable-code" arm.arm_id
+                         "case arm is unreachable: an earlier arm always \
+                          matches"
+                   | Never ->
+                       flag "unreachable-code" arm.arm_id
+                         "case arm never matches: the subject is constant"
+                   | Taken _ | Maybe -> ())
+                 arms))
+    | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) -> dead_targets s.sid lhs
     | _ -> ()
   in
-  let dead_targets lhs =
-    match Ast_utils.lvalue_base lhs with
-    | [] -> None
-    | bases ->
-        if List.for_all (fun n -> SSet.mem n f.f_dead) bases then
-          Some (String.concat ", " bases)
-        else None
-  in
-  let check_dead_stmt (s : stmt) =
-    match s.s with
-    | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) -> (
-        match dead_targets lhs with
-        | Some names ->
-            extras :=
-              Lint.finding Lint.Warning "dead-assignment" ~modname s.sid
-                "assignment to %s is dead: the target is never read" names
-            :: !extras
-        | None -> ())
-    | _ -> ()
-  in
-  ignore
-    (Ast_utils.fold_module
-       (fun () s ->
-         check_stmt s;
-         check_dead_stmt s)
-       (fun () _ -> ())
-       () m);
+  Ast_utils.fold_module check_stmt (fun () _ -> ()) () m;
   List.iter
     (fun (it : item) ->
       match it.it with
       | ContAssign pairs ->
-          List.iter
-            (fun (lhs, _) ->
-              match dead_targets lhs with
-              | Some names ->
-                  extras :=
-                    Lint.finding Lint.Warning "dead-assignment" ~modname
-                      it.iid
-                      "assignment to %s is dead: the target is never read"
-                      names
-                  :: !extras
-              | None -> ())
-            pairs
+          List.iter (fun (lhs, _) -> dead_targets it.iid lhs) pairs
       | _ -> ())
     m.items;
-  !acc @ List.rev !extras
+  List.rev !acc
 
 (* --- Dead-edit erasure --------------------------------------------------- *)
 
@@ -1089,19 +885,13 @@ let extra_findings ~modname (m : module_decl) (f : facts) :
    conflated with one whose dead code would not. *)
 
 let null_stmt = { sid = 0; s = Null }
-let zero_expr = { eid = 0; e = Number (Vec.zero 1) }
+let zero_expr = { eid = 0; e = Number (Packed.to_vec (Packed.zero 1)) }
 
 let erase (m : module_decl) : module_decl =
   let d = denv_of m in
   let reads = reads_of m in
-  let dead n =
-    SMap.mem n d.d_widths
-    && (not (SSet.mem n reads))
-    && (not (SSet.mem n d.d_ports))
-    && not (SSet.mem n d.d_events)
-  in
   let ptruth c = truth (aeval d SMap.empty c) in
-  let pconst e = to_vec (aeval d SMap.empty e) in
+  let pconst e = to_known (aeval d SMap.empty e) in
   let rec safe_lvalue lv =
     match lv with
     | LId _ -> true
@@ -1109,95 +899,53 @@ let erase (m : module_decl) : module_decl =
     | LRange (_, a, b) -> safe_expr d a && safe_expr d b
     | LConcat lvs -> List.for_all safe_lvalue lvs
   in
-  let dead_store lhs delay rhs =
-    delay = None
-    && (match Ast_utils.lvalue_base lhs with
-       | [] -> false
-       | bases -> List.for_all dead bases)
+  let dead_store lhs rhs =
+    (match Ast_utils.lvalue_base lhs with
+    | [] -> false
+    | bases -> List.for_all (is_dead d reads) bases)
     && safe_lvalue lhs && safe_expr d rhs
   in
   let rec er (s : stmt) : stmt =
     match s.s with
     | Block (lbl, body) -> { s with s = Block (lbl, List.map er body) }
-    | Blocking (lhs, delay, rhs) ->
-        if dead_store lhs delay rhs then { s with s = Null } else s
-    | Nonblocking (lhs, delay, rhs) ->
-        if dead_store lhs delay rhs then
-          { s with s = Nonblocking (LId "", None, zero_expr) }
-        else s
+    | Blocking (lhs, None, rhs) when dead_store lhs rhs -> { s with s = Null }
+    | Nonblocking (lhs, None, rhs) when dead_store lhs rhs ->
+        { s with s = Nonblocking (LId "", None, zero_expr) }
     | If (c, t, e) -> (
         match ptruth c with
         | T_true -> { s with s = If (c, Option.map er t, None) }
         | T_false | T_x -> { s with s = If (c, None, Option.map er e) }
         | T_unknown ->
             { s with s = If (c, Option.map er t, Option.map er e) })
-    | CaseStmt (kind, subject, arms, default) -> (
-        match pconst subject with
-        | None ->
-            {
-              s with
-              s =
-                CaseStmt
-                  ( kind,
-                    subject,
-                    List.map
-                      (fun arm ->
-                        { arm with arm_body = Option.map er arm.arm_body })
-                      arms,
-                    Option.map er default );
-            }
-        | Some sv ->
-            let definite = ref false in
-            let arms' =
-              List.map
-                (fun arm ->
-                  if !definite then
-                    (* Execution can never reach this arm: neither its
-                       patterns nor its body are ever evaluated. *)
-                    {
-                      arm with
-                      patterns = List.map (fun _ -> zero_expr) arm.patterns;
-                      arm_body = None;
-                    }
-                  else
-                    let statuses =
-                      List.map
-                        (fun p ->
-                          match pconst p with
-                          | Some pv ->
-                              if case_matches kind sv pv then `Yes else `No
-                          | None -> `Maybe)
-                        arm.patterns
-                    in
-                    if List.mem `Yes statuses then begin
-                      definite := true;
-                      (* Patterns after the first definite match are
-                         never evaluated either. *)
-                      let seen = ref false in
-                      let patterns =
-                        List.map2
-                          (fun p st ->
-                            if !seen then zero_expr
-                            else begin
-                              if st = `Yes then seen := true;
-                              p
-                            end)
-                          arm.patterns statuses
-                      in
-                      {
-                        arm with
-                        patterns;
-                        arm_body = Option.map er arm.arm_body;
-                      }
-                    end
-                    else if List.for_all (( = ) `No) statuses then
-                      { arm with arm_body = None }
-                    else
-                      { arm with arm_body = Option.map er arm.arm_body })
-                arms
-            in
-            let default' = if !definite then None else Option.map er default in
-            { s with s = CaseStmt (kind, subject, arms', default') })
+    | CaseStmt (kind, subject, arms, default) ->
+        let arms, taken =
+          map_arms kind (pconst subject) pconst
+            (fun arm -> function
+              | Unreached ->
+                  (* Execution can never reach this arm: neither its
+                     patterns nor its body are ever evaluated. *)
+                  {
+                    arm with
+                    patterns = List.map (fun _ -> zero_expr) arm.patterns;
+                    arm_body = None;
+                  }
+              | Taken i ->
+                  (* Patterns after the first definite match are never
+                     evaluated either. *)
+                  {
+                    arm with
+                    patterns =
+                      List.mapi
+                        (fun j p -> if j > i then zero_expr else p)
+                        arm.patterns;
+                    arm_body = Option.map er arm.arm_body;
+                  }
+              | Never -> { arm with arm_body = None }
+              | Maybe -> { arm with arm_body = Option.map er arm.arm_body })
+            arms
+        in
+        let default = if taken then None else Option.map er default in
+        { s with s = CaseStmt (kind, subject, arms, default) }
     | For (init, cond, step, body) -> (
         match ptruth cond with
         | T_false | T_x ->
@@ -1208,19 +956,15 @@ let erase (m : module_decl) : module_decl =
         | T_false | T_x -> { s with s = While (c, null_stmt) }
         | _ -> { s with s = While (c, er body) })
     | Repeat (c, body) -> (
-        let skipped =
-          match pconst c with
-          | Some v -> (
-              match Vec.to_int v with Some n -> n <= 0 | None -> true)
-          | None -> false
-        in
-        if skipped then { s with s = Repeat (c, null_stmt) }
-        else { s with s = Repeat (c, er body) })
+        match Option.map Packed.to_int (pconst c) with
+        | Some (Some n) when n > 0 -> { s with s = Repeat (c, er body) }
+        | Some _ -> { s with s = Repeat (c, null_stmt) }
+        | None -> { s with s = Repeat (c, er body) })
     | Forever body -> { s with s = Forever (er body) }
     | Delay (d0, k) -> { s with s = Delay (d0, Option.map er k) }
     | EventCtrl (specs, k) -> { s with s = EventCtrl (specs, Option.map er k) }
     | Wait (c, k) -> { s with s = Wait (c, Option.map er k) }
-    | Trigger _ | SysTask _ | Null -> s
+    | Blocking _ | Nonblocking _ | Trigger _ | SysTask _ | Null -> s
   in
   let items =
     List.map
@@ -1231,19 +975,10 @@ let erase (m : module_decl) : module_decl =
         | Initial body when not (stmt_has_anychange body) ->
             { it with it = Initial (er body) }
         | ContAssign pairs ->
-            let pairs' =
-              List.map
-                (fun (lhs, rhs) ->
-                  if
-                    (match Ast_utils.lvalue_base lhs with
-                    | [] -> false
-                    | bases -> List.for_all dead bases)
-                    && safe_lvalue lhs && safe_expr d rhs
-                  then (LId "", zero_expr)
-                  else (lhs, rhs))
-                pairs
+            let dead (lhs, rhs) =
+              if dead_store lhs rhs then (LId "", zero_expr) else (lhs, rhs)
             in
-            { it with it = ContAssign pairs' }
+            { it with it = ContAssign (List.map dead pairs) }
         | _ -> it)
       m.items
   in

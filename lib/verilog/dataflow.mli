@@ -1,15 +1,20 @@
 (* Forward dataflow abstract interpretation over one module.
 
-   The domain is per-bit known-bits on 4-valued logic: each bit of a net
-   is a known [Logic4.Bit.t] or top, joined to a fixpoint over every
-   driver with control reachability pruned by the abstract values
-   themselves. The abstract evaluator mirrors [Sim.Eval] exactly on
-   fully-known inputs, so proved facts hold in every concrete run.
+   The domain is known bits on 4-valued logic: a net's value is a
+   [Logic4.Packed] value plus a known mask of the same width (each masked
+   bit is that bit of the value, 0/1/x/z, in every execution; the others
+   are top), or [Any] when the width is unknown or beyond
+   [Ast.max_vector_width]. Values are joined to a fixpoint over every
+   driver, with control reachability pruned by the abstract values
+   themselves. Fully known operands fold through the simulator's own
+   operator table ([Ops]) and case matcher, so proved facts hold in every
+   concrete run; reads and writes come from [Deps].
 
    Consumers: the `analyze` lint rules (constant-condition — subsuming
    the older [Analysis] check — plus constant-net, x-source,
-   unreachable-code and dead-assignment), the [Canon] width oracle, and
-   the repair loop's dead-edit pruning via [prune_hash]. *)
+   unreachable-code and dead-assignment), the [Canon] width oracle and
+   constant folder, and the repair loop's dead-edit pruning via
+   [prune_hash]. *)
 
 (* Declarations of one module: parameter values (evaluated in
    declaration order, as the elaborator does), net widths, memories,
@@ -18,7 +23,7 @@
 type denv
 
 val denv_of : Ast.module_decl -> denv
-val param_value : denv -> string -> Logic4.Vec.t option
+val param_value : denv -> string -> Logic4.Packed.t option
 
 (* Storage width; a range the evaluator cannot fold counts as 1 bit. *)
 val net_width : denv -> string -> int option
@@ -48,7 +53,7 @@ val expr_width : denv -> Ast.expr -> int option
 (* Exact parameters-only evaluation: [Some v] only when the concrete
    evaluator returns [v] in every state and cannot fault on the way
    (every subterm is itself fully known). *)
-val eval_const : denv -> Ast.expr -> Logic4.Vec.t option
+val eval_const : denv -> Ast.expr -> Logic4.Packed.t option
 
 (* True when the concrete evaluator is guaranteed to evaluate the
    expression without faulting: no system calls, range selects,
@@ -66,9 +71,11 @@ type facts
 val facts_of : Ast.module_decl -> facts
 
 (* A net's fixpoint value as [(value, known)], both of the net's width:
-   every bit set in [known] holds the corresponding bit of [value] at
-   every point of every run (of an instance with default parameters).
-   [None] when nothing drives the net or its width is not tracked. *)
+   a bit set in [known] is that bit of [value] once the net's drivers
+   have run, in every run of an instance with default parameters (the
+   differential in test/sim_equiv_run.ml checks it). Unknown bits of
+   [value] read 0. [None] when nothing drives the net or its width is
+   not tracked. *)
 val known_bits : facts -> string -> (Logic4.Packed.t * Logic4.Packed.t) option
 
 (* The "constant-condition" rule (stable id shared with PR 1's check,

@@ -3,7 +3,7 @@
    and every defect scenario, or fall back — visibly — to the event
    engine.
 
-   Three passes:
+   Five passes:
 
    - trace pass: every project x {tb, tb2} pair is simulated under both
      backends; the recorded trace (Sim.Recorder), $display log, outcome,
@@ -42,6 +42,13 @@
      time-0 order, dynamic order, external inputs and statistics as
      [Compile.compile] of a cold elaboration of the copy, or both must
      fall back for the same reason.
+
+   - known bits: the pairs, the scenario seeds and the mutants also run
+     once more on the event backend, and every bit that
+     [Dataflow.facts_of] calls known must equal the net's value (each
+     word's, for a memory) at the end of that run, in every instance
+     whose parameters keep their default values, the ones Dataflow
+     evaluates. Runs that fail to elaborate are skipped.
 
    Usage: sim_equiv_run [--all]
    The default is a fast smoke subset (wired into `dune runtest`): four
@@ -97,11 +104,8 @@ let same_runs label design spec ?max_steps ?max_time () : bool =
   let a = run Sim.Simulate.Event in
   same_results label a (run Sim.Simulate.Auto)
 
-(* Known-bits soundness: every bit that [Dataflow.facts_of] calls known
-   must equal the net's bit (every word's bit, for a memory) at the end
-   of an event-backend run, in every instance whose parameters all keep
-   their default values (Dataflow evaluates the defaults). Designs that
-   fail to elaborate or to run are skipped. *)
+(* The known-bits pass (see the header). Designs that fail to elaborate
+   or to run are skipped. *)
 let known_instances = ref 0
 let known_bits = ref 0
 
@@ -125,7 +129,7 @@ let defaults_kept (m : Verilog.Ast.module_decl) (sc : Sim.Runtime.scope) =
       match b with
       | Sim.Runtime.Bconst c -> (
           match Verilog.Dataflow.param_value d name with
-          | Some v -> Logic4.Vec.equal v c
+          | Some v -> Logic4.Packed.(equal v (of_vec c))
           | None -> false)
       | Sim.Runtime.Bvar _ -> true)
     sc.Sim.Runtime.sc_bindings true

@@ -235,7 +235,7 @@ let test_canon_differential () =
     let st = Sim.Runtime.create () in
     let sc = Sim.Runtime.scope_create ~path:"fz" ~module_name:"fuzz_env" in
     Hashtbl.replace sc.Sim.Runtime.sc_bindings "P"
-      (Sim.Runtime.Bconst p_value);
+      (Sim.Runtime.Bconst (Logic4.Packed.to_vec p_value));
     List.iter
       (fun (name, w) ->
         Hashtbl.replace sc.Sim.Runtime.sc_bindings name
@@ -309,6 +309,26 @@ let test_packed_differential () =
            let a = V.get tv i and b = V.get fv i in
            if Logic4.Bit.equal a b then a else Logic4.Bit.X))
   in
+  (* Reference for [Verilog.Ops.clog2]: the bit length of n - 1, 0 for
+     n = 0, all-x on any x/z bit. *)
+  let clog2_vec v =
+    if V.has_xz v then V.all_x 32
+    else if V.to_bool v = Some false then V.zero 32
+    else
+      let m = V.sub v (V.of_int (V.width v) 1) in
+      let len = ref 0 in
+      for i = 0 to V.width m - 1 do
+        if V.get m i = Logic4.Bit.V1 then len := i + 1
+      done;
+      V.of_int 32 !len
+  in
+  (* Reference for [Packed.to_plane_values]: [a] is set on 1 and x bits,
+     [b] on x and z bits. *)
+  let plane_vec f v =
+    V.of_bits
+      (Array.init (V.width v) (fun i ->
+           if f (V.get v i) then Logic4.Bit.V1 else Logic4.Bit.V0))
+  in
   let rng = Random.State.make [| 0xBACC |] in
   (* Agreement, plus canonical form: [S] exactly up to 61 bits, planes
      clear above the width -- what makes [P.equal] exact. *)
@@ -360,6 +380,7 @@ let test_packed_differential () =
       ("reduce_and", V.reduce_and, P.reduce_and);
       ("reduce_or", V.reduce_or, P.reduce_or);
       ("reduce_xor", V.reduce_xor, P.reduce_xor);
+      ("clog2", clog2_vec, Verilog.Ops.clog2);
     ]
   in
   for _trial = 1 to 3_000 do
@@ -368,6 +389,19 @@ let test_packed_differential () =
     let pa = P.of_vec va and pb = P.of_vec vb in
     List.iter (fun (name, vf, pf) -> check name (vf va vb) (pf pa pb)) binops;
     List.iter (fun (name, vf, pf) -> check name (vf va) (pf pa)) unops;
+    (* $clog2 mostly sees defined values. *)
+    let da = V.of_bits (Array.init wa (fun _ -> random_bit rng)) in
+    let da = plane_vec (fun b -> b = Logic4.Bit.V1) da in
+    check "clog2" (clog2_vec da) (Verilog.Ops.clog2 (P.of_vec da));
+    (* The planes as values, and back. *)
+    let a, b = P.to_plane_values pa in
+    check "to_plane_values"
+      (plane_vec (fun b -> b = Logic4.Bit.V1 || b = Logic4.Bit.X) va)
+      a;
+    check "to_plane_values"
+      (plane_vec (fun b -> b = Logic4.Bit.X || b = Logic4.Bit.Z) va)
+      b;
+    check "of_plane_values" va (P.of_plane_values a b);
     (* Shifts with a small, mostly-defined amount (huge or x/z amounts
        are exercised too, just less often). *)
     let amt_v =
