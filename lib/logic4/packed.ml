@@ -69,14 +69,16 @@ let of_planes w ~a ~b =
   let m = mask w in
   S { w; a = a land m; b = b land m }
 
-(* The planes as values: see the mli. *)
+(* The planes as defined values, and back: see the mli. *)
 let to_plane_values = function
   | S { w; a; b } -> (S { w; a; b = 0 }, S { w; a = b; b = 0 })
   | V v ->
       let plane f =
-        V (Vec.of_bits (Array.map (fun x -> if f x then Bit.V1 else Bit.V0) (Vec.to_bits v)))
+        let bit x = if f x then Bit.V1 else Bit.V0 in
+        V (Vec.of_bits (Array.map bit (Vec.to_bits v)))
       in
-      (plane (fun x -> x = Bit.V1 || x = Bit.X), plane (fun x -> x = Bit.X || x = Bit.Z))
+      ( plane (fun x -> x = Bit.V1 || x = Bit.X),
+        plane (fun x -> x = Bit.X || x = Bit.Z) )
 
 let of_plane_values pa pb =
   match (pa, pb) with

@@ -65,8 +65,6 @@ let equal a b =
 let is_fully_defined v = Array.for_all Bit.is_defined v
 let has_xz v = not (is_fully_defined v)
 
-(* Ceiling of log2 of the unsigned value, 32 bits wide: the bit length of
-   v - 1, so 0 and 1 give 0. Any x/z bit gives all-x. *)
 let resize w v =
   if w <= 0 then invalid_arg "Vec.resize: width must be positive";
   (* Arrays are immutable after construction, so same-width resize can

@@ -476,7 +476,10 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
                     else (
                       eb ();
                       P.log_or d x.cw x.ca x.cb y.cw y.ca y.cb)
-              | _ -> bin2 (Verilog.Ops.binop_with (fun planes _ -> planes) op) d (operand ca) (operand cb)
+              | _ ->
+                  bin2
+                    (Verilog.Ops.binop_with (fun planes _ -> planes) op)
+                    d (operand ca) (operand cb)
             in
             combine (Cell (d, value)) cw [ ca; cb ]
         | _ ->
@@ -891,7 +894,8 @@ let rec compile_stmt (env : env) (s : stmt) : unit -> unit =
             fun () ->
               ep ();
               Verilog.Ops.case_matches_planes kind sc.ca sc.cb pc.ca pc.cb
-        | Cell (sc, _), Boxed rp -> fun () -> Verilog.Ops.case_matches kind (P.box sc) (rp ())
+        | Cell (sc, _), Boxed rp ->
+            fun () -> Verilog.Ops.case_matches kind (P.box sc) (rp ())
         | Boxed _, _ ->
             let rp = boxed cp in
             fun () -> Verilog.Ops.case_matches kind !subj_box (rp ())

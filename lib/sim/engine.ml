@@ -163,7 +163,9 @@ let rec exec (st : Runtime.state) (sc : Runtime.scope) (s : stmt) : unit =
       | Some false | None -> Option.iter (exec st sc) e)
   | CaseStmt (kind, subject, arms, default) ->
       let sv = Eval.eval st sc subject in
-      let matches pattern = Verilog.Ops.case_matches kind sv (Eval.eval st sc pattern) in
+      let matches pattern =
+        Verilog.Ops.case_matches kind sv (Eval.eval st sc pattern)
+      in
       let rec try_arms = function
         | [] -> Option.iter (exec st sc) default
         | arm :: rest ->

@@ -152,8 +152,12 @@ let truth = function
    and [Packed.logor]. An [Any] operand is top at the other's width. *)
 let bitwise op a b =
   let top_as = function Any -> Any | Bits { v; _ } -> top_bits (Packed.width v) in
-  let a = if a = Any then top_as b else a
-  and b = if b = Any then top_as a else b in
+  let a, b =
+    match (a, b) with
+    | Any, _ -> (top_as b, b)
+    | _, Any -> (a, top_as a)
+    | _ -> (a, b)
+  in
   both
     (fun xv xk yv yk ->
       let k = Packed.logand xk yk in
@@ -748,10 +752,10 @@ let const_cond_findings ~modname (m : module_decl) (f : facts) :
   let eval e = aeval f.f_env f.f_values e in
   let check node what c =
     match truth (eval c) with
-    | T_true -> flag node "%s is constantly true: a branch is unreachable" what
-    | T_false -> flag node "%s is constantly false: a branch is unreachable" what
-    | T_x -> flag node "%s is constantly x: a branch is unreachable" what
     | T_unknown -> ()
+    | t ->
+        flag node "%s is constantly %s: a branch is unreachable" what
+          (match t with T_true -> "true" | T_false -> "false" | _ -> "x")
   in
   Ast_utils.fold_module
     (fun () (s : stmt) ->
