@@ -18,6 +18,11 @@
    [Canon.semantic_hash] (a [semantic] line), and the [Slice.slice] plan
    of every output port. Pairs and scenarios cover every module; mutants
    cover the mutated target.
+   Every module also gets [localize] lines ([Fault_loc.localize] from
+   all output ports, then from each port alone: rounds taken and each
+   implicated node's round) and one [propose] line (the fix-localization
+   pools, each template's eligible ids and the sensitivity signal names),
+   which pin what the repair operators draw from.
    Every input also gets one [schedule] line: the compiled backend's
    statistics, its time-0 order, its dynamic order and its external
    inputs ([Compile.compile] under the testbench top), or why the
@@ -44,8 +49,75 @@ let ids l = String.concat " " (List.map string_of_int l)
 
 let verdict = function None -> "pass" | Some r -> "reject: " ^ r
 
+let class_name : Verilog.Ast_utils.stmt_class -> string = function
+  | C_assign -> "assign"
+  | C_if -> "if"
+  | C_case -> "case"
+  | C_loop -> "loop"
+  | C_block -> "block"
+  | C_timing -> "timing"
+  | C_other -> "other"
+
+let sids l = ids (List.map (fun (s : stmt) -> s.sid) l)
+
+(* Fault localization with [mismatch] as the initial mismatch set:
+   the rounds taken and every implicated node with its round. *)
+let report_localize buf m mismatch =
+  let r = Cirfix.Fault_loc.localize m ~mismatch in
+  Printf.bprintf buf "  localize [%s]: iterations %d [%s]\n"
+    (String.concat " " mismatch) r.iterations
+    (String.concat " "
+       (List.map
+          (fun (id, round) -> Printf.sprintf "%d:%d" id round)
+          (Cirfix.Fault_loc.IdMap.bindings r.rounds)))
+
+(* What the repair operators draw from: the insertion pool, the
+   replacement pool of each statement class present (for a target whose
+   id is in no pool), the eligible ids of every template and the signal
+   names the sensitivity templates draw. *)
+let report_propose buf m =
+  let stmts = Verilog.Ast_utils.stmts_of_module m in
+  let classes =
+    List.sort_uniq compare (List.map Verilog.Ast_utils.classify_stmt stmts)
+  in
+  let replace =
+    List.map
+      (fun c ->
+        let t =
+          List.find (fun s -> Verilog.Ast_utils.classify_stmt s = c) stmts
+        in
+        Printf.sprintf "%s [%s]" (class_name c)
+          (sids (Cirfix.Fix_loc.replacement_pool m ~target:{ t with sid = -1 })))
+      classes
+  in
+  let templates =
+    List.map
+      (fun tpl ->
+        Printf.sprintf "%s [%s]"
+          (Cirfix.Templates.to_string tpl)
+          (ids (Cirfix.Templates.eligible_targets tpl m)))
+      Cirfix.Templates.all
+  in
+  let names =
+    List.concat_map
+      (fun s ->
+        Cirfix.Fault_loc.NameSet.elements (Cirfix.Fault_loc.stmt_idents s))
+      stmts
+    |> List.sort_uniq compare
+  in
+  Printf.bprintf buf
+    "  propose insert [%s] replace {%s} templates {%s} names [%s]\n"
+    (sids (Cirfix.Fix_loc.insertion_pool m))
+    (String.concat "; " replace)
+    (String.concat "; " templates)
+    (String.concat " " names)
+
 let report_module buf (design : design) (m : module_decl) =
   Printf.bprintf buf " module %s\n" m.mod_id;
+  let outputs = Verilog.Slice.output_ports m in
+  report_localize buf m outputs;
+  List.iter (fun o -> report_localize buf m [ o ]) outputs;
+  report_propose buf m;
   findings buf "analysis" (Verilog.Analysis.check_module ~design m);
   Printf.bprintf buf "  screen %s\n"
     (verdict
