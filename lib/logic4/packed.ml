@@ -19,6 +19,8 @@
 type t = S of { w : int; a : int; b : int } | V of Vec.t
 
 let max_packed_width = 61
+
+let repl_fits ~limit k w = w = 0 || k <= limit / w
 let mask w = (1 lsl w) - 1
 
 let width = function S { w; _ } -> w | V v -> Vec.width v
@@ -459,7 +461,7 @@ let replicate k p =
   (* A wide result is built once: repeated [concat] through [Vec] would
      copy quadratically in [k]. *)
   match p with
-  | S { w; a; b } when k * w <= max_packed_width ->
+  | S { w; a; b } when repl_fits ~limit:max_packed_width k w ->
       let d = Planes.make 0 in
       Planes.replicate d k w a b;
       Planes.box d

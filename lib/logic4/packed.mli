@@ -14,6 +14,11 @@ type t = S of { w : int; a : int; b : int } | V of Vec.t
 
 val max_packed_width : int
 
+(* [repl_fits ~limit k w]: [k] copies of a [w]-bit value fit in [limit]
+   bits ([k], [w] non-negative). Decided by division, so a huge [k]
+   cannot wrap the product into a small or negative width. *)
+val repl_fits : limit:int -> int -> int -> bool
+
 val width : t -> int
 val of_vec : Vec.t -> t
 val to_vec : t -> Vec.t

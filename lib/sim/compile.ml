@@ -580,7 +580,7 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
           let k = count () in
           if k > 0 then (
             let xv = rx () in
-            Eval.check_width "replication" (k * Packed.width xv);
+            Eval.check_repl k (Packed.width xv);
             Packed.replicate k xv)
           else Packed.all_x 1
         in
@@ -590,7 +590,8 @@ let rec compile_expr (env : env) (e : expr) : cexpr =
             if k <= 0 then (fixed_x 1, 1)
             else
               match cx.v with
-              | Cell (y, ex) when k * cx.cw <= Packed.max_packed_width ->
+              | Cell (y, ex)
+                when Packed.repl_fits ~limit:Packed.max_packed_width k cx.cw ->
                   let d = P.make (k * cx.cw) in
                   ( Cell
                       ( d,

@@ -16,6 +16,16 @@ let check_width what w =
       (Runtime.Elab_error
          (Printf.sprintf "%s too wide (%d bits)" what w))
 
+(* The same for [k] copies of a [w]-bit value, without forming a product
+   that a huge count would wrap. *)
+let check_repl k w =
+  if not (Packed.repl_fits ~limit:max_vector_width k w) then
+    raise
+      (Runtime.Elab_error
+         (if k > max_int / w then
+            Printf.sprintf "replication too wide (%d copies of %d bits)" k w
+          else Printf.sprintf "replication too wide (%d bits)" (k * w)))
+
 let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
   match e.e with
   | Number v -> Packed.of_vec v
@@ -78,7 +88,7 @@ let rec eval (st : Runtime.state) (sc : Runtime.scope) (e : expr) : Packed.t =
       match Packed.to_int (eval st sc n) with
       | Some k when k > 0 ->
           let xv = eval st sc x in
-          check_width "replication" (k * Packed.width xv);
+          check_repl k (Packed.width xv);
           Packed.replicate k xv
       | _ -> Packed.all_x 1)
   | Call ("$time", _) | Call ("$stime", _) -> Packed.of_int 64 st.now

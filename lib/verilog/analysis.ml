@@ -54,7 +54,9 @@ let rec width_of (d : Dataflow.denv) (e : expr) : int option =
         (Some 0) es
   | Repl (n, x) -> (
       match (Dataflow.param_int d n, width_of d x) with
-      | Some k, Some w when k > 0 -> Some (k * w)
+      | Some k, Some w
+        when k > 0 && Logic4.Packed.repl_fits ~limit:max_vector_width k w ->
+          Some (k * w)
       | _ -> None)
   | Call _ -> None
 

@@ -287,7 +287,8 @@ let rec aeval (d : denv) (m : aval SMap.t) (e : expr) : aval =
           match Packed.to_int nv with
           | Some c when c > 0 -> (
               match aeval d m x with
-              | Bits { v; k } when c <= max_vector_width / Packed.width v ->
+              | Bits { v; k }
+                when Packed.repl_fits ~limit:max_vector_width c (Packed.width v) ->
                   Bits { v = Packed.replicate c v; k = Packed.replicate c k }
               | _ -> Any)
           | _ -> x1)
@@ -459,7 +460,7 @@ let rec expr_width d (e : expr) : int option =
       match param_int d n with
       | Some k when k > 0 -> (
           match expr_width d x with
-          | Some w when k * w <= max_vector_width -> Some (k * w)
+          | Some w when Packed.repl_fits ~limit:max_vector_width k w -> Some (k * w)
           | _ -> None)
       | Some _ -> Some 1
       | None -> None)

@@ -301,6 +301,52 @@ let test_unread_raising_binding () =
       ("nope = x", "undeclared identifier nope in top.u");
     ]
 
+(* A replication count so large that [count * width] wraps past max_int
+   must still fail as too wide, on both backends, and fail at once: the
+   wrapped product once passed the width checks and the replication then
+   looped over the count. A 10 s alarm turns a hang into a failure. *)
+let test_replication_count_overflow () =
+  let src =
+    "module d(clk, y);\n\
+    \  input clk;\n\
+    \  output [7:0] y;\n\
+    \  reg [7:0] y;\n\
+    \  always @(posedge clk) y <= {61'h1000000000000000{8'h1}};\n\
+     endmodule\n\
+     module top;\n\
+    \  reg clk;\n\
+    \  wire [7:0] y;\n\
+    \  d u(clk, y);\n\
+    \  initial clk = 0;\n\
+    \  always #5 clk = ~clk;\n\
+    \  initial #50 $finish;\n\
+     endmodule\n"
+  in
+  let expired = ref false in
+  let old =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> expired := true; raise Exit))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+  @@ fun () ->
+  ignore (Unix.alarm 10);
+  let too_wide what = function
+    | Error (Sim.Simulate.Elab_failure msg) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S says replication too wide" what msg)
+          true
+          (String.starts_with ~prefix:"replication too wide" msg)
+    | Ok _ -> Alcotest.failf "%s: run should fail" what
+  in
+  match run_both src with
+  | e, c ->
+      too_wide "event" e;
+      too_wide "auto" c
+  | exception Exit when !expired -> Alcotest.fail "timed out after 10 s"
+
 (* Where two operands both raise, the order the language leaves open is
    fixed and shared: a conditional on x evaluates its then-arm before its
    else-arm, and a part-select its msb before its lsb, so both backends
@@ -629,6 +675,8 @@ let () =
             test_unread_raising_binding;
           Alcotest.test_case "operand order when both raise" `Quick
             test_raising_operand_order;
+          Alcotest.test_case "replication count overflow" `Quick
+            test_replication_count_overflow;
         ] );
       ( "edge corners",
         [
