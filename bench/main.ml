@@ -805,8 +805,9 @@ let perf () =
           ignore (Cirfix.Mutate.mutate rng Cirfix.Config.default original ~fl_stmts)));
       Test.make ~name:"T3: patch materialize + digest" (Staged.stage (fun () ->
           ignore
-            (Cirfix.Patch.digest original
-               [ Cirfix.Patch.Delete (List.hd fl_stmts).Verilog.Ast.sid ])));
+            (Cirfix.Evaluate.key_of
+               (Cirfix.Patch.apply original
+                  [ Cirfix.Patch.Delete (List.hd fl_stmts).Verilog.Ast.sid ]))));
       Test.make ~name:"F2: regenerate verilog" (Staged.stage (fun () ->
           ignore (Verilog.Pp.module_to_string original)));
     ]

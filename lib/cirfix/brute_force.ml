@@ -31,17 +31,20 @@ let journal_quantum = 256
    replacement, every insertion of an insertable statement after every
    statement, and every template at every eligible node. *)
 let single_edits (m : module_decl) : Patch.edit list =
-  let stmts = Verilog.Ast_utils.stmts_of_module m in
+  let idx = Index.of_module m in
+  let stmts = Array.to_list (Array.map (fun (f : Index.stmt_facts) -> f.stmt) idx.stmts) in
   let deletes = List.map (fun (s : stmt) -> Patch.Delete s.sid) stmts in
   let replaces =
     List.concat_map
       (fun (dest : stmt) ->
-        Fix_loc.replacement_pool m ~target:dest
-        |> List.map (fun src -> Patch.Replace (dest.sid, src)))
+        Array.to_list (Fix_loc.replacement idx ~target:dest)
+        |> List.filter_map (fun (src : stmt) ->
+               if src.sid <> dest.sid then Some (Patch.Replace (dest.sid, src))
+               else None))
       stmts
   in
   let inserts =
-    let pool = Fix_loc.insertion_pool m in
+    let pool = Array.to_list (Fix_loc.insertion idx) in
     List.concat_map
       (fun (dest : stmt) ->
         List.map (fun src -> Patch.Insert (dest.sid, src)) pool)
@@ -50,16 +53,13 @@ let single_edits (m : module_decl) : Patch.edit list =
   let templates =
     List.concat_map
       (fun tpl ->
-        Templates.eligible_targets tpl m
+        Array.to_list (Templates.eligible tpl idx)
         |> List.concat_map (fun target ->
                match tpl with
                | Templates.Sens_posedge | Templates.Sens_negedge
                | Templates.Sens_level ->
                    (* One variant per signal in the module. *)
-                   stmts
-                   |> List.concat_map (fun s ->
-                          Fault_loc.NameSet.elements (Fault_loc.stmt_idents s))
-                   |> List.sort_uniq compare
+                   Array.to_list (Index.names idx)
                    |> List.map (fun sig_ -> Patch.Template (tpl, target, Some sig_))
                | _ -> [ Patch.Template (tpl, target, None) ]))
       Templates.all

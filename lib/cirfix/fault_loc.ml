@@ -22,9 +22,9 @@
    and the source heatmap. *)
 
 open Verilog.Ast
-module IdSet = Set.Make (Int)
+module IdSet = Index.IdSet
 module IdMap = Map.Make (Int)
-module NameSet = Set.Make (String)
+module NameSet = Index.NameSet
 
 type result = {
   fl : IdSet.t; (* implicated node ids (statements and expressions) *)
@@ -33,47 +33,28 @@ type result = {
   rounds : int IdMap.t; (* node id -> round in which it was implicated *)
 }
 
-(* Identifiers appearing anywhere in a statement subtree, including names
-   written by assignments (lvalue bases are not expressions, so the generic
-   expression fold alone would miss them). *)
-let stmt_idents (s : stmt) : NameSet.t =
-  Verilog.Ast_utils.fold_stmt
-    (fun acc (sub : stmt) ->
-      match sub.s with
-      | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) ->
-          NameSet.union acc (NameSet.of_list (Verilog.Ast_utils.lvalue_base lhs))
-      | _ -> acc)
-    (fun acc (e : expr) ->
-      match e.e with
-      | Ident n | Index (n, _) | RangeSel (n, _, _) -> NameSet.add n acc
-      | _ -> acc)
-    NameSet.empty s
+let stmt_idents = Index.stmt_idents
 
-let expr_idents_set e =
-  NameSet.of_list (Verilog.Ast_utils.expr_idents e)
+module Id_tbl = Hashtbl.Make (struct
+  type t = int
 
-let is_conditional (s : stmt) =
-  match s.s with
-  | If _ | CaseStmt _ | While _ | For _ -> true
-  | _ -> false
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
 
-let is_assignment (s : stmt) =
-  match s.s with Blocking _ | Nonblocking _ -> true | _ -> false
-
-let lvalue_names lv = NameSet.of_list (Verilog.Ast_utils.lvalue_base lv)
-
-let localize (m : module_decl) ~(mismatch : string list) : result =
-  let stmts = Verilog.Ast_utils.stmts_of_module m in
-  let cont_assigns =
-    List.filter_map
-      (fun (item : item) ->
-        match item.it with
-        | ContAssign assigns -> Some (item.iid, assigns)
-        | _ -> None)
-      m.items
-  in
-  let rounds_tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
+(* The fixpoint visits the index's statements in module order, then its
+   continuous assignments, and every round sees the names added earlier in
+   the same round. A statement or assignment implicated in an earlier
+   round is skipped, and so are the statements below an implicated one:
+   their ids and names are already in, so visiting them again would change
+   nothing. Returns the round of every implicated node, the final mismatch
+   set and the number of rounds. *)
+let fixpoint (idx : Index.t) ~(mismatch : string list) :
+    int Id_tbl.t * NameSet.t * int =
+  let rounds_tbl = Id_tbl.create 64 in
   let current = ref (NameSet.of_list mismatch) in
+  let stmt_done = Array.make (Array.length idx.stmts) false in
+  let cont_done = Array.make (Array.length idx.conts) false in
   let rounds = ref 0 in
   let changed = ref true in
   while !changed do
@@ -87,50 +68,58 @@ let localize (m : module_decl) ~(mismatch : string list) : result =
             changed := true))
         names
     in
-    let add_ids ids =
-      List.iter
-        (fun id ->
-          if not (Hashtbl.mem rounds_tbl id) then (
-            Hashtbl.add rounds_tbl id !rounds;
-            changed := true))
-        ids
+    let add_id id =
+      if not (Id_tbl.mem rounds_tbl id) then (
+        Id_tbl.add rounds_tbl id !rounds;
+        changed := true)
     in
-    (* Procedural statements. *)
-    List.iter
-      (fun (s : stmt) ->
-        let implicated =
-          (is_assignment s
-          &&
-          match s.s with
-          | Blocking (lhs, _, _) | Nonblocking (lhs, _, _) ->
-              not (NameSet.disjoint (lvalue_names lhs) !current)
-          | _ -> false)
-          || (is_conditional s && not (NameSet.disjoint (stmt_idents s) !current))
-        in
-        if implicated then (
-          add_ids (Verilog.Ast_utils.stmt_subtree_ids s);
-          add_names (stmt_idents s)))
-      stmts;
+    (* Procedural statements: Impl-Data on an assignment's lvalue,
+       Impl-Ctrl on any identifier of a conditional's subtree. *)
+    Array.iteri
+      (fun i (f : Index.stmt_facts) ->
+        if not stmt_done.(i) then
+          let implicated =
+            match f.writes with
+            | Some w -> not (NameSet.disjoint w !current)
+            | None -> f.conditional && not (NameSet.disjoint f.idents !current)
+          in
+          if implicated then (
+            Array.fill stmt_done i (f.desc + 1) true;
+            for p = f.lo to f.hi - 1 do
+              add_id f.tree.(p)
+            done;
+            add_names f.idents))
+      idx.stmts;
     (* Continuous assignments participate in the same dataflow. *)
-    List.iter
-      (fun (iid, assigns) ->
-        List.iter
-          (fun (lhs, rhs) ->
-            if not (NameSet.disjoint (lvalue_names lhs) !current) then (
-              add_ids (iid :: Verilog.Ast_utils.expr_subtree_ids rhs);
-              add_names (expr_idents_set rhs)))
-          assigns)
-      cont_assigns
+    Array.iteri
+      (fun i (c : Index.cont_facts) ->
+        if (not cont_done.(i)) && not (NameSet.disjoint c.c_writes !current)
+        then (
+          cont_done.(i) <- true;
+          List.iter add_id c.c_ids;
+          add_names c.c_names))
+      idx.conts
   done;
+  (rounds_tbl, !current, !rounds)
+
+let localize_index (idx : Index.t) ~(mismatch : string list) : result =
+  let rounds_tbl, current, iterations = fixpoint idx ~mismatch in
   let rounds_map =
-    Hashtbl.fold (fun id r acc -> IdMap.add id r acc) rounds_tbl IdMap.empty
+    Id_tbl.fold (fun id r acc -> IdMap.add id r acc) rounds_tbl IdMap.empty
   in
   {
     fl = IdMap.fold (fun id _ acc -> IdSet.add id acc) rounds_map IdSet.empty;
-    mismatch = !current;
-    iterations = !rounds;
+    mismatch = current;
+    iterations;
     rounds = rounds_map;
   }
+
+let implicated_ids (idx : Index.t) ~(mismatch : string list) : IdSet.t =
+  let rounds_tbl, _, _ = fixpoint idx ~mismatch in
+  IdSet.of_list (Id_tbl.fold (fun id _ acc -> id :: acc) rounds_tbl [])
+
+let localize (m : module_decl) ~(mismatch : string list) : result =
+  localize_index (Index.of_module m) ~mismatch
 
 (* Suspiciousness of a node: 1/round for implicated nodes (round 1 writes a
    mismatched output directly), 0 for nodes outside the localization set. *)
@@ -139,10 +128,15 @@ let suspiciousness (r : result) (id : int) : float =
   | None -> 0.
   | Some round -> 1. /. float_of_int round
 
-(* Statement ids within the localization set — the mutation targets. *)
+(* Statements within the localization set — the mutation targets. *)
+let implicated (idx : Index.t) (fl : IdSet.t) : stmt list =
+  Array.fold_right
+    (fun (f : Index.stmt_facts) acc ->
+      if IdSet.mem f.stmt.sid fl then f.stmt :: acc else acc)
+    idx.stmts []
+
 let fl_statements (m : module_decl) (r : result) : stmt list =
-  Verilog.Ast_utils.stmts_of_module m
-  |> List.filter (fun (s : stmt) -> IdSet.mem s.sid r.fl)
+  implicated (Index.of_module m) r.fl
 
 (* When fault localization is disabled (ablation), every statement is a
    target. *)

@@ -14,11 +14,20 @@
     fixed-point round in which it was implicated; {!suspiciousness} turns
     that distance into a weight in (0, 1] used by the localization journal
     record and the {!heat_lines} source heatmap. The repair search itself
-    still treats the set as uniformly ranked. *)
+    still treats the set as uniformly ranked.
 
-module IdSet : Set.S with type elt = int
+    The analysis runs over a module's proposal index ({!Index}): each
+    statement's written names, identifiers and subtree ids are computed
+    once per item, not once per round, and shared by every index derived
+    from the one that computed them, so re-localizing a parent (CirFix
+    does it for every parent) costs in proportion to the items its patch
+    touched plus one pass over the precomputed facts per round. A
+    statement implicated in an earlier round is not visited again. The
+    module-taking functions build an index and delegate. *)
+
+module IdSet = Index.IdSet
 module IdMap : Map.S with type key = int
-module NameSet : Set.S with type elt = string
+module NameSet = Index.NameSet
 
 type result = {
   fl : IdSet.t;  (** implicated node ids (statements and expressions) *)
@@ -33,14 +42,25 @@ type result = {
     written by assignments. *)
 val stmt_idents : Verilog.Ast.stmt -> NameSet.t
 
-(** Run Algorithm 2 on one module given the initial output-mismatch set. *)
+(** Run Algorithm 2 on an indexed module given the initial
+    output-mismatch set. *)
+val localize_index : Index.t -> mismatch:string list -> result
+
+(** The [fl] set of [localize_index], without the round map. *)
+val implicated_ids : Index.t -> mismatch:string list -> IdSet.t
+
+(** [localize m] is [localize_index (Index.of_module m)]. *)
 val localize : Verilog.Ast.module_decl -> mismatch:string list -> result
 
 (** [suspiciousness r id] is [1/round] for implicated nodes (1.0 for nodes
     that touch a mismatched output directly), 0 for the rest. *)
 val suspiciousness : result -> int -> float
 
-(** Statements of [m] within the localization set — the mutation targets. *)
+(** The indexed module's statements whose ids are in [fl] (a
+    localization set), in module order — the mutation targets. *)
+val implicated : Index.t -> IdSet.t -> Verilog.Ast.stmt list
+
+(** [fl_statements m r] is [implicated (Index.of_module m) r.fl]. *)
 val fl_statements :
   Verilog.Ast.module_decl -> result -> Verilog.Ast.stmt list
 

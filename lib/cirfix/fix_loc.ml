@@ -2,42 +2,28 @@
    operators draw code from, cutting syntactically/semantically invalid
    mutants (the paper reports 35% -> 10% non-compiling mutants). Insertion
    sources are statement-typed nodes from procedural blocks; replacements
-   must share the target's statement class. *)
+   must share the target's statement class. The pools are arrays of the
+   module's proposal index ({!Index}); the list-returning functions build
+   an index and copy the array. *)
 
 open Verilog.Ast
 
-(* Statements eligible as insertion sources: assignments, conditionals,
-   case statements, loops and event triggers drawn from always/initial
-   bodies (IEEE Annex A.6.4 statement types). Blocks and bare timing
-   controls are excluded: inserting them rarely parses as intended. *)
-let insertable (s : stmt) =
-  match s.s with
-  | Blocking _ | Nonblocking _ | If _ | CaseStmt _ | For _ | While _
-  | Repeat _ | Trigger _ ->
-      true
-  | Block _ | Forever _ | Delay _ | EventCtrl _ | Wait _ | SysTask _ | Null ->
-      false
+let max_fragment_size = Index.max_fragment_size
+let insertion = Index.insertion
+let unrestricted = Index.unrestricted
 
-(* Fragments above this size are never drawn as edit payloads: repeated
-   insertion of large subtrees otherwise grows candidates exponentially
-   across generations. *)
-let max_fragment_size = 64
-
-let small s = Verilog.Ast_utils.stmt_size s <= max_fragment_size
+(* Replacement sources for [target] are the statements of its class
+   (small ones) other than [target]'s id; [replacement] includes the
+   statements with [target]'s id, which a draw skips. *)
+let replacement (idx : Index.t) ~(target : stmt) : stmt array =
+  Index.same_class idx target
 
 let insertion_pool (m : module_decl) : stmt list =
-  Verilog.Ast_utils.stmts_of_module m
-  |> List.filter (fun s -> insertable s && small s)
+  Array.to_list (insertion (Index.of_module m))
 
-(* Replacement sources for a target: same statement class. *)
 let replacement_pool (m : module_decl) ~(target : stmt) : stmt list =
-  let cls = Verilog.Ast_utils.classify_stmt target in
-  Verilog.Ast_utils.stmts_of_module m
-  |> List.filter (fun (s : stmt) ->
-         s.sid <> target.sid
-         && Verilog.Ast_utils.classify_stmt s = cls
-         && small s)
+  Array.to_list (replacement (Index.of_module m) ~target)
+  |> List.filter (fun (s : stmt) -> s.sid <> target.sid)
 
-(* The unrestricted pools used by the ablation (any statement, anywhere). *)
 let unrestricted_pool (m : module_decl) : stmt list =
-  Verilog.Ast_utils.stmts_of_module m |> List.filter small
+  Array.to_list (unrestricted (Index.of_module m))

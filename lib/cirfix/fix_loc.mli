@@ -1,7 +1,9 @@
 (** Fix localization (paper Sec. 3.6): restrict where the insert and
     replace operators draw code from, so fewer mutants are syntactically or
     semantically invalid (the paper reports a 35% to 10% reduction in
-    non-compiling mutants). *)
+    non-compiling mutants). The pools are arrays of a module's proposal
+    index ({!Index}), in module statement order; the list-returning
+    functions take a module, index it and copy the array. *)
 
 (** Maximum node count of a fragment used as an edit payload; larger
     subtrees are never drawn, preventing exponential candidate growth
@@ -11,6 +13,16 @@ val max_fragment_size : int
 (** Statement-typed nodes eligible as insertion sources (assignments,
     conditionals, case statements, loops, event triggers — IEEE Annex
     A.6.4), drawn from procedural blocks. *)
+val insertion : Index.t -> Verilog.Ast.stmt array
+
+(** Every small statement: the pool of the ablation without fix
+    localization. *)
+val unrestricted : Index.t -> Verilog.Ast.stmt array
+
+(** The small statements of [target]'s class. The replacement pool is
+    this array without the statements whose id is [target]'s. *)
+val replacement : Index.t -> target:Verilog.Ast.stmt -> Verilog.Ast.stmt array
+
 val insertion_pool : Verilog.Ast.module_decl -> Verilog.Ast.stmt list
 
 (** Replacement sources sharing the target's statement class. *)

@@ -359,9 +359,8 @@ let journal_attribution (ev : Evaluate.t) (c : candidate) ~(gen : int) : unit =
    set with suspiciousness weights (1/round of implication) and the
    pretty-printed source with per-line heat, so a report can render the
    Alg. 2 heatmap without re-running the analysis. *)
-let journal_localization (original : Verilog.Ast.module_decl)
-    ~(mismatch : string list) : unit =
-  let r = Fault_loc.localize original ~mismatch in
+let journal_localization (index : Index.t) ~(mismatch : string list) : unit =
+  let r = Fault_loc.localize_index index ~mismatch in
   let nodes =
     Fault_loc.IdMap.bindings r.rounds
     |> List.map (fun (id, round) ->
@@ -373,7 +372,7 @@ let journal_localization (original : Verilog.Ast.module_decl)
              ])
   in
   let source =
-    Fault_loc.heat_lines original r
+    Fault_loc.heat_lines index.decl r
     |> List.map (fun (text, weight) ->
            Obs.Json.Obj
              [
@@ -393,25 +392,28 @@ let journal_localization (original : Verilog.Ast.module_decl)
 
 (* --- The repair loop ------------------------------------------------------ *)
 
-(* What [localize_parent] returns: the parent's module, its
-   fault-localized statements and node ids. *)
-type localized =
-  Verilog.Ast.module_decl * Verilog.Ast.stmt list * Fault_loc.IdSet.t
+(* What [localize_parent] returns: the parent's proposal index, its
+   mutation targets (the fault-localized statements a mutation may edit)
+   and, per template, the node ids a template draw targets. *)
+type localized = {
+  index : Index.t;
+  targets : Verilog.Ast.stmt array;
+  sites : Templates.t -> Verilog.Ast.id array;
+}
 
-(* Fault-localize a parent: simulate (cached) and run Algorithm 2 against
-   its own mismatch set — CirFix re-localizes per parent to support
-   dependent multi-edit repairs (paper Sec. 3). The result is a function
-   of the parent's patch alone, so [repair] computes it once per distinct
-   patch (see [Patch_table]). [focus] is the slicing
+(* Fault-localize a parent whose proposal index is [index]: run Algorithm
+   2 against the parent's own mismatch set -- CirFix re-localizes per
+   parent to support dependent multi-edit repairs (paper Sec. 3). The
+   result is a function of the parent's patch alone, so [repair] computes
+   it once per distinct patch (see [Patch_table]). [focus] is the slicing
    backward/forward intersection (Slicing.focus): when narrowing the
    localization to it leaves something, mutation targets shrink to the
    nodes both upstream of the mismatch and downstream of the suspicious
    set; when the intersection is empty the localization stands, so focus
    never empties the target set. *)
-let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
-    (cfg : Config.t) ~(focus : Fault_loc.IdSet.t) (parent : candidate) :
+let localize_parent (ev : Evaluate.t) (cfg : Config.t)
+    ~(focus : Fault_loc.IdSet.t) (index : Index.t) (parent : candidate) :
     localized =
-  let m = Patch.apply original parent.patch in
   let narrow (stmts, fl) =
     if Fault_loc.IdSet.is_empty focus then (stmts, fl)
     else
@@ -424,117 +426,181 @@ let localize_parent (ev : Evaluate.t) (original : Verilog.Ast.module_decl)
       if stmts' = [] || Fault_loc.IdSet.is_empty fl' then (stmts, fl)
       else (stmts', fl')
   in
-  if not cfg.use_fault_loc then (
-    let stmts = Fault_loc.all_statements m in
-    let stmts, fl =
-      narrow
-        ( stmts,
-          Fault_loc.IdSet.of_list
-            (List.map (fun (s : Verilog.Ast.stmt) -> s.sid) stmts) )
+  let everything () =
+    let stmts =
+      Array.to_list (Array.map (fun (f : Index.stmt_facts) -> f.stmt) index.stmts)
     in
-    (m, stmts, fl))
-  else (
-    let mismatch =
-      match parent.outcome.status with
-      | Evaluate.Simulated | Evaluate.Sim_diverged _
-      | Evaluate.Skipped_dead_edit ->
-          (* A dead-edit skip carries the seed's trace, which is exactly
-             the candidate's own behaviour (the edit was proved dead). *)
-          Fitness.mismatched_signals ~expected:ev.problem.oracle
-            ~actual:parent.outcome.trace
-      | Evaluate.Compile_error _ | Evaluate.Rejected_static _
-      | Evaluate.Rejected_oversize | Evaluate.Rejected_racy _ ->
-          (* Nothing simulated: blame every recorded output. *)
-          Oracle.signal_names ev.problem.oracle
-    in
-    let r = Fault_loc.localize m ~mismatch in
-    let fl_stmts = Fault_loc.fl_statements m r in
-    (* An empty localization (e.g. mismatch names never assigned) would
-       stall the search; widen to all statements as a fallback. *)
-    if fl_stmts = [] then
-      let stmts = Fault_loc.all_statements m in
-      let stmts, fl =
-        narrow
-          ( stmts,
-            Fault_loc.IdSet.of_list
-              (List.map (fun (s : Verilog.Ast.stmt) -> s.sid) stmts) )
-      in
-      (m, stmts, fl)
+    narrow
+      ( stmts,
+        Fault_loc.IdSet.of_list
+          (List.map (fun (s : Verilog.Ast.stmt) -> s.sid) stmts) )
+  in
+  let stmts, fl =
+    if not cfg.use_fault_loc then everything ()
     else
-      let stmts, fl = narrow (fl_stmts, r.fl) in
-      (m, stmts, fl))
+      let mismatch =
+        match parent.outcome.status with
+        | Evaluate.Simulated | Evaluate.Sim_diverged _
+        | Evaluate.Skipped_dead_edit ->
+            (* A dead-edit skip carries the seed's trace, which is exactly
+               the candidate's own behaviour (the edit was proved dead). *)
+            Fitness.mismatched_signals ~expected:ev.problem.oracle
+              ~actual:parent.outcome.trace
+        | Evaluate.Compile_error _ | Evaluate.Rejected_static _
+        | Evaluate.Rejected_oversize | Evaluate.Rejected_racy _ ->
+            (* Nothing simulated: blame every recorded output. *)
+            Oracle.signal_names ev.problem.oracle
+      in
+      let fl = Fault_loc.implicated_ids index ~mismatch in
+      match Fault_loc.implicated index fl with
+      | [] ->
+          (* An empty localization (e.g. mismatch names never assigned)
+             would stall the search; widen to all statements. *)
+          everything ()
+      | fl_stmts -> narrow (fl_stmts, fl)
+  in
+  { index; targets = Mutate.targets stmts; sites = Mutate.template_sites index ~fl }
 
-(* The per-run patch table: every proposed patch with its memo key and,
-   once it has been a parent, its [localize_parent] result. A patch
-   determines its module ([Patch.apply] is pure) and, through the
-   evaluator's memo (one stored outcome per key, returned on every later
-   lookup), its outcome; so a repeated proposal -- most proposals are --
-   takes its key from here, with no [Patch.apply] and no structural hash,
-   and a stored localization is exactly what a fresh one would return.
-   Only first-seen patches are materialized and hashed, as pool tasks; a
-   repeated patch's module is materialized again only when something
-   needs it (a memo miss, a localization). The key is the patch itself,
-   not the module's structural hash: that hash ignores node ids, which
-   the stored localization carries and [Mutate] draws from. The hash
-   folds over every edit, because [Hashtbl.hash] on the list would stop
-   after a bounded prefix and patches sharing their first edits would
-   collide. *)
-module Patch_tbl = Hashtbl.Make (struct
-  type t = Patch.t
+(* Edits as trie edges (see [Patch.equal_edit]). *)
+module Edit_tbl = Hashtbl.Make (struct
+  type t = Patch.edit
 
-  let equal = ( = )
-
-  let hash (p : t) =
-    List.fold_left (fun h e -> (h * 65599) + Hashtbl.hash e) 0 p
-    land max_int
+  let equal = Patch.equal_edit
+  let hash = Patch.hash_edit
 end)
 
+(* The per-run patch table: a trie of edits with one entry per patch
+   reached so far. An entry carries the patch's memo key once the patch
+   has been proposed and, once it has been a parent, its [localize_parent]
+   result. A patch determines its module ([Patch.apply] is pure) and,
+   through the evaluator's memo (one stored outcome per key, returned on
+   every later lookup), its outcome; so a repeated proposal -- most
+   proposals are -- takes its key from here, with no [Patch.apply] and no
+   structural hash, and a stored localization is exactly what a fresh one
+   would return. A mutation or template child is one edge lookup from its
+   parent's entry; a crossover child is a walk from the root. Only
+   first-seen patches are materialized and hashed, as pool tasks, each
+   from its nearest localized ancestor's module by the edits below it; a
+   repeated patch's module is materialized again only when something needs
+   it (a memo miss, a localization). The key is the patch itself, not the
+   module's structural hash: that hash ignores node ids, which the stored
+   localization carries and [Mutate] draws from. *)
 module Patch_table = struct
-  type entry = { key : string; mutable loc : localized option }
+  type state =
+    | Unseen  (* on the path of a proposed patch, never proposed itself *)
+    | Queued of int  (* first seen in the batch being resolved *)
+    | Key of string
 
-  type t = { original : Verilog.Ast.module_decl; entries : entry Patch_tbl.t }
+  type entry = {
+    up : (entry * Patch.edit) option;  (* parent entry and the edge's edit *)
+    mutable state : state;
+    mutable loc : localized option;
+    mutable children : entry Edit_tbl.t option;
+  }
+
+  type t = {
+    original : Verilog.Ast.module_decl;
+    seed : Index.t;  (* the original's proposal index, built once *)
+    root : entry;  (* the empty patch *)
+  }
 
   let create (original : Verilog.Ast.module_decl) : t =
-    let entries = Patch_tbl.create 1024 in
-    Patch_tbl.add entries [] { key = Evaluate.key_of original; loc = None };
-    { original; entries }
+    {
+      original;
+      seed = Index.of_module original;
+      root =
+        {
+          up = None;
+          state = Key (Evaluate.key_of original);
+          loc = None;
+          children = None;
+        };
+    }
 
-  (* The entry of a patch already resolved (every population member's). *)
-  let entry (t : t) (p : Patch.t) : entry = Patch_tbl.find t.entries p
-  let key (t : t) (p : Patch.t) : string = (entry t p).key
+  let child (e : entry) (edit : Patch.edit) : entry =
+    let tbl =
+      match e.children with
+      | Some tbl -> tbl
+      | None ->
+          let tbl = Edit_tbl.create 4 in
+          e.children <- Some tbl;
+          tbl
+    in
+    match Edit_tbl.find_opt tbl edit with
+    | Some c -> c
+    | None ->
+        let c = { up = Some (e, edit); state = Unseen; loc = None; children = None } in
+        Edit_tbl.add tbl edit c;
+        c
 
-  let resolve (t : t) ~(pool : Pool.t) (batch : Patch.t array) :
+  let find (t : t) (p : Patch.t) : entry = List.fold_left child t.root p
+
+  (* The key of a patch already resolved (every population member's). *)
+  let key (e : entry) : string =
+    match e.state with
+    | Key k -> k
+    | Unseen | Queued _ -> invalid_arg "Patch_table.key: unresolved patch"
+
+  (* The module of [e]'s patch: [Patch.apply] of the original, computed
+     from the nearest ancestor whose module a localization kept. *)
+  let rec materialize (t : t) (e : entry) : Verilog.Ast.module_decl =
+    match (e.loc, e.up) with
+    | Some l, _ -> l.index.decl
+    | None, None -> t.original
+    | None, Some (p, edit) -> Patch.extend (materialize t p) edit
+
+  (* [e]'s proposal index, derived from its nearest localized ancestor's
+     (the seed's at the root): only the items the edits below that
+     ancestor touched are indexed. *)
+  let index (t : t) (e : entry) : Index.t =
+    let rec base (e : entry) =
+      match e.up with
+      | None -> t.seed
+      | Some (p, _) -> ( match p.loc with Some l -> l.index | None -> base p)
+    in
+    Index.of_module ~base:(base e) (materialize t e)
+
+  let resolve_entries (t : t) ~(pool : Pool.t) (batch : entry array) :
       Evaluate.candidate array =
-    let fresh = Patch_tbl.create 64 and order = ref [] in
+    let order = ref [] and n = ref 0 in
     Array.iter
-      (fun p ->
-        if not (Patch_tbl.mem t.entries p || Patch_tbl.mem fresh p) then begin
-          Patch_tbl.add fresh p None;
-          order := p :: !order
-        end)
+      (fun e ->
+        match e.state with
+        | Unseen ->
+            e.state <- Queued !n;
+            incr n;
+            order := e :: !order
+        | Queued _ | Key _ -> ())
       batch;
     let first_seen = Array.of_list (List.rev !order) in
     let made =
-      Pool.map pool
-        (fun p -> Evaluate.candidate (Patch.apply t.original p))
-        first_seen
+      Pool.map pool (fun e -> Evaluate.candidate (materialize t e)) first_seen
     in
-    Array.iteri
-      (fun j p ->
-        Patch_tbl.replace fresh p (Some made.(j));
-        Patch_tbl.add t.entries p { key = made.(j).c_key; loc = None })
-      first_seen;
-    Array.map
-      (fun p ->
-        match Patch_tbl.find_opt fresh p with
-        | Some (Some c) -> c
-        | _ ->
-            {
-              Evaluate.c_key = key t p;
-              c_module = lazy (Patch.apply t.original p);
-            })
-      batch
+    let cands =
+      Array.map
+        (fun e ->
+          match e.state with
+          | Queued j -> made.(j)
+          | Key k ->
+              { Evaluate.c_key = k; c_module = lazy (materialize t e) }
+          | Unseen -> assert false)
+        batch
+    in
+    Array.iteri (fun j e -> e.state <- Key made.(j).c_key) first_seen;
+    cands
+
+  let resolve (t : t) ~(pool : Pool.t) (batch : Patch.t array) :
+      Evaluate.candidate array =
+    resolve_entries t ~pool (Array.map (find t) batch)
 end
+
+(* One proposed child: its patch, its patch-table entry and how it was
+   made. *)
+type proposal = {
+  pr_patch : Patch.t;
+  pr_entry : Patch_table.entry;
+  pr_prov : prov;
+}
 
 (* A float read from a record is that record's box; this one is new. *)
 let fresh_float (x : float) = Float.Array.get (Float.Array.make 1 x) 0
@@ -568,12 +634,13 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     || Evaluate.get ev.table Probes >= cfg.max_probes
   in
   let patches = Patch_table.create original in
-  let localize (parent : candidate) =
-    let e = Patch_table.entry patches parent.patch in
+  let localize (e : Patch_table.entry) (parent : candidate) =
     match e.loc with
     | Some l -> l
     | None ->
-        let l = localize_parent ev original cfg ~focus parent in
+        let l =
+          localize_parent ev cfg ~focus (Patch_table.index patches e) parent
+        in
         e.loc <- Some l;
         l
   in
@@ -593,8 +660,10 @@ let repair ?(on_generation : (generation_stats -> unit) option)
   let popn_hashes =
     ref
       (Array.make (max cfg.pop_size 1)
-         (if track then Patch_table.key patches [] else ""))
+         (if track then Patch_table.key patches.root else ""))
   in
+  (* Each population slot's patch-table entry, parallel to [popn]. *)
+  let popn_entries = ref (Array.make (max cfg.pop_size 1) patches.root) in
   let slot_hash i = if track then (!popn_hashes).(i) else "" in
   if Obs.Journal.enabled () then
     Obs.Journal.emit
@@ -624,7 +693,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
       Fitness.mismatched_signals ~expected:ev.problem.oracle
         ~actual:initial.outcome.trace
     in
-    journal_localization original ~mismatch;
+    journal_localization patches.seed ~mismatch;
     journal_attribution ev initial ~gen:0;
     record_lineage lineage ~hash:(!popn_hashes).(0)
       ~prov:{ p_op = "seed"; p_target = None; p_parents = [] }
@@ -651,19 +720,27 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     while !child_count < cfg.pop_size && not (out_of_resources ()) do
       let pi = tournament_idx rng cfg !popn in
       let parent = (!popn).(pi) in
+      let pe = (!popn_entries).(pi) in
       let parents = [ slot_hash pi ] in
-      let m, fl_stmts, fl = localize parent in
+      let l = localize pe parent in
+      let edited = function
+        | Some e ->
+            [
+              {
+                pr_patch = parent.patch @ [ e ];
+                pr_entry = Patch_table.child pe e;
+                pr_prov = prov_of_edit ~parents e;
+              };
+            ]
+        | None -> []
+      in
       let children =
         if cfg.use_templates && Random.State.float rng 1.0 <= cfg.rt_threshold
         then
           (* Repair templates (Alg. 1 line 8). *)
-          match Mutate.template_edit rng m ~fl with
-          | Some e -> [ (parent.patch @ [ e ], prov_of_edit ~parents e) ]
-          | None -> []
+          edited (Mutate.template_index rng l.index ~sites:l.sites)
         else if Random.State.float rng 1.0 <= cfg.mut_threshold then
-          match Mutate.mutate rng cfg m ~fl_stmts with
-          | Some e -> [ (parent.patch @ [ e ], prov_of_edit ~parents e) ]
-          | None -> []
+          edited (Mutate.mutate_index rng cfg l.index ~targets:l.targets)
         else (
           let pi2 = tournament_idx rng cfg !popn in
           let parent2 = (!popn).(pi2) in
@@ -672,21 +749,26 @@ let repair ?(on_generation : (generation_stats -> unit) option)
           let prov =
             { p_op = "crossover"; p_target = None; p_parents = cross_parents }
           in
-          [ (c1, prov); (c2, prov) ])
+          List.map
+            (fun c ->
+              { pr_patch = c; pr_entry = Patch_table.find patches c; pr_prov = prov })
+            [ c1; c2 ])
       in
       List.iter
-        (fun tagged ->
+        (fun (pr : proposal) ->
           incr child_count;
           if track then begin
-            let r = funnel_get funnel (snd tagged).p_op in
+            let r = funnel_get funnel pr.pr_prov.p_op in
             r.f_proposed <- r.f_proposed + 1
           end;
-          proposals := tagged :: !proposals)
+          proposals := pr :: !proposals)
         children
     done;
-    let tagged_batch = Array.of_list (List.rev !proposals) in
-    let batch = Array.map fst tagged_batch in
-    let cands = Patch_table.resolve patches ~pool batch in
+    let batch = Array.of_list (List.rev !proposals) in
+    let cands =
+      Patch_table.resolve_entries patches ~pool
+        (Array.map (fun pr -> pr.pr_entry) batch)
+    in
     if on then
       Obs.Profile.leave site_propose
         ~args:[ ("proposals", Obs.Json.Int (Array.length batch)) ];
@@ -697,23 +779,25 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     let prepared = Evaluate.prepare ev ~pool cands in
     if on then Obs.Profile.enter site_select;
     let child_popn = ref [] in
+    let child_entries = ref [] in
     let child_ops = ref [] in
     let child_hashes = ref [] in
     Array.iteri
-      (fun i patch ->
+      (fun i pr ->
         if !found = None && not (out_of_resources ()) then (
           incr mutants;
-          let c = { patch; outcome = Evaluate.commit prepared i } in
-          if track then funnel_charge funnel ev (snd tagged_batch.(i)).p_op;
+          let c = { patch = pr.pr_patch; outcome = Evaluate.commit prepared i } in
+          if track then funnel_charge funnel ev pr.pr_prov.p_op;
           if track then begin
             let hash = cands.(i).c_key in
-            record_lineage lineage ~hash ~prov:(snd tagged_batch.(i)) ~gen:!gen
+            record_lineage lineage ~hash ~prov:pr.pr_prov ~gen:!gen
               ~fitness:c.outcome.fitness;
             child_hashes := hash :: !child_hashes
           end;
           if c.outcome.fitness >= 1.0 && Slicing.accept sl c.patch then
             found := Some c;
-          child_ops := (snd tagged_batch.(i)).p_op :: !child_ops;
+          child_ops := pr.pr_prov.p_op :: !child_ops;
+          child_entries := pr.pr_entry :: !child_entries;
           child_popn := c :: !child_popn))
       batch;
     if on then Obs.Profile.leave site_select;
@@ -729,35 +813,37 @@ let repair ?(on_generation : (generation_stats -> unit) option)
         | c -> c)
       sorted;
     let elites = Array.to_list (Array.sub sorted 0 (min elite_n (Array.length sorted))) in
-    (* Credit each survivor's operator. Elites are physical members of the
-       previous population, so an identity scan recovers each one's slot
-       (and thus its operator and hash) without re-sorting or rehashing. *)
+    (* Elites are physical members of the previous population, so an
+       identity scan recovers each one's slot (and thus its entry, operator
+       and hash) without re-sorting or rehashing. Survival is credited to
+       the operator that made the survivor. *)
     let elite_slots =
-      if not track then []
-      else
-        List.map
-          (fun e ->
-            let slot = ref 0 in
-            (try
-               Array.iteri
-                 (fun i c -> if c == e then (slot := i; raise Exit))
-                 !popn
-             with Exit -> ());
+      List.map
+        (fun e ->
+          let slot = ref 0 in
+          (try
+             Array.iteri
+               (fun i c -> if c == e then (slot := i; raise Exit))
+               !popn
+           with Exit -> ());
+          if track then begin
             let r = funnel_get funnel (!popn_ops).(!slot) in
-            r.f_survived <- r.f_survived + 1;
-            !slot)
-          elites
+            r.f_survived <- r.f_survived + 1
+          end;
+          !slot)
+        elites
     in
     let next = Array.of_list (elites @ !child_popn) in
     if Array.length next > 0 then begin
       popn := next;
+      (* [child_popn] is consed (reverse batch order); [child_entries],
+         [child_ops] and [child_hashes] are consed identically, so the
+         lists stay slot-aligned. *)
+      let carry a children =
+        Array.of_list (List.map (fun i -> a.(i)) elite_slots @ children)
+      in
+      popn_entries := carry !popn_entries !child_entries;
       if track then begin
-        (* [child_popn] is consed (reverse batch order); [child_ops] and
-           [child_hashes] are consed identically, so the lists stay
-           slot-aligned. *)
-        let carry a children =
-          Array.of_list (List.map (fun i -> a.(i)) elite_slots @ children)
-        in
         popn_ops := carry !popn_ops !child_ops;
         popn_hashes := carry !popn_hashes !child_hashes
       end
@@ -834,7 +920,7 @@ let repair ?(on_generation : (generation_stats -> unit) option)
     in
     (match focus with
     | Some c ->
-        let winner = Patch_table.key patches c.patch in
+        let winner = Patch_table.key (Patch_table.find patches c.patch) in
         let nodes = genealogy lineage winner in
         if track then
           List.iter

@@ -49,10 +49,13 @@ type result = {
           it rejected *)
 }
 
-(** The per-run patch table: every proposed patch with its memo key (and,
-    once it has been a parent, its localization). A repeated patch takes
-    its key from the table without being applied or hashed; only
-    first-seen patches are materialized and hashed, as pool tasks. *)
+(** The per-run patch table: a trie of edits holding every proposed
+    patch with its memo key (and, once it has been a parent, its
+    localization and proposal index). A repeated patch takes its key from
+    the table without being applied or hashed; only first-seen patches are
+    materialized and hashed, as pool tasks, each from its nearest
+    localized ancestor's module. Edits compare physically first, then
+    structurally. *)
 module Patch_table : sig
   type t
 

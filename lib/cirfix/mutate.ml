@@ -10,79 +10,114 @@ let choose rng (l : 'a list) : 'a option =
   | [] -> None
   | _ -> Some (List.nth l (Random.State.int rng (List.length l)))
 
-(* Draw one mutation edit for a parent whose materialized module is [m] and
-   whose fault-localization statements are [fl_stmts]. *)
-let mutate (rng : Random.State.t) (cfg : Config.t) (m : module_decl)
-    ~(fl_stmts : stmt list) : Patch.edit option =
-  let fl_stmts =
-    (* Mutating raw blocks or bare timing controls mostly destroys process
-       structure; operate on the enclosed statements instead. *)
-    List.filter
-      (fun (s : stmt) ->
-        match s.s with Block _ | EventCtrl (_, None) -> false | _ -> true)
-      fl_stmts
+(* The same draw from an array: one [Random.State.int] over its length,
+   none when it is empty. *)
+let choose_array rng (a : 'a array) : 'a option =
+  match Array.length a with
+  | 0 -> None
+  | n -> Some a.(Random.State.int rng n)
+
+(* [choose] over the statements of [pool] whose id is not [sid], without
+   building that list. *)
+let choose_other rng (pool : stmt array) (sid : id) : stmt option =
+  let n =
+    Array.fold_left (fun n (s : stmt) -> if s.sid <> sid then n + 1 else n) 0 pool
   in
+  if n = 0 then None
+  else
+    let k = ref (Random.State.int rng n) and found = ref None and i = ref 0 in
+    while !found = None do
+      let s = pool.(!i) in
+      if s.sid <> sid then if !k = 0 then found := Some s else decr k;
+      incr i
+    done;
+    !found
+
+(* Mutating raw blocks or bare timing controls mostly destroys process
+   structure; operate on the enclosed statements instead. *)
+let targets (fl_stmts : stmt list) : stmt array =
+  List.filter
+    (fun (s : stmt) ->
+      match s.s with Block _ | EventCtrl (_, None) -> false | _ -> true)
+    fl_stmts
+  |> Array.of_list
+
+(* Draw one mutation edit for a parent whose proposal index is [idx] and
+   whose mutation targets are [targets]. *)
+let mutate_index (rng : Random.State.t) (cfg : Config.t) (idx : Index.t)
+    ~(targets : stmt array) : Patch.edit option =
   let p = Random.State.float rng 1.0 in
   let total = cfg.del_threshold +. cfg.ins_threshold +. cfg.rep_threshold in
   let p = p *. total in
   if p <= cfg.del_threshold then
-    Option.map (fun (s : stmt) -> Patch.Delete s.sid) (choose rng fl_stmts)
+    Option.map (fun (s : stmt) -> Patch.Delete s.sid) (choose_array rng targets)
   else if p <= cfg.del_threshold +. cfg.ins_threshold then (
     let pool =
-      if cfg.use_fix_loc then Fix_loc.insertion_pool m
-      else Fix_loc.unrestricted_pool m
+      if cfg.use_fix_loc then Fix_loc.insertion idx
+      else Fix_loc.unrestricted idx
     in
-    match (choose rng fl_stmts, choose rng pool) with
+    match (choose_array rng targets, choose_array rng pool) with
     | Some dest, Some src -> Some (Patch.Insert (dest.sid, src))
     | _ -> None)
   else
-    match choose rng fl_stmts with
+    match choose_array rng targets with
     | None -> None
     | Some dest -> (
         let pool =
-          if cfg.use_fix_loc then Fix_loc.replacement_pool m ~target:dest
-          else
-            List.filter
-              (fun (s : stmt) -> s.sid <> dest.sid)
-              (Fix_loc.unrestricted_pool m)
+          if cfg.use_fix_loc then Fix_loc.replacement idx ~target:dest
+          else Fix_loc.unrestricted idx
         in
-        match choose rng pool with
+        match choose_other rng pool dest.sid with
         | Some src -> Some (Patch.Replace (dest.sid, src))
         | None -> None)
 
-(* Draw a repair-template edit (Alg. 1 line 8). The target is drawn from
-   the intersection of the template's eligible nodes with the fault
-   localization set; sensitivity templates also draw a signal read inside
-   the enclosing module. *)
-let template_edit (rng : Random.State.t) (m : module_decl)
-    ~(fl : Fault_loc.IdSet.t) : Patch.edit option =
+let mutate (rng : Random.State.t) (cfg : Config.t) (m : module_decl)
+    ~(fl_stmts : stmt list) : Patch.edit option =
+  mutate_index rng cfg (Index.of_module m) ~targets:(targets fl_stmts)
+
+(* Per template site, the ids [template_index] draws from: the eligible
+   nodes in the localization set, or every eligible node when none is
+   (sensitivity lists live on always blocks that often sit just outside
+   the localized region). Each site's array is built on first use. *)
+let template_sites (idx : Index.t) ~(fl : Fault_loc.IdSet.t) :
+    Templates.t -> id array =
+  let memo = Hashtbl.create 8 in
+  fun tpl ->
+    let site = Templates.site tpl in
+    match Hashtbl.find_opt memo site with
+    | Some a -> a
+    | None ->
+        let all = Index.sites idx site in
+        let inter =
+          Array.of_list
+            (List.filter (fun id -> Fault_loc.IdSet.mem id fl) (Array.to_list all))
+        in
+        let a = if Array.length inter = 0 then all else inter in
+        Hashtbl.add memo site a;
+        a
+
+(* Draw a repair-template edit (Alg. 1 line 8): a template, a target among
+   [sites tpl], and, for the sensitivity templates, a signal the module's
+   statements mention. *)
+let template_index (rng : Random.State.t) (idx : Index.t)
+    ~(sites : Templates.t -> id array) : Patch.edit option =
   let tpl = List.nth Templates.all (Random.State.int rng (List.length Templates.all)) in
-  let eligible =
-    Templates.eligible_targets tpl m
-    |> List.filter (fun id -> Fault_loc.IdSet.mem id fl)
-  in
-  let eligible =
-    (* Sensitivity lists live on always blocks that often sit just outside
-       the localized region; fall back to any eligible node. *)
-    if eligible = [] then Templates.eligible_targets tpl m else eligible
-  in
-  match choose rng eligible with
+  match choose_array rng (sites tpl) with
   | None -> None
   | Some target ->
       let signal =
         match tpl with
         | Templates.Sens_posedge | Templates.Sens_negedge | Templates.Sens_level
         | Templates.Sens_add_posedge | Templates.Sens_add_negedge ->
-            let names =
-              Verilog.Ast_utils.stmts_of_module m
-              |> List.concat_map (fun s ->
-                     Fault_loc.NameSet.elements (Fault_loc.stmt_idents s))
-              |> List.sort_uniq compare
-            in
-            choose rng names
+            choose_array rng (Index.names idx)
         | _ -> None
       in
       Some (Patch.Template (tpl, target, signal))
+
+let template_edit (rng : Random.State.t) (m : module_decl)
+    ~(fl : Fault_loc.IdSet.t) : Patch.edit option =
+  let idx = Index.of_module m in
+  template_index rng idx ~sites:(template_sites idx ~fl)
 
 (* Single-point crossover: swap edit-list suffixes. *)
 let crossover (rng : Random.State.t) (a : Patch.t) (b : Patch.t) :

@@ -15,6 +15,29 @@ type edit =
 
 type t = edit list
 
+(* Edits compare their fragments physically before structurally: a
+   proposal's fragment is usually the very statement an earlier equal edit
+   holds, and [( = )] would walk it anyway. *)
+let equal_edit (a : edit) (b : edit) =
+  a == b
+  ||
+  match (a, b) with
+  | Replace (i, s), Replace (j, t) | Insert (i, s), Insert (j, t) ->
+      i = j && (s == t || s = t)
+  | Delete i, Delete j -> i = j
+  | Template (tpl, i, sg), Template (tpl', j, sg') ->
+      tpl = tpl' && i = j && Option.equal String.equal sg sg'
+  | (Replace _ | Insert _ | Delete _ | Template _), _ -> false
+
+(* A hash of the edit's kind, target and fragment id, consistent with
+   [equal_edit]. *)
+let hash_edit (e : edit) =
+  match e with
+  | Replace (i, s) -> Hashtbl.hash (0, i, s.sid)
+  | Insert (i, s) -> Hashtbl.hash (1, i, s.sid)
+  | Delete i -> Hashtbl.hash (2, i)
+  | Template (tpl, i, sg) -> Hashtbl.hash (3, tpl, i, sg)
+
 let edit_to_string = function
   | Replace (id, s) ->
       Printf.sprintf "replace(%d, %s)" id
@@ -41,17 +64,12 @@ let apply_edit (m : module_decl) (edit : edit) : module_decl option =
   | Delete target -> Verilog.Ast_utils.delete_stmt m ~target
   | Template (tpl, target, signal) -> Templates.apply tpl ?signal m ~target
 
+(* One more edit: [m] with [edit] applied, or [m] itself when the edit no
+   longer applies. *)
+let extend (m : module_decl) (edit : edit) : module_decl =
+  match apply_edit m edit with Some m' -> m' | None -> m
+
 (* Apply a whole patch to the original module. Edits that no longer apply
    are skipped. *)
 let apply (original : module_decl) (p : t) : module_decl =
-  List.fold_left
-    (fun m edit ->
-      match apply_edit m edit with Some m' -> m' | None -> m)
-    original p
-
-(* Structural key used to cache fitness evaluations: two patches that
-   materialize to the same program are the same candidate. Hashes the AST
-   directly (node tags and operands, ignoring node ids) rather than
-   pretty-printing the module. *)
-let digest (original : module_decl) (p : t) : string =
-  Verilog.Ast_utils.structural_hash (apply original p)
+  List.fold_left extend original p

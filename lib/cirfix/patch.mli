@@ -16,6 +16,13 @@ type edit =
 
 type t = edit list
 
+(** Structural equality of edits that tries physical equality of the
+    embedded fragments first. *)
+val equal_edit : edit -> edit -> bool
+
+(** A hash consistent with {!equal_edit}. *)
+val hash_edit : edit -> int
+
 val edit_to_string : edit -> string
 val to_string : t -> string
 
@@ -23,11 +30,10 @@ val to_string : t -> string
 val apply_edit :
   Verilog.Ast.module_decl -> edit -> Verilog.Ast.module_decl option
 
+(** [extend m e]: [m] with [e] applied, or [m] itself when [e] does not
+    apply, so that [apply m (p @ [ e ]) = extend (apply m p) e]. *)
+val extend : Verilog.Ast.module_decl -> edit -> Verilog.Ast.module_decl
+
 (** Apply a whole patch to the original module, skipping edits that no
     longer apply. *)
 val apply : Verilog.Ast.module_decl -> t -> Verilog.Ast.module_decl
-
-(** Structural digest of the materialized module (node ids ignored), used
-    to memoize fitness evaluations: distinct patches that produce the same
-    program share one simulation. *)
-val digest : Verilog.Ast.module_decl -> t -> string

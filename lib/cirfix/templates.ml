@@ -129,29 +129,18 @@ let apply (tpl : t) ?(signal : string option) (m : module_decl)
                 }
           | _ -> None)
 
-(* Nodes at which a template can fire, used to draw targets. *)
-let eligible_targets (tpl : t) (m : module_decl) : id list =
-  match tpl with
-  | Negate_conditional ->
-      Verilog.Ast_utils.stmts_of_module m
-      |> List.filter_map (fun (s : stmt) ->
-             match s.s with If _ | While _ -> Some s.sid | _ -> None)
+(* Where a template can fire; the proposal index keeps those ids. *)
+let site : t -> Index.site = function
+  | Negate_conditional -> Conditional
   | Sens_posedge | Sens_negedge | Sens_level | Sens_any_change
   | Sens_add_posedge | Sens_add_negedge ->
-      Verilog.Ast_utils.stmts_of_module m
-      |> List.filter_map (fun (s : stmt) ->
-             match s.s with EventCtrl _ -> Some s.sid | _ -> None)
-  | To_nonblocking ->
-      Verilog.Ast_utils.stmts_of_module m
-      |> List.filter_map (fun (s : stmt) ->
-             match s.s with Blocking _ -> Some s.sid | _ -> None)
-  | To_blocking ->
-      Verilog.Ast_utils.stmts_of_module m
-      |> List.filter_map (fun (s : stmt) ->
-             match s.s with Nonblocking _ -> Some s.sid | _ -> None)
-  | Increment_value | Decrement_value ->
-      Verilog.Ast_utils.exprs_of_module m
-      |> List.filter_map (fun (e : expr) ->
-             match e.e with
-             | Ident _ | Number _ | IntLit _ -> Some e.eid
-             | _ -> None)
+      Event_control
+  | To_nonblocking -> Blocking_assign
+  | To_blocking -> Nonblocking_assign
+  | Increment_value | Decrement_value -> Value
+
+let eligible (tpl : t) (idx : Index.t) : id array = Index.sites idx (site tpl)
+
+(* Nodes at which a template can fire, used to draw targets. *)
+let eligible_targets (tpl : t) (m : module_decl) : id list =
+  Array.to_list (eligible tpl (Index.of_module m))

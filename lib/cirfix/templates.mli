@@ -38,5 +38,13 @@ val apply :
   target:Verilog.Ast.id ->
   Verilog.Ast.module_decl option
 
-(** Node ids at which the template can fire, used to draw targets. *)
+(** The kind of node the template fires at. *)
+val site : t -> Index.site
+
+(** Node ids of the indexed module at which the template can fire, in
+    module order, used to draw targets. *)
+val eligible : t -> Index.t -> Verilog.Ast.id array
+
+(** [eligible_targets tpl m] is [eligible tpl (Index.of_module m)] as a
+    list. *)
 val eligible_targets : t -> Verilog.Ast.module_decl -> Verilog.Ast.id list

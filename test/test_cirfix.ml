@@ -315,10 +315,14 @@ let test_patch_digest_collapses () =
     stmt_by (function Verilog.Ast.Nonblocking _ -> true | _ -> false) m
   in
   (* Patch + inverse-ish no-op edits materialize identically. *)
-  let d1 = Cirfix.Patch.digest m [ Cirfix.Patch.Delete s.Verilog.Ast.sid ] in
+  let d1 =
+    Cirfix.Evaluate.key_of
+      (Cirfix.Patch.apply m [ Cirfix.Patch.Delete s.Verilog.Ast.sid ])
+  in
   let d2 =
-    Cirfix.Patch.digest m
-      [ Cirfix.Patch.Delete 424242; Cirfix.Patch.Delete s.Verilog.Ast.sid ]
+    Cirfix.Evaluate.key_of
+      (Cirfix.Patch.apply m
+         [ Cirfix.Patch.Delete 424242; Cirfix.Patch.Delete s.Verilog.Ast.sid ])
   in
   Alcotest.(check string) "same digest" d1 d2
 
