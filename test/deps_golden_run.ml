@@ -98,13 +98,7 @@ let report_propose buf m =
           (ids (Cirfix.Templates.eligible_targets tpl m)))
       Cirfix.Templates.all
   in
-  let names =
-    List.concat_map
-      (fun s ->
-        Cirfix.Fault_loc.NameSet.elements (Cirfix.Fault_loc.stmt_idents s))
-      stmts
-    |> List.sort_uniq compare
-  in
+  let names = Array.to_list (Cirfix.Index.names (Cirfix.Index.of_module m)) in
   Printf.bprintf buf
     "  propose insert [%s] replace {%s} templates {%s} names [%s]\n"
     (sids (Cirfix.Fix_loc.insertion_pool m))

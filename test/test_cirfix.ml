@@ -1006,6 +1006,202 @@ let test_patch_table_keys () =
         cands)
     [ "first seen"; "repeated" ]
 
+(* --- Proposal index ---------------------------------------------------------- *)
+
+(* Every fact of an index as text, statement by statement, so that two
+   indices compare line by line. *)
+let index_lines (idx : Cirfix.Index.t) : string list =
+  let names s = String.concat "," (Cirfix.Index.NameSet.elements s) in
+  let ids l = String.concat "," (List.map string_of_int l) in
+  let sids a = ids (Array.to_list (Array.map (fun (s : Verilog.Ast.stmt) -> s.sid) a)) in
+  let stmts =
+    Array.to_list
+      (Array.map
+         (fun (f : Cirfix.Index.stmt_facts) ->
+           Printf.sprintf
+             "stmt %d small=%b insertable=%b conditional=%b writes=%s \
+              idents=%s subtree=%s desc=%d"
+             f.stmt.sid f.small f.insertable f.conditional
+             (match f.writes with None -> "-" | Some w -> names w)
+             (names f.idents)
+             (ids (Array.to_list (Array.sub f.tree f.lo (f.hi - f.lo))))
+             f.desc)
+         idx.stmts)
+  in
+  let conts =
+    Array.to_list
+      (Array.map
+         (fun (c : Cirfix.Index.cont_facts) ->
+           Printf.sprintf "cont writes=%s ids=%s names=%s" (names c.c_writes)
+             (ids c.c_ids) (names c.c_names))
+         idx.conts)
+  in
+  stmts @ conts
+  @ [
+      "insertion " ^ sids (Cirfix.Index.insertion idx);
+      "unrestricted " ^ sids (Cirfix.Index.unrestricted idx);
+      "names " ^ String.concat "," (Array.to_list (Cirfix.Index.names idx));
+    ]
+  @ Array.to_list
+      (Array.map
+         (fun (f : Cirfix.Index.stmt_facts) ->
+           "class pool " ^ sids (Cirfix.Index.same_class idx f.stmt))
+         idx.stmts)
+  @ List.map
+      (fun tpl ->
+        Cirfix.Templates.to_string tpl ^ " "
+        ^ ids (Array.to_list (Cirfix.Templates.eligible tpl idx)))
+      Cirfix.Templates.all
+
+(* The scenarios' faulty targets and their seeded mutant walks. *)
+let scenario_walks () =
+  List.map
+    (fun (d : Bench_suite.Defects.t) ->
+      let target =
+        match Verilog.Parser.parse_design_result (Bench_suite.Defects.inject d) with
+        | Ok design ->
+            List.find (fun (m : Verilog.Ast.module_decl) -> m.mod_id = d.target) design
+        | Error e -> Alcotest.failf "scenario #%d: %s" d.id e
+      in
+      (d, target, List.map fst (Mutants.walk d target ~n:Mutants.rounds)))
+    Bench_suite.Defects.all
+
+(* An index derived from the previous mutant's index equals a cold index
+   of the mutant: the same facts, over physically the mutant's own
+   statements, with the base's facts taken for exactly the items the
+   mutant shares physically with the previous one. *)
+let test_index_derived_equals_cold () =
+  List.iter
+    (fun ((d : Bench_suite.Defects.t), target, mutants) ->
+      ignore
+        (List.fold_left
+           (fun (r, (prev : Verilog.Ast.module_decl), base) (m : Verilog.Ast.module_decl) ->
+             let what = Printf.sprintf "#%d mutant %d" d.id r in
+             let derived = Cirfix.Index.of_module ~base m in
+             let cold = Cirfix.Index.of_module m in
+             Alcotest.(check (list string)) (what ^ ": facts") (index_lines cold)
+               (index_lines derived);
+             Array.iteri
+               (fun i (f : Cirfix.Index.stmt_facts) ->
+                 if f.stmt != cold.stmts.(i).stmt then
+                   Alcotest.failf "%s: statement %d is not the mutant's" what i)
+               derived.stmts;
+             List.iteri
+               (fun i (it : Verilog.Ast.item) ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: item %d facts shared iff item shared" what i)
+                   (it == List.nth prev.items i)
+                   (derived.items.(i) == base.Cirfix.Index.items.(i)))
+               m.items;
+             (r + 1, m, derived))
+           (0, target, Cirfix.Index.of_module target)
+           mutants))
+    (scenario_walks ())
+
+(* Draws through a derived index are the draws through the module-taking
+   functions: 200 mutation and template draws per scenario give equal
+   edits and leave the generator in equal states. *)
+let test_index_draws_match () =
+  let cfg = Cirfix.Config.default in
+  let state rng =
+    let r = Random.State.copy rng in
+    List.init 4 (fun _ -> Random.State.bits r)
+  in
+  List.iter
+    (fun ((d : Bench_suite.Defects.t), target, mutants) ->
+      let m = List.nth mutants (List.length mutants - 1) in
+      let idx =
+        Cirfix.Index.of_module
+          ~base:(Cirfix.Index.of_module (List.nth mutants (List.length mutants - 2)))
+          m
+      in
+      let stmts = Verilog.Ast_utils.stmts_of_module m in
+      let fl_stmts = List.filteri (fun i _ -> i mod 2 = 0) stmts in
+      let fl =
+        (Cirfix.Fault_loc.localize m ~mismatch:(Verilog.Slice.output_ports target)).fl
+      in
+      let targets = Cirfix.Mutate.targets fl_stmts in
+      let sites = Cirfix.Mutate.template_sites idx ~fl in
+      let a = Random.State.make [| 0x1dec; d.id |]
+      and b = Random.State.make [| 0x1dec; d.id |] in
+      for i = 1 to 200 do
+        let ea, eb =
+          if i mod 3 = 0 then
+            ( Cirfix.Mutate.template_index a idx ~sites,
+              Cirfix.Mutate.template_edit b m ~fl )
+          else
+            ( Cirfix.Mutate.mutate_index a cfg idx ~targets,
+              Cirfix.Mutate.mutate b cfg m ~fl_stmts )
+        in
+        let show = Option.fold ~none:"none" ~some:Cirfix.Patch.edit_to_string in
+        let what = Printf.sprintf "#%d draw %d" d.id i in
+        Alcotest.(check string) (what ^ ": edit") (show eb) (show ea);
+        Alcotest.(check (list int)) (what ^ ": generator state") (state b) (state a)
+      done)
+    (scenario_walks ())
+
+(* On a seeded repair of the motivating defect, parents take most of
+   their index from an ancestor's: items shared outnumber items indexed. *)
+let test_gp_index_engaged () =
+  let problem = motivating_problem () in
+  let built = Obs.Metrics.counter "gp.index_items_built"
+  and shared = Obs.Metrics.counter "gp.index_items_shared" in
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  let cfg =
+    { Cirfix.Config.default with seed = 2; max_probes = 300; max_generations = 6 }
+  in
+  ignore (Cirfix.Gp.repair cfg problem);
+  Alcotest.(check bool)
+    (Printf.sprintf "shared %d > built %d" (Obs.Metrics.value shared)
+       (Obs.Metrics.value built))
+    true
+    (Obs.Metrics.value shared > Obs.Metrics.value built
+    && Obs.Metrics.value built > 0)
+
+(* [resolve] gives the same candidates at -j 1 and -j 2: mutation chains
+   (each patch one edit past an earlier one) and crossovers of them, over
+   the motivating defect's target. *)
+let test_patch_table_jobs () =
+  let original = Cirfix.Problem.target_module (motivating_problem ()) in
+  let cfg = Cirfix.Config.default in
+  let rng = Random.State.make [| 5 |] in
+  let fl_stmts = Verilog.Ast_utils.stmts_of_module original in
+  let chains =
+    List.init 12 (fun _ ->
+        List.fold_left
+          (fun acc _ ->
+            let m = Cirfix.Patch.apply original (List.hd acc) in
+            match Cirfix.Mutate.mutate rng cfg m ~fl_stmts with
+            | Some e -> (List.hd acc @ [ e ]) :: acc
+            | None -> acc)
+          [ [] ] (List.init 3 Fun.id))
+    |> List.concat
+  in
+  let crosses =
+    List.init 12 (fun i ->
+        let a = List.nth chains i and b = List.nth chains (List.length chains - 1 - i) in
+        fst (Cirfix.Mutate.crossover rng a b))
+  in
+  let batch = Array.of_list (chains @ crosses @ chains) in
+  let keys jobs =
+    let table = Cirfix.Gp.Patch_table.create original in
+    Cirfix.Pool.with_pool ~jobs @@ fun pool ->
+    Array.map
+      (fun (c : Cirfix.Evaluate.candidate) ->
+        (c.c_key, Cirfix.Evaluate.key_of (Lazy.force c.c_module)))
+      (Cirfix.Gp.Patch_table.resolve table ~pool batch)
+  in
+  let k1 = keys 1 and k2 = keys 2 in
+  Array.iteri
+    (fun i (key, module_key) ->
+      let what = Printf.sprintf "patch %d" i in
+      Alcotest.(check string) (what ^ ": key") (fst k1.(i)) key;
+      Alcotest.(check string) (what ^ ": module") (snd k1.(i)) module_key;
+      Alcotest.(check string) (what ^ ": module is keyed") key module_key)
+    k2
+
 (* Every candidate build after a domain's first is patch-local: on a GP
    repair, at most one full build per domain (the main domain's seed, a
    worker's first candidate), every other compiled simulation built from
@@ -1074,6 +1270,14 @@ let () =
           Alcotest.test_case "untouched items shared" `Quick
             test_patch_shares_untouched_items;
           Alcotest.test_case "patch table keys" `Quick test_patch_table_keys;
+          Alcotest.test_case "patch table across jobs" `Quick test_patch_table_jobs;
+        ] );
+      ( "proposal index",
+        [
+          Alcotest.test_case "derived equals cold" `Quick
+            test_index_derived_equals_cold;
+          Alcotest.test_case "draws match" `Quick test_index_draws_match;
+          Alcotest.test_case "engaged on a repair" `Quick test_gp_index_engaged;
         ] );
       ( "minimization",
         [
