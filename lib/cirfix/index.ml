@@ -123,6 +123,22 @@ let stmt_site (s : stmt) =
   | Nonblocking _ -> Some Nonblocking_assign
   | _ -> None
 
+(* A placeholder for array slots not yet filled. *)
+let no_facts =
+  {
+    stmt = { sid = -1; s = Null };
+    cls = C_other;
+    small = true;
+    insertable = false;
+    conditional = false;
+    writes = None;
+    idents = NameSet.empty;
+    tree = [||];
+    lo = 0;
+    hi = 0;
+    desc = 0;
+  }
+
 let item_facts (item : item) : item_facts =
   let sites = Array.make n_sites [] in
   let add_site site id = sites.(site_rank site) <- id :: sites.(site_rank site) in
@@ -137,7 +153,7 @@ let item_facts (item : item) : item_facts =
     | _ -> [||]
   in
   let n_nodes = ref 0 in
-  let facts = ref [] and n_stmts = ref 0 in
+  let facts = ref (Array.make 16 no_facts) and n_stmts = ref 0 in
   let node id =
     tree.(!n_nodes) <- id;
     incr n_nodes
@@ -152,6 +168,11 @@ let item_facts (item : item) : item_facts =
   let rec visit (s : stmt) : NameSet.t =
     let slot = !n_stmts in
     incr n_stmts;
+    if slot = Array.length !facts then begin
+      let a = Array.make (2 * slot) no_facts in
+      Array.blit !facts 0 a 0 slot;
+      facts := a
+    end;
     let lo = !n_nodes in
     node s.sid;
     Option.iter (fun site -> add_site site s.sid) (stmt_site s);
@@ -198,23 +219,21 @@ let item_facts (item : item) : item_facts =
       | Trigger _ | Null -> (None, NameSet.empty)
     in
     let hi = !n_nodes in
-    facts :=
-      ( slot,
-        {
-          stmt = s;
-          cls = Verilog.Ast_utils.classify_stmt s;
-          small = hi - lo <= max_fragment_size;
-          insertable = insertable s;
-          conditional =
-            (match s.s with If _ | CaseStmt _ | While _ | For _ -> true | _ -> false);
-          writes;
-          idents = names;
-          tree;
-          lo;
-          hi;
-          desc = !n_stmts - 1 - slot;
-        } )
-      :: !facts;
+    !facts.(slot) <-
+      {
+        stmt = s;
+        cls = Verilog.Ast_utils.classify_stmt s;
+        small = hi - lo <= max_fragment_size;
+        insertable = insertable s;
+        conditional =
+          (match s.s with If _ | CaseStmt _ | While _ | For _ -> true | _ -> false);
+        writes;
+        idents = names;
+        tree;
+        lo;
+        hi;
+        desc = !n_stmts - 1 - slot;
+      };
     names
   in
   let conts =
@@ -236,17 +255,9 @@ let item_facts (item : item) : item_facts =
         Verilog.Ast_utils.fold_item (fun () _ -> ()) (fun () e -> value_site e) () item;
         []
   in
-  let stmts =
-    match !facts with
-    | [] -> [||]
-    | (_, f) :: _ ->
-        let a = Array.make !n_stmts f in
-        List.iter (fun (slot, f) -> a.(slot) <- f) !facts;
-        a
-  in
   {
     item;
-    i_stmts = stmts;
+    i_stmts = Array.sub !facts 0 !n_stmts;
     i_conts = Array.of_list conts;
     i_sites = Array.map (fun l -> Array.of_list (List.rev l)) sites;
   }

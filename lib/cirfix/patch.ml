@@ -30,13 +30,15 @@ let equal_edit (a : edit) (b : edit) =
   | (Replace _ | Insert _ | Delete _ | Template _), _ -> false
 
 (* A hash of the edit's kind, target and fragment id, consistent with
-   [equal_edit]. *)
+   [equal_edit]; integer arithmetic, so hashing allocates nothing. *)
 let hash_edit (e : edit) =
-  match e with
-  | Replace (i, s) -> Hashtbl.hash (0, i, s.sid)
-  | Insert (i, s) -> Hashtbl.hash (1, i, s.sid)
-  | Delete i -> Hashtbl.hash (2, i)
-  | Template (tpl, i, sg) -> Hashtbl.hash (3, tpl, i, sg)
+  let mix kind a b = (((a * 65599) + b) * 4) + kind in
+  (match e with
+  | Replace (i, s) -> mix 0 i s.sid
+  | Insert (i, s) -> mix 1 i s.sid
+  | Delete i -> mix 2 i 0
+  | Template (tpl, i, sg) -> mix 3 i (Hashtbl.hash (tpl, sg)))
+  land max_int
 
 let edit_to_string = function
   | Replace (id, s) ->

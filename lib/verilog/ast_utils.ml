@@ -438,18 +438,36 @@ let classify_stmt (s : stmt) =
    length-prefixed lists and strings — so distinct programs collide only if
    two independent 64-bit FNV-style lanes collide at once. *)
 
-type hash_state = { mutable h1 : int64; mutable h2 : int64 }
+(* The two 64-bit lanes, at byte offsets 0 and 8. Bytes rather than two
+   mutable [int64] fields: reading and writing a lane through the bytes
+   primitives stays unboxed, where a field update allocates a box per
+   word fed. *)
+type hash_state = Bytes.t
+
+(* FNV offset bases for the two lanes. *)
+let hash_start () : hash_state =
+  let st = Bytes.create 16 in
+  Bytes.set_int64_ne st 0 0xcbf29ce484222325L;
+  Bytes.set_int64_ne st 8 0x2545f4914f6cdd1dL;
+  st
+
+let hash_hex (st : hash_state) =
+  Printf.sprintf "%016Lx%016Lx" (Bytes.get_int64_ne st 0) (Bytes.get_int64_ne st 8)
 
 (* Word-at-a-time FNV-1a variants; the lanes use different odd multipliers
    and offsets so they do not collide in tandem. *)
 let feed st n =
   let w = Int64.of_int n in
-  st.h1 <- Int64.mul (Int64.logxor st.h1 w) 0x100000001b3L;
-  st.h2 <- Int64.mul (Int64.logxor st.h2 w) 0x9E3779B97F4A7C15L
+  Bytes.set_int64_ne st 0
+    (Int64.mul (Int64.logxor (Bytes.get_int64_ne st 0) w) 0x100000001b3L);
+  Bytes.set_int64_ne st 8
+    (Int64.mul (Int64.logxor (Bytes.get_int64_ne st 8) w) 0x9E3779B97F4A7C15L)
 
 let feed_string st s =
   feed st (String.length s);
-  String.iter (fun c -> feed st (Char.code c)) s
+  for i = 0 to String.length s - 1 do
+    feed st (Char.code (String.unsafe_get s i))
+  done
 
 let feed_opt f st = function
   | None -> feed st 0
@@ -726,10 +744,9 @@ let feed_item st (item : item) =
       feed st 9;
       feed_string st s
 
-(* FNV offset bases for the two lanes. *)
 let structural_hash (m : module_decl) : string =
-  let st = { h1 = 0xcbf29ce484222325L; h2 = 0x2545f4914f6cdd1dL } in
+  let st = hash_start () in
   feed_string st m.mod_id;
   feed_list feed_string st m.mod_ports;
   feed_list feed_item st m.items;
-  Printf.sprintf "%016Lx%016Lx" st.h1 st.h2
+  hash_hex st

@@ -40,11 +40,9 @@ type ctx = { d : Dataflow.denv; drop_ok : bool }
    primitives (ast_utils exposes them; 128 bits, the same identity the
    evaluation memo table already relies on). *)
 let expr_key (e : expr) : string =
-  let st =
-    { Ast_utils.h1 = 0xcbf29ce484222325L; h2 = 0x2545f4914f6cdd1dL }
-  in
+  let st = Ast_utils.hash_start () in
   Ast_utils.feed_expr st e;
-  Printf.sprintf "%016Lx%016Lx" st.Ast_utils.h1 st.Ast_utils.h2
+  Ast_utils.hash_hex st
 
 let num v = { eid = 0; e = Number (Packed.to_vec v) }
 
