@@ -37,14 +37,14 @@ let single_edits (m : module_decl) : Patch.edit list =
   let replaces =
     List.concat_map
       (fun (dest : stmt) ->
-        Array.to_list (Fix_loc.replacement idx ~target:dest)
+        Array.to_list (Index.same_class idx dest)
         |> List.filter_map (fun (src : stmt) ->
                if src.sid <> dest.sid then Some (Patch.Replace (dest.sid, src))
                else None))
       stmts
   in
   let inserts =
-    let pool = Array.to_list (Fix_loc.insertion idx) in
+    let pool = Array.to_list (Index.insertion idx) in
     List.concat_map
       (fun (dest : stmt) ->
         List.map (fun src -> Patch.Insert (dest.sid, src)) pool)

@@ -22,7 +22,7 @@
    and the source heatmap. *)
 
 open Verilog.Ast
-module IdSet = Index.IdSet
+module IdSet = Set.Make (Int)
 module IdMap = Map.Make (Int)
 module NameSet = Index.NameSet
 

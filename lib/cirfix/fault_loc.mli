@@ -25,7 +25,7 @@
     statement implicated in an earlier round is not visited again. The
     module-taking functions build an index and delegate. *)
 
-module IdSet = Index.IdSet
+module IdSet : Set.S with type elt = int
 module IdMap : Map.S with type key = int
 module NameSet = Index.NameSet
 

@@ -2,28 +2,16 @@
    operators draw code from, cutting syntactically/semantically invalid
    mutants (the paper reports 35% -> 10% non-compiling mutants). Insertion
    sources are statement-typed nodes from procedural blocks; replacements
-   must share the target's statement class. The pools are arrays of the
-   module's proposal index ({!Index}); the list-returning functions build
-   an index and copy the array. *)
+   must share the target's statement class. The proposal index holds the
+   pools ([Index.insertion], [Index.same_class]); these functions index a
+   module and read them. *)
 
 open Verilog.Ast
 
-let max_fragment_size = Index.max_fragment_size
-let insertion = Index.insertion
-let unrestricted = Index.unrestricted
-
-(* Replacement sources for [target] are the statements of its class
-   (small ones) other than [target]'s id; [replacement] includes the
-   statements with [target]'s id, which a draw skips. *)
-let replacement (idx : Index.t) ~(target : stmt) : stmt array =
-  Index.same_class idx target
-
 let insertion_pool (m : module_decl) : stmt list =
-  Array.to_list (insertion (Index.of_module m))
+  Array.to_list (Index.insertion (Index.of_module m))
 
+(* Replacement sources for a target: same statement class, other id. *)
 let replacement_pool (m : module_decl) ~(target : stmt) : stmt list =
-  Array.to_list (replacement (Index.of_module m) ~target)
+  Array.to_list (Index.same_class (Index.of_module m) target)
   |> List.filter (fun (s : stmt) -> s.sid <> target.sid)
-
-let unrestricted_pool (m : module_decl) : stmt list =
-  Array.to_list (unrestricted (Index.of_module m))

@@ -2,27 +2,13 @@
     replace operators draw code from, so fewer mutants are syntactically or
     semantically invalid (the paper reports a 35% to 10% reduction in
     non-compiling mutants). The pools are arrays of a module's proposal
-    index ({!Index}), in module statement order; the list-returning
-    functions take a module, index it and copy the array. *)
-
-(** Maximum node count of a fragment used as an edit payload; larger
-    subtrees are never drawn, preventing exponential candidate growth
-    across stacked insertions. *)
-val max_fragment_size : int
+    index ({!Index.insertion}, {!Index.same_class}, {!Index.unrestricted}
+    for the ablation), in module statement order; these functions take a
+    module, index it and copy a pool. *)
 
 (** Statement-typed nodes eligible as insertion sources (assignments,
     conditionals, case statements, loops, event triggers — IEEE Annex
     A.6.4), drawn from procedural blocks. *)
-val insertion : Index.t -> Verilog.Ast.stmt array
-
-(** Every small statement: the pool of the ablation without fix
-    localization. *)
-val unrestricted : Index.t -> Verilog.Ast.stmt array
-
-(** The small statements of [target]'s class. The replacement pool is
-    this array without the statements whose id is [target]'s. *)
-val replacement : Index.t -> target:Verilog.Ast.stmt -> Verilog.Ast.stmt array
-
 val insertion_pool : Verilog.Ast.module_decl -> Verilog.Ast.stmt list
 
 (** Replacement sources sharing the target's statement class. *)
@@ -30,6 +16,3 @@ val replacement_pool :
   Verilog.Ast.module_decl ->
   target:Verilog.Ast.stmt ->
   Verilog.Ast.stmt list
-
-(** The unrestricted pool used by the ablation: any (small) statement. *)
-val unrestricted_pool : Verilog.Ast.module_decl -> Verilog.Ast.stmt list

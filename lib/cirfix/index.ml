@@ -18,7 +18,6 @@
    reading one pool. *)
 
 open Verilog.Ast
-module IdSet = Set.Make (Int)
 module NameSet = Set.Make (String)
 
 (* Fragments above this size are never drawn as edit payloads: repeated

@@ -13,10 +13,11 @@
     {!Verilog.Ast_utils.exprs_of_module} (expressions), so a draw over an
     array is the draw the list-based operators made. *)
 
-module IdSet : Set.S with type elt = int
 module NameSet : Set.S with type elt = string
 
-(** Maximum node count of a fragment used as an edit payload. *)
+(** Maximum node count of a fragment used as an edit payload; larger
+    subtrees are never drawn, preventing exponential candidate growth
+    across stacked insertions. *)
 val max_fragment_size : int
 
 (** Statement kinds eligible as insertion sources (assignments,
@@ -91,7 +92,8 @@ val of_module : ?base:t -> Verilog.Ast.module_decl -> t
 (** Insertable statements that are small: the insertion pool. *)
 val insertion : t -> Verilog.Ast.stmt array
 
-(** Every small statement. *)
+(** Every small statement: the pool when fix localization is off (the
+    ablation). *)
 val unrestricted : t -> Verilog.Ast.stmt array
 
 (** The small statements of [s]'s class, [s] itself included when it is

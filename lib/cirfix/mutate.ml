@@ -5,33 +5,24 @@
 
 open Verilog.Ast
 
-let choose rng (l : 'a list) : 'a option =
-  match l with
-  | [] -> None
-  | _ -> Some (List.nth l (Random.State.int rng (List.length l)))
-
-(* The same draw from an array: one [Random.State.int] over its length,
-   none when it is empty. *)
-let choose_array rng (a : 'a array) : 'a option =
+(* A uniform draw: one [Random.State.int] over the array's length, none
+   when it is empty. *)
+let choose rng (a : 'a array) : 'a option =
   match Array.length a with
   | 0 -> None
   | n -> Some a.(Random.State.int rng n)
 
 (* [choose] over the statements of [pool] whose id is not [sid], without
-   building that list. *)
+   building that array. *)
 let choose_other rng (pool : stmt array) (sid : id) : stmt option =
-  let n =
+  let others =
     Array.fold_left (fun n (s : stmt) -> if s.sid <> sid then n + 1 else n) 0 pool
   in
-  if n = 0 then None
-  else
-    let k = ref (Random.State.int rng n) and found = ref None and i = ref 0 in
-    while !found = None do
-      let s = pool.(!i) in
-      if s.sid <> sid then if !k = 0 then found := Some s else decr k;
-      incr i
-    done;
-    !found
+  let rec nth i k =
+    let s = pool.(i) in
+    if s.sid = sid then nth (i + 1) k else if k = 0 then s else nth (i + 1) (k - 1)
+  in
+  if others = 0 then None else Some (nth 0 (Random.State.int rng others))
 
 (* Mutating raw blocks or bare timing controls mostly destroys process
    structure; operate on the enclosed statements instead. *)
@@ -50,22 +41,21 @@ let mutate_index (rng : Random.State.t) (cfg : Config.t) (idx : Index.t)
   let total = cfg.del_threshold +. cfg.ins_threshold +. cfg.rep_threshold in
   let p = p *. total in
   if p <= cfg.del_threshold then
-    Option.map (fun (s : stmt) -> Patch.Delete s.sid) (choose_array rng targets)
+    Option.map (fun (s : stmt) -> Patch.Delete s.sid) (choose rng targets)
   else if p <= cfg.del_threshold +. cfg.ins_threshold then (
     let pool =
-      if cfg.use_fix_loc then Fix_loc.insertion idx
-      else Fix_loc.unrestricted idx
+      if cfg.use_fix_loc then Index.insertion idx else Index.unrestricted idx
     in
-    match (choose_array rng targets, choose_array rng pool) with
+    match (choose rng targets, choose rng pool) with
     | Some dest, Some src -> Some (Patch.Insert (dest.sid, src))
     | _ -> None)
   else
-    match choose_array rng targets with
+    match choose rng targets with
     | None -> None
     | Some dest -> (
         let pool =
-          if cfg.use_fix_loc then Fix_loc.replacement idx ~target:dest
-          else Fix_loc.unrestricted idx
+          if cfg.use_fix_loc then Index.same_class idx dest
+          else Index.unrestricted idx
         in
         match choose_other rng pool dest.sid with
         | Some src -> Some (Patch.Replace (dest.sid, src))
@@ -102,14 +92,14 @@ let template_sites (idx : Index.t) ~(fl : Fault_loc.IdSet.t) :
 let template_index (rng : Random.State.t) (idx : Index.t)
     ~(sites : Templates.t -> id array) : Patch.edit option =
   let tpl = List.nth Templates.all (Random.State.int rng (List.length Templates.all)) in
-  match choose_array rng (sites tpl) with
+  match choose rng (sites tpl) with
   | None -> None
   | Some target ->
       let signal =
         match tpl with
         | Templates.Sens_posedge | Templates.Sens_negedge | Templates.Sens_level
         | Templates.Sens_add_posedge | Templates.Sens_add_negedge ->
-            choose_array rng (Index.names idx)
+            choose rng (Index.names idx)
         | _ -> None
       in
       Some (Patch.Template (tpl, target, signal))

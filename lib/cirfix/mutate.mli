@@ -4,9 +4,6 @@
     crossover over edit lists. All randomness flows through the caller's
     [Random.State.t] for reproducible trials. *)
 
-(** Uniform draw; [None] on an empty list. *)
-val choose : Random.State.t -> 'a list -> 'a option
-
 (** The statements a mutation may target among [fl_stmts]: all but raw
     blocks and bare timing controls. *)
 val targets : Verilog.Ast.stmt list -> Verilog.Ast.stmt array
